@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .pauli import PauliString, PauliSum, group_commuting
+from .pauli import PauliString, PauliSum
 
 if TYPE_CHECKING:  # pragma: no cover
     from .simulator import StateVector
@@ -227,7 +227,7 @@ def trotter_step(h: PauliSum, tau: float, controlled: bool = False) -> Circuit:
     """
     if not h.is_hermitian():
         raise ValueError("Trotter step requires a Hermitian sum")
-    fragments = group_commuting(h, "full").sets
+    fragments = h.group_commuting("full").sets
     # stable sort: equal norms keep the coloring order
     ordered = sorted(
         fragments,

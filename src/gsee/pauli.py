@@ -46,6 +46,11 @@ PURGE_TOL = 1e-14
 # registers; desk-scale memory runs out shortly after.
 DENSE_MATRIX_CAP = 14
 
+# Rows of the commutation graph computed per vectorized step in
+# :meth:`PauliSum.group_commuting`.  It bounds the working memory to a few
+# (block, n_terms) buffers; at 5,459 terms 64 rows ran faster than 256.
+_CLASH_BLOCK = 64
+
 _PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 _AXIS_FROM_BITS = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _BITS_FROM_AXIS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -204,6 +209,66 @@ class CommutingSets:
 
     def __iter__(self) -> Iterator[tuple[tuple[PauliString, complex], ...]]:
         return iter(self.sets)
+
+
+def _mask_arrays(
+    strings: list[PauliString], n_qubits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """X and Z masks as ``uint64`` arrays of shape ``(len(strings), W)``.
+
+    Word ``w`` holds qubits ``64w .. 64w+63``; ``W = max(1, ceil(n/64))``.
+    """
+    n_words = max(1, -(-n_qubits // 64))
+    word = (1 << 64) - 1
+    x = np.empty((len(strings), n_words), dtype=np.uint64)
+    z = np.empty((len(strings), n_words), dtype=np.uint64)
+    for w in range(n_words):
+        shift = 64 * w
+        x[:, w] = [(s.x_mask >> shift) & word for s in strings]
+        z[:, w] = [(s.z_mask >> shift) & word for s in strings]
+    return x, z
+
+
+def _clash_blocks(
+    x: np.ndarray, z: np.ndarray, rows: np.ndarray, mode: str
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Rows of the non-commutation graph, :data:`_CLASH_BLOCK` at a time.
+
+    Yields ``(block_rows, clash)`` for consecutive slices of ``rows``, where
+    ``clash[i, j]`` is true iff string ``block_rows[i]`` fails to commute
+    with string ``j`` under ``mode`` (see :meth:`PauliString.commutes`).
+    ``clash`` is a view of a buffer that the next block overwrites.
+    """
+    n, n_words = x.shape
+    acc = np.empty((min(_CLASH_BLOCK, n), n), dtype=np.uint64)
+    tmp, tmp2 = np.empty_like(acc), np.empty_like(acc)
+    flag = np.empty(acc.shape, dtype=np.uint8)
+    occ = x | z
+    for start in range(0, len(rows), _CLASH_BLOCK):
+        block_rows = rows[start : start + _CLASH_BLOCK]
+        k = len(block_rows)
+        a, t, t2, f = acc[:k], tmp[:k], tmp2[:k], flag[:k]
+        a.fill(0)
+        for w in range(n_words):
+            xa, za = x[block_rows, w, None], z[block_rows, w, None]
+            xb, zb = x[:, w], z[:, w]
+            if mode == "full":
+                # popcount(p) + popcount(q) and popcount(p ^ q) share their
+                # parity, so XOR-folding keeps the symplectic product's parity
+                a ^= np.bitwise_and(xa, zb, out=t)
+                a ^= np.bitwise_and(za, xb, out=t)
+            else:
+                # axes differ on a qubit both strings act on
+                np.bitwise_xor(xa, xb, out=t)
+                t |= np.bitwise_xor(za, zb, out=t2)
+                t &= occ[block_rows, w, None]
+                a |= np.bitwise_and(t, occ[:, w], out=t)
+        if mode == "full":
+            np.bitwise_count(a, out=f)
+            f &= 1
+        else:
+            np.not_equal(a, 0, out=f.view(bool))
+        yield block_rows, f.view(bool)
 
 
 class PauliSum:
@@ -404,29 +469,42 @@ class PauliSum:
         Vertices are the terms in canonical order; edges join pairs that do
         not commute under ``mode``.  Vertices are colored in descending
         degree (ties broken by canonical term order) with the smallest
-        color absent from their neighborhood.
+        color absent from their neighborhood (Verteletskyi, Yen & Izmaylov,
+        J. Chem. Phys. 152, 124114, 2020).
+
+        The masks are held as ``uint64`` arrays of ``W = ceil(n_qubits/64)``
+        words per string, and edges come from vectorized symplectic
+        (Aaronson & Gottesman, PRA 70, 052328, 2004) or qubitwise tests
+        over blocks of :data:`_CLASH_BLOCK` rows.  The
+        graph is built twice, once for the degrees and once for the
+        coloring: O(n²·W) vectorized bit operations for ``n`` terms, in
+        O(block·n) working memory besides the O(n·W) masks.  No adjacency
+        matrix or neighbor list is ever stored.
+
+        Raises:
+            ValueError: unknown ``mode``.
         """
+        if mode not in ("full", "qubitwise"):
+            raise ValueError(f"unknown commutation mode {mode!r}")
         term_list = self.terms()
         n = len(term_list)
-        strings = [s for s, _ in term_list]
-        neighbors: list[list[int]] = [[] for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not strings[i].commutes(strings[j], mode):
-                    neighbors[i].append(j)
-                    neighbors[j].append(i)
-        order = sorted(range(n), key=lambda i: (-len(neighbors[i]), i))
-        color = [-1] * n
-        for v in order:
-            used = {color[u] for u in neighbors[v] if color[u] >= 0}
-            c = 0
-            while c in used:
-                c += 1
-            color[v] = c
-        n_sets = max(color) + 1 if n else 0
+        x, z = _mask_arrays([s for s, _ in term_list], self._n_qubits)
+        degree = np.empty(n, dtype=np.int64)
+        for rows, clash in _clash_blocks(x, z, np.arange(n), mode):
+            degree[rows] = np.count_nonzero(clash, axis=1)
+        order = np.lexsort((np.arange(n), -degree))
+        # color n marks an uncolored vertex; a vertex of degree d always
+        # finds a free color among 0..d, so the argmin stays below n
+        color = np.full(n, n, dtype=np.intp)
+        for rows, clash in _clash_blocks(x, z, order, mode):
+            for v, clash_row in zip(rows, clash):
+                used = np.zeros(n + 1, dtype=bool)
+                used[color[clash_row]] = True
+                color[v] = np.argmin(used)
+        n_sets = int(color.max()) + 1 if n else 0
         sets: list[list[tuple[PauliString, complex]]] = [[] for _ in range(n_sets)]
-        for i, term in enumerate(term_list):
-            sets[color[i]].append(term)
+        for term, c in zip(term_list, color.tolist()):
+            sets[c].append(term)
         return CommutingSets(tuple(tuple(s) for s in sets), mode)
 
     # ------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from gsee.pauli import PauliString, PauliSum
+from gsee.pauli import CommutingSets, PauliString, PauliSum
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -110,3 +110,35 @@ def circuit_unitary(circuit) -> np.ndarray:
     for gate in circuit.gates:
         out = gate_matrix(gate, circuit.n_qubits) @ out
     return out
+
+
+def greedy_coloring_reference(a: PauliSum, mode: str) -> CommutingSets:
+    """Pairwise greedy largest-first coloring, the oracle for
+    :meth:`PauliSum.group_commuting`.
+
+    Builds explicit neighbor lists from :meth:`PauliString.commutes`,
+    then colors vertices in descending degree (ties by canonical term
+    order) with the smallest color absent from their neighborhood.
+    """
+    term_list = a.terms()
+    n = len(term_list)
+    strings = [s for s, _ in term_list]
+    neighbors: list[list[int]] = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not strings[i].commutes(strings[j], mode):
+                neighbors[i].append(j)
+                neighbors[j].append(i)
+    order = sorted(range(n), key=lambda i: (-len(neighbors[i]), i))
+    color = [-1] * n
+    for v in order:
+        used = {color[u] for u in neighbors[v] if color[u] >= 0}
+        c = 0
+        while c in used:
+            c += 1
+        color[v] = c
+    n_sets = max(color) + 1 if n else 0
+    sets: list[list] = [[] for _ in range(n_sets)]
+    for i, term in enumerate(term_list):
+        sets[color[i]].append(term)
+    return CommutingSets(tuple(tuple(s) for s in sets), mode)

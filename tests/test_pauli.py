@@ -1,7 +1,10 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsee.pauli import (
     CommutingSets,
@@ -14,7 +17,13 @@ from gsee.pauli import (
     sum_multiply,
     truncate,
 )
-from helpers import dense_string, dense_sum, random_string, random_sum
+from helpers import (
+    dense_string,
+    dense_sum,
+    greedy_coloring_reference,
+    random_string,
+    random_sum,
+)
 
 # sigma_a . sigma_b = delta_ab I + i eps_abc sigma_c, frozen by hand
 SINGLE_QUBIT_PRODUCTS = {
@@ -211,6 +220,23 @@ class TestPauliSum:
             assert abs(e_full - e_cut) <= dropped + 1e-12
 
 
+@st.composite
+def hermitian_sums(draw):
+    """Random real-coefficient sums: up to 6 qubits and 0-80 terms."""
+    n = draw(st.integers(1, 6))
+    # an explicit length: st.lists alone rarely draws more than ten items
+    size = draw(st.integers(0, 80))
+    masks = st.integers(0, (1 << n) - 1)
+    terms = draw(
+        st.lists(
+            st.tuples(masks, masks, st.floats(-2.0, 2.0, allow_nan=False)),
+            min_size=size,
+            max_size=size,
+        )
+    )
+    return PauliSum(n, [(PauliString(x, z), c) for x, z, c in terms])
+
+
 class TestGrouping:
     def test_all_z_single_set(self):
         a = PauliSum(
@@ -265,6 +291,34 @@ class TestGrouping:
         g1 = group_commuting(a, "full")
         g2 = group_commuting(a, "full")
         assert g1 == g2
+
+    @pytest.mark.parametrize("n_terms", [0, 1, 3])
+    def test_unknown_mode_rejected(self, n_terms):
+        a = random_sum(np.random.default_rng(37), 2, n_terms)
+        with pytest.raises(ValueError, match="unknown commutation mode"):
+            a.group_commuting("sideways")
+
+    @settings(deadline=None)
+    @given(a=hermitian_sums(), mode=st.sampled_from(["full", "qubitwise"]))
+    def test_matches_pairwise_reference(self, a, mode):
+        assert a.group_commuting(mode) == greedy_coloring_reference(a, mode)
+
+    @pytest.mark.parametrize("mode", ["full", "qubitwise"])
+    def test_matches_reference_across_mask_words(self, mode):
+        # every string on qubits 0, 63 | 64, 69: supports straddle the
+        # boundary between the first and second 64-bit mask word
+        rng = np.random.default_rng(41)
+        strings = [
+            PauliString.from_support(
+                {q: ax for q, ax in zip((0, 63, 64, 69), axes) if ax != "I"}
+            )
+            for axes in itertools.product("IXYZ", repeat=4)
+        ]
+        a = PauliSum(70, {s: rng.normal() for s in strings})
+        assert len(a) == 256
+        grouped = a.group_commuting(mode)
+        assert grouped == greedy_coloring_reference(a, mode)
+        assert 1 < len(grouped) < len(a)
 
 
 class TestSpectralNorm:

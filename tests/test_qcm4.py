@@ -227,6 +227,10 @@ class TestPlan:
                 power.identity_coefficient.real
             )
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown commutation mode"):
+            plan(build_moments(PauliSum(1, {Z0: 1.0})), mode="sideways")
+
     def test_uses_carry_moment_coefficients(self):
         m = build_moments(PauliSum(1, {Z0: 0.5}))
         mp = plan(m)
