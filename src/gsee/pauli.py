@@ -19,6 +19,7 @@ Example:
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -43,7 +44,9 @@ __all__ = [
 PURGE_TOL = 1e-14
 
 # Dense 2^n x 2^n paths (matrices, eigendecompositions) refuse wider
-# registers; desk-scale memory runs out shortly after.
+# registers; desk-scale memory runs out shortly after.  Below the cap they
+# also refuse an allocation larger than physical memory (see
+# :func:`_check_dense_memory`).
 DENSE_MATRIX_CAP = 14
 
 # Rows of the commutation graph computed per vectorized step in
@@ -271,6 +274,28 @@ def _clash_blocks(
         yield block_rows, f.view(bool)
 
 
+def _physical_memory() -> int | None:
+    """Physical memory in bytes, or ``None`` where the OS does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_dense_memory(n_bytes: int, what: str) -> None:
+    """Raises before a dense allocation larger than physical memory.
+
+    Raises:
+        ValueError: ``n_bytes`` exceeds the machine's physical memory.
+    """
+    available = _physical_memory()
+    if available is not None and n_bytes > available:
+        raise ValueError(
+            f"{what} needs about {n_bytes:,} bytes, more than the "
+            f"{available:,} bytes of physical memory"
+        )
+
+
 class PauliSum:
     """A weighted sum of Pauli strings on a fixed register width.
 
@@ -358,9 +383,25 @@ class PauliSum:
         return self + (other * -1.0)
 
     def __mul__(self, scalar: complex) -> "PauliSum":
-        return PauliSum(
+        """Scalar multiple of the sum.
+
+        A positive real ``scalar`` keeps a computed eigendecomposition and
+        spectral norm: the product inherits ``(scalar · vals, vecs)`` and
+        ``scalar · norm`` instead of diagonalizing again.  They are carried
+        over only when no term fell under :data:`PURGE_TOL`, so the cache
+        always describes the product's own terms.
+        """
+        out = PauliSum(
             self._n_qubits, {s: c * scalar for s, c in self._terms.items()}
         )
+        factor = complex(scalar)
+        if factor.imag == 0 and factor.real > 0 and len(out) == len(self):
+            if self._eig_cache is not None:
+                vals, vecs = self._eig_cache
+                out._eig_cache = (factor.real * vals, vecs)
+            if self._norm_cache is not None:
+                out._norm_cache = factor.real * self._norm_cache
+        return out
 
     __rmul__ = __mul__
 
@@ -376,18 +417,23 @@ class PauliSum:
     # ------------------------------------------------------------------
     # dense paths
     # ------------------------------------------------------------------
-    def to_dense(self) -> np.ndarray:
-        """Dense matrix in the little-endian basis (qubit q = index bit q).
-
-        Raises:
-            ValueError: register wider than :data:`DENSE_MATRIX_CAP`.
-        """
+    def _require_dense_width(self) -> None:
         if self._n_qubits > DENSE_MATRIX_CAP:
             raise ValueError(
                 f"dense matrix limited to {DENSE_MATRIX_CAP} qubits, "
                 f"got {self._n_qubits}"
             )
+
+    def to_dense(self) -> np.ndarray:
+        """Dense matrix in the little-endian basis (qubit q = index bit q).
+
+        Raises:
+            ValueError: register wider than :data:`DENSE_MATRIX_CAP`, or
+                the ``16 · 4^n``-byte matrix exceeds physical memory.
+        """
+        self._require_dense_width()
         dim = 1 << self._n_qubits
+        _check_dense_memory(16 * dim * dim, "dense matrix")
         idx = np.arange(dim)
         out = np.zeros((dim, dim), dtype=complex)
         for s, c in self._terms.items():
@@ -402,14 +448,38 @@ class PauliSum:
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         """Cached Hermitian eigendecomposition ``(eigenvalues, vectors)``.
 
+        Eigenvalues ascend; the vectors are the ``complex128`` columns of a
+        unitary.  When no term has an odd number of Y factors, every string
+        matrix is real, and with the real coefficients a Hermitian sum
+        requires, so is the sum: it is then diagonalized by a real
+        symmetric ``eigh``, several times faster than the complex one, and
+        the vectors are cast to ``complex128`` once here.  Sums with an
+        odd-Y string take the complex ``eigh``.
+
         Raises:
-            ValueError: non-Hermitian sum or register beyond the dense cap.
+            ValueError: non-Hermitian sum, register beyond the dense cap,
+                or the matrix, its real copy and the vectors together
+                exceed physical memory.
         """
         if self._eig_cache is None:
             if not self.is_hermitian():
                 raise ValueError("eigendecomposition requires a Hermitian sum")
-            vals, vecs = np.linalg.eigh(self.to_dense())
-            self._eig_cache = (vals, vecs)
+            self._require_dense_width()
+            real = all(
+                (s.x_mask & s.z_mask).bit_count() % 2 == 0 for s in self._terms
+            )
+            # the complex matrix and vectors, 16 bytes a cell each, plus
+            # the 8-byte real copy on the real path
+            cells = 1 << (2 * self._n_qubits)
+            _check_dense_memory(
+                (40 if real else 32) * cells, "dense eigendecomposition"
+            )
+            dense = self.to_dense()
+            if real:
+                # rebinding drops the complex matrix before eigh runs
+                dense = np.ascontiguousarray(dense.real)
+            vals, vecs = np.linalg.eigh(dense)
+            self._eig_cache = (vals, vecs.astype(np.complex128, copy=False))
         return self._eig_cache
 
     def spectral_norm(self, fallback: bool = False) -> float:

@@ -84,6 +84,10 @@ def scale(h: PauliSum, fallback: bool = False) -> ScaledHamiltonian:
     h1 = (4/pi) ||H - h0 I||, so H~ = (H - h0 I)/h1 has its largest
     eigenvalue magnitude at exactly pi/4.
 
+    The dense spectral norm diagonalizes H - h0 I once; multiplying by the
+    positive 1/h1 keeps that cached decomposition, so evolving under H~
+    (:func:`gsee.simulator.evolve_exact`) diagonalizes nothing again.
+
     Args:
         fallback: accept the coefficient 1-norm in place of the dense
             spectral norm on registers too wide to diagonalize; the

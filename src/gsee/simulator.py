@@ -202,7 +202,8 @@ def evolve_exact(state: StateVector, h: PauliSum, t: float) -> StateVector:
     if h.n_qubits != state.n_qubits:
         raise ValueError("Hamiltonian and state widths differ")
     vals, vecs = h.eig()
-    coords = vecs.conj().T @ state.amplitudes
+    # V^H a computed as conj(V^T conj(a)): no conjugate copy of V
+    coords = (vecs.T @ state.amplitudes.conj()).conj()
     return StateVector(state.n_qubits, vecs @ (np.exp(-1j * t * vals) * coords))
 
 

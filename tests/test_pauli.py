@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gsee import pauli
 from gsee.pauli import (
     CommutingSets,
     PauliString,
@@ -319,6 +320,124 @@ class TestGrouping:
         grouped = a.group_commuting(mode)
         assert grouped == greedy_coloring_reference(a, mode)
         assert 1 < len(grouped) < len(a)
+
+
+def odd_y_count(x, z):
+    return (x & z).bit_count() % 2 == 1
+
+
+@st.composite
+def eig_sums(draw):
+    """Real-coefficient sums on 1-6 qubits, all even-Y or with an odd-Y string.
+
+    Even-Y sums have a real matrix and take the real ``eigh`` path; a single
+    odd-Y string sends the sum down the complex path.
+    """
+    n = draw(st.integers(1, 6))
+    size = draw(st.integers(0, 30))
+    masks = st.integers(0, (1 << n) - 1)
+    coeffs = st.floats(-2.0, 2.0, allow_nan=False)
+    terms = draw(
+        st.lists(st.tuples(masks, masks, coeffs), min_size=size, max_size=size)
+    )
+    terms = [(x, z, c) for x, z, c in terms if not odd_y_count(x, z)]
+    if draw(st.booleans()):
+        x, z, q = draw(masks), draw(masks), draw(st.integers(0, n - 1))
+        if not odd_y_count(x, z):
+            # turning qubit q into Y, or a Y on it into I, moves the count by 1
+            bit = 1 << q
+            x, z = (x & ~bit, z & ~bit) if x & z & bit else (x | bit, z | bit)
+        terms.append((x, z, draw(st.floats(0.1, 2.0))))
+    return PauliSum(n, [(PauliString(x, z), c) for x, z, c in terms])
+
+
+def assert_eig_matches_dense(a, vals, vecs):
+    dense = dense_sum(a)
+    assert vecs.dtype == np.complex128
+    np.testing.assert_allclose(vals, np.linalg.eigvalsh(dense), rtol=0, atol=1e-10)
+    eye = np.eye(1 << a.n_qubits)
+    np.testing.assert_allclose(vecs.conj().T @ vecs, eye, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(
+        (vecs * vals) @ vecs.conj().T, dense, rtol=0, atol=1e-10
+    )
+
+
+class TestEig:
+    @settings(deadline=None)
+    @given(a=eig_sums(), c=st.floats(0.1, 10.0))
+    def test_matches_dense_on_both_paths(self, a, c):
+        vals, vecs = a.eig()
+        assert_eig_matches_dense(a, vals, vecs)
+        if not any(odd_y_count(s.x_mask, s.z_mask) for s, _ in a.terms()):
+            # the real path casts real vectors: no imaginary part survives
+            assert not np.any(vecs.imag)
+        scaled = a * c
+        assert_eig_matches_dense(scaled, *scaled.eig())
+        if len(scaled) == len(a):
+            assert scaled.eig()[1] is vecs
+
+    def test_scaling_keeps_decomposition_and_norm(self):
+        rng = np.random.default_rng(43)
+        a = random_sum(rng, 3, 6)
+        vals, vecs = a.eig()
+        norm = a.spectral_norm()
+        scaled = a * 2.5
+        got_vals, got_vecs = scaled.eig()
+        assert got_vecs is vecs
+        np.testing.assert_array_equal(got_vals, 2.5 * vals)
+        assert scaled.spectral_norm() == 2.5 * norm
+        assert_eig_matches_dense(scaled, got_vals, got_vecs)
+
+    @pytest.mark.parametrize("scalar", [-2.0, 1j, 0.0])
+    def test_other_scalars_diagonalize_afresh(self, scalar):
+        a = PauliSum(
+            1,
+            {PauliString.from_label("Z0"): 1.0, PauliString.from_label("X0"): 0.5},
+        )
+        _, vecs = a.eig()
+        b = a * scalar
+        if b.is_hermitian():
+            assert b.eig()[1] is not vecs
+            assert_eig_matches_dense(b, *b.eig())
+        else:
+            # an inherited cache would skip the Hermitian check
+            with pytest.raises(ValueError, match="Hermitian"):
+                b.eig()
+
+    def test_purged_term_drops_the_cache(self):
+        z, x = PauliString.from_label("Z0"), PauliString.from_label("X0")
+        a = PauliSum(1, {z: 1.0, x: 1e-13})
+        _, vecs = a.eig()
+        b = a * 0.05
+        assert len(b) == 1
+        assert b.eig()[1] is not vecs
+        assert_eig_matches_dense(b, *b.eig())
+
+
+class TestDenseMemoryCheck:
+    def test_to_dense_refuses_more_than_physical_memory(self, monkeypatch):
+        monkeypatch.setattr(pauli, "_physical_memory", lambda: 1000)
+        a = PauliSum(3, {PauliString.from_label("Z0"): 1.0})
+        # one 8x8 complex128 matrix is 1,024 bytes
+        with pytest.raises(ValueError, match=r"1,024 bytes.*1,000 bytes"):
+            a.to_dense()
+
+    @pytest.mark.parametrize("label, need", [("Z0 X1", "2,560"), ("Y0", "2,048")])
+    def test_eig_counts_copies_and_vectors(self, monkeypatch, label, need):
+        # 3 qubits, 64 cells: the matrix fits in 2,000 bytes, but the real
+        # path holds 40 bytes a cell and the complex path 32
+        monkeypatch.setattr(pauli, "_physical_memory", lambda: 2000)
+        a = PauliSum(3, {PauliString.from_label(label): 1.0})
+        a.to_dense()
+        with pytest.raises(ValueError, match=rf"{need} bytes.*2,000 bytes"):
+            a.eig()
+        with pytest.raises(ValueError, match="physical memory"):
+            a.spectral_norm()
+
+    def test_unknown_memory_skips_the_check(self, monkeypatch):
+        monkeypatch.setattr(pauli, "_physical_memory", lambda: None)
+        a = PauliSum(2, {PauliString.from_label("Z0 Z1"): 1.0})
+        assert a.spectral_norm() == pytest.approx(1.0)
 
 
 class TestSpectralNorm:

@@ -1,11 +1,13 @@
 """Phase-estimation pipeline tests against dense oracles."""
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from helpers import dense_sum, random_sum
+from gsee.chem import jordan_wigner, parse_fcidump
 from gsee.circuits import hea_ansatz
 from gsee.pauli import PauliString, PauliSum
 from gsee.qcels import (
@@ -21,6 +23,9 @@ from gsee.qcels import (
 )
 from gsee.recompile import CompileConfig, compile_series
 from gsee.simulator import StateVector, expectation
+
+
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "src" / "gsee" / "fixtures"
 
 
 def two_qubit_fixture():
@@ -563,3 +568,29 @@ class TestSerialization:
                 spc=None,
                 mode="guess",
             )
+
+
+class TestOneEigendecomposition:
+    def test_pipeline_diagonalizes_once(self, monkeypatch):
+        fi = parse_fcidump((FIXTURES / "spin_polarized.fcidump").read_text())
+        h = jordan_wigner(fi)
+        amps = np.zeros(1 << h.n_qubits, dtype=complex)
+        amps[[0b01010100, 0b00010101, 0b01000101]] = [0.8, 0.48, 0.36]
+        psi = StateVector(h.n_qubits, amps)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        sh = scale(h)
+        tau = choose_grid(sh, psi, 9)
+        for series in (
+            acquire(sh, psi, tau, 9, "exact"),
+            acquire(sh, psi, tau, 9, "shots", spc=100, seed=3),
+        ):
+            assert math.isfinite(fit(series, sh).energy)
+        # scale diagonalizes H - h0 I; H~ inherits it through the scaling
+        assert calls == [(256, 256)]

@@ -143,13 +143,29 @@ class TestSimulateBatch:
 class TestEvolveExact:
     def test_matches_expm(self):
         rng = np.random.default_rng(31)
-        for _ in range(5):
-            h = random_sum(rng, 3, 5)
+        # no odd-Y string: a real matrix, diagonalized on the real eigh path;
+        # the random sums nearly always hold one and take the complex path
+        even_y = PauliSum(
+            3,
+            {
+                PauliString.from_label(label): c
+                for label, c in [
+                    ("Z0", 0.7),
+                    ("X0 X1", -0.4),
+                    ("Y1 Y2", 0.9),
+                    ("X0 Z1 Z2", 0.3),
+                    ("Y0 X1 Y2", -0.6),
+                ]
+            },
+        )
+        for k in range(6):
+            h = random_sum(rng, 3, 5) if k < 5 else even_y
             psi = StateVector(3, random_state(rng, 3))
             t = float(rng.uniform(-2, 2))
             got = evolve_exact(psi, h, t).amplitudes
             want = expm(-1j * t * dense_sum(h)) @ psi.amplitudes
             assert np.linalg.norm(got - want) < 1e-10
+        assert not np.any(even_y.eig()[1].imag)
 
     def test_group_property_and_identity(self):
         rng = np.random.default_rng(37)
