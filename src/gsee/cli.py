@@ -9,10 +9,8 @@ Subcommands:
 
 A run resolves its settings into one plain dict: the config file first,
 command-line overrides on top, then defaults.  The resolved dict is
-embedded in results.json, all JSON is written with sorted keys, and the
-modules keep their output independent of thread count, so identical
-resolved configurations reproduce results.json byte for byte at any
---threads value.
+embedded in results.json and all JSON is written with sorted keys, so
+identical resolved configurations reproduce results.json byte for byte.
 
 Exit codes: 0 success, 1 runtime or numerical failure, 2 unreadable or
 invalid input.
@@ -39,7 +37,14 @@ from .chem import (
 )
 from .circuits import hea_ansatz, two_qubit_depth
 from .pauli import PauliSum
-from .qcels import acquire, choose_grid, fit, hadamard_test_state, scale
+from .qcels import (
+    ScaledHamiltonian,
+    acquire,
+    choose_grid,
+    fit,
+    hadamard_test_state,
+    scale,
+)
 from .qcm4 import (
     Qcm4Result,
     bootstrap,
@@ -49,7 +54,7 @@ from .qcm4 import (
     pauli_filter,
     plan,
 )
-from .recompile import CompileConfig, compile_series
+from .recompile import CompileConfig, SeriesCompilation, compile_series
 from .simulator import StateVector
 
 __all__ = ["InputError", "SCHEMA_VERSION", "main", "resolve_config"]
@@ -67,28 +72,51 @@ class InputError(Exception):
 # ----------------------------------------------------------------------
 # config resolution
 # ----------------------------------------------------------------------
+# Run-config schema, {section: {key: (type, default, minimum, choices)}}.
+# A float key takes any JSON number and always resolves to a float.  The
+# two state keys without a default are required by the form that uses them.
+_COMPILE = {
+    "layers": (int, 6, 1, None),
+    "max_iterations": (int, 500, 1, None),
+    "learning_rate": (float, 0.05, None, None),
+    "restarts": (int, 3, 1, None),
+    "gradient": (str, "shift", None, ("shift", "fd")),
+    "fd_step": (float, 1e-5, None, None),
+    "tolerance": (float, 1e-12, None, None),
+    "warm_start": (bool, False, None, None),
+}
+_SERIES = {
+    "n_points": (int, 33, 2, None),
+    "fallback_norm": (bool, False, None, None),
+}
+_SCHEMA = {
+    "state": {
+        "basis": (int, None, 0, None),
+        "determinants": (str, None, None, None),
+        "threshold": (float, 0.0, 0.0, None),
+    },
+    "qcels": _SERIES,
+    "qcels.compile": _COMPILE,
+    "qcm4": {
+        "threshold": (float, 0.0, 0.0, None),
+        "filter": (bool, False, None, None),
+        "grouping": (str, "full", None, ("full", "qubitwise")),
+        "resamples": (int, 500, 2, None),
+        "allocation": (str, "uniform", None, ("uniform", "weighted")),
+    },
+    "recompile": {**_COMPILE, **_SERIES},
+}
+
 _MODE_CHOICES = {
     "qcels": ("exact", "shots", "recompiled"),
     "qcm4": ("exact", "shots"),
 }
 
-_QCM4_DEFAULTS = {
-    "threshold": 0.0,
-    "filter": False,
-    "grouping": "full",
-    "resamples": 500,
-    "allocation": "uniform",
-}
-
-_COMPILE_DEFAULTS = {
-    "layers": 6,
-    "max_iterations": 500,
-    "learning_rate": 0.05,
-    "restarts": 3,
-    "gradient": "shift",
-    "fd_step": 1e-5,
-    "tolerance": 1e-12,
-    "warm_start": False,
+_TYPE_NAMES = {
+    int: "an integer",
+    float: "a number",
+    bool: "true or false",
+    str: "a string",
 }
 
 
@@ -112,134 +140,83 @@ def _check_keys(raw: Mapping, allowed: Sequence[str], where: str) -> None:
         raise InputError(f"unknown {where} key(s): {', '.join(unknown)}")
 
 
-def _as_int(value: Any, where: str, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{where} must be an integer")
+def _value(
+    value: Any,
+    where: str,
+    kind: type,
+    minimum: float | None = None,
+    choices: Sequence[str] | None = None,
+) -> Any:
+    """Checks one config value against its schema entry and returns it."""
+    accepted = (int, float) if kind is float else kind
+    # bool is an int subclass, so it passes only where a bool is wanted
+    if isinstance(value, bool) is not (kind is bool) or not isinstance(
+        value, accepted
+    ):
+        raise InputError(f"{where} must be {_TYPE_NAMES[kind]}")
+    value = kind(value)
     if minimum is not None and value < minimum:
         raise InputError(f"{where} must be at least {minimum}")
-    return value
-
-
-def _as_number(value: Any, where: str, minimum: float | None = None) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputError(f"{where} must be a number")
-    out = float(value)
-    if minimum is not None and out < minimum:
-        raise InputError(f"{where} must be at least {minimum}")
-    return out
-
-
-def _as_bool(value: Any, where: str) -> bool:
-    if not isinstance(value, bool):
-        raise InputError(f"{where} must be true or false")
-    return value
-
-
-def _as_str(value: Any, where: str, choices: Sequence[str] | None = None) -> str:
-    if not isinstance(value, str):
-        raise InputError(f"{where} must be a string")
     if choices is not None and value not in choices:
         raise InputError(f"{where} must be one of {', '.join(choices)}")
     return value
+
+
+def _walk(
+    raw: Any,
+    section: str,
+    keys: Sequence[str] | None = None,
+    extra: Sequence[str] = (),
+) -> dict:
+    """Validates a raw config section against its schema entry.
+
+    Missing keys take their defaults.  ``keys`` narrows the entry to the
+    keys of one form; ``extra`` names keys the caller resolves itself.
+    """
+    if not isinstance(raw, Mapping):
+        raise InputError(f"{section} must be an object")
+    spec = _SCHEMA[section]
+    keys = spec if keys is None else keys
+    _check_keys(raw, (*keys, *extra), section)
+    out = {}
+    for key in keys:
+        kind, default, minimum, choices = spec[key]
+        out[key] = _value(
+            raw.get(key, default), f"{section}.{key}", kind, minimum, choices
+        )
+    return out
 
 
 def _resolve_state(raw: Any) -> dict:
     if not isinstance(raw, Mapping):
         raise InputError("state must be an object")
     if "basis" in raw:
-        _check_keys(raw, ("basis",), "state")
-        return {"basis": _as_int(raw["basis"], "state.basis", minimum=0)}
+        return _walk(raw, "state", ("basis",))
     if "determinants" in raw:
-        _check_keys(raw, ("determinants", "threshold"), "state")
-        return {
-            "determinants": _as_str(raw["determinants"], "state.determinants"),
-            "threshold": _as_number(
-                raw.get("threshold", 0.0), "state.threshold", minimum=0.0
-            ),
-        }
+        return _walk(raw, "state", ("determinants", "threshold"))
     raise InputError("state needs either 'basis' or 'determinants'")
 
 
-def _resolve_compile(raw: Any, where: str) -> dict:
-    if not isinstance(raw, Mapping):
-        raise InputError(f"{where} must be an object")
-    _check_keys(raw, tuple(_COMPILE_DEFAULTS), where)
-    out = dict(_COMPILE_DEFAULTS)
-    if "layers" in raw:
-        out["layers"] = _as_int(raw["layers"], f"{where}.layers", minimum=1)
-    if "max_iterations" in raw:
-        out["max_iterations"] = _as_int(
-            raw["max_iterations"], f"{where}.max_iterations", minimum=1
-        )
-    if "learning_rate" in raw:
-        out["learning_rate"] = _as_number(
-            raw["learning_rate"], f"{where}.learning_rate"
-        )
-    if "restarts" in raw:
-        out["restarts"] = _as_int(raw["restarts"], f"{where}.restarts", minimum=1)
-    if "gradient" in raw:
-        out["gradient"] = _as_str(
-            raw["gradient"], f"{where}.gradient", choices=("shift", "fd")
-        )
-    if "fd_step" in raw:
-        out["fd_step"] = _as_number(raw["fd_step"], f"{where}.fd_step")
-    if "tolerance" in raw:
-        out["tolerance"] = _as_number(raw["tolerance"], f"{where}.tolerance")
-    if "warm_start" in raw:
-        out["warm_start"] = _as_bool(raw["warm_start"], f"{where}.warm_start")
-    return out
+def _override(
+    raw: Mapping,
+    key: str,
+    flag: Any,
+    default: Any,
+    kind: type,
+    minimum: float | None = None,
+    choices: Sequence[str] | None = None,
+) -> Any:
+    """A top-level setting: the file value, then the flag over it.
 
-
-def _resolve_qcels(raw: Mapping, mode: str) -> dict:
-    _check_keys(raw, ("n_points", "fallback_norm", "compile"), "qcels")
-    out: dict = {
-        "n_points": _as_int(raw.get("n_points", 33), "qcels.n_points", minimum=2),
-        "fallback_norm": _as_bool(
-            raw.get("fallback_norm", False), "qcels.fallback_norm"
-        ),
-    }
-    if mode == "recompiled":
-        out["compile"] = _resolve_compile(raw.get("compile", {}), "qcels.compile")
-    elif "compile" in raw:
-        raise InputError("qcels.compile requires recompiled mode")
-    return out
-
-
-def _resolve_qcm4(raw: Mapping) -> dict:
-    _check_keys(raw, tuple(_QCM4_DEFAULTS), "qcm4")
-    out = dict(_QCM4_DEFAULTS)
-    if "threshold" in raw:
-        out["threshold"] = _as_number(
-            raw["threshold"], "qcm4.threshold", minimum=0.0
-        )
-    if "filter" in raw:
-        out["filter"] = _as_bool(raw["filter"], "qcm4.filter")
-    if "grouping" in raw:
-        out["grouping"] = _as_str(
-            raw["grouping"], "qcm4.grouping", choices=("full", "qubitwise")
-        )
-    if "resamples" in raw:
-        out["resamples"] = _as_int(raw["resamples"], "qcm4.resamples", minimum=2)
-    if "allocation" in raw:
-        out["allocation"] = _as_str(
-            raw["allocation"], "qcm4.allocation", choices=("uniform", "weighted")
-        )
-    return out
-
-
-def _resolve_recompile(raw: Mapping) -> dict:
-    allowed = ("n_points", "fallback_norm") + tuple(_COMPILE_DEFAULTS)
-    _check_keys(raw, allowed, "recompile")
-    out = _resolve_compile(
-        {k: raw[k] for k in raw if k in _COMPILE_DEFAULTS}, "recompile"
-    )
-    out["n_points"] = _as_int(
-        raw.get("n_points", 33), "recompile.n_points", minimum=2
-    )
-    out["fallback_norm"] = _as_bool(
-        raw.get("fallback_norm", False), "recompile.fallback_norm"
-    )
-    return out
+    Both are checked, so a bad file value fails even under a flag.  A key
+    whose default is None may be absent or null in the file.
+    """
+    value = raw.get(key, default)
+    if value is not None or default is not None:
+        value = _value(value, key, kind, minimum, choices)
+    if flag is None:
+        return value
+    return _value(flag, key, kind, minimum, choices)
 
 
 def resolve_config(
@@ -275,9 +252,9 @@ def resolve_config(
             raise InputError(f"config needs {key!r}")
     resolved: dict = {
         "algorithm": command,
-        "operator": _as_str(raw["operator"], "operator"),
+        "operator": _value(raw["operator"], "operator", str),
         "state": _resolve_state(raw["state"]),
-        "seed": seed if seed is not None else _as_int(raw.get("seed", 0), "seed"),
+        "seed": _override(raw, "seed", seed, 0, int, minimum=0),
     }
 
     if command == "recompile":
@@ -286,14 +263,10 @@ def resolve_config(
         if spc is not None or "spc" in raw:
             raise InputError("recompile does not take spc")
     else:
-        chosen_mode = _as_str(
-            mode if mode is not None else raw.get("mode", "exact"),
-            "mode",
-            choices=_MODE_CHOICES[command],
+        chosen_mode = _override(
+            raw, "mode", mode, "exact", str, choices=_MODE_CHOICES[command]
         )
-        chosen_spc = spc if spc is not None else raw.get("spc")
-        if chosen_spc is not None:
-            chosen_spc = _as_int(chosen_spc, "spc", minimum=1)
+        chosen_spc = _override(raw, "spc", spc, None, int, minimum=1)
         if chosen_mode == "shots" and chosen_spc is None:
             raise InputError("shots mode needs spc")
         if chosen_mode == "exact" and chosen_spc is not None:
@@ -305,11 +278,14 @@ def resolve_config(
     if not isinstance(section, Mapping):
         raise InputError(f"{command} section must be an object")
     if command == "qcels":
-        resolved["qcels"] = _resolve_qcels(section, resolved["mode"])
-    elif command == "qcm4":
-        resolved["qcm4"] = _resolve_qcm4(section)
+        settings = _walk(section, "qcels", extra=("compile",))
+        if resolved["mode"] == "recompiled":
+            settings["compile"] = _walk(section.get("compile", {}), "qcels.compile")
+        elif "compile" in section:
+            raise InputError("qcels.compile requires recompiled mode")
     else:
-        resolved["recompile"] = _resolve_recompile(section)
+        settings = _walk(section, command)
+    resolved[command] = settings
     return resolved
 
 
@@ -456,20 +432,26 @@ def _objective_csv(grid, curve) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _compile_config(settings: Mapping, seed: int) -> CompileConfig:
-    return CompileConfig(
-        max_iterations=settings["max_iterations"],
-        learning_rate=settings["learning_rate"],
-        restarts=settings["restarts"],
-        seed=seed,
-        gradient=settings["gradient"],
-        fd_step=settings["fd_step"],
-        tolerance=settings["tolerance"],
-        warm_start=settings["warm_start"],
+def _compile_hadamard_series(
+    sh: ScaledHamiltonian, psi: StateVector, tau: float, n_points: int, settings: Mapping,
+    seed: int, out: Path,
+) -> tuple[SeriesCompilation, int]:
+    """Compiles the Hadamard-test state of every time point n tau.
+
+    Writes series_compilation.json and returns the compilation with the
+    ansatz's two-qubit depth.
+    """
+    targets = [hadamard_test_state(sh, psi, n * tau) for n in range(n_points)]
+    ansatz, _ = hea_ansatz(psi.n_qubits + 1, settings["layers"])
+    config = CompileConfig(
+        seed=seed, **{key: settings[key] for key in _COMPILE if key != "layers"}
     )
+    compilation = compile_series(targets, ansatz, config, layers=settings["layers"])
+    (out / "series_compilation.json").write_text(compilation.to_json() + "\n")
+    return compilation, two_qubit_depth(ansatz)
 
 
-def cmd_qcels(resolved: Mapping, base: Path, out: Path, threads: int) -> None:
+def cmd_qcels(resolved: Mapping, base: Path, out: Path) -> None:
     h = _load_operator(resolved, base)
     psi = _load_state(resolved, base, h.n_qubits)
     settings = resolved["qcels"]
@@ -479,18 +461,10 @@ def cmd_qcels(resolved: Mapping, base: Path, out: Path, threads: int) -> None:
     compilation = None
     depth = None
     if resolved["mode"] == "recompiled":
-        comp = settings["compile"]
-        targets = [
-            hadamard_test_state(sh, psi, n * tau)
-            for n in range(settings["n_points"])
-        ]
-        ansatz, _ = hea_ansatz(psi.n_qubits + 1, comp["layers"])
-        compilation = compile_series(
-            targets, ansatz, _compile_config(comp, resolved["seed"]),
-            layers=comp["layers"],
+        compilation, depth = _compile_hadamard_series(
+            sh, psi, tau, settings["n_points"], settings["compile"],
+            resolved["seed"], out,
         )
-        (out / "series_compilation.json").write_text(compilation.to_json() + "\n")
-        depth = two_qubit_depth(ansatz)
 
     series = acquire(
         sh, psi, tau,
@@ -499,7 +473,6 @@ def cmd_qcels(resolved: Mapping, base: Path, out: Path, threads: int) -> None:
         spc=resolved["spc"],
         seed=resolved["seed"],
         compilation=compilation,
-        threads=threads,
     )
     (out / "overlap.csv").write_text(series.to_csv())
     result = fit(series, sh)
@@ -523,7 +496,7 @@ def cmd_qcels(resolved: Mapping, base: Path, out: Path, threads: int) -> None:
     print(f"E* = {result.energy:.10f} Ha")
 
 
-def cmd_qcm4(resolved: Mapping, base: Path, out: Path, threads: int) -> None:
+def cmd_qcm4(resolved: Mapping, base: Path, out: Path) -> None:
     h = _load_operator(resolved, base)
     psi = _load_state(resolved, base, h.n_qubits)
     settings = resolved["qcm4"]
@@ -538,7 +511,6 @@ def cmd_qcm4(resolved: Mapping, base: Path, out: Path, threads: int) -> None:
         seed=resolved["seed"],
         mode=resolved["mode"],
         allocation=settings["allocation"],
-        threads=threads,
     )
     bs = None
     if resolved["mode"] == "shots":
@@ -574,21 +546,15 @@ def cmd_qcm4(resolved: Mapping, base: Path, out: Path, threads: int) -> None:
     print(f"E_QCM4 = {summary.energy:.10f} Ha")
 
 
-def cmd_recompile(resolved: Mapping, base: Path, out: Path, threads: int) -> None:
+def cmd_recompile(resolved: Mapping, base: Path, out: Path) -> None:
     h = _load_operator(resolved, base)
     psi = _load_state(resolved, base, h.n_qubits)
     settings = resolved["recompile"]
     sh = scale(h, fallback=settings["fallback_norm"])
     tau = choose_grid(sh, psi, settings["n_points"])
-    targets = [
-        hadamard_test_state(sh, psi, n * tau) for n in range(settings["n_points"])
-    ]
-    ansatz, _ = hea_ansatz(psi.n_qubits + 1, settings["layers"])
-    compilation = compile_series(
-        targets, ansatz, _compile_config(settings, resolved["seed"]),
-        layers=settings["layers"],
+    compilation, depth = _compile_hadamard_series(
+        sh, psi, tau, settings["n_points"], settings, resolved["seed"], out
     )
-    (out / "series_compilation.json").write_text(compilation.to_json() + "\n")
     lines = ["step,fidelity,objective,iterations"]
     for step, entry in enumerate(compilation.results):
         lines.append(
@@ -606,7 +572,7 @@ def cmd_recompile(resolved: Mapping, base: Path, out: Path, threads: int) -> Non
         "mean_fidelity": compilation.mean_fidelity,
         "min_fidelity": compilation.min_fidelity,
         "max_fidelity": compilation.max_fidelity,
-        "two_qubit_depth": two_qubit_depth(ansatz),
+        "two_qubit_depth": depth,
     }
     _write_results(out, resolved, results)
     print(f"mean fidelity = {compilation.mean_fidelity:.6f}")
@@ -722,7 +688,6 @@ def _build_parser() -> argparse.ArgumentParser:
         run.add_argument(
             "--mode", choices=("exact", "shots", "recompiled"), default=None
         )
-        run.add_argument("--threads", type=int, default=1)
 
     report = sub.add_parser("report", help="summarize run artifacts")
     report.add_argument("runs", nargs="*", type=Path)
@@ -740,13 +705,11 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "report":
         cmd_report(args.runs, args.out)
         return 0
-    if args.threads < 1:
-        raise InputError("--threads must be at least 1")
     resolved = resolve_config(
         args.config, args.command, seed=args.seed, spc=args.spc, mode=args.mode
     )
     args.out.mkdir(parents=True, exist_ok=True)
-    _RUN_COMMANDS[args.command](resolved, args.config.parent, args.out, args.threads)
+    _RUN_COMMANDS[args.command](resolved, args.config.parent, args.out)
     return 0
 
 

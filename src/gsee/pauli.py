@@ -10,8 +10,8 @@ The qubit-to-amplitude convention used throughout the package is little
 endian: qubit ``q`` is bit ``q`` of the computational-basis index.
 
 Example:
-    >>> phase, product = multiply(PauliString.from_label("X0"),
-    ...                           PauliString.from_label("Y0"))
+    >>> phase, product = PauliString.from_label("X0").multiply(
+    ...     PauliString.from_label("Y0"))
     >>> phase, product.to_label()
     (1j, 'Z0')
 """
@@ -29,12 +29,7 @@ __all__ = [
     "PauliString",
     "PauliSum",
     "CommutingSets",
-    "multiply",
-    "commutes",
     "sum_multiply",
-    "truncate",
-    "group_commuting",
-    "spectral_norm",
     "PURGE_TOL",
     "DENSE_MATRIX_CAP",
 ]
@@ -609,33 +604,8 @@ class PauliSum:
 
 
 # ----------------------------------------------------------------------
-# operation-style wrappers
+# the sum product as a function; chem and qcm4 call it by this name
 # ----------------------------------------------------------------------
-def multiply(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
-    """Operator product of two strings; see :meth:`PauliString.multiply`."""
-    return a.multiply(b)
-
-
-def commutes(a: PauliString, b: PauliString, mode: str = "full") -> bool:
-    """Commutation test; see :meth:`PauliString.commutes`."""
-    return a.commutes(b, mode)
-
-
 def sum_multiply(a: PauliSum, b: PauliSum) -> PauliSum:
     """Operator product of two sums with like terms combined."""
     return a @ b
-
-
-def truncate(a: PauliSum, threshold: float) -> tuple[PauliSum, float]:
-    """Coefficient truncation; see :meth:`PauliSum.truncate`."""
-    return a.truncate(threshold)
-
-
-def group_commuting(a: PauliSum, mode: str = "full") -> CommutingSets:
-    """Commuting-set partition; see :meth:`PauliSum.group_commuting`."""
-    return a.group_commuting(mode)
-
-
-def spectral_norm(a: PauliSum, fallback: bool = False) -> float:
-    """Spectral norm; see :meth:`PauliSum.spectral_norm`."""
-    return a.spectral_norm(fallback)

@@ -17,7 +17,6 @@ E* = h0 + h1 theta*.
 import json
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,7 +263,6 @@ def acquire(
     spc: int | None = None,
     seed: int = 0,
     compilation: SeriesCompilation | None = None,
-    threads: int = 1,
 ) -> OverlapSeries:
     """Acquires the overlap series Z_n at times n tau.
 
@@ -278,10 +276,6 @@ def acquire(
             order); measurements are exact ancilla expectations when
             ``spc`` is None and sampled otherwise.
 
-    Time points are independent; ``threads > 1`` runs them on a thread
-    pool, and assembly in point order keeps the series identical at any
-    thread count.
-
     Raises:
         ValueError: bad mode, missing/mismatched compilation data in
             recompiled mode, or missing spc in shots mode.
@@ -294,8 +288,6 @@ def acquire(
         raise ValueError("shots mode needs spc >= 1")
     if spc is not None and spc < 1:
         raise ValueError("spc must be at least 1 when sampling")
-    if threads < 1:
-        raise ValueError("need at least one thread")
 
     if mode == "exact":
         values = np.empty(n_points, dtype=complex)
@@ -331,11 +323,7 @@ def acquire(
             return complex(re, im), 0.0, 0.0
         return complex(re, im), std_error(re, spc), std_error(im, spc)
 
-    if threads == 1:
-        points = [one_point(n) for n in range(n_points)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(one_point, range(n_points)))
+    points = [one_point(n) for n in range(n_points)]
     values = np.array([p[0] for p in points], dtype=complex)
     err_re = np.array([p[1] for p in points])
     err_im = np.array([p[2] for p in points])

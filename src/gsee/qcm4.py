@@ -18,7 +18,6 @@ resampling of the per-circuit shot records supplies error bars.
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -464,7 +463,6 @@ def estimate(
     seed: int = 0,
     mode: str = "exact",
     allocation: str = "uniform",
-    threads: int = 1,
 ) -> MomentEstimates:
     """Runs every plan circuit on ``psi`` and assembles the moments.
 
@@ -472,10 +470,6 @@ def estimate(
     acquisition (exact distribution or ``spc`` shots under the stream
     (seed, circuit index)) serves all of its member strings, and
     <H^n> = constants_n + sum sign a_{i,n} <Z(mask_i)>.
-
-    Circuits are independent; with ``threads > 1`` they run on a thread
-    pool.  Assembly always walks circuits in index order, so the result
-    is identical at any thread count.
     """
     if measurement_plan.n_qubits != psi.n_qubits:
         raise ValueError("plan and state widths differ")
@@ -483,22 +477,15 @@ def estimate(
         raise ValueError(f"unknown estimation mode {mode!r}")
     if mode == "shots" and (spc is None or spc < 1):
         raise ValueError("shots mode needs spc >= 1")
-    if threads < 1:
-        raise ValueError("need at least one thread")
     if mode == "shots":
         counts = _shot_allocation(measurement_plan, spc, allocation)
     else:
         counts = [None] * measurement_plan.n_circuits
     basis = np.arange(1 << psi.n_qubits)
-    jobs = [
-        (circuit, psi, counts[ci], seed, ci, basis)
+    outputs = [
+        _run_circuit(circuit, psi, counts[ci], seed, ci, basis)
         for ci, circuit in enumerate(measurement_plan.circuits)
     ]
-    if threads == 1 or len(jobs) < 2:
-        outputs = [_run_circuit(*job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outputs = list(pool.map(lambda job: _run_circuit(*job), jobs))
     moments = list(measurement_plan.constants)
     records: list[ShotRecord] = []
     for circuit, (record, values) in zip(measurement_plan.circuits, outputs):

@@ -6,8 +6,10 @@ import pathlib
 
 import pytest
 
+from gsee import cli
 from gsee.cli import InputError, SCHEMA_VERSION, main, resolve_config
 from gsee.pauli import PauliString, PauliSum
+from gsee.recompile import CompileConfig
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "src" / "gsee" / "fixtures"
 H2_FCIDUMP = FIXTURES / "h2_eq.fcidump"
@@ -177,6 +179,183 @@ class TestResolveConfig:
         with pytest.raises(InputError, match="at least 1"):
             resolve_config(path, "qcm4")
 
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        config = h2_config(tmp_path, "qcels")
+        code = main(["qcels", "--config", str(config), "--out",
+                     str(tmp_path / "run"), "--mode", "shots", "--spc", "10",
+                     "--seed", "-1"])
+        assert code == 2
+        assert "seed must be at least 0" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_negative_seed_in_file_exits_2(self, tmp_path, capsys):
+        config = h2_config(tmp_path, "qcm4", seed=-2)
+        code = main(["qcm4", "--config", str(config), "--out",
+                     str(tmp_path / "run")])
+        assert code == 2
+        assert "seed must be at least 0" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_file_values_checked_under_flags(self, tmp_path, capsys):
+        for case, (extra, message) in enumerate((
+            ({"seed": "abc", "mode": "bogus"}, "seed must be an integer"),
+            ({"mode": "bogus"}, "mode must be one of exact, shots"),
+            ({"spc": -3}, "spc must be at least 1"),
+        )):
+            config = h2_config(tmp_path / str(case), "qcm4", **extra)
+            code = main(["qcm4", "--config", str(config), "--out",
+                         str(tmp_path / "run"), "--seed", "5", "--mode", "shots",
+                         "--spc", "10"])
+            assert code == 2, extra
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+        path = h2_config(tmp_path / "ok", "qcm4", seed=0, mode="exact")
+        resolved = resolve_config(path, "qcm4", seed=5, spc=10, mode="shots")
+        assert (resolved["seed"], resolved["mode"], resolved["spc"]) == (
+            5, "shots", 10
+        )
+
+
+_COMPILE_KEYS = {
+    "layers": ("int", 6, 1, None),
+    "max_iterations": ("int", 500, 1, None),
+    "learning_rate": ("number", 0.05, None, None),
+    "restarts": ("int", 3, 1, None),
+    "gradient": ("str", "shift", None, ("shift", "fd")),
+    "fd_step": ("number", 1e-5, None, None),
+    "tolerance": ("number", 1e-12, None, None),
+    "warm_start": ("bool", False, None, None),
+}
+_SERIES_KEYS = {
+    "n_points": ("int", 33, 2, None),
+    "fallback_norm": ("bool", False, None, None),
+}
+# Expected run-config schema, written out independently of cli.py:
+# {section: {key: (kind, default, minimum, choices)}}.
+CONFIG_SCHEMA = {
+    "qcm4": {
+        "threshold": ("number", 0.0, 0.0, None),
+        "filter": ("bool", False, None, None),
+        "grouping": ("str", "full", None, ("full", "qubitwise")),
+        "resamples": ("int", 500, 2, None),
+        "allocation": ("str", "uniform", None, ("uniform", "weighted")),
+    },
+    "qcels": _SERIES_KEYS,
+    "qcels.compile": _COMPILE_KEYS,
+    "recompile": {**_COMPILE_KEYS, **_SERIES_KEYS},
+}
+KIND_NAMES = {
+    "int": "an integer",
+    "number": "a number",
+    "bool": "true or false",
+    "str": "a string",
+}
+WRONG_TYPES = {
+    "int": ("3", 2.5, True, None),
+    "number": ("0.5", True, None, [1.0]),
+    "bool": (1, 0, "true", None),
+    "str": (1, True, None, ["full"]),
+}
+SCHEMA_KEYS = [
+    (section, key) for section, keys in CONFIG_SCHEMA.items() for key in keys
+]
+MINIMUM_KEYS = [(s, k) for s, k in SCHEMA_KEYS if CONFIG_SCHEMA[s][k][2] is not None]
+CHOICE_KEYS = [(s, k) for s, k in SCHEMA_KEYS if CONFIG_SCHEMA[s][k][3] is not None]
+NUMBER_KEYS = [(s, k) for s, k in SCHEMA_KEYS if CONFIG_SCHEMA[s][k][0] == "number"]
+
+
+def resolve_section(tmp_path, section, body):
+    """Resolves a config whose ``section`` is ``body``; returns that section."""
+    command = section.split(".")[0]
+    payload = {"algorithm": command, "operator": "op.json", "state": {"basis": 0}}
+    mode = None
+    if section == "qcels.compile":
+        payload["qcels"] = {"compile": body}
+        mode = "recompiled"
+    else:
+        payload[command] = body
+    resolved = resolve_config(write_config(tmp_path, payload), command, mode=mode)
+    return resolved["qcels"]["compile"] if mode else resolved[command]
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("section", sorted(CONFIG_SCHEMA))
+    def test_empty_section_resolves_to_typed_defaults(self, tmp_path, section):
+        got = resolve_section(tmp_path, section, {})
+        expected = {
+            key: default for key, (_, default, _, _) in CONFIG_SCHEMA[section].items()
+        }
+        if section == "qcels":
+            got = {k: v for k, v in got.items() if k != "compile"}
+        assert got == expected
+        for key, value in got.items():
+            assert type(value) is type(expected[key]), (section, key)
+
+    @pytest.mark.parametrize(("section", "key"), SCHEMA_KEYS)
+    def test_wrong_type_names_the_path(self, tmp_path, section, key):
+        kind = CONFIG_SCHEMA[section][key][0]
+        for value in WRONG_TYPES[kind]:
+            with pytest.raises(InputError) as info:
+                resolve_section(tmp_path, section, {key: value})
+            assert str(info.value) == f"{section}.{key} must be {KIND_NAMES[kind]}"
+
+    @pytest.mark.parametrize(("section", "key"), MINIMUM_KEYS)
+    def test_minimum_is_enforced(self, tmp_path, section, key):
+        kind, _, minimum, _ = CONFIG_SCHEMA[section][key]
+        got = resolve_section(tmp_path, section, {key: minimum})
+        assert got[key] == minimum
+        below = minimum - 1 if kind == "int" else minimum - 0.5
+        with pytest.raises(InputError) as info:
+            resolve_section(tmp_path, section, {key: below})
+        assert str(info.value) == f"{section}.{key} must be at least {minimum}"
+
+    @pytest.mark.parametrize(("section", "key"), CHOICE_KEYS)
+    def test_choices_are_enforced(self, tmp_path, section, key):
+        choices = CONFIG_SCHEMA[section][key][3]
+        for choice in choices:
+            assert resolve_section(tmp_path, section, {key: choice})[key] == choice
+        with pytest.raises(InputError) as info:
+            resolve_section(tmp_path, section, {key: "bogus"})
+        assert str(info.value) == (
+            f"{section}.{key} must be one of {', '.join(choices)}"
+        )
+
+    @pytest.mark.parametrize(("section", "key"), NUMBER_KEYS)
+    def test_number_fields_resolve_to_float(self, tmp_path, section, key):
+        got = resolve_section(tmp_path, section, {key: 1})[key]
+        assert type(got) is float and got == 1.0
+
+    @pytest.mark.parametrize("section", sorted(CONFIG_SCHEMA))
+    def test_unknown_key_names_the_section(self, tmp_path, section):
+        with pytest.raises(InputError) as info:
+            resolve_section(tmp_path, section, {"zeta": 1, "alpha": 2})
+        assert str(info.value) == f"unknown {section} key(s): alpha, zeta"
+
+    def test_state_forms(self, tmp_path):
+        base = {"algorithm": "qcm4", "operator": "op.json"}
+        cases = [
+            ({"basis": -1}, "state.basis must be at least 0"),
+            ({"basis": 1.0}, "state.basis must be an integer"),
+            ({"determinants": 3}, "state.determinants must be a string"),
+            ({"determinants": "d.json", "threshold": "0"},
+             "state.threshold must be a number"),
+            ({"determinants": "d.json", "threshold": -0.5},
+             "state.threshold must be at least 0.0"),
+            ({"basis": 0, "threshold": 0.0}, "unknown state key(s): threshold"),
+            ([0], "state must be an object"),
+        ]
+        for state, message in cases:
+            path = write_config(tmp_path, dict(base, state=state))
+            with pytest.raises(InputError) as info:
+                resolve_config(path, "qcm4")
+            assert str(info.value) == message
+        path = write_config(tmp_path, dict(base, state={"determinants": "d.json"}))
+        state = resolve_config(path, "qcm4")["state"]
+        assert state == {"determinants": "d.json", "threshold": 0.0}
+        assert type(state["threshold"]) is float
+        path = write_config(tmp_path, dict(base, state={"basis": 3}))
+        assert resolve_config(path, "qcm4")["state"] == {"basis": 3}
+
 
 class TestIngest:
     def test_h2_operator(self, tmp_path, capsys):
@@ -248,12 +427,10 @@ class TestQcelsRun:
                 "--spc", "100"]
         assert main(argv + ["--out", str(tmp_path / "r1")]) == 0
         assert main(argv + ["--out", str(tmp_path / "r2")]) == 0
-        assert main(argv + ["--out", str(tmp_path / "r3"), "--threads", "3"]) == 0
         reference = (tmp_path / "r1" / "results.json").read_bytes()
         assert (tmp_path / "r2" / "results.json").read_bytes() == reference
-        assert (tmp_path / "r3" / "results.json").read_bytes() == reference
         overlap = (tmp_path / "r1" / "overlap.csv").read_bytes()
-        assert (tmp_path / "r3" / "overlap.csv").read_bytes() == overlap
+        assert (tmp_path / "r2" / "overlap.csv").read_bytes() == overlap
 
     def test_shot_run_stderr_columns_obey_formula(self, tmp_path):
         config = h2_config(tmp_path, "qcels")
@@ -370,6 +547,47 @@ class TestRecompileRun:
         rows = (tmp_path / "r1" / "fidelity.csv").read_text().splitlines()
         assert rows[0] == "step,fidelity,objective,iterations"
         assert len(rows) == 4
+
+
+class TestCompileSettings:
+    SETTINGS = {
+        "layers": 2, "max_iterations": 7, "learning_rate": 0.2, "restarts": 2,
+        "gradient": "fd", "fd_step": 1e-4, "tolerance": 1e-9, "warm_start": True,
+    }
+
+    @pytest.mark.parametrize("command", ["recompile", "qcels"])
+    def test_every_setting_reaches_the_optimizer(
+        self, tmp_path, monkeypatch, command
+    ):
+        seen = {}
+
+        def stop(targets, ansatz, config, layers=None):
+            seen.update(n=len(targets), qubits=ansatz.n_qubits,
+                        config=config, layers=layers)
+            raise RuntimeError("stopped before optimizing")
+
+        monkeypatch.setattr(cli, "compile_series", stop)
+        payload = {
+            "algorithm": command,
+            "operator": str(TOY_3Q),
+            "state": {"basis": 1},
+            "seed": 4,
+        }
+        if command == "recompile":
+            payload["recompile"] = dict(self.SETTINGS, n_points=3)
+        else:
+            payload["mode"] = "recompiled"
+            payload["qcels"] = {"n_points": 3, "compile": self.SETTINGS}
+        config = write_config(tmp_path, payload)
+        assert main([command, "--config", str(config),
+                     "--out", str(tmp_path / "run")]) == 1
+        expected = {k: v for k, v in self.SETTINGS.items() if k != "layers"}
+        assert seen == {
+            "n": 3,
+            "qubits": 4,
+            "config": CompileConfig(seed=4, **expected),
+            "layers": 2,
+        }
 
 
 class TestQcelsRecompiledRun:

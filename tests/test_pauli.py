@@ -11,12 +11,7 @@ from gsee.pauli import (
     CommutingSets,
     PauliString,
     PauliSum,
-    commutes,
-    group_commuting,
-    multiply,
-    spectral_norm,
     sum_multiply,
-    truncate,
 )
 from helpers import (
     dense_string,
@@ -62,15 +57,15 @@ class TestPauliString:
 
     def test_single_qubit_products_frozen(self):
         for (a, b), (phase, label) in SINGLE_QUBIT_PRODUCTS.items():
-            got_phase, got = multiply(
-                PauliString.from_label(f"{a}0"), PauliString.from_label(f"{b}0")
+            got_phase, got = PauliString.from_label(f"{a}0").multiply(
+                PauliString.from_label(f"{b}0")
             )
             assert got_phase == phase, (a, b)
             assert got.to_label() == label, (a, b)
 
     def test_self_product_is_identity(self):
         s = PauliString.from_label("X0 Z1")
-        phase, prod = multiply(s, s)
+        phase, prod = s.multiply(s)
         assert phase == 1
         assert prod.is_identity
 
@@ -79,7 +74,7 @@ class TestPauliString:
         for _ in range(200):
             a = random_string(rng, 4)
             b = random_string(rng, 4)
-            phase, prod = multiply(a, b)
+            phase, prod = a.multiply(b)
             direct = dense_string(a, 4) @ dense_string(b, 4)
             assert np.allclose(direct, phase * dense_string(prod, 4), atol=1e-14)
 
@@ -87,27 +82,24 @@ class TestPauliString:
         rng = np.random.default_rng(11)
         for _ in range(50):
             a, b, c = (random_string(rng, 3) for _ in range(3))
-            p1, ab = multiply(a, b)
-            p2, ab_c = multiply(ab, c)
-            q1, bc = multiply(b, c)
-            q2, a_bc = multiply(a, bc)
+            p1, ab = a.multiply(b)
+            p2, ab_c = ab.multiply(c)
+            q1, bc = b.multiply(c)
+            q2, a_bc = a.multiply(bc)
             assert ab_c == a_bc
             assert p1 * p2 == q1 * q2
 
     def test_commutes_examples(self):
         xx = PauliString.from_label("X0 X1")
         zz = PauliString.from_label("Z0 Z1")
-        assert commutes(xx, zz, "full")
-        assert not commutes(
-            PauliString.from_label("X0"), PauliString.from_label("Z0"), "full"
-        )
-        assert not commutes(
-            PauliString.from_label("X0"), PauliString.from_label("Z0"), "qubitwise"
-        )
+        assert xx.commutes(zz, "full")
+        x0, z0 = PauliString.from_label("X0"), PauliString.from_label("Z0")
+        assert not x0.commutes(z0, "full")
+        assert not x0.commutes(z0, "qubitwise")
         # commuting at the operator level but not qubitwise
-        assert not commutes(xx, zz, "qubitwise")
+        assert not xx.commutes(zz, "qubitwise")
         with pytest.raises(ValueError):
-            commutes(xx, zz, "sideways")
+            xx.commutes(zz, "sideways")
 
     def test_commutes_exhaustive_two_qubits_vs_dense(self):
         axes = ["I", "X", "Y", "Z"]
@@ -122,9 +114,9 @@ class TestPauliString:
             for b in strings:
                 da, db = dense_string(a, 2), dense_string(b, 2)
                 dense_commutes = np.allclose(da @ db, db @ da)
-                assert commutes(a, b, "full") == dense_commutes, (a, b)
+                assert a.commutes(b, "full") == dense_commutes, (a, b)
                 # qubitwise commutation implies full commutation
-                if commutes(a, b, "qubitwise"):
+                if a.commutes(b, "qubitwise"):
                     assert dense_commutes
 
     def test_commutes_randomized_four_qubits(self):
@@ -133,7 +125,7 @@ class TestPauliString:
             a = random_string(rng, 4)
             b = random_string(rng, 4)
             da, db = dense_string(a, 4), dense_string(b, 4)
-            assert commutes(a, b, "full") == np.allclose(da @ db, db @ da)
+            assert a.commutes(b, "full") == np.allclose(da @ db, db @ da)
 
 
 class TestPauliSum:
@@ -201,13 +193,13 @@ class TestPauliSum:
                 PauliString.from_label("X0"): 5e-4,
             },
         )
-        same, dropped = truncate(a, 0.0)
+        same, dropped = a.truncate(0.0)
         assert same == a and dropped == 0.0
-        cut, dropped = truncate(a, 1e-3)
+        cut, dropped = a.truncate(1e-3)
         assert cut.terms() == [(PauliString.from_label("Z0"), (1 + 0j))]
         assert dropped == pytest.approx(5e-4)
         with pytest.raises(ValueError):
-            truncate(a, -1.0)
+            a.truncate(-1.0)
 
     def test_truncation_energy_shift_bounded(self):
         # ground-energy shift from dropping terms is at most the dropped
@@ -215,7 +207,7 @@ class TestPauliSum:
         rng = np.random.default_rng(23)
         for _ in range(10):
             a = random_sum(rng, 3, 12)
-            cut, dropped = truncate(a, 0.3)
+            cut, dropped = a.truncate(0.3)
             e_full = np.linalg.eigvalsh(dense_sum(a))[0]
             e_cut = np.linalg.eigvalsh(dense_sum(cut))[0]
             assert abs(e_full - e_cut) <= dropped + 1e-12
@@ -248,8 +240,8 @@ class TestGrouping:
                 PauliString.from_label("Z0 Z1"): 3.0,
             },
         )
-        assert len(group_commuting(a, "full")) == 1
-        assert len(group_commuting(a, "qubitwise")) == 1
+        assert len(a.group_commuting("full")) == 1
+        assert len(a.group_commuting("qubitwise")) == 1
 
     def test_x_z_two_sets(self):
         a = PauliSum(
@@ -259,14 +251,14 @@ class TestGrouping:
                 PauliString.from_label("Z0"): 1.0,
             },
         )
-        assert len(group_commuting(a, "full")) == 2
+        assert len(a.group_commuting("full")) == 2
 
     def test_partition_properties_random(self):
         rng = np.random.default_rng(29)
         for _ in range(10):
             a = random_sum(rng, 4, 12)
-            full = group_commuting(a, "full")
-            qw = group_commuting(a, "qubitwise")
+            full = a.group_commuting("full")
+            qw = a.group_commuting("qubitwise")
             assert isinstance(full, CommutingSets)
             for sets, mode in ((full, "full"), (qw, "qubitwise")):
                 # exact cover
@@ -279,7 +271,7 @@ class TestGrouping:
                 for group in sets:
                     for i, (si, _) in enumerate(group):
                         for sj, _ in group[i + 1 :]:
-                            assert commutes(si, sj, mode)
+                            assert si.commutes(sj, mode)
                             di = dense_string(si, 4)
                             dj = dense_string(sj, 4)
                             assert np.allclose(di @ dj, dj @ di)
@@ -289,8 +281,8 @@ class TestGrouping:
     def test_deterministic(self):
         rng = np.random.default_rng(31)
         a = random_sum(rng, 4, 10)
-        g1 = group_commuting(a, "full")
-        g2 = group_commuting(a, "full")
+        g1 = a.group_commuting("full")
+        g2 = a.group_commuting("full")
         assert g1 == g2
 
     @pytest.mark.parametrize("n_terms", [0, 1, 3])
@@ -443,7 +435,7 @@ class TestDenseMemoryCheck:
 class TestSpectralNorm:
     def test_single_string(self):
         a = PauliSum(1, {PauliString.from_label("Z0"): 1.0})
-        assert spectral_norm(a) == pytest.approx(1.0)
+        assert a.spectral_norm() == pytest.approx(1.0)
 
     def test_two_term_hand_value(self):
         a = PauliSum(
@@ -454,17 +446,17 @@ class TestSpectralNorm:
             },
         )
         # eigenvalues are +/- sqrt(0.25 + 0.25)
-        assert spectral_norm(a) == pytest.approx(np.sqrt(0.5), abs=1e-12)
+        assert a.spectral_norm() == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
     def test_matches_dense_and_one_norm_bound(self):
         rng = np.random.default_rng(37)
         for _ in range(10):
             a = random_sum(rng, 3, 6)
             dense = np.linalg.eigvalsh(dense_sum(a))
-            assert spectral_norm(a) == pytest.approx(
+            assert a.spectral_norm() == pytest.approx(
                 np.max(np.abs(dense)), abs=1e-10
             )
-            assert spectral_norm(a) <= a.one_norm() + 1e-12
+            assert a.spectral_norm() <= a.one_norm() + 1e-12
 
     def test_non_hermitian_uses_singular_value(self):
         a = PauliSum(
@@ -475,13 +467,13 @@ class TestSpectralNorm:
             },
         )
         sv = np.linalg.svd(dense_sum(a), compute_uv=False)
-        assert spectral_norm(a) == pytest.approx(sv[0], abs=1e-12)
+        assert a.spectral_norm() == pytest.approx(sv[0], abs=1e-12)
 
     def test_wide_register_fallback(self):
         a = PauliSum(15, {PauliString.from_label("Z0"): 2.0})
         with pytest.raises(ValueError):
-            spectral_norm(a)
-        assert spectral_norm(a, fallback=True) == pytest.approx(2.0)
+            a.spectral_norm()
+        assert a.spectral_norm(fallback=True) == pytest.approx(2.0)
 
 
 class TestSerialization:

@@ -204,17 +204,6 @@ class TestAcquireShots:
         other = acquire(sh, psi, 0.7, 12, "shots", spc=200, seed=6)
         assert not np.array_equal(other.values, a.values)
 
-    def test_thread_count_does_not_change_series(self):
-        h, vals, vecs = two_qubit_fixture()
-        sh = scale(h)
-        psi = StateVector(2, vecs[:, 1])
-        serial = acquire(sh, psi, 0.7, 16, "shots", spc=150, seed=4)
-        pooled = acquire(sh, psi, 0.7, 16, "shots", spc=150, seed=4, threads=4)
-        assert np.array_equal(serial.values, pooled.values)
-        assert np.array_equal(serial.stderr_re, pooled.stderr_re)
-        with pytest.raises(ValueError, match="thread"):
-            acquire(sh, psi, 0.7, 16, "shots", spc=150, seed=4, threads=0)
-
     def test_statistical_consistency(self):
         h, vals, vecs = two_qubit_fixture()
         sh = scale(h)

@@ -319,18 +319,6 @@ class TestEstimate:
         )
         assert est.moments == again.moments
 
-    def test_thread_count_does_not_change_results(self):
-        h, psi = h2_problem()
-        mp = plan(build_moments(h))
-        exact_1 = estimate(mp, psi, threads=1)
-        exact_4 = estimate(mp, psi, threads=4)
-        assert exact_1.moments == exact_4.moments
-        shots_1 = estimate(mp, psi, spc=300, seed=2, mode="shots", threads=1)
-        shots_3 = estimate(mp, psi, spc=300, seed=2, mode="shots", threads=3)
-        assert shots_1.moments == shots_3.moments
-        for a, b in zip(shots_1.records, shots_3.records):
-            assert np.array_equal(a.outcomes, b.outcomes)
-
     def test_validation(self):
         h = PauliSum(1, {Z0: 1.0})
         mp = plan(build_moments(h))
@@ -343,8 +331,6 @@ class TestEstimate:
             estimate(mp, psi, mode="shots")
         with pytest.raises(ValueError, match="allocation"):
             estimate(mp, psi, spc=10, mode="shots", allocation="magic")
-        with pytest.raises(ValueError, match="thread"):
-            estimate(mp, psi, threads=0)
         with pytest.raises(KeyError):
             estimate(mp, psi)[5]
 
