@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .pauli import PauliString, PauliSum, sum_multiply
-from .simulator import StateVector, _pauli_action
+from .simulator import StateVector
 
 __all__ = [
     "FermionIntegrals",
@@ -406,10 +406,7 @@ def taper_state(report: TaperingReport, state: StateVector) -> StateVector:
         raise ValueError("state width does not match the tapering report")
     amps = state.amplitudes.copy()
     for g, pivot in zip(report.generators, report.pivots):
-        amps = np.sqrt(0.5) * (
-            _pauli_action(amps, g)
-            + _pauli_action(amps, PauliString(1 << pivot, 0))
-        )
+        amps = np.sqrt(0.5) * (g.act(amps) + PauliString(1 << pivot, 0).act(amps))
     kept = sorted(report.qubit_map, key=report.qubit_map.get)
     if not kept:
         raise ValueError("no qubits remain after tapering")

@@ -11,32 +11,24 @@ Gate kinds and conventions (half-angle throughout):
   control qubit (listed first in ``qubits``).
 
 Builders cover first-order Trotter steps ordered largest-norm-fragment
-first, Hadamard-test circuits on a fresh ancilla (qubit 0), and the
-hardware-efficient recompilation ansatz.
+first and the hardware-efficient recompilation ansatz.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
-
-import numpy as np
+from typing import Iterable, Sequence
 
 from .pauli import PauliString, PauliSum
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .simulator import StateVector
 
 __all__ = [
     "Gate",
     "Circuit",
     "AnsatzSpec",
-    "PreparedCircuit",
     "trotter_step",
     "two_qubit_depth",
     "hea_ansatz",
-    "hadamard_test",
     "controlled_on_fresh_ancilla",
 ]
 
@@ -190,14 +182,6 @@ class AnsatzSpec:
             raise ValueError("ansatz accounting violates the layer formulas")
 
 
-@dataclass(frozen=True)
-class PreparedCircuit:
-    """A circuit bundled with the initial amplitudes it acts on."""
-
-    initial: np.ndarray
-    circuit: Circuit
-
-
 # ----------------------------------------------------------------------
 # builders
 # ----------------------------------------------------------------------
@@ -340,34 +324,3 @@ def hea_ansatz(n_qubits: int, layers: int) -> tuple[Circuit, AnsatzSpec]:
         two_qubit_count=layers * (n_qubits - 1),
     )
     return circuit, spec
-
-
-def hadamard_test(
-    prep: "StateVector", u: Circuit, part: str
-) -> PreparedCircuit:
-    """Hadamard-test circuit for Re or Im of ⟨prep|U|prep⟩.
-
-    A fresh ancilla becomes qubit 0 and the system shifts to qubits 1..n.
-    The circuit is H(ancilla) → controlled-U → [S†(ancilla) for the
-    imaginary part] → H(ancilla); the ancilla Z expectation of the output
-    state then equals Re or Im of the overlap.
-
-    Args:
-        prep: system state |ψ⟩ the overlap is taken in.
-        u: uncontrolled circuit for U on the system register.
-        part: ``"re"`` or ``"im"``.
-    """
-    if part not in ("re", "im"):
-        raise ValueError(f"part must be 're' or 'im', got {part!r}")
-    if u.n_qubits != prep.n_qubits:
-        raise ValueError("circuit and state register widths differ")
-    dim = 1 << prep.n_qubits
-    # ancilla in |0> occupies bit 0; system indices shift up by one bit
-    amps = np.zeros(2 * dim, dtype=complex)
-    amps[np.arange(dim) << 1] = prep.amplitudes
-    gates = [Gate("h", (0,))]
-    gates.extend(controlled_on_fresh_ancilla(u).gates)
-    if part == "im":
-        gates.append(Gate("sdg", (0,)))
-    gates.append(Gate("h", (0,)))
-    return PreparedCircuit(amps, Circuit(u.n_qubits + 1, gates))

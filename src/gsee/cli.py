@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import math
@@ -393,7 +394,10 @@ def cmd_ingest(source: Path, out: Path, taper: bool) -> None:
     (out / "operator.json").write_text(h.to_json() + "\n")
     report: dict = {
         "schema_version": SCHEMA_VERSION,
-        "source": str(source),
+        "source": {
+            "name": source.name,
+            "sha256": hashlib.sha256(source.read_bytes()).hexdigest(),
+        },
         "norb": fi.norb,
         "nelec": fi.nelec,
         "ms2": fi.ms2,

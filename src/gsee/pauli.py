@@ -7,7 +7,12 @@ both bits.  Products, commutation checks, and dense-matrix actions then
 reduce to bit arithmetic.
 
 The qubit-to-amplitude convention used throughout the package is little
-endian: qubit ``q`` is bit ``q`` of the computational-basis index.
+endian: qubit ``q`` is bit ``q`` of the computational-basis index.  With
+``P = i^{|x&z|} X^x Z^z``, a string maps ``|b>`` to
+``i^{|x&z|} (-1)^{|z&b|} |b^x>`` (Aaronson & Gottesman, PRA 70, 052328,
+2004).  This module is the only place that action is computed:
+:attr:`PauliString.phase`, :meth:`PauliString.act` and :func:`z_signs`
+serve the simulator, the dense matrices, tapering and Z-basis estimation.
 
 Example:
     >>> phase, product = PauliString.from_label("X0").multiply(
@@ -30,6 +35,7 @@ __all__ = [
     "PauliSum",
     "CommutingSets",
     "sum_multiply",
+    "z_signs",
     "PURGE_TOL",
     "DENSE_MATRIX_CAP",
 ]
@@ -121,6 +127,16 @@ class PauliString:
                 out[q] = _AXIS_FROM_BITS[(bx, bz)]
             q += 1
         return out
+
+    @property
+    def phase(self) -> complex:
+        """``i^{|x&z|}``, the phase that makes each Y factor ``iXZ``."""
+        return _PHASES[(self.x_mask & self.z_mask).bit_count() % 4]
+
+    def act(self, amps: np.ndarray) -> np.ndarray:
+        """The string applied to amplitudes along their last axis."""
+        src = np.arange(amps.shape[-1]) ^ self.x_mask
+        return amps[..., src] * (self.phase * z_signs(src, self.z_mask))
 
     @property
     def is_identity(self) -> bool:
@@ -432,12 +448,7 @@ class PauliSum:
         idx = np.arange(dim)
         out = np.zeros((dim, dim), dtype=complex)
         for s, c in self._terms.items():
-            # P|b> = i^{|x&z|} (-1)^{|z&b|} |b ^ x>
-            parity = np.bitwise_count(idx & s.z_mask) & 1
-            vals = c * _PHASES[(s.x_mask & s.z_mask).bit_count() % 4] * np.where(
-                parity, -1.0, 1.0
-            )
-            out[idx ^ s.x_mask, idx] += vals
+            out[idx ^ s.x_mask, idx] += c * s.phase * z_signs(idx, s.z_mask)
         return out
 
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
@@ -460,9 +471,7 @@ class PauliSum:
             if not self.is_hermitian():
                 raise ValueError("eigendecomposition requires a Hermitian sum")
             self._require_dense_width()
-            real = all(
-                (s.x_mask & s.z_mask).bit_count() % 2 == 0 for s in self._terms
-            )
+            real = all(s.phase.imag == 0 for s in self._terms)
             # the complex matrix and vectors, 16 bytes a cell each, plus
             # the 8-byte real copy on the real path
             cells = 1 << (2 * self._n_qubits)
@@ -601,6 +610,16 @@ class PauliSum:
         )
         more = "" if len(self) <= 6 else f" + …({len(self)} terms)"
         return f"PauliSum({self._n_qubits}, {inner}{more})"
+
+
+def z_signs(indices: np.ndarray | int, z_masks: np.ndarray | int) -> np.ndarray:
+    """``(-1)^{|z&b|}`` as ``±1.0`` for basis indices ``b`` against Z masks.
+
+    ``indices`` and ``z_masks`` broadcast against each other, so an
+    ``(outcomes, 1)`` column against a row of masks gives the
+    (outcomes x masks) table of Z-string eigenvalues.
+    """
+    return 1.0 - 2.0 * (np.bitwise_count(np.bitwise_and(indices, z_masks)) & 1)
 
 
 # ----------------------------------------------------------------------

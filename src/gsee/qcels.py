@@ -244,8 +244,8 @@ def _ancilla_mean(
     S-dagger then H for Y.
     """
     if spc is None:
-        mask = {"re": PauliString(x_mask=1), "im": PauliString(1, 1)}[part]
-        return expectation(state, PauliSum(state.n_qubits, {mask: 1.0})).real
+        string = {"re": PauliString(x_mask=1), "im": PauliString(1, 1)}[part]
+        return np.vdot(state.amplitudes, string.act(state.amplitudes)).real
     gates = [Gate("h", (0,))]
     if part == "im":
         gates.insert(0, Gate("sdg", (0,)))

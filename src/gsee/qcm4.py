@@ -24,16 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .circuits import Circuit, Gate
-from .pauli import CommutingSets, PauliString, PauliSum, sum_multiply
-from .simulator import (
-    ShotRecord,
-    StateVector,
-    apply_circuit,
-    derived_rng,
-    estimate_pauli_z,
-    expectation,
-    sample_z,
-)
+from .pauli import CommutingSets, PauliString, PauliSum, sum_multiply, z_signs
+from .simulator import ShotRecord, StateVector, apply_circuit, derived_rng, sample_z
 
 __all__ = [
     "TERM_CAP",
@@ -145,12 +137,12 @@ def pauli_filter(
     """
     if m.n_qubits != psi.n_qubits:
         raise ValueError("moment operators and state widths differ")
+    amps = psi.amplitudes
     values: dict[PauliString, float] = {}
     for power in m.powers:
         for string, _ in power.terms():
             if string != PauliString() and string not in values:
-                probe = PauliSum(m.n_qubits, {string: 1.0})
-                values[string] = expectation(psi, probe).real
+                values[string] = np.vdot(amps, string.act(amps)).real
     dropped = {s: v for s, v in values.items() if abs(v) <= tol}
     filtered = []
     survivors = []
@@ -417,8 +409,6 @@ def _shot_allocation(
     n = measurement_plan.n_circuits
     if allocation == "uniform":
         return [spc] * n
-    if allocation != "weighted":
-        raise ValueError(f"unknown allocation {allocation!r}")
     weights = [
         sum(abs(a) for t in c.terms for _, a in t.uses)
         for c in measurement_plan.circuits
@@ -433,6 +423,17 @@ def _shot_allocation(
     return counts
 
 
+def _term_table(circuit: PlanCircuit, outcomes: np.ndarray) -> np.ndarray:
+    """Each term's ``sign · (-1)^{|mask & b|}`` per basis index ``b``.
+
+    Rows follow ``outcomes`` and columns the circuit's terms, so a count
+    or probability vector over the outcomes maps to the term values.
+    """
+    masks = np.array([t.z_mask for t in circuit.terms], dtype=np.int64)
+    signs = np.array([t.sign for t in circuit.terms], dtype=float)
+    return z_signs(outcomes[:, None], masks) * signs
+
+
 def _run_circuit(
     circuit: PlanCircuit,
     psi: StateVector,
@@ -440,20 +441,18 @@ def _run_circuit(
     seed: int,
     ci: int,
     basis: np.ndarray,
-) -> tuple[ShotRecord | None, list[float]]:
+) -> tuple[ShotRecord | None, np.ndarray]:
     """One circuit's acquisition and per-term values (exact when spc is None)."""
     rotated = apply_circuit(psi, circuit.clifford)
     if spc is None:
         probs = np.abs(rotated.amplitudes) ** 2
-        record = None
-        values = [
-            float(probs @ (1.0 - 2.0 * (np.bitwise_count(basis & t.z_mask) & 1)))
-            for t in circuit.terms
-        ]
-    else:
-        record = sample_z(rotated, spc, seed, (ci,))
-        values = [estimate_pauli_z(record, t.z_mask) for t in circuit.terms]
-    return record, values
+        # one contiguous dot per term: a single matrix product rounds
+        # the float probabilities differently
+        table = np.ascontiguousarray(_term_table(circuit, basis).T)
+        return None, np.array([probs @ column for column in table])
+    record = sample_z(rotated, spc, seed, (ci,))
+    outcomes, counts = np.unique(record.outcomes, return_counts=True)
+    return record, counts @ _term_table(circuit, outcomes) / spc
 
 
 def estimate(
@@ -475,6 +474,8 @@ def estimate(
         raise ValueError("plan and state widths differ")
     if mode not in ("exact", "shots"):
         raise ValueError(f"unknown estimation mode {mode!r}")
+    if allocation not in ("uniform", "weighted"):
+        raise ValueError(f"unknown allocation {allocation!r}")
     if mode == "shots" and (spc is None or spc < 1):
         raise ValueError("shots mode needs spc >= 1")
     if mode == "shots":
@@ -491,9 +492,9 @@ def estimate(
     for circuit, (record, values) in zip(measurement_plan.circuits, outputs):
         if record is not None:
             records.append(record)
-        for term, value in zip(circuit.terms, values):
+        for term, value in zip(circuit.terms, values.tolist()):
             for power, coeff in term.uses:
-                moments[power - 1] += coeff * term.sign * value
+                moments[power - 1] += coeff * value
     return MomentEstimates(
         moments=tuple(moments),
         plan=measurement_plan,
@@ -597,12 +598,10 @@ def bootstrap(
         draws = derived_rng(seed, ci).multinomial(
             record.spc, probs, size=resamples
         )
-        for term in circuit.terms:
-            parity = np.bitwise_count(outcomes & term.z_mask) & 1
-            signs = term.sign * (1.0 - 2.0 * parity)
-            values = draws @ signs / record.spc
+        values = draws @ _term_table(circuit, outcomes) / record.spc
+        for term, column in zip(circuit.terms, values.T):
             for power, coeff in term.uses:
-                moments[:, power - 1] += coeff * values
+                moments[:, power - 1] += coeff * column
     energies = np.array([energy(cumulants(row)) for row in moments])
     # variance of shifted data; exact zero when every resample agrees
     return BootstrapResult(

@@ -4,7 +4,8 @@ Qubit q is bit q of the basis index (little-endian).  All gate kernels
 operate on batches of states at once so that parameter sweeps cost one
 vectorized pass.  Randomness always flows through :func:`derived_rng`,
 a counter-based Philox generator keyed by (seed, stream); repeated runs
-with the same key reproduce shot records bit for bit.
+with the same key reproduce shot records bit for bit.  Pauli-string
+actions and Z-parity signs come from :mod:`gsee.pauli`.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, Gate, PreparedCircuit
-from .pauli import PauliString, PauliSum
+from .circuits import Circuit, Gate
+from .pauli import PauliString, PauliSum, z_signs
 
 __all__ = [
     "AMPLITUDE_CAP",
@@ -24,7 +25,6 @@ __all__ = [
     "derived_rng",
     "apply_circuit",
     "simulate_batch",
-    "run_prepared",
     "evolve_exact",
     "expectation",
     "sample_z",
@@ -34,7 +34,6 @@ __all__ = [
 AMPLITUDE_CAP = 20
 
 _SQRT_HALF = np.sqrt(0.5)
-_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
 def derived_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -92,16 +91,6 @@ class StateVector:
 # ----------------------------------------------------------------------
 # gate kernels: all operate on (batch, 2^n) arrays in place
 # ----------------------------------------------------------------------
-def _pauli_action(amps: np.ndarray, string: PauliString) -> np.ndarray:
-    # P|b> = i^{|x&z|} (-1)^{|z&(b^x)|} |b^x| applied columnwise
-    dim = amps.shape[-1]
-    idx = np.arange(dim)
-    src = idx ^ string.x_mask
-    signs = 1.0 - 2.0 * (np.bitwise_count(src & string.z_mask) & 1)
-    phase = _PHASES[(string.x_mask & string.z_mask).bit_count() % 4]
-    return amps[..., src] * (phase * signs)
-
-
 def _col(angle, batch: int) -> np.ndarray:
     """Half-angle coefficients broadcast against a (batch, dim) array."""
     arr = np.asarray(angle, dtype=float)
@@ -136,7 +125,7 @@ def _apply_gate(amps: np.ndarray, gate: Gate, angle) -> np.ndarray:
     else:
         string = gate.pauli
     half = 0.5 * _col(angle, amps.shape[0])
-    evolved = np.cos(half) * amps - 1j * np.sin(half) * _pauli_action(amps, string)
+    evolved = np.cos(half) * amps - 1j * np.sin(half) * string.act(amps)
     if gate.kind == "cpauliexp":
         control = (idx >> gate.qubits[0]) & 1 == 1
         return np.where(control, evolved, amps)
@@ -190,13 +179,6 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     return StateVector(state.n_qubits, out[0])
 
 
-def run_prepared(prepared: PreparedCircuit) -> StateVector:
-    """Runs a circuit from its bundled initial amplitudes."""
-    n = prepared.circuit.n_qubits
-    out = simulate_batch(prepared.circuit, prepared.initial)
-    return StateVector(n, out[0])
-
-
 def evolve_exact(state: StateVector, h: PauliSum, t: float) -> StateVector:
     """exp(-i t H)|state> through the cached eigendecomposition of H."""
     if h.n_qubits != state.n_qubits:
@@ -211,10 +193,10 @@ def expectation(state: StateVector, observable: PauliSum) -> complex:
     """``<state|observable|state>`` summed exactly over the terms."""
     if observable.n_qubits != state.n_qubits:
         raise ValueError("observable and state widths differ")
-    amps = state.amplitudes[None, :]
+    amps = state.amplitudes
     total = 0.0 + 0.0j
     for string, coeff in observable.terms():
-        total += coeff * np.vdot(amps, _pauli_action(amps, string))
+        total += coeff * np.vdot(amps, string.act(amps))
     return complex(total)
 
 
@@ -318,7 +300,4 @@ def estimate_pauli_z(record: ShotRecord, z: PauliString | int) -> float:
         mask = int(z)
     if mask >> record.n_qubits:
         raise ValueError("mask outside the recorded register")
-    if mask == 0:
-        return 1.0
-    parity = np.bitwise_count(record.outcomes & mask) & 1
-    return float(np.mean(1.0 - 2.0 * parity))
+    return float(np.mean(z_signs(record.outcomes, mask)))

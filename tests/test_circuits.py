@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from helpers import circuit_unitary, dense_sum, random_state, random_sum
+from helpers import circuit_unitary, dense_sum, random_sum
 from gsee.circuits import (
     AnsatzSpec,
     Circuit,
     Gate,
     controlled_on_fresh_ancilla,
-    hadamard_test,
     hea_ansatz,
     trotter_step,
     two_qubit_depth,
 )
 from gsee.pauli import PauliString, PauliSum
-from gsee.simulator import StateVector, expectation, run_prepared
 
 
 def pexp(label: str, angle: float) -> Gate:
@@ -236,39 +234,3 @@ class TestHeaAnsatz:
         with pytest.raises(ValueError):
             hea_ansatz(3, 0)
 
-
-class TestHadamardTest:
-    def random_bound_circuit(self, rng, n):
-        gates = []
-        for _ in range(6):
-            kind = rng.choice(["rx", "rz", "zzphase", "pauliexp"])
-            angle = float(rng.uniform(-np.pi, np.pi))
-            if kind in ("rx", "rz"):
-                gates.append(Gate(kind, (int(rng.integers(n)),), angle=angle))
-            elif kind == "zzphase":
-                a, b = rng.choice(n, size=2, replace=False)
-                gates.append(Gate("zzphase", (int(a), int(b)), angle=angle))
-            else:
-                s = PauliString.from_label("X0 Y1" if n > 1 else "Y0")
-                gates.append(Gate("pauliexp", tuple(s.support), angle=angle, pauli=s))
-        return Circuit(n, gates)
-
-    @pytest.mark.parametrize("part", ["re", "im"])
-    def test_ancilla_z_equals_overlap_part(self, part):
-        rng = np.random.default_rng(11)
-        for _ in range(5):
-            n = 2
-            psi = StateVector(n, random_state(rng, n))
-            u = self.random_bound_circuit(rng, n)
-            out = run_prepared(hadamard_test(psi, u, part))
-            z0 = PauliSum(n + 1, {PauliString.from_label("Z0"): 1.0})
-            measured = expectation(out, z0).real
-            overlap = psi.amplitudes.conj() @ circuit_unitary(u) @ psi.amplitudes
-            want = overlap.real if part == "re" else overlap.imag
-            assert abs(measured - want) < 1e-12
-
-    def test_part_validated(self):
-        psi = StateVector.zero_state(1)
-        u = Circuit(1, [Gate("rx", (0,), angle=0.1)])
-        with pytest.raises(ValueError, match="re"):
-            hadamard_test(psi, u, "abs")

@@ -1,5 +1,6 @@
 """Config resolution, run artifacts, report generation, and exit codes."""
 
+import hashlib
 import json
 import math
 import pathlib
@@ -382,6 +383,20 @@ class TestIngest:
         )
         reduced = PauliSum.from_json((out / "operator_tapered.json").read_text())
         assert reduced.n_qubits == taper["qubits"]
+
+    def test_report_names_source_by_content(self, tmp_path, capsys):
+        out = ingest_h2(tmp_path, taper=True)
+        copy = tmp_path / "elsewhere" / H2_FCIDUMP.name
+        copy.parent.mkdir()
+        copy.write_bytes(H2_FCIDUMP.read_bytes())
+        moved = tmp_path / "moved"
+        assert main(["ingest", str(copy), "--out", str(moved), "--taper"]) == 0
+        report = (out / "ingest_report.json").read_text()
+        assert (moved / "ingest_report.json").read_text() == report
+        assert json.loads(report)["source"] == {
+            "name": "h2_eq.fcidump",
+            "sha256": hashlib.sha256(H2_FCIDUMP.read_bytes()).hexdigest(),
+        }
 
     def test_reingest_is_byte_identical(self, tmp_path):
         first = ingest_h2(tmp_path / "a")

@@ -119,6 +119,32 @@ class TestPauliString:
                 if a.commutes(b, "qubitwise"):
                     assert dense_commutes
 
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_action_phase_and_signs_match_dense(self, data):
+        n = data.draw(st.integers(1, 6))
+        dim = 1 << n
+        masks = st.integers(0, dim - 1)
+        s = PauliString(data.draw(masks), data.draw(masks))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        batch = data.draw(st.integers(1, 3))
+        amps = rng.normal(size=(batch, dim)) + 1j * rng.normal(size=(batch, dim))
+        np.testing.assert_allclose(
+            s.act(amps), (dense_string(s, n) @ amps.T).T, rtol=0, atol=1e-12
+        )
+        n_y = sum(axis == "Y" for axis in s.support.values())
+        assert s.phase == 1j**n_y
+        indices = np.array(data.draw(st.lists(masks, min_size=1, max_size=8)))
+        z_masks = np.array(data.draw(st.lists(masks, min_size=1, max_size=4)))
+        table = pauli.z_signs(indices[:, None], z_masks)
+        assert table.shape == (len(indices), len(z_masks))
+        for i, b in enumerate(indices.tolist()):
+            for j, z in enumerate(z_masks.tolist()):
+                eigenvalues = [
+                    -1.0 if b >> q & 1 else 1.0 for q in range(n) if z >> q & 1
+                ]
+                assert table[i, j] == np.prod(eigenvalues)
+
     def test_commutes_randomized_four_qubits(self):
         rng = np.random.default_rng(13)
         for _ in range(100):

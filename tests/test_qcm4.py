@@ -16,7 +16,7 @@ from gsee.chem import (
 )
 from gsee.circuits import Circuit
 from gsee.pauli import PauliString, PauliSum
-from gsee.simulator import StateVector, expectation
+from gsee.simulator import StateVector, estimate_pauli_z, expectation
 from gsee.qcm4 import (
     Qcm4Result,
     bootstrap,
@@ -306,6 +306,21 @@ class TestEstimate:
             shots = estimate(mp, psi, spc=spc, seed=0, mode="shots")
             assert shots.moments == pytest.approx(exact.moments, abs=1e-12)
 
+    @pytest.mark.parametrize("allocation", ["uniform", "weighted"])
+    def test_shot_moments_rebuild_from_per_string_estimates(self, allocation):
+        h, psi = h2_problem()
+        mp = plan(build_moments(h))
+        est = estimate(
+            mp, psi, spc=300, seed=2, mode="shots", allocation=allocation
+        )
+        moments = list(mp.constants)
+        for circuit, record in zip(mp.circuits, est.records):
+            for term in circuit.terms:
+                value = estimate_pauli_z(record, term.z_mask)
+                for power, coeff in term.uses:
+                    moments[power - 1] += coeff * term.sign * value
+        assert est.moments == tuple(moments)
+
     def test_weighted_allocation_preserves_budget(self):
         h, psi = h2_problem()
         mp = plan(build_moments(h))
@@ -331,6 +346,8 @@ class TestEstimate:
             estimate(mp, psi, mode="shots")
         with pytest.raises(ValueError, match="allocation"):
             estimate(mp, psi, spc=10, mode="shots", allocation="magic")
+        with pytest.raises(ValueError, match="allocation"):
+            estimate(mp, psi, allocation="magic")
         with pytest.raises(KeyError):
             estimate(mp, psi)[5]
 
