@@ -2,9 +2,10 @@
 
 Each Hadamard-test state (ancilla entangled with a time-evolved branch)
 is re-expressed as a fixed-depth hardware-efficient ansatz whose angles
-are fitted by gradient descent.  The phase fit then runs on the compiled
-circuits instead of the exact evolution.  A reduced point count keeps
-this demo around ten seconds.
+are fitted by Adam on exact adjoint gradients (one forward and one
+backward sweep of the ansatz per iteration).  The phase fit then runs on
+the compiled circuits instead of the exact evolution.  A reduced point
+count keeps this demo to a few seconds.
 """
 
 import pathlib

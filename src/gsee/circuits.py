@@ -79,6 +79,16 @@ class Gate:
         elif self.angle is not None or self.param is not None:
             raise ValueError(f"{self.kind} takes no angle")
 
+    @property
+    def generator(self) -> PauliString | None:
+        """The string P of a rotation exp(-i angle P/2); None for h, sdg."""
+        if self.kind in ("rx", "rz"):
+            axis = "X" if self.kind == "rx" else "Z"
+            return PauliString.from_support({self.qubits[0]: axis})
+        if self.kind == "zzphase":
+            return PauliString.from_support({q: "Z" for q in self.qubits})
+        return self.pauli
+
 
 class Circuit:
     """An ordered gate list over a fixed register.
@@ -235,19 +245,11 @@ def controlled_on_fresh_ancilla(circuit: Circuit) -> Circuit:
         ValueError: the circuit contains a gate with no controlled form
             here (``h``, ``sdg``) or is already controlled.
     """
-    axis_of = {"rx": "X", "rz": "Z"}
     gates = []
     for g in circuit.gates:
         if g.kind in ("h", "sdg", "cpauliexp"):
             raise ValueError(f"cannot control a {g.kind} gate")
-        if g.kind in axis_of:
-            string = PauliString.from_support({g.qubits[0] + 1: axis_of[g.kind]})
-        elif g.kind == "zzphase":
-            string = PauliString.from_support(
-                {g.qubits[0] + 1: "Z", g.qubits[1] + 1: "Z"}
-            )
-        else:
-            string = _shift_string(g.pauli, 1)
+        string = _shift_string(g.generator, 1)
         gates.append(
             Gate(
                 "cpauliexp",

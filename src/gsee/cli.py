@@ -81,8 +81,6 @@ _COMPILE = {
     "max_iterations": (int, 500, 1, None),
     "learning_rate": (float, 0.05, None, None),
     "restarts": (int, 3, 1, None),
-    "gradient": (str, "shift", None, ("shift", "fd")),
-    "fd_step": (float, 1e-5, None, None),
     "tolerance": (float, 1e-12, None, None),
     "warm_start": (bool, False, None, None),
 }

@@ -3,11 +3,12 @@
 The objective is the squared vector distance || |target> - |s(params)> ||^2
 = 2 - 2 Re<target|s(params)>, which is global-phase sensitive on purpose:
 the compiled state must reproduce ancilla-entangled targets including the
-relative phase between branches.  Gradients use the parameter-shift rule
-for this linear-in-state objective: each angle enters through half-angle
-cosines, so d obj / d angle = [obj(+pi shift) - obj(-pi shift)] / 4,
-which is exact.  All restarts and all shifted evaluations run as one
-batched simulation per iteration.
+relative phase between branches.  The objective is linear in the
+circuit unitary, so one adjoint sweep of
+:func:`gsee.simulator.overlap_gradient` gives every restart's objective
+and its exact gradient: a forward pass prepares the states and a backward
+pass carries them and the target back gate by gate (Jones & Gacon,
+arXiv:2009.02823).  All restarts run as one batch per iteration.
 """
 
 from __future__ import annotations
@@ -20,7 +21,13 @@ from typing import Sequence
 import numpy as np
 
 from .circuits import Circuit
-from .simulator import StateVector, derived_rng, simulate_batch
+from .simulator import (
+    CompiledCircuit,
+    StateVector,
+    derived_rng,
+    overlap_gradient,
+    simulate_batch,
+)
 
 __all__ = [
     "CompileConfig",
@@ -43,15 +50,11 @@ class CompileConfig:
     learning_rate: float = 0.05
     restarts: int = 3
     seed: int = 0
-    gradient: str = "shift"
-    fd_step: float = 1e-5
     tolerance: float = 1e-12
     warm_start: bool = False
     initial_parameters: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.gradient not in ("shift", "fd"):
-            raise ValueError("gradient must be 'shift' or 'fd'")
         if self.max_iterations < 1 or self.restarts < 1:
             raise ValueError("need at least one iteration and one restart")
 
@@ -147,8 +150,13 @@ def compile_state(
     """Minimizes the distance objective over the ansatz parameters.
 
     All restarts advance together in one batched Adam run (cosine-decayed
-    learning rate); the best parameters ever evaluated are returned, so
-    the final objective never exceeds the initial one.
+    learning rate).  Each iteration is one adjoint sweep over the ansatz,
+    whose gate kernels are compiled once per call; it yields every
+    restart's objective and exact gradient.  The best parameters ever
+    evaluated are returned, so the final objective never exceeds the
+    initial one, and the winner is simulated once more so that the
+    reported fidelity is |<target|U(parameters)|0>|^2 for exactly the
+    returned parameters.
 
     Raises:
         ValueError: the objective became non-finite (diverged run).
@@ -167,8 +175,7 @@ def compile_state(
             raise ValueError(f"expected {n_params} initial parameters")
         thetas[0] = init
     target_conj = target.amplitudes.conj()
-    shift = math.pi if config.gradient == "shift" else config.fd_step
-    divisor = 4.0 if config.gradient == "shift" else 2.0 * config.fd_step
+    compiled = CompiledCircuit(ansatz)
 
     best_obj = np.full(n_restarts, np.inf)
     best_thetas = thetas.copy()
@@ -176,24 +183,19 @@ def compile_state(
     v = np.zeros_like(thetas)
     iterations = 0
     for it in range(1, config.max_iterations + 1):
-        batch = np.repeat(thetas, 2 * n_params + 1, axis=0)
-        for j in range(n_params):
-            batch[1 + j :: 2 * n_params + 1, j] += shift
-            batch[1 + n_params + j :: 2 * n_params + 1, j] -= shift
-        objs = _objectives(ansatz, target_conj, batch).reshape(
-            n_restarts, 2 * n_params + 1
+        overlaps, d_overlaps = overlap_gradient(
+            compiled, target.amplitudes, thetas
         )
+        objs = 2.0 - 2.0 * overlaps.real
         if not np.all(np.isfinite(objs)):
             raise ValueError("objective diverged to a non-finite value")
-        improved = objs[:, 0] < best_obj
-        best_obj = np.where(improved, objs[:, 0], best_obj)
+        improved = objs < best_obj
+        best_obj = np.where(improved, objs, best_obj)
         best_thetas[improved] = thetas[improved]
         iterations = it
         if best_obj.min() <= config.tolerance:
             break
-        grad = (
-            objs[:, 1 : n_params + 1] - objs[:, n_params + 1 :]
-        ) / divisor
+        grad = -2.0 * d_overlaps.real
         lr = config.learning_rate * 0.5 * (
             1.0 + math.cos(math.pi * (it - 1) / config.max_iterations)
         )

@@ -1,11 +1,14 @@
 """Exact dense state-vector simulator with seeded shot sampling.
 
-Qubit q is bit q of the basis index (little-endian).  All gate kernels
-operate on batches of states at once so that parameter sweeps cost one
-vectorized pass.  Randomness always flows through :func:`derived_rng`,
-a counter-based Philox generator keyed by (seed, stream); repeated runs
-with the same key reproduce shot records bit for bit.  Pauli-string
-actions and Z-parity signs come from :mod:`gsee.pauli`.
+Qubit q is bit q of the basis index (little-endian).  A circuit's gates
+are compiled once into index and phase arrays (:class:`CompiledCircuit`)
+that act on batches of states at once, so parameter sweeps cost one
+vectorized pass and :func:`overlap_gradient` gets an overlap and its
+exact gradient from one forward and one backward sweep.  Randomness
+always flows through :func:`derived_rng`, a counter-based Philox
+generator keyed by (seed, stream); repeated runs with the same key
+reproduce shot records bit for bit.  Pauli-string actions and Z-parity
+signs come from :mod:`gsee.pauli`.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, Gate
+from .circuits import Circuit
 from .pauli import PauliString, PauliSum, z_signs
 
 __all__ = [
@@ -24,7 +27,9 @@ __all__ = [
     "ShotRecord",
     "derived_rng",
     "apply_circuit",
+    "CompiledCircuit",
     "simulate_batch",
+    "overlap_gradient",
     "evolve_exact",
     "expectation",
     "sample_z",
@@ -89,47 +94,126 @@ class StateVector:
 
 
 # ----------------------------------------------------------------------
-# gate kernels: all operate on (batch, 2^n) arrays in place
+# gate kernels: compiled once per circuit, applied to (batch, 2^n) arrays
 # ----------------------------------------------------------------------
-def _col(angle, batch: int) -> np.ndarray:
-    """Half-angle coefficients broadcast against a (batch, dim) array."""
-    arr = np.asarray(angle, dtype=float)
-    if arr.ndim == 0:
-        arr = np.broadcast_to(arr, (batch,))
-    return arr[:, None]
+@dataclass(frozen=True, slots=True, eq=False)
+class _Kernel:
+    """One gate's index and phase arrays for a fixed register width.
+
+    ``h`` mixes the amplitudes at ``lo`` (bit q clear) with those at
+    ``hi`` (bit q set); ``sdg`` scales the amplitudes at ``lo`` (bit q
+    set).  Every other kind is a rotation exp(-i angle P/2): P maps
+    amplitude ``src[i]`` (``src`` is None when P is diagonal) times
+    ``d[i]`` to index ``i``; ``col`` is the gate's row in the cos and
+    i sin tables; ``control`` marks the indices a ``cpauliexp`` acts on.
+    """
+
+    kind: str
+    param: int | None = None
+    lo: np.ndarray | None = None
+    hi: np.ndarray | None = None
+    src: np.ndarray | None = None
+    d: np.ndarray | None = None
+    col: int | None = None
+    control: np.ndarray | None = None
+
+    def hadamard(self, amps: np.ndarray) -> None:
+        a0 = amps[..., self.lo]
+        a1 = amps[..., self.hi]
+        amps[..., self.lo] = (a0 + a1) * _SQRT_HALF
+        amps[..., self.hi] = (a0 - a1) * _SQRT_HALF
+
+    def pauli(self, amps: np.ndarray) -> np.ndarray:
+        """P applied to amplitudes along their last axis, as a new array."""
+        if self.src is None:
+            return amps * self.d
+        moved = amps[..., self.src]
+        moved *= self.d
+        return moved
 
 
-def _apply_gate(amps: np.ndarray, gate: Gate, angle) -> np.ndarray:
-    dim = amps.shape[-1]
-    idx = np.arange(dim)
-    if gate.kind == "h":
-        q = gate.qubits[0]
-        lo = idx[(idx >> q) & 1 == 0]
-        hi = lo | (1 << q)
-        a0 = amps[..., lo]
-        a1 = amps[..., hi]
-        amps[..., lo] = (a0 + a1) * _SQRT_HALF
-        amps[..., hi] = (a0 - a1) * _SQRT_HALF
+class CompiledCircuit:
+    """A circuit's gate kernels, built once and reused by every sweep.
+
+    :func:`overlap_gradient` takes one; :func:`simulate_batch` compiles
+    its circuit the same way on every call.
+    """
+
+    __slots__ = ("circuit", "_kernels", "_fixed_angles", "_param_cols",
+                 "_param_ids")
+
+    def __init__(self, circuit: Circuit) -> None:
+        idx = np.arange(1 << circuit.n_qubits)
+        kernels, angles, params = [], [], []
+        for gate in circuit.gates:
+            # set bit of the first listed qubit: the control of a cpauliexp
+            bit = (idx >> gate.qubits[0]) & 1 == 1 if gate.qubits else None
+            if gate.kind == "h":
+                kernels.append(_Kernel("h", lo=idx[~bit], hi=idx[bit]))
+            elif gate.kind == "sdg":
+                kernels.append(_Kernel("sdg", lo=idx[bit]))
+            else:
+                string = gate.generator
+                src = idx ^ string.x_mask
+                kernels.append(_Kernel(
+                    gate.kind,
+                    param=gate.param,
+                    src=src if string.x_mask else None,
+                    d=string.phase * z_signs(src, string.z_mask),
+                    col=len(angles),
+                    control=bit if gate.kind == "cpauliexp" else None,
+                ))
+                angles.append(0.0 if gate.angle is None else gate.angle)
+                params.append(gate.param)
+        symbolic = [col for col, p in enumerate(params) if p is not None]
+        self.circuit = circuit
+        self._kernels = tuple(kernels)
+        self._fixed_angles = np.array(angles, dtype=float)
+        self._param_cols = np.array(symbolic, dtype=np.intp)
+        self._param_ids = np.array([params[c] for c in symbolic], dtype=np.intp)
+
+    def _trig(self, params: np.ndarray | None, batch: int):
+        """cos(angle/2) and i sin(angle/2) of every rotation.
+
+        Row ``col`` of each table is a ``(batch, 1)`` column that
+        broadcasts against a ``(batch, 2^n)`` amplitude array.
+        """
+        angles = np.repeat(self._fixed_angles[:, None], batch, axis=1)
+        if params is not None:
+            angles[self._param_cols] = params.T[self._param_ids]
+        half = 0.5 * angles[..., None]
+        return np.cos(half), 1j * np.sin(half)
+
+    def _forward(self, amps: np.ndarray, cos: np.ndarray, isin: np.ndarray):
+        """Applies every gate in order; ``amps`` may be overwritten.
+
+        A rotation computes ``cos * a - i sin * (a[src] * d)``, the
+        expression of the dense Pauli action, in place where it can.
+        """
+        for k in self._kernels:
+            if k.kind == "h":
+                k.hadamard(amps)
+            elif k.kind == "sdg":
+                amps[..., k.lo] *= -1j
+            else:
+                moved = k.pauli(amps)
+                moved *= isin[k.col]
+                evolved = cos[k.col] * amps
+                evolved -= moved
+                amps = (evolved if k.control is None
+                        else np.where(k.control, evolved, amps))
         return amps
-    if gate.kind == "sdg":
-        q = gate.qubits[0]
-        amps[..., idx[(idx >> q) & 1 == 1]] *= -1j
-        return amps
-    # remaining kinds are all exp(-i angle P / 2)
-    if gate.kind == "rx":
-        string = PauliString.from_support({gate.qubits[0]: "X"})
-    elif gate.kind == "rz":
-        string = PauliString.from_support({gate.qubits[0]: "Z"})
-    elif gate.kind == "zzphase":
-        string = PauliString.from_support({q: "Z" for q in gate.qubits})
-    else:
-        string = gate.pauli
-    half = 0.5 * _col(angle, amps.shape[0])
-    evolved = np.cos(half) * amps - 1j * np.sin(half) * string.act(amps)
-    if gate.kind == "cpauliexp":
-        control = (idx >> gate.qubits[0]) & 1 == 1
-        return np.where(control, evolved, amps)
-    return evolved
+
+
+def _check_params(circuit: Circuit, params) -> np.ndarray | None:
+    if (params is None) != (circuit.n_params == 0):
+        raise ValueError("parameter matrix required iff the circuit is symbolic")
+    if params is None:
+        return None
+    params = np.asarray(params, dtype=float)
+    if params.ndim != 2 or params.shape[1] != circuit.n_params:
+        raise ValueError(f"expected parameter shape (batch, {circuit.n_params})")
+    return params
 
 
 def simulate_batch(
@@ -150,25 +234,80 @@ def simulate_batch(
         initial = initial[None, :]
     if initial.shape[-1] != 1 << circuit.n_qubits:
         raise ValueError("state width does not match the circuit register")
-    if (params is None) != (circuit.n_params == 0):
-        raise ValueError("parameter matrix required iff the circuit is symbolic")
+    params = _check_params(circuit, params)
     if params is not None:
-        params = np.asarray(params, dtype=float)
-        if params.ndim != 2 or params.shape[1] != circuit.n_params:
-            raise ValueError(
-                f"expected parameter shape (batch, {circuit.n_params})"
-            )
         if initial.shape[0] == 1:
             initial = np.broadcast_to(
                 initial, (params.shape[0], initial.shape[1])
             )
         elif initial.shape[0] != params.shape[0]:
             raise ValueError("state and parameter batch sizes differ")
-    amps = initial.copy()
-    for gate in circuit.gates:
-        angle = gate.angle if gate.param is None else params[:, gate.param]
-        amps = _apply_gate(amps, gate, angle)
-    return amps
+    compiled = CompiledCircuit(circuit)
+    cos, isin = compiled._trig(params, initial.shape[0])
+    return compiled._forward(initial.copy(), cos, isin)
+
+
+def overlap_gradient(
+    compiled: CompiledCircuit, target: np.ndarray, params: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``<target|U(params)|0>`` and its gradient, by one adjoint sweep.
+
+    The forward sweep prepares phi = U|0>.  The backward sweep carries phi
+    and lambda = target back together, undoing one gate at a time; at a
+    rotation exp(-i angle P/2) the derivative of the overlap is
+    ``<lambda|(-i/2) P|phi>`` (restricted to the control's 1 branch for
+    ``cpauliexp``), summed over every gate that uses the parameter
+    (Jones & Gacon, arXiv:2009.02823).
+
+    Args:
+        target: amplitudes of shape ``(2^n,)``.
+        params: parameter matrix of shape ``(batch, n_params)``.
+
+    Returns:
+        ``(overlaps, gradient)`` of shapes ``(batch,)`` and
+        ``(batch, n_params)``, both complex.
+    """
+    circuit = compiled.circuit
+    target = np.asarray(target, dtype=complex)
+    if target.shape != (1 << circuit.n_qubits,):
+        raise ValueError("target width does not match the circuit register")
+    params = _check_params(circuit, params)
+    if params is None:
+        raise ValueError("overlap_gradient needs a symbolic circuit")
+    batch = params.shape[0]
+    cos, isin = compiled._trig(params, batch)
+    amps = np.zeros((batch, target.shape[0]), dtype=complex)
+    amps[:, 0] = 1.0
+    phi = compiled._forward(amps, cos, isin)
+    overlaps = phi @ target.conj()
+
+    # rows :batch hold phi and rows batch: lambda; the inverse of a
+    # rotation is the same rotation with i sin negated
+    stack = np.concatenate([phi, np.broadcast_to(target, phi.shape)])
+    cos = np.concatenate([cos, cos], axis=1)
+    isin = np.concatenate([isin, isin], axis=1)
+    # <lambda|P|phi> per rotation; the parameters' sums are formed after
+    per_gate = np.zeros((len(cos), batch), dtype=complex)
+    for k in reversed(compiled._kernels):
+        if k.kind == "h":
+            k.hadamard(stack)
+            continue
+        if k.kind == "sdg":
+            stack[:, k.lo] *= 1j
+            continue
+        moved = k.pauli(stack)
+        if k.param is not None:
+            on = slice(None) if k.control is None else k.control
+            np.vecdot(stack[batch:, on], moved[:batch, on], out=per_gate[k.col])
+        moved *= isin[k.col]
+        undone = cos[k.col] * stack
+        undone += moved
+        stack = (undone if k.control is None
+                 else np.where(k.control, undone, stack))
+    grad = np.zeros((batch, circuit.n_params), dtype=complex)
+    # unbuffered +=: one parameter id may drive several gates
+    np.add.at(grad.T, compiled._param_ids, per_gate[compiled._param_cols])
+    return overlaps, -0.5j * grad
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:

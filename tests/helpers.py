@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from gsee.circuits import Circuit, Gate
 from gsee.pauli import CommutingSets, PauliString, PauliSum
+from gsee.simulator import simulate_batch
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -71,6 +73,15 @@ def embed_1q(mat: np.ndarray, q: int, n_qubits: int) -> np.ndarray:
     return out
 
 
+def _rotation_string(gate) -> PauliString:
+    axis = {"rx": "X", "rz": "Z"}
+    if gate.kind in axis:
+        return PauliString.from_support({gate.qubits[0]: axis[gate.kind]})
+    if gate.kind == "zzphase":
+        return PauliString.from_support({q: "Z" for q in gate.qubits})
+    return gate.pauli
+
+
 def gate_matrix(gate, n_qubits: int) -> np.ndarray:
     """Dense unitary of one gate, built from first principles.
 
@@ -79,22 +90,12 @@ def gate_matrix(gate, n_qubits: int) -> np.ndarray:
     """
     from scipy.linalg import expm
 
-    from gsee.pauli import PauliString
-
     kind = gate.kind
     if kind == "h":
         return embed_1q((X2 + Z2) / np.sqrt(2.0), gate.qubits[0], n_qubits)
     if kind == "sdg":
         return embed_1q(np.diag([1.0, -1j]), gate.qubits[0], n_qubits)
-    if kind == "rx":
-        string = PauliString.from_support({gate.qubits[0]: "X"})
-    elif kind == "rz":
-        string = PauliString.from_support({gate.qubits[0]: "Z"})
-    elif kind == "zzphase":
-        string = PauliString.from_support({q: "Z" for q in gate.qubits})
-    else:
-        string = gate.pauli
-    u = expm(-0.5j * gate.angle * dense_string(string, n_qubits))
+    u = expm(-0.5j * gate.angle * dense_string(_rotation_string(gate), n_qubits))
     if kind == "cpauliexp":
         control = gate.qubits[0]
         p0 = embed_1q(np.diag([1.0 + 0j, 0.0]), control, n_qubits)
@@ -110,6 +111,67 @@ def circuit_unitary(circuit) -> np.ndarray:
     for gate in circuit.gates:
         out = gate_matrix(gate, circuit.n_qubits) @ out
     return out
+
+
+def reference_simulate(circuit, initial: np.ndarray) -> np.ndarray:
+    """A bound circuit on (batch, 2^n) amplitudes, one gate at a time.
+
+    Every gate rebuilds its index arrays and applies the dense Pauli
+    action through ``PauliString.act``.  The simulator's compiled kernels
+    must reproduce this bit for bit, so their outputs, and every artifact
+    computed from them, do not depend on the compilation.
+    """
+    amps = np.array(initial, dtype=complex)
+    idx = np.arange(amps.shape[-1])
+    for gate in circuit.gates:
+        bit = (idx >> gate.qubits[0]) & 1 == 1 if gate.qubits else None
+        if gate.kind == "h":
+            a0 = amps[..., idx[~bit]]
+            a1 = amps[..., idx[bit]]
+            amps[..., idx[~bit]] = (a0 + a1) * np.sqrt(0.5)
+            amps[..., idx[bit]] = (a0 - a1) * np.sqrt(0.5)
+            continue
+        if gate.kind == "sdg":
+            amps[..., idx[bit]] *= -1j
+            continue
+        half = 0.5 * np.broadcast_to(float(gate.angle), (amps.shape[0],))[:, None]
+        string = _rotation_string(gate)
+        evolved = np.cos(half) * amps - 1j * np.sin(half) * string.act(amps)
+        amps = np.where(bit, evolved, amps) if gate.kind == "cpauliexp" else evolved
+    return amps
+
+
+def shift_gradient(circuit, target: np.ndarray, params: np.ndarray):
+    """``<target|U(params)|0>`` and its gradient by the parameter-shift rule.
+
+    The overlap is linear in each gate's cos/sin of half its angle, so
+    shifting one gate's angle by +-pi gives that gate's derivative
+    exactly as (f(+pi) - f(-pi)) / 4.  Every symbolic gate is shifted on
+    its own, and the derivatives of the gates that share a parameter id
+    are summed.
+    """
+    symbolic = [g for g in circuit.gates if g.param is not None]
+    ids = np.array([g.param for g in symbolic], dtype=int)
+    gates, k = [], 0
+    for g in circuit.gates:
+        if g.param is not None:
+            g = Gate(g.kind, g.qubits, param=k, pauli=g.pauli)
+            k += 1
+        gates.append(g)
+    per_gate = Circuit(circuit.n_qubits, gates)
+    base = np.asarray(params, dtype=float)[:, ids]
+    batch, n = base.shape
+    shifted = np.repeat(base[:, None, :], 2 * n + 1, axis=1)
+    shifted[:, 1 : n + 1][:, range(n), range(n)] += np.pi
+    shifted[:, n + 1 :][:, range(n), range(n)] -= np.pi
+    zero = np.zeros(1 << circuit.n_qubits, dtype=complex)
+    zero[0] = 1.0
+    states = simulate_batch(per_gate, zero, shifted.reshape(-1, n))
+    values = (states @ np.conj(target)).reshape(batch, 2 * n + 1)
+    gate_grad = (values[:, 1 : n + 1] - values[:, n + 1 :]) / 4.0
+    grad = np.zeros((batch, circuit.n_params), dtype=complex)
+    np.add.at(grad.T, ids, gate_grad.T)
+    return values[:, 0], grad
 
 
 def greedy_coloring_reference(a: PauliSum, mode: str) -> CommutingSets:

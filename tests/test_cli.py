@@ -222,8 +222,6 @@ _COMPILE_KEYS = {
     "max_iterations": ("int", 500, 1, None),
     "learning_rate": ("number", 0.05, None, None),
     "restarts": ("int", 3, 1, None),
-    "gradient": ("str", "shift", None, ("shift", "fd")),
-    "fd_step": ("number", 1e-5, None, None),
     "tolerance": ("number", 1e-12, None, None),
     "warm_start": ("bool", False, None, None),
 }
@@ -567,7 +565,7 @@ class TestRecompileRun:
 class TestCompileSettings:
     SETTINGS = {
         "layers": 2, "max_iterations": 7, "learning_rate": 0.2, "restarts": 2,
-        "gradient": "fd", "fd_step": 1e-4, "tolerance": 1e-9, "warm_start": True,
+        "tolerance": 1e-9, "warm_start": True,
     }
 
     @pytest.mark.parametrize("command", ["recompile", "qcels"])

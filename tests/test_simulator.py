@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from helpers import (
@@ -10,10 +12,13 @@ from helpers import (
     gate_matrix,
     random_state,
     random_sum,
+    reference_simulate,
+    shift_gradient,
 )
 from gsee.circuits import Circuit, Gate, hea_ansatz
 from gsee.pauli import PauliString, PauliSum
 from gsee.simulator import (
+    CompiledCircuit,
     ShotRecord,
     StateVector,
     apply_circuit,
@@ -21,6 +26,7 @@ from gsee.simulator import (
     estimate_pauli_z,
     evolve_exact,
     expectation,
+    overlap_gradient,
     sample_z,
     simulate_batch,
 )
@@ -48,6 +54,55 @@ def random_gate(rng, n):
     if control is None:
         return Gate("pauliexp", tuple(string.support), angle=angle, pauli=string)
     return Gate("cpauliexp", (control, *string.support), angle=angle, pauli=string)
+
+
+@st.composite
+def symbolic_circuits(draw):
+    """Random circuits on 1-6 qubits over every gate kind.
+
+    Rotations take a fixed angle, a fresh parameter id or an id an
+    earlier gate already uses; at least one gate is symbolic.
+    """
+    n = draw(st.integers(1, 6))
+    qubit = st.integers(0, n - 1)
+    kinds = ["h", "sdg", "rx", "rz", "pauliexp", "cpauliexp"]
+    if n > 1:
+        kinds.append("zzphase")
+    gates, n_params = [], 0
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(kinds))
+        if kind in ("h", "sdg"):
+            gates.append(Gate(kind, (draw(qubit),)))
+            continue
+        choice = draw(st.sampled_from(
+            ["fixed", "new", "shared"] if n_params else ["fixed", "new"]
+        ))
+        if choice == "fixed":
+            rotation = {"angle": draw(st.floats(-7.0, 7.0))}
+        elif choice == "new":
+            rotation = {"param": n_params}
+            n_params += 1
+        else:
+            rotation = {"param": draw(st.integers(0, n_params - 1))}
+        if kind in ("rx", "rz"):
+            gates.append(Gate(kind, (draw(qubit),), **rotation))
+        elif kind == "zzphase":
+            pair = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
+            gates.append(Gate(kind, tuple(pair), **rotation))
+        else:
+            control = draw(qubit) if kind == "cpauliexp" else None
+            free = [q for q in range(n) if q != control]
+            support = draw(st.dictionaries(
+                st.sampled_from(free), st.sampled_from("XYZ"), max_size=len(free)
+            )) if free else {}
+            string = PauliString.from_support(support)
+            acted = tuple(string.support)
+            if control is not None:
+                acted = (control, *acted)
+            gates.append(Gate(kind, acted, pauli=string, **rotation))
+    if n_params == 0:
+        gates.append(Gate("rx", (draw(qubit),), param=0))
+    return Circuit(n, gates)
 
 
 class TestStateVector:
@@ -103,6 +158,35 @@ class TestGateKernels:
         want = circuit_unitary(circuit) @ psi
         assert np.linalg.norm(got - want) < 1e-11
 
+    def test_compiled_kernels_match_reference_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        every_kind = [
+            Gate("h", (1,)),
+            Gate("sdg", (0,)),
+            Gate("rx", (2,), angle=0.3),
+            Gate("rz", (1,), angle=-1.2),
+            Gate("zzphase", (0, 2), angle=2.1),
+            Gate("pauliexp", (), angle=0.8, pauli=PauliString()),
+            Gate("pauliexp", (0, 1, 2), angle=-0.4,
+                 pauli=PauliString.from_label("Y0 X1 Z2")),
+            Gate("pauliexp", (0, 2), angle=1.7,
+                 pauli=PauliString.from_label("Z0 Z2")),
+            Gate("cpauliexp", (1, 0, 2), angle=0.9,
+                 pauli=PauliString.from_label("X0 Y2")),
+        ]
+        circuits = [Circuit(3, every_kind)] + [
+            Circuit(n, [random_gate(rng, n) for _ in range(20)])
+            for n in (2, 3, 4)
+        ]
+        for circuit in circuits:
+            for batch in (1, 4):
+                dim = 1 << circuit.n_qubits
+                states = np.stack([random_state(rng, circuit.n_qubits)
+                                   for _ in range(batch)])
+                got = simulate_batch(circuit, states)
+                assert np.array_equal(got, reference_simulate(circuit, states))
+                assert got.shape == (batch, dim)
+
     def test_unbound_circuit_rejected_by_apply(self):
         c, _ = hea_ansatz(2, 1)
         with pytest.raises(ValueError, match="unbound"):
@@ -138,6 +222,33 @@ class TestSimulateBatch:
             assert (
                 np.linalg.norm(out[k] - simulate_batch(c, states[k])[0]) < 1e-12
             )
+
+
+class TestOverlapGradient:
+    @settings(deadline=None)
+    @given(circuit=symbolic_circuits(), data=st.data())
+    def test_adjoint_matches_parameter_shift(self, circuit, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        restarts = data.draw(st.integers(1, 3))
+        params = rng.uniform(-np.pi, np.pi, (restarts, circuit.n_params))
+        target = random_state(rng, circuit.n_qubits)
+        overlaps, grad = overlap_gradient(CompiledCircuit(circuit), target, params)
+        want_overlaps, want_grad = shift_gradient(circuit, target, params)
+        assert grad.shape == (restarts, circuit.n_params)
+        np.testing.assert_allclose(overlaps, want_overlaps, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-10)
+
+    def test_input_validation(self):
+        circuit, spec = hea_ansatz(2, 1)
+        compiled = CompiledCircuit(circuit)
+        params = np.zeros((1, spec.n_params))
+        with pytest.raises(ValueError, match="target width"):
+            overlap_gradient(compiled, np.ones(8) / np.sqrt(8), params)
+        with pytest.raises(ValueError, match="parameter shape"):
+            overlap_gradient(compiled, np.eye(4)[0], params[:, 1:])
+        bound = CompiledCircuit(circuit.bind(np.zeros(spec.n_params)))
+        with pytest.raises(ValueError, match="parameter matrix"):
+            overlap_gradient(bound, np.eye(4)[0], np.zeros((1, 0)))
 
 
 class TestEvolveExact:
