@@ -27,7 +27,6 @@ __all__ = [
     "taper_z2",
     "taper_state",
     "ci_initial_state",
-    "determinants_to_json",
     "determinants_from_json",
 ]
 
@@ -458,17 +457,6 @@ def ci_initial_state(
             raise ValueError(f"determinant mask {det.mask:#b} outside register")
         amps[det.mask] += det.coeff
     return StateVector(n_qubits, amps / np.linalg.norm(amps))
-
-
-def determinants_to_json(norb: int, dets: Sequence[Determinant]) -> str:
-    payload = {
-        "norb": norb,
-        "dets": [
-            {"mask": format(d.mask, f"#0{2 * norb + 2}b"), "coeff": d.coeff}
-            for d in dets
-        ],
-    }
-    return json.dumps(payload, indent=1)
 
 
 def determinants_from_json(text: str) -> tuple[int, list[Determinant]]:

@@ -16,7 +16,6 @@ first and the hardware-efficient recompilation ansatz.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -118,11 +117,6 @@ class Circuit:
     def __len__(self) -> int:
         return len(self.gates)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Circuit):
-            return NotImplemented
-        return self.n_qubits == other.n_qubits and self.gates == other.gates
-
     def bind(self, values: Sequence[float]) -> "Circuit":
         """Substitutes numeric angles for all symbolic parameters."""
         if len(values) != self.n_params:
@@ -136,44 +130,6 @@ class Circuit:
             for g in self.gates
         ]
         return Circuit(self.n_qubits, bound)
-
-    # ------------------------------------------------------------------
-    # serialization
-    # ------------------------------------------------------------------
-    def to_json(self) -> str:
-        entries = []
-        for g in self.gates:
-            entry: dict = {"kind": g.kind, "qubits": list(g.qubits)}
-            if g.kind in _KINDS_PARAMETRIC:
-                entry["angle"] = g.angle if g.param is None else {"param": g.param}
-            if g.pauli is not None:
-                entry["paulis"] = g.pauli.to_label()
-            entries.append(entry)
-        return json.dumps({"n_qubits": self.n_qubits, "gates": entries}, indent=1)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Circuit":
-        payload = json.loads(text)
-        gates = []
-        for entry in payload["gates"]:
-            kind = entry["kind"]
-            angle = param = None
-            if kind in _KINDS_PARAMETRIC:
-                raw = entry["angle"]
-                if isinstance(raw, dict):
-                    param = int(raw["param"])
-                else:
-                    angle = float(raw)
-            pauli = (
-                PauliString.from_label(entry["paulis"])
-                if "paulis" in entry
-                else None
-            )
-            gates.append(
-                Gate(kind, tuple(entry["qubits"]), angle=angle, param=param,
-                     pauli=pauli)
-            )
-        return cls(int(payload["n_qubits"]), gates)
 
 
 @dataclass(frozen=True)

@@ -47,9 +47,10 @@ from .qcels import (
     scale,
 )
 from .qcm4 import (
-    Qcm4Result,
     bootstrap,
     build_moments,
+    cumulants,
+    energy,
     estimate,
     moment_report,
     pauli_filter,
@@ -518,14 +519,15 @@ def cmd_qcm4(resolved: Mapping, base: Path, out: Path) -> None:
     if resolved["mode"] == "shots":
         bs = bootstrap(est, settings["resamples"], resolved["seed"])
         (out / "bootstrap.csv").write_text(bs.to_csv())
-    summary = Qcm4Result.from_estimates(est, bs)
+    cums = cumulants(est)
+    e_qcm4 = energy(cums)
     (out / "moment_report.json").write_text(
         moment_report(m, measurement_plan, filter_report) + "\n"
     )
 
     results = {
-        "energy": summary.energy,
-        "cumulants": list(summary.cumulants),
+        "energy": e_qcm4,
+        "cumulants": list(cums),
         "moments": list(est.moments),
         "qubits": h.n_qubits,
         "mode": resolved["mode"],
@@ -545,7 +547,7 @@ def cmd_qcm4(resolved: Mapping, base: Path, out: Path) -> None:
         },
     }
     _write_results(out, resolved, results)
-    print(f"E_QCM4 = {summary.energy:.10f} Ha")
+    print(f"E_QCM4 = {e_qcm4:.10f} Ha")
 
 
 def cmd_recompile(resolved: Mapping, base: Path, out: Path) -> None:
@@ -596,13 +598,15 @@ def _report_rows(run_dirs: Sequence[Path]) -> list[dict]:
         payload = _parse_json(_load_text(path), str(path))
         if not isinstance(payload, Mapping):
             raise InputError(f"{path}: not a results object")
-        if payload.get("schema_version") != SCHEMA_VERSION:
-            raise InputError(
-                f"{path}: unsupported schema version"
-                f" {payload.get('schema_version')!r}"
-            )
+        version = payload.get("schema_version")
+        # True == 1 and 1.0 == 1, so the type is checked as well
+        if type(version) is not int or version != SCHEMA_VERSION:
+            raise InputError(f"{path}: unsupported schema version {version!r}")
         results = payload.get("results", {})
         config = payload.get("config", {})
+        for key, section in (("results", results), ("config", config)):
+            if not isinstance(section, Mapping):
+                raise InputError(f"{path}: {key} must be an object")
         rows.append({
             "run": run_dir.name,
             "algorithm": payload.get("algorithm"),

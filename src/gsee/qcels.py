@@ -14,9 +14,7 @@ whose peak location theta* converts back to an energy through
 E* = h0 + h1 theta*.
 """
 
-import json
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,35 +173,6 @@ class OverlapSeries:
             lines.append(f"{n}," + ",".join(repr(float(x)) for x in fields))
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_csv(cls, text: str) -> "OverlapSeries":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        match = re.fullmatch(
-            r"#\s*tau=(\S+)\s+spc=(\S+)\s+mode=(\w+)", lines[0]
-        )
-        if match is None:
-            raise ValueError("missing overlap-series header line")
-        tau = float(match.group(1))
-        spc = None if match.group(2) == "none" else int(match.group(2))
-        if lines[1] != "n,t,re,im,stderr_re,stderr_im":
-            raise ValueError("missing overlap-series column line")
-        values, err_re, err_im = [], [], []
-        for row in lines[2:]:
-            fields = row.split(",")
-            if len(fields) != 6:
-                raise ValueError(f"bad overlap row {row!r}")
-            values.append(complex(float(fields[2]), float(fields[3])))
-            err_re.append(float(fields[4]))
-            err_im.append(float(fields[5]))
-        return cls(
-            tau=tau,
-            values=np.asarray(values, dtype=complex),
-            stderr_re=np.asarray(err_re),
-            stderr_im=np.asarray(err_im),
-            spc=spc,
-            mode=match.group(3),
-        )
-
 
 def std_error(value: float, spc: int) -> float:
     """Sampling error sqrt((1 - value^2)/spc) of a +/-1 shot mean.
@@ -342,30 +311,6 @@ class QcelsResult:
     peak: float
     grid: np.ndarray
     curve: np.ndarray
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "theta": self.theta,
-                "energy": self.energy,
-                "peak": self.peak,
-                "curve": [
-                    [float(t), float(f)] for t, f in zip(self.grid, self.curve)
-                ],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "QcelsResult":
-        payload = json.loads(text)
-        pairs = np.asarray(payload["curve"], dtype=float)
-        return cls(
-            theta=float(payload["theta"]),
-            energy=float(payload["energy"]),
-            peak=float(payload["peak"]),
-            grid=pairs[:, 0],
-            curve=pairs[:, 1],
-        )
 
 
 def _objective(series: OverlapSeries, thetas: np.ndarray) -> np.ndarray:

@@ -36,7 +36,6 @@ __all__ = [
     "MomentOperators",
     "PlanCircuit",
     "PlanTerm",
-    "Qcm4Result",
     "bootstrap",
     "build_moments",
     "cumulants",
@@ -615,50 +614,6 @@ def bootstrap(
 # ----------------------------------------------------------------------
 # reporting
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Qcm4Result:
-    """Cumulants, energy, and (when available) bootstrap statistics."""
-
-    cumulants: tuple[float, float, float, float]
-    energy: float
-    bootstrap_mean: float | None
-    bootstrap_std: float | None
-    resamples: int
-
-    @classmethod
-    def from_estimates(
-        cls,
-        est: MomentEstimates,
-        bootstrap_result: BootstrapResult | None = None,
-    ) -> "Qcm4Result":
-        cums = cumulants(est)
-        return cls(
-            cumulants=cums,
-            energy=energy(cums),
-            bootstrap_mean=(
-                None if bootstrap_result is None else bootstrap_result.mean
-            ),
-            bootstrap_std=(
-                None if bootstrap_result is None else bootstrap_result.std
-            ),
-            resamples=(
-                0 if bootstrap_result is None else bootstrap_result.resamples
-            ),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "cumulants": list(self.cumulants),
-                "energy": self.energy,
-                "bootstrap_mean": self.bootstrap_mean,
-                "bootstrap_std": self.bootstrap_std,
-                "resamples": self.resamples,
-            },
-            indent=1,
-        )
-
-
 def moment_report(
     m: MomentOperators,
     measurement_plan: MeasurementPlan,

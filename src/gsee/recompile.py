@@ -109,22 +109,6 @@ class SeriesCompilation:
             indent=1,
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "SeriesCompilation":
-        payload = json.loads(text)
-        results = tuple(
-            CompilationResult(
-                parameters=np.asarray(entry["parameters"], dtype=float),
-                objective=float(entry["objective"]),
-                fidelity=float(entry["fidelity"]),
-                iterations=int(entry["iterations"]),
-                seed=int(entry["seed"]),
-                restart=int(entry["restart"]),
-            )
-            for entry in payload["results"]
-        )
-        return cls(int(payload["n_qubits"]), payload["layers"], results)
-
 
 def _objectives(
     circuit: Circuit, target_conj: np.ndarray, thetas: np.ndarray

@@ -13,7 +13,6 @@ signs come from :mod:`gsee.pauli`.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -347,7 +346,7 @@ class ShotRecord:
     """Measured basis indices from one Z-basis acquisition.
 
     ``outcomes[k]`` is the integer whose bit q is the qubit-q result of
-    shot k.  Bitstring text renders qubit 0 leftmost.
+    shot k.
     """
 
     n_qubits: int
@@ -358,41 +357,6 @@ class ShotRecord:
     def __post_init__(self) -> None:
         if self.outcomes.shape != (self.spc,):
             raise ValueError("outcome count disagrees with spc")
-
-    def bitstrings(self) -> list[str]:
-        return [
-            "".join("1" if (int(o) >> q) & 1 else "0" for q in range(self.n_qubits))
-            for o in self.outcomes
-        ]
-
-    def counts(self) -> dict[int, int]:
-        """Empirical distribution over observed basis indices."""
-        values, freq = np.unique(self.outcomes, return_counts=True)
-        return {int(v): int(c) for v, c in zip(values, freq)}
-
-    def to_csv(self) -> str:
-        header = f"# seed={self.seed} spc={self.spc} n_qubits={self.n_qubits}"
-        return "\n".join([header, *self.bitstrings()]) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str) -> "ShotRecord":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        match = re.fullmatch(
-            r"#\s*seed=(-?\d+)\s+spc=(\d+)\s+n_qubits=(\d+)", lines[0].strip()
-        )
-        if match is None:
-            raise ValueError("missing shot-record header line")
-        seed, spc, n_qubits = (int(g) for g in match.groups())
-        rows = lines[1:]
-        if len(rows) != spc:
-            raise ValueError(f"expected {spc} shot rows, found {len(rows)}")
-        outcomes = np.empty(spc, dtype=np.int64)
-        for k, row in enumerate(rows):
-            bits = row.strip()
-            if len(bits) != n_qubits or set(bits) - {"0", "1"}:
-                raise ValueError(f"bad shot row {bits!r}")
-            outcomes[k] = sum(1 << q for q, b in enumerate(bits) if b == "1")
-        return cls(n_qubits, spc, seed, outcomes)
 
 
 def sample_z(

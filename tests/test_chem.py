@@ -11,7 +11,6 @@ from gsee.chem import (
     Determinant,
     ci_initial_state,
     determinants_from_json,
-    determinants_to_json,
     fix_qubits,
     jordan_wigner,
     parse_fcidump,
@@ -328,11 +327,6 @@ class TestCiInitialState:
         psi = ci_initial_state(dets, 0.0, 2)
         assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
-    def test_json_round_trip(self):
-        dets = [Determinant(0b0011, 0.99), Determinant(0b1100, -0.11)]
-        norb, again = determinants_from_json(determinants_to_json(2, dets))
-        assert norb == 2
-        assert again == dets
 
 
 class TestSpinPolarizedFixture:

@@ -80,29 +80,6 @@ class TestCircuit:
         with pytest.raises(ValueError, match="parameter values"):
             c.bind([0.3])
 
-    def test_json_round_trip_bound(self):
-        c = Circuit(
-            3,
-            [
-                Gate("h", (0,)),
-                Gate("sdg", (2,)),
-                Gate("rz", (1,), angle=-1.25),
-                pexp("X0 Y1 Z2", 0.4),
-                Gate(
-                    "cpauliexp",
-                    (0, 1, 2),
-                    angle=0.7,
-                    pauli=PauliString.from_label("Z1 Z2"),
-                ),
-            ],
-        )
-        assert Circuit.from_json(c.to_json()) == c
-
-    def test_json_round_trip_symbolic(self):
-        c, _ = hea_ansatz(3, 2)
-        again = Circuit.from_json(c.to_json())
-        assert again == c
-        assert again.n_params == c.n_params
 
 
 class TestTrotterStep:

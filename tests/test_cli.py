@@ -677,8 +677,20 @@ class TestReport:
     def test_schema_mismatch_exits_2(self, tmp_path, capsys):
         rogue = tmp_path / "rogue"
         rogue.mkdir()
-        (rogue / "results.json").write_text(
-            json.dumps({"schema_version": 99, "results": {}})
-        )
-        assert main(["report", str(rogue)]) == 2
-        assert "schema" in capsys.readouterr().err
+        # true and 1.0 compare equal to 1 but are not the integer version
+        for version in (99, True, 1.0):
+            (rogue / "results.json").write_text(
+                json.dumps({"schema_version": version, "results": {}})
+            )
+            assert main(["report", str(rogue)]) == 2
+            assert "unsupported schema version" in capsys.readouterr().err
+
+    def test_non_object_section_exits_2(self, tmp_path, capsys):
+        rogue = tmp_path / "rogue"
+        rogue.mkdir()
+        for key in ("results", "config"):
+            payload = {"schema_version": SCHEMA_VERSION, "results": {}, "config": {}}
+            payload[key] = []
+            (rogue / "results.json").write_text(json.dumps(payload))
+            assert main(["report", str(rogue)]) == 2
+            assert f"{key} must be an object" in capsys.readouterr().err

@@ -1,0 +1,188 @@
+"""Golden artifacts: fixed CLI runs on the H2 fixture against tests/golden/.
+
+Every file the runs write is compared with its committed copy: JSON keys,
+integers, strings and booleans exactly, floats to 1e-12 relative.  CSV,
+markdown and comment lines are split into fields on ``,``, ``|``, ``=``
+and whitespace and compared field by field under the same rule.  BLAS and
+LAPACK round differently across CPUs, so exact bytes are a same-machine
+check between two checkouts (``tools/regen_golden.py --full --out DIR``
+at each, then ``diff -r``), not this test's.
+
+Each ``objective.csv`` holds one row per fit grid point; its golden copy
+keeps the header and every ``OBJECTIVE_STRIDE``-th row, and the test
+checks the full row count.
+
+Regenerate the set with ``python tools/regen_golden.py``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import math
+import pathlib
+import re
+import shutil
+
+import pytest
+
+from gsee.cli import main
+
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "src" / "gsee" / "fixtures"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+OBJECTIVE_ROWS = 20_001
+OBJECTIVE_STRIDE = 1000
+REL_TOL = 1e-12
+
+# tiny compile block: one layer, a few dozen Adam steps, one restart
+_COMPILE = {"layers": 1, "max_iterations": 40, "restarts": 1}
+
+
+def _config(algorithm: str, **settings) -> dict:
+    # paths are relative to the config file, so no run location leaks
+    # into the config.json and results.json the run writes
+    return {
+        "algorithm": algorithm,
+        "operator": "ingest/operator.json",
+        "state": {"determinants": "h2_eq_ci.json"},
+        "seed": 7,
+        **settings,
+    }
+
+
+# run directory -> config; every run reads the ingested H2 operator
+RUNS = {
+    "qcels_exact": _config("qcels"),
+    "qcels_shots": _config("qcels", mode="shots", spc=200),
+    "qcels_recompiled": _config(
+        "qcels", mode="recompiled", qcels={"n_points": 5, "compile": _COMPILE}
+    ),
+    "qcm4_exact": _config("qcm4"),
+    "qcm4_shots": _config("qcm4", mode="shots", spc=500, qcm4={"resamples": 50}),
+    "qcm4_qubitwise_weighted_filtered": _config(
+        "qcm4", mode="shots", spc=500,
+        qcm4={"grouping": "qubitwise", "allocation": "weighted",
+              "filter": True, "resamples": 50},
+    ),
+    "recompile": _config("recompile", recompile={"n_points": 3, **_COMPILE}),
+}
+RUN_DIRS = ("ingest", *RUNS, "report")
+
+
+def _gsee(*argv: str) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(list(argv))
+    if code != 0:
+        raise RuntimeError(f"gsee {' '.join(argv)} exited {code}")
+
+
+def produce(work: pathlib.Path) -> pathlib.Path:
+    """Runs ingest --taper, every RUNS entry and report inside ``work``."""
+    for name in ("h2_eq.fcidump", "h2_eq_ci.json"):
+        shutil.copy(FIXTURES / name, work / name)
+    _gsee("ingest", str(work / "h2_eq.fcidump"), "--out", str(work / "ingest"),
+          "--taper")
+    for name, config in RUNS.items():
+        path = work / f"{name}.json"
+        path.write_text(json.dumps(config, indent=1) + "\n")
+        _gsee(config["algorithm"], "--config", str(path), "--out", str(work / name))
+    _gsee("report", *(str(work / name) for name in RUNS), "--out",
+          str(work / "report"))
+    return work
+
+
+def artifacts(work: pathlib.Path, stride: int = OBJECTIVE_STRIDE) -> dict[str, str]:
+    """Text of every file under the run directories, keyed ``run/file``.
+
+    ``objective.csv`` keeps its header and every ``stride``-th row.
+    """
+    out = {}
+    for run in RUN_DIRS:
+        for path in sorted((work / run).iterdir()):
+            text = path.read_text()
+            if path.name == "objective.csv":
+                lines = text.splitlines(keepends=True)
+                text = "".join([lines[0], *lines[1::stride]])
+            out[f"{run}/{path.name}"] = text
+    return out
+
+
+def golden_names() -> list[str]:
+    return sorted(
+        path.relative_to(GOLDEN).as_posix()
+        for path in GOLDEN.rglob("*") if path.is_file()
+    )
+
+
+# ----------------------------------------------------------------------
+# comparison
+# ----------------------------------------------------------------------
+_SEPARATORS = re.compile(r"[,|=\s]+")
+
+
+def _field(text: str) -> int | float | str:
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _text_fields(text: str) -> list[list]:
+    return [[_field(f) for f in _SEPARATORS.split(line)] for line in text.splitlines()]
+
+
+def assert_same(got, want, where: str) -> None:
+    """Keys, ints, strings and bools exactly; floats to REL_TOL relative."""
+    if type(want) is float and type(got) is float:
+        assert math.isclose(got, want, rel_tol=REL_TOL, abs_tol=0.0), (
+            f"{where}: {got!r} != {want!r}"
+        )
+    elif type(want) is dict:
+        assert type(got) is dict and list(got) == list(want), (
+            f"{where}: keys {list(got)} != {list(want)}"
+        )
+        for key in want:
+            assert_same(got[key], want[key], f"{where}.{key}")
+    elif type(want) is list:
+        assert type(got) is list and len(got) == len(want), (
+            f"{where}: {len(got)} entries != {len(want)}"
+        )
+        for index, (g, w) in enumerate(zip(got, want)):
+            assert_same(g, w, f"{where}[{index}]")
+    else:
+        assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
+
+
+# ----------------------------------------------------------------------
+# tests
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def fresh(tmp_path_factory):
+    work = produce(tmp_path_factory.mktemp("golden"))
+    return work, artifacts(work)
+
+
+def test_same_artifact_files(fresh):
+    _, got = fresh
+    assert sorted(got) == golden_names()
+
+
+@pytest.mark.parametrize("name", golden_names())
+def test_artifact_matches_golden(fresh, name):
+    _, got = fresh
+    want = (GOLDEN / name).read_text()
+    if name.endswith(".json"):
+        assert_same(json.loads(got[name]), json.loads(want), name)
+    else:
+        assert_same(_text_fields(got[name]), _text_fields(want), name)
+
+
+@pytest.mark.parametrize("run", [r for r, c in RUNS.items() if c["algorithm"] == "qcels"])
+def test_objective_curve_covers_the_grid(fresh, run):
+    work, _ = fresh
+    lines = (work / run / "objective.csv").read_text().splitlines()
+    assert lines[0] == "theta,objective"
+    assert len(lines) - 1 == OBJECTIVE_ROWS

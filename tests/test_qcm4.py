@@ -18,7 +18,6 @@ from gsee.circuits import Circuit
 from gsee.pauli import PauliString, PauliSum
 from gsee.simulator import StateVector, estimate_pauli_z, expectation
 from gsee.qcm4 import (
-    Qcm4Result,
     bootstrap,
     build_moments,
     cumulants,
@@ -527,30 +526,17 @@ class TestResultAndReport:
     def test_result_from_exact_estimates(self):
         h, psi = h2_problem()
         est = estimate(plan(build_moments(h)), psi)
-        res = Qcm4Result.from_estimates(est)
-        assert res.cumulants[0] == pytest.approx(est[1])
-        assert res.energy == pytest.approx(energy(cumulants(est)))
-        assert res.bootstrap_mean is None and res.resamples == 0
-
-    def test_result_with_bootstrap(self):
-        h, psi = h2_problem()
-        mp = plan(build_moments(h))
-        est = estimate(mp, psi, spc=500, seed=3, mode="shots")
-        bs = bootstrap(est, resamples=50, seed=4)
-        res = Qcm4Result.from_estimates(est, bs)
-        assert res.bootstrap_std == bs.std
-        assert res.resamples == 50
-        payload = json.loads(res.to_json())
-        assert payload["energy"] == pytest.approx(res.energy)
-        assert payload["resamples"] == 50
+        cums = cumulants(est)
+        assert cums[0] == pytest.approx(est[1])
+        assert cums[0] == pytest.approx(expectation(psi, h).real, abs=1e-12)
 
     def test_eigenstate_energy_equals_c1(self):
         rng = np.random.default_rng(54)
         h = random_sum(rng, 2, 4)
         _, vecs = np.linalg.eigh(dense_sum(h))
         est = estimate(plan(build_moments(h)), StateVector(2, vecs[:, 0]))
-        res = Qcm4Result.from_estimates(est)
-        assert res.energy == res.cumulants[0]
+        cums = cumulants(est)
+        assert energy(cums) == cums[0]
 
     def test_moment_report_contents(self):
         h, psi = h2_problem()

@@ -19,7 +19,6 @@ from gsee.circuits import Circuit, Gate, hea_ansatz
 from gsee.pauli import PauliString, PauliSum
 from gsee.simulator import (
     CompiledCircuit,
-    ShotRecord,
     StateVector,
     apply_circuit,
     derived_rng,
@@ -362,32 +361,6 @@ class TestSampling:
         with pytest.raises(ValueError, match="register"):
             estimate_pauli_z(rec, 0b100)
         assert estimate_pauli_z(rec, PauliString.from_label("Z0 Z1")) == 1.0
-
-
-class TestShotRecordCsv:
-    def test_round_trip(self):
-        rec = sample_z(StateVector(2, np.full(4, 0.5, dtype=complex)), 8, seed=42)
-        again = ShotRecord.from_csv(rec.to_csv())
-        assert again.n_qubits == rec.n_qubits
-        assert again.spc == rec.spc
-        assert again.seed == rec.seed
-        assert np.array_equal(again.outcomes, rec.outcomes)
-
-    def test_bitstring_orientation(self):
-        rec = ShotRecord(3, 1, 0, np.array([1], dtype=np.int64))
-        assert rec.bitstrings() == ["100"]
-
-    def test_malformed_inputs_rejected(self):
-        with pytest.raises(ValueError, match="header"):
-            ShotRecord.from_csv("0101\n")
-        with pytest.raises(ValueError, match="rows"):
-            ShotRecord.from_csv("# seed=1 spc=2 n_qubits=2\n01\n")
-        with pytest.raises(ValueError, match="shot row"):
-            ShotRecord.from_csv("# seed=1 spc=1 n_qubits=2\n0x\n")
-
-    def test_counts(self):
-        rec = ShotRecord(2, 5, 0, np.array([0, 3, 3, 1, 3], dtype=np.int64))
-        assert rec.counts() == {0: 1, 1: 1, 3: 3}
 
 
 class TestDerivedRng:

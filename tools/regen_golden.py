@@ -1,0 +1,46 @@
+"""Rewrites the golden artifact set that tests/test_golden.py checks.
+
+Runs the golden run list of tests/test_golden.py (ingest, qcels, qcm4,
+recompile and report on the H2 fixture) in a temporary directory and
+copies every artifact into tests/golden/.
+
+Usage: python3 tools/regen_golden.py [--out DIR] [--full]
+
+--out writes the set to DIR instead; --full keeps every row of each
+objective.csv.  Running both at two checkouts on one machine and
+comparing the outputs with ``diff -r`` checks the artifacts byte for byte.
+"""
+
+import argparse
+import pathlib
+import shutil
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+import test_golden  # noqa: E402
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", type=pathlib.Path, default=test_golden.GOLDEN)
+    parser.add_argument("--full", action="store_true",
+                        help="keep every objective.csv row")
+    args = parser.parse_args()
+    stride = 1 if args.full else test_golden.OBJECTIVE_STRIDE
+    with tempfile.TemporaryDirectory() as tmp:
+        files = test_golden.artifacts(test_golden.produce(pathlib.Path(tmp)), stride)
+    # clear only the run directories this list owns
+    for run in test_golden.RUN_DIRS:
+        shutil.rmtree(args.out / run, ignore_errors=True)
+    for name, text in files.items():
+        path = args.out / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    print(f"wrote {len(files)} files to {args.out}")
+
+
+if __name__ == "__main__":
+    main()
