@@ -6,9 +6,7 @@ Gate kinds and conventions (half-angle throughout):
 * ``rx``/``rz`` — exp(−i θ X/2), exp(−i θ Z/2);
 * ``zzphase`` — exp(−i θ (Z⊗Z)/2) on a qubit pair;
 * ``pauliexp`` — exp(−i θ P/2) for an arbitrary Pauli string P (the empty
-  string gives the global phase e^{−iθ/2});
-* ``cpauliexp`` — the controlled variant of ``pauliexp`` keyed on one
-  control qubit (listed first in ``qubits``).
+  string gives the global phase e^{−iθ/2}).
 
 Builders cover first-order Trotter steps ordered largest-norm-fragment
 first and the hardware-efficient recompilation ansatz.
@@ -28,21 +26,19 @@ __all__ = [
     "trotter_step",
     "two_qubit_depth",
     "hea_ansatz",
-    "controlled_on_fresh_ancilla",
 ]
 
 _KINDS_1Q = {"h", "rx", "rz", "sdg"}
-_KINDS_PARAMETRIC = {"rx", "rz", "zzphase", "pauliexp", "cpauliexp"}
-_KINDS = _KINDS_1Q | {"zzphase", "pauliexp", "cpauliexp"}
+_KINDS_PARAMETRIC = {"rx", "rz", "zzphase", "pauliexp"}
+_KINDS = _KINDS_1Q | {"zzphase", "pauliexp"}
 
 
 @dataclass(frozen=True)
 class Gate:
     """One gate: kind, acted qubits, and a fixed angle or parameter id.
 
-    For ``pauliexp``/``cpauliexp`` the rotation axis is carried in
-    ``pauli`` (already expressed on absolute qubit indices); for
-    ``cpauliexp`` the control qubit is ``qubits[0]``.
+    For ``pauliexp`` the rotation axis is carried in ``pauli`` (already
+    expressed on absolute qubit indices).
     """
 
     kind: str
@@ -60,16 +56,11 @@ class Gate:
             raise ValueError(f"{self.kind} acts on exactly one qubit")
         if self.kind == "zzphase" and len(self.qubits) != 2:
             raise ValueError("zzphase acts on exactly two qubits")
-        if self.kind in ("pauliexp", "cpauliexp"):
+        if self.kind == "pauliexp":
             if self.pauli is None:
-                raise ValueError(f"{self.kind} requires a Pauli string")
-            support = tuple(self.pauli.support)
-            expected = (self.qubits[1:] if self.kind == "cpauliexp"
-                        else self.qubits)
-            if tuple(sorted(expected)) != support:
+                raise ValueError("pauliexp requires a Pauli string")
+            if tuple(sorted(self.qubits)) != tuple(self.pauli.support):
                 raise ValueError("gate qubits must equal the string support")
-            if self.kind == "cpauliexp" and self.qubits[0] in support:
-                raise ValueError("control qubit inside the controlled string")
         elif self.pauli is not None:
             raise ValueError(f"{self.kind} carries no Pauli string")
         if self.kind in _KINDS_PARAMETRIC:
@@ -151,15 +142,11 @@ class AnsatzSpec:
 # ----------------------------------------------------------------------
 # builders
 # ----------------------------------------------------------------------
-def _shift_string(s: PauliString, offset: int) -> PauliString:
-    return PauliString(s.x_mask << offset, s.z_mask << offset)
-
-
 def _exp_gate(string: PauliString, angle: float) -> Gate:
     return Gate("pauliexp", tuple(string.support), angle=angle, pauli=string)
 
 
-def trotter_step(h: PauliSum, tau: float, controlled: bool = False) -> Circuit:
+def trotter_step(h: PauliSum, tau: float) -> Circuit:
     """One first-order Trotter step for exp(−i τ H).
 
     The terms of ``h`` are partitioned into fully commuting fragments;
@@ -168,16 +155,12 @@ def trotter_step(h: PauliSum, tau: float, controlled: bool = False) -> Circuit:
     global phase so the circuit unitary equals the exact exponential
     whenever all terms commute.
 
-    Args:
-        controlled: emit every exponential as its controlled variant on a
-            fresh ancilla (qubit 0), with the system shifted to qubits 1..n.
-
     Raises:
         ValueError: non-Hermitian input.
     """
     if not h.is_hermitian():
         raise ValueError("Trotter step requires a Hermitian sum")
-    fragments = h.group_commuting("full").sets
+    fragments = h.group_commuting("full")
     # stable sort: equal norms keep the coloring order
     ordered = sorted(
         fragments,
@@ -187,35 +170,7 @@ def trotter_step(h: PauliSum, tau: float, controlled: bool = False) -> Circuit:
     for fragment in ordered:
         for string, coeff in fragment:
             gates.append(_exp_gate(string, 2.0 * tau * coeff.real))
-    circuit = Circuit(max(h.n_qubits, 1), gates)
-    if controlled:
-        circuit = controlled_on_fresh_ancilla(circuit)
-    return circuit
-
-
-def controlled_on_fresh_ancilla(circuit: Circuit) -> Circuit:
-    """Rewrites a circuit of exponential-type gates as its controlled
-    version: ancilla = qubit 0, system shifted to qubits 1..n.
-
-    Raises:
-        ValueError: the circuit contains a gate with no controlled form
-            here (``h``, ``sdg``) or is already controlled.
-    """
-    gates = []
-    for g in circuit.gates:
-        if g.kind in ("h", "sdg", "cpauliexp"):
-            raise ValueError(f"cannot control a {g.kind} gate")
-        string = _shift_string(g.generator, 1)
-        gates.append(
-            Gate(
-                "cpauliexp",
-                (0, *string.support),
-                angle=g.angle,
-                param=g.param,
-                pauli=string,
-            )
-        )
-    return Circuit(circuit.n_qubits + 1, gates)
+    return Circuit(max(h.n_qubits, 1), gates)
 
 
 def _two_qubit_blocks(gate: Gate) -> list[tuple[int, int]]:

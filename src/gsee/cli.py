@@ -85,10 +85,7 @@ _COMPILE = {
     "tolerance": (float, 1e-12, None, None),
     "warm_start": (bool, False, None, None),
 }
-_SERIES = {
-    "n_points": (int, 33, 2, None),
-    "fallback_norm": (bool, False, None, None),
-}
+_SERIES = {"n_points": (int, 33, 2, None)}
 _SCHEMA = {
     "state": {
         "basis": (int, None, 0, None),
@@ -458,7 +455,7 @@ def cmd_qcels(resolved: Mapping, base: Path, out: Path) -> None:
     h = _load_operator(resolved, base)
     psi = _load_state(resolved, base, h.n_qubits)
     settings = resolved["qcels"]
-    sh = scale(h, fallback=settings["fallback_norm"])
+    sh = scale(h)
     tau = choose_grid(sh, psi, settings["n_points"])
 
     compilation = None
@@ -554,7 +551,7 @@ def cmd_recompile(resolved: Mapping, base: Path, out: Path) -> None:
     h = _load_operator(resolved, base)
     psi = _load_state(resolved, base, h.n_qubits)
     settings = resolved["recompile"]
-    sh = scale(h, fallback=settings["fallback_norm"])
+    sh = scale(h)
     tau = choose_grid(sh, psi, settings["n_points"])
     compilation, depth = _compile_hadamard_series(
         sh, psi, tau, settings["n_points"], settings, resolved["seed"], out

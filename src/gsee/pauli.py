@@ -33,7 +33,6 @@ import numpy as np
 __all__ = [
     "PauliString",
     "PauliSum",
-    "CommutingSets",
     "sum_multiply",
     "z_signs",
     "PURGE_TOL",
@@ -197,32 +196,8 @@ class PauliString:
             return differ & shared == 0
         raise ValueError(f"unknown commutation mode {mode!r}")
 
-    def dense(self, n_qubits: int) -> np.ndarray:
-        """Dense ``2^n x 2^n`` matrix of the string (little-endian)."""
-        return PauliSum(n_qubits, {self: 1.0}).to_dense()
-
     def __str__(self) -> str:  # pragma: no cover - repr convenience
         return self.to_label() or "I"
-
-
-@dataclass(frozen=True)
-class CommutingSets:
-    """A partition of a term list into internally commuting sets.
-
-    Attributes:
-        sets: list of term lists; each term is a ``(PauliString, coeff)``
-            pair and appears in exactly one set.
-        mode: the commutation mode the partition is valid under.
-    """
-
-    sets: tuple[tuple[tuple[PauliString, complex], ...], ...]
-    mode: str
-
-    def __len__(self) -> int:
-        return len(self.sets)
-
-    def __iter__(self) -> Iterator[tuple[tuple[PauliString, complex], ...]]:
-        return iter(self.sets)
 
 
 def _mask_arrays(
@@ -316,7 +291,7 @@ class PauliSum:
     (dense matrix spectra) may be cached internally.
     """
 
-    __slots__ = ("_n_qubits", "_terms", "_eig_cache", "_norm_cache")
+    __slots__ = ("_n_qubits", "_terms", "_eig_cache")
 
     def __init__(
         self,
@@ -339,7 +314,6 @@ class PauliSum:
             s: c for s, c in combined.items() if abs(c) > PURGE_TOL
         }
         self._eig_cache: tuple[np.ndarray, np.ndarray] | None = None
-        self._norm_cache: float | None = None
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -396,22 +370,20 @@ class PauliSum:
     def __mul__(self, scalar: complex) -> "PauliSum":
         """Scalar multiple of the sum.
 
-        A positive real ``scalar`` keeps a computed eigendecomposition and
-        spectral norm: the product inherits ``(scalar · vals, vecs)`` and
-        ``scalar · norm`` instead of diagonalizing again.  They are carried
-        over only when no term fell under :data:`PURGE_TOL`, so the cache
-        always describes the product's own terms.
+        A positive real ``scalar`` keeps a computed eigendecomposition: the
+        product inherits ``(scalar · vals, vecs)`` instead of diagonalizing
+        again.  It is carried over only when no term fell under
+        :data:`PURGE_TOL`, so the cache always describes the product's own
+        terms.
         """
         out = PauliSum(
             self._n_qubits, {s: c * scalar for s, c in self._terms.items()}
         )
         factor = complex(scalar)
-        if factor.imag == 0 and factor.real > 0 and len(out) == len(self):
-            if self._eig_cache is not None:
-                vals, vecs = self._eig_cache
-                out._eig_cache = (factor.real * vals, vecs)
-            if self._norm_cache is not None:
-                out._norm_cache = factor.real * self._norm_cache
+        if (factor.imag == 0 and factor.real > 0 and len(out) == len(self)
+                and self._eig_cache is not None):
+            vals, vecs = self._eig_cache
+            out._eig_cache = (factor.real * vals, vecs)
         return out
 
     __rmul__ = __mul__
@@ -486,33 +458,6 @@ class PauliSum:
             self._eig_cache = (vals, vecs.astype(np.complex128, copy=False))
         return self._eig_cache
 
-    def spectral_norm(self, fallback: bool = False) -> float:
-        """Largest singular value (max |eigenvalue| when Hermitian).
-
-        Args:
-            fallback: permit the coefficient 1-norm upper bound when the
-                register exceeds the dense cap.
-
-        Raises:
-            ValueError: register too wide and ``fallback`` not requested.
-        """
-        if self._norm_cache is None:
-            if self._n_qubits > DENSE_MATRIX_CAP:
-                if not fallback:
-                    raise ValueError(
-                        "register too wide for the dense spectral norm; "
-                        "pass fallback=True to accept the 1-norm bound"
-                    )
-                return self.one_norm()
-            if self.is_hermitian():
-                vals, _ = self.eig()
-                self._norm_cache = float(np.max(np.abs(vals))) if len(vals) else 0.0
-            else:
-                self._norm_cache = float(
-                    np.linalg.norm(self.to_dense(), ord=2)
-                )
-        return self._norm_cache
-
     # ------------------------------------------------------------------
     # truncation and grouping
     # ------------------------------------------------------------------
@@ -537,7 +482,9 @@ class PauliSum:
                 kept[s] = c
         return PauliSum(self._n_qubits, kept), dropped
 
-    def group_commuting(self, mode: str = "full") -> CommutingSets:
+    def group_commuting(
+        self, mode: str = "full"
+    ) -> tuple[tuple[tuple[PauliString, complex], ...], ...]:
         """Partition into commuting sets by greedy largest-first coloring.
 
         Vertices are the terms in canonical order; edges join pairs that do
@@ -554,6 +501,10 @@ class PauliSum:
         coloring: O(n²·W) vectorized bit operations for ``n`` terms, in
         O(block·n) working memory besides the O(n·W) masks.  No adjacency
         matrix or neighbor list is ever stored.
+
+        Returns:
+            The sets, each a tuple of ``(PauliString, coeff)`` terms in
+            canonical order; every term lies in exactly one set.
 
         Raises:
             ValueError: unknown ``mode``.
@@ -579,7 +530,7 @@ class PauliSum:
         sets: list[list[tuple[PauliString, complex]]] = [[] for _ in range(n_sets)]
         for term, c in zip(term_list, color.tolist()):
             sets[c].append(term)
-        return CommutingSets(tuple(tuple(s) for s in sets), mode)
+        return tuple(tuple(s) for s in sets)
 
     # ------------------------------------------------------------------
     # serialization

@@ -74,31 +74,30 @@ class ScaledHamiltonian:
         return self.h0 + self.h1 * theta
 
 
-def scale(h: PauliSum, fallback: bool = False) -> ScaledHamiltonian:
+def scale(h: PauliSum) -> ScaledHamiltonian:
     """Shifts and rescales a Hamiltonian for phase estimation.
 
     h0 is the identity coefficient (equal to Tr H / 2^n) and
-    h1 = (4/pi) ||H - h0 I||, so H~ = (H - h0 I)/h1 has its largest
-    eigenvalue magnitude at exactly pi/4.
+    h1 = (4/pi) max |eig(H - h0 I)|, so H~ = (H - h0 I)/h1 has its
+    largest eigenvalue magnitude at exactly pi/4.
 
-    The dense spectral norm diagonalizes H - h0 I once; multiplying by the
-    positive 1/h1 keeps that cached decomposition, so evolving under H~
-    (:func:`gsee.simulator.evolve_exact`) diagonalizes nothing again.
-
-    Args:
-        fallback: accept the coefficient 1-norm in place of the dense
-            spectral norm on registers too wide to diagonalize; the
-            spectrum then sits strictly inside the window.
+    The dense eigendecomposition of H - h0 I (:meth:`PauliSum.eig`) is
+    computed once; multiplying by the positive 1/h1 keeps it, so evolving
+    under H~ (:func:`gsee.simulator.evolve_exact`) diagonalizes nothing
+    again.
 
     Raises:
-        ValueError: H is not Hermitian, or is proportional to the
-            identity (h1 < 1e-12) and carries no phase to estimate.
+        ValueError: H is not Hermitian, is wider than the dense cap
+            :data:`gsee.pauli.DENSE_MATRIX_CAP` (raised before any
+            allocation), or is proportional to the identity (h1 < 1e-12)
+            and carries no phase to estimate.
     """
     if not h.is_hermitian():
         raise ValueError("Hamiltonian must be Hermitian")
     h0 = h.identity_coefficient.real
     shifted = h - PauliSum(h.n_qubits, {PauliString(): h0})
-    h1 = 4.0 * shifted.spectral_norm(fallback=fallback) / math.pi
+    vals, _ = shifted.eig()
+    h1 = 4.0 * float(np.max(np.abs(vals))) / math.pi
     if h1 < 1e-12:
         raise ValueError("Hamiltonian is proportional to the identity")
     return ScaledHamiltonian(h0=h0, h1=h1, scaled=shifted * (1.0 / h1))
@@ -341,25 +340,20 @@ def _golden_max(f, a: float, b: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def fit(
-    series: OverlapSeries,
-    sh: ScaledHamiltonian,
-    grid_points: int = GRID_POINTS,
-) -> QcelsResult:
+def fit(series: OverlapSeries, sh: ScaledHamiltonian) -> QcelsResult:
     """Maximizes the phase objective and converts the peak to energy.
 
-    The objective is scanned on a uniform grid over [-pi/4, pi/4], then
-    the best point is refined by golden-section search to an interval
-    below 1e-10.  The returned theta is whichever candidate (refined
-    point, grid point, or window edge at the boundary) scores highest,
-    so f(theta*) >= f(theta) holds on the whole grid.
+    The objective is scanned on a uniform grid of :data:`GRID_POINTS`
+    points over [-pi/4, pi/4], then the best point is refined by
+    golden-section search to an interval below 1e-10.  The returned
+    theta is whichever candidate (refined point, grid point, or window
+    edge at the boundary) scores highest, so f(theta*) >= f(theta) holds
+    on the whole grid.
     """
     if len(series.values) < 2:
         raise ValueError("need at least two samples to fit")
-    if grid_points < 3:
-        raise ValueError("grid needs at least three points")
     lo, hi = -math.pi / 4.0, math.pi / 4.0
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, GRID_POINTS)
     curve = _objective(series, grid)
     best = int(np.argmax(curve))
     spacing = grid[1] - grid[0]

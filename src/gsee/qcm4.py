@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .circuits import Circuit, Gate
-from .pauli import CommutingSets, PauliString, PauliSum, sum_multiply, z_signs
+from .pauli import PauliString, PauliSum, sum_multiply, z_signs
 from .simulator import ShotRecord, StateVector, apply_circuit, derived_rng, sample_z
 
 __all__ = [
@@ -341,10 +341,9 @@ def plan(m: MomentOperators, mode: str = "full") -> MeasurementPlan:
             else:
                 uses.setdefault(string, []).append((idx + 1, coeff.real))
     distinct = PauliSum(n, {s: 1.0 for s in uses})
-    groups = distinct.group_commuting(mode)
 
     circuits = []
-    for group in groups.sets:
+    for group in distinct.group_commuting(mode):
         strings = [s for s, _ in group]
         ops = _diagonalizing_ops(_independent_basis(strings, n), n)
         gates: list[Gate] = []
@@ -403,7 +402,9 @@ def _shot_allocation(
     Uniform allocation repeats ``spc``; weighted allocation splits the
     same total budget proportionally to each circuit's coefficient
     1-norm (a proxy for its contribution to the moment variance), with
-    a floor of one shot per circuit.
+    a floor of one shot per circuit.  The rounding drift lands on the
+    heaviest circuit; if that leaves it without a shot, it takes shots
+    back one at a time from whichever circuit has the most.
     """
     n = measurement_plan.n_circuits
     if allocation == "uniform":
@@ -417,8 +418,13 @@ def _shot_allocation(
     if total == 0.0:
         return [spc] * n
     counts = [max(1, round(budget * w / total)) for w in weights]
-    # rounding drift lands on the heaviest circuit
-    counts[weights.index(max(weights))] += budget - sum(counts)
+    heaviest = weights.index(max(weights))
+    counts[heaviest] += budget - sum(counts)
+    # with spc >= 1 shots per circuit, some other circuit holds two or
+    # more while the heaviest holds none
+    while counts[heaviest] < 1:
+        counts[max(range(n), key=counts.__getitem__)] -= 1
+        counts[heaviest] += 1
     return counts
 
 

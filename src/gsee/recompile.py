@@ -21,13 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .circuits import Circuit
-from .simulator import (
-    CompiledCircuit,
-    StateVector,
-    derived_rng,
-    overlap_gradient,
-    simulate_batch,
-)
+from .simulator import CompiledCircuit, StateVector, derived_rng, overlap_gradient
 
 __all__ = [
     "CompileConfig",
@@ -110,33 +104,19 @@ class SeriesCompilation:
         )
 
 
-def _objectives(
-    circuit: Circuit, target_conj: np.ndarray, thetas: np.ndarray
-) -> np.ndarray:
-    states = simulate_batch(
-        circuit, _zero_amplitudes(circuit.n_qubits), thetas
-    )
-    return 2.0 - 2.0 * (states @ target_conj).real
-
-
-def _zero_amplitudes(n_qubits: int) -> np.ndarray:
-    amps = np.zeros(1 << n_qubits, dtype=complex)
-    amps[0] = 1.0
-    return amps
-
-
 def compile_state(
     target: StateVector,
     ansatz: Circuit,
     config: CompileConfig = CompileConfig(),
-    stream: tuple[int, ...] = (),
 ) -> CompilationResult:
     """Minimizes the distance objective over the ansatz parameters.
 
     All restarts advance together in one batched Adam run (cosine-decayed
-    learning rate).  Each iteration is one adjoint sweep over the ansatz,
-    whose gate kernels are compiled once per call; it yields every
-    restart's objective and exact gradient.  The best parameters ever
+    learning rate).  The ansatz's gate kernels are compiled once per call
+    and serve every sweep: each iteration is one adjoint sweep that
+    yields every restart's objective and exact gradient, and plain
+    forward sweeps score the last iterate and the winner.  The best
+    parameters ever
     evaluated are returned, so the final objective never exceeds the
     initial one, and the winner is simulated once more so that the
     reported fidelity is |<target|U(parameters)|0>|^2 for exactly the
@@ -151,7 +131,7 @@ def compile_state(
         raise ValueError("ansatz has no parameters to optimize")
     n_params = ansatz.n_params
     n_restarts = config.restarts
-    rng = derived_rng(config.seed, *stream)
+    rng = derived_rng(config.seed)
     thetas = rng.uniform(-math.pi, math.pi, size=(n_restarts, n_params))
     if config.initial_parameters is not None:
         init = np.asarray(config.initial_parameters, dtype=float)
@@ -160,6 +140,8 @@ def compile_state(
         thetas[0] = init
     target_conj = target.amplitudes.conj()
     compiled = CompiledCircuit(ansatz)
+    zero = np.zeros(1 << ansatz.n_qubits, dtype=complex)
+    zero[0] = 1.0
 
     best_obj = np.full(n_restarts, np.inf)
     best_thetas = thetas.copy()
@@ -190,14 +172,14 @@ def compile_state(
         thetas = thetas - lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
     else:
         # final parameter vectors were updated but never scored
-        objs = _objectives(ansatz, target_conj, thetas)
+        objs = 2.0 - 2.0 * (compiled.simulate(zero, thetas) @ target_conj).real
         improved = objs < best_obj
         best_obj = np.where(improved, objs, best_obj)
         best_thetas[improved] = thetas[improved]
 
     winner = int(np.argmin(best_obj))
     params = best_thetas[winner]
-    state = simulate_batch(ansatz, _zero_amplitudes(ansatz.n_qubits), params[None])[0]
+    state = compiled.simulate(zero, params[None])[0]
     overlap = complex(target_conj @ state)
     return CompilationResult(
         parameters=params,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit
-from .pauli import PauliString, PauliSum, z_signs
+from .pauli import PauliSum, z_signs
 
 __all__ = [
     "AMPLITUDE_CAP",
@@ -82,15 +82,6 @@ class StateVector:
         amps[index] = 1.0
         return cls(n_qubits, amps)
 
-    def overlap(self, other: "StateVector") -> complex:
-        """Inner product ``<self|other>``."""
-        if self.n_qubits != other.n_qubits:
-            raise ValueError("register widths differ")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def fidelity(self, other: "StateVector") -> float:
-        return abs(self.overlap(other)) ** 2
-
 
 # ----------------------------------------------------------------------
 # gate kernels: compiled once per circuit, applied to (batch, 2^n) arrays
@@ -104,7 +95,7 @@ class _Kernel:
     set).  Every other kind is a rotation exp(-i angle P/2): P maps
     amplitude ``src[i]`` (``src`` is None when P is diagonal) times
     ``d[i]`` to index ``i``; ``col`` is the gate's row in the cos and
-    i sin tables; ``control`` marks the indices a ``cpauliexp`` acts on.
+    i sin tables.
     """
 
     kind: str
@@ -114,7 +105,6 @@ class _Kernel:
     src: np.ndarray | None = None
     d: np.ndarray | None = None
     col: int | None = None
-    control: np.ndarray | None = None
 
     def hadamard(self, amps: np.ndarray) -> None:
         a0 = amps[..., self.lo]
@@ -134,8 +124,8 @@ class _Kernel:
 class CompiledCircuit:
     """A circuit's gate kernels, built once and reused by every sweep.
 
-    :func:`overlap_gradient` takes one; :func:`simulate_batch` compiles
-    its circuit the same way on every call.
+    :meth:`simulate` and :func:`overlap_gradient` run them;
+    :func:`simulate_batch` compiles a circuit for one call.
     """
 
     __slots__ = ("circuit", "_kernels", "_fixed_angles", "_param_cols",
@@ -145,7 +135,6 @@ class CompiledCircuit:
         idx = np.arange(1 << circuit.n_qubits)
         kernels, angles, params = [], [], []
         for gate in circuit.gates:
-            # set bit of the first listed qubit: the control of a cpauliexp
             bit = (idx >> gate.qubits[0]) & 1 == 1 if gate.qubits else None
             if gate.kind == "h":
                 kernels.append(_Kernel("h", lo=idx[~bit], hi=idx[bit]))
@@ -160,7 +149,6 @@ class CompiledCircuit:
                     src=src if string.x_mask else None,
                     d=string.phase * z_signs(src, string.z_mask),
                     col=len(angles),
-                    control=bit if gate.kind == "cpauliexp" else None,
                 ))
                 angles.append(0.0 if gate.angle is None else gate.angle)
                 params.append(gate.param)
@@ -197,11 +185,38 @@ class CompiledCircuit:
             else:
                 moved = k.pauli(amps)
                 moved *= isin[k.col]
-                evolved = cos[k.col] * amps
-                evolved -= moved
-                amps = (evolved if k.control is None
-                        else np.where(k.control, evolved, amps))
+                amps = cos[k.col] * amps
+                amps -= moved
         return amps
+
+    def simulate(
+        self, initial: np.ndarray, params: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Runs the circuit over a batch of parameter vectors and/or states.
+
+        Args:
+            initial: amplitudes of shape ``(2^n,)`` or ``(batch, 2^n)``.
+            params: parameter matrix of shape ``(batch, n_params)``;
+                required exactly when the circuit has symbolic parameters.
+
+        Returns:
+            Output amplitudes of shape ``(batch, 2^n)``.
+        """
+        initial = np.asarray(initial, dtype=complex)
+        if initial.ndim == 1:
+            initial = initial[None, :]
+        if initial.shape[-1] != 1 << self.circuit.n_qubits:
+            raise ValueError("state width does not match the circuit register")
+        params = _check_params(self.circuit, params)
+        if params is not None:
+            if initial.shape[0] == 1:
+                initial = np.broadcast_to(
+                    initial, (params.shape[0], initial.shape[1])
+                )
+            elif initial.shape[0] != params.shape[0]:
+                raise ValueError("state and parameter batch sizes differ")
+        cos, isin = self._trig(params, initial.shape[0])
+        return self._forward(initial.copy(), cos, isin)
 
 
 def _check_params(circuit: Circuit, params) -> np.ndarray | None:
@@ -218,32 +233,8 @@ def _check_params(circuit: Circuit, params) -> np.ndarray | None:
 def simulate_batch(
     circuit: Circuit, initial: np.ndarray, params: np.ndarray | None = None
 ) -> np.ndarray:
-    """Runs one circuit over a batch of parameter vectors and/or states.
-
-    Args:
-        initial: amplitudes of shape ``(2^n,)`` or ``(batch, 2^n)``.
-        params: parameter matrix of shape ``(batch, n_params)``; required
-            exactly when the circuit has symbolic parameters.
-
-    Returns:
-        Output amplitudes of shape ``(batch, 2^n)``.
-    """
-    initial = np.asarray(initial, dtype=complex)
-    if initial.ndim == 1:
-        initial = initial[None, :]
-    if initial.shape[-1] != 1 << circuit.n_qubits:
-        raise ValueError("state width does not match the circuit register")
-    params = _check_params(circuit, params)
-    if params is not None:
-        if initial.shape[0] == 1:
-            initial = np.broadcast_to(
-                initial, (params.shape[0], initial.shape[1])
-            )
-        elif initial.shape[0] != params.shape[0]:
-            raise ValueError("state and parameter batch sizes differ")
-    compiled = CompiledCircuit(circuit)
-    cos, isin = compiled._trig(params, initial.shape[0])
-    return compiled._forward(initial.copy(), cos, isin)
+    """Compiles ``circuit`` and runs it once (:meth:`CompiledCircuit.simulate`)."""
+    return CompiledCircuit(circuit).simulate(initial, params)
 
 
 def overlap_gradient(
@@ -254,9 +245,8 @@ def overlap_gradient(
     The forward sweep prepares phi = U|0>.  The backward sweep carries phi
     and lambda = target back together, undoing one gate at a time; at a
     rotation exp(-i angle P/2) the derivative of the overlap is
-    ``<lambda|(-i/2) P|phi>`` (restricted to the control's 1 branch for
-    ``cpauliexp``), summed over every gate that uses the parameter
-    (Jones & Gacon, arXiv:2009.02823).
+    ``<lambda|(-i/2) P|phi>``, summed over every gate that uses the
+    parameter (Jones & Gacon, arXiv:2009.02823).
 
     Args:
         target: amplitudes of shape ``(2^n,)``.
@@ -296,13 +286,10 @@ def overlap_gradient(
             continue
         moved = k.pauli(stack)
         if k.param is not None:
-            on = slice(None) if k.control is None else k.control
-            np.vecdot(stack[batch:, on], moved[:batch, on], out=per_gate[k.col])
+            np.vecdot(stack[batch:], moved[:batch], out=per_gate[k.col])
         moved *= isin[k.col]
-        undone = cos[k.col] * stack
-        undone += moved
-        stack = (undone if k.control is None
-                 else np.where(k.control, undone, stack))
+        stack = cos[k.col] * stack
+        stack += moved
     grad = np.zeros((batch, circuit.n_params), dtype=complex)
     # unbuffered +=: one parameter id may drive several gates
     np.add.at(grad.T, compiled._param_ids, per_gate[compiled._param_cols])
@@ -360,47 +347,25 @@ class ShotRecord:
 
 
 def sample_z(
-    state: StateVector,
-    spc: int,
-    seed: int,
-    stream: tuple[int, ...] = (),
-    depolarize: float = 0.0,
+    state: StateVector, spc: int, seed: int, stream: tuple[int, ...] = ()
 ) -> ShotRecord:
     """Draws ``spc`` Z-basis shots from the exact output distribution.
 
-    With ``depolarize = p`` each shot is replaced, with probability p, by
-    a uniformly random basis index; the expectation of any nontrivial
-    Z-string estimator then shrinks by the factor (1 - p).  The draw
-    sequence is fixed (outcomes, replacement mask, replacements) so a
-    given (seed, stream, depolarize) always reproduces the same record.
+    The draws come from :func:`derived_rng` keyed by ``(seed, stream)``,
+    so a given key always reproduces the same record.
     """
     if spc < 1:
         raise ValueError("spc must be at least 1")
-    if not 0.0 <= depolarize <= 1.0:
-        raise ValueError("depolarize must lie in [0, 1]")
     rng = derived_rng(seed, *stream)
     probs = np.abs(state.amplitudes) ** 2
     probs /= probs.sum()
     outcomes = rng.choice(len(probs), size=spc, p=probs).astype(np.int64)
-    if depolarize > 0.0:
-        replace = rng.random(spc) < depolarize
-        uniform = rng.integers(0, len(probs), size=spc)
-        outcomes = np.where(replace, uniform, outcomes)
     return ShotRecord(state.n_qubits, spc, seed, outcomes)
 
 
-def estimate_pauli_z(record: ShotRecord, z: PauliString | int) -> float:
-    """Sample mean of the Z-string observable over a shot record.
-
-    Args:
-        z: a Z-only Pauli string, or the integer mask of its support.
-    """
-    if isinstance(z, PauliString):
-        if z.x_mask:
-            raise ValueError("only Z-type strings are estimable from Z shots")
-        mask = z.z_mask
-    else:
-        mask = int(z)
+def estimate_pauli_z(record: ShotRecord, mask: int) -> float:
+    """Sample mean of the Z string on the qubits of ``mask`` over a record."""
+    mask = int(mask)
     if mask >> record.n_qubits:
         raise ValueError("mask outside the recorded register")
     return float(np.mean(z_signs(record.outcomes, mask)))

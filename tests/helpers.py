@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from gsee.circuits import Circuit, Gate
-from gsee.pauli import CommutingSets, PauliString, PauliSum
+from gsee.pauli import PauliString, PauliSum
 from gsee.simulator import simulate_batch
 
 I2 = np.eye(2, dtype=complex)
@@ -95,13 +95,7 @@ def gate_matrix(gate, n_qubits: int) -> np.ndarray:
         return embed_1q((X2 + Z2) / np.sqrt(2.0), gate.qubits[0], n_qubits)
     if kind == "sdg":
         return embed_1q(np.diag([1.0, -1j]), gate.qubits[0], n_qubits)
-    u = expm(-0.5j * gate.angle * dense_string(_rotation_string(gate), n_qubits))
-    if kind == "cpauliexp":
-        control = gate.qubits[0]
-        p0 = embed_1q(np.diag([1.0 + 0j, 0.0]), control, n_qubits)
-        p1 = embed_1q(np.diag([0.0, 1.0 + 0j]), control, n_qubits)
-        return p0 + u @ p1
-    return u
+    return expm(-0.5j * gate.angle * dense_string(_rotation_string(gate), n_qubits))
 
 
 def circuit_unitary(circuit) -> np.ndarray:
@@ -136,8 +130,7 @@ def reference_simulate(circuit, initial: np.ndarray) -> np.ndarray:
             continue
         half = 0.5 * np.broadcast_to(float(gate.angle), (amps.shape[0],))[:, None]
         string = _rotation_string(gate)
-        evolved = np.cos(half) * amps - 1j * np.sin(half) * string.act(amps)
-        amps = np.where(bit, evolved, amps) if gate.kind == "cpauliexp" else evolved
+        amps = np.cos(half) * amps - 1j * np.sin(half) * string.act(amps)
     return amps
 
 
@@ -174,7 +167,7 @@ def shift_gradient(circuit, target: np.ndarray, params: np.ndarray):
     return values[:, 0], grad
 
 
-def greedy_coloring_reference(a: PauliSum, mode: str) -> CommutingSets:
+def greedy_coloring_reference(a: PauliSum, mode: str) -> tuple:
     """Pairwise greedy largest-first coloring, the oracle for
     :meth:`PauliSum.group_commuting`.
 
@@ -203,4 +196,4 @@ def greedy_coloring_reference(a: PauliSum, mode: str) -> CommutingSets:
     sets: list[list] = [[] for _ in range(n_sets)]
     for i, term in enumerate(term_list):
         sets[color[i]].append(term)
-    return CommutingSets(tuple(tuple(s) for s in sets), mode)
+    return tuple(tuple(s) for s in sets)

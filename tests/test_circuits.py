@@ -9,7 +9,6 @@ from gsee.circuits import (
     AnsatzSpec,
     Circuit,
     Gate,
-    controlled_on_fresh_ancilla,
     hea_ansatz,
     trotter_step,
     two_qubit_depth,
@@ -26,6 +25,9 @@ class TestGateValidation:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown gate kind"):
             Gate("cnot", (0, 1))
+        with pytest.raises(ValueError, match="unknown gate kind"):
+            Gate("cpauliexp", (2, 0), angle=0.1,
+                 pauli=PauliString.from_label("X0"))
 
     def test_repeated_qubit_rejected(self):
         with pytest.raises(ValueError, match="repeated qubit"):
@@ -43,14 +45,6 @@ class TestGateValidation:
         s = PauliString.from_label("X0 Z2")
         with pytest.raises(ValueError, match="support"):
             Gate("pauliexp", (0, 1), angle=0.1, pauli=s)
-
-    def test_control_inside_string_rejected(self):
-        s = PauliString.from_label("X0 Z2")
-        # listing the control twice and hiding it from the qubit list both fail
-        with pytest.raises(ValueError):
-            Gate("cpauliexp", (2, 0, 2), angle=0.1, pauli=s)
-        with pytest.raises(ValueError):
-            Gate("cpauliexp", (2, 0), angle=0.1, pauli=s)
 
     def test_angle_and_param_mutually_exclusive(self):
         with pytest.raises(ValueError):
@@ -122,45 +116,10 @@ class TestTrotterStep:
                 errs.append(np.linalg.norm(u - expm(-1j * t * dense), ord=2))
             assert 3.5 < errs[0] / errs[1] < 4.5
 
-    def test_controlled_step_is_block_diagonal(self):
-        rng = np.random.default_rng(3)
-        h = random_sum(rng, 2, 4)
-        tau = 0.23
-        u = circuit_unitary(trotter_step(h, tau))
-        cu = circuit_unitary(trotter_step(h, tau, controlled=True))
-        dim = u.shape[0]
-        expected = np.zeros((2 * dim, 2 * dim), dtype=complex)
-        expected[0::2, 0::2] = np.eye(dim)
-        expected[1::2, 1::2] = u
-        assert np.linalg.norm(cu - expected) < 1e-12
-
     def test_non_hermitian_rejected(self):
         h = PauliSum(1, {PauliString.from_label("X0"): 1j})
         with pytest.raises(ValueError, match="Hermitian"):
             trotter_step(h, 0.1)
-
-
-class TestControlledRewrite:
-    def test_rotation_kinds_map_to_controlled_exponentials(self):
-        c = Circuit(
-            2,
-            [
-                Gate("rx", (1,), angle=0.2),
-                Gate("rz", (0,), param=0),
-                Gate("zzphase", (0, 1), angle=-0.6),
-            ],
-        )
-        cc = controlled_on_fresh_ancilla(c)
-        assert cc.n_qubits == 3
-        labels = [g.pauli.to_label() for g in cc.gates]
-        assert labels == ["X2", "Z1", "Z1 Z2"]
-        assert all(g.kind == "cpauliexp" and g.qubits[0] == 0 for g in cc.gates)
-        assert cc.gates[1].param == 0
-
-    def test_uncontrollable_kinds_rejected(self):
-        for gate in (Gate("h", (0,)), Gate("sdg", (0,))):
-            with pytest.raises(ValueError, match="cannot control"):
-                controlled_on_fresh_ancilla(Circuit(1, [gate]))
 
 
 class TestTwoQubitDepth:

@@ -112,6 +112,17 @@ class TestResolveConfig:
         with pytest.raises(InputError, match="filtering"):
             resolve_config(path, "qcm4")
 
+    @pytest.mark.parametrize("command", ["qcels", "recompile"])
+    def test_retired_fallback_norm_key_exits_2(self, tmp_path, capsys, command):
+        config = h2_config(
+            tmp_path, command, **{command: {"fallback_norm": False}}
+        )
+        code = main([command, "--config", str(config),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert f"unknown {command} key(s): fallback_norm" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_algorithm_mismatch_rejected(self, tmp_path):
         path = write_config(tmp_path, {
             "algorithm": "qcels",
@@ -225,10 +236,7 @@ _COMPILE_KEYS = {
     "tolerance": ("number", 1e-12, None, None),
     "warm_start": ("bool", False, None, None),
 }
-_SERIES_KEYS = {
-    "n_points": ("int", 33, 2, None),
-    "fallback_norm": ("bool", False, None, None),
-}
+_SERIES_KEYS = {"n_points": ("int", 33, 2, None)}
 # Expected run-config schema, written out independently of cli.py:
 # {section: {key: (kind, default, minimum, choices)}}.
 CONFIG_SCHEMA = {
@@ -514,6 +522,23 @@ class TestQcm4Run:
         assert report["term_counts"] == [15, 24, 24, 24]
         assert report["n_circuits"] == run_results(out)["results"]["n_circuits"]
         assert "filter" in report
+
+    def test_weighted_single_shot_run_gives_every_circuit_a_shot(self, tmp_path):
+        # with one shot per circuit on average, the floors of the many light
+        # circuits once overspent the budget and left the heaviest with -6
+        ingested = tmp_path / "ingested"
+        assert main(["ingest", str(FIXTURES / "spin_polarized.fcidump"),
+                     "--out", str(ingested)]) == 0
+        config = write_config(tmp_path, {
+            "algorithm": "qcm4",
+            "operator": str(ingested / "operator.json"),
+            "state": {"basis": 21},
+            "qcm4": {"allocation": "weighted"},
+        })
+        out = tmp_path / "run"
+        assert main(["qcm4", "--config", str(config), "--out", str(out),
+                     "--mode", "shots", "--spc", "1"]) == 0
+        assert run_results(out)["results"]["spc"] == 1
 
     def test_width_mismatch_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path, {

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,12 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsee import pauli
-from gsee.pauli import (
-    CommutingSets,
-    PauliString,
-    PauliSum,
-    sum_multiply,
-)
+from gsee.pauli import PauliString, PauliSum, sum_multiply
+from gsee.qcels import scale
 from helpers import (
     dense_string,
     dense_sum,
@@ -285,7 +282,7 @@ class TestGrouping:
             a = random_sum(rng, 4, 12)
             full = a.group_commuting("full")
             qw = a.group_commuting("qubitwise")
-            assert isinstance(full, CommutingSets)
+            assert isinstance(full, tuple)
             for sets, mode in ((full, "full"), (qw, "qubitwise")):
                 # exact cover
                 seen = [t for group in sets for t in group]
@@ -398,12 +395,12 @@ class TestEig:
         rng = np.random.default_rng(43)
         a = random_sum(rng, 3, 6)
         vals, vecs = a.eig()
-        norm = a.spectral_norm()
         scaled = a * 2.5
         got_vals, got_vecs = scaled.eig()
         assert got_vecs is vecs
         np.testing.assert_array_equal(got_vals, 2.5 * vals)
-        assert scaled.spectral_norm() == 2.5 * norm
+        # so the spectral norm max |eig| scales exactly as well
+        assert np.max(np.abs(got_vals)) == 2.5 * np.max(np.abs(vals))
         assert_eig_matches_dense(scaled, got_vals, got_vecs)
 
     @pytest.mark.parametrize("scalar", [-2.0, 1j, 0.0])
@@ -450,18 +447,25 @@ class TestDenseMemoryCheck:
         with pytest.raises(ValueError, match=rf"{need} bytes.*2,000 bytes"):
             a.eig()
         with pytest.raises(ValueError, match="physical memory"):
-            a.spectral_norm()
+            scale(a)
 
     def test_unknown_memory_skips_the_check(self, monkeypatch):
         monkeypatch.setattr(pauli, "_physical_memory", lambda: None)
         a = PauliSum(2, {PauliString.from_label("Z0 Z1"): 1.0})
-        assert a.spectral_norm() == pytest.approx(1.0)
+        assert scale(a).h1 == pytest.approx(4.0 / math.pi)
+
+
+def spectral_norm(a: PauliSum) -> float:
+    """max |eig(A - a0 I)| as :func:`gsee.qcels.scale` computes it."""
+    return scale(a).h1 * math.pi / 4.0
 
 
 class TestSpectralNorm:
+    """The spectral norm that :func:`gsee.qcels.scale` takes as ``h1``."""
+
     def test_single_string(self):
         a = PauliSum(1, {PauliString.from_label("Z0"): 1.0})
-        assert a.spectral_norm() == pytest.approx(1.0)
+        assert spectral_norm(a) == pytest.approx(1.0)
 
     def test_two_term_hand_value(self):
         a = PauliSum(
@@ -472,34 +476,18 @@ class TestSpectralNorm:
             },
         )
         # eigenvalues are +/- sqrt(0.25 + 0.25)
-        assert a.spectral_norm() == pytest.approx(np.sqrt(0.5), abs=1e-12)
+        assert spectral_norm(a) == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
     def test_matches_dense_and_one_norm_bound(self):
         rng = np.random.default_rng(37)
         for _ in range(10):
             a = random_sum(rng, 3, 6)
-            dense = np.linalg.eigvalsh(dense_sum(a))
-            assert a.spectral_norm() == pytest.approx(
+            a0 = a.identity_coefficient
+            dense = np.linalg.eigvalsh(dense_sum(a) - a0 * np.eye(8))
+            assert spectral_norm(a) == pytest.approx(
                 np.max(np.abs(dense)), abs=1e-10
             )
-            assert a.spectral_norm() <= a.one_norm() + 1e-12
-
-    def test_non_hermitian_uses_singular_value(self):
-        a = PauliSum(
-            1,
-            {
-                PauliString.from_label("X0"): 1.0,
-                PauliString.from_label("Y0"): 1j,
-            },
-        )
-        sv = np.linalg.svd(dense_sum(a), compute_uv=False)
-        assert a.spectral_norm() == pytest.approx(sv[0], abs=1e-12)
-
-    def test_wide_register_fallback(self):
-        a = PauliSum(15, {PauliString.from_label("Z0"): 2.0})
-        with pytest.raises(ValueError):
-            a.spectral_norm()
-        assert a.spectral_norm(fallback=True) == pytest.approx(2.0)
+            assert spectral_norm(a) <= a.one_norm() - abs(a0) + 1e-12
 
 
 class TestSerialization:

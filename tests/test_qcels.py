@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import dense_sum, random_sum
+from gsee import pauli
 from gsee.chem import jordan_wigner, parse_fcidump
 from gsee.circuits import hea_ansatz
 from gsee.pauli import PauliString, PauliSum
@@ -75,18 +76,15 @@ class TestScale:
             assert np.max(np.abs(scaled_eigs)) <= math.pi / 4.0 + 1e-9
             assert np.allclose(sh.h0 + sh.h1 * scaled_eigs, eigs, atol=1e-10)
 
-    def test_fallback_norm_keeps_window(self):
-        h = PauliSum(
-            2,
-            {
-                PauliString.from_label("Z0"): 1.0,
-                PauliString.from_label("X0 X1"): 0.5,
-            },
-        )
-        sh = scale(h, fallback=True)
-        # the 1-norm can only overestimate, shrinking the spectrum
-        eigs = np.linalg.eigvalsh(sh.scaled.to_dense())
-        assert np.max(np.abs(eigs)) <= math.pi / 4.0 + 1e-12
+    def test_wide_register_refused_before_allocating(self, monkeypatch):
+        def no_memory_query():
+            raise AssertionError("the width check must come first")
+
+        # the memory check runs before every dense allocation
+        monkeypatch.setattr(pauli, "_physical_memory", no_memory_query)
+        h = PauliSum(15, {PauliString.from_label("Z0"): 2.0})
+        with pytest.raises(ValueError, match="limited to 14 qubits, got 15"):
+            scale(h)
 
 
 class TestChooseGrid:

@@ -6,8 +6,10 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import dense_sum, random_sum
+from helpers import dense_string, dense_sum, random_sum
 from gsee.chem import (
     ci_initial_state,
     determinants_from_json,
@@ -18,6 +20,9 @@ from gsee.circuits import Circuit
 from gsee.pauli import PauliString, PauliSum
 from gsee.simulator import StateVector, estimate_pauli_z, expectation
 from gsee.qcm4 import (
+    MeasurementPlan,
+    PlanCircuit,
+    PlanTerm,
     bootstrap,
     build_moments,
     cumulants,
@@ -176,8 +181,8 @@ class TestPlan:
         assert mp.n_circuits == 1
         u = circuit_unitary(mp.circuits[0].clifford)
         for term in mp.circuits[0].terms:
-            lhs = u @ term.string.dense(2) @ u.conj().T
-            rhs = term.sign * PauliString(0, term.z_mask).dense(2)
+            lhs = u @ dense_string(term.string, 2) @ u.conj().T
+            rhs = term.sign * dense_string(PauliString(0, term.z_mask), 2)
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_random_sets_diagonalize_densely(self):
@@ -189,8 +194,10 @@ class TestPlan:
             for pc in mp.circuits:
                 u = circuit_unitary(pc.clifford)
                 for term in pc.terms:
-                    lhs = u @ term.string.dense(n) @ u.conj().T
-                    rhs = term.sign * PauliString(0, term.z_mask).dense(n)
+                    lhs = u @ dense_string(term.string, n) @ u.conj().T
+                    rhs = term.sign * dense_string(
+                        PauliString(0, term.z_mask), n
+                    )
                     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_every_string_covered_once(self):
@@ -332,6 +339,37 @@ class TestEstimate:
             mp, psi, spc=300, seed=1, mode="shots", allocation="weighted"
         )
         assert est.moments == again.moments
+
+    @settings(deadline=None)
+    @given(
+        # log-uniform, so a few heavy circuits meet many light ones
+        weights=st.lists(
+            st.floats(-3.0, 3.0).map(lambda e: 10.0**e), min_size=1, max_size=30
+        ),
+        spc=st.integers(1, 20),
+    )
+    # two heavy circuits and three light ones: the light floors once
+    # overspent the budget and left the heaviest circuit with none
+    @example(weights=[1.0, 1.0, 1e-3, 1e-3, 1e-3], spc=1)
+    def test_weighted_allocation_gives_every_circuit_a_shot(self, weights, spc):
+        # circuit k measures Z0 once with coefficient weights[k]
+        circuits = tuple(
+            PlanCircuit(Circuit(1), (PlanTerm(Z0, 0b1, 1, ((1, w),)),))
+            for w in weights
+        )
+        mp = MeasurementPlan(1, "full", circuits, (0.0, 0.0, 0.0, 0.0))
+        est = estimate(mp, StateVector.basis_state(1, 0), spc=spc, seed=0,
+                       mode="shots", allocation="weighted")
+        counts = [r.spc for r in est.records]
+        budget = spc * len(weights)
+        assert min(counts) >= 1
+        assert sum(counts) == budget
+        # the proportional split with its rounding drift on the heaviest
+        # circuit stands wherever it already gives every circuit a shot
+        plain = [max(1, round(budget * w / sum(weights))) for w in weights]
+        plain[weights.index(max(weights))] += budget - sum(plain)
+        if min(plain) >= 1:
+            assert counts == plain
 
     def test_validation(self):
         h = PauliSum(1, {Z0: 1.0})
