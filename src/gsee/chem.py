@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .pauli import PauliString, PauliSum, sum_multiply
+from .pauli import PauliString, PauliSum, gf2_reduce, sum_multiply
 from .simulator import StateVector
 
 __all__ = [
@@ -177,22 +177,19 @@ def jordan_wigner(fi: FermionIntegrals) -> PauliSum:
     n = 2 * fi.norb
     create = [_ladder(j, n, True) for j in range(n)]
     destroy = [_ladder(j, n, False) for j in range(n)]
+    # every ladder-pair product a+_i a+_j and a_i a_j, built once
+    create_pairs = [[sum_multiply(a, b) for b in create] for a in create]
+    destroy_pairs = [[sum_multiply(a, b) for b in destroy] for a in destroy]
     pairs: list[tuple[PauliString, complex]] = [
         (PauliString(), complex(fi.core_energy))
     ]
-
-    def spin_orbital(p: int, spin: int) -> int:
-        return 2 * p + spin
-
     for p in range(fi.norb):
         for q in range(fi.norb):
             v = fi.one_body[p, q]
             if abs(v) < 1e-14:
                 continue
             for spin in (0, 1):
-                op = sum_multiply(
-                    create[spin_orbital(p, spin)], destroy[spin_orbital(q, spin)]
-                )
+                op = sum_multiply(create[2 * p + spin], destroy[2 * q + spin])
                 pairs.extend((s, v * c) for s, c in op.terms())
     for p in range(fi.norb):
         for q in range(fi.norb):
@@ -204,14 +201,8 @@ def jordan_wigner(fi: FermionIntegrals) -> PauliSum:
                     for sigma in (0, 1):
                         for tau in (0, 1):
                             op = sum_multiply(
-                                sum_multiply(
-                                    create[spin_orbital(p, sigma)],
-                                    create[spin_orbital(r, tau)],
-                                ),
-                                sum_multiply(
-                                    destroy[spin_orbital(s, tau)],
-                                    destroy[spin_orbital(q, sigma)],
-                                ),
+                                create_pairs[2 * p + sigma][2 * r + tau],
+                                destroy_pairs[2 * s + tau][2 * q + sigma],
                             )
                             pairs.extend((st, 0.5 * v * c) for st, c in op.terms())
     h = PauliSum(n, pairs)
@@ -266,17 +257,7 @@ def fix_qubits(
 
 def _gf2_nullspace(rows: Sequence[int], width: int) -> list[int]:
     """Basis of the GF(2) solution space {v : popcount(row & v) even}."""
-    pivots: dict[int, int] = {}
-    for row in rows:
-        for col, prow in pivots.items():
-            if (row >> col) & 1:
-                row ^= prow
-        if row:
-            col = (row & -row).bit_length() - 1
-            for c2 in list(pivots):
-                if (pivots[c2] >> col) & 1:
-                    pivots[c2] ^= row
-            pivots[col] = row
+    pivots, _ = gf2_reduce(rows)
     basis = []
     for f in range(width):
         if f in pivots:
@@ -287,28 +268,6 @@ def _gf2_nullspace(rows: Sequence[int], width: int) -> list[int]:
                 v |= 1 << col
         basis.append(v)
     return basis
-
-
-def _reduce_z_generators(masks: Sequence[int]) -> list[tuple[int, int]]:
-    """GF(2) elimination over Z masks; returns (pivot qubit, mask) pairs.
-
-    After reduction each pivot bit is set in exactly one mask, so the
-    pivot's X is a valid rotation partner for its generator and commutes
-    with all the others.
-    """
-    reduced: list[tuple[int, int]] = []
-    for mask in masks:
-        for pivot, other in reduced:
-            if (mask >> pivot) & 1:
-                mask ^= other
-        if mask == 0:
-            raise ValueError("symmetry generators are not independent")
-        pivot = (mask & -mask).bit_length() - 1
-        reduced = [
-            (p, m ^ mask if (m >> pivot) & 1 else m) for p, m in reduced
-        ]
-        reduced.append((pivot, mask))
-    return reduced
 
 
 def taper_z2(
@@ -363,7 +322,11 @@ def taper_z2(
                 f"{g.to_label()!r}"
             )
 
-    pivoted = _reduce_z_generators([g.z_mask for g in candidates])
+    # fully reduced, so each pivot's X anticommutes with its own generator only
+    reduced, dependent = gf2_reduce(g.z_mask for g in candidates)
+    if dependent:
+        raise ValueError("symmetry generators are not independent")
+    pivoted = list(reduced.items())
     reduced_h = h
     signs = []
     fixes = {}
@@ -445,9 +408,11 @@ def ci_initial_state(
     normalization.
 
     Raises:
-        ValueError: nothing survives the threshold, or a mask exceeds the
-            register.
+        ValueError: the register exceeds AMPLITUDE_CAP (checked before
+            any allocation), nothing survives the threshold, or a mask
+            exceeds the register.
     """
+    StateVector.check_width(n_qubits)
     kept = [d for d in dets if abs(d.coeff) > threshold]
     if not kept:
         raise ValueError("no determinants survive the threshold")

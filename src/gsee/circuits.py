@@ -2,7 +2,7 @@
 
 Gate kinds and conventions (half-angle throughout):
 
-* ``h`` — Hadamard; ``sdg`` — S†;
+* ``h`` — Hadamard;
 * ``rx``/``rz`` — exp(−i θ X/2), exp(−i θ Z/2);
 * ``zzphase`` — exp(−i θ (Z⊗Z)/2) on a qubit pair;
 * ``pauliexp`` — exp(−i θ P/2) for an arbitrary Pauli string P (the empty
@@ -28,7 +28,7 @@ __all__ = [
     "hea_ansatz",
 ]
 
-_KINDS_1Q = {"h", "rx", "rz", "sdg"}
+_KINDS_1Q = {"h", "rx", "rz"}
 _KINDS_PARAMETRIC = {"rx", "rz", "zzphase", "pauliexp"}
 _KINDS = _KINDS_1Q | {"zzphase", "pauliexp"}
 
@@ -71,7 +71,7 @@ class Gate:
 
     @property
     def generator(self) -> PauliString | None:
-        """The string P of a rotation exp(-i angle P/2); None for h, sdg."""
+        """The string P of a rotation exp(-i angle P/2); None for h."""
         if self.kind in ("rx", "rz"):
             axis = "X" if self.kind == "rx" else "Z"
             return PauliString.from_support({self.qubits[0]: axis})

@@ -303,6 +303,10 @@ def _load_operator(resolved: Mapping, base: Path) -> PauliSum:
 
 
 def _load_state(resolved: Mapping, base: Path, n_qubits: int) -> StateVector:
+    try:
+        StateVector.check_width(n_qubits)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     spec = resolved["state"]
     if "basis" in spec:
         if spec["basis"] >= (1 << n_qubits):

@@ -11,8 +11,9 @@ endian: qubit ``q`` is bit ``q`` of the computational-basis index.  With
 ``P = i^{|x&z|} X^x Z^z``, a string maps ``|b>`` to
 ``i^{|x&z|} (-1)^{|z&b|} |b^x>`` (Aaronson & Gottesman, PRA 70, 052328,
 2004).  This module is the only place that action is computed:
-:attr:`PauliString.phase`, :meth:`PauliString.act` and :func:`z_signs`
-serve the simulator, the dense matrices, tapering and Z-basis estimation.
+:meth:`PauliString.action` serves the simulator, the dense matrices and
+tapering, and :func:`z_signs` Z-basis estimation.  :func:`gf2_reduce` is
+the one GF(2) elimination, for tapering and measurement planning.
 
 Example:
     >>> phase, product = PauliString.from_label("X0").multiply(
@@ -33,6 +34,7 @@ import numpy as np
 __all__ = [
     "PauliString",
     "PauliSum",
+    "gf2_reduce",
     "sum_multiply",
     "z_signs",
     "PURGE_TOL",
@@ -132,10 +134,15 @@ class PauliString:
         """``i^{|x&z|}``, the phase that makes each Y factor ``iXZ``."""
         return _PHASES[(self.x_mask & self.z_mask).bit_count() % 4]
 
+    def action(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(src, d)`` with ``(P a)[i] = d[i] · a[src[i]]`` for ``dim`` amplitudes."""
+        src = np.arange(dim) ^ self.x_mask
+        return src, self.phase * z_signs(src, self.z_mask)
+
     def act(self, amps: np.ndarray) -> np.ndarray:
         """The string applied to amplitudes along their last axis."""
-        src = np.arange(amps.shape[-1]) ^ self.x_mask
-        return amps[..., src] * (self.phase * z_signs(src, self.z_mask))
+        src, d = self.action(amps.shape[-1])
+        return amps[..., src] * d
 
     @property
     def is_identity(self) -> bool:
@@ -420,7 +427,8 @@ class PauliSum:
         idx = np.arange(dim)
         out = np.zeros((dim, dim), dtype=complex)
         for s, c in self._terms.items():
-            out[idx ^ s.x_mask, idx] += c * s.phase * z_signs(idx, s.z_mask)
+            src, d = s.action(dim)
+            out[idx, src] += c * d
         return out
 
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
@@ -571,6 +579,30 @@ def z_signs(indices: np.ndarray | int, z_masks: np.ndarray | int) -> np.ndarray:
     (outcomes x masks) table of Z-string eigenvalues.
     """
     return 1.0 - 2.0 * (np.bitwise_count(np.bitwise_and(indices, z_masks)) & 1)
+
+
+def gf2_reduce(rows: Iterable[int]) -> tuple[dict[int, int], list[int]]:
+    """Fully reduced GF(2) elimination, pivoting on each row's lowest bit.
+
+    Returns ``({pivot bit: reduced row}, dependent)``: the pivots in
+    arrival order, each pivot bit set in exactly one reduced row, and the
+    indices of the rows that lie in the span of the rows before them.
+    """
+    pivots: dict[int, int] = {}
+    dependent: list[int] = []
+    for index, row in enumerate(rows):
+        for col, prow in pivots.items():
+            if (row >> col) & 1:
+                row ^= prow
+        if not row:
+            dependent.append(index)
+            continue
+        col = (row & -row).bit_length() - 1
+        for other, prow in pivots.items():
+            if (prow >> col) & 1:
+                pivots[other] = prow ^ row
+        pivots[col] = row
+    return pivots, dependent
 
 
 # ----------------------------------------------------------------------

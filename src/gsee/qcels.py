@@ -23,6 +23,7 @@ from .circuits import Circuit, Gate, hea_ansatz
 from .pauli import PauliString, PauliSum
 from .recompile import SeriesCompilation
 from .simulator import (
+    CompiledCircuit,
     StateVector,
     apply_circuit,
     estimate_pauli_z,
@@ -209,15 +210,13 @@ def _ancilla_mean(
     """<X_0> (part="re") or <Y_0> (part="im"), exact or sampled.
 
     Sampling rotates the ancilla into the Z basis first: H for X, and
-    S-dagger then H for Y.
+    rx(pi/2) for Y, since Rx(pi/2)^dag Z Rx(pi/2) = Y.
     """
     if spc is None:
         string = {"re": PauliString(x_mask=1), "im": PauliString(1, 1)}[part]
         return np.vdot(state.amplitudes, string.act(state.amplitudes)).real
-    gates = [Gate("h", (0,))]
-    if part == "im":
-        gates.insert(0, Gate("sdg", (0,)))
-    rotated = apply_circuit(state, Circuit(state.n_qubits, gates))
+    gate = Gate("h", (0,)) if part == "re" else Gate("rx", (0,), angle=math.pi / 2)
+    rotated = apply_circuit(state, Circuit(state.n_qubits, [gate]))
     record = sample_z(rotated, spc, seed, stream)
     return estimate_pauli_z(record, 1)
 
@@ -278,13 +277,17 @@ def acquire(
         if compilation.layers is None:
             raise ValueError("compilation lacks the ansatz layer count")
         ansatz, _ = hea_ansatz(compilation.n_qubits, compilation.layers)
+        # one compiled ansatz prepares every point's state in one batch
+        prepared = CompiledCircuit(ansatz).simulate(
+            StateVector.zero_state(ansatz.n_qubits).amplitudes,
+            np.array([r.parameters for r in compilation.results], dtype=float),
+        )
 
     def one_point(n: int) -> tuple[complex, float, float]:
         if mode == "shots":
             state = hadamard_test_state(sh, psi, n * tau)
         else:
-            bound = ansatz.bind(compilation.results[n].parameters)
-            state = apply_circuit(StateVector.zero_state(ansatz.n_qubits), bound)
+            state = StateVector(ansatz.n_qubits, prepared[n])
         re = _ancilla_mean(state, "re", spc, seed, (n, 0))
         im = _ancilla_mean(state, "im", spc, seed, (n, 1))
         if spc is None:

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .circuits import Circuit, Gate
-from .pauli import PauliString, PauliSum, sum_multiply, z_signs
+from .pauli import PauliString, PauliSum, gf2_reduce, sum_multiply, z_signs
 from .simulator import ShotRecord, StateVector, apply_circuit, derived_rng, sample_z
 
 __all__ = [
@@ -251,22 +251,6 @@ def _schema_gates(op: tuple) -> list[Gate]:
     ]
 
 
-def _independent_basis(strings: Sequence[PauliString], n: int) -> list[list[int]]:
-    """GF(2)-independent subset of the symplectic vectors [x | z << n]."""
-    basis: list[list[int]] = []
-    pivots: dict[int, int] = {}
-    for s in strings:
-        vec = s.x_mask | (s.z_mask << n)
-        reduced = vec
-        for pivot, row in pivots.items():
-            if reduced >> pivot & 1:
-                reduced ^= row
-        if reduced:
-            pivots[reduced.bit_length() - 1] = reduced
-            basis.append([s.x_mask, s.z_mask])
-    return basis
-
-
 def _diagonalizing_ops(rows: list[list[int]], n: int) -> list[tuple]:
     """Clifford generator sequence turning commuting rows into Z strings.
 
@@ -345,7 +329,12 @@ def plan(m: MomentOperators, mode: str = "full") -> MeasurementPlan:
     circuits = []
     for group in distinct.group_commuting(mode):
         strings = [s for s, _ in group]
-        ops = _diagonalizing_ops(_independent_basis(strings, n), n)
+        # a GF(2)-independent generating set of the symplectic vectors
+        _, dependent = gf2_reduce(s.x_mask | (s.z_mask << n) for s in strings)
+        skip = set(dependent)
+        ops = _diagonalizing_ops(
+            [[s.x_mask, s.z_mask] for i, s in enumerate(strings) if i not in skip], n
+        )
         gates: list[Gate] = []
         for op in ops:
             gates.extend(_schema_gates(op))

@@ -57,8 +57,7 @@ class StateVector:
     __slots__ = ("n_qubits", "amplitudes")
 
     def __init__(self, n_qubits: int, amplitudes: np.ndarray) -> None:
-        if n_qubits < 1 or n_qubits > AMPLITUDE_CAP:
-            raise ValueError(f"register width must be in 1..{AMPLITUDE_CAP}")
+        self.check_width(n_qubits)
         amplitudes = np.asarray(amplitudes, dtype=complex)
         if amplitudes.shape != (1 << n_qubits,):
             raise ValueError(
@@ -70,12 +69,19 @@ class StateVector:
         self.n_qubits = n_qubits
         self.amplitudes = amplitudes
 
+    @staticmethod
+    def check_width(n_qubits: int) -> None:
+        """Raises unless ``n_qubits`` is in 1..AMPLITUDE_CAP; call before allocating."""
+        if n_qubits < 1 or n_qubits > AMPLITUDE_CAP:
+            raise ValueError(f"register width must be in 1..{AMPLITUDE_CAP}")
+
     @classmethod
     def zero_state(cls, n_qubits: int) -> "StateVector":
         return cls.basis_state(n_qubits, 0)
 
     @classmethod
     def basis_state(cls, n_qubits: int, index: int) -> "StateVector":
+        cls.check_width(n_qubits)
         if not 0 <= index < (1 << n_qubits):
             raise ValueError(f"basis index {index} outside register")
         amps = np.zeros(1 << n_qubits, dtype=complex)
@@ -91,11 +97,10 @@ class _Kernel:
     """One gate's index and phase arrays for a fixed register width.
 
     ``h`` mixes the amplitudes at ``lo`` (bit q clear) with those at
-    ``hi`` (bit q set); ``sdg`` scales the amplitudes at ``lo`` (bit q
-    set).  Every other kind is a rotation exp(-i angle P/2): P maps
-    amplitude ``src[i]`` (``src`` is None when P is diagonal) times
-    ``d[i]`` to index ``i``; ``col`` is the gate's row in the cos and
-    i sin tables.
+    ``hi`` (bit q set).  Every other kind is a rotation exp(-i angle
+    P/2): P maps amplitude ``src[i]`` (``src`` is None when P is
+    diagonal) times ``d[i]`` to index ``i`` (:meth:`PauliString.action`);
+    ``col`` is the gate's row in the cos and i sin tables.
     """
 
     kind: str
@@ -135,19 +140,17 @@ class CompiledCircuit:
         idx = np.arange(1 << circuit.n_qubits)
         kernels, angles, params = [], [], []
         for gate in circuit.gates:
-            bit = (idx >> gate.qubits[0]) & 1 == 1 if gate.qubits else None
             if gate.kind == "h":
+                bit = (idx >> gate.qubits[0]) & 1 == 1
                 kernels.append(_Kernel("h", lo=idx[~bit], hi=idx[bit]))
-            elif gate.kind == "sdg":
-                kernels.append(_Kernel("sdg", lo=idx[bit]))
             else:
                 string = gate.generator
-                src = idx ^ string.x_mask
+                src, d = string.action(len(idx))
                 kernels.append(_Kernel(
                     gate.kind,
                     param=gate.param,
                     src=src if string.x_mask else None,
-                    d=string.phase * z_signs(src, string.z_mask),
+                    d=d,
                     col=len(angles),
                 ))
                 angles.append(0.0 if gate.angle is None else gate.angle)
@@ -180,8 +183,6 @@ class CompiledCircuit:
         for k in self._kernels:
             if k.kind == "h":
                 k.hadamard(amps)
-            elif k.kind == "sdg":
-                amps[..., k.lo] *= -1j
             else:
                 moved = k.pauli(amps)
                 moved *= isin[k.col]
@@ -280,9 +281,6 @@ def overlap_gradient(
     for k in reversed(compiled._kernels):
         if k.kind == "h":
             k.hadamard(stack)
-            continue
-        if k.kind == "sdg":
-            stack[:, k.lo] *= 1j
             continue
         moved = k.pauli(stack)
         if k.param is not None:

@@ -93,8 +93,6 @@ def gate_matrix(gate, n_qubits: int) -> np.ndarray:
     kind = gate.kind
     if kind == "h":
         return embed_1q((X2 + Z2) / np.sqrt(2.0), gate.qubits[0], n_qubits)
-    if kind == "sdg":
-        return embed_1q(np.diag([1.0, -1j]), gate.qubits[0], n_qubits)
     return expm(-0.5j * gate.angle * dense_string(_rotation_string(gate), n_qubits))
 
 
@@ -124,9 +122,6 @@ def reference_simulate(circuit, initial: np.ndarray) -> np.ndarray:
             a1 = amps[..., idx[bit]]
             amps[..., idx[~bit]] = (a0 + a1) * np.sqrt(0.5)
             amps[..., idx[bit]] = (a0 - a1) * np.sqrt(0.5)
-            continue
-        if gate.kind == "sdg":
-            amps[..., idx[bit]] *= -1j
             continue
         half = 0.5 * np.broadcast_to(float(gate.angle), (amps.shape[0],))[:, None]
         string = _rotation_string(gate)

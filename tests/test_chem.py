@@ -327,6 +327,16 @@ class TestCiInitialState:
         psi = ci_initial_state(dets, 0.0, 2)
         assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
+    def test_over_wide_register_rejected_before_allocating(self, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError(f"np.zeros{args} allocated")
+
+        monkeypatch.setattr(np, "zeros", no_allocation)
+        with pytest.raises(ValueError, match="register width must be in 1..20"):
+            ci_initial_state([Determinant(0b11, 1.0)], 0.0, 22)
+        with pytest.raises(ValueError, match="register width must be in 1..20"):
+            StateVector.basis_state(21, 0)
+
 
 
 class TestSpinPolarizedFixture:

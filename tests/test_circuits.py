@@ -28,6 +28,8 @@ class TestGateValidation:
         with pytest.raises(ValueError, match="unknown gate kind"):
             Gate("cpauliexp", (2, 0), angle=0.1,
                  pauli=PauliString.from_label("X0"))
+        with pytest.raises(ValueError, match="unknown gate kind"):
+            Gate("sdg", (0,))
 
     def test_repeated_qubit_rejected(self):
         with pytest.raises(ValueError, match="repeated qubit"):

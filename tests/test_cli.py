@@ -561,6 +561,30 @@ class TestQcm4Run:
                      "--out", str(tmp_path / "run")]) == 2
 
 
+class TestRegisterCap:
+    @pytest.mark.parametrize("form", ["basis", "determinants"])
+    def test_over_wide_register_exits_2_before_allocating(
+        self, tmp_path, capsys, form
+    ):
+        # basis form: 21 qubits; determinant form: 11 orbitals on 22 qubits
+        n = 21 if form == "basis" else 22
+        h = PauliSum(n, {PauliString.from_label(f"Z{n - 1}"): 1.0,
+                         PauliString.from_label("X0"): 0.5})
+        (tmp_path / "op.json").write_text(h.to_json())
+        state = {"basis": 0}
+        if form == "determinants":
+            (tmp_path / "dets.json").write_text(json.dumps(
+                {"norb": 11, "dets": [{"mask": "11", "coeff": 1.0}]}
+            ))
+            state = {"determinants": "dets.json", "threshold": 0.0}
+        config = write_config(tmp_path, {
+            "algorithm": "qcm4", "operator": "op.json", "state": state,
+        })
+        code = main(["qcm4", "--config", str(config), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "register width must be in 1..20" in capsys.readouterr().err
+
+
 class TestRecompileRun:
     def test_artifacts_and_determinism(self, tmp_path):
         config = write_config(tmp_path, {

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsee import pauli
+from gsee.chem import _gf2_nullspace
 from gsee.pauli import PauliString, PauliSum, sum_multiply
 from gsee.qcels import scale
 from helpers import (
@@ -141,6 +142,17 @@ class TestPauliString:
                     -1.0 if b >> q & 1 else 1.0 for q in range(n) if z >> q & 1
                 ]
                 assert table[i, j] == np.prod(eigenvalues)
+
+    @settings(deadline=None)
+    @given(n=st.integers(1, 6), data=st.data())
+    def test_action_scattered_is_the_dense_matrix(self, n, data):
+        dim = 1 << n
+        masks = st.integers(0, dim - 1)
+        s = PauliString(data.draw(masks), data.draw(masks))
+        src, d = s.action(dim)
+        matrix = np.zeros((dim, dim), dtype=complex)
+        matrix[np.arange(dim), src] = d
+        np.testing.assert_array_equal(matrix, dense_string(s, n))
 
     def test_commutes_randomized_four_qubits(self):
         rng = np.random.default_rng(13)
@@ -488,6 +500,51 @@ class TestSpectralNorm:
                 np.max(np.abs(dense)), abs=1e-10
             )
             assert spectral_norm(a) <= a.one_norm() - abs(a0) + 1e-12
+
+
+def span(rows):
+    """Every XOR combination of ``rows``, by enumeration."""
+    out = {0}
+    for row in rows:
+        out |= {v ^ row for v in out}
+    return out
+
+
+gf2_rows = st.integers(1, 8).flatmap(
+    lambda width: st.tuples(
+        st.just(width),
+        st.lists(st.integers(0, (1 << width) - 1), max_size=8),
+    )
+)
+
+
+class TestGf2Reduce:
+    @given(gf2_rows)
+    def test_pivots_are_the_rank_and_reduced(self, case):
+        _, rows = case
+        pivots, _ = pauli.gf2_reduce(rows)
+        assert 1 << len(pivots) == len(span(rows))
+        for col, row in pivots.items():
+            assert row & -row == 1 << col
+            assert sum((r >> col) & 1 for r in pivots.values()) == 1
+
+    @given(gf2_rows)
+    def test_reduced_rows_span_the_input(self, case):
+        _, rows = case
+        pivots, dependent = pauli.gf2_reduce(rows)
+        assert span(pivots.values()) == span(rows)
+        assert dependent == [
+            i for i, row in enumerate(rows) if row in span(rows[:i])
+        ]
+
+    @given(gf2_rows)
+    def test_tapering_nullspace(self, case):
+        width, rows = case
+        basis = _gf2_nullspace(rows, width)
+        assert len(basis) == width - len(pauli.gf2_reduce(rows)[0])
+        assert len(span(basis)) == 1 << len(basis)
+        for v in basis:
+            assert all((v & row).bit_count() % 2 == 0 for row in rows)
 
 
 class TestSerialization:

@@ -32,9 +32,9 @@ from gsee.simulator import (
 
 
 def random_gate(rng, n):
-    kind = rng.choice(["h", "sdg", "rx", "rz", "zzphase", "pauliexp"])
+    kind = rng.choice(["h", "rx", "rz", "zzphase", "pauliexp"])
     angle = float(rng.uniform(-np.pi, np.pi))
-    if kind in ("h", "sdg"):
+    if kind == "h":
         return Gate(kind, (int(rng.integers(n)),))
     if kind in ("rx", "rz"):
         return Gate(kind, (int(rng.integers(n)),), angle=angle)
@@ -58,13 +58,13 @@ def symbolic_circuits(draw):
     """
     n = draw(st.integers(1, 6))
     qubit = st.integers(0, n - 1)
-    kinds = ["h", "sdg", "rx", "rz", "pauliexp"]
+    kinds = ["h", "rx", "rz", "pauliexp"]
     if n > 1:
         kinds.append("zzphase")
     gates, n_params = [], 0
     for _ in range(draw(st.integers(1, 10))):
         kind = draw(st.sampled_from(kinds))
-        if kind in ("h", "sdg"):
+        if kind == "h":
             gates.append(Gate(kind, (draw(qubit),)))
             continue
         choice = draw(st.sampled_from(
@@ -150,7 +150,6 @@ class TestGateKernels:
         rng = np.random.default_rng(17)
         every_kind = [
             Gate("h", (1,)),
-            Gate("sdg", (0,)),
             Gate("rx", (2,), angle=0.3),
             Gate("rz", (1,), angle=-1.2),
             Gate("zzphase", (0, 2), angle=2.1),
