@@ -2,8 +2,8 @@
 
 Moments estimated from finitely many shots scatter, and the energy
 formula amplifies that scatter nonlinearly, so the error bar comes from
-a bootstrap: resample each circuit's recorded bitstrings, reassemble the
-moments, and re-evaluate the energy.  The std shrinks roughly like
+a bootstrap: resample each circuit's recorded shot histogram, reassemble
+the moments, and re-evaluate the energy.  The std shrinks roughly like
 1/sqrt(shots), a factor of ~10 between 10^2 and 10^4 shots per circuit.
 """
 
@@ -30,5 +30,5 @@ for spc in (100, 1_000, 10_000):
     e = energy(cumulants(est))
     print(f"{spc:>14d} {e:>16.8f} {bs.std * 1e3:>20.3f}")
 
-print("\nThe bootstrap resamples recorded bitstrings, so it needs no")
-print("extra circuit executions; 500 resamples is the default.")
+print("\nThe bootstrap resamples the recorded shot histograms, so it needs")
+print("no extra circuit executions; 500 resamples is the default.")

@@ -75,7 +75,7 @@ class InputError(Exception):
 # config resolution
 # ----------------------------------------------------------------------
 # Run-config schema, {section: {key: (type, default, minimum, choices)}}.
-# A float key takes any JSON number and always resolves to a float.  The
+# A float key takes any finite JSON number and resolves to a float.  The
 # two state keys without a default are required by the form that uses them.
 _COMPILE = {
     "layers": (int, 6, 1, None),
@@ -152,6 +152,8 @@ def _value(
     ):
         raise InputError(f"{where} must be {_TYPE_NAMES[kind]}")
     value = kind(value)
+    if kind is float and not math.isfinite(value):
+        raise InputError(f"{where} must be a finite number")
     if minimum is not None and value < minimum:
         raise InputError(f"{where} must be at least {minimum}")
     if choices is not None and value not in choices:

@@ -25,11 +25,11 @@ from .recompile import SeriesCompilation
 from .simulator import (
     CompiledCircuit,
     StateVector,
-    apply_circuit,
     estimate_pauli_z,
     evolve_exact,
     expectation,
     sample_z,
+    simulate_batch,
 )
 
 __all__ = [
@@ -200,25 +200,32 @@ def hadamard_test_state(
     return StateVector(psi.n_qubits + 1, amps)
 
 
-def _ancilla_mean(
-    state: StateVector,
-    part: str,
-    spc: int | None,
-    seed: int,
-    stream: tuple[int, ...],
-) -> float:
-    """<X_0> (part="re") or <Y_0> (part="im"), exact or sampled.
+# Each ancilla observable with the rotation that carries it to Z_0 for
+# sampling: H for X, and rx(pi/2) for Y, since Rx(pi/2)^dag Z Rx(pi/2) = Y.
+_ANCILLA_READOUT = (
+    (PauliString(x_mask=1), Gate("h", (0,))),
+    (PauliString(1, 1), Gate("rx", (0,), angle=math.pi / 2)),
+)
 
-    Sampling rotates the ancilla into the Z basis first: H for X, and
-    rx(pi/2) for Y, since Rx(pi/2)^dag Z Rx(pi/2) = Y.
+
+def _read_ancilla(states: np.ndarray, spc: int | None, seed: int) -> list[np.ndarray]:
+    """<X_0> and <Y_0> of every row of a ``(n_points, 2^n)`` state array.
+
+    Exact when ``spc`` is None.  Otherwise one rotation per part acts on
+    the whole batch, and row n is sampled with ``spc`` shots on stream
+    (seed, n, part), part 0 for X and 1 for Y.
     """
-    if spc is None:
-        string = {"re": PauliString(x_mask=1), "im": PauliString(1, 1)}[part]
-        return np.vdot(state.amplitudes, string.act(state.amplitudes)).real
-    gate = Gate("h", (0,)) if part == "re" else Gate("rx", (0,), angle=math.pi / 2)
-    rotated = apply_circuit(state, Circuit(state.n_qubits, [gate]))
-    record = sample_z(rotated, spc, seed, stream)
-    return estimate_pauli_z(record, 1)
+    n_qubits = states.shape[1].bit_length() - 1
+    parts = []
+    for part, (string, gate) in enumerate(_ANCILLA_READOUT):
+        if spc is None:
+            parts.append(np.array([np.vdot(a, string.act(a)).real for a in states]))
+            continue
+        rotated = simulate_batch(Circuit(n_qubits, [gate]), states)
+        records = (sample_z(StateVector(n_qubits, a), spc, seed, (n, part))
+                   for n, a in enumerate(rotated))
+        parts.append(np.array([estimate_pauli_z(r, 1) for r in records]))
+    return parts
 
 
 def acquire(
@@ -235,13 +242,13 @@ def acquire(
 
     Modes:
         exact: direct inner products with the exactly evolved state.
-        shots: two Hadamard-test circuits (real, imaginary) per time,
-            each sampled with ``spc`` shots under seeds derived from
-            (seed, n, part) so acquisitions are order-independent.
-        recompiled: the Hadamard-test states are prepared by the fitted
-            ansatz circuits of ``compilation`` (one per time point, in
-            order); measurements are exact ancilla expectations when
-            ``spc`` is None and sampled otherwise.
+        shots: the Hadamard-test states of every point, evolved exactly,
+            have their ancilla sampled with ``spc`` shots per part
+            (real, imaginary) on streams (seed, n, part).
+        recompiled: one batch of the fitted ansatz of ``compilation``
+            (one parameter vector per time point, in order) prepares the
+            states; the ancilla is read exactly when ``spc`` is None and
+            sampled as in shots mode otherwise.
 
     Raises:
         ValueError: bad mode, missing/mismatched compilation data in
@@ -264,7 +271,11 @@ def acquire(
         zeros = np.zeros(n_points)
         return OverlapSeries(tau, values, zeros, zeros.copy(), None, mode)
 
-    if mode == "recompiled":
+    if mode == "shots":
+        states = np.array([
+            hadamard_test_state(sh, psi, n * tau).amplitudes for n in range(n_points)
+        ])
+    else:
         if compilation is None:
             raise ValueError("recompiled mode needs a SeriesCompilation")
         if len(compilation.results) != n_points:
@@ -278,27 +289,14 @@ def acquire(
             raise ValueError("compilation lacks the ansatz layer count")
         ansatz, _ = hea_ansatz(compilation.n_qubits, compilation.layers)
         # one compiled ansatz prepares every point's state in one batch
-        prepared = CompiledCircuit(ansatz).simulate(
+        states = CompiledCircuit(ansatz).simulate(
             StateVector.zero_state(ansatz.n_qubits).amplitudes,
             np.array([r.parameters for r in compilation.results], dtype=float),
         )
-
-    def one_point(n: int) -> tuple[complex, float, float]:
-        if mode == "shots":
-            state = hadamard_test_state(sh, psi, n * tau)
-        else:
-            state = StateVector(ansatz.n_qubits, prepared[n])
-        re = _ancilla_mean(state, "re", spc, seed, (n, 0))
-        im = _ancilla_mean(state, "im", spc, seed, (n, 1))
-        if spc is None:
-            return complex(re, im), 0.0, 0.0
-        return complex(re, im), std_error(re, spc), std_error(im, spc)
-
-    points = [one_point(n) for n in range(n_points)]
-    values = np.array([p[0] for p in points], dtype=complex)
-    err_re = np.array([p[1] for p in points])
-    err_im = np.array([p[2] for p in points])
-    return OverlapSeries(tau, values, err_re, err_im, spc, mode)
+    re, im = _read_ancilla(states, spc, seed)
+    values = np.array([complex(r, i) for r, i in zip(re, im)])
+    errors = [[std_error(v, spc) if spc else 0.0 for v in part] for part in (re, im)]
+    return OverlapSeries(tau, values, *map(np.array, errors), spc, mode)
 
 
 # ----------------------------------------------------------------------

@@ -445,8 +445,15 @@ def _run_circuit(
         table = np.ascontiguousarray(_term_table(circuit, basis).T)
         return None, np.array([probs @ column for column in table])
     record = sample_z(rotated, spc, seed, (ci,))
-    outcomes, counts = np.unique(record.outcomes, return_counts=True)
-    return record, counts @ _term_table(circuit, outcomes) / spc
+    return record, record.counts @ _term_table(circuit, record.outcomes) / spc
+
+
+def _add_terms(moments: np.ndarray, circuit: PlanCircuit, values: np.ndarray) -> None:
+    """Adds ``(batch, n_terms)`` term values into ``(batch, 4)`` moments."""
+    # one term and one use at a time; this order fixes every float sum
+    for term, column in zip(circuit.terms, values.T):
+        for power, coeff in term.uses:
+            moments[:, power - 1] += coeff * column
 
 
 def estimate(
@@ -473,24 +480,18 @@ def estimate(
     if mode == "shots" and (spc is None or spc < 1):
         raise ValueError("shots mode needs spc >= 1")
     if mode == "shots":
-        counts = _shot_allocation(measurement_plan, spc, allocation)
+        shots = _shot_allocation(measurement_plan, spc, allocation)
     else:
-        counts = [None] * measurement_plan.n_circuits
+        shots = [None] * measurement_plan.n_circuits
     basis = np.arange(1 << psi.n_qubits)
-    outputs = [
-        _run_circuit(circuit, psi, counts[ci], seed, ci, basis)
-        for ci, circuit in enumerate(measurement_plan.circuits)
-    ]
-    moments = list(measurement_plan.constants)
-    records: list[ShotRecord] = []
-    for circuit, (record, values) in zip(measurement_plan.circuits, outputs):
-        if record is not None:
-            records.append(record)
-        for term, value in zip(circuit.terms, values.tolist()):
-            for power, coeff in term.uses:
-                moments[power - 1] += coeff * value
+    moments = np.array([measurement_plan.constants])
+    records = []
+    for ci, circuit in enumerate(measurement_plan.circuits):
+        record, values = _run_circuit(circuit, psi, shots[ci], seed, ci, basis)
+        records.append(record)
+        _add_terms(moments, circuit, values[None])
     return MomentEstimates(
-        moments=tuple(moments),
+        moments=tuple(moments[0].tolist()),
         plan=measurement_plan,
         records=tuple(records) if mode == "shots" else None,
         spc=spc if mode == "shots" else None,
@@ -571,9 +572,10 @@ def bootstrap(
 ) -> BootstrapResult:
     """Bootstrap mean and std of the energy over shot-record resamples.
 
-    Each circuit's recorded bitstrings are resampled with replacement
-    (multinomial over the observed outcomes, stream (seed, circuit)),
-    moments are reassembled, and the energy formula is re-evaluated per
+    Each circuit's shot histogram is resampled with replacement (one
+    multinomial draw of ``spc`` shots over its observed outcomes per
+    resample, stream (seed, circuit)), the moments are reassembled as in
+    :func:`estimate`, and the energy formula is re-evaluated per
     resample.
 
     Raises:
@@ -585,17 +587,12 @@ def bootstrap(
     if resamples < 2:
         raise ValueError("need at least two resamples")
     moments = np.tile(np.asarray(est.plan.constants), (resamples, 1))
-    for ci, circuit in enumerate(est.plan.circuits):
-        record = est.records[ci]
-        outcomes, counts = np.unique(record.outcomes, return_counts=True)
-        probs = counts / record.spc
+    for ci, (circuit, record) in enumerate(zip(est.plan.circuits, est.records)):
         draws = derived_rng(seed, ci).multinomial(
-            record.spc, probs, size=resamples
+            record.spc, record.counts / record.spc, size=resamples
         )
-        values = draws @ _term_table(circuit, outcomes) / record.spc
-        for term, column in zip(circuit.terms, values.T):
-            for power, coeff in term.uses:
-                moments[:, power - 1] += coeff * column
+        values = draws @ _term_table(circuit, record.outcomes) / record.spc
+        _add_terms(moments, circuit, values)
     energies = np.array([energy(cumulants(row)) for row in moments])
     # variance of shifted data; exact zero when every resample agrees
     return BootstrapResult(

@@ -328,20 +328,21 @@ def expectation(state: StateVector, observable: PauliSum) -> complex:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ShotRecord:
-    """Measured basis indices from one Z-basis acquisition.
+    """A Z-basis acquisition as a histogram of measured basis indices.
 
-    ``outcomes[k]`` is the integer whose bit q is the qubit-q result of
-    shot k.
+    ``outcomes`` holds each observed index once, in ascending order (bit
+    q of an index is the qubit-q result), and ``counts[k]`` is how many
+    of the ``spc`` shots gave ``outcomes[k]``.
     """
 
     n_qubits: int
     spc: int
-    seed: int
     outcomes: np.ndarray
+    counts: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.outcomes.shape != (self.spc,):
-            raise ValueError("outcome count disagrees with spc")
+        if self.outcomes.shape != self.counts.shape or self.counts.sum() != self.spc:
+            raise ValueError("outcome counts disagree with spc")
 
 
 def sample_z(
@@ -357,8 +358,8 @@ def sample_z(
     rng = derived_rng(seed, *stream)
     probs = np.abs(state.amplitudes) ** 2
     probs /= probs.sum()
-    outcomes = rng.choice(len(probs), size=spc, p=probs).astype(np.int64)
-    return ShotRecord(state.n_qubits, spc, seed, outcomes)
+    shots = rng.choice(len(probs), size=spc, p=probs).astype(np.int64)
+    return ShotRecord(state.n_qubits, spc, *np.unique(shots, return_counts=True))
 
 
 def estimate_pauli_z(record: ShotRecord, mask: int) -> float:
@@ -366,4 +367,5 @@ def estimate_pauli_z(record: ShotRecord, mask: int) -> float:
     mask = int(mask)
     if mask >> record.n_qubits:
         raise ValueError("mask outside the recorded register")
-    return float(np.mean(z_signs(record.outcomes, mask)))
+    # the weighted sign sum is an exact integer: the per-shot mean, bit for bit
+    return float(record.counts @ z_signs(record.outcomes, mask) / record.spc)

@@ -227,6 +227,22 @@ class TestResolveConfig:
             5, "shots", 10
         )
 
+    def test_non_finite_numbers_exit_2(self, tmp_path, capsys):
+        # json.loads reads NaN and Infinity; none may reach a run or an artifact
+        state = {"determinants": str(H2_CI), "threshold": math.nan}
+        for case, (command, extra, path) in enumerate((
+            ("qcm4", {"qcm4": {"threshold": math.nan}}, "qcm4.threshold"),
+            ("recompile", {"recompile": {"learning_rate": math.inf}},
+             "recompile.learning_rate"),
+            ("qcm4", {"state": state}, "state.threshold"),
+        )):
+            config = h2_config(tmp_path / str(case), command, **extra)
+            code = main([command, "--config", str(config), "--out",
+                         str(tmp_path / "run")])
+            assert code == 2, path
+            assert f"{path} must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
 
 _COMPILE_KEYS = {
     "layers": ("int", 6, 1, None),
@@ -332,6 +348,13 @@ class TestConfigSchema:
         got = resolve_section(tmp_path, section, {key: 1})[key]
         assert type(got) is float and got == 1.0
 
+    @pytest.mark.parametrize(("section", "key"), NUMBER_KEYS)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numbers_rejected(self, tmp_path, section, key, value):
+        with pytest.raises(InputError) as info:
+            resolve_section(tmp_path, section, {key: value})
+        assert str(info.value) == f"{section}.{key} must be a finite number"
+
     @pytest.mark.parametrize("section", sorted(CONFIG_SCHEMA))
     def test_unknown_key_names_the_section(self, tmp_path, section):
         with pytest.raises(InputError) as info:
@@ -348,6 +371,10 @@ class TestConfigSchema:
              "state.threshold must be a number"),
             ({"determinants": "d.json", "threshold": -0.5},
              "state.threshold must be at least 0.0"),
+            ({"determinants": "d.json", "threshold": math.nan},
+             "state.threshold must be a finite number"),
+            ({"determinants": "d.json", "threshold": -math.inf},
+             "state.threshold must be a finite number"),
             ({"basis": 0, "threshold": 0.0}, "unknown state key(s): threshold"),
             ([0], "state must be an object"),
         ]

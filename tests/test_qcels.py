@@ -6,10 +6,10 @@ import pathlib
 import numpy as np
 import pytest
 
-from helpers import dense_sum, random_sum
+from helpers import dense_sum, gate_matrix, random_sum
 from gsee import pauli
 from gsee.chem import jordan_wigner, parse_fcidump
-from gsee.circuits import hea_ansatz
+from gsee.circuits import Gate, hea_ansatz
 from gsee.pauli import PauliString, PauliSum
 from gsee.qcels import (
     ALIAS_SAFE_TAU,
@@ -22,7 +22,13 @@ from gsee.qcels import (
     std_error,
 )
 from gsee.recompile import CompileConfig, compile_series
-from gsee.simulator import StateVector, expectation
+from gsee.simulator import (
+    StateVector,
+    estimate_pauli_z,
+    expectation,
+    sample_z,
+    simulate_batch,
+)
 
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "src" / "gsee" / "fixtures"
@@ -44,6 +50,36 @@ def two_qubit_fixture():
 
 def eigenstate_series(theta0, tau, n_points):
     return np.exp(-1j * np.arange(n_points) * tau * theta0)
+
+
+def hand_sampled_series(states, spc, seed):
+    """Each point's ancilla read one part at a time, with dense rotations.
+
+    Part 0 rotates X_0 and part 1 rotates Y_0 onto Z_0 (H and rx(pi/2));
+    point n, part p is sampled on stream (seed, n, p).
+    """
+    width = len(states[0]).bit_length() - 1
+    rotations = [
+        gate_matrix(Gate("h", (0,)), width),
+        gate_matrix(Gate("rx", (0,), angle=math.pi / 2), width),
+    ]
+    values = []
+    for n, amps in enumerate(states):
+        re, im = (
+            estimate_pauli_z(
+                sample_z(StateVector(width, u @ amps), spc, seed, (n, part)), 1
+            )
+            for part, u in enumerate(rotations)
+        )
+        values.append(complex(re, im))
+    return np.array(values)
+
+
+def assert_matches_hand_readout(series, states, spc, seed):
+    want = hand_sampled_series(states, spc, seed)
+    assert series.values.tolist() == want.tolist()
+    assert series.stderr_re.tolist() == [std_error(z.real, spc) for z in want]
+    assert series.stderr_im.tolist() == [std_error(z.imag, spc) for z in want]
 
 
 class TestScale:
@@ -201,6 +237,17 @@ class TestAcquireShots:
         other = acquire(sh, psi, 0.7, 12, "shots", spc=200, seed=6)
         assert not np.array_equal(other.values, a.values)
 
+    def test_streams_follow_the_hand_readout(self):
+        h, vals, vecs = two_qubit_fixture()
+        sh = scale(h)
+        psi = StateVector(2, (vecs[:, 0] + vecs[:, 1]) / math.sqrt(2.0))
+        tau, n_points, spc, seed = 0.7, 6, 300, 4
+        series = acquire(sh, psi, tau, n_points, "shots", spc=spc, seed=seed)
+        states = [
+            hadamard_test_state(sh, psi, n * tau).amplitudes for n in range(n_points)
+        ]
+        assert_matches_hand_readout(series, states, spc, seed)
+
     def test_statistical_consistency(self):
         h, vals, vecs = two_qubit_fixture()
         sh = scale(h)
@@ -325,6 +372,19 @@ class TestAcquireRecompiled:
         assert np.any(rec.stderr_re > 0.0)
         exact = acquire(sh, psi, tau, n_points, "exact")
         assert np.max(np.abs(rec.values - exact.values)) < 0.3
+
+    def test_streams_follow_the_hand_readout(self):
+        sh, psi, tau, n_points, compilation = self.setup_series(1, 40)
+        spc, seed = 300, 7
+        series = acquire(sh, psi, tau, n_points, "recompiled", spc=spc, seed=seed,
+                         compilation=compilation)
+        ansatz, _ = hea_ansatz(compilation.n_qubits, compilation.layers)
+        zero = StateVector.zero_state(ansatz.n_qubits).amplitudes
+        states = [
+            simulate_batch(ansatz, zero, r.parameters[None])[0]
+            for r in compilation.results
+        ]
+        assert_matches_hand_readout(series, states, spc, seed)
 
     def test_validation(self):
         sh, psi, tau, n_points, compilation = self.setup_series(1, 40)

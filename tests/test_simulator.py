@@ -19,6 +19,7 @@ from gsee.circuits import Circuit, Gate, hea_ansatz
 from gsee.pauli import PauliString, PauliSum
 from gsee.simulator import (
     CompiledCircuit,
+    ShotRecord,
     StateVector,
     apply_circuit,
     derived_rng,
@@ -309,8 +310,25 @@ class TestSampling:
         a = sample_z(psi, 50, seed=123, stream=(4, 5))
         b = sample_z(psi, 50, seed=123, stream=(4, 5))
         c = sample_z(psi, 50, seed=123, stream=(4, 6))
-        assert np.array_equal(a.outcomes, b.outcomes)
-        assert not np.array_equal(a.outcomes, c.outcomes)
+        # both streams observe outcomes [0, 1]; the counts tell them apart
+        hist = [(r.outcomes.tolist(), r.counts.tolist()) for r in (a, b, c)]
+        assert hist[0] == hist[1]
+        assert hist[0] != hist[2]
+
+    def test_record_is_an_ascending_histogram(self):
+        rng = np.random.default_rng(11)
+        for spc in (1, 7, 500):
+            rec = sample_z(StateVector(4, random_state(rng, 4)), spc, seed=spc)
+            assert np.all(np.diff(rec.outcomes) > 0)
+            assert np.all(rec.counts >= 1)
+            assert rec.counts.sum() == spc
+
+    def test_record_rejects_counts_off_spc(self):
+        outcomes = np.array([0, 3])
+        ShotRecord(2, 5, outcomes, np.array([2, 3]))
+        for counts in (np.array([2, 2]), np.array([2, 4]), np.array([5])):
+            with pytest.raises(ValueError, match="spc"):
+                ShotRecord(2, 5, outcomes, counts)
 
     def test_basis_state_is_noiseless(self):
         psi = StateVector.basis_state(3, 5)
