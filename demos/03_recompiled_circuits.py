@@ -13,7 +13,7 @@ import time
 
 from gsee.circuits import hea_ansatz, two_qubit_depth
 from gsee.pauli import PauliSum
-from gsee.qcels import acquire, choose_grid, fit, hadamard_test_state, scale
+from gsee.qcels import acquire, choose_grid, fit, hadamard_test_states, scale
 from gsee.recompile import CompileConfig, compile_series
 from gsee.simulator import StateVector
 
@@ -29,8 +29,9 @@ tau = choose_grid(sh, psi, n_points)
 reference = fit(acquire(sh, psi, tau, n_points, "exact"), sh).energy
 print(f"exact-mode fit on {n_points} points: E* = {reference:.10f} Ha")
 
-# One target per time point: ancilla plus the 3-qubit system.
-targets = [hadamard_test_state(sh, psi, n * tau) for n in range(n_points)]
+# One target per time point: ancilla plus the 3-qubit system, all built
+# from one projection of psi onto the eigenvectors of H~.
+targets = StateVector.rows(hadamard_test_states(sh, psi, tau, n_points))
 ansatz, _ = hea_ansatz(psi.n_qubits + 1, layers=4)
 print(f"ansatz: {ansatz.n_params} parameters, "
       f"two-qubit depth {two_qubit_depth(ansatz)}")

@@ -86,8 +86,8 @@ def parse_fcidump(text: str) -> FermionIntegrals:
     symmetry images of each line are populated.
 
     Raises:
-        ValueError: malformed header, non-numeric value, or index out of
-            range.
+        ValueError: malformed header, non-numeric or non-finite value, or
+            index out of range.
     """
     stripped = text.lstrip()
     if not stripped.upper().startswith("&FCI"):
@@ -131,6 +131,8 @@ def parse_fcidump(text: str) -> FermionIntegrals:
             i, j, k, l = (int(p) for p in parts[1:])
         except ValueError as exc:
             raise ValueError(f"{where}: non-numeric FCIDUMP entry {line!r}") from exc
+        if not np.isfinite(value):
+            raise ValueError(f"{where}: non-finite FCIDUMP value in {line!r}")
         if any(idx < 0 or idx > norb for idx in (i, j, k, l)):
             raise ValueError(f"{where}: orbital index out of range in {line!r}")
         if i == j == k == l == 0:
@@ -431,4 +433,6 @@ def determinants_from_json(text: str) -> tuple[int, list[Determinant]]:
         Determinant(int(entry["mask"], 2), float(entry["coeff"]))
         for entry in payload["dets"]
     ]
+    if not all(np.isfinite(d.coeff) for d in dets):
+        raise ValueError("non-finite determinant coefficient")
     return norb, dets

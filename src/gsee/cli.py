@@ -43,7 +43,7 @@ from .qcels import (
     acquire,
     choose_grid,
     fit,
-    hadamard_test_state,
+    hadamard_test_states,
     scale,
 )
 from .qcm4 import (
@@ -447,7 +447,7 @@ def _compile_hadamard_series(
     Writes series_compilation.json and returns the compilation with the
     ansatz's two-qubit depth.
     """
-    targets = [hadamard_test_state(sh, psi, n * tau) for n in range(n_points)]
+    targets = StateVector.rows(hadamard_test_states(sh, psi, tau, n_points))
     ansatz, _ = hea_ansatz(psi.n_qubits + 1, settings["layers"])
     config = CompileConfig(
         seed=seed, **{key: settings[key] for key in _COMPILE if key != "layers"}

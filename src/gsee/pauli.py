@@ -12,8 +12,11 @@ endian: qubit ``q`` is bit ``q`` of the computational-basis index.  With
 ``i^{|x&z|} (-1)^{|z&b|} |b^x>`` (Aaronson & Gottesman, PRA 70, 052328,
 2004).  This module is the only place that action is computed:
 :meth:`PauliString.action` serves the simulator, the dense matrices and
-tapering, and :func:`z_signs` Z-basis estimation.  :func:`gf2_reduce` is
-the one GF(2) elimination, for tapering and measurement planning.
+tapering, and :func:`z_signs` Z-basis estimation.  :func:`gf2_reduce`
+serves tapering and the dependent-string test of measurement planning;
+``qcm4._diagonalizing_ops`` keeps its own column-by-column x-block
+reduction, because those pivots choose the Clifford gates it emits and
+the qcm4 shot records depend on them.
 
 Example:
     >>> phase, product = PauliString.from_label("X0").multiply(
@@ -294,11 +297,10 @@ class PauliSum:
 
     Terms are kept combined and purged: after any arithmetic there is at
     most one entry per string and no coefficient with magnitude at or
-    below :data:`PURGE_TOL`.  Instances are immutable; derived data
-    (dense matrix spectra) may be cached internally.
+    below :data:`PURGE_TOL`.  Instances are immutable.
     """
 
-    __slots__ = ("_n_qubits", "_terms", "_eig_cache")
+    __slots__ = ("_n_qubits", "_terms")
 
     def __init__(
         self,
@@ -320,7 +322,6 @@ class PauliSum:
         self._terms = {
             s: c for s, c in combined.items() if abs(c) > PURGE_TOL
         }
-        self._eig_cache: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -375,23 +376,9 @@ class PauliSum:
         return self + (other * -1.0)
 
     def __mul__(self, scalar: complex) -> "PauliSum":
-        """Scalar multiple of the sum.
-
-        A positive real ``scalar`` keeps a computed eigendecomposition: the
-        product inherits ``(scalar · vals, vecs)`` instead of diagonalizing
-        again.  It is carried over only when no term fell under
-        :data:`PURGE_TOL`, so the cache always describes the product's own
-        terms.
-        """
-        out = PauliSum(
+        return PauliSum(
             self._n_qubits, {s: c * scalar for s, c in self._terms.items()}
         )
-        factor = complex(scalar)
-        if (factor.imag == 0 and factor.real > 0 and len(out) == len(self)
-                and self._eig_cache is not None):
-            vals, vecs = self._eig_cache
-            out._eig_cache = (factor.real * vals, vecs)
-        return out
 
     __rmul__ = __mul__
 
@@ -432,7 +419,7 @@ class PauliSum:
         return out
 
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached Hermitian eigendecomposition ``(eigenvalues, vectors)``.
+        """Hermitian eigendecomposition ``(eigenvalues, vectors)``.
 
         Eigenvalues ascend; the vectors are the ``complex128`` columns of a
         unitary.  When no term has an odd number of Y factors, every string
@@ -447,24 +434,20 @@ class PauliSum:
                 or the matrix, its real copy and the vectors together
                 exceed physical memory.
         """
-        if self._eig_cache is None:
-            if not self.is_hermitian():
-                raise ValueError("eigendecomposition requires a Hermitian sum")
-            self._require_dense_width()
-            real = all(s.phase.imag == 0 for s in self._terms)
-            # the complex matrix and vectors, 16 bytes a cell each, plus
-            # the 8-byte real copy on the real path
-            cells = 1 << (2 * self._n_qubits)
-            _check_dense_memory(
-                (40 if real else 32) * cells, "dense eigendecomposition"
-            )
-            dense = self.to_dense()
-            if real:
-                # rebinding drops the complex matrix before eigh runs
-                dense = np.ascontiguousarray(dense.real)
-            vals, vecs = np.linalg.eigh(dense)
-            self._eig_cache = (vals, vecs.astype(np.complex128, copy=False))
-        return self._eig_cache
+        if not self.is_hermitian():
+            raise ValueError("eigendecomposition requires a Hermitian sum")
+        self._require_dense_width()
+        real = all(s.phase.imag == 0 for s in self._terms)
+        # the complex matrix and vectors, 16 bytes a cell each, plus the
+        # 8-byte real copy on the real path
+        cells = 1 << (2 * self._n_qubits)
+        _check_dense_memory((40 if real else 32) * cells, "dense eigendecomposition")
+        dense = self.to_dense()
+        if real:
+            # rebinding drops the complex matrix before eigh runs
+            dense = np.ascontiguousarray(dense.real)
+        vals, vecs = np.linalg.eigh(dense)
+        return vals, vecs.astype(np.complex128, copy=False)
 
     # ------------------------------------------------------------------
     # truncation and grouping
@@ -561,6 +544,8 @@ class PauliSum:
             (PauliString.from_label(t["paulis"]), complex(*t["coeff"]))
             for t in payload["terms"]
         ]
+        if not all(np.isfinite(c) for _, c in terms):
+            raise ValueError("non-finite term coefficient")
         return cls(int(payload["n_qubits"]), terms)
 
     def __repr__(self) -> str:  # pragma: no cover - repr convenience

@@ -15,7 +15,7 @@ E* = h0 + h1 theta*.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .simulator import (
     CompiledCircuit,
     StateVector,
     estimate_pauli_z,
-    evolve_exact,
     expectation,
     sample_z,
     simulate_batch,
@@ -41,7 +40,7 @@ __all__ = [
     "acquire",
     "choose_grid",
     "fit",
-    "hadamard_test_state",
+    "hadamard_test_states",
     "scale",
     "std_error",
 ]
@@ -64,15 +63,37 @@ class ScaledHamiltonian:
         h0: spectral mean of H (its identity coefficient), in Hartree.
         h1: scale factor (4/pi) ||H - h0 I||, in Hartree.
         scaled: the dimensionless operator H~ = (H - h0 I) / h1.
+        vals, vecs: the eigenvalues, ascending, and the ``complex128``
+            eigenvectors (columns of a unitary) of (H - h0 I) / h1 before
+            the purge; they describe ``scaled`` up to any term that 1/h1
+            pushes to :data:`gsee.pauli.PURGE_TOL` or below.
     """
 
     h0: float
     h1: float
     scaled: PauliSum
+    vals: np.ndarray = field(repr=False, compare=False)
+    vecs: np.ndarray = field(repr=False, compare=False)
 
     def energy(self, theta: float) -> float:
         """Converts a fitted phase back to Hartree."""
         return self.h0 + self.h1 * theta
+
+    def evolve(self, psi: StateVector, tau: float, n_points: int) -> np.ndarray:
+        """Rows exp(-i n tau H~)|psi> for n = 0 .. n_points - 1.
+
+        psi is projected onto the eigenvectors once.  Each row is then its
+        own matrix-vector product with n tau a Python float: one product
+        stacked over all points rounds differently.
+        """
+        if psi.n_qubits != self.scaled.n_qubits:
+            raise ValueError("Hamiltonian and state widths differ")
+        # V^H a computed as conj(V^T conj(a)): no conjugate copy of V
+        coords = (self.vecs.T @ psi.amplitudes.conj()).conj()
+        rows = np.empty((n_points, len(coords)), dtype=complex)
+        for n in range(n_points):
+            rows[n] = self.vecs @ (np.exp(-1j * (n * tau) * self.vals) * coords)
+        return rows
 
 
 def scale(h: PauliSum) -> ScaledHamiltonian:
@@ -83,9 +104,8 @@ def scale(h: PauliSum) -> ScaledHamiltonian:
     largest eigenvalue magnitude at exactly pi/4.
 
     The dense eigendecomposition of H - h0 I (:meth:`PauliSum.eig`) is
-    computed once; multiplying by the positive 1/h1 keeps it, so evolving
-    under H~ (:func:`gsee.simulator.evolve_exact`) diagonalizes nothing
-    again.
+    computed once here: H~ keeps its vectors and the eigenvalues times
+    1/h1, which :meth:`ScaledHamiltonian.evolve` reads.
 
     Raises:
         ValueError: H is not Hermitian, is wider than the dense cap
@@ -97,11 +117,12 @@ def scale(h: PauliSum) -> ScaledHamiltonian:
         raise ValueError("Hamiltonian must be Hermitian")
     h0 = h.identity_coefficient.real
     shifted = h - PauliSum(h.n_qubits, {PauliString(): h0})
-    vals, _ = shifted.eig()
+    vals, vecs = shifted.eig()
     h1 = 4.0 * float(np.max(np.abs(vals))) / math.pi
     if h1 < 1e-12:
         raise ValueError("Hamiltonian is proportional to the identity")
-    return ScaledHamiltonian(h0=h0, h1=h1, scaled=shifted * (1.0 / h1))
+    inv = 1.0 / h1
+    return ScaledHamiltonian(h0, h1, shifted * inv, inv * vals, vecs)
 
 
 # ----------------------------------------------------------------------
@@ -183,21 +204,18 @@ def std_error(value: float, spc: int) -> float:
     return math.sqrt(max(0.0, 1.0 - value * value) / spc)
 
 
-def hadamard_test_state(
-    sh: ScaledHamiltonian, psi: StateVector, t: float
-) -> StateVector:
-    """(|0>|psi> + |1> exp(-i t H~)|psi>)/sqrt(2), ancilla on qubit 0.
+def hadamard_test_states(
+    sh: ScaledHamiltonian, psi: StateVector, tau: float, n_points: int
+) -> np.ndarray:
+    """Rows (|0>|psi> + |1> exp(-i n tau H~)|psi>)/sqrt(2), ancilla on qubit 0.
 
-    Measuring X (Y) on the ancilla of this state gives the real
-    (imaginary) part of the overlap Z(t).
+    Measuring X (Y) on the ancilla of row n gives the real (imaginary)
+    part of the overlap Z_n.  Rows are twice as long as psi's amplitudes.
     """
-    evolved = evolve_exact(psi, sh.scaled, t)
-    dim = 1 << psi.n_qubits
-    amps = np.zeros(2 * dim, dtype=complex)
-    even = np.arange(dim) << 1
-    amps[even] = psi.amplitudes / math.sqrt(2.0)
-    amps[even | 1] = evolved.amplitudes / math.sqrt(2.0)
-    return StateVector(psi.n_qubits + 1, amps)
+    states = np.empty((n_points, 2 << psi.n_qubits), dtype=complex)
+    states[:, 0::2] = psi.amplitudes / math.sqrt(2.0)
+    states[:, 1::2] = sh.evolve(psi, tau, n_points) / math.sqrt(2.0)
+    return states
 
 
 # Each ancilla observable with the rotation that carries it to Z_0 for
@@ -222,8 +240,8 @@ def _read_ancilla(states: np.ndarray, spc: int | None, seed: int) -> list[np.nda
             parts.append(np.array([np.vdot(a, string.act(a)).real for a in states]))
             continue
         rotated = simulate_batch(Circuit(n_qubits, [gate]), states)
-        records = (sample_z(StateVector(n_qubits, a), spc, seed, (n, part))
-                   for n, a in enumerate(rotated))
+        records = (sample_z(state, spc, seed, (n, part))
+                   for n, state in enumerate(StateVector.rows(rotated)))
         parts.append(np.array([estimate_pauli_z(r, 1) for r in records]))
     return parts
 
@@ -264,17 +282,13 @@ def acquire(
         raise ValueError("spc must be at least 1 when sampling")
 
     if mode == "exact":
-        values = np.empty(n_points, dtype=complex)
-        for n in range(n_points):
-            evolved = evolve_exact(psi, sh.scaled, n * tau)
-            values[n] = np.vdot(psi.amplitudes, evolved.amplitudes)
+        values = np.array([np.vdot(psi.amplitudes, row)
+                           for row in sh.evolve(psi, tau, n_points)])
         zeros = np.zeros(n_points)
         return OverlapSeries(tau, values, zeros, zeros.copy(), None, mode)
 
     if mode == "shots":
-        states = np.array([
-            hadamard_test_state(sh, psi, n * tau).amplitudes for n in range(n_points)
-        ])
+        states = hadamard_test_states(sh, psi, tau, n_points)
     else:
         if compilation is None:
             raise ValueError("recompiled mode needs a SeriesCompilation")

@@ -29,7 +29,6 @@ __all__ = [
     "CompiledCircuit",
     "simulate_batch",
     "overlap_gradient",
-    "evolve_exact",
     "expectation",
     "sample_z",
     "estimate_pauli_z",
@@ -74,6 +73,12 @@ class StateVector:
         """Raises unless ``n_qubits`` is in 1..AMPLITUDE_CAP; call before allocating."""
         if n_qubits < 1 or n_qubits > AMPLITUDE_CAP:
             raise ValueError(f"register width must be in 1..{AMPLITUDE_CAP}")
+
+    @classmethod
+    def rows(cls, amplitudes: np.ndarray) -> list["StateVector"]:
+        """One state per row of a ``(k, 2^n)`` amplitude array."""
+        n_qubits = amplitudes.shape[1].bit_length() - 1
+        return [cls(n_qubits, a) for a in amplitudes]
 
     @classmethod
     def zero_state(cls, n_qubits: int) -> "StateVector":
@@ -300,16 +305,6 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
         raise ValueError("circuit has unbound parameters")
     out = simulate_batch(circuit, state.amplitudes)
     return StateVector(state.n_qubits, out[0])
-
-
-def evolve_exact(state: StateVector, h: PauliSum, t: float) -> StateVector:
-    """exp(-i t H)|state> through the cached eigendecomposition of H."""
-    if h.n_qubits != state.n_qubits:
-        raise ValueError("Hamiltonian and state widths differ")
-    vals, vecs = h.eig()
-    # V^H a computed as conj(V^T conj(a)): no conjugate copy of V
-    coords = (vecs.T @ state.amplitudes.conj()).conj()
-    return StateVector(state.n_qubits, vecs @ (np.exp(-1j * t * vals) * coords))
 
 
 def expectation(state: StateVector, observable: PauliSum) -> complex:

@@ -28,7 +28,7 @@ from gsee.chem import (
 )
 from gsee.circuits import hea_ansatz, trotter_step, two_qubit_depth
 from gsee.pauli import PauliString, PauliSum
-from gsee.qcels import acquire, choose_grid, fit, hadamard_test_state, scale, std_error
+from gsee.qcels import acquire, choose_grid, fit, hadamard_test_states, scale, std_error
 from gsee.qcm4 import (
     bootstrap,
     build_moments,
@@ -172,7 +172,7 @@ def test_05_recompiled_pipeline_fidelity_and_energy(toy):
     sh = scale(h)
     tau = choose_grid(sh, psi, 33)
     reference = phase_estimate(h, psi)
-    targets = [hadamard_test_state(sh, psi, n * tau) for n in range(33)]
+    targets = StateVector.rows(hadamard_test_states(sh, psi, tau, 33))
     ansatz, _ = hea_ansatz(psi.n_qubits + 1, 6)
     compilation = compile_series(
         targets, ansatz,

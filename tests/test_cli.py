@@ -454,6 +454,47 @@ class TestIngest:
         assert "line 4" in capsys.readouterr().err
 
 
+class TestNonFiniteInputs:
+    # NaN fails every comparison, so the purge of PauliSum and the
+    # determinant threshold would drop it without a word
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_fcidump_value_exits_2_with_line(self, tmp_path, capsys, value):
+        lines = H2_FCIDUMP.read_text().splitlines()
+        lines[5] = f" {value}   2   1   2   1"
+        bad = tmp_path / "bad.fcidump"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["ingest", str(bad), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "line 6" in err and "non-finite" in err
+
+    @pytest.mark.parametrize("command", ["qcm4", "qcels"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_operator_coefficient_exits_2(self, tmp_path, capsys, command, value):
+        config = h2_config(tmp_path, command)
+        operator = tmp_path / "ingested" / "operator.json"
+        payload = json.loads(operator.read_text())
+        payload["terms"][-1]["coeff"][0] = value
+        operator.write_text(json.dumps(payload))
+        assert main([command, "--config", str(config),
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert str(operator) in err and "non-finite" in err
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_determinant_coefficient_exits_2(self, tmp_path, capsys, value):
+        payload = json.loads(H2_CI.read_text())
+        payload["dets"][1]["coeff"] = value
+        ci = tmp_path / "ci.json"
+        ci.write_text(json.dumps(payload))
+        config = h2_config(
+            tmp_path, "qcm4", state={"determinants": str(ci), "threshold": 0.0}
+        )
+        assert main(["qcm4", "--config", str(config),
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert str(ci) in err and "non-finite" in err
+
+
 class TestQcelsRun:
     def test_exact_run_recovers_dense_ground(self, tmp_path):
         config = h2_config(tmp_path, "qcels")

@@ -1,12 +1,14 @@
 """Phase-estimation pipeline tests against dense oracles."""
 
+import itertools
 import math
 import pathlib
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from helpers import dense_sum, gate_matrix, random_sum
+from helpers import dense_sum, gate_matrix, random_state, random_sum
 from gsee import pauli
 from gsee.chem import jordan_wigner, parse_fcidump
 from gsee.circuits import Gate, hea_ansatz
@@ -17,7 +19,7 @@ from gsee.qcels import (
     acquire,
     choose_grid,
     fit,
-    hadamard_test_state,
+    hadamard_test_states,
     scale,
     std_error,
 )
@@ -121,6 +123,52 @@ class TestScale:
         h = PauliSum(15, {PauliString.from_label("Z0"): 2.0})
         with pytest.raises(ValueError, match="limited to 14 qubits, got 15"):
             scale(h)
+
+    def test_keeps_the_shifted_decomposition_bit_for_bit(self):
+        h = random_sum(np.random.default_rng(12), 3, 6) + PauliSum(
+            3, {PauliString(): 0.4}
+        )
+        sh = scale(h)
+        vals, vecs = (h - PauliSum(3, {PauliString(): sh.h0})).eig()
+        assert sh.vals.tobytes() == ((1.0 / sh.h1) * vals).tobytes()
+        assert sh.vecs.tobytes() == vecs.tobytes()
+
+
+class TestEvolve:
+    # no odd-Y string: a real matrix, diagonalized on the real eigh path
+    EVEN_Y = [("Z0", 0.7), ("X0 X1", -0.4), ("Y1 Y2", 0.9), ("X0 Z1 Z2", 0.3),
+              ("Y0 X1 Y2", -0.6)]
+
+    def test_matches_expm(self):
+        psi = StateVector(3, random_state(np.random.default_rng(31), 3))
+        # an odd-Y string takes the complex eigh path
+        for odd_y, tau in itertools.product((False, True), (0.37, -0.61)):
+            labels = self.EVEN_Y + [("Y0 Z2", 0.5)] * odd_y
+            sh = scale(PauliSum(3, {PauliString.from_label(s): c for s, c in labels}))
+            assert np.any(sh.vecs.imag) == odd_y
+            rows = sh.evolve(psi, tau, 5)
+            assert rows.shape == (5, 8)
+            assert np.max(np.abs(rows[0] - psi.amplitudes)) < 1e-14
+            dense = dense_sum(sh.scaled)
+            for n, row in enumerate(rows):
+                want = expm(-1j * n * tau * dense) @ psi.amplitudes
+                assert np.linalg.norm(row - want) < 1e-10
+
+    def test_composition(self):
+        rng = np.random.default_rng(37)
+        sh = scale(random_sum(rng, 2, 4))
+        psi = StateVector(2, random_state(rng, 2))
+        halfway = StateVector(2, sh.evolve(psi, 0.3, 2)[1])
+        one = sh.evolve(halfway, 0.5, 2)[1]
+        two = sh.evolve(psi, 0.8, 2)[1]
+        assert np.linalg.norm(one - two) < 1e-12
+        # row n of step tau is row 1 of step n tau
+        assert np.linalg.norm(sh.evolve(psi, 0.4, 3)[2] - two) < 1e-12
+
+    def test_width_mismatch_rejected(self):
+        sh = scale(PauliSum(1, {PauliString.from_label("Z0"): 1.0}))
+        with pytest.raises(ValueError, match="widths differ"):
+            sh.evolve(StateVector.zero_state(2), 0.5, 3)
 
 
 class TestChooseGrid:
@@ -243,9 +291,7 @@ class TestAcquireShots:
         psi = StateVector(2, (vecs[:, 0] + vecs[:, 1]) / math.sqrt(2.0))
         tau, n_points, spc, seed = 0.7, 6, 300, 4
         series = acquire(sh, psi, tau, n_points, "shots", spc=spc, seed=seed)
-        states = [
-            hadamard_test_state(sh, psi, n * tau).amplitudes for n in range(n_points)
-        ]
+        states = hadamard_test_states(sh, psi, tau, n_points)
         assert_matches_hand_readout(series, states, spc, seed)
 
     def test_statistical_consistency(self):
@@ -290,23 +336,25 @@ class TestHadamardTestState:
         h, vals, vecs = two_qubit_fixture()
         sh = scale(h)
         psi = StateVector(2, vecs[:, 1])
-        t = 0.83
-        state = hadamard_test_state(sh, psi, t)
+        tau = 0.83
+        states = hadamard_test_states(sh, psi, tau, 3)
+        assert states.shape == (3, 8)
         idx = np.arange(4) << 1
-        top = state.amplitudes[idx] * math.sqrt(2.0)
-        bottom = state.amplitudes[idx | 1] * math.sqrt(2.0)
-        assert np.allclose(top, psi.amplitudes, atol=1e-12)
         scaled_dense = dense_sum(sh.scaled)
         svals, svecs = np.linalg.eigh(scaled_dense)
-        u = svecs @ np.diag(np.exp(-1j * t * svals)) @ svecs.conj().T
-        assert np.allclose(bottom, u @ psi.amplitudes, atol=1e-10)
+        for n, state in enumerate(states):
+            top = state[idx] * math.sqrt(2.0)
+            bottom = state[idx | 1] * math.sqrt(2.0)
+            assert np.allclose(top, psi.amplitudes, atol=1e-12)
+            u = svecs @ np.diag(np.exp(-1j * n * tau * svals)) @ svecs.conj().T
+            assert np.allclose(bottom, u @ psi.amplitudes, atol=1e-10)
 
     def test_ancilla_expectations_give_overlap(self):
         h, vals, vecs = two_qubit_fixture()
         sh = scale(h)
         psi = StateVector(2, (vecs[:, 0] + 2 * vecs[:, 2]) / math.sqrt(5.0))
         t = 1.7
-        state = hadamard_test_state(sh, psi, t)
+        state = StateVector(3, hadamard_test_states(sh, psi, t, 2)[1])
         series = acquire(sh, psi, t, 2, "exact")
         x0 = PauliSum(3, {PauliString(x_mask=1): 1.0})
         y0 = PauliSum(3, {PauliString(1, 1): 1.0})
@@ -331,9 +379,7 @@ class TestAcquireRecompiled:
         vals, vecs = np.linalg.eigh(dense_sum(h))
         psi = StateVector(1, vecs[:, 0])
         tau, n_points = 0.8, 5
-        targets = [
-            hadamard_test_state(sh, psi, n * tau) for n in range(n_points)
-        ]
+        targets = StateVector.rows(hadamard_test_states(sh, psi, tau, n_points))
         ansatz, _ = hea_ansatz(2, layers)
         compilation = compile_series(
             targets,
@@ -405,9 +451,7 @@ class TestAcquireRecompiled:
         sh = scale(h)
         psi = StateVector(2, vecs[:, 0])
         tau, n_points = 0.7, 9
-        targets = [
-            hadamard_test_state(sh, psi, n * tau) for n in range(n_points)
-        ]
+        targets = StateVector.rows(hadamard_test_states(sh, psi, tau, n_points))
         e_exact = fit(acquire(sh, psi, tau, n_points, "exact"), sh).energy
         fids, devs = [], []
         for layers in (2, 4, 6):
@@ -615,5 +659,6 @@ class TestOneEigendecomposition:
             acquire(sh, psi, tau, 9, "shots", spc=100, seed=3),
         ):
             assert math.isfinite(fit(series, sh).energy)
-        # scale diagonalizes H - h0 I; H~ inherits it through the scaling
+        # scale diagonalizes H - h0 I once; H~ keeps its vectors and the
+        # rescaled eigenvalues, which every evolution reads
         assert calls == [(256, 256)]

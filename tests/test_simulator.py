@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
 
 from helpers import (
     circuit_unitary,
@@ -24,7 +23,6 @@ from gsee.simulator import (
     apply_circuit,
     derived_rng,
     estimate_pauli_z,
-    evolve_exact,
     expectation,
     overlap_gradient,
     sample_z,
@@ -112,6 +110,14 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector.basis_state(2, 4)
 
+    def test_rows_wraps_each_row(self):
+        amps = np.array([[0.6, 0.0, 0.0, 0.8j], [0.0, 1.0, 0.0, 0.0]])
+        states = StateVector.rows(amps)
+        assert [s.n_qubits for s in states] == [2, 2]
+        assert all(np.array_equal(s.amplitudes, a) for s, a in zip(states, amps))
+        with pytest.raises(ValueError, match="norm"):
+            StateVector.rows(np.ones((1, 4)))
+
 
 class TestGateKernels:
     def test_every_kind_matches_dense_oracle(self):
@@ -182,8 +188,8 @@ class TestGateKernels:
 class TestSimulateBatch:
     def test_batched_params_equal_bound_loop(self):
         rng = np.random.default_rng(21)
-        circuit, spec = hea_ansatz(3, 2)
-        thetas = rng.uniform(-np.pi, np.pi, size=(4, spec.n_params))
+        circuit, _ = hea_ansatz(3, 2)
+        thetas = rng.uniform(-np.pi, np.pi, size=(4, circuit.n_params))
         psi = random_state(rng, 3)
         batched = simulate_batch(circuit, psi, thetas)
         for k in range(4):
@@ -191,21 +197,21 @@ class TestSimulateBatch:
             assert np.linalg.norm(batched[k] - single) < 1e-12
 
     def test_parameter_matrix_required_iff_symbolic(self):
-        circuit, spec = hea_ansatz(2, 1)
+        circuit, _ = hea_ansatz(2, 1)
         psi = random_state(np.random.default_rng(0), 2)
         with pytest.raises(ValueError, match="parameter matrix"):
             simulate_batch(circuit, psi)
-        bound = circuit.bind(np.zeros(spec.n_params))
+        bound = circuit.bind(np.zeros(circuit.n_params))
         with pytest.raises(ValueError, match="parameter matrix"):
             simulate_batch(bound, psi, np.zeros((1, 0)))
 
     def test_compiled_circuit_serves_repeated_runs(self):
         rng = np.random.default_rng(23)
-        circuit, spec = hea_ansatz(3, 2)
+        circuit, _ = hea_ansatz(3, 2)
         compiled = CompiledCircuit(circuit)
         psi = random_state(rng, 3)
         for batch in (4, 1):
-            thetas = rng.uniform(-np.pi, np.pi, size=(batch, spec.n_params))
+            thetas = rng.uniform(-np.pi, np.pi, size=(batch, circuit.n_params))
             assert np.array_equal(
                 compiled.simulate(psi, thetas),
                 simulate_batch(circuit, psi, thetas),
@@ -237,54 +243,16 @@ class TestOverlapGradient:
         np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-10)
 
     def test_input_validation(self):
-        circuit, spec = hea_ansatz(2, 1)
+        circuit, _ = hea_ansatz(2, 1)
         compiled = CompiledCircuit(circuit)
-        params = np.zeros((1, spec.n_params))
+        params = np.zeros((1, circuit.n_params))
         with pytest.raises(ValueError, match="target width"):
             overlap_gradient(compiled, np.ones(8) / np.sqrt(8), params)
         with pytest.raises(ValueError, match="parameter shape"):
             overlap_gradient(compiled, np.eye(4)[0], params[:, 1:])
-        bound = CompiledCircuit(circuit.bind(np.zeros(spec.n_params)))
+        bound = CompiledCircuit(circuit.bind(np.zeros(circuit.n_params)))
         with pytest.raises(ValueError, match="parameter matrix"):
             overlap_gradient(bound, np.eye(4)[0], np.zeros((1, 0)))
-
-
-class TestEvolveExact:
-    def test_matches_expm(self):
-        rng = np.random.default_rng(31)
-        # no odd-Y string: a real matrix, diagonalized on the real eigh path;
-        # the random sums nearly always hold one and take the complex path
-        even_y = PauliSum(
-            3,
-            {
-                PauliString.from_label(label): c
-                for label, c in [
-                    ("Z0", 0.7),
-                    ("X0 X1", -0.4),
-                    ("Y1 Y2", 0.9),
-                    ("X0 Z1 Z2", 0.3),
-                    ("Y0 X1 Y2", -0.6),
-                ]
-            },
-        )
-        for k in range(6):
-            h = random_sum(rng, 3, 5) if k < 5 else even_y
-            psi = StateVector(3, random_state(rng, 3))
-            t = float(rng.uniform(-2, 2))
-            got = evolve_exact(psi, h, t).amplitudes
-            want = expm(-1j * t * dense_sum(h)) @ psi.amplitudes
-            assert np.linalg.norm(got - want) < 1e-10
-        assert not np.any(even_y.eig()[1].imag)
-
-    def test_group_property_and_identity(self):
-        rng = np.random.default_rng(37)
-        h = random_sum(rng, 2, 4)
-        psi = StateVector(2, random_state(rng, 2))
-        one = evolve_exact(evolve_exact(psi, h, 0.3), h, 0.5)
-        two = evolve_exact(psi, h, 0.8)
-        assert np.linalg.norm(one.amplitudes - two.amplitudes) < 1e-12
-        frozen = evolve_exact(psi, h, 0.0)
-        assert np.linalg.norm(frozen.amplitudes - psi.amplitudes) < 1e-14
 
 
 class TestExpectation:
