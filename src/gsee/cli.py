@@ -74,15 +74,20 @@ class InputError(Exception):
 # ----------------------------------------------------------------------
 # config resolution
 # ----------------------------------------------------------------------
+class _Above(float):
+    """A schema minimum that a value must exceed, not merely reach."""
+
+
 # Run-config schema, {section: {key: (type, default, minimum, choices)}}.
 # A float key takes any finite JSON number and resolves to a float.  The
 # two state keys without a default are required by the form that uses them.
+# A learning rate at or below 0 would stall Adam or make it climb.
 _COMPILE = {
     "layers": (int, 6, 1, None),
     "max_iterations": (int, 500, 1, None),
-    "learning_rate": (float, 0.05, None, None),
+    "learning_rate": (float, 0.05, _Above(0.0), None),
     "restarts": (int, 3, 1, None),
-    "tolerance": (float, 1e-12, None, None),
+    "tolerance": (float, 1e-12, 0.0, None),
     "warm_start": (bool, False, None, None),
 }
 _SERIES = {"n_points": (int, 33, 2, None)}
@@ -154,6 +159,8 @@ def _value(
     value = kind(value)
     if kind is float and not math.isfinite(value):
         raise InputError(f"{where} must be a finite number")
+    if isinstance(minimum, _Above) and value <= minimum:
+        raise InputError(f"{where} must be greater than {minimum}")
     if minimum is not None and value < minimum:
         raise InputError(f"{where} must be at least {minimum}")
     if choices is not None and value not in choices:

@@ -6,6 +6,14 @@ pair of integers ``(x_mask, z_mask)`` where bit ``q`` of ``x_mask`` /
 both bits.  Products, commutation checks, and dense-matrix actions then
 reduce to bit arithmetic.
 
+A sum stays a dict of strings, but its quadratic work runs on arrays of
+their masks: ``uint64[N, W]`` words with ``W = ceil(n/64)``
+(:func:`_mask_arrays`) or ``(N, n)`` 0/1 bits (:func:`_mask_bits`).
+Products of many term pairs (:meth:`PauliSum.__matmul__`), the canonical
+order of large sums (:meth:`PauliSum.terms`) and the commutation graph
+(:meth:`PauliSum.group_commuting`) reproduce their loop versions bit for
+bit; small products and sorts keep the loops, which cost less there.
+
 The qubit-to-amplitude convention used throughout the package is little
 endian: qubit ``q`` is bit ``q`` of the computational-basis index.  With
 ``P = i^{|x&z|} X^x Z^z``, a string maps ``|b>`` to
@@ -58,6 +66,18 @@ DENSE_MATRIX_CAP = 14
 # :meth:`PauliSum.group_commuting`.  It bounds the working memory to a few
 # (block, n_terms) buffers; at 5,459 terms 64 rows ran faster than 256.
 _CLASH_BLOCK = 64
+
+# Term pairs per row block of the array product in :meth:`PauliSum.__matmul__`;
+# it bounds that product's working memory to a few (block, W) arrays.
+_PRODUCT_BLOCK = 8192
+
+# Products with fewer term pairs, and sums with fewer terms in
+# :meth:`PauliSum.terms`, keep the Python loop.  The arrays cost some
+# 200 µs per call before any pair, and ``jordan_wigner`` makes thousands
+# of products of at most 16 pairs and sorts as many small sums.  Measured
+# break-even: about 100 pairs for Hamiltonian products, whose pairs share
+# few product strings, and about 500 for products of all-distinct strings.
+_ARRAY_PRODUCT_MIN = 128
 
 _PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 _AXIS_FROM_BITS = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
@@ -228,6 +248,154 @@ def _mask_arrays(
     return x, z
 
 
+def _mask_ints(words: np.ndarray) -> list[int]:
+    """The integer masks of ``(N, W)`` words laid out as :func:`_mask_arrays`."""
+    masks = words[:, 0].tolist()
+    for w in range(1, words.shape[1]):
+        masks = [m | hi << (64 * w) for m, hi in zip(masks, words[:, w].tolist())]
+    return masks
+
+
+def _mask_bits(
+    strings: list[PauliString], n_qubits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """X and Z masks as ``uint8`` 0/1 arrays of shape ``(len(strings), n)``.
+
+    Column ``q`` holds qubit ``q``.
+    """
+    return tuple(
+        np.unpackbits(
+            words.astype("<u8").view(np.uint8), axis=1, count=n_qubits,
+            bitorder="little",
+        )
+        for words in _mask_arrays(strings, n_qubits)
+    )
+
+
+def _loop_product(
+    a: Mapping[PauliString, complex], b: Mapping[PauliString, complex]
+) -> dict[PauliString, complex]:
+    """Terms of the product ``a · b``, one term pair at a time."""
+    out: dict[PauliString, complex] = {}
+    for sa, ca in a.items():
+        for sb, cb in b.items():
+            phase, prod = sa.multiply(sb)
+            out[prod] = out.get(prod, 0j) + ca * cb * phase
+    return out
+
+
+def _array_product(
+    a: Mapping[PauliString, complex],
+    b: Mapping[PauliString, complex],
+    n_qubits: int,
+) -> dict[PauliString, complex]:
+    """:func:`_loop_product` as word-array operations, bit for bit.
+
+    Each block of rows of ``a`` meets all of ``b``, :data:`_PRODUCT_BLOCK`
+    pairs at a time.  A pair's product string is the XOR of its masks and
+    its phase the exponent of :meth:`PauliString.multiply`, from
+    ``np.bitwise_count``.  Pass 1 collects the distinct product strings
+    into one sorted table with the index of the first pair that makes
+    each; a string's key is its (x, z) words viewed as one ``np.void``,
+    or on at most 32 qubits the integer ``x << n | z``.  Pass 2
+    finds every pair's table slot by ``np.searchsorted`` and adds
+    ``ca * cb * phase``, in the float operations of Python's complex
+    product, with ``np.add.at``: sequentially from zero, in pair order,
+    as the loop does.  The strings come out in order of first appearance,
+    the loop's dict order.
+    """
+    xa, za = _mask_arrays(list(a), n_qubits)
+    xb, zb = _mask_arrays(list(b), n_qubits)
+    # an integer key sorts and searches about 3x faster than a void one
+    packed = 2 * n_qubits <= 64
+    key = np.uint64 if packed else np.dtype((np.void, 16 * xa.shape[1]))
+    rows = max(1, _PRODUCT_BLOCK // len(b))
+    starts = range(0, len(a), rows)
+
+    def products(start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        x = xa[start : start + rows, None] ^ xb
+        z = za[start : start + rows, None] ^ zb
+        if packed:
+            keys = x[..., 0] << np.uint64(n_qubits) | z[..., 0]
+        else:
+            keys = np.concatenate((x, z), axis=2).view(key)
+        return x, z, keys.ravel()
+
+    # pass 1; block tables wait until they hold as many keys as the
+    # merged table, so each merge at least doubles what it has seen
+    table, first = np.empty(0, key), np.empty(0, np.intp)
+    pending: list[tuple[np.ndarray, np.ndarray]] = []
+    held = 0
+    for start in starts:
+        keys, index = np.unique(products(start)[2], return_index=True)
+        pending.append((keys, index + start * len(b)))
+        held += len(keys)
+        if held >= len(table) or start == starts[-1]:
+            # earlier pairs come first, so each key keeps its first pair
+            table, pick = np.unique(
+                np.concatenate([table, *(k for k, _ in pending)]),
+                return_index=True,
+            )
+            first = np.concatenate([first, *(i for _, i in pending)])[pick]
+            pending, held = [], 0
+
+    # pass 2
+    ca = np.array(list(a.values()), dtype=complex)
+    cb = np.array(list(b.values()), dtype=complex)
+    ya = np.bitwise_count(xa & za).sum(axis=1, dtype=np.int64)
+    yb = np.bitwise_count(xb & zb).sum(axis=1, dtype=np.int64)
+    phase_re = np.array([p.real for p in _PHASES])
+    phase_im = np.array([p.imag for p in _PHASES])
+    total_re, total_im = np.zeros(len(table)), np.zeros(len(table))
+    for start in starts:
+        x, z, keys = products(start)
+        block = slice(start, start + rows)
+        g = (
+            ya[block, None]
+            + yb
+            + 2 * np.bitwise_count(za[block, None] & xb).sum(axis=2, dtype=np.int64)
+            - np.bitwise_count(x & z).sum(axis=2, dtype=np.int64)
+        ) & 3
+        are, aim = ca.real[block, None], ca.imag[block, None]
+        pre = are * cb.real - aim * cb.imag
+        pim = are * cb.imag + aim * cb.real
+        fre, fim = phase_re[g], phase_im[g]
+        slot = np.searchsorted(table, keys)
+        np.add.at(total_re, slot, (pre * fre - pim * fim).ravel())
+        np.add.at(total_im, slot, (pre * fim + pim * fre).ravel())
+
+    # each string is the product of its first pair
+    order = np.argsort(first)
+    row, col = np.divmod(first[order], len(b))
+    return {
+        PauliString(x, z): complex(re, im)
+        for x, z, re, im in zip(
+            _mask_ints(xa[row] ^ xb[col]),
+            _mask_ints(za[row] ^ zb[col]),
+            total_re[order].tolist(),
+            total_im[order].tolist(),
+        )
+    }
+
+
+def _canonical_order(bx: np.ndarray, bz: np.ndarray) -> np.ndarray:
+    """Indices that sort strings by :meth:`PauliString.sort_key`.
+
+    ``bx`` and ``bz`` are the strings' bits from :func:`_mask_bits`.  Each
+    present factor gets the code ``3·q + rank + 1`` (X, Y, Z ranking 0, 1,
+    2); a string's codes are packed to the left in qubit order and padded
+    with 0, so one ``np.lexsort`` over the code columns compares rows as
+    ``sort_key`` compares its tuples.
+    """
+    present = bx | bz
+    codes = present * (3 * np.arange(bx.shape[1]) + 1) + bz * (2 - bx)
+    packed = np.take_along_axis(
+        codes, np.argsort(present == 0, axis=1, kind="stable"), axis=1
+    )
+    width = int(present.sum(axis=1).max())
+    return np.lexsort(packed[:, :width].T[::-1])
+
+
 def _clash_blocks(
     x: np.ndarray, z: np.ndarray, rows: np.ndarray, mode: str
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -331,8 +499,18 @@ class PauliSum:
         return self._n_qubits
 
     def terms(self) -> list[tuple[PauliString, complex]]:
-        """Terms in canonical order (identity first)."""
-        return sorted(self._terms.items(), key=lambda t: t[0].sort_key())
+        """Terms in canonical order (identity first).
+
+        The order is :meth:`PauliString.sort_key`'s.  Sums of at least
+        :data:`_ARRAY_PRODUCT_MIN` terms get it from one ``np.lexsort``
+        over factor codes (see :func:`_canonical_order`); smaller ones sort
+        by the key itself.
+        """
+        items = list(self._terms.items())
+        if len(items) < _ARRAY_PRODUCT_MIN:
+            return sorted(items, key=lambda t: t[0].sort_key())
+        bx, bz = _mask_bits([s for s, _ in items], self._n_qubits)
+        return [items[i] for i in _canonical_order(bx, bz).tolist()]
 
     def coefficient(self, string: PauliString) -> complex:
         return self._terms.get(string, 0j)
@@ -383,12 +561,18 @@ class PauliSum:
     __rmul__ = __mul__
 
     def __matmul__(self, other: "PauliSum") -> "PauliSum":
+        """Operator product with like terms combined.
+
+        Coefficients add in term-pair order, so every coefficient and the
+        term order are those of the pair loop.  Products of at least
+        :data:`_ARRAY_PRODUCT_MIN` pairs run as blocked word-array
+        operations (:func:`_array_product`), smaller ones as the loop.
+        """
         self._require_same_width(other)
-        out: dict[PauliString, complex] = {}
-        for sa, ca in self._terms.items():
-            for sb, cb in other._terms.items():
-                phase, prod = sa.multiply(sb)
-                out[prod] = out.get(prod, 0j) + ca * cb * phase
+        if len(self._terms) * len(other._terms) >= _ARRAY_PRODUCT_MIN:
+            out = _array_product(self._terms, other._terms, self._n_qubits)
+        else:
+            out = _loop_product(self._terms, other._terms)
         return PauliSum(self._n_qubits, out)
 
     # ------------------------------------------------------------------
@@ -491,7 +675,11 @@ class PauliSum:
         graph is built twice, once for the degrees and once for the
         coloring: O(n²·W) vectorized bit operations for ``n`` terms, in
         O(block·n) working memory besides the O(n·W) masks.  No adjacency
-        matrix or neighbor list is ever stored.
+        matrix or neighbor list is ever stored.  The coloring keeps a
+        (colors × n) table of the colors each vertex's colored neighbours
+        hold, O(colors·n) bits packed eight to a byte, doubled when a
+        vertex finds every color taken; a vertex takes the first free
+        entry of its column and marks its clash row under that color.
 
         Returns:
             The sets, each a tuple of ``(PauliString, coeff)`` terms in
@@ -509,14 +697,19 @@ class PauliSum:
         for rows, clash in _clash_blocks(x, z, np.arange(n), mode):
             degree[rows] = np.count_nonzero(clash, axis=1)
         order = np.lexsort((np.arange(n), -degree))
-        # color n marks an uncolored vertex; a vertex of degree d always
-        # finds a free color among 0..d, so the argmin stays below n
-        color = np.full(n, n, dtype=np.intp)
+        color = np.empty(n, dtype=np.intp)
+        # bit u of forbidden[c], in np.packbits order: some colored
+        # neighbour of u has color c
+        forbidden = np.zeros((1, -(-n // 8)), dtype=np.uint8)
         for rows, clash in _clash_blocks(x, z, order, mode):
             for v, clash_row in zip(rows, clash):
-                used = np.zeros(n + 1, dtype=bool)
-                used[color[clash_row]] = True
-                color[v] = np.argmin(used)
+                taken = forbidden[:, v >> 3] & (0x80 >> (v & 7))
+                c = int(np.argmin(taken))
+                if taken[c]:
+                    c = len(forbidden)
+                    forbidden = np.concatenate((forbidden, np.zeros_like(forbidden)))
+                color[v] = c
+                forbidden[c] |= np.packbits(clash_row)
         n_sets = int(color.max()) + 1 if n else 0
         sets: list[list[tuple[PauliString, complex]]] = [[] for _ in range(n_sets)]
         for term, c in zip(term_list, color.tolist()):

@@ -209,32 +209,42 @@ class MeasurementPlan:
         return len(self.circuits)
 
 
+def _transpose(masks: Sequence[int], width: int) -> list[int]:
+    """The bit-matrix transpose: bit ``i`` of entry ``q`` is bit ``q`` of ``masks[i]``."""
+    size = max(1, -(-width // 8))
+    raw = np.frombuffer(
+        b"".join(m.to_bytes(size, "little") for m in masks), dtype=np.uint8
+    ).reshape(len(masks), size)
+    bits = np.unpackbits(raw, axis=1, count=width, bitorder="little")
+    packed = np.packbits(bits.T, axis=1, bitorder="little")
+    return [int.from_bytes(row, "little") for row in packed.tolist()]
+
+
 def _conjugate(
-    x: int, z: int, sign: int, op: tuple
-) -> tuple[int, int, int]:
-    """Pushes one Clifford generator through a Pauli (U P U^dag)."""
-    kind = op[0]
-    if kind == "h":
-        q = 1 << op[1]
-        if x & q and z & q:
-            sign = -sign
-        xq, zq = x & q, z & q
-        x = (x & ~q) | zq
-        z = (z & ~q) | xq
-    elif kind == "s":
-        q = 1 << op[1]
-        if x & q and z & q:
-            sign = -sign
-        z ^= x & q
-    else:  # cz
-        a, b = 1 << op[1], 1 << op[2]
-        if x & a and x & b and bool(z & a) != bool(z & b):
-            sign = -sign
-        if x & a:
-            z ^= b
-        if x & b:
-            z ^= a
-    return x, z, sign
+    x: list[int], z: list[int], parity: int, ops: Sequence[tuple]
+) -> int:
+    """Pushes a set of strings through Clifford generators (U P U^dag).
+
+    The strings are held by qubit, as in the Aaronson-Gottesman tableau:
+    bit ``k`` of ``x[q]`` / ``z[q]`` is string ``k``'s X / Z bit on qubit
+    ``q``, so each generator updates every string in a few integer
+    operations.  ``x`` and ``z`` change in place; the returned parity has
+    bit ``k`` set where string ``k`` picked up a net sign of -1.
+    """
+    for op in ops:
+        q = op[1]
+        if op[0] == "h":
+            parity ^= x[q] & z[q]
+            x[q], z[q] = z[q], x[q]
+        elif op[0] == "s":
+            parity ^= x[q] & z[q]
+            z[q] ^= x[q]
+        else:  # cz
+            b = op[2]
+            parity ^= x[q] & x[b] & (z[q] ^ z[b])
+            z[b] ^= x[q]
+            z[q] ^= x[b]
+    return parity
 
 
 def _schema_gates(op: tuple) -> list[Gate]:
@@ -257,15 +267,9 @@ def _diagonalizing_ops(rows: list[list[int]], n: int) -> list[tuple]:
     Gaussian-eliminates the x-block to select pivot qubits, then clears
     each pivot row's x support (cz through a Hadamard pair), its own
     phase bit (s), its z couplings (cz, pairwise couplings cancel on
-    both rows at once), and finally hops the lone X onto Z (h).
+    both rows at once), and finally hops the lone X onto Z (h).  The
+    rows are conjugated by :func:`_conjugate` as each gate is chosen.
     """
-    ops: list[tuple] = []
-
-    def apply(op: tuple) -> None:
-        ops.append(op)
-        for row in rows:
-            row[0], row[1], _ = _conjugate(row[0], row[1], 1, op)
-
     # reduced row echelon over the x-block; row ops only redefine the
     # generating set, no gates involved
     pivots: list[int] = []
@@ -284,23 +288,32 @@ def _diagonalizing_ops(rows: list[list[int]], n: int) -> list[tuple]:
         pivots.append(q)
         rank += 1
 
+    # bit i of x[q] / z[q] is row i's bit on qubit q
+    x = _transpose([row[0] for row in rows], n)
+    z = _transpose([row[1] for row in rows], n)
+    ops: list[tuple] = []
+
+    def apply(op: tuple) -> None:
+        ops.append(op)
+        _conjugate(x, z, 0, (op,))
+
     for i, q in enumerate(pivots):
         for j in range(n):
-            if j != q and rows[i][0] >> j & 1:
+            if j != q and x[j] >> i & 1:
                 apply(("h", j))
                 apply(("cz", q, j))
                 apply(("h", j))
     for i, q in enumerate(pivots):
-        if rows[i][1] >> q & 1:
+        if z[q] >> i & 1:
             apply(("s", q))
     for i, q in enumerate(pivots):
         for j in range(n):
-            if j != q and rows[i][1] >> j & 1:
+            if j != q and z[j] >> i & 1:
                 apply(("cz", q, j))
     for q in pivots:
         apply(("h", q))
 
-    if any(row[0] for row in rows):
+    if any(x):
         raise ValueError("commuting set failed to diagonalize; grouping bug")
     return ops
 
@@ -310,6 +323,8 @@ def plan(m: MomentOperators, mode: str = "full") -> MeasurementPlan:
 
     Identical strings appearing in several powers are deduplicated and
     measured once.  Identity coefficients become per-power constants.
+    All strings of a set pass through its Clifford together, held by
+    qubit (:func:`_conjugate`), and come out as Z masks with signs.
 
     Raises:
         ValueError: a set member fails to conjugate to a Z string, which
@@ -338,21 +353,22 @@ def plan(m: MomentOperators, mode: str = "full") -> MeasurementPlan:
         gates: list[Gate] = []
         for op in ops:
             gates.extend(_schema_gates(op))
-        terms = []
-        for s in strings:
-            x, z, sign = s.x_mask, s.z_mask, 1
-            for op in ops:
-                x, z, sign = _conjugate(x, z, sign, op)
-            if x:
-                raise ValueError(
-                    f"set member {s.to_label()!r} failed to diagonalize;"
-                    " grouping bug"
-                )
-            terms.append(
-                PlanTerm(
-                    string=s, z_mask=z, sign=sign, uses=tuple(uses[s])
-                )
+        x = _transpose([s.x_mask for s in strings], n)
+        z = _transpose([s.z_mask for s in strings], n)
+        parity = _conjugate(x, z, 0, ops)
+        if any(x):
+            bad = strings[min((c & -c).bit_length() for c in x if c) - 1]
+            raise ValueError(
+                f"set member {bad.to_label()!r} failed to diagonalize;"
+                " grouping bug"
             )
+        terms = [
+            PlanTerm(
+                string=s, z_mask=zm, sign=1 - 2 * (parity >> k & 1),
+                uses=tuple(uses[s]),
+            )
+            for k, (s, zm) in enumerate(zip(strings, _transpose(z, len(strings))))
+        ]
         circuits.append(
             PlanCircuit(clifford=Circuit(n, gates), terms=tuple(terms))
         )

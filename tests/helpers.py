@@ -162,15 +162,46 @@ def shift_gradient(circuit, target: np.ndarray, params: np.ndarray):
     return values[:, 0], grad
 
 
+def conjugate_reference(x: int, z: int, ops: list[tuple]) -> tuple[int, int, int]:
+    """``U P U^dag = sign · P(x', z')`` for one string, one generator at a time.
+
+    ``ops`` are ``("h", q)``, ``("s", q)`` and ``("cz", a, b)``, the
+    generators measurement planning emits.  Returns ``(x', z', sign)``.
+    """
+    sign = 1
+    for op in ops:
+        if op[0] == "h":
+            q = 1 << op[1]
+            if x & q and z & q:
+                sign = -sign
+            x, z = (x & ~q) | (z & q), (z & ~q) | (x & q)
+        elif op[0] == "s":
+            q = 1 << op[1]
+            if x & q and z & q:
+                sign = -sign
+            z ^= x & q
+        else:
+            a, b = 1 << op[1], 1 << op[2]
+            if x & a and x & b and bool(z & a) != bool(z & b):
+                sign = -sign
+            if x & a:
+                z ^= b
+            if x & b:
+                z ^= a
+    return x, z, sign
+
+
 def greedy_coloring_reference(a: PauliSum, mode: str) -> tuple:
     """Pairwise greedy largest-first coloring, the oracle for
     :meth:`PauliSum.group_commuting`.
 
     Builds explicit neighbor lists from :meth:`PauliString.commutes`,
     then colors vertices in descending degree (ties by canonical term
-    order) with the smallest color absent from their neighborhood.
+    order) with the smallest color absent from their neighborhood.  The
+    canonical order comes from :meth:`PauliString.sort_key` here, not
+    from :meth:`PauliSum.terms`.
     """
-    term_list = a.terms()
+    term_list = sorted(a.terms(), key=lambda t: t[0].sort_key())
     n = len(term_list)
     strings = [s for s, _ in term_list]
     neighbors: list[list[int]] = [[] for _ in range(n)]

@@ -244,12 +244,13 @@ class TestResolveConfig:
         assert not (tmp_path / "run").exists()
 
 
+# learning_rate's floor is exclusive, so TestCompileFloors checks it
 _COMPILE_KEYS = {
     "layers": ("int", 6, 1, None),
     "max_iterations": ("int", 500, 1, None),
     "learning_rate": ("number", 0.05, None, None),
     "restarts": ("int", 3, 1, None),
-    "tolerance": ("number", 1e-12, None, None),
+    "tolerance": ("number", 1e-12, 0.0, None),
     "warm_start": ("bool", False, None, None),
 }
 _SERIES_KEYS = {"n_points": ("int", 33, 2, None)}
@@ -389,6 +390,45 @@ class TestConfigSchema:
         assert type(state["threshold"]) is float
         path = write_config(tmp_path, dict(base, state={"basis": 3}))
         assert resolve_config(path, "qcm4")["state"] == {"basis": 3}
+
+
+class TestCompileFloors:
+    # a rate at or below 0 stalls Adam or makes it climb the objective
+    @pytest.mark.parametrize("command", ["recompile", "qcels"])
+    @pytest.mark.parametrize(
+        ("key", "value", "rule"),
+        [
+            ("learning_rate", 0.0, "must be greater than 0.0"),
+            ("learning_rate", -1.0, "must be greater than 0.0"),
+            ("tolerance", -1.0, "must be at least 0.0"),
+        ],
+    )
+    def test_floor_exits_2_naming_the_key(
+        self, tmp_path, capsys, command, key, value, rule
+    ):
+        payload = {
+            "algorithm": command,
+            "operator": str(TOY_3Q),
+            "state": {"basis": 1},
+        }
+        if command == "recompile":
+            payload["recompile"] = {key: value}
+            path = f"recompile.{key}"
+        else:
+            payload["mode"] = "recompiled"
+            payload["qcels"] = {"compile": {key: value}}
+            path = f"qcels.compile.{key}"
+        config = write_config(tmp_path, payload)
+        code = main([command, "--config", str(config), "--out",
+                     str(tmp_path / "run")])
+        assert code == 2
+        assert f"{path} {rule}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_smallest_positive_rate_and_zero_tolerance_resolve(self, tmp_path):
+        body = {"learning_rate": math.ulp(0.0), "tolerance": 0.0}
+        got = resolve_section(tmp_path, "recompile", body)
+        assert (got["learning_rate"], got["tolerance"]) == (math.ulp(0.0), 0.0)
 
 
 class TestIngest:

@@ -1,4 +1,4 @@
-"""Golden artifacts: fixed CLI runs on the H2 fixture against tests/golden/.
+"""Golden artifacts: fixed CLI runs on the bundled fixtures against tests/golden/.
 
 Every file the runs write is compared with its committed copy: JSON keys,
 integers, strings and booleans exactly, floats to 1e-12 relative.  CSV,
@@ -38,6 +38,17 @@ REL_TOL = 1e-12
 # tiny compile block: one layer, a few dozen Adam steps, one restart
 _COMPILE = {"layers": 1, "max_iterations": 40, "restarts": 1}
 
+# two determinants of the untapered 8-qubit spin_polarized model, a state
+# off its eigenstates; the model's 5,459 measured strings and products of
+# up to 115,199 term pairs take the array paths of gsee.pauli
+SPIN_POLARIZED_STATE = {
+    "norb": 4,
+    "dets": [
+        {"mask": "0b00010101", "coeff": 0.9},
+        {"mask": "0b01000101", "coeff": -0.4},
+    ],
+}
+
 
 def _config(algorithm: str, **settings) -> dict:
     # paths are relative to the config file, so no run location leaks
@@ -66,8 +77,12 @@ RUNS = {
               "filter": True, "resamples": 50},
     ),
     "recompile": _config("recompile", recompile={"n_points": 3, **_COMPILE}),
+    "qcm4_8q_exact": _config(
+        "qcm4", operator="ingest_8q/operator.json",
+        state={"determinants": "spin_polarized_ci.json"},
+    ),
 }
-RUN_DIRS = ("ingest", *RUNS, "report")
+RUN_DIRS = ("ingest", "ingest_8q", *RUNS, "report")
 
 
 def _gsee(*argv: str) -> None:
@@ -78,11 +93,14 @@ def _gsee(*argv: str) -> None:
 
 
 def produce(work: pathlib.Path) -> pathlib.Path:
-    """Runs ingest --taper, every RUNS entry and report inside ``work``."""
-    for name in ("h2_eq.fcidump", "h2_eq_ci.json"):
+    """Runs both ingests, every RUNS entry and report inside ``work``."""
+    for name in ("h2_eq.fcidump", "h2_eq_ci.json", "spin_polarized.fcidump"):
         shutil.copy(FIXTURES / name, work / name)
+    (work / "spin_polarized_ci.json").write_text(json.dumps(SPIN_POLARIZED_STATE))
     _gsee("ingest", str(work / "h2_eq.fcidump"), "--out", str(work / "ingest"),
           "--taper")
+    _gsee("ingest", str(work / "spin_polarized.fcidump"), "--out",
+          str(work / "ingest_8q"))
     for name, config in RUNS.items():
         path = work / f"{name}.json"
         path.write_text(json.dumps(config, indent=1) + "\n")

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -347,6 +348,132 @@ class TestGrouping:
         grouped = a.group_commuting(mode)
         assert grouped == greedy_coloring_reference(a, mode)
         assert 1 < len(grouped) < len(a)
+
+    @pytest.mark.parametrize("mode", ["full", "qubitwise"])
+    def test_matches_reference_above_the_array_threshold(self, mode):
+        # 300 of the 1,024 strings on qubits 0, 62, 63 | 64, 69: canonical
+        # order comes from the array sort, and the coloring's 42 (full) or
+        # 104 (qubitwise) colors double its color table six or seven times
+        rng = np.random.default_rng(43)
+        combos = list(itertools.product("IXYZ", repeat=5))
+        picks = rng.choice(len(combos), size=300, replace=False)
+        strings = [
+            PauliString.from_support(
+                {q: ax for q, ax in zip((0, 62, 63, 64, 69), combos[i]) if ax != "I"}
+            )
+            for i in picks
+        ]
+        a = PauliSum(70, {s: rng.normal() for s in strings})
+        assert len(a) == 300 >= pauli._ARRAY_PRODUCT_MIN
+        grouped = a.group_commuting(mode)
+        assert grouped == greedy_coloring_reference(a, mode)
+        assert 4 < len(grouped) < len(a)
+
+
+# widths of one, two and three mask words
+WORD_WIDTHS = [8, 64, 65, 130]
+
+
+def sparse_strings(rng, n, count, max_weight=4):
+    """``count`` random strings of weight 0-``max_weight`` on ``n`` qubits.
+
+    Qubits come from a small pool at the word edges, so many strings share
+    their low factors and differ only past a word boundary.
+    """
+    pool = sorted({0, 1, n // 2, 62, 63, 64, 65, 127, 128, n - 1} & set(range(n)))
+    out = []
+    for _ in range(count):
+        weight = rng.integers(0, min(max_weight, len(pool)) + 1)
+        qubits = rng.choice(pool, size=weight, replace=False)
+        out.append(PauliString.from_support(
+            {int(q): str(rng.choice(["X", "Y", "Z"])) for q in qubits}
+        ))
+    return out
+
+
+@st.composite
+def product_factors(draw):
+    """``(n, a, b)``: complex term dicts for the pair loop and the array product.
+
+    Pair counts run from 0 to 1,600, across the array threshold.  Some
+    draws add ``(αA + βB)`` and ``(αA − βB)`` for commuting Z strings A, B,
+    whose cross terms ``-αβ AB`` and ``βα BA`` cancel exactly.
+    """
+    n = draw(st.sampled_from(WORD_WIDTHS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.tuples(st.integers(0, 40), st.integers(0, 40)))
+
+    def coeffs(k):
+        return (rng.normal(size=k) + 1j * rng.normal(size=k)).tolist()
+
+    a, b = (
+        dict(zip(sparse_strings(rng, n, k), coeffs(k))) for k in sizes
+    )
+    if draw(st.booleans()):
+        za, zb = (PauliString(0, s.z_mask) for s in sparse_strings(rng, n, 2))
+        alpha, beta = coeffs(2)
+        a.update({za: alpha, zb: beta})
+        b.update({za: alpha, zb: -beta})
+    return n, a, b
+
+
+class TestArrayKernels:
+    @settings(deadline=None)
+    @given(case=product_factors(), block=st.integers(1, 300))
+    def test_array_product_is_the_pair_loop(self, case, block):
+        # small blocks split one product into many row blocks and merges
+        n, a, b = case
+        want = pauli._loop_product(a, b)
+        with mock.patch.object(pauli, "_PRODUCT_BLOCK", block):
+            got = pauli._array_product(a, b, n) if a and b else {}
+        assert list(got) == list(want)
+        assert all(got[s] == c for s, c in want.items())
+        assert PauliSum(n, got) == PauliSum(n, want)
+
+    def test_cancelled_cross_terms_are_purged(self):
+        za, zb = PauliString(0, 1 << 70), PauliString(0, 0b11)
+        a = {za: 0.3 + 0.1j, zb: 0.7 - 0.2j}
+        b = {za: 0.3 + 0.1j, zb: -0.7 + 0.2j}
+        for s in sparse_strings(np.random.default_rng(3), 130, 80):
+            a.setdefault(s, 0.25)
+        got = pauli._array_product(a, b, 130)
+        assert got == pauli._loop_product(a, b)
+        assert got[PauliString(0, za.z_mask ^ zb.z_mask)] == 0
+        product = PauliSum(130, a) @ PauliSum(130, b)
+        assert product.coefficient(PauliString(0, za.z_mask ^ zb.z_mask)) == 0
+
+    def test_large_product_matches_dense(self):
+        rng = np.random.default_rng(23)
+        a = random_sum(rng, 3, 16, hermitian=False)
+        b = random_sum(rng, 3, 12, hermitian=False)
+        assert len(a) * len(b) >= pauli._ARRAY_PRODUCT_MIN
+        np.testing.assert_allclose(
+            dense_sum(a @ b), dense_sum(a) @ dense_sum(b), rtol=0, atol=1e-12
+        )
+
+    @settings(deadline=None)
+    @given(
+        n=st.sampled_from([65, 130]),
+        seed=st.integers(0, 2**32 - 1),
+        extra=st.integers(0, 200),
+    )
+    def test_terms_sort_by_sort_key(self, n, seed, extra):
+        rng = np.random.default_rng(seed)
+        strings = sparse_strings(rng, n, pauli._ARRAY_PRODUCT_MIN + extra, 6)
+        a = PauliSum(n, {s: 1.0 + k for k, s in enumerate(strings)})
+        if len(a) >= pauli._ARRAY_PRODUCT_MIN:
+            items = list(a._terms.items())
+            assert a.terms() == sorted(items, key=lambda t: t[0].sort_key())
+
+    def test_terms_sort_prefixes_and_word_edges(self):
+        labels = ["", "X0", "X0 Z1", "X0 Z70", "Y0", "Z0 X64", "Z63", "X64",
+                  "Y64 Z65", "Z64", "X129", "Z0 Z63 X64 Y129"]
+        strings = [PauliString.from_label(t) for t in labels]
+        strings += sparse_strings(np.random.default_rng(7), 130, 400, 3)
+        a = PauliSum(130, {s: 1.0 for s in reversed(strings)})
+        assert len(a) >= pauli._ARRAY_PRODUCT_MIN
+        items = list(a._terms.items())
+        assert a.terms() == sorted(items, key=lambda t: t[0].sort_key())
 
 
 def odd_y_count(x, z):

@@ -17,6 +17,7 @@ from gsee.chem import (
     parse_fcidump,
 )
 from gsee.circuits import Circuit
+from gsee import qcm4
 from gsee.pauli import PauliString, PauliSum
 from gsee.simulator import StateVector, estimate_pauli_z, expectation
 from gsee.qcm4 import (
@@ -32,7 +33,7 @@ from gsee.qcm4 import (
     pauli_filter,
     plan,
 )
-from helpers import circuit_unitary
+from helpers import circuit_unitary, conjugate_reference
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "src" / "gsee" / "fixtures"
 
@@ -199,6 +200,27 @@ class TestPlan:
                         PauliString(0, term.z_mask), n
                     )
                     assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+    @pytest.mark.parametrize("n", [3, 64, 70, 130])
+    def test_set_wide_conjugation_matches_one_string_at_a_time(self, n):
+        rng = np.random.default_rng(n)
+
+        def mask():
+            return sum(1 << int(q) for q in np.flatnonzero(rng.integers(0, 2, n)))
+
+        strings = [PauliString(mask(), mask()) for _ in range(40)]
+        ops = []
+        for _ in range(60):
+            a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
+            ops.append([("h", a), ("s", a), ("cz", a, b)][int(rng.integers(3))])
+        x = qcm4._transpose([s.x_mask for s in strings], n)
+        z = qcm4._transpose([s.z_mask for s in strings], n)
+        parity = qcm4._conjugate(x, z, 0, ops)
+        signs = [1 - 2 * (parity >> k & 1) for k in range(len(strings))]
+        got = list(zip(
+            qcm4._transpose(x, len(strings)), qcm4._transpose(z, len(strings)), signs
+        ))
+        assert got == [conjugate_reference(s.x_mask, s.z_mask, ops) for s in strings]
 
     def test_every_string_covered_once(self):
         rng = np.random.default_rng(32)
