@@ -428,7 +428,9 @@ def ci_initial_state(
 
 def determinants_from_json(text: str) -> tuple[int, list[Determinant]]:
     payload = json.loads(text)
-    norb = int(payload["norb"])
+    norb = payload["norb"]
+    if type(norb) is not int:
+        raise ValueError("norb must be an integer")
     dets = [
         Determinant(int(entry["mask"], 2), float(entry["coeff"]))
         for entry in payload["dets"]

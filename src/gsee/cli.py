@@ -156,7 +156,10 @@ def _value(
         value, accepted
     ):
         raise InputError(f"{where} must be {_TYPE_NAMES[kind]}")
-    value = kind(value)
+    try:
+        value = kind(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
     if kind is float and not math.isfinite(value):
         raise InputError(f"{where} must be a finite number")
     if isinstance(minimum, _Above) and value <= minimum:

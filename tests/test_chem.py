@@ -318,6 +318,15 @@ class TestCiInitialState:
         # exact in-sector ground state
         assert fidelity == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("norb", [2.7, 2.0, "2", True, None])
+    def test_norb_must_be_a_json_integer(self, norb):
+        def text(norb):
+            return json.dumps({"norb": norb, "dets": [{"mask": "11", "coeff": 1.0}]})
+
+        with pytest.raises(ValueError, match="norb must be an integer"):
+            determinants_from_json(text(norb))
+        assert determinants_from_json(text(2))[0] == 2
+
     def test_empty_after_threshold_rejected(self):
         with pytest.raises(ValueError, match="survive"):
             ci_initial_state([Determinant(0, 0.01)], 0.03, 2)

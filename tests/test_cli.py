@@ -350,7 +350,11 @@ class TestConfigSchema:
         assert type(got) is float and got == 1.0
 
     @pytest.mark.parametrize(("section", "key"), NUMBER_KEYS)
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "value",
+        # a JSON integer too large for a float
+        [math.nan, math.inf, -math.inf, pytest.param(10**400, id="1e400")],
+    )
     def test_non_finite_numbers_rejected(self, tmp_path, section, key, value):
         with pytest.raises(InputError) as info:
             resolve_section(tmp_path, section, {key: value})
@@ -691,6 +695,28 @@ class TestRegisterCap:
         code = main(["qcm4", "--config", str(config), "--out", str(tmp_path / "run")])
         assert code == 2
         assert "register width must be in 1..20" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("form", ["operator", "determinants"])
+    def test_non_integer_register_width_exits_2(self, tmp_path, capsys, form):
+        # int() would read 4.5 as 4 qubits and 2.5 as 2 orbitals
+        h = PauliSum(4, {PauliString.from_label("Z3"): 1.0})
+        op = json.loads(h.to_json())
+        dets = {"norb": 2, "dets": [{"mask": "11", "coeff": 1.0}]}
+        if form == "operator":
+            op["n_qubits"] = 4.5
+        else:
+            dets["norb"] = 2.5
+        (tmp_path / "op.json").write_text(json.dumps(op))
+        (tmp_path / "dets.json").write_text(json.dumps(dets))
+        config = write_config(tmp_path, {
+            "algorithm": "qcm4", "operator": "op.json",
+            "state": {"determinants": "dets.json", "threshold": 0.0},
+        })
+        code = main(["qcm4", "--config", str(config), "--out", str(tmp_path / "run")])
+        assert code == 2
+        path = tmp_path / ("op.json" if form == "operator" else "dets.json")
+        assert str(path) in capsys.readouterr().err
 
 
 class TestRecompileRun:

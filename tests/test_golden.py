@@ -81,6 +81,12 @@ RUNS = {
         "qcm4", operator="ingest_8q/operator.json",
         state={"determinants": "spin_polarized_ci.json"},
     ),
+    # the qubitwise commutation graph on the same 5,459 strings
+    "qcm4_8q_qubitwise": _config(
+        "qcm4", operator="ingest_8q/operator.json",
+        state={"determinants": "spin_polarized_ci.json"},
+        qcm4={"grouping": "qubitwise"},
+    ),
 }
 RUN_DIRS = ("ingest", "ingest_8q", *RUNS, "report")
 

@@ -332,6 +332,15 @@ class TestGrouping:
     def test_matches_pairwise_reference(self, a, mode):
         assert a.group_commuting(mode) == greedy_coloring_reference(a, mode)
 
+    # partial last blocks, and packed clash rows whose last byte is padding
+    @pytest.mark.parametrize("mode", ["full", "qubitwise"])
+    @pytest.mark.parametrize("block", [1, 3, 8])
+    @settings(deadline=None)
+    @given(a=hermitian_sums())
+    def test_matches_pairwise_reference_at_any_block_size(self, block, mode, a):
+        with mock.patch.object(pauli, "_CLASH_BLOCK", block):
+            assert a.group_commuting(mode) == greedy_coloring_reference(a, mode)
+
     @pytest.mark.parametrize("mode", ["full", "qubitwise"])
     def test_matches_reference_across_mask_words(self, mode):
         # every string on qubits 0, 63 | 64, 69: supports straddle the
@@ -661,3 +670,10 @@ class TestSerialization:
         assert payload["terms"][0]["paulis"] == ""
         assert payload["terms"][0]["coeff"] == [0.25, -0.5]
         assert PauliSum.from_json(a.to_json()) == a
+
+    @pytest.mark.parametrize("width", [4.5, 4.0, "4", True, None])
+    def test_n_qubits_must_be_a_json_integer(self, width):
+        payload = json.loads(PauliSum(4, {PauliString.from_label("Z3"): 1.0}).to_json())
+        payload["n_qubits"] = width
+        with pytest.raises(ValueError, match="n_qubits must be an integer"):
+            PauliSum.from_json(json.dumps(payload))
