@@ -22,7 +22,8 @@ endian: qubit ``q`` is bit ``q`` of the computational-basis index.  With
 2004).  This module is the only place that action is computed:
 :meth:`PauliString.action` serves the simulator, the dense matrices and
 tapering, and :func:`z_signs` Z-basis estimation.  :func:`gf2_reduce`
-serves tapering and the dependent-string test of measurement planning;
+serves tapering, the dependent-string test of measurement planning and
+the symmetry blocks of :meth:`PauliSum.eig`;
 ``qcm4._diagonalizing_ops`` keeps its own column-by-column x-block
 reduction, because those pivots choose the Clifford gates it emits and
 the qcm4 shot records depend on them.
@@ -563,7 +564,13 @@ class PauliSum:
             out = _array_product(self._terms, other._terms, self._n_qubits)
         else:
             out = _loop_product(self._terms, other._terms)
-        return PauliSum(self._n_qubits, out)
+        # the strings are distinct and in the register, and every coefficient
+        # is already 0j + c (a sum from +0.0 never rounds to -0.0), so only
+        # the purge of __init__ is left
+        product = object.__new__(PauliSum)
+        product._n_qubits = self._n_qubits
+        product._terms = {s: c for s, c in out.items() if abs(c) > PURGE_TOL}
+        return product
 
     # ------------------------------------------------------------------
     # dense paths
@@ -593,35 +600,46 @@ class PauliSum:
         return out
 
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Hermitian eigendecomposition ``(eigenvalues, vectors)``.
+        """Hermitian eigendecomposition ``(eigenvalues, vectors)``, block by block.
 
-        Eigenvalues ascend; the vectors are the ``complex128`` columns of a
-        unitary.  When no term has an odd number of Y factors, every string
-        matrix is real, and with the real coefficients a Hermitian sum
-        requires, so is the sum: it is then diagonalized by a real
-        symmetric ``eigh``, several times faster than the complex one, and
-        the vectors are cast to ``complex128`` once here.  Sums with an
-        odd-Y string take the complex ``eigh``.
+        Eigenvalues ascend (a stable sort); the vectors are the ``complex128``
+        columns of a unitary.  A string maps ``|b>`` to a multiple of
+        ``|b^x>``, so the cosets of the span of the terms' x masks (rank r,
+        :func:`gf2_reduce`) are closed under the sum: :meth:`to_dense` leaves
+        exact zeros between them.  Each index is labelled by its coset (its
+        pivot bits cleared), and the 2^(n−r) blocks of 2^r go through one
+        batched ``eigh``, the real symmetric one when no term has an odd
+        number of Y factors: every string matrix is then real, and so are
+        the coefficients of a Hermitian sum.
 
         Raises:
             ValueError: non-Hermitian sum, register beyond the dense cap,
-                or the matrix, its real copy and the vectors together
-                exceed physical memory.
+                or the matrix or the vectors beside the blocks exceed
+                physical memory.
         """
         if not self.is_hermitian():
             raise ValueError("eigendecomposition requires a Hermitian sum")
         self._require_dense_width()
         real = all(s.phase.imag == 0 for s in self._terms)
-        # the complex matrix and vectors, 16 bytes a cell each, plus the
-        # 8-byte real copy on the real path
-        cells = 1 << (2 * self._n_qubits)
-        _check_dense_memory((40 if real else 32) * cells, "dense eigendecomposition")
-        dense = self.to_dense()
-        if real:
-            # rebinding drops the complex matrix before eigh runs
-            dense = np.ascontiguousarray(dense.real)
-        vals, vecs = np.linalg.eigh(dense)
-        return vals, vecs.astype(np.complex128, copy=False)
+        pivots, _ = gf2_reduce(s.x_mask for s in self._terms)
+        dim, block = 1 << self._n_qubits, 1 << len(pivots)
+        # the complex matrix, then the complex vectors, beside the blocks
+        need = dim * (16 * dim + (8 if real else 16) * block)
+        _check_dense_memory(need, "dense eigendecomposition")
+        rep = np.arange(dim)
+        for col, prow in pivots.items():
+            rep ^= ((rep >> col) & 1) * prow
+        rows = np.argsort(rep, kind="stable").reshape(-1, block)
+        blocks = self.to_dense()
+        # rebinding drops the full matrix before eigh runs
+        blocks = (blocks.real if real else blocks)[rows[:, :, None], rows[:, None]]
+        vals, blocks = np.linalg.eigh(blocks)
+        order = np.argsort(vals, axis=None, kind="stable")
+        vecs = np.zeros((dim, dim), dtype=np.complex128)
+        cols = np.empty_like(order)
+        cols[order] = np.arange(dim)  # the inverse permutation
+        vecs[rows[:, :, None], cols.reshape(rows.shape)[:, None]] = blocks
+        return vals.ravel()[order], vecs
 
     # ------------------------------------------------------------------
     # truncation and grouping

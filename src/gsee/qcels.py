@@ -103,9 +103,10 @@ def scale(h: PauliSum) -> ScaledHamiltonian:
     h1 = (4/pi) max |eig(H - h0 I)|, so H~ = (H - h0 I)/h1 has its
     largest eigenvalue magnitude at exactly pi/4.
 
-    The dense eigendecomposition of H - h0 I (:meth:`PauliSum.eig`) is
-    computed once here: H~ keeps its vectors and the eigenvalues times
-    1/h1, which :meth:`ScaledHamiltonian.evolve` reads.
+    The dense eigendecomposition of H - h0 I (:meth:`PauliSum.eig`, one
+    batched ``eigh`` over H's symmetry blocks) is computed once here: H~
+    keeps its vectors and the eigenvalues times 1/h1, which
+    :meth:`ScaledHamiltonian.evolve` reads.
 
     Raises:
         ValueError: H is not Hermitian, is wider than the dense cap

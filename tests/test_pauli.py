@@ -549,6 +549,79 @@ class TestEig:
             (a * 1j).eig()
 
 
+@st.composite
+def blocked_eig_sums(draw):
+    """Sums whose x masks span everything, nothing, or anything between.
+
+    Beside :func:`eig_sums`: a sum holding an X or Y on every qubit (full
+    rank, one block), an all-Z sum (2^n blocks of 1) and an identity-only
+    sum, each with real coefficients.
+    """
+    kind = draw(st.sampled_from(["random", "full_rank", "all_z", "identity"]))
+    if kind == "random":
+        return draw(eig_sums())
+    n = draw(st.integers(1, 6))
+    masks = st.integers(0, (1 << n) - 1)
+    coeffs = st.floats(-2.0, 2.0, allow_nan=False)
+    if kind == "identity":
+        return PauliSum(n, {PauliString(): draw(coeffs)})
+    terms = [(0, draw(masks), draw(coeffs)) for _ in range(draw(st.integers(0, 20)))]
+    if kind == "full_rank":
+        # X or Y on qubit q with Z factors below it: odd-Y strings included
+        terms += [
+            (1 << q, draw(masks) & ((2 << q) - 1), draw(st.floats(0.1, 2.0)))
+            for q in range(n)
+        ]
+    return PauliSum(n, [(PauliString(x, z), c) for x, z, c in terms])
+
+
+def coset_rows(a):
+    """Basis indices grouped by coset of the x masks' span, by brute force."""
+    span = {0}
+    for s, _ in a.terms():
+        span |= {v ^ s.x_mask for v in span}
+    cosets = {}
+    for b in range(1 << a.n_qubits):
+        cosets.setdefault(min(b ^ v for v in span), []).append(b)
+    return list(cosets.values())
+
+
+class TestBlockedEig:
+    @settings(deadline=None)
+    @given(a=blocked_eig_sums())
+    def test_matches_the_full_spectrum(self, a):
+        vals, vecs = a.eig()
+        dense = a.to_dense()
+        tol = 1e-12 * a.one_norm()
+        assert np.all(np.diff(vals) >= 0)
+        np.testing.assert_allclose(vals, np.linalg.eigvalsh(dense), rtol=0, atol=tol)
+        eye = np.eye(1 << a.n_qubits)
+        np.testing.assert_allclose(vecs.conj().T @ vecs, eye, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dense @ vecs, vecs * vals, rtol=0, atol=tol)
+
+    @settings(deadline=None)
+    @given(a=blocked_eig_sums())
+    def test_blocks_are_the_dense_cosets(self, a):
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            a.eig()
+        assert eigh.call_count == 1
+        (stack,) = eigh.call_args.args
+        dense = a.to_dense()
+        if stack.dtype == np.float64:
+            # the real path drops an imaginary part that is exactly zero
+            assert not np.any(dense.imag)
+            dense = dense.real
+        rows = coset_rows(a)
+        assert stack.shape == (len(rows), len(rows[0]), len(rows[0]))
+        # each stacked block is one coset's sub-matrix, bit for bit
+        want = sorted(dense[np.ix_(r, r)].tobytes() for r in rows)
+        assert sorted(block.tobytes() for block in stack) == want
+        inside = np.zeros(dense.shape, dtype=bool)
+        for r in rows:
+            inside[np.ix_(r, r)] = True
+        assert not np.any(dense[~inside])
+
+
 class TestDenseMemoryCheck:
     def test_to_dense_refuses_more_than_physical_memory(self, monkeypatch):
         monkeypatch.setattr(pauli, "_physical_memory", lambda: 1000)
@@ -557,14 +630,15 @@ class TestDenseMemoryCheck:
         with pytest.raises(ValueError, match=r"1,024 bytes.*1,000 bytes"):
             a.to_dense()
 
-    @pytest.mark.parametrize("label, need", [("Z0 X1", "2,560"), ("Y0", "2,048")])
+    @pytest.mark.parametrize("label, need", [("Z0 X1", "1,152"), ("Y0", "1,280")])
     def test_eig_counts_copies_and_vectors(self, monkeypatch, label, need):
-        # 3 qubits, 64 cells: the matrix fits in 2,000 bytes, but the real
-        # path holds 40 bytes a cell and the complex path 32
-        monkeypatch.setattr(pauli, "_physical_memory", lambda: 2000)
+        # 3 qubits, 64 cells: the 1,024-byte matrix fits in 1,100 bytes, but
+        # eig holds it, and then the vectors, beside 4 blocks of 2 x 2: 8
+        # bytes a block cell on the real path and 16 on the complex one
+        monkeypatch.setattr(pauli, "_physical_memory", lambda: 1100)
         a = PauliSum(3, {PauliString.from_label(label): 1.0})
         a.to_dense()
-        with pytest.raises(ValueError, match=rf"{need} bytes.*2,000 bytes"):
+        with pytest.raises(ValueError, match=rf"{need} bytes.*1,100 bytes"):
             a.eig()
         with pytest.raises(ValueError, match="physical memory"):
             scale(a)

@@ -644,14 +644,19 @@ class TestOneEigendecomposition:
         amps = np.zeros(1 << h.n_qubits, dtype=complex)
         amps[[0b01010100, 0b00010101, 0b01000101]] = [0.8, 0.48, 0.36]
         psi = StateVector(h.n_qubits, amps)
-        calls = []
-        eigh = np.linalg.eigh
+        calls, eig_calls = [], []
+        eigh, eig = np.linalg.eigh, PauliSum.eig
 
         def counting_eigh(a, *args, **kwargs):
             calls.append(a.shape)
             return eigh(a, *args, **kwargs)
 
+        def counting_eig(self):
+            eig_calls.append(self.n_qubits)
+            return eig(self)
+
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(PauliSum, "eig", counting_eig)
         sh = scale(h)
         tau = choose_grid(sh, psi, 9)
         for series in (
@@ -660,5 +665,8 @@ class TestOneEigendecomposition:
         ):
             assert math.isfinite(fit(series, sh).energy)
         # scale diagonalizes H - h0 I once; H~ keeps its vectors and the
-        # rescaled eigenvalues, which every evolution reads
-        assert calls == [(256, 256)]
+        # rescaled eigenvalues, which every evolution reads.  The x masks
+        # span 6 of the 8 qubits, so that one eigh is batched over the
+        # 4 symmetry blocks of 64
+        assert eig_calls == [8]
+        assert calls == [(4, 64, 64)]
