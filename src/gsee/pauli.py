@@ -564,13 +564,15 @@ class PauliSum:
             out = _array_product(self._terms, other._terms, self._n_qubits)
         else:
             out = _loop_product(self._terms, other._terms)
-        # the strings are distinct and in the register, and every coefficient
-        # is already 0j + c (a sum from +0.0 never rounds to -0.0), so only
-        # the purge of __init__ is left
-        product = object.__new__(PauliSum)
-        product._n_qubits = self._n_qubits
-        product._terms = {s: c for s, c in out.items() if abs(c) > PURGE_TOL}
-        return product
+        # every coefficient is already 0j + c (a sum from +0.0 never rounds
+        # to -0.0), so only the purge of __init__ is left
+        return self._adopt({s: c for s, c in out.items() if abs(c) > PURGE_TOL})
+
+    def _adopt(self, terms: dict[PauliString, complex]) -> "PauliSum":
+        """A sum on this register over ``terms``, already as ``__init__`` makes them."""
+        out = object.__new__(PauliSum)
+        out._n_qubits, out._terms = self._n_qubits, terms
+        return out
 
     # ------------------------------------------------------------------
     # dense paths
@@ -663,7 +665,7 @@ class PauliSum:
                 dropped += abs(c)
             else:
                 kept[s] = c
-        return PauliSum(self._n_qubits, kept), dropped
+        return self._adopt(kept), dropped
 
     def group_commuting(
         self, mode: str = "full"

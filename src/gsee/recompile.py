@@ -3,12 +3,12 @@
 The objective is the squared vector distance || |target> - |s(params)> ||^2
 = 2 - 2 Re<target|s(params)>, which is global-phase sensitive on purpose:
 the compiled state must reproduce ancilla-entangled targets including the
-relative phase between branches.  The objective is linear in the
-circuit unitary, so one adjoint sweep of
-:func:`gsee.simulator.overlap_gradient` gives every restart's objective
-and its exact gradient: a forward pass prepares the states and a backward
-pass carries them and the target back gate by gate (Jones & Gacon,
-arXiv:2009.02823).  All restarts run as one batch per iteration.
+relative phase between branches.  The objective is linear in the circuit
+unitary, so one adjoint sweep of :func:`gsee.simulator.overlap_gradient`
+gives every restart's objective and its exact gradient: a forward pass
+prepares the states and a backward pass carries them and the target back
+gate by gate (Jones & Gacon, arXiv:2009.02823).  All restarts of all time
+points of a series run as one batch per iteration.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .circuits import Circuit
-from .simulator import CompiledCircuit, StateVector, derived_rng, overlap_gradient
+from .simulator import CompiledCircuit, StateVector, derived_rng
+from .simulator import group_overlaps, overlap_gradient
 
 __all__ = [
     "CompileConfig",
@@ -34,6 +35,11 @@ __all__ = [
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
+# A sweep keeps about 10 live (rows, 2^n) complex arrays, so batches of targets
+# stay within 2^16 amplitudes (1 MiB) per array: that spreads each gate's numpy
+# overhead at small widths, while at 11-13 qubits batches of 2^18 ran slower
+# per target than one target alone, as the gathers fell out of cache.
+_GROUP_AMPLITUDES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -51,6 +57,10 @@ class CompileConfig:
     def __post_init__(self) -> None:
         if self.max_iterations < 1 or self.restarts < 1:
             raise ValueError("need at least one iteration and one restart")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and positive")
+        if not 0.0 <= self.tolerance < math.inf:
+            raise ValueError("tolerance must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -105,9 +115,7 @@ class SeriesCompilation:
 
 
 def compile_state(
-    target: StateVector,
-    ansatz: Circuit,
-    config: CompileConfig = CompileConfig(),
+    target: StateVector, ansatz: Circuit, config: CompileConfig = CompileConfig()
 ) -> CompilationResult:
     """Minimizes the distance objective over the ansatz parameters.
 
@@ -116,50 +124,61 @@ def compile_state(
     and serve every sweep: each iteration is one adjoint sweep that
     yields every restart's objective and exact gradient, and plain
     forward sweeps score the last iterate and the winner.  The best
-    parameters ever
-    evaluated are returned, so the final objective never exceeds the
-    initial one, and the winner is simulated once more so that the
-    reported fidelity is |<target|U(parameters)|0>|^2 for exactly the
-    returned parameters.
+    parameters ever evaluated are returned, so the final objective never
+    exceeds the initial one, and the winner is simulated once more so
+    that the reported fidelity is |<target|U(parameters)|0>|^2 for
+    exactly the returned parameters.
 
     Raises:
         ValueError: the objective became non-finite (diverged run).
     """
-    if ansatz.n_qubits != target.n_qubits:
+    return _compile(CompiledCircuit(ansatz), [target], config)[0]
+
+
+def _compile(
+    compiled: CompiledCircuit, targets: Sequence[StateVector], config: CompileConfig
+) -> list[CompilationResult]:
+    """:func:`compile_state` per target; row t * restarts + r is restart r of t."""
+    ansatz = compiled.circuit
+    if any(target.n_qubits != ansatz.n_qubits for target in targets):
         raise ValueError("ansatz and target widths differ")
     if ansatz.n_params == 0:
         raise ValueError("ansatz has no parameters to optimize")
     n_params = ansatz.n_params
-    n_restarts = config.restarts
     rng = derived_rng(config.seed)
-    thetas = rng.uniform(-math.pi, math.pi, size=(n_restarts, n_params))
+    start = rng.uniform(-math.pi, math.pi, size=(config.restarts, n_params))
     if config.initial_parameters is not None:
         init = np.asarray(config.initial_parameters, dtype=float)
         if init.shape != (n_params,):
             raise ValueError(f"expected {n_params} initial parameters")
-        thetas[0] = init
-    target_conj = target.amplitudes.conj()
-    compiled = CompiledCircuit(ansatz)
-    zero = np.zeros(1 << ansatz.n_qubits, dtype=complex)
-    zero[0] = 1.0
+        start[0] = init
+    amps = np.array([target.amplitudes for target in targets])
+    zero = np.eye(1, amps.shape[1], dtype=complex)
+    best_obj = np.full((len(amps), config.restarts), np.inf)
+    best_thetas = np.tile(start, (len(amps), 1, 1))
+    iterations = np.full(len(amps), config.max_iterations)
 
-    best_obj = np.full(n_restarts, np.inf)
-    best_thetas = thetas.copy()
+    # the targets still in the batch (until they reach tolerance), and their Adam state
+    live = np.arange(len(amps))
+    thetas = best_thetas.copy()
     m = np.zeros_like(thetas)
     v = np.zeros_like(thetas)
-    iterations = 0
     for it in range(1, config.max_iterations + 1):
         overlaps, d_overlaps = overlap_gradient(
-            compiled, target.amplitudes, thetas
+            compiled, amps[live], thetas.reshape(-1, n_params)
         )
-        objs = 2.0 - 2.0 * overlaps.real
+        objs = (2.0 - 2.0 * overlaps.real).reshape(len(live), -1)
         if not np.all(np.isfinite(objs)):
             raise ValueError("objective diverged to a non-finite value")
-        improved = objs < best_obj
-        best_obj = np.where(improved, objs, best_obj)
-        best_thetas[improved] = thetas[improved]
-        iterations = it
-        if best_obj.min() <= config.tolerance:
+        improved = objs < best_obj[live]
+        best_obj[live] = np.where(improved, objs, best_obj[live])
+        best_thetas[live] = np.where(improved[..., None], thetas, best_thetas[live])
+        done = best_obj[live].min(axis=1) <= config.tolerance
+        iterations[live[done]] = it
+        live, thetas, m, v, d_overlaps = (
+            a[~done] for a in (live, thetas, m, v, d_overlaps.reshape(thetas.shape))
+        )
+        if not live.size:
             break
         grad = -2.0 * d_overlaps.real
         lr = config.learning_rate * 0.5 * (
@@ -172,23 +191,24 @@ def compile_state(
         thetas = thetas - lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
     else:
         # final parameter vectors were updated but never scored
-        objs = 2.0 - 2.0 * (compiled.simulate(zero, thetas) @ target_conj).real
-        improved = objs < best_obj
-        best_obj = np.where(improved, objs, best_obj)
-        best_thetas[improved] = thetas[improved]
+        phi = compiled.simulate(zero, thetas.reshape(-1, n_params))
+        objs = 2.0 - 2.0 * group_overlaps(phi, amps[live]).real.reshape(len(live), -1)
+        improved = objs < best_obj[live]
+        best_obj[live] = np.where(improved, objs, best_obj[live])
+        best_thetas[live] = np.where(improved[..., None], thetas, best_thetas[live])
 
-    winner = int(np.argmin(best_obj))
-    params = best_thetas[winner]
-    state = compiled.simulate(zero, params[None])[0]
-    overlap = complex(target_conj @ state)
-    return CompilationResult(
-        parameters=params,
-        objective=float(2.0 - 2.0 * overlap.real),
-        fidelity=float(abs(overlap) ** 2),
-        iterations=iterations,
-        seed=config.seed,
-        restart=winner,
-    )
+    winners = np.argmin(best_obj, axis=1)
+    params = best_thetas[np.arange(len(amps)), winners]
+    states = compiled.simulate(zero, params)
+    overlaps = [complex(a.conj() @ state) for a, state in zip(amps, states)]
+    return [
+        CompilationResult(
+            parameters=params[t], objective=float(2.0 - 2.0 * overlap.real),
+            fidelity=float(abs(overlap) ** 2), iterations=int(iterations[t]),
+            seed=config.seed, restart=int(winners[t]),
+        )
+        for t, overlap in enumerate(overlaps)
+    ]
 
 
 def compile_series(
@@ -197,24 +217,26 @@ def compile_series(
     config: CompileConfig = CompileConfig(),
     layers: int | None = None,
 ) -> SeriesCompilation:
-    """Independent compile_state per target.
+    """:func:`compile_state` for every target over one shared ansatz.
 
-    Every step draws its restarts from the same seeded stream, so
-    identical targets produce identical results.  With ``warm_start`` the
-    previous step's solution seeds one restart of the next step (off by
-    default: steps stay fully independent).
+    Every target draws its restarts from the same seeded stream, so
+    identical targets produce identical results.  Consecutive targets run
+    as one batch, as many as keep its amplitudes within
+    :data:`_GROUP_AMPLITUDES`; every step is per row, so the results are bit
+    for bit those of one call per target.  With ``warm_start`` (off by
+    default) the previous target's solution seeds one restart of the next,
+    so targets run one at a time.
     """
     if not targets:
         raise ValueError("no targets to compile")
-    results = []
+    compiled = CompiledCircuit(ansatz)
+    rows = config.restarts << ansatz.n_qubits
+    per_group = 1 if config.warm_start else max(1, _GROUP_AMPLITUDES // rows)
+    results: list[CompilationResult] = []
     step_config = config
-    for target in targets:
-        result = compile_state(target, ansatz, step_config)
-        results.append(result)
+    for first in range(0, len(targets), per_group):
+        results += _compile(compiled, targets[first:first + per_group], step_config)
         if config.warm_start:
-            step_config = replace(
-                config, initial_parameters=tuple(result.parameters)
-            )
-    return SeriesCompilation(
-        n_qubits=ansatz.n_qubits, layers=layers, results=tuple(results)
-    )
+            init = tuple(results[-1].parameters)
+            step_config = replace(config, initial_parameters=init)
+    return SeriesCompilation(ansatz.n_qubits, layers, tuple(results))

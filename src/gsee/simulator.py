@@ -28,6 +28,7 @@ __all__ = [
     "apply_circuit",
     "CompiledCircuit",
     "simulate_batch",
+    "group_overlaps",
     "overlap_gradient",
     "expectation",
     "sample_z",
@@ -243,6 +244,17 @@ def simulate_batch(
     return CompiledCircuit(circuit).simulate(initial, params)
 
 
+def group_overlaps(states: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """``<targets[t]|row>`` for rows in ``len(targets)`` equal consecutive groups.
+
+    One matrix-vector product per group, as a batch of that group alone
+    takes it: a per-row dot differs in the last bit, and an optimizer
+    keeps its parameters by these overlaps.
+    """
+    groups = states.reshape(len(targets), -1, states.shape[-1])
+    return np.concatenate([g @ t.conj() for g, t in zip(groups, targets)])
+
+
 def overlap_gradient(
     compiled: CompiledCircuit, target: np.ndarray, params: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -252,10 +264,13 @@ def overlap_gradient(
     and lambda = target back together, undoing one gate at a time; at a
     rotation exp(-i angle P/2) the derivative of the overlap is
     ``<lambda|(-i/2) P|phi>``, summed over every gate that uses the
-    parameter (Jones & Gacon, arXiv:2009.02823).
+    parameter (Jones & Gacon, arXiv:2009.02823).  Each of T targets owns a
+    consecutive group of batch / T rows.  Every step is elementwise, a
+    gather or a per-row ``np.vecdot``, and :func:`group_overlaps` gives the
+    overlaps, so a group's results are bit for bit its target's alone.
 
     Args:
-        target: amplitudes of shape ``(2^n,)``.
+        target: amplitudes of shape ``(2^n,)`` or ``(T, 2^n)``.
         params: parameter matrix of shape ``(batch, n_params)``.
 
     Returns:
@@ -263,24 +278,25 @@ def overlap_gradient(
         ``(batch, n_params)``, both complex.
     """
     circuit = compiled.circuit
-    target = np.asarray(target, dtype=complex)
-    if target.shape != (1 << circuit.n_qubits,):
+    targets = np.atleast_2d(np.asarray(target, dtype=complex))
+    if targets.ndim != 2 or targets.shape[1] != 1 << circuit.n_qubits:
         raise ValueError("target width does not match the circuit register")
     params = _check_params(circuit, params)
     if params is None:
         raise ValueError("overlap_gradient needs a symbolic circuit")
     batch = params.shape[0]
+    if not len(targets) or batch % len(targets):
+        raise ValueError("every target needs the same number of parameter rows")
     cos, isin = compiled._trig(params, batch)
-    amps = np.zeros((batch, target.shape[0]), dtype=complex)
+    amps = np.zeros((batch, targets.shape[1]), dtype=complex)
     amps[:, 0] = 1.0
     phi = compiled._forward(amps, cos, isin)
-    overlaps = phi @ target.conj()
+    overlaps = group_overlaps(phi, targets)
 
-    # rows :batch hold phi and rows batch: lambda; the inverse of a
-    # rotation is the same rotation with i sin negated
-    stack = np.concatenate([phi, np.broadcast_to(target, phi.shape)])
-    cos = np.concatenate([cos, cos], axis=1)
-    isin = np.concatenate([isin, isin], axis=1)
+    # stack[0] holds phi and stack[1] lambda, which share each gate's
+    # (batch, 1) trig rows; the inverse of a rotation is the same rotation
+    # with i sin negated
+    stack = np.stack([phi, np.repeat(targets, batch // len(targets), axis=0)])
     # <lambda|P|phi> per rotation; the parameters' sums are formed after
     per_gate = np.zeros((len(cos), batch), dtype=complex)
     for k in reversed(compiled._kernels):
@@ -289,7 +305,7 @@ def overlap_gradient(
             continue
         moved = k.pauli(stack)
         if k.param is not None:
-            np.vecdot(stack[batch:], moved[:batch], out=per_gate[k.col])
+            np.vecdot(stack[1], moved[0], out=per_gate[k.col])
         moved *= isin[k.col]
         stack = cos[k.col] * stack
         stack += moved

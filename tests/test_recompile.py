@@ -1,19 +1,28 @@
 """Recompilation tests: gradient correctness, convergence, and reporting."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from helpers import random_state, shift_gradient
+from gsee import recompile
 from gsee.circuits import hea_ansatz
 from gsee.recompile import (
     CompilationResult,
     CompileConfig,
+    SeriesCompilation,
     compile_series,
     compile_state,
 )
-from gsee.simulator import StateVector, simulate_batch
+from gsee.simulator import (
+    CompiledCircuit,
+    StateVector,
+    derived_rng,
+    overlap_gradient,
+    simulate_batch,
+)
 
 
 def zero_amps(n):
@@ -138,8 +147,121 @@ class TestCompileState:
         with pytest.raises(ValueError, match="iteration"):
             CompileConfig(max_iterations=0)
 
+    @pytest.mark.parametrize("rate", [0.0, -0.05, np.nan, np.inf])
+    def test_learning_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(ValueError, match="learning_rate"):
+            CompileConfig(learning_rate=rate)
+
+    @pytest.mark.parametrize("tolerance", [-1e-12, np.nan, np.inf])
+    def test_tolerance_must_be_finite_and_non_negative(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            CompileConfig(tolerance=tolerance)
+
+
+def one_target_reference(target, ansatz, config):
+    """compile_state's documented Adam loop for one target, written out.
+
+    Each iteration scores its restarts by a forward sweep and one
+    (restarts, 2^n) @ (2^n,) product, and takes their gradient from
+    overlap_gradient.
+    """
+    compiled = CompiledCircuit(ansatz)
+    amps = target.amplitudes
+    zero = zero_amps(ansatz.n_qubits)
+    rng = derived_rng(config.seed)
+    thetas = rng.uniform(-math.pi, math.pi, size=(config.restarts, ansatz.n_params))
+    if config.initial_parameters is not None:
+        thetas[0] = config.initial_parameters
+
+    def score(thetas):
+        return 2.0 - 2.0 * (compiled.simulate(zero, thetas) @ amps.conj()).real
+
+    best_obj = np.full(config.restarts, np.inf)
+    best = thetas.copy()
+    m = np.zeros_like(thetas)
+    v = np.zeros_like(thetas)
+    iterations = config.max_iterations
+    for it in range(1, config.max_iterations + 2):
+        objs = score(thetas)
+        improved = objs < best_obj
+        best_obj = np.where(improved, objs, best_obj)
+        best[improved] = thetas[improved]
+        if it > config.max_iterations:
+            break
+        if best_obj.min() <= config.tolerance:
+            iterations = it
+            break
+        grad = -2.0 * overlap_gradient(compiled, amps, thetas)[1].real
+        lr = config.learning_rate * 0.5 * (
+            1.0 + math.cos(math.pi * (it - 1) / config.max_iterations)
+        )
+        m = 0.9 * m + (1.0 - 0.9) * grad
+        v = 0.999 * v + (1.0 - 0.999) * grad**2
+        thetas = thetas - lr * (m / (1.0 - 0.9**it)) / (
+            np.sqrt(v / (1.0 - 0.999**it)) + 1e-8
+        )
+    winner = int(np.argmin(best_obj))
+    overlap = complex(amps.conj() @ compiled.simulate(zero, best[winner][None])[0])
+    return CompilationResult(
+        parameters=best[winner],
+        objective=float(2.0 - 2.0 * overlap.real),
+        fidelity=float(abs(overlap) ** 2),
+        iterations=iterations,
+        seed=config.seed,
+        restart=winner,
+    )
+
+
+def reachable_series(n_qubits, layers, max_iterations, tolerance):
+    """Five targets whose compilations stop at different iterations.
+
+    Four are states of the ansatz itself and one is Haar-random.
+    """
+    rng = np.random.default_rng(7)
+    ansatz, spec = hea_ansatz(n_qubits, layers)
+    targets = []
+    for k in range(5):
+        if k == 2:
+            targets.append(StateVector(n_qubits, random_state(rng, n_qubits)))
+        else:
+            star = rng.uniform(-np.pi, np.pi, (1, spec.n_params))
+            amps = simulate_batch(ansatz, zero_amps(n_qubits), star)[0]
+            targets.append(StateVector(n_qubits, amps))
+    config = CompileConfig(seed=5, max_iterations=max_iterations, tolerance=tolerance)
+    return targets, ansatz, config
+
+
+# loose: some targets stop early and the rest are re-scored after the last
+# step; converged: every target stops within an ulp of the tolerance, where
+# the last bit of each overlap decides the exit and the kept parameters
+SERIES = {"loose": (3, 3, 150, 1e-4), "converged": (2, 2, 400, 1e-15)}
+
 
 class TestCompileSeries:
+    @pytest.mark.parametrize("case", SERIES)
+    def test_batch_equals_one_compile_state_per_target(self, case):
+        targets, ansatz, config = reachable_series(*SERIES[case])
+        series = compile_series(targets, ansatz, config)
+        alone = [compile_state(t, ansatz, config) for t in targets]
+        iterations = [r.iterations for r in series.results]
+        assert len(set(iterations)) >= 3
+        assert (config.max_iterations in iterations) == (case == "loose")
+        reference = [one_target_reference(t, ansatz, config) for t in targets]
+        for got, want in zip(series.results, reference, strict=True):
+            assert np.array_equal(got.parameters, want.parameters)
+            assert (got.objective, got.fidelity, got.iterations, got.restart) == (
+                want.objective, want.fidelity, want.iterations, want.restart
+            )
+        looped = SeriesCompilation(ansatz.n_qubits, None, tuple(alone))
+        assert series.to_json() == looped.to_json()
+
+    def test_group_budget_is_invisible(self, monkeypatch):
+        targets, ansatz, config = reachable_series(*SERIES["loose"])
+        whole = compile_series(targets, ansatz, config).to_json()
+        # a budget of one amplitude leaves one target per batch
+        monkeypatch.setattr(recompile, "_GROUP_AMPLITUDES", 1)
+        assert compile_series(targets, ansatz, config).to_json() == whole
+
     def test_identical_targets_give_identical_results(self):
         rng = np.random.default_rng(51)
         ansatz, _ = hea_ansatz(2, 1)

@@ -242,10 +242,30 @@ class TestOverlapGradient:
         np.testing.assert_allclose(overlaps, want_overlaps, rtol=0, atol=1e-12)
         np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-10)
 
+    @settings(deadline=None)
+    @given(circuit=symbolic_circuits(), data=st.data())
+    def test_stacked_targets_equal_per_target_calls(self, circuit, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n_targets = data.draw(st.integers(1, 4))
+        restarts = data.draw(st.integers(1, 3))
+        targets = np.array(
+            [random_state(rng, circuit.n_qubits) for _ in range(n_targets)]
+        )
+        params = rng.uniform(-np.pi, np.pi, (n_targets * restarts, circuit.n_params))
+        compiled = CompiledCircuit(circuit)
+        overlaps, grad = overlap_gradient(compiled, targets, params)
+        for t, target in enumerate(targets):
+            rows = slice(t * restarts, (t + 1) * restarts)
+            want_overlaps, want_grad = overlap_gradient(compiled, target, params[rows])
+            assert np.array_equal(overlaps[rows], want_overlaps)
+            assert np.array_equal(grad[rows], want_grad)
+
     def test_input_validation(self):
         circuit, _ = hea_ansatz(2, 1)
         compiled = CompiledCircuit(circuit)
         params = np.zeros((1, circuit.n_params))
+        with pytest.raises(ValueError, match="parameter rows"):
+            overlap_gradient(compiled, np.eye(4)[:2], params)
         with pytest.raises(ValueError, match="target width"):
             overlap_gradient(compiled, np.ones(8) / np.sqrt(8), params)
         with pytest.raises(ValueError, match="parameter shape"):
