@@ -329,42 +329,26 @@ class QcelsResult:
 
 
 def _objective(series: OverlapSeries, thetas: np.ndarray) -> np.ndarray:
-    """f(theta) = |sum_n Z_n e^{i n tau theta}|^2, vectorized over theta."""
-    steps = np.arange(len(series.values)) * series.tau
-    phasors = np.exp(1j * np.outer(thetas, steps))
-    return np.abs(phasors @ series.values) ** 2
-
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(f, a: float, b: float, tol: float) -> float:
-    """Golden-section maximizer on [a, b] for a unimodal f."""
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc = f(c)
-    fd = f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+    """f = |P(z)|^2 at z = e^{i tau theta}, P(z) = sum_n Z_n z^n by Horner's rule."""
+    z = np.exp(1j * series.tau * thetas)
+    p = np.zeros_like(z)
+    for value in series.values[::-1]:
+        p = p * z + value
+    return np.abs(p) ** 2
 
 
 def fit(series: OverlapSeries, sh: ScaledHamiltonian) -> QcelsResult:
     """Maximizes the phase objective and converts the peak to energy.
 
-    The objective is scanned on a uniform grid of :data:`GRID_POINTS`
-    points over [-pi/4, pi/4], then the best point is refined by
-    golden-section search to an interval below 1e-10.  The returned
-    theta is whichever candidate (refined point, grid point, or window
-    edge at the boundary) scores highest, so f(theta*) >= f(theta) holds
-    on the whole grid.
+    The curve is f on a uniform grid of :data:`GRID_POINTS` points over
+    [-pi/4, pi/4], evaluated by Horner's rule.  Newton's method on f',
+    with analytic derivatives, polishes the best grid point; its iterates
+    are clipped to that point's cell (the interval between its grid
+    neighbours, inside the window) and it stops where f is not concave,
+    at a fixed point, or after 20 steps.  The returned theta is whichever
+    of the grid point and the polished point scores higher, and the grid
+    point wins ties, so a maximum on the window edge stays at exactly
+    +/-pi/4 and f(theta*) >= f(theta) holds on the whole grid.
     """
     if len(series.values) < 2:
         raise ValueError("need at least two samples to fit")
@@ -373,12 +357,24 @@ def fit(series: OverlapSeries, sh: ScaledHamiltonian) -> QcelsResult:
     curve = _objective(series, grid)
     best = int(np.argmax(curve))
     spacing = grid[1] - grid[0]
-    refined = _golden_max(
-        lambda th: float(_objective(series, np.array([th]))[0]),
-        max(lo, grid[best] - spacing),
-        min(hi, grid[best] + spacing),
-        tol=1e-11,
-    )
+    cell_lo, cell_hi = max(lo, grid[best] - spacing), min(hi, grid[best] + spacing)
+    # Newton on f' with k_n = n tau, P' = sum i k_n Z_n e^{i k_n theta} and
+    # P'' = -sum k_n^2 Z_n e^{i k_n theta}: f'/2 = Re(conj(P) P') and
+    # f''/2 = |P'|^2 + Re(conj(P) P''); a start within one cell of the
+    # peak converges in a few steps
+    k = np.arange(len(series.values)) * series.tau
+    refined = float(grid[best])
+    for _ in range(20):
+        terms = series.values * np.exp(1j * k * refined)
+        p, dp, d2p = terms.sum(), 1j * (k * terms).sum(), -(k * k * terms).sum()
+        curvature = abs(dp) ** 2 + (p.conjugate() * d2p).real
+        if curvature >= 0.0:
+            break
+        step = float(refined - (p.conjugate() * dp).real / curvature)
+        step = min(cell_hi, max(cell_lo, step))
+        if step == refined:
+            break
+        refined = step
     # the grid point wins ties so boundary maxima stay at exactly +/-pi/4
     candidates = np.array([grid[best], refined])
     scores = _objective(series, candidates)

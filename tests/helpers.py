@@ -65,6 +65,22 @@ def random_state(rng: np.random.Generator, n_qubits: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def phasor_objective(
+    values: np.ndarray, tau: float, thetas: np.ndarray, block: int = 1024
+) -> np.ndarray:
+    """f(theta) = |sum_n Z_n e^{i n tau theta}|^2 through the phasor matrix.
+
+    The (thetas x samples) matrix is built ``block`` thetas at a time, so
+    fine grids and long series stay within a few tens of MB.
+    """
+    steps = np.arange(len(values)) * tau
+    out = np.empty(len(thetas))
+    for start in range(0, len(thetas), block):
+        phasors = np.exp(1j * np.outer(thetas[start:start + block], steps))
+        out[start:start + block] = np.abs(phasors @ values) ** 2
+    return out
+
+
 def embed_1q(mat: np.ndarray, q: int, n_qubits: int) -> np.ndarray:
     """Single-qubit operator placed at qubit ``q``, little-endian."""
     out = np.array([[1.0 + 0j]])

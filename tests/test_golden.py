@@ -24,12 +24,15 @@ import math
 import pathlib
 import re
 import shutil
+import subprocess
+import sys
 
 import pytest
 
 from gsee.cli import main
 
-FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "src" / "gsee" / "fixtures"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+FIXTURES = ROOT / "src" / "gsee" / "fixtures"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 OBJECTIVE_ROWS = 20_001
 OBJECTIVE_STRIDE = 1000
@@ -210,3 +213,24 @@ def test_objective_curve_covers_the_grid(fresh, run):
     lines = (work / run / "objective.csv").read_text().splitlines()
     assert lines[0] == "theta,objective"
     assert len(lines) - 1 == OBJECTIVE_ROWS
+
+
+def test_drift_table_counts_moved_fields(tmp_path):
+    base, head = tmp_path / "base", tmp_path / "head"
+    for side, text in ((base, "a,1.0,2.0,x\n"), (head, "a,1.5,2.0,y\n")):
+        (side / "run").mkdir(parents=True)
+        (side / "run" / "moved.csv").write_text(text)
+        (side / "run" / "same.csv").write_text("b,3.0\n")
+    (base / "run" / "table.md").write_text("| 1.0 |\n")
+    (head / "run" / "table.md").write_text("| 1.0 | 2.0 |\n")
+    (head / "run" / "new.json").write_text("{}\n")
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "golden_drift.py"), str(base), str(head)],
+        capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    assert [line.split(None, 1) for line in out] == [
+        ["run/moved.csv", "1 floats, largest relative move 0.333, 1 other fields"],
+        ["run/new.json", "only in head"],
+        ["run/table.md", "layout differs"],
+        ["3", "of 4 files differ"],
+    ]

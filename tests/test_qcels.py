@@ -3,12 +3,21 @@
 import itertools
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from helpers import dense_sum, gate_matrix, random_state, random_sum
+from helpers import (
+    dense_sum,
+    gate_matrix,
+    phasor_objective,
+    random_state,
+    random_sum,
+)
 from gsee import pauli
 from gsee.chem import jordan_wigner, parse_fcidump
 from gsee.circuits import Gate, hea_ansatz
@@ -34,6 +43,7 @@ from gsee.simulator import (
 
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "src" / "gsee" / "fixtures"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def two_qubit_fixture():
@@ -52,6 +62,17 @@ def two_qubit_fixture():
 
 def eigenstate_series(theta0, tau, n_points):
     return np.exp(-1j * np.arange(n_points) * tau * theta0)
+
+
+def exact_series(values, tau):
+    zeros = np.zeros(len(values))
+    values = np.asarray(values, dtype=complex)
+    return OverlapSeries(tau, values, zeros, zeros, None, "exact")
+
+
+def unit_z():
+    """A scaled Hamiltonian for fits, which read it only for the energy."""
+    return scale(PauliSum(1, {PauliString.from_label("Z0"): 1.0}))
 
 
 def hand_sampled_series(states, spc, seed):
@@ -507,10 +528,7 @@ class TestFit:
         res = fit(series, sh)
         # independent brute-force scan of the same objective
         grid = np.linspace(-math.pi / 4.0, math.pi / 4.0, 400_001)
-        steps = np.arange(n) * tau
-        brute = grid[
-            np.argmax(np.abs(np.exp(1j * np.outer(grid, steps)) @ values) ** 2)
-        ]
+        brute = grid[np.argmax(phasor_objective(values, tau, grid))]
         assert abs(res.theta - brute) < 5e-6
         assert abs(res.theta - dominant) < 1e-4
 
@@ -538,7 +556,8 @@ class TestFit:
         a = fit(series, sh)
         b = fit(rotated, sh)
         assert np.allclose(a.curve, b.curve, rtol=1e-10, atol=1e-8)
-        # refinement tie-breaking may wander within its 1e-10 interval
+        # the phase factor rounds every sample differently, which moves
+        # the polished peak by rounding alone
         assert abs(a.theta - b.theta) < 1e-8
 
     def test_peak_dominates_grid(self):
@@ -549,6 +568,56 @@ class TestFit:
         res = fit(series, sh)
         assert res.peak >= np.max(res.curve) - 1e-9
         assert -math.pi / 4.0 <= res.theta <= math.pi / 4.0
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        n_points=st.integers(2, 200),
+        tau=st.floats(0.1, ALIAS_SAFE_TAU),
+        phi=st.floats(-math.pi / 4.0 + 0.05, math.pi / 4.0 - 0.05),
+        magnitude=st.floats(1e-3, 1e3),
+        phase=st.floats(-math.pi, math.pi),
+    )
+    def test_single_tone_peak_is_its_phase(self, n_points, tau, phi, magnitude, phase):
+        # Z_n = a e^{-i n tau phi} makes f a Dirichlet kernel peaked at phi
+        values = magnitude * np.exp(1j * phase) * eigenstate_series(phi, tau, n_points)
+        res = fit(exact_series(values, tau), unit_z())
+        assert abs(res.theta - phi) <= 1e-12
+
+    def test_one_ulp_nudges_leave_theta_put(self):
+        lines = (GOLDEN / "qcels_recompiled" / "overlap.csv").read_text().splitlines()
+        tau = float(lines[0].split()[1].removeprefix("tau="))
+        rows = np.array([[float(x) for x in row.split(",")] for row in lines[2:]])
+        parts = rows[:, 2:4]
+        sh = unit_z()
+        theta = fit(exact_series(parts[:, 0] + 1j * parts[:, 1], tau), sh).theta
+        for index in np.ndindex(parts.shape):
+            for direction in (-np.inf, np.inf):
+                nudged = parts.copy()
+                nudged[index] = np.nextafter(nudged[index], direction)
+                series = exact_series(nudged[:, 0] + 1j * nudged[:, 1], tau)
+                move = abs(fit(series, sh).theta - theta)
+                assert move <= 4 * np.spacing(abs(theta)), (index, direction, move)
+
+    def test_memory_is_linear_in_the_grid(self):
+        rng = np.random.default_rng(5)
+        series = exact_series(rng.normal(size=200) + 1j * rng.normal(size=200), 1.1)
+        tracemalloc.start()
+        try:
+            fit(series, unit_z())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (grid x samples) complex array would be 64 MB
+        assert peak < 8e6
+
+    @pytest.mark.parametrize("n_points", [2, 33, 1000])
+    def test_curve_matches_the_phasor_matrix(self, n_points):
+        rng = np.random.default_rng(n_points)
+        values = rng.normal(size=n_points) + 1j * rng.normal(size=n_points)
+        tau = rng.uniform(0.1, ALIAS_SAFE_TAU)
+        res = fit(exact_series(values, tau), unit_z())
+        want = phasor_objective(values, tau, res.grid)
+        assert np.max(np.abs(res.curve - want)) <= 1e-13 * np.max(res.curve)
 
     def test_validation(self):
         sh = scale(PauliSum(1, {PauliString.from_label("Z0"): 1.0}))
