@@ -346,9 +346,10 @@ def fit(series: OverlapSeries, sh: ScaledHamiltonian) -> QcelsResult:
     are clipped to that point's cell (the interval between its grid
     neighbours, inside the window) and it stops where f is not concave,
     at a fixed point, or after 20 steps.  The returned theta is whichever
-    of the grid point and the polished point scores higher, and the grid
-    point wins ties, so a maximum on the window edge stays at exactly
-    +/-pi/4 and f(theta*) >= f(theta) holds on the whole grid.
+    of the grid point and the polished point scores higher, judged by
+    their difference in f computed without cancelling the two values,
+    and the grid point wins ties, so a maximum on the window edge stays
+    at exactly +/-pi/4 and f(theta*) >= f(theta) holds on the whole grid.
     """
     if len(series.values) < 2:
         raise ValueError("need at least two samples to fit")
@@ -375,14 +376,19 @@ def fit(series: OverlapSeries, sh: ScaledHamiltonian) -> QcelsResult:
         if step == refined:
             break
         refined = step
+    # f(refined) - f(grid) = Re(conj(P_r + P_g) (P_r - P_g)) with
+    # P_r - P_g = sum 2i sin(k d/2) Z_n e^{i k m}, d the difference and m
+    # the midpoint of the two points: this keeps its sign where the two f
+    # values round alike, as they do within ~sqrt(eps) of the peak
+    d, m = refined - grid[best], (refined + grid[best]) / 2.0
+    total = (series.values * (np.exp(1j * k * refined) + np.exp(1j * k * grid[best]))).sum()
+    gap = (series.values * np.exp(1j * k * m) * 2j * np.sin(k * d / 2.0)).sum()
     # the grid point wins ties so boundary maxima stay at exactly +/-pi/4
-    candidates = np.array([grid[best], refined])
-    scores = _objective(series, candidates)
-    theta = float(candidates[np.argmax(scores)])
+    theta = refined if (total.conjugate() * gap).real > 0.0 else float(grid[best])
     return QcelsResult(
         theta=theta,
         energy=sh.energy(theta),
-        peak=float(np.max(scores)),
+        peak=float(_objective(series, np.array([theta]))[0]),
         grid=grid,
         curve=curve,
     )
