@@ -8,6 +8,7 @@ of qubits along Z2 symmetries, and multi-determinant initial states.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -154,60 +155,40 @@ def parse_fcidump(text: str) -> FermionIntegrals:
 # ----------------------------------------------------------------------
 # Jordan-Wigner
 # ----------------------------------------------------------------------
-def _ladder(j: int, n_qubits: int, dagger: bool) -> PauliSum:
-    # a_j = (X_j + iY_j)/2 x Z_(k<j); the dagger flips the Y sign
-    prefix = (1 << j) - 1
-    bit = 1 << j
-    y_coeff = -0.5j if dagger else 0.5j
-    return PauliSum(
-        n_qubits,
-        {
-            PauliString(bit, prefix): 0.5,
-            PauliString(bit, prefix | bit): y_coeff,
-        },
-    )
-
-
 def jordan_wigner(fi: FermionIntegrals) -> PauliSum:
     """Second-quantized Hamiltonian on 2·norb qubits.
 
     H = E_core + sum_pq,s h_pq a+_ps a_qs
        + 1/2 sum_pqrs,st (pq|rs) a+_ps a+_rt a_st a_qs,
-    with interleaved spin orbitals.  The output is Hermitian with real
+    with interleaved spin orbitals and a_j = (X_j + iY_j)/2 x Z_(k<j).
+    Each term with an integral of at least 1e-14 in magnitude is one row of
+    :meth:`PauliSum.from_products`, padded to four factors by identities.
+    Its ladder product is combined exactly before it is weighted, and the
+    weighted rows add into each string from zero in this order: the core
+    energy; the one-body terms by (p, q, spin); the two-body terms by
+    (p, q, r, s, sigma, tau).  The output is Hermitian with real
     coefficients.
     """
     n = 2 * fi.norb
-    create = [_ladder(j, n, True) for j in range(n)]
-    destroy = [_ladder(j, n, False) for j in range(n)]
-    # every ladder-pair product a+_i a+_j and a_i a_j, built once
-    create_pairs = [[sum_multiply(a, b) for b in create] for a in create]
-    destroy_pairs = [[sum_multiply(a, b) for b in destroy] for a in destroy]
-    pairs: list[tuple[PauliString, complex]] = [
-        (PauliString(), complex(fi.core_energy))
-    ]
-    for p in range(fi.norb):
-        for q in range(fi.norb):
-            v = fi.one_body[p, q]
-            if abs(v) < 1e-14:
-                continue
-            for spin in (0, 1):
-                op = sum_multiply(create[2 * p + spin], destroy[2 * q + spin])
-                pairs.extend((s, v * c) for s, c in op.terms())
-    for p in range(fi.norb):
-        for q in range(fi.norb):
-            for r in range(fi.norb):
-                for s in range(fi.norb):
-                    v = fi.two_body[p, q, r, s]
-                    if abs(v) < 1e-14:
-                        continue
-                    for sigma in (0, 1):
-                        for tau in (0, 1):
-                            op = sum_multiply(
-                                create_pairs[2 * p + sigma][2 * r + tau],
-                                destroy_pairs[2 * s + tau][2 * q + sigma],
-                            )
-                            pairs.extend((st, 0.5 * v * c) for st, c in op.terms())
-    h = PauliSum(n, pairs)
+    # a+_j is factor j, a_j factor n + j, and the identity 2n pads rows
+    factors = [
+        PauliSum(n, {PauliString(1 << j, (1 << j) - 1): 0.5,
+                     PauliString(1 << j, (2 << j) - 1): -0.5j if dagger else 0.5j})
+        for dagger in (True, False)
+        for j in range(n)
+    ] + [PauliSum(n, {PauliString(): 1.0})]
+    pad, spin = 2 * n, np.arange(2)
+    p, q = np.nonzero(np.abs(fi.one_body) >= 1e-14)
+    one = (2 * p[:, None] + spin, n + 2 * q[:, None] + spin, pad, pad)
+    weights = [[fi.core_energy], fi.one_body[p, q].repeat(2)]
+    two_body = np.nonzero(np.abs(fi.two_body) >= 1e-14)
+    p, q, r, s = (v[:, None, None] for v in two_body)
+    sigma, tau = spin[:, None], spin
+    two = (2 * p + sigma, 2 * r + tau, n + 2 * s + tau, n + 2 * q + sigma)
+    weights.append((0.5 * fi.two_body[p, q, r, s]).repeat(4))
+    rows = [np.stack(np.broadcast_arrays(*c), -1).reshape(-1, 4) for c in (one, two)]
+    rows = np.concatenate([[[pad] * 4], *rows])
+    h = PauliSum.from_products(n, factors, rows, np.concatenate(weights))
     if not h.is_hermitian(1e-10):
         raise AssertionError("mapped Hamiltonian lost Hermiticity")
     # imaginary dust from Y-pair products cancels exactly; drop the residue
@@ -227,33 +208,21 @@ def fix_qubits(
     pick up the sign; terms acting with any other axis are annihilated by
     the projection; untouched qubits are relabeled contiguously.
     """
-    axis_bits = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
     for q, (axis, sign) in assignments.items():
         if not 0 <= q < h.n_qubits:
             raise ValueError(f"fixed qubit {q} outside register")
-        if axis not in axis_bits or sign not in (-1, 1):
+        if axis not in ("X", "Y", "Z") or sign not in (-1, 1):
             raise ValueError(f"bad assignment {(axis, sign)!r} for qubit {q}")
     kept = [q for q in range(h.n_qubits) if q not in assignments]
-    position = {q: i for i, q in enumerate(kept)}
     pairs: list[tuple[PauliString, complex]] = []
     for string, coeff in h.terms():
-        factor = 1.0
-        for q, (axis, sign) in assignments.items():
-            bx, bz = (string.x_mask >> q) & 1, (string.z_mask >> q) & 1
-            if (bx, bz) == (0, 0):
-                continue
-            if (bx, bz) == axis_bits[axis]:
-                factor *= sign
-            else:
-                factor = 0.0
-                break
-        if factor == 0.0:
-            continue
-        x = z = 0
-        for q in kept:
-            x |= ((string.x_mask >> q) & 1) << position[q]
-            z |= ((string.z_mask >> q) & 1) << position[q]
-        pairs.append((PauliString(x, z), factor * coeff))
+        support = string.support
+        pinned = [(support[q], *assignments[q]) for q in assignments if q in support]
+        if all(a == axis for a, axis, _ in pinned):
+            factor = float(math.prod(sign for _, _, sign in pinned))
+            x, z = (sum(((m >> q) & 1) << i for i, q in enumerate(kept))
+                    for m in (string.x_mask, string.z_mask))
+            pairs.append((PauliString(x, z), factor * coeff))
     return PauliSum(len(kept), pairs)
 
 

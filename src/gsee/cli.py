@@ -380,7 +380,7 @@ def _reference_mask(fi: FermionIntegrals) -> int:
         raise InputError("NELEC and MS2 have incompatible parity")
     n_alpha = (fi.nelec + fi.ms2) // 2
     n_beta = fi.nelec - n_alpha
-    if n_beta < 0 or n_alpha > fi.norb or n_beta > fi.norb:
+    if not (0 <= n_alpha <= fi.norb and 0 <= n_beta <= fi.norb):
         raise InputError("NELEC/MS2 do not fit in NORB orbitals")
     mask = 0
     for p in range(n_alpha):

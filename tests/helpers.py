@@ -7,10 +7,13 @@ package results can be checked against straight linear algebra.
 
 from __future__ import annotations
 
+from typing import Mapping
+
 import numpy as np
 
+from gsee.chem import FermionIntegrals
 from gsee.circuits import Circuit, Gate
-from gsee.pauli import PauliString, PauliSum
+from gsee.pauli import PURGE_TOL, PauliString, PauliSum
 from gsee.simulator import simulate_batch
 
 I2 = np.eye(2, dtype=complex)
@@ -239,3 +242,77 @@ def greedy_coloring_reference(a: PauliSum, mode: str) -> tuple:
     for i, term in enumerate(term_list):
         sets[color[i]].append(term)
     return tuple(tuple(s) for s in sets)
+
+
+def loop_product(
+    a: Mapping[PauliString, complex], b: Mapping[PauliString, complex]
+) -> dict[PauliString, complex]:
+    """Terms of the product ``a · b``, one term pair at a time, unpurged.
+
+    The oracle for :meth:`PauliSum.__matmul__`: coefficients add from
+    ``0j`` in term-pair order, and strings keep their first pair's place.
+    """
+    out: dict[PauliString, complex] = {}
+    for sa, ca in a.items():
+        for sb, cb in b.items():
+            phase, prod = sa.multiply(sb)
+            out[prod] = out.get(prod, 0j) + ca * cb * phase
+    return out
+
+
+def purged_product(
+    a: Mapping[PauliString, complex], b: Mapping[PauliString, complex]
+) -> dict[PauliString, complex]:
+    """:func:`loop_product` without the terms ``PauliSum`` purges."""
+    return {s: c for s, c in loop_product(a, b).items() if abs(c) > PURGE_TOL}
+
+
+def jordan_wigner_reference(fi: FermionIntegrals) -> PauliSum:
+    """The Jordan–Wigner map one term at a time, the oracle for ``jordan_wigner``.
+
+    Each one- and two-body term is a product of purged ladder products in
+    canonical order, scaled by its integral and appended to one list
+    after the core energy; the constructor adds the list up in order.
+    """
+    n = 2 * fi.norb
+
+    def ladder(j: int, dagger: bool) -> dict[PauliString, complex]:
+        # a_j = (X_j + iY_j)/2 x Z_(k<j); the dagger flips the Y sign
+        return {
+            PauliString(1 << j, (1 << j) - 1): 0.5 + 0j,
+            PauliString(1 << j, (2 << j) - 1): -0.5j if dagger else 0.5j,
+        }
+
+    def in_order(terms: dict[PauliString, complex]) -> list:
+        return sorted(terms.items(), key=lambda t: t[0].sort_key())
+
+    create = [ladder(j, True) for j in range(n)]
+    destroy = [ladder(j, False) for j in range(n)]
+    pairs: list[tuple[PauliString, complex]] = [
+        (PauliString(), complex(fi.core_energy))
+    ]
+    norb = range(fi.norb)
+    for p in norb:
+        for q in norb:
+            v = fi.one_body[p, q]
+            if abs(v) < 1e-14:
+                continue
+            for spin in (0, 1):
+                op = purged_product(create[2 * p + spin], destroy[2 * q + spin])
+                pairs.extend((s, v * c) for s, c in in_order(op))
+    for p in norb:
+        for q in norb:
+            for r in norb:
+                for s in norb:
+                    v = fi.two_body[p, q, r, s]
+                    if abs(v) < 1e-14:
+                        continue
+                    for sigma in (0, 1):
+                        for tau in (0, 1):
+                            op = purged_product(
+                                purged_product(create[2 * p + sigma], create[2 * r + tau]),
+                                purged_product(destroy[2 * s + tau], destroy[2 * q + sigma]),
+                            )
+                            pairs.extend((st, 0.5 * v * c) for st, c in in_order(op))
+    h = PauliSum(n, pairs)
+    return PauliSum(n, {s: c.real for s, c in h.terms()})

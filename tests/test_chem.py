@@ -1,14 +1,18 @@
 """Ingestion, mapping, tapering, and initial-state tests on dense oracles."""
 
+import itertools
 import json
 import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import dense_string, dense_sum
+from helpers import dense_string, dense_sum, jordan_wigner_reference
 from gsee.chem import (
     Determinant,
+    FermionIntegrals,
     ci_initial_state,
     determinants_from_json,
     fix_qubits,
@@ -130,6 +134,79 @@ class TestJordanWigner:
         )
         hd, nd = dense_sum(h), dense_sum(number)
         assert np.linalg.norm(hd @ nd - nd @ hd) < 1e-10
+
+
+def random_integrals(rng, norb, values):
+    """Integrals with the 8-fold symmetry, one ``values(rng)`` draw per class."""
+    one = np.zeros((norb, norb))
+    for p, q in itertools.combinations_with_replacement(range(norb), 2):
+        one[p, q] = one[q, p] = values(rng)
+    two = np.zeros((norb,) * 4)
+    drawn = {}
+    for p, q, r, s in itertools.product(range(norb), repeat=4):
+        images = {(a, b, c, d) for a, b in ((p, q), (q, p)) for c, d in ((r, s), (s, r))}
+        images |= {(c, d, a, b) for a, b, c, d in images}
+        key = min(images)
+        if key not in drawn:
+            drawn[key] = values(rng)
+        two[p, q, r, s] = drawn[key]
+    return FermionIntegrals(norb, 0, 0, values(rng), one, two)
+
+
+def dense_or_tiny(rng):
+    """Zero, an entry within a few ulp of the 1e-14 cut, or an ordinary one."""
+    kind = rng.integers(0, 4)
+    if kind == 0:
+        return 0.0
+    if kind == 1:
+        cut = rng.choice([0.5, 1 - 1e-15, 1.0, 1 + 1e-15, 2.0]) * 1e-14
+        return float(rng.choice([-1, 1]) * cut)
+    return float(rng.normal(scale=0.5))
+
+
+class TestJordanWignerOracle:
+    """The one-pass map against the term-at-a-time map, byte for byte."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(norb=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_random_integrals(self, norb, seed):
+        fi = random_integrals(np.random.default_rng(seed), norb, dense_or_tiny)
+        assert jordan_wigner(fi).to_json() == jordan_wigner_reference(fi).to_json()
+
+    def test_sparse_integrals_across_mask_words(self):
+        # norb 33 is 66 qubits in two mask words; orbitals 31 and 32 hold
+        # qubits 62-65, either side of the word edge
+        norb, orbitals = 33, [0, 1, 15, 30, 31, 32]
+        rng = np.random.default_rng(11)
+        one, two = np.zeros((norb, norb)), np.zeros((norb,) * 4)
+        for p, q in itertools.combinations_with_replacement(orbitals, 2):
+            one[p, q] = one[q, p] = rng.normal()
+        for p, q, r, s in itertools.product(orbitals, repeat=4):
+            if rng.random() < 0.1:
+                v = rng.normal()
+                for a, b in ((p, q), (q, p)):
+                    for c, d in ((r, s), (s, r)):
+                        two[a, b, c, d] = two[c, d, a, b] = v
+        fi = FermionIntegrals(norb, 0, 0, -1.5, one, two)
+        h = jordan_wigner(fi)
+        assert h.n_qubits == 66 and len(h) > 100
+        assert h.to_json() == jordan_wigner_reference(fi).to_json()
+
+    def test_core_energy_only(self):
+        fi = parse_fcidump("&FCI NORB=2,NELEC=2,MS2=0\n&END\n-0.75 0 0 0 0\n")
+        assert jordan_wigner(fi) == PauliSum(4, {PauliString(): -0.75})
+        assert jordan_wigner(fi).to_json() == jordan_wigner_reference(fi).to_json()
+
+    def test_no_two_body_entries(self):
+        fi = parse_fcidump(
+            "&FCI NORB=3,NELEC=2,MS2=0\n&END\n"
+            "0.5 1 1 0 0\n-0.25 3 1 0 0\n0.125 2 2 0 0\n1.5 0 0 0 0\n"
+        )
+        h = jordan_wigner(fi)
+        assert h.to_json() == jordan_wigner_reference(fi).to_json()
+        # sum_p h_pp (I - Z_2p)/2 per spin, plus the core
+        assert h.coefficient(PauliString()) == 1.5 + 0.5 + 0.125
+        assert h.coefficient(PauliString.from_label("X0 Z1 Z2 Z3 X4")) == -0.125
 
 
 class TestFixQubits:

@@ -16,6 +16,8 @@ from helpers import (
     dense_string,
     dense_sum,
     greedy_coloring_reference,
+    loop_product,
+    purged_product,
     random_string,
     random_sum,
 )
@@ -373,7 +375,7 @@ class TestGrouping:
             for i in picks
         ]
         a = PauliSum(70, {s: rng.normal() for s in strings})
-        assert len(a) == 300 >= pauli._ARRAY_PRODUCT_MIN
+        assert len(a) == 300
         grouped = a.group_commuting(mode)
         assert grouped == greedy_coloring_reference(a, mode)
         assert 4 < len(grouped) < len(a)
@@ -404,7 +406,7 @@ def sparse_strings(rng, n, count, max_weight=4):
 def product_factors(draw):
     """``(n, a, b)``: complex term dicts for the pair loop and the array product.
 
-    Pair counts run from 0 to 1,600, across the array threshold.  Some
+    Pair counts run from 0 to 1,600.  Some
     draws add ``(αA + βB)`` and ``(αA − βB)`` for commuting Z strings A, B,
     whose cross terms ``-αβ AB`` and ``βα BA`` cancel exactly.
     """
@@ -432,12 +434,12 @@ class TestArrayKernels:
     def test_array_product_is_the_pair_loop(self, case, block):
         # small blocks split one product into many row blocks and merges
         n, a, b = case
-        want = pauli._loop_product(a, b)
+        want = purged_product(a, b)
         with mock.patch.object(pauli, "_PRODUCT_BLOCK", block):
-            got = pauli._array_product(a, b, n) if a and b else {}
+            got = (PauliSum(n, a) @ PauliSum(n, b))._terms
         assert list(got) == list(want)
         assert all(got[s] == c for s, c in want.items())
-        assert PauliSum(n, got) == PauliSum(n, want)
+        assert PauliSum(n, got) == PauliSum(n, loop_product(a, b))
 
     def test_cancelled_cross_terms_are_purged(self):
         za, zb = PauliString(0, 1 << 70), PauliString(0, 0b11)
@@ -445,17 +447,15 @@ class TestArrayKernels:
         b = {za: 0.3 + 0.1j, zb: -0.7 + 0.2j}
         for s in sparse_strings(np.random.default_rng(3), 130, 80):
             a.setdefault(s, 0.25)
-        got = pauli._array_product(a, b, 130)
-        assert got == pauli._loop_product(a, b)
-        assert got[PauliString(0, za.z_mask ^ zb.z_mask)] == 0
+        assert loop_product(a, b)[PauliString(0, za.z_mask ^ zb.z_mask)] == 0
         product = PauliSum(130, a) @ PauliSum(130, b)
+        assert product._terms == purged_product(a, b)
         assert product.coefficient(PauliString(0, za.z_mask ^ zb.z_mask)) == 0
 
     def test_large_product_matches_dense(self):
         rng = np.random.default_rng(23)
         a = random_sum(rng, 3, 16, hermitian=False)
         b = random_sum(rng, 3, 12, hermitian=False)
-        assert len(a) * len(b) >= pauli._ARRAY_PRODUCT_MIN
         np.testing.assert_allclose(
             dense_sum(a @ b), dense_sum(a) @ dense_sum(b), rtol=0, atol=1e-12
         )
@@ -464,15 +464,14 @@ class TestArrayKernels:
     @given(
         n=st.sampled_from([65, 130]),
         seed=st.integers(0, 2**32 - 1),
-        extra=st.integers(0, 200),
+        size=st.integers(0, 328),
     )
-    def test_terms_sort_by_sort_key(self, n, seed, extra):
+    def test_terms_sort_by_sort_key(self, n, seed, size):
         rng = np.random.default_rng(seed)
-        strings = sparse_strings(rng, n, pauli._ARRAY_PRODUCT_MIN + extra, 6)
+        strings = sparse_strings(rng, n, size, 6)
         a = PauliSum(n, {s: 1.0 + k for k, s in enumerate(strings)})
-        if len(a) >= pauli._ARRAY_PRODUCT_MIN:
-            items = list(a._terms.items())
-            assert a.terms() == sorted(items, key=lambda t: t[0].sort_key())
+        items = list(a._terms.items())
+        assert a.terms() == sorted(items, key=lambda t: t[0].sort_key())
 
     def test_terms_sort_prefixes_and_word_edges(self):
         labels = ["", "X0", "X0 Z1", "X0 Z70", "Y0", "Z0 X64", "Z63", "X64",
@@ -480,9 +479,82 @@ class TestArrayKernels:
         strings = [PauliString.from_label(t) for t in labels]
         strings += sparse_strings(np.random.default_rng(7), 130, 400, 3)
         a = PauliSum(130, {s: 1.0 for s in reversed(strings)})
-        assert len(a) >= pauli._ARRAY_PRODUCT_MIN
         items = list(a._terms.items())
         assert a.terms() == sorted(items, key=lambda t: t[0].sort_key())
+
+    @pytest.mark.parametrize("n", [0, 3, 70])
+    def test_empty_and_identity_sums(self, n):
+        empty = PauliSum(n)
+        identity = PauliSum(n, {PauliString(): 2.0 - 1j})
+        x = identity + PauliSum(n, {PauliString.from_label(f"Y{n - 1}"): 0.5j} if n else {})
+        assert empty @ x == empty
+        assert x @ empty == empty
+        assert empty @ empty == empty
+        assert empty.terms() == []
+        assert identity.terms() == [(PauliString(), 2.0 - 1j)]
+        assert (identity @ identity).terms() == [(PauliString(), (2.0 - 1j) * (2.0 - 1j))]
+        assert PauliSum.from_json(identity.to_json()) == identity
+
+
+def row_loop(n, factors, rows, weights):
+    """``Σₖ wₖ · Π factors`` one row at a time: ``@``'s oracle and the constructor."""
+    pairs = []
+    for row, w in zip(rows.tolist(), weights.tolist()):
+        product = {PauliString(): 1 + 0j}
+        for f in row:
+            product = purged_product(product, factors[f]._terms)
+        pairs.extend((s, w * c) for s, c in product.items())
+    return PauliSum(n, pairs)
+
+
+@st.composite
+def product_rows(draw, dyadic=True):
+    """``(n, factors, rows, weights)`` for :meth:`PauliSum.from_products`.
+
+    Factors hold 0-3 terms; with ``dyadic`` their coefficients are
+    multiples of 1/4 in both parts, so that a row's chains sum exactly.
+    Rows hold 0-4 factors, and there are 0-30 of them.
+    """
+    n = draw(st.sampled_from(WORD_WIDTHS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    factors = []
+    for _ in range(draw(st.integers(1, 5))):
+        k = int(rng.integers(0, 4))
+        if dyadic:
+            c = (rng.integers(-4, 5, size=k) + 1j * rng.integers(-4, 5, size=k)) / 4
+        else:
+            c = rng.normal(size=k) + 1j * rng.normal(size=k)
+        factors.append(PauliSum(n, dict(zip(sparse_strings(rng, n, k), c.tolist()))))
+    shape = (draw(st.integers(0, 30)), draw(st.integers(0, 4)))
+    rows = rng.integers(0, len(factors), size=shape)
+    weights = rng.normal(size=shape[0]) + 1j * draw(st.booleans()) * rng.normal(
+        size=shape[0]
+    )
+    return n, factors, rows, weights
+
+
+class TestFromProducts:
+    @settings(deadline=None)
+    @given(case=product_rows())
+    def test_dyadic_rows_are_the_row_loop(self, case):
+        assert PauliSum.from_products(*case) == row_loop(*case)
+
+    @settings(deadline=None, max_examples=40)
+    @given(case=product_rows(dyadic=False))
+    def test_rows_match_the_row_loop(self, case):
+        got, want = PauliSum.from_products(*case), row_loop(*case)
+        for s in set(got._terms) | set(want._terms):
+            assert abs(got.coefficient(s) - want.coefficient(s)) <= 1e-12
+
+    def test_no_rows(self):
+        ladder = PauliSum(4, {PauliString.from_label("X1 Z0"): 0.5})
+        rows = np.empty((0, 2), dtype=int)
+        assert PauliSum.from_products(4, [ladder], rows, np.empty(0)) == PauliSum(4)
+        assert PauliSum.from_products(4, [], rows, np.empty(0)) == PauliSum(4)
+
+    def test_factor_width_must_match(self):
+        with pytest.raises(ValueError, match="3 qubits"):
+            PauliSum.from_products(3, [PauliSum(4)], np.zeros((1, 1), int), [1.0])
 
 
 def odd_y_count(x, z):
