@@ -11,6 +11,8 @@ count keeps this demo to a few seconds.
 import pathlib
 import time
 
+import numpy as np
+
 from gsee.circuits import hea_ansatz, two_qubit_depth
 from gsee.pauli import PauliSum
 from gsee.qcels import acquire, choose_grid, fit, hadamard_test_states, scale
@@ -20,10 +22,13 @@ from gsee.simulator import StateVector
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "src" / "gsee" / "fixtures"
 
 h = PauliSum.from_json((FIXTURES / "toy_3q.json").read_text())
-vals, vecs = h.eig()
-psi = StateVector(3, vecs[:, 0])
-
 sh = scale(h)
+# the ground state: the lowest eigenvector among H~'s symmetry blocks
+block, col = np.unravel_index(np.argmin(sh.vals), sh.vals.shape)
+ground = np.zeros(1 << h.n_qubits, dtype=complex)
+ground[sh.rows[block]] = sh.vecs[block][:, col]
+psi = StateVector(3, ground)
+
 n_points = 9
 tau = choose_grid(sh, psi, n_points)
 reference = fit(acquire(sh, psi, tau, n_points, "exact"), sh).energy

@@ -28,6 +28,8 @@ import sys
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
+import numpy as np
+
 from .chem import (
     FermionIntegrals,
     ci_initial_state,
@@ -37,7 +39,7 @@ from .chem import (
     taper_z2,
 )
 from .circuits import hea_ansatz, two_qubit_depth
-from .pauli import PauliSum
+from .pauli import PauliSum, check_memory
 from .qcels import (
     ScaledHamiltonian,
     acquire,
@@ -63,7 +65,8 @@ __all__ = ["InputError", "SCHEMA_VERSION", "main", "resolve_config"]
 
 SCHEMA_VERSION = 1
 
-# dense ground-energy checks in ingest reports stop above this width
+# dense ground-energy checks in ingest reports stop above this width; the
+# symmetry blocks they read take 34 MB for a 12-qubit molecular Hamiltonian
 _DENSE_REPORT_CAP = 12
 
 
@@ -393,15 +396,23 @@ def _reference_mask(fi: FermionIntegrals) -> int:
 def _dense_ground(h: PauliSum) -> float | None:
     if h.n_qubits > _DENSE_REPORT_CAP:
         return None
-    return float(h.eig()[0][0])
+    return float(np.linalg.eigvalsh(h.blocks()[1]).min())
+
+
+def _check_series(n_qubits: int, n_points: int, section: str) -> None:
+    """Exit 2 before n_points rows of 2^(n+1) amplitudes exceed memory."""
+    try:
+        check_memory(16 * n_points << (n_qubits + 1), f"{n_points:,} time points")
+    except ValueError as exc:
+        raise InputError(f"{section}.n_points: {exc}") from None
 
 
 def cmd_ingest(source: Path, out: Path, taper: bool) -> None:
     try:
         fi = parse_fcidump(_load_text(source))
+        h = jordan_wigner(fi)  # its product chains must fit in memory
     except ValueError as exc:
         raise InputError(f"{source}: {exc}") from None
-    h = jordan_wigner(fi)
     out.mkdir(parents=True, exist_ok=True)
     (out / "operator.json").write_text(h.to_json() + "\n")
     report: dict = {
@@ -471,6 +482,7 @@ def cmd_qcels(resolved: Mapping, base: Path, out: Path) -> None:
     h = _load_operator(resolved, base)
     psi = _load_state(resolved, base, h.n_qubits)
     settings = resolved["qcels"]
+    _check_series(h.n_qubits, settings["n_points"], "qcels")
     sh = scale(h)
     tau = choose_grid(sh, psi, settings["n_points"])
 
@@ -567,6 +579,7 @@ def cmd_recompile(resolved: Mapping, base: Path, out: Path) -> None:
     h = _load_operator(resolved, base)
     psi = _load_state(resolved, base, h.n_qubits)
     settings = resolved["recompile"]
+    _check_series(h.n_qubits, settings["n_points"], "recompile")
     sh = scale(h)
     tau = choose_grid(sh, psi, settings["n_points"])
     compilation, depth = _compile_hadamard_series(

@@ -23,7 +23,7 @@ endian: qubit ``q`` is bit ``q`` of the computational-basis index.  With
 :meth:`PauliString.action` serves the simulator, the dense matrices and
 tapering, and :func:`z_signs` Z-basis estimation.  :func:`gf2_reduce`
 serves tapering, the dependent-string test of measurement planning and
-the symmetry blocks of :meth:`PauliSum.eig`;
+the symmetry blocks of :meth:`PauliSum.blocks`;
 ``qcm4._diagonalizing_ops`` keeps its own column-by-column x-block
 reduction, because those pivots choose the Clifford gates it emits and
 the qcm4 shot records depend on them.
@@ -53,16 +53,18 @@ __all__ = [
     "z_signs",
     "PURGE_TOL",
     "DENSE_MATRIX_CAP",
+    "check_memory",
 ]
 
 # Coefficients at or below this magnitude are purged after arithmetic;
 # double-precision cancellation residue lands well below it.
 PURGE_TOL = 1e-14
 
-# Dense 2^n x 2^n paths (matrices, eigendecompositions) refuse wider
-# registers; desk-scale memory runs out shortly after.  Below the cap they
-# also refuse an allocation larger than physical memory (see
-# :func:`_check_dense_memory`).
+# Dense paths refuse wider registers, and below the cap an allocation larger
+# than physical memory (:func:`check_memory`).  At the cap, :meth:`to_dense`
+# takes 16 · 4^n bytes, 4.3 GB; :meth:`blocks` 8 · 2^(n+r) for x masks of
+# rank r, twice that when complex, and their eigenvectors as much again:
+# 537 MB each for a molecular Hamiltonian (r = n − 2).
 DENSE_MATRIX_CAP = 14
 
 # Rows of the commutation graph computed per vectorized step in
@@ -405,7 +407,7 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _check_dense_memory(n_bytes: int, what: str) -> None:
+def check_memory(n_bytes: int, what: str) -> None:
     """Raises before a dense allocation larger than physical memory.
 
     Raises:
@@ -414,7 +416,7 @@ def _check_dense_memory(n_bytes: int, what: str) -> None:
     available = _physical_memory()
     if available is not None and n_bytes > available:
         raise ValueError(
-            f"{what} needs about {n_bytes:,} bytes, more than the "
+            f"{what} would take about {n_bytes:,} bytes, more than the "
             f"{available:,} bytes of physical memory"
         )
 
@@ -566,12 +568,17 @@ class PauliSum:
         coefficient is that of a row-by-row ``@`` and the constructor.
 
         Raises:
-            ValueError: a factor on another register width.
+            ValueError: a factor on another register width, or K · T^F
+                chains of ``16 · W + 24`` bytes (W mask words, a complex
+                coefficient, a row index) exceed physical memory.
         """
         if any(f.n_qubits != n_qubits for f in factors):
             raise ValueError(f"every factor must act on {n_qubits} qubits")
         rows, weights = np.asarray(rows, np.intp), np.asarray(weights, complex)
         longest, pad = max([1, *map(len, factors)]), (PauliString(), 0j)
+        n_chains = len(rows) * longest ** rows.shape[1]
+        n_words = max(1, -(-n_qubits // 64))
+        check_memory(n_chains * (16 * n_words + 24), f"{n_chains:,} product chains")
         padded = [[*f._terms.items(), *[pad] * (longest - len(f))] for f in factors]
         table = [v.reshape((len(factors), longest) + v.shape[1:])
                  for v in _term_arrays(itertools.chain(*padded), n_qubits)]
@@ -621,7 +628,7 @@ class PauliSum:
         """
         self._require_dense_width()
         dim = 1 << self._n_qubits
-        _check_dense_memory(16 * dim * dim, "dense matrix")
+        check_memory(16 * dim * dim, "dense matrix")
         idx = np.arange(dim)
         out = np.zeros((dim, dim), dtype=complex)
         for s, c in self._terms.items():
@@ -629,47 +636,46 @@ class PauliSum:
             out[idx, src] += c * d
         return out
 
-    def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Hermitian eigendecomposition ``(eigenvalues, vectors)``, block by block.
+    def blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The symmetry blocks ``(rows, mats)``, built from the strings.
 
-        Eigenvalues ascend (a stable sort); the vectors are the ``complex128``
-        columns of a unitary.  A string maps ``|b>`` to a multiple of
-        ``|b^x>``, so the cosets of the span of the terms' x masks (rank r,
-        :func:`gf2_reduce`) are closed under the sum: :meth:`to_dense` leaves
-        exact zeros between them.  Each index is labelled by its coset (its
-        pivot bits cleared), and the 2^(n−r) blocks of 2^r go through one
-        batched ``eigh``, the real symmetric one when no term has an odd
-        number of Y factors: every string matrix is then real, and so are
-        the coefficients of a Hermitian sum.
+        A string maps ``|b>`` to a multiple of ``|b^x>``, so the cosets of
+        the span of the terms' x masks (rank r, :func:`gf2_reduce`) are
+        closed under the sum.  Row k of ``rows`` holds one coset's 2^r
+        indices, ascending, the cosets ordered by their indices with the
+        pivot bits cleared, and ``mats[k][i, j] = <rows[k, i]|H|rows[k, j]>``,
+        real when no term has an odd number of Y factors (every string
+        matrix is then real, and so is a Hermitian sum).  Strings sharing
+        an x mask add from zero in term order, so each entry is the float
+        sum of :meth:`to_dense`.
 
         Raises:
             ValueError: non-Hermitian sum, register beyond the dense cap,
-                or the matrix or the vectors beside the blocks exceed
-                physical memory.
+                or the blocks and their eigenvectors exceed physical memory.
         """
         if not self.is_hermitian():
-            raise ValueError("eigendecomposition requires a Hermitian sum")
+            raise ValueError("symmetry blocks require a Hermitian sum")
         self._require_dense_width()
         real = all(s.phase.imag == 0 for s in self._terms)
         pivots, _ = gf2_reduce(s.x_mask for s in self._terms)
         dim, block = 1 << self._n_qubits, 1 << len(pivots)
-        # the complex matrix, then the complex vectors, beside the blocks
-        need = dim * (16 * dim + (8 if real else 16) * block)
-        _check_dense_memory(need, "dense eigendecomposition")
-        rep = np.arange(dim)
+        check_memory(2 * (8 if real else 16) * dim * block, "symmetry blocks")
+        rep = idx = np.arange(dim)
         for col, prow in pivots.items():
-            rep ^= ((rep >> col) & 1) * prow
-        rows = np.argsort(rep, kind="stable").reshape(-1, block)
-        blocks = self.to_dense()
-        # rebinding drops the full matrix before eigh runs
-        blocks = (blocks.real if real else blocks)[rows[:, :, None], rows[:, None]]
-        vals, blocks = np.linalg.eigh(blocks)
-        order = np.argsort(vals, axis=None, kind="stable")
-        vecs = np.zeros((dim, dim), dtype=np.complex128)
-        cols = np.empty_like(order)
-        cols[order] = np.arange(dim)  # the inverse permutation
-        vecs[rows[:, :, None], cols.reshape(rows.shape)[:, None]] = blocks
-        return vals.ravel()[order], vecs
+            rep = rep ^ ((rep >> col) & 1) * prow
+        order = np.argsort(rep, kind="stable")
+        pos = np.argsort(order)  # index b is cell pos[b] of the flat rows
+        mats = np.zeros((dim // block, block, block), dtype=float if real else complex)
+        # the sort is stable, so each x mask keeps its terms in order
+        by_x = sorted(self._terms.items(), key=lambda t: t[0].x_mask)
+        for x, terms in itertools.groupby(by_x, lambda t: t[0].x_mask):
+            total = np.zeros(dim, dtype=complex)
+            for s, c in terms:
+                total += c * s.action(dim)[1]
+            # row b, column b^x of b's block
+            cells = block * pos + pos[idx ^ x] % block
+            mats.reshape(-1)[cells] = total.real if real else total
+        return order.reshape(-1, block), mats
 
     # ------------------------------------------------------------------
     # truncation and grouping

@@ -63,10 +63,11 @@ class ScaledHamiltonian:
         h0: spectral mean of H (its identity coefficient), in Hartree.
         h1: scale factor (4/pi) ||H - h0 I||, in Hartree.
         scaled: the dimensionless operator H~ = (H - h0 I) / h1.
-        vals, vecs: the eigenvalues, ascending, and the ``complex128``
-            eigenvectors (columns of a unitary) of (H - h0 I) / h1 before
-            the purge; they describe ``scaled`` up to any term that 1/h1
-            pushes to :data:`gsee.pauli.PURGE_TOL` or below.
+        vals, vecs, rows: per symmetry block k (:meth:`PauliSum.blocks`),
+            the ascending eigenvalues ``vals[k]`` and eigenvector columns
+            ``vecs[k]``, over basis indices ``rows[k]``, of (H - h0 I) / h1
+            before the purge; they describe ``scaled`` up to any term that
+            1/h1 pushes to :data:`gsee.pauli.PURGE_TOL` or below.
     """
 
     h0: float
@@ -74,6 +75,7 @@ class ScaledHamiltonian:
     scaled: PauliSum
     vals: np.ndarray = field(repr=False, compare=False)
     vecs: np.ndarray = field(repr=False, compare=False)
+    rows: np.ndarray = field(repr=False, compare=False)
 
     def energy(self, theta: float) -> float:
         """Converts a fitted phase back to Hartree."""
@@ -82,17 +84,22 @@ class ScaledHamiltonian:
     def evolve(self, psi: StateVector, tau: float, n_points: int) -> np.ndarray:
         """Rows exp(-i n tau H~)|psi> for n = 0 .. n_points - 1.
 
-        psi is projected onto the eigenvectors once.  Each row is then its
-        own matrix-vector product with n tau a Python float: one product
-        stacked over all points rounds differently.
+        Only the blocks where psi has weight evolve; the rows are zero
+        elsewhere.  Their vectors are cast to complex once, not at every
+        point, and psi is projected once; each row is then one product
+        batched over those blocks, with n tau a Python float.
         """
         if psi.n_qubits != self.scaled.n_qubits:
             raise ValueError("Hamiltonian and state widths differ")
+        amps = psi.amplitudes[self.rows]
+        live = np.flatnonzero(np.any(amps != 0, axis=1))
+        vals, vecs = self.vals[live, :, None], self.vecs[live].astype(complex)
         # V^H a computed as conj(V^T conj(a)): no conjugate copy of V
-        coords = (self.vecs.T @ psi.amplitudes.conj()).conj()
-        rows = np.empty((n_points, len(coords)), dtype=complex)
+        coords = (vecs.transpose(0, 2, 1) @ amps[live, :, None].conj()).conj()
+        rows = np.zeros((n_points, psi.amplitudes.size), dtype=complex)
+        at = self.rows[live]
         for n in range(n_points):
-            rows[n] = self.vecs @ (np.exp(-1j * (n * tau) * self.vals) * coords)
+            rows[n, at] = (vecs @ (np.exp(-1j * (n * tau) * vals) * coords))[..., 0]
         return rows
 
 
@@ -103,27 +110,29 @@ def scale(h: PauliSum) -> ScaledHamiltonian:
     h1 = (4/pi) max |eig(H - h0 I)|, so H~ = (H - h0 I)/h1 has its
     largest eigenvalue magnitude at exactly pi/4.
 
-    The dense eigendecomposition of H - h0 I (:meth:`PauliSum.eig`, one
-    batched ``eigh`` over H's symmetry blocks) is computed once here: H~
-    keeps its vectors and the eigenvalues times 1/h1, which
-    :meth:`ScaledHamiltonian.evolve` reads.
+    H - h0 I is diagonalized once here, by one batched ``eigh`` over its
+    symmetry blocks (:meth:`PauliSum.blocks`); no 2^n x 2^n matrix is
+    built.  H~ keeps the block rows and vectors and the eigenvalues times
+    1/h1, which :meth:`ScaledHamiltonian.evolve` reads.
 
     Raises:
         ValueError: H is not Hermitian, is wider than the dense cap
             :data:`gsee.pauli.DENSE_MATRIX_CAP` (raised before any
-            allocation), or is proportional to the identity (h1 < 1e-12)
+            allocation), its blocks and their vectors exceed physical
+            memory, or it is proportional to the identity (h1 < 1e-12)
             and carries no phase to estimate.
     """
     if not h.is_hermitian():
         raise ValueError("Hamiltonian must be Hermitian")
     h0 = h.identity_coefficient.real
     shifted = h - PauliSum(h.n_qubits, {PauliString(): h0})
-    vals, vecs = shifted.eig()
+    rows, mats = shifted.blocks()
+    vals, vecs = np.linalg.eigh(mats)
     h1 = 4.0 * float(np.max(np.abs(vals))) / math.pi
     if h1 < 1e-12:
         raise ValueError("Hamiltonian is proportional to the identity")
     inv = 1.0 / h1
-    return ScaledHamiltonian(h0, h1, shifted * inv, inv * vals, vecs)
+    return ScaledHamiltonian(h0, h1, shifted * inv, inv * vals, vecs, rows)
 
 
 # ----------------------------------------------------------------------

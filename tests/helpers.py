@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Mapping
 
 import numpy as np
+from hypothesis import strategies as st
 
 from gsee.chem import FermionIntegrals
 from gsee.circuits import Circuit, Gate
@@ -38,6 +39,78 @@ def dense_sum(a: PauliSum) -> np.ndarray:
     for string, coeff in a.terms():
         out += coeff * dense_string(string, a.n_qubits)
     return out
+
+
+def eig(a: PauliSum) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian eigendecomposition ``(eigenvalues, vectors)`` of a sum.
+
+    One batched ``eigh`` over the symmetry blocks of
+    :meth:`PauliSum.blocks`, the vectors scattered into the ``complex128``
+    columns of a 2^n x 2^n unitary; the eigenvalues ascend (a stable sort).
+    """
+    rows, mats = a.blocks()
+    vals, blocks = np.linalg.eigh(mats)
+    order = np.argsort(vals, axis=None, kind="stable")
+    vecs = np.zeros((rows.size, rows.size), dtype=np.complex128)
+    cols = np.empty_like(order)
+    cols[order] = np.arange(rows.size)  # the inverse permutation
+    vecs[rows[:, :, None], cols.reshape(rows.shape)[:, None]] = blocks
+    return vals.ravel()[order], vecs
+
+
+def odd_y_count(x: int, z: int) -> bool:
+    return (x & z).bit_count() % 2 == 1
+
+
+@st.composite
+def eig_sums(draw):
+    """Real-coefficient sums on 1-6 qubits, all even-Y or with an odd-Y string.
+
+    Even-Y sums have real symmetry blocks and take the real ``eigh`` path;
+    a single odd-Y string sends the sum down the complex path.
+    """
+    n = draw(st.integers(1, 6))
+    size = draw(st.integers(0, 30))
+    masks = st.integers(0, (1 << n) - 1)
+    coeffs = st.floats(-2.0, 2.0, allow_nan=False)
+    terms = draw(
+        st.lists(st.tuples(masks, masks, coeffs), min_size=size, max_size=size)
+    )
+    terms = [(x, z, c) for x, z, c in terms if not odd_y_count(x, z)]
+    if draw(st.booleans()):
+        x, z, q = draw(masks), draw(masks), draw(st.integers(0, n - 1))
+        if not odd_y_count(x, z):
+            # turning qubit q into Y, or a Y on it into I, moves the count by 1
+            bit = 1 << q
+            x, z = (x & ~bit, z & ~bit) if x & z & bit else (x | bit, z | bit)
+        terms.append((x, z, draw(st.floats(0.1, 2.0))))
+    return PauliSum(n, [(PauliString(x, z), c) for x, z, c in terms])
+
+
+@st.composite
+def blocked_eig_sums(draw):
+    """Sums whose x masks span everything, nothing, or anything between.
+
+    Beside :func:`eig_sums`: a sum holding an X or Y on every qubit (full
+    rank, one block), an all-Z sum (2^n blocks of 1) and an identity-only
+    sum, each with real coefficients.
+    """
+    kind = draw(st.sampled_from(["random", "full_rank", "all_z", "identity"]))
+    if kind == "random":
+        return draw(eig_sums())
+    n = draw(st.integers(1, 6))
+    masks = st.integers(0, (1 << n) - 1)
+    coeffs = st.floats(-2.0, 2.0, allow_nan=False)
+    if kind == "identity":
+        return PauliSum(n, {PauliString(): draw(coeffs)})
+    terms = [(0, draw(masks), draw(coeffs)) for _ in range(draw(st.integers(0, 20)))]
+    if kind == "full_rank":
+        # X or Y on qubit q with Z factors below it: odd-Y strings included
+        terms += [
+            (1 << q, draw(masks) & ((2 << q) - 1), draw(st.floats(0.1, 2.0)))
+            for q in range(n)
+        ]
+    return PauliSum(n, [(PauliString(x, z), c) for x, z, c in terms])
 
 
 def random_string(rng: np.random.Generator, n_qubits: int) -> PauliString:

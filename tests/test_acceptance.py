@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import circuit_unitary, random_sum
+from helpers import circuit_unitary, eig, random_sum
 from gsee.chem import (
     ci_initial_state,
     determinants_from_json,
@@ -70,7 +70,7 @@ def h2_tapered(h2):
 @pytest.fixture(scope="module")
 def toy():
     h = PauliSum.from_json((FIXTURES / "toy_3q.json").read_text())
-    vals, vecs = h.eig()
+    vals, vecs = eig(h)
     return h, StateVector(3, vecs[:, 0]), float(vals[0])
 
 
@@ -138,13 +138,13 @@ def test_02_sampling_error_formula_and_empirical_match(h2_tapered):
 def test_03_exact_mode_phase_estimation_recovery(h2_tapered):
     """Exact-mode fits recover dense ground energies to 1e-6 * max(1, h1)."""
     h, psi = h2_tapered
-    vals, vecs = h.eig()
+    vals, vecs = eig(h)
     assert abs(np.vdot(vecs[:, 0], psi.amplitudes)) ** 2 >= 0.96
     assert abs(phase_estimate(h, psi) - vals[0]) <= 1e-6 * max(1.0, scale(h).h1)
     rng = np.random.default_rng(20260815)
     for _ in range(10):
         h = random_sum(rng, 3, 8, hermitian=True)
-        vals, vecs = h.eig()
+        vals, vecs = eig(h)
         ground = StateVector(3, vecs[:, 0])
         err = abs(phase_estimate(h, ground) - vals[0])
         assert err <= 1e-6 * max(1.0, scale(h).h1)
@@ -283,7 +283,7 @@ def test_12_tapered_ground_energy_matches_sector(h2):
         ):
             indices.append(b)
     sector_ground = float(np.linalg.eigvalsh(dense[np.ix_(indices, indices)])[0])
-    tapered_ground = float(report.reduced.eig()[0][0])
+    tapered_ground = float(eig(report.reduced)[0][0])
     assert tapered_ground == pytest.approx(sector_ground, abs=1e-10)
 
 

@@ -5,9 +5,11 @@ import json
 import math
 import pathlib
 
+import numpy as np
 import pytest
 
-from gsee import cli
+from helpers import eig
+from gsee import cli, pauli
 from gsee.cli import InputError, SCHEMA_VERSION, main, resolve_config
 from gsee.pauli import PauliString, PauliSum
 from gsee.recompile import CompileConfig
@@ -50,7 +52,7 @@ def run_results(out_dir):
 
 
 def dense_ground(path):
-    return float(PauliSum.from_json(path.read_text()).eig()[0][0])
+    return float(eig(PauliSum.from_json(path.read_text()))[0][0])
 
 
 class TestResolveConfig:
@@ -727,6 +729,74 @@ class TestRegisterCap:
         assert code == 2
         path = tmp_path / ("op.json" if form == "operator" else "dets.json")
         assert str(path) in capsys.readouterr().err
+
+
+class TestMemoryChecks:
+    """A run that cannot afford its arrays exits 2 before allocating them."""
+
+    @pytest.mark.parametrize("command", ["qcels", "recompile"])
+    def test_unaffordable_n_points_exits_2(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        settings = {"n_points": 4096}
+        if command == "recompile":
+            settings.update(layers=1, max_iterations=1, restarts=1)
+        config = h2_config(tmp_path, command, **{command: settings})
+
+        def no_scale(h):
+            raise AssertionError("the n_points check must come first")
+
+        # 4,096 Hadamard-test rows of 2^5 amplitudes take 2,097,152 bytes
+        monkeypatch.setattr(pauli, "_physical_memory", lambda: 2**21 - 1)
+        monkeypatch.setattr(cli, "scale", no_scale)
+        out = tmp_path / "run"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{command}.n_points: 4,096 time points" in err
+        assert "2,097,152 bytes, more than the 2,097,151 bytes" in err
+        assert not (out / "results.json").exists()
+
+    def test_unaffordable_ingest_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(pauli, "_physical_memory", lambda: 10_000)
+        out = tmp_path / "ingested"
+        assert main(["ingest", str(H2_FCIDUMP), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(H2_FCIDUMP) in err and "product chains" in err
+        assert "bytes of physical memory" in err
+        assert not out.exists()
+
+
+class TestNoDenseMatrix:
+    def test_qcels_and_ingest_allocate_no_4n_array(self, tmp_path, monkeypatch):
+        sizes = []
+
+        def spy(allocate):
+            def spied(shape, *args, **kwargs):
+                sizes.append(math.prod(shape) if hasattr(shape, "__len__") else shape)
+                return allocate(shape, *args, **kwargs)
+            return spied
+
+        def no_dense(self):
+            raise AssertionError("to_dense reached")
+
+        monkeypatch.setattr(PauliSum, "to_dense", no_dense)
+        for name in ("zeros", "empty"):
+            monkeypatch.setattr(np, name, spy(getattr(np, name)))
+        ingested = tmp_path / "ingested"
+        assert main(["ingest", str(FIXTURES / "spin_polarized.fcidump"),
+                     "--out", str(ingested), "--taper"]) == 0
+        report = json.loads((ingested / "ingest_report.json").read_text())
+        assert report["qubits"] == 8 and report["ground_energy"] is not None
+        config = write_config(tmp_path, {
+            "algorithm": "qcels",
+            "operator": str(ingested / "operator.json"),
+            "state": {"basis": 0b01010100},
+        })
+        assert main(["qcels", "--config", str(config), "--mode", "exact",
+                     "--out", str(tmp_path / "run")]) == 0
+        # the four 64 x 64 symmetry blocks are the largest matrix
+        assert 4 * 64 * 64 in sizes
+        assert max(sizes) < 4**8
 
 
 class TestRecompileRun:

@@ -13,10 +13,14 @@ from gsee.chem import _gf2_nullspace
 from gsee.pauli import PauliString, PauliSum, sum_multiply
 from gsee.qcels import scale
 from helpers import (
+    blocked_eig_sums,
     dense_string,
     dense_sum,
+    eig,
+    eig_sums,
     greedy_coloring_reference,
     loop_product,
+    odd_y_count,
     purged_product,
     random_string,
     random_sum,
@@ -556,34 +560,19 @@ class TestFromProducts:
         with pytest.raises(ValueError, match="3 qubits"):
             PauliSum.from_products(3, [PauliSum(4)], np.zeros((1, 1), int), [1.0])
 
-
-def odd_y_count(x, z):
-    return (x & z).bit_count() % 2 == 1
-
-
-@st.composite
-def eig_sums(draw):
-    """Real-coefficient sums on 1-6 qubits, all even-Y or with an odd-Y string.
-
-    Even-Y sums have a real matrix and take the real ``eigh`` path; a single
-    odd-Y string sends the sum down the complex path.
-    """
-    n = draw(st.integers(1, 6))
-    size = draw(st.integers(0, 30))
-    masks = st.integers(0, (1 << n) - 1)
-    coeffs = st.floats(-2.0, 2.0, allow_nan=False)
-    terms = draw(
-        st.lists(st.tuples(masks, masks, coeffs), min_size=size, max_size=size)
-    )
-    terms = [(x, z, c) for x, z, c in terms if not odd_y_count(x, z)]
-    if draw(st.booleans()):
-        x, z, q = draw(masks), draw(masks), draw(st.integers(0, n - 1))
-        if not odd_y_count(x, z):
-            # turning qubit q into Y, or a Y on it into I, moves the count by 1
-            bit = 1 << q
-            x, z = (x & ~bit, z & ~bit) if x & z & bit else (x | bit, z | bit)
-        terms.append((x, z, draw(st.floats(0.1, 2.0))))
-    return PauliSum(n, [(PauliString(x, z), c) for x, z, c in terms])
+    def test_chains_beyond_physical_memory_refused(self, monkeypatch):
+        # 3 rows of 2 factors of 2 terms hold 3 · 2² = 12 chains, each one
+        # mask word of x and of z, a coefficient and a row index: 40 bytes
+        ladder = PauliSum(2, {PauliString.from_label("X0"): 0.5,
+                              PauliString.from_label("Y0"): 0.5j})
+        case = (2, [ladder], np.zeros((3, 2), dtype=int), np.ones(3))
+        monkeypatch.setattr(pauli, "_physical_memory", lambda: 479)
+        with mock.patch.object(pauli, "_multiply_terms") as products:
+            with pytest.raises(ValueError, match=r"12 product chains .* 480 bytes"):
+                PauliSum.from_products(*case)
+        assert not products.called
+        monkeypatch.setattr(pauli, "_physical_memory", lambda: 480)
+        assert PauliSum.from_products(*case) == row_loop(*case)
 
 
 def assert_eig_matches_dense(a, vals, vecs):
@@ -601,13 +590,13 @@ class TestEig:
     @settings(deadline=None)
     @given(a=eig_sums(), c=st.floats(0.1, 10.0))
     def test_matches_dense_on_both_paths(self, a, c):
-        vals, vecs = a.eig()
+        vals, vecs = eig(a)
         assert_eig_matches_dense(a, vals, vecs)
         if not any(odd_y_count(s.x_mask, s.z_mask) for s, _ in a.terms()):
             # the real path casts real vectors: no imaginary part survives
             assert not np.any(vecs.imag)
         scaled = a * c
-        assert_eig_matches_dense(scaled, *scaled.eig())
+        assert_eig_matches_dense(scaled, *eig(scaled))
 
     def test_non_hermitian_multiple_raises(self):
         a = PauliSum(
@@ -616,35 +605,9 @@ class TestEig:
         )
         # diagonalizing the Hermitian sum first must not spare its multiple
         # the Hermitian check
-        a.eig()
+        eig(a)
         with pytest.raises(ValueError, match="Hermitian"):
-            (a * 1j).eig()
-
-
-@st.composite
-def blocked_eig_sums(draw):
-    """Sums whose x masks span everything, nothing, or anything between.
-
-    Beside :func:`eig_sums`: a sum holding an X or Y on every qubit (full
-    rank, one block), an all-Z sum (2^n blocks of 1) and an identity-only
-    sum, each with real coefficients.
-    """
-    kind = draw(st.sampled_from(["random", "full_rank", "all_z", "identity"]))
-    if kind == "random":
-        return draw(eig_sums())
-    n = draw(st.integers(1, 6))
-    masks = st.integers(0, (1 << n) - 1)
-    coeffs = st.floats(-2.0, 2.0, allow_nan=False)
-    if kind == "identity":
-        return PauliSum(n, {PauliString(): draw(coeffs)})
-    terms = [(0, draw(masks), draw(coeffs)) for _ in range(draw(st.integers(0, 20)))]
-    if kind == "full_rank":
-        # X or Y on qubit q with Z factors below it: odd-Y strings included
-        terms += [
-            (1 << q, draw(masks) & ((2 << q) - 1), draw(st.floats(0.1, 2.0)))
-            for q in range(n)
-        ]
-    return PauliSum(n, [(PauliString(x, z), c) for x, z, c in terms])
+            (a * 1j).blocks()
 
 
 def coset_rows(a):
@@ -662,7 +625,7 @@ class TestBlockedEig:
     @settings(deadline=None)
     @given(a=blocked_eig_sums())
     def test_matches_the_full_spectrum(self, a):
-        vals, vecs = a.eig()
+        vals, vecs = eig(a)
         dense = a.to_dense()
         tol = 1e-12 * a.one_norm()
         assert np.all(np.diff(vals) >= 0)
@@ -674,24 +637,33 @@ class TestBlockedEig:
     @settings(deadline=None)
     @given(a=blocked_eig_sums())
     def test_blocks_are_the_dense_cosets(self, a):
-        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
-            a.eig()
-        assert eigh.call_count == 1
-        (stack,) = eigh.call_args.args
+        # the blocks come from the strings, never from the dense matrix
+        with mock.patch.object(PauliSum, "to_dense", side_effect=AssertionError):
+            rows, mats = a.blocks()
         dense = a.to_dense()
-        if stack.dtype == np.float64:
+        if mats.dtype == np.float64:
             # the real path drops an imaginary part that is exactly zero
             assert not np.any(dense.imag)
             dense = dense.real
-        rows = coset_rows(a)
-        assert stack.shape == (len(rows), len(rows[0]), len(rows[0]))
-        # each stacked block is one coset's sub-matrix, bit for bit
-        want = sorted(dense[np.ix_(r, r)].tobytes() for r in rows)
-        assert sorted(block.tobytes() for block in stack) == want
+        assert mats.dtype in (np.float64, np.complex128)
+        assert np.all(np.diff(rows, axis=1) > 0)
+        assert sorted(rows.tolist()) == sorted(coset_rows(a))
+        assert mats.shape == rows.shape + rows.shape[1:]
+        # each block is its coset's sub-matrix of to_dense, bit for bit
+        for r, block in zip(rows, mats):
+            assert block.tobytes() == dense[np.ix_(r, r)].tobytes()
         inside = np.zeros(dense.shape, dtype=bool)
         for r in rows:
             inside[np.ix_(r, r)] = True
         assert not np.any(dense[~inside])
+
+    @settings(deadline=None)
+    @given(a=blocked_eig_sums())
+    def test_block_eigenvalues_are_the_dense_spectrum(self, a):
+        want = np.linalg.eigvalsh(a.to_dense())
+        radius = float(np.max(np.abs(want)))
+        got = np.sort(np.linalg.eigvalsh(a.blocks()[1]), axis=None)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * radius)
 
 
 class TestDenseMemoryCheck:
@@ -702,18 +674,20 @@ class TestDenseMemoryCheck:
         with pytest.raises(ValueError, match=r"1,024 bytes.*1,000 bytes"):
             a.to_dense()
 
-    @pytest.mark.parametrize("label, need", [("Z0 X1", "1,152"), ("Y0", "1,280")])
+    @pytest.mark.parametrize("label, need", [("Z0 X1", "256"), ("Y0", "512")])
     def test_eig_counts_copies_and_vectors(self, monkeypatch, label, need):
-        # 3 qubits, 64 cells: the 1,024-byte matrix fits in 1,100 bytes, but
-        # eig holds it, and then the vectors, beside 4 blocks of 2 x 2: 8
-        # bytes a block cell on the real path and 16 on the complex one
-        monkeypatch.setattr(pauli, "_physical_memory", lambda: 1100)
+        # 3 qubits: the 4 blocks of 2 x 2 take 128 bytes on the real path
+        # and 256 on the complex one, and the eigenvectors an eigh returns
+        # beside them as many again; one byte short of both refuses
+        memory = int(need) - 1
+        monkeypatch.setattr(pauli, "_physical_memory", lambda: memory)
         a = PauliSum(3, {PauliString.from_label(label): 1.0})
-        a.to_dense()
-        with pytest.raises(ValueError, match=rf"{need} bytes.*1,100 bytes"):
-            a.eig()
+        with pytest.raises(ValueError, match=rf" {need} bytes.* {memory} bytes"):
+            a.blocks()
         with pytest.raises(ValueError, match="physical memory"):
             scale(a)
+        monkeypatch.setattr(pauli, "_physical_memory", lambda: memory + 1)
+        assert a.blocks()[1].nbytes == int(need) // 2
 
     def test_unknown_memory_skips_the_check(self, monkeypatch):
         monkeypatch.setattr(pauli, "_physical_memory", lambda: None)

@@ -7,11 +7,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from helpers import (
+    blocked_eig_sums,
     dense_sum,
     gate_matrix,
     phasor_objective,
@@ -150,7 +151,13 @@ class TestScale:
             3, {PauliString(): 0.4}
         )
         sh = scale(h)
-        vals, vecs = (h - PauliSum(3, {PauliString(): sh.h0})).eig()
+        rows, mats = (h - PauliSum(3, {PauliString(): sh.h0})).blocks()
+        vals, vecs = np.linalg.eigh(mats)
+        # one (vals, vecs) pair per symmetry block, never scattered into
+        # a 2^n x 2^n matrix
+        assert sh.rows.tobytes() == rows.tobytes()
+        assert sh.vals.shape == rows.shape
+        assert sh.vecs.shape == mats.shape
         assert sh.vals.tobytes() == ((1.0 / sh.h1) * vals).tobytes()
         assert sh.vecs.tobytes() == vecs.tobytes()
 
@@ -174,6 +181,27 @@ class TestEvolve:
             for n, row in enumerate(rows):
                 want = expm(-1j * n * tau * dense) @ psi.amplitudes
                 assert np.linalg.norm(row - want) < 1e-10
+
+    @settings(deadline=None, max_examples=60)
+    @given(h=blocked_eig_sums(), one_block=st.booleans(),
+           seed=st.integers(0, 2**32 - 1), tau=st.floats(0.05, ALIAS_SAFE_TAU))
+    def test_rows_match_expm_in_one_block_or_all(self, h, one_block, seed, tau):
+        dim = 1 << h.n_qubits
+        shifted = dense_sum(h) - h.identity_coefficient.real * np.eye(dim)
+        assume(np.max(np.abs(np.linalg.eigvalsh(shifted))) > 1e-9)
+        sh = scale(h)
+        rng = np.random.default_rng(seed)
+        amps = random_state(rng, h.n_qubits)
+        if one_block:
+            inside = np.zeros(dim, dtype=bool)
+            inside[sh.rows[rng.integers(len(sh.rows))]] = True
+            amps = np.where(inside, amps, 0) / np.linalg.norm(amps[inside])
+        psi = StateVector(h.n_qubits, amps)
+        # the decomposition belongs to (H - h0 I) / h1 before the purge
+        dense = shifted / sh.h1
+        for n, row in enumerate(sh.evolve(psi, tau, 4)):
+            want = expm(-1j * (n * tau) * dense) @ amps
+            assert np.max(np.abs(row - want)) <= 1e-12
 
     def test_composition(self):
         rng = np.random.default_rng(37)
@@ -713,19 +741,19 @@ class TestOneEigendecomposition:
         amps = np.zeros(1 << h.n_qubits, dtype=complex)
         amps[[0b01010100, 0b00010101, 0b01000101]] = [0.8, 0.48, 0.36]
         psi = StateVector(h.n_qubits, amps)
-        calls, eig_calls = [], []
-        eigh, eig = np.linalg.eigh, PauliSum.eig
+        calls, block_calls = [], []
+        eigh, blocks = np.linalg.eigh, PauliSum.blocks
 
         def counting_eigh(a, *args, **kwargs):
             calls.append(a.shape)
             return eigh(a, *args, **kwargs)
 
-        def counting_eig(self):
-            eig_calls.append(self.n_qubits)
-            return eig(self)
+        def counting_blocks(self):
+            block_calls.append(self.n_qubits)
+            return blocks(self)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        monkeypatch.setattr(PauliSum, "eig", counting_eig)
+        monkeypatch.setattr(PauliSum, "blocks", counting_blocks)
         sh = scale(h)
         tau = choose_grid(sh, psi, 9)
         for series in (
@@ -733,9 +761,9 @@ class TestOneEigendecomposition:
             acquire(sh, psi, tau, 9, "shots", spc=100, seed=3),
         ):
             assert math.isfinite(fit(series, sh).energy)
-        # scale diagonalizes H - h0 I once; H~ keeps its vectors and the
-        # rescaled eigenvalues, which every evolution reads.  The x masks
-        # span 6 of the 8 qubits, so that one eigh is batched over the
-        # 4 symmetry blocks of 64
-        assert eig_calls == [8]
+        # scale diagonalizes H - h0 I once; H~ keeps its block vectors and
+        # the rescaled eigenvalues, which every evolution reads.  The x
+        # masks span 6 of the 8 qubits, so that one eigh is batched over
+        # the 4 symmetry blocks of 64
+        assert block_calls == [8]
         assert calls == [(4, 64, 64)]
