@@ -399,12 +399,29 @@ def _dense_ground(h: PauliSum) -> float | None:
     return float(np.linalg.eigvalsh(h.blocks()[1]).min())
 
 
+def _check(key: str, n_bytes: int, what: str) -> None:
+    """Exit 2, naming the config ``key``, before ``n_bytes`` exceed memory."""
+    try:
+        check_memory(n_bytes, what)
+    except ValueError as exc:
+        raise InputError(f"{key}: {exc}") from None
+
+
 def _check_series(n_qubits: int, n_points: int, section: str) -> None:
     """Exit 2 before n_points rows of 2^(n+1) amplitudes exceed memory."""
-    try:
-        check_memory(16 * n_points << (n_qubits + 1), f"{n_points:,} time points")
-    except ValueError as exc:
-        raise InputError(f"{section}.n_points: {exc}") from None
+    _check(f"{section}.n_points", 16 * n_points << (n_qubits + 1),
+           f"{n_points:,} time points")
+
+
+def _shot_bytes(shots: int, n_qubits: int) -> int:
+    """Peak bytes of one ``sample_z`` draw: 32 a shot and 32 an amplitude."""
+    return 32 * (shots + (1 << n_qubits))
+
+
+def _bootstrap_bytes(resamples: int, outcomes: int, terms: int) -> int:
+    """Peak bytes of :func:`bootstrap` on circuits of at most these sizes."""
+    # a resample: two circuits' draws, a float copy, their values, moments
+    return 8 * resamples * (3 * outcomes + 2 * terms + 8) + 32 * outcomes * terms
 
 
 def cmd_ingest(source: Path, out: Path, taper: bool) -> None:
@@ -483,6 +500,9 @@ def cmd_qcels(resolved: Mapping, base: Path, out: Path) -> None:
     psi = _load_state(resolved, base, h.n_qubits)
     settings = resolved["qcels"]
     _check_series(h.n_qubits, settings["n_points"], "qcels")
+    if resolved["spc"] is not None:
+        spc = resolved["spc"]
+        _check("spc", _shot_bytes(spc, h.n_qubits + 1), f"{spc:,} shots")
     sh = scale(h)
     tau = choose_grid(sh, psi, settings["n_points"])
 
@@ -533,6 +553,15 @@ def cmd_qcm4(resolved: Mapping, base: Path, out: Path) -> None:
     if settings["filter"]:
         m, filter_report = pauli_filter(m, psi)
     measurement_plan = plan(m, mode=settings["grouping"])
+    if resolved["mode"] == "shots":
+        # weighted allocation may give one circuit the whole budget
+        weighted = settings["allocation"] == "weighted"
+        shots = resolved["spc"] * (measurement_plan.n_circuits if weighted else 1)
+        _check("spc", _shot_bytes(shots, h.n_qubits), f"{shots:,} shots of a circuit")
+        terms = max((len(c.terms) for c in measurement_plan.circuits), default=0)
+        resamples = settings["resamples"]
+        cost = _bootstrap_bytes(resamples, min(shots, 1 << h.n_qubits), terms)
+        _check("qcm4.resamples", cost, f"{resamples:,} resamples")
     est = estimate(
         measurement_plan, psi,
         spc=resolved["spc"],

@@ -29,10 +29,10 @@ reduction, because those pivots choose the Clifford gates it emits and
 the qcm4 shot records depend on them.
 
 Example:
-    >>> phase, product = PauliString.from_label("X0").multiply(
-    ...     PauliString.from_label("Y0"))
-    >>> phase, product.to_label()
-    (1j, 'Z0')
+    >>> x = PauliSum(1, {PauliString.from_label("X0"): 1.0})
+    >>> y = PauliSum(1, {PauliString.from_label("Y0"): 1.0})
+    >>> [(s.to_label(), c) for s, c in (x @ y).terms()]
+    [('Z0', 1j)]
 """
 
 from __future__ import annotations
@@ -159,15 +159,6 @@ class PauliString:
         return amps[..., src] * d
 
     @property
-    def is_identity(self) -> bool:
-        return not (self.x_mask | self.z_mask)
-
-    @property
-    def weight(self) -> int:
-        """Number of qubits the string acts on non-trivially."""
-        return (self.x_mask | self.z_mask).bit_count()
-
-    @property
     def min_width(self) -> int:
         """Smallest register width containing the support."""
         return (self.x_mask | self.z_mask).bit_length()
@@ -178,24 +169,6 @@ class PauliString:
     def sort_key(self) -> tuple:
         """Canonical ordering key: lexicographic by (qubit index, X<Y<Z)."""
         return tuple((q, _AXIS_RANK[a]) for q, a in self.support.items())
-
-    def multiply(self, other: "PauliString") -> tuple[complex, "PauliString"]:
-        """Operator product ``self · other`` as ``(phase, string)``.
-
-        The phase is one of ``+1, +i, -1, -i``; ``phase * string`` equals
-        the matrix product exactly.
-        """
-        xc = self.x_mask ^ other.x_mask
-        zc = self.z_mask ^ other.z_mask
-        # Per qubit, with P(x,z) = i^{xz} X^x Z^z:
-        #   P(a)P(b) = i^{xa·za + xb·zb + 2·za·xb − xc·zc} P(c).
-        g = (
-            (self.x_mask & self.z_mask).bit_count()
-            + (other.x_mask & other.z_mask).bit_count()
-            + 2 * (self.z_mask & other.x_mask).bit_count()
-            - (xc & zc).bit_count()
-        )
-        return _PHASES[g % 4], PauliString(xc, zc)
 
     def commutes(self, other: "PauliString", mode: str = "full") -> bool:
         """Commutation test under the chosen mode.
@@ -268,8 +241,9 @@ def _multiply_terms(a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray
     """Products of terms held as ``(x, z, re, im)`` arrays, broadcast.
 
     ``x`` and ``z`` are ``(..., W)`` mask words and ``re + i·im`` the
-    coefficient.  The phase exponent is that of :meth:`PauliString.multiply`,
-    so each product ``ca * cb * phase`` is the pair loop's bit for bit.
+    coefficient.  Per qubit, with P(x, z) = i^{xz} X^x Z^z, P(a) P(b) =
+    i^{xa·za + xb·zb + 2·za·xb − xc·zc} P(c), and each product
+    ``ca * cb * phase`` is the pair loop's bit for bit.
     """
     (xa, za, are, aim), (xb, zb, bre, bim) = a, b
     x, z = xa ^ xb, za ^ zb

@@ -12,6 +12,8 @@ circuits, and maximizes the objective
 
 whose peak location theta* converts back to an energy through
 E* = h0 + h1 theta*.
+
+H~ is held once, as the eigenpairs of its symmetry blocks.
 """
 
 import math
@@ -26,7 +28,6 @@ from .simulator import (
     CompiledCircuit,
     StateVector,
     estimate_pauli_z,
-    expectation,
     sample_z,
     simulate_batch,
 )
@@ -62,17 +63,13 @@ class ScaledHamiltonian:
     Attributes:
         h0: spectral mean of H (its identity coefficient), in Hartree.
         h1: scale factor (4/pi) ||H - h0 I||, in Hartree.
-        scaled: the dimensionless operator H~ = (H - h0 I) / h1.
-        vals, vecs, rows: per symmetry block k (:meth:`PauliSum.blocks`),
-            the ascending eigenvalues ``vals[k]`` and eigenvector columns
-            ``vecs[k]``, over basis indices ``rows[k]``, of (H - h0 I) / h1
-            before the purge; they describe ``scaled`` up to any term that
-            1/h1 pushes to :data:`gsee.pauli.PURGE_TOL` or below.
+        vals, vecs, rows: H~ = (H - h0 I) / h1 itself: per symmetry block k
+            (:meth:`PauliSum.blocks`), its ascending eigenvalues ``vals[k]``
+            and eigenvector columns ``vecs[k]`` over basis indices ``rows[k]``.
     """
 
     h0: float
     h1: float
-    scaled: PauliSum
     vals: np.ndarray = field(repr=False, compare=False)
     vecs: np.ndarray = field(repr=False, compare=False)
     rows: np.ndarray = field(repr=False, compare=False)
@@ -80,6 +77,22 @@ class ScaledHamiltonian:
     def energy(self, theta: float) -> float:
         """Converts a fitted phase back to Hartree."""
         return self.h0 + self.h1 * theta
+
+    def _project(self, psi: StateVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(live, vecs, coords)``: psi's blocks, their complex vectors, V^H psi."""
+        if psi.amplitudes.size != self.rows.size:
+            raise ValueError("Hamiltonian and state widths differ")
+        amps = psi.amplitudes[self.rows]
+        live = np.flatnonzero(np.any(amps != 0, axis=1))
+        vecs = self.vecs[live].astype(complex)
+        # V^H a computed as conj(V^T conj(a)): no conjugate copy of V
+        coords = (vecs.transpose(0, 2, 1) @ amps[live, :, None].conj()).conj()
+        return live, vecs, coords
+
+    def mean(self, psi: StateVector) -> float:
+        """<psi|H~|psi> = sum |<v|psi>|^2 lambda over the eigenpairs (v, lambda)."""
+        live, _, coords = self._project(psi)
+        return float(np.sum(self.vals[live] * np.abs(coords[..., 0]) ** 2))
 
     def evolve(self, psi: StateVector, tau: float, n_points: int) -> np.ndarray:
         """Rows exp(-i n tau H~)|psi> for n = 0 .. n_points - 1.
@@ -89,13 +102,8 @@ class ScaledHamiltonian:
         point, and psi is projected once; each row is then one product
         batched over those blocks, with n tau a Python float.
         """
-        if psi.n_qubits != self.scaled.n_qubits:
-            raise ValueError("Hamiltonian and state widths differ")
-        amps = psi.amplitudes[self.rows]
-        live = np.flatnonzero(np.any(amps != 0, axis=1))
-        vals, vecs = self.vals[live, :, None], self.vecs[live].astype(complex)
-        # V^H a computed as conj(V^T conj(a)): no conjugate copy of V
-        coords = (vecs.transpose(0, 2, 1) @ amps[live, :, None].conj()).conj()
+        live, vecs, coords = self._project(psi)
+        vals = self.vals[live, :, None]
         rows = np.zeros((n_points, psi.amplitudes.size), dtype=complex)
         at = self.rows[live]
         for n in range(n_points):
@@ -112,8 +120,8 @@ def scale(h: PauliSum) -> ScaledHamiltonian:
 
     H - h0 I is diagonalized once here, by one batched ``eigh`` over its
     symmetry blocks (:meth:`PauliSum.blocks`); no 2^n x 2^n matrix is
-    built.  H~ keeps the block rows and vectors and the eigenvalues times
-    1/h1, which :meth:`ScaledHamiltonian.evolve` reads.
+    built.  H~ is held as the block rows and vectors and the eigenvalues
+    times 1/h1 alone, with no rescaled Pauli sum.
 
     Raises:
         ValueError: H is not Hermitian, is wider than the dense cap
@@ -132,7 +140,7 @@ def scale(h: PauliSum) -> ScaledHamiltonian:
     if h1 < 1e-12:
         raise ValueError("Hamiltonian is proportional to the identity")
     inv = 1.0 / h1
-    return ScaledHamiltonian(h0, h1, shifted * inv, inv * vals, vecs, rows)
+    return ScaledHamiltonian(h0, h1, inv * vals, vecs, rows)
 
 
 # ----------------------------------------------------------------------
@@ -143,7 +151,8 @@ def choose_grid(
 ) -> float:
     """Chooses the time step so the series spans two apparent periods.
 
-    The dominant phase is estimated as theta^ = <psi|H~|psi>; the total
+    The dominant phase is estimated as theta^ = <psi|H~|psi>, read from
+    the eigenpairs of H~ (:meth:`ScaledHamiltonian.mean`); the total
     time T = 2 (2 pi / |theta^|) covers two of its periods and
     tau = T / (n_points - 1).  When |theta^| < 0.01 the estimate carries
     no usable period and tau falls back to the maximal-phase choice
@@ -152,7 +161,7 @@ def choose_grid(
     """
     if n_points < 2:
         raise ValueError("need at least two time points")
-    theta_hat = expectation(psi, sh.scaled).real
+    theta_hat = sh.mean(psi)
     if abs(theta_hat) < 0.01:
         total = 2.0 * (2.0 * math.pi / (math.pi / 4.0))
     else:
@@ -185,10 +194,6 @@ class OverlapSeries:
         n = len(self.values)
         if len(self.stderr_re) != n or len(self.stderr_im) != n:
             raise ValueError("standard-error arrays must match the samples")
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(len(self.values)) * self.tau
 
     def to_csv(self) -> str:
         spc = "none" if self.spc is None else str(self.spc)

@@ -28,7 +28,6 @@ __all__ = [
     "CompileConfig",
     "CompilationResult",
     "SeriesCompilation",
-    "compile_state",
     "compile_series",
 ]
 
@@ -114,31 +113,10 @@ class SeriesCompilation:
         )
 
 
-def compile_state(
-    target: StateVector, ansatz: Circuit, config: CompileConfig = CompileConfig()
-) -> CompilationResult:
-    """Minimizes the distance objective over the ansatz parameters.
-
-    All restarts advance together in one batched Adam run (cosine-decayed
-    learning rate).  The ansatz's gate kernels are compiled once per call
-    and serve every sweep: each iteration is one adjoint sweep that
-    yields every restart's objective and exact gradient, and plain
-    forward sweeps score the last iterate and the winner.  The best
-    parameters ever evaluated are returned, so the final objective never
-    exceeds the initial one, and the winner is simulated once more so
-    that the reported fidelity is |<target|U(parameters)|0>|^2 for
-    exactly the returned parameters.
-
-    Raises:
-        ValueError: the objective became non-finite (diverged run).
-    """
-    return _compile(CompiledCircuit(ansatz), [target], config)[0]
-
-
 def _compile(
     compiled: CompiledCircuit, targets: Sequence[StateVector], config: CompileConfig
 ) -> list[CompilationResult]:
-    """:func:`compile_state` per target; row t * restarts + r is restart r of t."""
+    """One Adam run over every target; row t * restarts + r is restart r of t."""
     ansatz = compiled.circuit
     if any(target.n_qubits != ansatz.n_qubits for target in targets):
         raise ValueError("ansatz and target widths differ")
@@ -217,7 +195,15 @@ def compile_series(
     config: CompileConfig = CompileConfig(),
     layers: int | None = None,
 ) -> SeriesCompilation:
-    """:func:`compile_state` for every target over one shared ansatz.
+    """Minimizes the distance objective of every target over one shared ansatz.
+
+    A target's restarts advance together in a batched Adam run (cosine-
+    decayed learning rate) on kernels compiled once per call; each
+    iteration is one adjoint sweep giving every restart's objective and
+    exact gradient.  The best parameters ever evaluated are returned, so a
+    target's final objective never exceeds its initial one, and the
+    winner is simulated once more so that the reported fidelity is
+    |<target|U(parameters)|0>|^2 for exactly the returned parameters.
 
     Every target draws its restarts from the same seeded stream, so
     identical targets produce identical results.  Consecutive targets run
@@ -226,6 +212,10 @@ def compile_series(
     for bit those of one call per target.  With ``warm_start`` (off by
     default) the previous target's solution seeds one restart of the next,
     so targets run one at a time.
+
+    Raises:
+        ValueError: no targets, or an objective became non-finite
+            (diverged run).
     """
     if not targets:
         raise ValueError("no targets to compile")

@@ -317,6 +317,24 @@ def greedy_coloring_reference(a: PauliSum, mode: str) -> tuple:
     return tuple(tuple(s) for s in sets)
 
 
+def multiply(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
+    """Operator product ``a · b`` of two strings as ``(phase, string)``.
+
+    The phase is one of ``+1, +i, -1, -i``; ``phase * string`` equals
+    the matrix product exactly.
+    """
+    xc, zc = a.x_mask ^ b.x_mask, a.z_mask ^ b.z_mask
+    # Per qubit, with P(x,z) = i^{xz} X^x Z^z:
+    #   P(a)P(b) = i^{xa·za + xb·zb + 2·za·xb − xc·zc} P(c).
+    g = (
+        (a.x_mask & a.z_mask).bit_count()
+        + (b.x_mask & b.z_mask).bit_count()
+        + 2 * (a.z_mask & b.x_mask).bit_count()
+        - (xc & zc).bit_count()
+    )
+    return (1 + 0j, 1j, -1 + 0j, -1j)[g % 4], PauliString(xc, zc)
+
+
 def loop_product(
     a: Mapping[PauliString, complex], b: Mapping[PauliString, complex]
 ) -> dict[PauliString, complex]:
@@ -328,7 +346,7 @@ def loop_product(
     out: dict[PauliString, complex] = {}
     for sa, ca in a.items():
         for sb, cb in b.items():
-            phase, prod = sa.multiply(sb)
+            phase, prod = multiply(sa, sb)
             out[prod] = out.get(prod, 0j) + ca * cb * phase
     return out
 

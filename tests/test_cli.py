@@ -4,15 +4,19 @@ import hashlib
 import json
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import eig
+from helpers import eig, random_state
 from gsee import cli, pauli
+from gsee.chem import jordan_wigner, parse_fcidump
 from gsee.cli import InputError, SCHEMA_VERSION, main, resolve_config
 from gsee.pauli import PauliString, PauliSum
+from gsee.qcm4 import bootstrap, build_moments, estimate, plan
 from gsee.recompile import CompileConfig
+from gsee.simulator import StateVector, sample_z
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "src" / "gsee" / "fixtures"
 H2_FCIDUMP = FIXTURES / "h2_eq.fcidump"
@@ -764,6 +768,57 @@ class TestMemoryChecks:
         assert str(H2_FCIDUMP) in err and "product chains" in err
         assert "bytes of physical memory" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, settings, message", [
+        ("qcels", {"spc": 10**9}, "spc: 1,000,000,000 shots would take"),
+        ("qcm4", {"spc": 10**9}, "spc: 1,000,000,000 shots of a circuit"),
+        ("qcm4", {"spc": 100, "qcm4": {"resamples": 10**7}},
+         "qcm4.resamples: 10,000,000 resamples would take"),
+    ])
+    def test_unaffordable_shots_exit_2(
+        self, tmp_path, capsys, monkeypatch, command, settings, message
+    ):
+        config = h2_config(tmp_path, command, mode="shots", **settings)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("the shot checks must come first")
+
+        # a machine with 1 GB: nothing of the refused size is allocated
+        monkeypatch.setattr(pauli, "_physical_memory", lambda: 10**9)
+        monkeypatch.setattr(cli, "acquire", no_draw)
+        monkeypatch.setattr(cli, "estimate", no_draw)
+        out = tmp_path / "run"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "more than the 1,000,000,000 bytes" in err
+        assert not (out / "results.json").exists()
+
+    @pytest.mark.parametrize("n_qubits, spc", [(4, 100_000), (14, 20_000)])
+    def test_shot_estimate_covers_the_draw(self, n_qubits, spc):
+        psi = StateVector(n_qubits, random_state(np.random.default_rng(5), n_qubits))
+        tracemalloc.start()
+        try:
+            sample_z(psi, spc, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cli._shot_bytes(spc, n_qubits)
+
+    def test_bootstrap_estimate_covers_the_resamples(self):
+        h = jordan_wigner(parse_fcidump(H2_FCIDUMP.read_text()))
+        mp = plan(build_moments(h))
+        psi = StateVector(4, random_state(np.random.default_rng(0), 4))
+        est = estimate(mp, psi, spc=10_000, seed=1, mode="shots")
+        outcomes = max(len(r.outcomes) for r in est.records)
+        assert outcomes == 16
+        terms = max(len(c.terms) for c in mp.circuits)
+        tracemalloc.start()
+        try:
+            bootstrap(est, 1000, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cli._bootstrap_bytes(1000, outcomes, terms)
 
 
 class TestNoDenseMatrix:

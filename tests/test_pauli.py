@@ -20,6 +20,7 @@ from helpers import (
     eig_sums,
     greedy_coloring_reference,
     loop_product,
+    multiply,
     odd_y_count,
     purged_product,
     random_string,
@@ -45,7 +46,7 @@ class TestPauliString:
         s = PauliString.from_label("X0 Y3 Z5")
         assert s.support == {0: "X", 3: "Y", 5: "Z"}
         assert s.to_label() == "X0 Y3 Z5"
-        assert PauliString.from_label("").is_identity
+        assert PauliString.from_label("") == PauliString()
 
     def test_label_rejects_duplicates_and_garbage(self):
         with pytest.raises(ValueError):
@@ -57,29 +58,29 @@ class TestPauliString:
 
     def test_weight_and_width(self):
         s = PauliString.from_label("X1 Z4")
-        assert s.weight == 2
+        assert (s.x_mask | s.z_mask).bit_count() == 2
         assert s.min_width == 5
 
     def test_single_qubit_products_frozen(self):
         for (a, b), (phase, label) in SINGLE_QUBIT_PRODUCTS.items():
-            got_phase, got = PauliString.from_label(f"{a}0").multiply(
-                PauliString.from_label(f"{b}0")
+            got_phase, got = multiply(
+                PauliString.from_label(f"{a}0"), PauliString.from_label(f"{b}0")
             )
             assert got_phase == phase, (a, b)
             assert got.to_label() == label, (a, b)
 
     def test_self_product_is_identity(self):
         s = PauliString.from_label("X0 Z1")
-        phase, prod = s.multiply(s)
+        phase, prod = multiply(s, s)
         assert phase == 1
-        assert prod.is_identity
+        assert prod == PauliString()
 
     def test_multiply_matches_dense_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             a = random_string(rng, 4)
             b = random_string(rng, 4)
-            phase, prod = a.multiply(b)
+            phase, prod = multiply(a, b)
             direct = dense_string(a, 4) @ dense_string(b, 4)
             assert np.allclose(direct, phase * dense_string(prod, 4), atol=1e-14)
 
@@ -87,10 +88,10 @@ class TestPauliString:
         rng = np.random.default_rng(11)
         for _ in range(50):
             a, b, c = (random_string(rng, 3) for _ in range(3))
-            p1, ab = a.multiply(b)
-            p2, ab_c = ab.multiply(c)
-            q1, bc = b.multiply(c)
-            q2, a_bc = a.multiply(bc)
+            p1, ab = multiply(a, b)
+            p2, ab_c = multiply(ab, c)
+            q1, bc = multiply(b, c)
+            q2, a_bc = multiply(a, bc)
             assert ab_c == a_bc
             assert p1 * p2 == q1 * q2
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 import pathlib
+import sys
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,7 @@ from helpers import (
     random_state,
     random_sum,
 )
-from gsee import pauli
+from gsee import pauli, simulator
 from gsee.chem import jordan_wigner, parse_fcidump
 from gsee.circuits import Gate, hea_ansatz
 from gsee.pauli import PauliString, PauliSum
@@ -71,6 +72,29 @@ def exact_series(values, tau):
     return OverlapSeries(tau, values, zeros, zeros, None, "exact")
 
 
+def scaled_dense(h, sh):
+    """The dense oracle for H~ = (H - h0 I) / h1."""
+    return (dense_sum(h) - sh.h0 * np.eye(1 << h.n_qubits)) / sh.h1
+
+
+def scaled_case(h, one_block, seed):
+    """``scale(h)`` and a random state inside one random block or over all.
+
+    A sum proportional to the identity is rejected (hypothesis ``assume``).
+    """
+    dim = 1 << h.n_qubits
+    shifted = dense_sum(h) - h.identity_coefficient.real * np.eye(dim)
+    assume(np.max(np.abs(np.linalg.eigvalsh(shifted))) > 1e-9)
+    sh = scale(h)
+    rng = np.random.default_rng(seed)
+    amps = random_state(rng, h.n_qubits)
+    if one_block:
+        inside = np.zeros(dim, dtype=bool)
+        inside[sh.rows[rng.integers(len(sh.rows))]] = True
+        amps = np.where(inside, amps, 0) / np.linalg.norm(amps[inside])
+    return sh, StateVector(h.n_qubits, amps)
+
+
 def unit_z():
     """A scaled Hamiltonian for fits, which read it only for the energy."""
     return scale(PauliSum(1, {PauliString.from_label("Z0"): 1.0}))
@@ -108,10 +132,11 @@ def assert_matches_hand_readout(series, states, spc, seed):
 
 class TestScale:
     def test_single_z(self):
-        sh = scale(PauliSum(1, {PauliString.from_label("Z0"): 1.0}))
+        h = PauliSum(1, {PauliString.from_label("Z0"): 1.0})
+        sh = scale(h)
         assert sh.h0 == 0.0
         assert sh.h1 == pytest.approx(4.0 / math.pi, abs=1e-15)
-        eigs = np.linalg.eigvalsh(sh.scaled.to_dense())
+        eigs = np.linalg.eigvalsh(scaled_dense(h, sh))
         assert np.allclose(np.abs(eigs), math.pi / 4.0, atol=1e-12)
 
     def test_identity_multiple_rejected(self):
@@ -132,8 +157,10 @@ class TestScale:
                 np.trace(dense).real / 8.0, abs=1e-12
             )
             eigs = np.linalg.eigvalsh(dense)
-            scaled_eigs = np.linalg.eigvalsh(sh.scaled.to_dense())
+            scaled_eigs = np.linalg.eigvalsh(scaled_dense(h, sh))
             assert np.max(np.abs(scaled_eigs)) <= math.pi / 4.0 + 1e-9
+            # H~ is held as these eigenvalues
+            assert np.allclose(np.sort(sh.vals, axis=None), scaled_eigs, atol=1e-12)
             assert np.allclose(sh.h0 + sh.h1 * scaled_eigs, eigs, atol=1e-10)
 
     def test_wide_register_refused_before_allocating(self, monkeypatch):
@@ -172,12 +199,13 @@ class TestEvolve:
         # an odd-Y string takes the complex eigh path
         for odd_y, tau in itertools.product((False, True), (0.37, -0.61)):
             labels = self.EVEN_Y + [("Y0 Z2", 0.5)] * odd_y
-            sh = scale(PauliSum(3, {PauliString.from_label(s): c for s, c in labels}))
+            h = PauliSum(3, {PauliString.from_label(s): c for s, c in labels})
+            sh = scale(h)
             assert np.any(sh.vecs.imag) == odd_y
             rows = sh.evolve(psi, tau, 5)
             assert rows.shape == (5, 8)
             assert np.max(np.abs(rows[0] - psi.amplitudes)) < 1e-14
-            dense = dense_sum(sh.scaled)
+            dense = scaled_dense(h, sh)
             for n, row in enumerate(rows):
                 want = expm(-1j * n * tau * dense) @ psi.amplitudes
                 assert np.linalg.norm(row - want) < 1e-10
@@ -186,21 +214,10 @@ class TestEvolve:
     @given(h=blocked_eig_sums(), one_block=st.booleans(),
            seed=st.integers(0, 2**32 - 1), tau=st.floats(0.05, ALIAS_SAFE_TAU))
     def test_rows_match_expm_in_one_block_or_all(self, h, one_block, seed, tau):
-        dim = 1 << h.n_qubits
-        shifted = dense_sum(h) - h.identity_coefficient.real * np.eye(dim)
-        assume(np.max(np.abs(np.linalg.eigvalsh(shifted))) > 1e-9)
-        sh = scale(h)
-        rng = np.random.default_rng(seed)
-        amps = random_state(rng, h.n_qubits)
-        if one_block:
-            inside = np.zeros(dim, dtype=bool)
-            inside[sh.rows[rng.integers(len(sh.rows))]] = True
-            amps = np.where(inside, amps, 0) / np.linalg.norm(amps[inside])
-        psi = StateVector(h.n_qubits, amps)
-        # the decomposition belongs to (H - h0 I) / h1 before the purge
-        dense = shifted / sh.h1
+        sh, psi = scaled_case(h, one_block, seed)
+        dense = scaled_dense(h, sh)
         for n, row in enumerate(sh.evolve(psi, tau, 4)):
-            want = expm(-1j * (n * tau) * dense) @ amps
+            want = expm(-1j * (n * tau) * dense) @ psi.amplitudes
             assert np.max(np.abs(row - want)) <= 1e-12
 
     def test_composition(self):
@@ -220,6 +237,31 @@ class TestEvolve:
             sh.evolve(StateVector.zero_state(2), 0.5, 3)
 
 
+class TestMean:
+    @settings(deadline=None, max_examples=80)
+    @given(h=blocked_eig_sums(), one_block=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_dense_expectation(self, h, one_block, seed):
+        sh, psi = scaled_case(h, one_block, seed)
+        amps = psi.amplitudes
+        want = np.vdot(amps, scaled_dense(h, sh) @ amps).real
+        assert abs(sh.mean(psi) - want) <= 1e-12
+
+    def test_real_and_odd_y_paths(self):
+        psi = StateVector(3, random_state(np.random.default_rng(41), 3))
+        for odd_y in (False, True):
+            labels = TestEvolve.EVEN_Y + [("Y0 Z2", 0.5)] * odd_y
+            h = PauliSum(3, {PauliString.from_label(s): c for s, c in labels})
+            sh = scale(h)
+            assert np.any(sh.vecs.imag) == odd_y
+            want = np.vdot(psi.amplitudes, scaled_dense(h, sh) @ psi.amplitudes)
+            assert abs(sh.mean(psi) - want.real) <= 1e-12
+
+    def test_width_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="widths differ"):
+            unit_z().mean(StateVector.zero_state(2))
+
+
 class TestChooseGrid:
     def test_boundary_eigenstate(self):
         sh = scale(PauliSum(1, {PauliString.from_label("Z0"): 1.0}))
@@ -232,12 +274,13 @@ class TestChooseGrid:
         assert choose_grid(sh, plus, 33) == pytest.approx(0.5, abs=1e-12)
 
     def test_small_phase_is_alias_capped(self):
-        sh = scale(PauliSum(1, {PauliString.from_label("Z0"): 1.0}))
+        h = PauliSum(1, {PauliString.from_label("Z0"): 1.0})
+        sh = scale(h)
         # <Z> = 0.02 * 4/pi puts theta^ at 0.02, above the fallback cut
         mean_z = 0.02 * 4.0 / math.pi
         a = math.sqrt((1.0 + mean_z) / 2.0)
         psi = StateVector(1, np.array([a, math.sqrt(1.0 - a * a)]))
-        theta_hat = expectation(psi, sh.scaled).real
+        theta_hat = np.vdot(psi.amplitudes, scaled_dense(h, sh) @ psi.amplitudes).real
         assert 0.01 < abs(theta_hat) < 0.1
         assert choose_grid(sh, psi, 33) == ALIAS_SAFE_TAU
 
@@ -255,6 +298,50 @@ class TestChooseGrid:
         sh = scale(PauliSum(1, {PauliString.from_label("Z0"): 1.0}))
         with pytest.raises(ValueError, match="two time points"):
             choose_grid(sh, StateVector.zero_state(1), 1)
+
+    def test_reads_no_pauli_term_after_the_blocks(self, monkeypatch):
+        fi = parse_fcidump((FIXTURES / "spin_polarized.fcidump").read_text())
+        h = jordan_wigner(fi)
+        amps = np.zeros(1 << h.n_qubits, dtype=complex)
+        amps[[0b01010100, 0b00010101, 0b01000101]] = [0.8, 0.48, 0.36]
+        psi = StateVector(h.n_qubits, amps)
+        in_blocks, reads = [], []
+
+        def spy(name, func):
+            def spied(*args, **kwargs):
+                if not in_blocks:
+                    reads.append(name)
+                return func(*args, **kwargs)
+            return spied
+
+        def watched_blocks(self):
+            in_blocks.append(True)
+            try:
+                return blocks(self)
+            finally:
+                in_blocks.pop()
+
+        blocks = PauliSum.blocks
+        monkeypatch.setattr(PauliSum, "blocks", watched_blocks)
+        for name in ("act", "action"):
+            monkeypatch.setattr(
+                PauliString, name, spy(name, getattr(PauliString, name))
+            )
+        # wherever a module imported it by name
+        for module in list(sys.modules.values()):
+            if getattr(module, "expectation", None) is simulator.expectation:
+                monkeypatch.setattr(
+                    module, "expectation", spy("expectation", simulator.expectation)
+                )
+        sh = scale(h)
+        tau = choose_grid(sh, psi, 33)
+        assert reads == []
+        want = np.vdot(amps, scaled_dense(h, sh) @ amps).real
+        assert abs(sh.mean(psi) - want) <= 1e-12
+        assert 0.0 < tau <= ALIAS_SAFE_TAU
+        # the spies do see a term-by-term read
+        simulator.expectation(psi, h)
+        assert {"expectation", "act", "action"} <= set(reads)
 
 
 class TestStdError:
@@ -389,8 +476,7 @@ class TestHadamardTestState:
         states = hadamard_test_states(sh, psi, tau, 3)
         assert states.shape == (3, 8)
         idx = np.arange(4) << 1
-        scaled_dense = dense_sum(sh.scaled)
-        svals, svecs = np.linalg.eigh(scaled_dense)
+        svals, svecs = np.linalg.eigh(scaled_dense(h, sh))
         for n, state in enumerate(states):
             top = state[idx] * math.sqrt(2.0)
             bottom = state[idx | 1] * math.sqrt(2.0)
@@ -707,7 +793,7 @@ class TestSerialization:
         assert lines[1] == "n,t,re,im,stderr_re,stderr_im"
         rows = np.array([[float(x) for x in row.split(",")] for row in lines[2:]])
         assert np.array_equal(rows[:, 0], np.arange(6))
-        assert np.array_equal(rows[:, 1], series.times)
+        assert np.array_equal(rows[:, 1], np.arange(6) * series.tau)
         assert np.array_equal(rows[:, 2] + 1j * rows[:, 3], series.values)
         assert np.array_equal(rows[:, 4], series.stderr_re)
         assert np.array_equal(rows[:, 5], series.stderr_im)

@@ -14,7 +14,6 @@ from gsee.recompile import (
     CompileConfig,
     SeriesCompilation,
     compile_series,
-    compile_state,
 )
 from gsee.simulator import (
     CompiledCircuit,
@@ -29,6 +28,11 @@ def zero_amps(n):
     amps = np.zeros(1 << n, dtype=complex)
     amps[0] = 1.0
     return amps
+
+
+def compile_one(target, ansatz, config=CompileConfig()):
+    """One target's compilation: a series of that target alone."""
+    return compile_series([target], ansatz, config).results[0]
 
 
 def objective(ansatz, target, thetas):
@@ -61,7 +65,7 @@ class TestCompileState:
         ansatz, spec = hea_ansatz(3, 2)
         star = rng.uniform(-np.pi, np.pi, spec.n_params)
         target_amps = simulate_batch(ansatz, zero_amps(3), star[None])[0]
-        res = compile_state(
+        res = compile_one(
             StateVector(3, target_amps),
             ansatz,
             CompileConfig(seed=0, initial_parameters=tuple(star)),
@@ -75,7 +79,7 @@ class TestCompileState:
         ansatz, _ = hea_ansatz(3, 6)
         for k in range(5):
             target = StateVector(3, random_state(rng, 3))
-            res = compile_state(
+            res = compile_one(
                 target, ansatz, CompileConfig(seed=100 + k, tolerance=1e-8)
             )
             assert res.fidelity >= 0.999
@@ -86,7 +90,7 @@ class TestCompileState:
         target = StateVector(2, random_state(rng, 2))
         init = tuple(rng.uniform(-np.pi, np.pi, spec.n_params))
         initial_obj = objective(ansatz, target, np.asarray(init)[None])[0]
-        res = compile_state(
+        res = compile_one(
             target,
             ansatz,
             CompileConfig(seed=2, restarts=1, max_iterations=5,
@@ -99,7 +103,7 @@ class TestCompileState:
         ansatz, _ = hea_ansatz(2, 2)
         for k in range(3):
             target = StateVector(2, random_state(rng, 2))
-            res = compile_state(
+            res = compile_one(
                 target, ansatz, CompileConfig(seed=k, max_iterations=60)
             )
             assert res.objective >= 2.0 * (1.0 - np.sqrt(res.fidelity)) - 1e-12
@@ -114,7 +118,7 @@ class TestCompileState:
         amps[idx << 1] = branch / np.sqrt(2.0)
         amps[(idx << 1) | 1] = np.exp(1j * phi) * branch / np.sqrt(2.0)
         ansatz, _ = hea_ansatz(3, 6)
-        res = compile_state(
+        res = compile_one(
             StateVector(3, amps),
             ansatz,
             CompileConfig(seed=7, max_iterations=700, tolerance=1e-13),
@@ -128,7 +132,7 @@ class TestCompileState:
         ansatz, spec = hea_ansatz(2, 1)
         bad = tuple([np.nan] * spec.n_params)
         with pytest.raises(ValueError, match="non-finite"):
-            compile_state(
+            compile_one(
                 StateVector.zero_state(2),
                 ansatz,
                 CompileConfig(seed=0, initial_parameters=bad),
@@ -137,9 +141,9 @@ class TestCompileState:
     def test_input_validation(self):
         ansatz, spec = hea_ansatz(2, 1)
         with pytest.raises(ValueError, match="widths"):
-            compile_state(StateVector.zero_state(3), ansatz, CompileConfig())
+            compile_one(StateVector.zero_state(3), ansatz, CompileConfig())
         with pytest.raises(ValueError, match="initial parameters"):
-            compile_state(
+            compile_one(
                 StateVector.zero_state(2),
                 ansatz,
                 CompileConfig(initial_parameters=(0.0,)),
@@ -159,7 +163,7 @@ class TestCompileState:
 
 
 def one_target_reference(target, ansatz, config):
-    """compile_state's documented Adam loop for one target, written out.
+    """compile_series' documented Adam loop for one target, written out.
 
     Each iteration scores its restarts by a forward sweep and one
     (restarts, 2^n) @ (2^n,) product, and takes their gradient from
@@ -242,7 +246,7 @@ class TestCompileSeries:
     def test_batch_equals_one_compile_state_per_target(self, case):
         targets, ansatz, config = reachable_series(*SERIES[case])
         series = compile_series(targets, ansatz, config)
-        alone = [compile_state(t, ansatz, config) for t in targets]
+        alone = [compile_one(t, ansatz, config) for t in targets]
         iterations = [r.iterations for r in series.results]
         assert len(set(iterations)) >= 3
         assert (config.max_iterations in iterations) == (case == "loose")
