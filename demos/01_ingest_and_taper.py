@@ -34,7 +34,8 @@ print(f"tapered operator: {reduced.n_qubits} qubit(s), {len(reduced)} terms")
 print(f"tapered ground energy: {np.linalg.eigvalsh(reduced.blocks()[1]).min():.10f} Ha")
 
 # States ride along.  The two-determinant CI state maps into the reduced
-# register and keeps its energy expectation bit for bit.
+# register and keeps its energy expectation up to rounding: tapering
+# merges terms, so the two float sums may differ in the last bits.
 _, dets = determinants_from_json((FIXTURES / "h2_eq_ci.json").read_text())
 ci = ci_initial_state(dets, 0.0, h.n_qubits)
 ci_reduced = taper_state(report, ci)

@@ -15,7 +15,7 @@ first and the hardware-efficient recompilation ansatz.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .pauli import PauliString, PauliSum
 
@@ -107,20 +107,6 @@ class Circuit:
 
     def __len__(self) -> int:
         return len(self.gates)
-
-    def bind(self, values: Sequence[float]) -> "Circuit":
-        """Substitutes numeric angles for all symbolic parameters."""
-        if len(values) != self.n_params:
-            raise ValueError(
-                f"expected {self.n_params} parameter values, got {len(values)}"
-            )
-        bound = [
-            g
-            if g.param is None
-            else Gate(g.kind, g.qubits, angle=float(values[g.param]), pauli=g.pauli)
-            for g in self.gates
-        ]
-        return Circuit(self.n_qubits, bound)
 
 
 @dataclass(frozen=True)

@@ -65,8 +65,9 @@ __all__ = ["InputError", "SCHEMA_VERSION", "main", "resolve_config"]
 
 SCHEMA_VERSION = 1
 
-# dense ground-energy checks in ingest reports stop above this width; the
-# symmetry blocks they read take 34 MB for a 12-qubit molecular Hamiltonian
+# ingest reports carry a dense ground energy up to this width; a fixed
+# width, not a memory rule, so that ingest_report.json is the same on every
+# machine (the blocks take 34 MB for a 12-qubit molecular Hamiltonian)
 _DENSE_REPORT_CAP = 12
 
 
@@ -420,8 +421,9 @@ def _shot_bytes(shots: int, n_qubits: int) -> int:
 
 def _bootstrap_bytes(resamples: int, outcomes: int, terms: int) -> int:
     """Peak bytes of :func:`bootstrap` on circuits of at most these sizes."""
-    # a resample: two circuits' draws, a float copy, their values, moments
-    return 8 * resamples * (3 * outcomes + 2 * terms + 8) + 32 * outcomes * terms
+    # a resample: one circuit's draws, their float copy, its values before
+    # and after the division by spc, moments
+    return 8 * resamples * (2 * outcomes + 2 * terms + 8) + 32 * outcomes * terms
 
 
 def cmd_ingest(source: Path, out: Path, taper: bool) -> None:

@@ -28,6 +28,10 @@ the symmetry blocks of :meth:`PauliSum.blocks`;
 reduction, because those pivots choose the Clifford gates it emits and
 the qcm4 shot records depend on them.
 
+No width cap: :meth:`PauliSum.to_dense`, :meth:`PauliSum.blocks` and
+:meth:`PauliSum.from_products` refuse only a peak estimate beyond physical
+memory (:func:`check_memory`), before their large arrays exist.
+
 Example:
     >>> x = PauliSum(1, {PauliString.from_label("X0"): 1.0})
     >>> y = PauliSum(1, {PauliString.from_label("Y0"): 1.0})
@@ -52,20 +56,12 @@ __all__ = [
     "sum_multiply",
     "z_signs",
     "PURGE_TOL",
-    "DENSE_MATRIX_CAP",
     "check_memory",
 ]
 
 # Coefficients at or below this magnitude are purged after arithmetic;
 # double-precision cancellation residue lands well below it.
 PURGE_TOL = 1e-14
-
-# Dense paths refuse wider registers, and below the cap an allocation larger
-# than physical memory (:func:`check_memory`).  At the cap, :meth:`to_dense`
-# takes 16 · 4^n bytes, 4.3 GB; :meth:`blocks` 8 · 2^(n+r) for x masks of
-# rank r, twice that when complex, and their eigenvectors as much again:
-# 537 MB each for a molecular Hamiltonian (r = n − 2).
-DENSE_MATRIX_CAP = 14
 
 # Rows of the commutation graph computed per vectorized step in
 # :meth:`PauliSum.group_commuting`.  It bounds the working memory to a few
@@ -543,8 +539,9 @@ class PauliSum:
 
         Raises:
             ValueError: a factor on another register width, or K · T^F
-                chains of ``16 · W + 24`` bytes (W mask words, a complex
-                coefficient, a row index) exceed physical memory.
+                chains of ``64 · W + 96`` bytes (W mask words; the picked
+                terms, phases and sorts of the product included) exceed
+                physical memory.
         """
         if any(f.n_qubits != n_qubits for f in factors):
             raise ValueError(f"every factor must act on {n_qubits} qubits")
@@ -552,7 +549,7 @@ class PauliSum:
         longest, pad = max([1, *map(len, factors)]), (PauliString(), 0j)
         n_chains = len(rows) * longest ** rows.shape[1]
         n_words = max(1, -(-n_qubits // 64))
-        check_memory(n_chains * (16 * n_words + 24), f"{n_chains:,} product chains")
+        check_memory(n_chains * (64 * n_words + 96), f"{n_chains:,} product chains")
         padded = [[*f._terms.items(), *[pad] * (longest - len(f))] for f in factors]
         table = [v.reshape((len(factors), longest) + v.shape[1:])
                  for v in _term_arrays(itertools.chain(*padded), n_qubits)]
@@ -586,21 +583,13 @@ class PauliSum:
     # ------------------------------------------------------------------
     # dense paths
     # ------------------------------------------------------------------
-    def _require_dense_width(self) -> None:
-        if self._n_qubits > DENSE_MATRIX_CAP:
-            raise ValueError(
-                f"dense matrix limited to {DENSE_MATRIX_CAP} qubits, "
-                f"got {self._n_qubits}"
-            )
-
     def to_dense(self) -> np.ndarray:
         """Dense matrix in the little-endian basis (qubit q = index bit q).
 
         Raises:
-            ValueError: register wider than :data:`DENSE_MATRIX_CAP`, or
-                the ``16 · 4^n``-byte matrix exceeds physical memory.
+            ValueError: the ``16 · 4^n``-byte matrix, which dominates the
+                call's memory, exceeds physical memory.
         """
-        self._require_dense_width()
         dim = 1 << self._n_qubits
         check_memory(16 * dim * dim, "dense matrix")
         idx = np.arange(dim)
@@ -624,16 +613,17 @@ class PauliSum:
         sum of :meth:`to_dense`.
 
         Raises:
-            ValueError: non-Hermitian sum, register beyond the dense cap,
-                or the blocks and their eigenvectors exceed physical memory.
+            ValueError: non-Hermitian sum, or the blocks and the vectors an
+                ``eigh`` returns beside them (``2 · (8|16) · 2^n · 2^r``
+                bytes) and the 2^n-long index arrays (160 bytes an index)
+                exceed physical memory.
         """
         if not self.is_hermitian():
             raise ValueError("symmetry blocks require a Hermitian sum")
-        self._require_dense_width()
         real = all(s.phase.imag == 0 for s in self._terms)
         pivots, _ = gf2_reduce(s.x_mask for s in self._terms)
         dim, block = 1 << self._n_qubits, 1 << len(pivots)
-        check_memory(2 * (8 if real else 16) * dim * block, "symmetry blocks")
+        check_memory((2 * (8 if real else 16) * block + 160) * dim, "symmetry blocks")
         rep = idx = np.arange(dim)
         for col, prow in pivots.items():
             rep = rep ^ ((rep >> col) & 1) * prow

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuits import Circuit, Gate, hea_ansatz
-from .pauli import PauliString, PauliSum
+from .pauli import PauliString, PauliSum, check_memory
 from .recompile import SeriesCompilation
 from .simulator import (
     CompiledCircuit,
@@ -84,6 +84,11 @@ class ScaledHamiltonian:
             raise ValueError("Hamiltonian and state widths differ")
         amps = psi.amplitudes[self.rows]
         live = np.flatnonzero(np.any(amps != 0, axis=1))
+        # the gathered vectors, their complex copy, and 96 bytes an index
+        # for the amplitudes and coordinates
+        n_vecs = live.size * self.rows.shape[1] ** 2
+        check_memory((self.vecs.itemsize + 16) * n_vecs + 96 * amps.size,
+                     "the state's block vectors")
         vecs = self.vecs[live].astype(complex)
         # V^H a computed as conj(V^T conj(a)): no conjugate copy of V
         coords = (vecs.transpose(0, 2, 1) @ amps[live, :, None].conj()).conj()
@@ -124,17 +129,16 @@ def scale(h: PauliSum) -> ScaledHamiltonian:
     times 1/h1 alone, with no rescaled Pauli sum.
 
     Raises:
-        ValueError: H is not Hermitian, is wider than the dense cap
-            :data:`gsee.pauli.DENSE_MATRIX_CAP` (raised before any
-            allocation), its blocks and their vectors exceed physical
-            memory, or it is proportional to the identity (h1 < 1e-12)
-            and carries no phase to estimate.
+        ValueError: H is not Hermitian, its blocks and their vectors
+            exceed physical memory (raised before any 2^n-long array), or
+            it is proportional to the identity (h1 < 1e-12) and carries no
+            phase to estimate.
     """
     if not h.is_hermitian():
         raise ValueError("Hamiltonian must be Hermitian")
     h0 = h.identity_coefficient.real
-    shifted = h - PauliSum(h.n_qubits, {PauliString(): h0})
-    rows, mats = shifted.blocks()
+    # the shifted sum is freed before eigh allocates the vectors
+    rows, mats = (h - PauliSum(h.n_qubits, {PauliString(): h0})).blocks()
     vals, vecs = np.linalg.eigh(mats)
     h1 = 4.0 * float(np.max(np.abs(vals))) / math.pi
     if h1 < 1e-12:

@@ -609,6 +609,7 @@ def bootstrap(
         )
         values = draws @ _term_table(circuit, record.outcomes) / record.spc
         _add_terms(moments, circuit, values)
+        del draws, values  # one circuit's draws are live at a time
     energies = np.array([energy(cumulants(row)) for row in moments])
     # variance of shifted data; exact zero when every resample agrees
     return BootstrapResult(

@@ -7,6 +7,7 @@ package results can be checked against straight linear algebra.
 
 from __future__ import annotations
 
+import itertools
 from typing import Mapping
 
 import numpy as np
@@ -136,6 +137,37 @@ def random_sum(
     return PauliSum(n_qubits, terms)
 
 
+def random_integrals(rng, norb, values):
+    """Integrals with the 8-fold symmetry, one ``values(rng)`` draw per class."""
+    one = np.zeros((norb, norb))
+    for p, q in itertools.combinations_with_replacement(range(norb), 2):
+        one[p, q] = one[q, p] = values(rng)
+    two = np.zeros((norb,) * 4)
+    drawn = {}
+    for p, q, r, s in itertools.product(range(norb), repeat=4):
+        images = {(a, b, c, d) for a, b in ((p, q), (q, p)) for c, d in ((r, s), (s, r))}
+        images |= {(c, d, a, b) for a, b, c, d in images}
+        key = min(images)
+        if key not in drawn:
+            drawn[key] = values(rng)
+        two[p, q, r, s] = drawn[key]
+    return FermionIntegrals(norb, 0, 0, values(rng), one, two)
+
+
+def z_padded_sum(
+    rng: np.random.Generator, n_qubits: int
+) -> tuple[PauliSum, PauliSum]:
+    """A random 3-qubit Hermitian sum on qubits 0-2 plus Z on every other qubit.
+
+    Returns the ``n_qubits``-qubit sum and its 3-qubit part.  Only the part
+    flips bits, so every symmetry block holds the part's matrix shifted by
+    the Z terms' constant on that block.
+    """
+    small = random_sum(rng, 3, 12)
+    z_terms = {PauliString(0, 1 << q): rng.normal() for q in range(3, n_qubits)}
+    return PauliSum(n_qubits, dict(small.terms()) | z_terms), small
+
+
 def random_state(rng: np.random.Generator, n_qubits: int) -> np.ndarray:
     v = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
     return v / np.linalg.norm(v)
@@ -186,6 +218,15 @@ def gate_matrix(gate, n_qubits: int) -> np.ndarray:
     if kind == "h":
         return embed_1q((X2 + Z2) / np.sqrt(2.0), gate.qubits[0], n_qubits)
     return expm(-0.5j * gate.angle * dense_string(_rotation_string(gate), n_qubits))
+
+
+def fixed_angles(circuit: Circuit, values) -> Circuit:
+    """``circuit`` with ``values[g.param]`` as the angle of each symbolic gate."""
+    return Circuit(circuit.n_qubits, [
+        g if g.param is None
+        else Gate(g.kind, g.qubits, angle=float(values[g.param]), pauli=g.pauli)
+        for g in circuit.gates
+    ])
 
 
 def circuit_unitary(circuit) -> np.ndarray:

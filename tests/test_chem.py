@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_string, dense_sum, jordan_wigner_reference
+from helpers import (
+    dense_string,
+    dense_sum,
+    jordan_wigner_reference,
+    random_integrals,
+)
 from gsee.chem import (
     Determinant,
     FermionIntegrals,
@@ -134,23 +139,6 @@ class TestJordanWigner:
         )
         hd, nd = dense_sum(h), dense_sum(number)
         assert np.linalg.norm(hd @ nd - nd @ hd) < 1e-10
-
-
-def random_integrals(rng, norb, values):
-    """Integrals with the 8-fold symmetry, one ``values(rng)`` draw per class."""
-    one = np.zeros((norb, norb))
-    for p, q in itertools.combinations_with_replacement(range(norb), 2):
-        one[p, q] = one[q, p] = values(rng)
-    two = np.zeros((norb,) * 4)
-    drawn = {}
-    for p, q, r, s in itertools.product(range(norb), repeat=4):
-        images = {(a, b, c, d) for a, b in ((p, q), (q, p)) for c, d in ((r, s), (s, r))}
-        images |= {(c, d, a, b) for a, b, c, d in images}
-        key = min(images)
-        if key not in drawn:
-            drawn[key] = values(rng)
-        two[p, q, r, s] = drawn[key]
-    return FermionIntegrals(norb, 0, 0, values(rng), one, two)
 
 
 def dense_or_tiny(rng):

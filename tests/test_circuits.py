@@ -68,15 +68,6 @@ class TestCircuit:
         with pytest.raises(ValueError, match="contiguous"):
             Circuit(1, [Gate("rx", (0,), param=1)])
 
-    def test_bind_substitutes_every_parameter(self):
-        c = Circuit(2, [Gate("rx", (0,), param=0), Gate("zzphase", (0, 1), param=1)])
-        b = c.bind([0.3, -0.7])
-        assert b.n_params == 0
-        assert [g.angle for g in b.gates] == [0.3, -0.7]
-        with pytest.raises(ValueError, match="parameter values"):
-            c.bind([0.3])
-
-
 
 class TestTrotterStep:
     def test_commuting_terms_reproduce_exact_exponential(self):

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import eig, random_state
+from helpers import eig, random_state, z_padded_sum
 from gsee import cli, pauli
 from gsee.chem import jordan_wigner, parse_fcidump
 from gsee.cli import InputError, SCHEMA_VERSION, main, resolve_config
@@ -569,6 +569,18 @@ class TestQcelsRun:
         assert results["spc"] is None
         assert (out / "overlap.csv").exists()
         assert (out / "objective.csv").exists()
+
+    def test_exact_run_on_fifteen_qubits(self, tmp_path):
+        # memory, not register width, bounds the dense path
+        h, _ = z_padded_sum(np.random.default_rng(15), 15)
+        (tmp_path / "op.json").write_text(h.to_json())
+        config = write_config(tmp_path, {
+            "algorithm": "qcels", "operator": "op.json", "state": {"basis": 0},
+        })
+        out = tmp_path / "run"
+        argv = ["qcels", "--config", str(config), "--out", str(out), "--mode", "exact"]
+        assert main(argv) == 0
+        assert math.isfinite(run_results(out)["results"]["energy"])
 
     def test_identical_config_reproduces_bytes(self, tmp_path):
         config = h2_config(tmp_path, "qcels")

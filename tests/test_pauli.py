@@ -562,17 +562,17 @@ class TestFromProducts:
             PauliSum.from_products(3, [PauliSum(4)], np.zeros((1, 1), int), [1.0])
 
     def test_chains_beyond_physical_memory_refused(self, monkeypatch):
-        # 3 rows of 2 factors of 2 terms hold 3 · 2² = 12 chains, each one
-        # mask word of x and of z, a coefficient and a row index: 40 bytes
+        # 3 rows of 2 factors of 2 terms hold 3 · 2² = 12 chains of one mask
+        # word, each counted with its temporaries at 64 · 1 + 96 bytes
         ladder = PauliSum(2, {PauliString.from_label("X0"): 0.5,
                               PauliString.from_label("Y0"): 0.5j})
         case = (2, [ladder], np.zeros((3, 2), dtype=int), np.ones(3))
-        monkeypatch.setattr(pauli, "_physical_memory", lambda: 479)
+        monkeypatch.setattr(pauli, "_physical_memory", lambda: 1919)
         with mock.patch.object(pauli, "_multiply_terms") as products:
-            with pytest.raises(ValueError, match=r"12 product chains .* 480 bytes"):
+            with pytest.raises(ValueError, match=r"12 product chains .* 1,920 bytes"):
                 PauliSum.from_products(*case)
         assert not products.called
-        monkeypatch.setattr(pauli, "_physical_memory", lambda: 480)
+        monkeypatch.setattr(pauli, "_physical_memory", lambda: 1920)
         assert PauliSum.from_products(*case) == row_loop(*case)
 
 
@@ -675,20 +675,21 @@ class TestDenseMemoryCheck:
         with pytest.raises(ValueError, match=r"1,024 bytes.*1,000 bytes"):
             a.to_dense()
 
-    @pytest.mark.parametrize("label, need", [("Z0 X1", "256"), ("Y0", "512")])
+    @pytest.mark.parametrize("label, need", [("Z0 X1", 1536), ("Y0", 1792)])
     def test_eig_counts_copies_and_vectors(self, monkeypatch, label, need):
         # 3 qubits: the 4 blocks of 2 x 2 take 128 bytes on the real path
-        # and 256 on the complex one, and the eigenvectors an eigh returns
-        # beside them as many again; one byte short of both refuses
-        memory = int(need) - 1
+        # and 256 on the complex one, the eigenvectors an eigh returns
+        # beside them as many again, and the index arrays 160 bytes for each
+        # of the 8 indices; one byte short of both refuses
+        memory = need - 1
         monkeypatch.setattr(pauli, "_physical_memory", lambda: memory)
         a = PauliSum(3, {PauliString.from_label(label): 1.0})
-        with pytest.raises(ValueError, match=rf" {need} bytes.* {memory} bytes"):
+        with pytest.raises(ValueError, match=rf" {need:,} bytes.* {memory:,} bytes"):
             a.blocks()
         with pytest.raises(ValueError, match="physical memory"):
             scale(a)
         monkeypatch.setattr(pauli, "_physical_memory", lambda: memory + 1)
-        assert a.blocks()[1].nbytes == int(need) // 2
+        assert a.blocks()[1].nbytes == (need - 160 * 8) // 2
 
     def test_unknown_memory_skips_the_check(self, monkeypatch):
         monkeypatch.setattr(pauli, "_physical_memory", lambda: None)

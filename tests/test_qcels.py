@@ -19,6 +19,7 @@ from helpers import (
     phasor_objective,
     random_state,
     random_sum,
+    z_padded_sum,
 )
 from gsee import pauli, simulator
 from gsee.chem import jordan_wigner, parse_fcidump
@@ -164,14 +165,35 @@ class TestScale:
             assert np.allclose(sh.h0 + sh.h1 * scaled_eigs, eigs, atol=1e-10)
 
     def test_wide_register_refused_before_allocating(self, monkeypatch):
-        def no_memory_query():
-            raise AssertionError("the width check must come first")
-
-        # the memory check runs before every dense allocation
-        monkeypatch.setattr(pauli, "_physical_memory", no_memory_query)
+        # memory alone bounds the register: 2^15 blocks of 1 x 1 with their
+        # vectors and index arrays take 5.8 MB, against a machine of 1 MB
+        monkeypatch.setattr(pauli, "_physical_memory", lambda: 10**6)
         h = PauliSum(15, {PauliString.from_label("Z0"): 2.0})
-        with pytest.raises(ValueError, match="limited to 14 qubits, got 15"):
-            scale(h)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"5,767,168 bytes.* 1,000,000 bytes"):
+                scale(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # refused before any 2^15-long index array
+        assert peak < 8 << 15
+
+    def test_fifteen_qubits_scale_block_by_block(self):
+        # no width cap: 4,096 blocks of 8 rows fit in a few MB
+        h, small = z_padded_sum(np.random.default_rng(15), 15)
+        sh = scale(h)
+        assert sh.rows.shape == (1 << 12, 8)
+        # each block holds the 3-qubit part's spectrum, shifted by the Z
+        # terms' constant on the block's bits 3-14
+        qubits = np.arange(3, 15)
+        z = np.array([h.coefficient(PauliString(0, 1 << q)).real for q in qubits])
+        signs = 1 - 2 * ((sh.rows[:, :1] >> qubits) & 1)
+        want = np.linalg.eigvalsh(dense_sum(small)) + (z * signs).sum(1, keepdims=True)
+        radius = np.max(np.abs(want))
+        np.testing.assert_allclose(
+            sh.h0 + sh.h1 * sh.vals, want, rtol=0, atol=1e-12 * radius
+        )
 
     def test_keeps_the_shifted_decomposition_bit_for_bit(self):
         h = random_sum(np.random.default_rng(12), 3, 6) + PauliSum(

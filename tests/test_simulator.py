@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import (
     circuit_unitary,
     dense_sum,
+    fixed_angles,
     gate_matrix,
     random_state,
     random_sum,
@@ -193,7 +194,7 @@ class TestSimulateBatch:
         psi = random_state(rng, 3)
         batched = simulate_batch(circuit, psi, thetas)
         for k in range(4):
-            single = simulate_batch(circuit.bind(thetas[k]), psi)[0]
+            single = simulate_batch(fixed_angles(circuit, thetas[k]), psi)[0]
             assert np.linalg.norm(batched[k] - single) < 1e-12
 
     def test_parameter_matrix_required_iff_symbolic(self):
@@ -201,7 +202,7 @@ class TestSimulateBatch:
         psi = random_state(np.random.default_rng(0), 2)
         with pytest.raises(ValueError, match="parameter matrix"):
             simulate_batch(circuit, psi)
-        bound = circuit.bind(np.zeros(circuit.n_params))
+        bound = fixed_angles(circuit, np.zeros(circuit.n_params))
         with pytest.raises(ValueError, match="parameter matrix"):
             simulate_batch(bound, psi, np.zeros((1, 0)))
 
@@ -270,7 +271,7 @@ class TestOverlapGradient:
             overlap_gradient(compiled, np.ones(8) / np.sqrt(8), params)
         with pytest.raises(ValueError, match="parameter shape"):
             overlap_gradient(compiled, np.eye(4)[0], params[:, 1:])
-        bound = CompiledCircuit(circuit.bind(np.zeros(circuit.n_params)))
+        bound = CompiledCircuit(fixed_angles(circuit, np.zeros(circuit.n_params)))
         with pytest.raises(ValueError, match="parameter matrix"):
             overlap_gradient(bound, np.eye(4)[0], np.zeros((1, 0)))
 
