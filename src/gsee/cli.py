@@ -26,7 +26,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .chem import (
     taper_z2,
 )
 from .circuits import hea_ansatz, two_qubit_depth
-from .pauli import PauliSum, check_memory
+from .pauli import MemoryRefusal, PauliSum, check_memory
 from .qcels import (
     ScaledHamiltonian,
     acquire,
@@ -400,17 +400,17 @@ def _dense_ground(h: PauliSum) -> float | None:
     return float(np.linalg.eigvalsh(h.blocks()[1]).min())
 
 
-def _check(key: str, n_bytes: int, what: str) -> None:
-    """Exit 2, naming the config ``key``, before ``n_bytes`` exceed memory."""
+def _check(key: str, call: Callable, *args: Any) -> Any:
+    """``call(*args)``, whose memory refusal exits 2 naming the config ``key``."""
     try:
-        check_memory(n_bytes, what)
-    except ValueError as exc:
+        return call(*args)
+    except MemoryRefusal as exc:
         raise InputError(f"{key}: {exc}") from None
 
 
 def _check_series(n_qubits: int, n_points: int, section: str) -> None:
     """Exit 2 before n_points rows of 2^(n+1) amplitudes exceed memory."""
-    _check(f"{section}.n_points", 16 * n_points << (n_qubits + 1),
+    _check(f"{section}.n_points", check_memory, 16 * n_points << (n_qubits + 1),
            f"{n_points:,} time points")
 
 
@@ -421,8 +421,9 @@ def _shot_bytes(shots: int, n_qubits: int) -> int:
 
 def _bootstrap_bytes(resamples: int, outcomes: int, terms: int) -> int:
     """Peak bytes of :func:`bootstrap` on circuits of at most these sizes."""
-    # a resample: one circuit's draws, their float copy, its values before
-    # and after the division by spc, moments
+    # a resample: one circuit's draws and their float copy, then its values
+    # and their transpose, then the transpose and qcm4._add_terms' buffer;
+    # moments
     return 8 * resamples * (2 * outcomes + 2 * terms + 8) + 32 * outcomes * terms
 
 
@@ -504,8 +505,8 @@ def cmd_qcels(resolved: Mapping, base: Path, out: Path) -> None:
     _check_series(h.n_qubits, settings["n_points"], "qcels")
     if resolved["spc"] is not None:
         spc = resolved["spc"]
-        _check("spc", _shot_bytes(spc, h.n_qubits + 1), f"{spc:,} shots")
-    sh = scale(h)
+        _check("spc", check_memory, _shot_bytes(spc, h.n_qubits + 1), f"{spc:,} shots")
+    sh = _check("operator", scale, h)
     tau = choose_grid(sh, psi, settings["n_points"])
 
     compilation = None
@@ -554,16 +555,17 @@ def cmd_qcm4(resolved: Mapping, base: Path, out: Path) -> None:
     filter_report = None
     if settings["filter"]:
         m, filter_report = pauli_filter(m, psi)
-    measurement_plan = plan(m, mode=settings["grouping"])
+    measurement_plan = _check("operator", plan, m, settings["grouping"])
     if resolved["mode"] == "shots":
         # weighted allocation may give one circuit the whole budget
         weighted = settings["allocation"] == "weighted"
         shots = resolved["spc"] * (measurement_plan.n_circuits if weighted else 1)
-        _check("spc", _shot_bytes(shots, h.n_qubits), f"{shots:,} shots of a circuit")
+        _check("spc", check_memory, _shot_bytes(shots, h.n_qubits),
+               f"{shots:,} shots of a circuit")
         terms = max((len(c.terms) for c in measurement_plan.circuits), default=0)
         resamples = settings["resamples"]
         cost = _bootstrap_bytes(resamples, min(shots, 1 << h.n_qubits), terms)
-        _check("qcm4.resamples", cost, f"{resamples:,} resamples")
+        _check("qcm4.resamples", check_memory, cost, f"{resamples:,} resamples")
     est = estimate(
         measurement_plan, psi,
         spc=resolved["spc"],
@@ -611,7 +613,7 @@ def cmd_recompile(resolved: Mapping, base: Path, out: Path) -> None:
     psi = _load_state(resolved, base, h.n_qubits)
     settings = resolved["recompile"]
     _check_series(h.n_qubits, settings["n_points"], "recompile")
-    sh = scale(h)
+    sh = _check("operator", scale, h)
     tau = choose_grid(sh, psi, settings["n_points"])
     compilation, depth = _compile_hadamard_series(
         sh, psi, tau, settings["n_points"], settings, resolved["seed"], out

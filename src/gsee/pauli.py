@@ -6,14 +6,13 @@ pair of integers ``(x_mask, z_mask)`` where bit ``q`` of ``x_mask`` /
 both bits.  Products, commutation checks, and dense-matrix actions then
 reduce to bit arithmetic.
 
-A sum stays a dict of strings, but its quadratic work runs on arrays of
-their masks: ``uint64[N, W]`` words with ``W = ceil(n/64)``
-(:func:`_mask_arrays`).
+A sum stays a dict of strings, but its bulk work runs on arrays of their
+masks: ``uint64[N, W]`` words with ``W = ceil(n/64)`` (:func:`_mask_arrays`).
 Products (:meth:`PauliSum.__matmul__` and the row products of
 :meth:`PauliSum.from_products`), the canonical order
-(:meth:`PauliSum.terms`) and the commutation graph
-(:meth:`PauliSum.group_commuting`, one anticommutation word for both
-modes) reproduce their loop versions bit for bit at every size.
+(:meth:`PauliSum.terms`) and the commuting sets
+(:meth:`PauliSum.group_commuting`, from a table over the active qubits'
+factors and no pair graph) reproduce their loop versions bit for bit.
 
 The qubit-to-amplitude convention used throughout the package is little
 endian: qubit ``q`` is bit ``q`` of the computational-basis index.  With
@@ -28,9 +27,10 @@ the symmetry blocks of :meth:`PauliSum.blocks`;
 reduction, because those pivots choose the Clifford gates it emits and
 the qcm4 shot records depend on them.
 
-No width cap: :meth:`PauliSum.to_dense`, :meth:`PauliSum.blocks` and
-:meth:`PauliSum.from_products` refuse only a peak estimate beyond physical
-memory (:func:`check_memory`), before their large arrays exist.
+No width cap: :meth:`PauliSum.to_dense`, :meth:`PauliSum.blocks`,
+:meth:`PauliSum.from_products` and :meth:`PauliSum.group_commuting` refuse
+only a peak estimate beyond physical memory (:func:`check_memory`), before
+their large arrays exist.
 
 Example:
     >>> x = PauliSum(1, {PauliString.from_label("X0"): 1.0})
@@ -57,16 +57,17 @@ __all__ = [
     "z_signs",
     "PURGE_TOL",
     "check_memory",
+    "MemoryRefusal",
 ]
 
 # Coefficients at or below this magnitude are purged after arithmetic;
 # double-precision cancellation residue lands well below it.
 PURGE_TOL = 1e-14
 
-# Rows of the commutation graph computed per vectorized step in
-# :meth:`PauliSum.group_commuting`.  It bounds the working memory to a few
-# (block, n_terms) buffers; at 5,459 terms 8 or 16 rows beat 32 to 128.
-_CLASH_BLOCK = 16
+# Strings tested against every color per array step of the coloring in
+# :meth:`PauliSum.group_commuting`; at 5,459 terms 32 to 128 do about equally.
+_COLOR_BLOCK = 64
+_X_BITS = 0x5555_5555_5555_5555  # the x bits of a code (:func:`_greedy_colors`)
 
 # Term pairs per row block of the array product in :meth:`PauliSum.__matmul__`;
 # it bounds that product's working memory to a few (block, W) arrays.
@@ -316,20 +317,24 @@ def _purged_terms(x, z, re, im) -> dict[PauliString, complex]:
     }
 
 
-def _canonical_order(strings: list[PauliString], n_qubits: int) -> np.ndarray:
-    """Indices that sort ``strings`` by :meth:`PauliString.sort_key`.
-
-    The masks are unpacked to ``(N, n)`` 0/1 bits.  Qubit ``q`` of a
-    string gets the digit 1, 2 or 3 for X, Y or Z, 4 for an identity below
-    the string's last factor and 0 past it.  One ``np.lexsort`` over the
-    digits, qubit 0 first, then compares strings as ``sort_key`` compares
-    its tuples: a prefix sorts first.
-    """
-    bx, bz = (
+def _bits(strings: list[PauliString], n_qubits: int) -> list[np.ndarray]:
+    """The strings' X and Z bits as ``(N, n)`` 0/1 arrays, qubit 0 first."""
+    return [
         np.unpackbits(words.astype("<u8").view(np.uint8), axis=1,
                       count=n_qubits, bitorder="little")
         for words in _mask_arrays(strings, n_qubits)
-    )
+    ]
+
+
+def _canonical_order(strings: list[PauliString], n_qubits: int) -> np.ndarray:
+    """Indices that sort ``strings`` by :meth:`PauliString.sort_key`.
+
+    Qubit ``q`` of a string gets the digit 1, 2 or 3 for X, Y or Z, 4 for
+    an identity below the string's last factor and 0 past it.  One
+    ``np.lexsort`` over the digits, qubit 0 first, then compares strings
+    as ``sort_key`` compares its tuples: a prefix sorts first.
+    """
+    bx, bz = _bits(strings, n_qubits)
     present = bx | bz
     before_last = np.cumsum(present[:, ::-1], axis=1)[:, ::-1] > 0
     digits = np.where(present, present + bz * (2 - bx), 4 * before_last)
@@ -338,35 +343,55 @@ def _canonical_order(strings: list[PauliString], n_qubits: int) -> np.ndarray:
     return np.lexsort(digits.T[::-1])
 
 
-def _clash_blocks(
-    x: np.ndarray, z: np.ndarray, rows: np.ndarray, mode: str
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Packed rows of the non-commutation graph, :data:`_CLASH_BLOCK` at a time.
+def _greedy_colors(codes: np.ndarray, k: int, full: bool) -> list[int]:
+    """The smallest color each string fits, strings taken in the given order.
 
-    Yields ``(block_rows, clash)`` for consecutive slices of ``rows``, where
-    bit ``j`` of ``clash[i]``, in ``np.packbits`` order, is set iff string
-    ``block_rows[i]`` fails to commute with string ``j`` under ``mode``.
-    The anticommutation words of a pair's mask words fold by XOR (``full``,
-    whose clash is an odd popcount) or OR (``qubitwise``, any bit set).
+    A code interleaves a string's x and z bits on the k active qubits (bit
+    2q is x).  A ``full`` color keeps a GF(2) basis of its members, rows
+    keyed by their lowest bit; a ``qubitwise`` one its axis word, the OR of
+    its members.  Blocks of strings are tested against every color at once;
+    as constraints only grow, a string then rechecks only what its color
+    gained earlier in the block.
     """
-    n, n_words = x.shape
-    fold = np.bitwise_xor if mode == "full" else np.bitwise_or
-    acc, word, tmp = np.empty((3, min(_CLASH_BLOCK, n), n), dtype=np.uint64)
-    count = np.empty(acc.shape, dtype=np.uint8)
-    for start in range(0, len(rows), _CLASH_BLOCK):
-        block_rows = rows[start : start + _CLASH_BLOCK]
-        a, wd, t, c = (b[: len(block_rows)] for b in (acc, word, tmp, count))
-        for w in range(n_words):
-            # the first word goes straight into the accumulator
-            out = wd if w else a
-            np.bitwise_and(x[block_rows, w, None], z[:, w], out=out)
-            out ^= np.bitwise_and(z[block_rows, w, None], x[:, w], out=t)
-            if w:
-                fold(a, out, out=a)
-        np.bitwise_count(a, out=c)
-        if mode == "full":
-            c &= 1
-        yield block_rows, np.packbits(c, axis=1)
+
+    def clashes(u, row):  # elementwise, on ints or broadcast arrays
+        if full:  # rows hold x and z swapped: <u, row> is the parity of u & row
+            popcount = int.bit_count if isinstance(u, int) else np.bitwise_count
+            return popcount(u & row) & 1
+        d = u ^ row
+        return (d | d >> 1) & (u | u >> 1) & (row | row >> 1) & _X_BITS
+
+    held = np.zeros((1, k if full else 1), dtype=np.uint64)
+    bases: list[dict[int, int]] = []  # one per color; only full mode fills them
+    colors: list[int] = []
+    for start in range(0, len(codes), _COLOR_BLOCK):
+        block, known = codes[start : start + _COLOR_BLOCK], len(bases)
+        taken = clashes(block[:, None, None], held[None, :known]).any(axis=2)
+        # a last free column: colors born in the block start out free
+        taken = np.c_[taken, np.zeros(len(block), dtype=bool)]
+        gained: dict[int, list[int]] = {}
+        for i, (u, c) in enumerate(zip(block.tolist(), taken.argmin(axis=1).tolist())):
+            while c in gained and any(clashes(u, row) for row in gained[c]):
+                c += 1 + int(taken[i, c + 1 :].argmin()) if c < known else 1
+            if c == len(bases):
+                bases.append({})
+                if len(bases) > len(held):
+                    held = np.concatenate((held, np.zeros_like(held)))
+            colors.append(c)
+            basis = bases[c]
+            if not full:
+                word = int(held[c, 0])
+                if u | word != word:
+                    held[c, 0] = u | word
+                    gained[c] = [u | word]
+            elif len(basis) < k:  # at rank k every commuting string is in the span
+                while u and (row := basis.get(u & -u)) is not None:
+                    u ^= row
+                if u:
+                    held[c, len(basis)] = (u & _X_BITS) << 1 | (u >> 1) & _X_BITS
+                    gained.setdefault(c, []).append(int(held[c, len(basis)]))
+                    basis[u & -u] = u
+    return colors
 
 
 def _physical_memory() -> int | None:
@@ -377,15 +402,19 @@ def _physical_memory() -> int | None:
         return None
 
 
+class MemoryRefusal(ValueError):
+    """:func:`check_memory`'s refusal of an allocation beyond physical memory."""
+
+
 def check_memory(n_bytes: int, what: str) -> None:
     """Raises before a dense allocation larger than physical memory.
 
     Raises:
-        ValueError: ``n_bytes`` exceeds the machine's physical memory.
+        MemoryRefusal: ``n_bytes`` exceeds the machine's physical memory.
     """
     available = _physical_memory()
     if available is not None and n_bytes > available:
-        raise ValueError(
+        raise MemoryRefusal(
             f"{what} would take about {n_bytes:,} bytes, more than the "
             f"{available:,} bytes of physical memory"
         )
@@ -438,6 +467,10 @@ class PauliSum:
         items = list(self._terms.items())
         order = _canonical_order([s for s, _ in items], self._n_qubits)
         return [items[i] for i in order.tolist()]
+
+    def items(self) -> Iterable[tuple[PauliString, complex]]:
+        """The terms in the order they were formed, without :meth:`terms`' sort."""
+        return self._terms.items()
 
     def coefficient(self, string: PauliString) -> complex:
         return self._terms.get(string, 0j)
@@ -587,11 +620,12 @@ class PauliSum:
         """Dense matrix in the little-endian basis (qubit q = index bit q).
 
         Raises:
-            ValueError: the ``16 · 4^n``-byte matrix, which dominates the
-                call's memory, exceeds physical memory.
+            ValueError: the ``16 · 4^n``-byte matrix and 96 bytes an
+                amplitude, for a term's index, action and product arrays,
+                exceed physical memory.
         """
         dim = 1 << self._n_qubits
-        check_memory(16 * dim * dim, "dense matrix")
+        check_memory(16 * dim * dim + 96 * dim, "dense matrix")
         idx = np.arange(dim)
         out = np.zeros((dim, dim), dtype=complex)
         for s, c in self._terms.items():
@@ -656,6 +690,8 @@ class PauliSum:
         """
         if threshold < 0:
             raise ValueError("threshold must be non-negative")
+        if threshold == 0:
+            return self, 0.0
         kept: dict[PauliString, complex] = {}
         dropped = 0.0
         for s, c in self._terms.items():
@@ -674,52 +710,48 @@ class PauliSum:
         not commute under ``mode``.  Vertices are colored in descending
         degree (ties broken by canonical term order) with the smallest
         color absent from their neighborhood (Verteletskyi, Yen & Izmaylov,
-        J. Chem. Phys. 152, 124114, 2020).
+        J. Chem. Phys. 152, 124114, 2020), by :func:`_greedy_colors`.
 
-        The masks are held as ``uint64`` arrays of ``W = ceil(n_qubits/64)``
-        words per string.  Bit ``q`` of the anticommutation word
-        ``(x_a & z_b) ^ (z_a & x_b)`` is set iff both strings act on qubit
-        ``q`` along different axes; a pair clashes when its popcount is odd
-        (``full``; Aaronson & Gottesman, PRA 70, 052328, 2004) or nonzero
-        (``qubitwise``).  Rows are tested :data:`_CLASH_BLOCK` at a time and
-        packed eight to a byte, and the graph is built twice (degrees, then
-        coloring): O(n²·W) bit operations in O(block·n) working memory.  A
-        kept graph would take n²/8 bytes: 3.7 MB for the 5,459 strings of
-        H…H⁴ on the 8-qubit fixture, 2.05 GB for the 128,186 of a random
-        10-qubit one.  The coloring keeps a (colors × n) table, packed the
-        same way, of the colors each vertex's colored neighbours hold,
-        doubled when a vertex finds every color taken; a vertex takes the
-        first free entry of its column and ORs its clash row into that color.
+        No pair is tested.  A 4^k table marks each string's digits x + 2z
+        on the k active qubits.  Its transform F, qubit by qubit with the
+        4 x 4 kernel of one-qubit commutation, ±1 (``full``, Aaronson &
+        Gottesman, PRA 70, 052328, 2004) or 1/0 (``qubitwise``), gives
+        each degree as (N − F)/2 or N − F at the string's digits.
 
         Returns:
             The sets, each a tuple of ``(PauliString, coeff)`` terms in
             canonical order; every term lies in exactly one set.
 
         Raises:
-            ValueError: unknown ``mode``.
+            ValueError: unknown ``mode``, or the table and its transform
+                (``16 · 4^k`` bytes) and 512 bytes a term exceed physical
+                memory: sums on more than about 13 qubits, which no run
+                path reaches (``qcm4``'s moments stop near 10).
         """
         if mode not in ("full", "qubitwise"):
             raise ValueError(f"unknown commutation mode {mode!r}")
         term_list = self.terms()
         n = len(term_list)
-        x, z = _mask_arrays([s for s, _ in term_list], self._n_qubits)
-        degree = np.empty(n, dtype=np.int64)
-        for rows, clash in _clash_blocks(x, z, np.arange(n), mode):
-            degree[rows] = np.bitwise_count(clash).sum(axis=1)
+        bx, bz = _bits([s for s, _ in term_list], self._n_qubits)
+        active = np.flatnonzero((bx | bz).any(axis=0))
+        k = len(active)
+        check_memory(16 * 4**k + 512 * n, f"the commutation table of {k} qubits")
+        digits = (bx[:, active] | bz[:, active] << 1).astype(np.uint64)
+        codes = (digits << np.arange(0, 2 * k, 2, dtype=np.uint64)).sum(1, np.uint64)
+        table = np.zeros(4**k, dtype=np.int64)
+        table[codes.astype(np.intp)] = 1
+        # 1 where two one-qubit factors commute, by the digit (I, X, Z, Y)
+        kernel = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]])
+        if mode == "full":
+            kernel = 2 * kernel - 1
+        for q in range(k):
+            table = np.matmul(kernel, table.reshape(-1, 4, 4**q)).reshape(-1)
+        f = table[codes.astype(np.intp)]
+        del digits, table  # the coloring runs without them
+        degree = n - f if mode == "qubitwise" else (n - f) // 2
         order = np.lexsort((np.arange(n), -degree))
         color = np.empty(n, dtype=np.intp)
-        # bit u of forbidden[c], in np.packbits order: some colored
-        # neighbour of u has color c
-        forbidden = np.zeros((1, -(-n // 8)), dtype=np.uint8)
-        for rows, clash in _clash_blocks(x, z, order, mode):
-            for v, clash_row in zip(rows, clash):
-                taken = forbidden[:, v >> 3] & (0x80 >> (v & 7))
-                c = int(np.argmin(taken))
-                if taken[c]:
-                    c = len(forbidden)
-                    forbidden = np.concatenate((forbidden, np.zeros_like(forbidden)))
-                color[v] = c
-                forbidden[c] |= clash_row
+        color[order] = _greedy_colors(codes[order], k, mode == "full")
         n_sets = int(color.max()) + 1 if n else 0
         sets: list[list[tuple[PauliString, complex]]] = [[] for _ in range(n_sets)]
         for term, c in zip(term_list, color.tolist()):

@@ -19,6 +19,7 @@ resampling of the per-circuit shot records supplies error bars.
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -194,6 +195,16 @@ class PlanCircuit:
     clifford: Circuit
     terms: tuple[PlanTerm, ...]
 
+    @cached_property
+    def by_power(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per power, its terms' ascending indices and their coefficients."""
+        uses: list[list[tuple[int, float]]] = [[], [], [], []]
+        for k, term in enumerate(self.terms):
+            for power, coeff in term.uses:
+                uses[power - 1].append((k, coeff))
+        return [(np.array([k for k, _ in u], dtype=np.intp),
+                 np.array([a for _, a in u], dtype=float)) for u in uses]
+
 
 @dataclass(frozen=True)
 class MeasurementPlan:
@@ -334,14 +345,15 @@ def plan(m: MomentOperators, mode: str = "full") -> MeasurementPlan:
     uses: dict[PauliString, list[tuple[int, float]]] = {}
     constants = [0.0, 0.0, 0.0, 0.0]
     for idx, power in enumerate(m.powers):
-        for string, coeff in power.terms():
-            if string == PauliString():
-                constants[idx] += coeff.real
-            else:
+        for string, coeff in power.items():
+            if string.x_mask or string.z_mask:
                 uses.setdefault(string, []).append((idx + 1, coeff.real))
+            else:
+                constants[idx] += coeff.real
     distinct = PauliSum(n, {s: 1.0 for s in uses})
 
     circuits = []
+    schema: dict[tuple, list[Gate]] = {}  # the gates of each distinct op, built once
     for group in distinct.group_commuting(mode):
         strings = [s for s, _ in group]
         # a GF(2)-independent generating set of the symplectic vectors
@@ -352,7 +364,9 @@ def plan(m: MomentOperators, mode: str = "full") -> MeasurementPlan:
         )
         gates: list[Gate] = []
         for op in ops:
-            gates.extend(_schema_gates(op))
+            if op not in schema:
+                schema[op] = _schema_gates(op)
+            gates.extend(schema[op])
         x = _transpose([s.x_mask for s in strings], n)
         z = _transpose([s.z_mask for s in strings], n)
         parity = _conjugate(x, z, 0, ops)
@@ -451,9 +465,10 @@ def _run_circuit(
     seed: int,
     ci: int,
     basis: np.ndarray,
+    gates: dict,
 ) -> tuple[ShotRecord | None, np.ndarray]:
     """One circuit's acquisition and per-term values (exact when spc is None)."""
-    rotated = apply_circuit(psi, circuit.clifford)
+    rotated = apply_circuit(psi, circuit.clifford, gates)
     if spc is None:
         probs = np.abs(rotated.amplitudes) ** 2
         # one contiguous dot per term: a single matrix product rounds
@@ -464,12 +479,23 @@ def _run_circuit(
     return record, record.counts @ _term_table(circuit, record.outcomes) / spc
 
 
-def _add_terms(moments: np.ndarray, circuit: PlanCircuit, values: np.ndarray) -> None:
-    """Adds ``(batch, n_terms)`` term values into ``(batch, 4)`` moments."""
-    # one term and one use at a time; this order fixes every float sum
-    for term, column in zip(circuit.terms, values.T):
-        for power, coeff in term.uses:
-            moments[:, power - 1] += coeff * column
+def _add_terms(moments: np.ndarray, circuit: PlanCircuit, columns: np.ndarray) -> None:
+    """Adds term values, a contiguous ``(n_terms, batch)`` row per term, into
+    ``(batch, 4)`` moments.
+
+    Per power, a buffer holds the moment above each used term's ``coeff *
+    value``, in term order; ``np.add.accumulate`` down it adds them one at
+    a time, so every float sum is a term loop's.
+    """
+    buffer = np.empty((1 + max(len(i) for i, _ in circuit.by_power), len(moments)))
+    for p, (index, coeffs) in enumerate(circuit.by_power):
+        rows = buffer[: len(index) + 1]
+        rows[0] = moments[:, p]
+        # mode "raise" would buffer the take; the indices are in range
+        np.take(columns, index, axis=0, out=rows[1:], mode="clip")
+        rows[1:] *= coeffs[:, None]
+        np.add.accumulate(rows, axis=0, out=rows)
+        moments[:, p] = rows[-1]
 
 
 def estimate(
@@ -502,10 +528,11 @@ def estimate(
     basis = np.arange(1 << psi.n_qubits)
     moments = np.array([measurement_plan.constants])
     records = []
+    gates: dict = {}  # the circuits' shared gate arrays (CompiledCircuit)
     for ci, circuit in enumerate(measurement_plan.circuits):
-        record, values = _run_circuit(circuit, psi, shots[ci], seed, ci, basis)
+        record, values = _run_circuit(circuit, psi, shots[ci], seed, ci, basis, gates)
         records.append(record)
-        _add_terms(moments, circuit, values[None])
+        _add_terms(moments, circuit, values[:, None])
     return MomentEstimates(
         moments=tuple(moments[0].tolist()),
         plan=measurement_plan,
@@ -607,9 +634,13 @@ def bootstrap(
         draws = derived_rng(seed, ci).multinomial(
             record.spc, record.counts / record.spc, size=resamples
         )
-        values = draws @ _term_table(circuit, record.outcomes) / record.spc
-        _add_terms(moments, circuit, values)
-        del draws, values  # one circuit's draws are live at a time
+        # each array goes once the next exists: draws, values, their transpose
+        values = draws @ _term_table(circuit, record.outcomes)
+        del draws
+        columns = np.ascontiguousarray(values.T)
+        del values
+        columns /= record.spc
+        _add_terms(moments, circuit, columns)
     energies = np.array([energy(cumulants(row)) for row in moments])
     # variance of shifted data; exact zero when every resample agrees
     return BootstrapResult(

@@ -64,7 +64,7 @@ class StateVector:
                 f"expected {1 << n_qubits} amplitudes, got {amplitudes.shape}"
             )
         norm = float(np.linalg.norm(amplitudes))
-        if abs(norm - 1.0) > 1e-8:
+        if not abs(norm - 1.0) <= 1e-8:  # NaN fails too
             raise ValueError(f"state norm {norm} is not 1")
         self.n_qubits = n_qubits
         self.amplitudes = amplitudes
@@ -136,28 +136,35 @@ class CompiledCircuit:
     """A circuit's gate kernels, built once and reused by every sweep.
 
     :meth:`simulate` and :func:`overlap_gradient` run them;
-    :func:`simulate_batch` compiles a circuit for one call.
+    :func:`simulate_batch` compiles a circuit for one call.  ``gates``, a
+    dict that circuits on one register may share, keeps a Hadamard's
+    ``(lo, hi)`` and a rotation's ``(src, d)``, so each is built once.
     """
 
     __slots__ = ("circuit", "_kernels", "_fixed_angles", "_param_cols",
                  "_param_ids")
 
-    def __init__(self, circuit: Circuit) -> None:
-        idx = np.arange(1 << circuit.n_qubits)
+    def __init__(self, circuit: Circuit, gates: dict | None = None) -> None:
+        gates = {} if gates is None else gates
+        dim = 1 << circuit.n_qubits
         kernels, angles, params = [], [], []
         for gate in circuit.gates:
+            key = (gate.kind, gate.qubits, gate.pauli)
             if gate.kind == "h":
-                bit = (idx >> gate.qubits[0]) & 1 == 1
-                kernels.append(_Kernel("h", lo=idx[~bit], hi=idx[bit]))
+                if key not in gates:
+                    idx = np.arange(dim)
+                    bit = (idx >> gate.qubits[0]) & 1 == 1
+                    gates[key] = idx[~bit], idx[bit]
+                lo, hi = gates[key]
+                kernels.append(_Kernel("h", lo=lo, hi=hi))
             else:
-                string = gate.generator
-                src, d = string.action(len(idx))
+                if key not in gates:
+                    string = gate.generator
+                    src, d = string.action(dim)
+                    gates[key] = src if string.x_mask else None, d
+                src, d = gates[key]
                 kernels.append(_Kernel(
-                    gate.kind,
-                    param=gate.param,
-                    src=src if string.x_mask else None,
-                    d=d,
-                    col=len(angles),
+                    gate.kind, param=gate.param, src=src, d=d, col=len(angles)
                 ))
                 angles.append(0.0 if gate.angle is None else gate.angle)
                 params.append(gate.param)
@@ -238,10 +245,11 @@ def _check_params(circuit: Circuit, params) -> np.ndarray | None:
 
 
 def simulate_batch(
-    circuit: Circuit, initial: np.ndarray, params: np.ndarray | None = None
+    circuit: Circuit, initial: np.ndarray, params: np.ndarray | None = None,
+    gates: dict | None = None,
 ) -> np.ndarray:
     """Compiles ``circuit`` and runs it once (:meth:`CompiledCircuit.simulate`)."""
-    return CompiledCircuit(circuit).simulate(initial, params)
+    return CompiledCircuit(circuit, gates).simulate(initial, params)
 
 
 def group_overlaps(states: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -315,11 +323,13 @@ def overlap_gradient(
     return overlaps, -0.5j * grad
 
 
-def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
-    """Applies a fully bound circuit to one state."""
+def apply_circuit(
+    state: StateVector, circuit: Circuit, gates: dict | None = None
+) -> StateVector:
+    """Applies a fully bound circuit to one state; ``gates`` as in CompiledCircuit."""
     if circuit.n_params:
         raise ValueError("circuit has unbound parameters")
-    out = simulate_batch(circuit, state.amplitudes)
+    out = simulate_batch(circuit, state.amplitudes, gates=gates)
     return StateVector(state.n_qubits, out[0])
 
 
@@ -362,15 +372,32 @@ def sample_z(
     """Draws ``spc`` Z-basis shots from the exact output distribution.
 
     The draws come from :func:`derived_rng` keyed by ``(seed, stream)``,
-    so a given key always reproduces the same record.
+    so a given key always reproduces the same record: that of
+    ``rng.choice(2^n, spc, p=probs)``, whose shot is the number of cdf
+    entries at or below its uniform.  Index b's count is that of the
+    uniforms in ``[cdf[b-1], cdf[b])``, read off the sorted uniforms.
+
+    Raises:
+        ValueError: ``spc < 1``, or probabilities that do not sum to a
+            finite positive number.
     """
     if spc < 1:
         raise ValueError("spc must be at least 1")
     rng = derived_rng(seed, *stream)
     probs = np.abs(state.amplitudes) ** 2
-    probs /= probs.sum()
-    shots = rng.choice(len(probs), size=spc, p=probs).astype(np.int64)
-    return ShotRecord(state.n_qubits, spc, *np.unique(shots, return_counts=True))
+    total = probs.sum()
+    if not 0.0 < total < np.inf:  # NaN fails too
+        raise ValueError(
+            f"state probabilities sum to {total}, not a finite positive number"
+        )
+    probs /= total
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    uniforms = rng.random(spc)
+    uniforms.sort()
+    counts = np.diff(np.searchsorted(uniforms, cdf), prepend=0)
+    outcomes = np.flatnonzero(counts)
+    return ShotRecord(state.n_qubits, spc, outcomes, counts[outcomes])
 
 
 def estimate_pauli_z(record: ShotRecord, mask: int) -> float:

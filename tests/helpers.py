@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from gsee.chem import FermionIntegrals
 from gsee.circuits import Circuit, Gate
-from gsee.pauli import PURGE_TOL, PauliString, PauliSum
-from gsee.simulator import simulate_batch
+from gsee.pauli import PURGE_TOL, PauliString, PauliSum, z_signs
+from gsee.simulator import ShotRecord, apply_circuit, derived_rng, simulate_batch
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -356,6 +356,54 @@ def greedy_coloring_reference(a: PauliSum, mode: str) -> tuple:
     for i, term in enumerate(term_list):
         sets[color[i]].append(term)
     return tuple(tuple(s) for s in sets)
+
+
+def choice_sample_reference(state, spc: int, seed: int, stream=()) -> ShotRecord:
+    """``spc`` shots by ``Generator.choice``, one index per shot, then counted.
+
+    The oracle for :func:`gsee.simulator.sample_z`: the same
+    :func:`derived_rng` stream and normalized probabilities, drawn with
+    ``rng.choice`` and turned into a histogram by ``np.unique``.
+    """
+    rng = derived_rng(seed, *stream)
+    probs = np.abs(state.amplitudes) ** 2
+    probs /= probs.sum()
+    shots = rng.choice(len(probs), size=spc, p=probs).astype(np.int64)
+    return ShotRecord(state.n_qubits, spc, *np.unique(shots, return_counts=True))
+
+
+def add_terms_reference(moments: np.ndarray, circuit, values: np.ndarray) -> None:
+    """Adds ``(batch, n_terms)`` term values into ``(batch, 4)`` moments, one
+    term and one use at a time: the oracle for ``qcm4._add_terms``."""
+    for term, column in zip(circuit.terms, values.T):
+        for power, coeff in term.uses:
+            moments[:, power - 1] += coeff * column
+
+
+def estimate_reference(measurement_plan, psi, spc: int | None = None, seed: int = 0):
+    """The moments of ``qcm4.estimate`` with uniform shots, circuit by circuit.
+
+    Each Clifford runs through :func:`apply_circuit` alone; exact mode
+    takes one dot of the probabilities per term, shots mode
+    :func:`choice_sample_reference` on stream (seed, circuit index), and
+    :func:`add_terms_reference` adds each circuit's term values.
+    """
+    moments = np.array([measurement_plan.constants])
+    basis = np.arange(1 << psi.n_qubits)
+    for ci, circuit in enumerate(measurement_plan.circuits):
+        rotated = apply_circuit(psi, circuit.clifford)
+        masks = np.array([t.z_mask for t in circuit.terms], dtype=np.int64)
+        signs = np.array([t.sign for t in circuit.terms], dtype=float)
+        if spc is None:
+            probs = np.abs(rotated.amplitudes) ** 2
+            table = z_signs(basis[:, None], masks) * signs
+            values = np.array([probs @ np.ascontiguousarray(c) for c in table.T])
+        else:
+            record = choice_sample_reference(rotated, spc, seed, (ci,))
+            table = z_signs(record.outcomes[:, None], masks) * signs
+            values = record.counts @ table / spc
+        add_terms_reference(moments, circuit, values[None])
+    return tuple(moments[0].tolist())
 
 
 def multiply(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:

@@ -772,6 +772,26 @@ class TestMemoryChecks:
         assert "2,097,152 bytes, more than the 2,097,151 bytes" in err
         assert not (out / "results.json").exists()
 
+    @pytest.mark.parametrize("command", ["qcels", "recompile", "qcm4"])
+    def test_unaffordable_operator_exits_2(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # X on each of 10 qubits: one symmetry block of 1,024 rows for
+        # scale, and a 4^10 commutation table for qcm4's grouping
+        h = PauliSum(10, {PauliString(1 << q, 0): 0.1 * (q + 1) for q in range(10)})
+        (tmp_path / "op.json").write_text(h.to_json())
+        payload = {"algorithm": command, "operator": "op.json", "state": {"basis": 0}}
+        if command == "recompile":
+            payload["recompile"] = {"layers": 1, "max_iterations": 1, "restarts": 1}
+        config = write_config(tmp_path, payload)
+        monkeypatch.setattr(pauli, "_physical_memory", lambda: 5 * 2**20)
+        out = tmp_path / "run"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        what = "the commutation table" if command == "qcm4" else "symmetry blocks"
+        assert f"operator: {what}" in err and "bytes of physical memory" in err
+        assert not (out / "results.json").exists()
+
     def test_unaffordable_ingest_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(pauli, "_physical_memory", lambda: 10_000)
         out = tmp_path / "ingested"

@@ -6,17 +6,21 @@ least the measured peak; at most three times that peak keeps it from
 refusing work that fits.
 """
 
+import pathlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import random_integrals, random_state
-from gsee import pauli, qcels
-from gsee.chem import FermionIntegrals, jordan_wigner
+from helpers import random_integrals, random_state, random_sum
+from gsee import cli, pauli, qcels
+from gsee.chem import FermionIntegrals, jordan_wigner, parse_fcidump
 from gsee.pauli import PauliString, PauliSum
 from gsee.qcels import scale
+from gsee.qcm4 import bootstrap, build_moments, estimate, plan
 from gsee.simulator import StateVector
+
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "src" / "gsee" / "fixtures"
 
 
 def checked_peak(monkeypatch, call) -> tuple[int, int]:
@@ -101,3 +105,45 @@ def test_projection_onto_the_blocks(monkeypatch, case):
     n = h.n_qubits
     psi = StateVector(n, random_state(np.random.default_rng(1), n))
     assert_covers(monkeypatch, lambda: sh._project(psi))
+
+
+def test_to_dense_at_10_qubits(monkeypatch):
+    # the 2^n-long arrays of a term beside the 16 MB matrix
+    assert_covers(monkeypatch, molecular(5).to_dense)
+
+
+def fixture_strings() -> PauliSum:
+    """The 5,459 distinct strings of H…H⁴ on the 8-qubit fixture."""
+    h = jordan_wigner(parse_fcidump((FIXTURES / "spin_polarized.fcidump").read_text()))
+    powers = build_moments(h).powers
+    distinct = {s for p in powers for s, _ in p.terms() if s.x_mask | s.z_mask}
+    return PauliSum(8, dict.fromkeys(distinct, 1.0))
+
+
+@pytest.mark.parametrize("mode", ["full", "qubitwise"])
+@pytest.mark.parametrize("case", ["8-qubit moments", "10 qubits, 100 terms"])
+def test_group_commuting(monkeypatch, mode, case):
+    # the terms dominate the first, the 4^10 table the second
+    if case == "8-qubit moments":
+        a = fixture_strings()
+    else:
+        a = random_sum(np.random.default_rng(0), 10, 100)
+    assert_covers(monkeypatch, lambda: a.group_commuting(mode))
+
+
+@pytest.mark.parametrize("resamples", [100, 1000])
+def test_bootstrap(resamples):
+    h = jordan_wigner(parse_fcidump((FIXTURES / "h2_eq.fcidump").read_text()))
+    mp = plan(build_moments(h))
+    psi = StateVector(4, random_state(np.random.default_rng(0), 4))
+    est = estimate(mp, psi, spc=10_000, seed=1, mode="shots")
+    outcomes = max(len(r.outcomes) for r in est.records)
+    terms = max(len(c.terms) for c in mp.circuits)
+    tracemalloc.start()
+    try:
+        bootstrap(est, resamples, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    estimate_bytes = cli._bootstrap_bytes(resamples, outcomes, terms)
+    assert peak <= estimate_bytes <= 3 * peak, (estimate_bytes, peak)

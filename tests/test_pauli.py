@@ -273,6 +273,37 @@ def hermitian_sums(draw):
     return PauliSum(n, [(PauliString(x, z), c) for x, z, c in terms])
 
 
+@st.composite
+def structured_sums(draw):
+    """Sums whose strings share one span, span everything, or sit far apart.
+
+    ``span``: many strings drawn from the GF(2) span of 1-6 random strings
+    on up to 6 qubits.  ``full_rank``: X and Z on every qubit beside random
+    strings, so the symplectic vectors have rank 2n.  ``sparse``: strings on
+    3-5 qubits scattered over a 70-qubit register, so the active qubits are
+    neither contiguous nor in one mask word.
+    """
+    kind = draw(st.sampled_from(["span", "full_rank", "sparse"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "sparse":
+        n = 70
+        qubits = rng.choice(n, size=int(rng.integers(3, 6)), replace=False)
+        masks = [sum(int(b) << int(q) for b, q in zip(bits, qubits))
+                 for bits in rng.integers(0, 2, size=(2 * 40, len(qubits)))]
+        pairs = list(zip(masks[::2], masks[1::2]))
+    else:
+        n = int(rng.integers(1, 7))
+        if kind == "span":
+            gens = rng.integers(0, 1 << n, size=(int(rng.integers(1, 7)), 2))
+            picks = rng.integers(0, 2, size=(100, len(gens)))
+            pairs = [tuple(np.bitwise_xor.reduce(gens[p == 1], axis=0, initial=0))
+                     for p in picks]
+        else:
+            pairs = [(1 << q, 0) for q in range(n)] + [(0, 1 << q) for q in range(n)]
+            pairs += [tuple(v) for v in rng.integers(0, 1 << n, size=(20, 2))]
+    return PauliSum(n, [(PauliString(int(x), int(z)), rng.normal()) for x, z in pairs])
+
+
 class TestGrouping:
     def test_all_z_single_set(self):
         a = PauliSum(
@@ -339,13 +370,19 @@ class TestGrouping:
     def test_matches_pairwise_reference(self, a, mode):
         assert a.group_commuting(mode) == greedy_coloring_reference(a, mode)
 
-    # partial last blocks, and packed clash rows whose last byte is padding
+    @settings(deadline=None)
+    @given(a=structured_sums(), mode=st.sampled_from(["full", "qubitwise"]))
+    def test_matches_pairwise_reference_on_structured_sums(self, a, mode):
+        assert a.group_commuting(mode) == greedy_coloring_reference(a, mode)
+
+    # partial last blocks, and vertices whose color gained rows or axes
+    # earlier in their block
     @pytest.mark.parametrize("mode", ["full", "qubitwise"])
     @pytest.mark.parametrize("block", [1, 3, 8])
     @settings(deadline=None)
     @given(a=hermitian_sums())
     def test_matches_pairwise_reference_at_any_block_size(self, block, mode, a):
-        with mock.patch.object(pauli, "_CLASH_BLOCK", block):
+        with mock.patch.object(pauli, "_COLOR_BLOCK", block):
             assert a.group_commuting(mode) == greedy_coloring_reference(a, mode)
 
     @pytest.mark.parametrize("mode", ["full", "qubitwise"])
@@ -671,8 +708,9 @@ class TestDenseMemoryCheck:
     def test_to_dense_refuses_more_than_physical_memory(self, monkeypatch):
         monkeypatch.setattr(pauli, "_physical_memory", lambda: 1000)
         a = PauliSum(3, {PauliString.from_label("Z0"): 1.0})
-        # one 8x8 complex128 matrix is 1,024 bytes
-        with pytest.raises(ValueError, match=r"1,024 bytes.*1,000 bytes"):
+        # one 8x8 complex128 matrix is 1,024 bytes, and 96 bytes for each
+        # of the 8 amplitudes 768 more
+        with pytest.raises(ValueError, match=r"1,792 bytes.*1,000 bytes"):
             a.to_dense()
 
     @pytest.mark.parametrize("label, need", [("Z0 X1", 1536), ("Y0", 1792)])

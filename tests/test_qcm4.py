@@ -33,7 +33,13 @@ from gsee.qcm4 import (
     pauli_filter,
     plan,
 )
-from helpers import circuit_unitary, conjugate_reference
+from helpers import (
+    add_terms_reference,
+    circuit_unitary,
+    conjugate_reference,
+    estimate_reference,
+    random_state,
+)
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "src" / "gsee" / "fixtures"
 
@@ -409,6 +415,37 @@ class TestEstimate:
             estimate(mp, psi, allocation="magic")
         with pytest.raises(KeyError):
             estimate(mp, psi)[5]
+
+
+@pytest.fixture(scope="module")
+def fixture_8q_plan():
+    """The 76-circuit plan of H…H⁴ on the 8-qubit ``spin_polarized`` fixture."""
+    h = jordan_wigner(parse_fcidump((FIXTURES / "spin_polarized.fcidump").read_text()))
+    return plan(build_moments(h))
+
+
+class TestArrayPathsAgainstLoops:
+    """The array paths of ``estimate`` reproduce their loops bit for bit."""
+
+    @pytest.mark.parametrize("spc", [None, 1000])
+    def test_estimate_equals_the_circuit_loop(self, fixture_8q_plan, spc):
+        mp = fixture_8q_plan
+        assert mp.n_circuits == 76
+        psi = StateVector(8, random_state(np.random.default_rng(3), 8))
+        mode = "exact" if spc is None else "shots"
+        est = estimate(mp, psi, spc=spc, seed=5, mode=mode)
+        assert est.moments == estimate_reference(mp, psi, spc, seed=5)
+
+    @pytest.mark.parametrize("batch", [1, 500])
+    def test_add_terms_equals_the_term_loop(self, fixture_8q_plan, batch):
+        rng = np.random.default_rng(batch)
+        got = rng.normal(size=(batch, 4))
+        want = got.copy()
+        for circuit in fixture_8q_plan.circuits:
+            values = rng.normal(size=(batch, len(circuit.terms)))
+            qcm4._add_terms(got, circuit, np.ascontiguousarray(values.T))
+            add_terms_reference(want, circuit, values)
+        assert np.array_equal(got, want)
 
 
 class TestCumulants:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    choice_sample_reference,
     circuit_unitary,
     dense_sum,
     fixed_angles,
@@ -102,6 +103,13 @@ class TestStateVector:
     def test_width_enforced(self):
         with pytest.raises(ValueError, match="amplitudes"):
             StateVector(2, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0.0)])
+    def test_non_finite_amplitudes_rejected(self, bad):
+        with pytest.raises(ValueError, match="norm"):
+            StateVector(2, np.array([bad, 0.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="norm"):
+            StateVector(2, np.array([bad, 1.0, 0.0, 0.0]))
 
     def test_basis_state_and_overlap(self):
         a = StateVector.basis_state(2, 3)
@@ -341,6 +349,49 @@ class TestSampling:
         psi = StateVector.zero_state(1)
         with pytest.raises(ValueError, match="spc"):
             sample_z(psi, 0, seed=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", [0, 3])
+    def test_non_finite_state_rejected(self, bad, where):
+        # the constructor refuses such amplitudes; a state altered in place
+        # must not yield a record either
+        psi = StateVector.basis_state(2, 1)
+        psi.amplitudes[where] = bad
+        with pytest.raises(ValueError, match="finite positive"):
+            sample_z(psi, 10, seed=1)
+        psi.amplitudes[:] = 0.0
+        with pytest.raises(ValueError, match="finite positive"):
+            sample_z(psi, 10, seed=1)
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_matches_choice_bit_for_bit(self, data):
+        n = data.draw(st.integers(1, 10), label="n")
+        kind = data.draw(st.sampled_from(["dense", "sparse", "tiny", "basis"]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        dim = 1 << n
+        if kind == "basis":
+            amps = np.zeros(dim, dtype=complex)
+            amps[rng.integers(dim)] = 1.0
+        elif kind == "dense":
+            amps = random_state(rng, n)
+        else:
+            # a few live indices, or every index with most at 1e-9 weight
+            amps = np.zeros(dim, dtype=complex) if kind == "sparse" else np.full(
+                dim, np.sqrt(1e-9), dtype=complex
+            )
+            size = min(dim, int(rng.integers(1, 6)))
+            live = rng.choice(dim, size=size, replace=False)
+            amps[live] = rng.normal(size=len(live)) + 1j * rng.normal(size=len(live))
+            amps /= np.linalg.norm(amps)
+        psi = StateVector(n, amps)
+        spc = data.draw(st.integers(1, 10_000), label="spc")
+        seed, stream = data.draw(st.integers(0, 2**31)), data.draw(st.integers(0, 99))
+        got = sample_z(psi, spc, seed, (stream,))
+        want = choice_sample_reference(psi, spc, seed, (stream,))
+        for a, b in ((got.outcomes, want.outcomes), (got.counts, want.counts)):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
 
     def test_estimator_input_validation(self):
         rec = sample_z(StateVector.zero_state(2), 5, seed=1)
