@@ -45,7 +45,7 @@ import itertools
 import json
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -92,6 +92,13 @@ class PauliString:
 
     x_mask: int = 0
     z_mask: int = 0
+
+    def __post_init__(self) -> None:
+        for name, mask in (("x_mask", self.x_mask), ("z_mask", self.z_mask)):
+            if not isinstance(mask, (int, np.integer)) or mask < 0:
+                raise ValueError(f"{name} must be a non-negative integer, not {mask!r}")
+            if type(mask) is not int:  # a numpy integer, say
+                object.__setattr__(self, name, int(mask))
 
     @classmethod
     def from_support(cls, support: Mapping[int, str]) -> "PauliString":

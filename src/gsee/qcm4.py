@@ -29,6 +29,8 @@ from .pauli import PauliString, PauliSum, gf2_reduce, sum_multiply, z_signs
 from .simulator import ShotRecord, StateVector, apply_circuit, derived_rng, sample_z
 
 __all__ = [
+    "C2_GUARD",
+    "FILTER_TOL",
     "TERM_CAP",
     "BootstrapResult",
     "FilterReport",
@@ -47,7 +49,9 @@ __all__ = [
     "plan",
 ]
 
-TERM_CAP = 500_000
+TERM_CAP = 500_000  # terms of one expanded power
+FILTER_TOL = 1e-12  # |<psi|P|psi>| at or below which pauli_filter drops P
+C2_GUARD = 1e-10  # |c2| below which energy returns c1
 
 
 # ----------------------------------------------------------------------
@@ -76,26 +80,24 @@ class MomentOperators:
         return tuple(len(p) for p in self.powers)
 
 
-def build_moments(
-    h: PauliSum, threshold: float = 0.0, cap: int = TERM_CAP
-) -> MomentOperators:
+def build_moments(h: PauliSum, threshold: float = 0.0) -> MomentOperators:
     """Expands H^1..H^4 by repeated products, then prunes small terms.
 
     All four powers are constructed exactly before any truncation, so a
     nonzero threshold never compounds through the product chain.
 
     Raises:
-        ValueError: H is not Hermitian, or a power exceeds ``cap`` terms.
+        ValueError: H is not Hermitian, or a power exceeds ``TERM_CAP`` terms.
     """
     if not h.is_hermitian():
         raise ValueError("Hamiltonian must be Hermitian")
     full = [h]
     for power in (2, 3, 4):
         nxt = sum_multiply(full[-1], h)
-        if len(nxt) > cap:
+        if len(nxt) > TERM_CAP:
             raise ValueError(
-                f"moment H^{power} exceeded the {cap}-term cap; raise the"
-                " cap or truncate the Hamiltonian first"
+                f"moment H^{power} exceeded the {TERM_CAP}-term cap; truncate the"
+                " Hamiltonian first (qcm4.threshold cuts only expanded powers)"
             )
         full.append(nxt)
     cut = [p.truncate(threshold) for p in full]
@@ -126,14 +128,14 @@ class FilterReport:
 
 
 def pauli_filter(
-    m: MomentOperators, psi: StateVector, tol: float = 1e-12
+    m: MomentOperators, psi: StateVector
 ) -> tuple[MomentOperators, FilterReport]:
     """Removes strings whose ideal expectation in ``psi`` vanishes.
 
     Every distinct non-identity string is evaluated once; strings with
-    |<psi|P|psi>| <= tol leave the measurement workload, and their exact
-    contribution (coefficient times recorded expectation) moves into the
-    identity term of each affected power.
+    |<psi|P|psi>| <= ``FILTER_TOL`` leave the measurement workload, and
+    their exact contribution (coefficient times recorded expectation)
+    moves into the identity term of each affected power.
     """
     if m.n_qubits != psi.n_qubits:
         raise ValueError("moment operators and state widths differ")
@@ -143,7 +145,7 @@ def pauli_filter(
         for string, _ in power.terms():
             if string != PauliString() and string not in values:
                 values[string] = np.vdot(amps, string.act(amps)).real
-    dropped = {s: v for s, v in values.items() if abs(v) <= tol}
+    dropped = {s: v for s, v in values.items() if abs(v) <= FILTER_TOL}
     filtered = []
     survivors = []
     for power in m.powers:
@@ -160,7 +162,7 @@ def pauli_filter(
             sum(1 for s in kept if s != PauliString())
         )
     report = FilterReport(
-        tol=tol,
+        tol=FILTER_TOL,
         evaluated=len(values),
         survivors=tuple(survivors),
         audited=tuple(
@@ -272,15 +274,24 @@ def _schema_gates(op: tuple) -> list[Gate]:
     ]
 
 
-def _diagonalizing_ops(rows: list[list[int]], n: int) -> list[tuple]:
-    """Clifford generator sequence turning commuting rows into Z strings.
+def _diagonalizing_ops(
+    strings: list[PauliString], n: int
+) -> tuple[list[tuple], list[int], int]:
+    """Clifford generators turning a commuting set into Z strings.
 
-    Gaussian-eliminates the x-block to select pivot qubits, then clears
-    each pivot row's x support (cz through a Hadamard pair), its own
-    phase bit (s), its z couplings (cz, pairwise couplings cancel on
-    both rows at once), and finally hops the lone X onto Z (h).  The
-    rows are conjugated by :func:`_conjugate` as each gate is chosen.
+    A GF(2)-independent subset of the strings (:func:`gf2_reduce`) gives
+    the rows.  Gaussian elimination of their x-block selects pivot
+    qubits, then each pivot row's x support is cleared (cz through a
+    Hadamard pair), its own phase bit (s), its z couplings (cz, pairwise
+    couplings cancel on both rows at once), and finally the lone X hops
+    onto Z (h).  Held by qubit (:func:`_conjugate`), rows in bits 0..r-1
+    and string k in bit r+k, rows and strings are conjugated together as
+    each gate is chosen; only row bits choose gates.  Returns the gates,
+    each string's Z mask and the sign bits (bit k set where string k
+    picked up a -1); a string left with an X or Y raises ValueError.
     """
+    dependent = set(gf2_reduce(s.x_mask | (s.z_mask << n) for s in strings)[1])
+    rows = [[s.x_mask, s.z_mask] for i, s in enumerate(strings) if i not in dependent]
     # reduced row echelon over the x-block; row ops only redefine the
     # generating set, no gates involved
     pivots: list[int] = []
@@ -299,14 +310,15 @@ def _diagonalizing_ops(rows: list[list[int]], n: int) -> list[tuple]:
         pivots.append(q)
         rank += 1
 
-    # bit i of x[q] / z[q] is row i's bit on qubit q
-    x = _transpose([row[0] for row in rows], n)
-    z = _transpose([row[1] for row in rows], n)
+    x = _transpose([row[0] for row in rows] + [s.x_mask for s in strings], n)
+    z = _transpose([row[1] for row in rows] + [s.z_mask for s in strings], n)
     ops: list[tuple] = []
+    parity = 0
 
     def apply(op: tuple) -> None:
+        nonlocal parity
         ops.append(op)
-        _conjugate(x, z, 0, (op,))
+        parity = _conjugate(x, z, parity, (op,))
 
     for i, q in enumerate(pivots):
         for j in range(n):
@@ -324,9 +336,13 @@ def _diagonalizing_ops(rows: list[list[int]], n: int) -> list[tuple]:
     for q in pivots:
         apply(("h", q))
 
-    if any(x):
-        raise ValueError("commuting set failed to diagonalize; grouping bug")
-    return ops
+    r = len(rows)
+    failed = [c >> r for c in x if c >> r]
+    if failed:
+        bad = strings[min((c & -c).bit_length() for c in failed) - 1]
+        raise ValueError(f"set member {bad.to_label()!r} failed to diagonalize;"
+                         " grouping bug")
+    return ops, _transpose(z, r + len(strings))[r:], parity >> r
 
 
 def plan(m: MomentOperators, mode: str = "full") -> MeasurementPlan:
@@ -334,8 +350,8 @@ def plan(m: MomentOperators, mode: str = "full") -> MeasurementPlan:
 
     Identical strings appearing in several powers are deduplicated and
     measured once.  Identity coefficients become per-power constants.
-    All strings of a set pass through its Clifford together, held by
-    qubit (:func:`_conjugate`), and come out as Z masks with signs.
+    One tableau pass per set (:func:`_diagonalizing_ops`) chooses its
+    Clifford and turns every member into a Z mask with a sign.
 
     Raises:
         ValueError: a set member fails to conjugate to a Z string, which
@@ -356,36 +372,17 @@ def plan(m: MomentOperators, mode: str = "full") -> MeasurementPlan:
     schema: dict[tuple, list[Gate]] = {}  # the gates of each distinct op, built once
     for group in distinct.group_commuting(mode):
         strings = [s for s, _ in group]
-        # a GF(2)-independent generating set of the symplectic vectors
-        _, dependent = gf2_reduce(s.x_mask | (s.z_mask << n) for s in strings)
-        skip = set(dependent)
-        ops = _diagonalizing_ops(
-            [[s.x_mask, s.z_mask] for i, s in enumerate(strings) if i not in skip], n
-        )
+        ops, z_masks, parity = _diagonalizing_ops(strings, n)
         gates: list[Gate] = []
         for op in ops:
             if op not in schema:
                 schema[op] = _schema_gates(op)
             gates.extend(schema[op])
-        x = _transpose([s.x_mask for s in strings], n)
-        z = _transpose([s.z_mask for s in strings], n)
-        parity = _conjugate(x, z, 0, ops)
-        if any(x):
-            bad = strings[min((c & -c).bit_length() for c in x if c) - 1]
-            raise ValueError(
-                f"set member {bad.to_label()!r} failed to diagonalize;"
-                " grouping bug"
-            )
-        terms = [
-            PlanTerm(
-                string=s, z_mask=zm, sign=1 - 2 * (parity >> k & 1),
-                uses=tuple(uses[s]),
-            )
-            for k, (s, zm) in enumerate(zip(strings, _transpose(z, len(strings))))
-        ]
-        circuits.append(
-            PlanCircuit(clifford=Circuit(n, gates), terms=tuple(terms))
+        terms = tuple(
+            PlanTerm(s, zm, 1 - 2 * (parity >> k & 1), tuple(uses[s]))
+            for k, (s, zm) in enumerate(zip(strings, z_masks))
         )
+        circuits.append(PlanCircuit(clifford=Circuit(n, gates), terms=terms))
     return MeasurementPlan(
         n_qubits=n,
         mode=mode,
@@ -564,19 +561,17 @@ def cumulants(
     return tuple(c)
 
 
-def energy(
-    cums: Sequence[float], guard: float = 1e-10
-) -> float:
+def energy(cums: Sequence[float]) -> float:
     """Fourth-order cumulant energy estimate.
 
-    Eigenstate-like data (|c2| < guard) returns c1, the exact limit of
-    the formula.  The discriminant 3 c3^2 - 2 c2 c4 may dip slightly
-    negative under shot noise and is clamped within 1e-9; beyond that,
-    or on a vanishing denominator c2^3 - c2 c4, the input is treated as
-    inconsistent.
+    Eigenstate-like data (|c2| < ``C2_GUARD``) returns c1, the exact
+    limit of the formula.  The discriminant 3 c3^2 - 2 c2 c4 may dip
+    slightly negative under shot noise and is clamped within 1e-9;
+    beyond that, or on a vanishing denominator c2^3 - c2 c4, the input
+    is treated as inconsistent.
     """
     c1, c2, c3, c4 = (float(x) for x in cums)
-    if abs(c2) < guard:
+    if abs(c2) < C2_GUARD:
         return c1
     disc = 3.0 * c3 * c3 - 2.0 * c2 * c4
     if disc < -1e-9:

@@ -1,10 +1,11 @@
 """Exact dense state-vector simulator with seeded shot sampling.
 
 Qubit q is bit q of the basis index (little-endian).  A circuit's gates
-are compiled once into index and phase arrays (:class:`CompiledCircuit`)
-that act on batches of states at once, so parameter sweeps cost one
-vectorized pass and :func:`overlap_gradient` gets an overlap and its
-exact gradient from one forward and one backward sweep.  Randomness
+are compiled once (:class:`CompiledCircuit`), a Hadamard into a reshape
+and a rotation into index and phase arrays, and act on batches of
+states at once, so parameter sweeps cost one vectorized pass and
+:func:`overlap_gradient` gets an overlap and its exact gradient from
+one forward and one backward sweep.  Randomness
 always flows through :func:`derived_rng`, a counter-based Philox
 generator keyed by (seed, stream); repeated runs with the same key
 reproduce shot records bit for bit.  Pauli-string actions and Z-parity
@@ -100,10 +101,10 @@ class StateVector:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True, slots=True, eq=False)
 class _Kernel:
-    """One gate's index and phase arrays for a fixed register width.
+    """One gate's kernel for a fixed register width.
 
-    ``h`` mixes the amplitudes at ``lo`` (bit q clear) with those at
-    ``hi`` (bit q set).  Every other kind is a rotation exp(-i angle
+    ``h`` mixes the amplitudes with bit ``qubit`` clear and set, as the
+    two halves of a view.  Every other kind is a rotation exp(-i angle
     P/2): P maps amplitude ``src[i]`` (``src`` is None when P is
     diagonal) times ``d[i]`` to index ``i`` (:meth:`PauliString.action`);
     ``col`` is the gate's row in the cos and i sin tables.
@@ -111,17 +112,17 @@ class _Kernel:
 
     kind: str
     param: int | None = None
-    lo: np.ndarray | None = None
-    hi: np.ndarray | None = None
+    qubit: int | None = None
     src: np.ndarray | None = None
     d: np.ndarray | None = None
     col: int | None = None
 
     def hadamard(self, amps: np.ndarray) -> None:
-        a0 = amps[..., self.lo]
-        a1 = amps[..., self.hi]
-        amps[..., self.lo] = (a0 + a1) * _SQRT_HALF
-        amps[..., self.hi] = (a0 - a1) * _SQRT_HALF
+        if not amps.flags.c_contiguous:  # a reshape would copy and lose the write
+            raise ValueError("the Hadamard kernel needs C-contiguous amplitudes")
+        pairs = amps.reshape(*amps.shape[:-1], -1, 2, 1 << self.qubit)  # axis -2: bit q
+        a0, a1 = pairs[..., 0, :], pairs[..., 1, :]
+        a0[...], a1[...] = (a0 + a1) * _SQRT_HALF, (a0 - a1) * _SQRT_HALF
 
     def pauli(self, amps: np.ndarray) -> np.ndarray:
         """P applied to amplitudes along their last axis, as a new array."""
@@ -137,8 +138,8 @@ class CompiledCircuit:
 
     :meth:`simulate` and :func:`overlap_gradient` run them;
     :func:`simulate_batch` compiles a circuit for one call.  ``gates``, a
-    dict that circuits on one register may share, keeps a Hadamard's
-    ``(lo, hi)`` and a rotation's ``(src, d)``, so each is built once.
+    dict that circuits on one register may share, keeps each rotation's
+    ``(src, d)``, so each is built once.
     """
 
     __slots__ = ("circuit", "_kernels", "_fixed_angles", "_param_cols",
@@ -149,15 +150,10 @@ class CompiledCircuit:
         dim = 1 << circuit.n_qubits
         kernels, angles, params = [], [], []
         for gate in circuit.gates:
-            key = (gate.kind, gate.qubits, gate.pauli)
             if gate.kind == "h":
-                if key not in gates:
-                    idx = np.arange(dim)
-                    bit = (idx >> gate.qubits[0]) & 1 == 1
-                    gates[key] = idx[~bit], idx[bit]
-                lo, hi = gates[key]
-                kernels.append(_Kernel("h", lo=lo, hi=hi))
+                kernels.append(_Kernel("h", qubit=gate.qubits[0]))
             else:
+                key = (gate.kind, gate.qubits, gate.pauli)
                 if key not in gates:
                     string = gate.generator
                     src, d = string.action(dim)

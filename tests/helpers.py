@@ -13,6 +13,7 @@ from typing import Mapping
 import numpy as np
 from hypothesis import strategies as st
 
+from gsee import qcm4
 from gsee.chem import FermionIntegrals
 from gsee.circuits import Circuit, Gate
 from gsee.pauli import PURGE_TOL, PauliString, PauliSum, z_signs
@@ -238,23 +239,35 @@ def circuit_unitary(circuit) -> np.ndarray:
     return out
 
 
+def gather_hadamard(amps: np.ndarray, q: int) -> None:
+    """H on qubit ``q`` along the last axis, in place, by index gathers.
+
+    ``lo`` lists the indices with bit ``q`` clear and ``hi`` their
+    partners with it set; both halves are gathered, mixed and scattered
+    back.  The oracle for the simulator's reshaped-view Hadamard.
+    """
+    idx = np.arange(amps.shape[-1])
+    bit = (idx >> q) & 1 == 1
+    lo, hi = idx[~bit], idx[bit]
+    a0 = amps[..., lo]
+    a1 = amps[..., hi]
+    amps[..., lo] = (a0 + a1) * np.sqrt(0.5)
+    amps[..., hi] = (a0 - a1) * np.sqrt(0.5)
+
+
 def reference_simulate(circuit, initial: np.ndarray) -> np.ndarray:
     """A bound circuit on (batch, 2^n) amplitudes, one gate at a time.
 
-    Every gate rebuilds its index arrays and applies the dense Pauli
-    action through ``PauliString.act``.  The simulator's compiled kernels
-    must reproduce this bit for bit, so their outputs, and every artifact
-    computed from them, do not depend on the compilation.
+    Hadamards go through :func:`gather_hadamard`, and every rotation
+    applies the dense Pauli action through ``PauliString.act``.  The
+    simulator's compiled kernels must reproduce this bit for bit, so
+    their outputs, and every artifact computed from them, do not depend
+    on the compilation.
     """
     amps = np.array(initial, dtype=complex)
-    idx = np.arange(amps.shape[-1])
     for gate in circuit.gates:
-        bit = (idx >> gate.qubits[0]) & 1 == 1 if gate.qubits else None
         if gate.kind == "h":
-            a0 = amps[..., idx[~bit]]
-            a1 = amps[..., idx[bit]]
-            amps[..., idx[~bit]] = (a0 + a1) * np.sqrt(0.5)
-            amps[..., idx[bit]] = (a0 - a1) * np.sqrt(0.5)
+            gather_hadamard(amps, gate.qubits[0])
             continue
         half = 0.5 * np.broadcast_to(float(gate.angle), (amps.shape[0],))[:, None]
         string = _rotation_string(gate)
@@ -322,6 +335,23 @@ def conjugate_reference(x: int, z: int, ops: list[tuple]) -> tuple[int, int, int
             if x & b:
                 z ^= a
     return x, z, sign
+
+
+def replay_reference(strings, ops: list[tuple], n_qubits: int) -> tuple[list, list]:
+    """A commuting set pushed through its chosen generators as a whole.
+
+    The set is transposed to per-qubit integers, ``qcm4._conjugate`` runs
+    over every op, and the Z bits are transposed back: a replay after the
+    gates are chosen, the oracle for the Z masks and signs that
+    ``qcm4._diagonalizing_ops`` carries through its one tableau pass.
+    Returns ``(z_masks, signs)``.
+    """
+    x = qcm4._transpose([s.x_mask for s in strings], n_qubits)
+    z = qcm4._transpose([s.z_mask for s in strings], n_qubits)
+    parity = qcm4._conjugate(x, z, 0, ops)
+    assert not any(x), "a set member kept an X or Y factor"
+    signs = [1 - 2 * (parity >> k & 1) for k in range(len(strings))]
+    return qcm4._transpose(z, len(strings)), signs
 
 
 def greedy_coloring_reference(a: PauliSum, mode: str) -> tuple:

@@ -56,6 +56,23 @@ class TestPauliString:
         with pytest.raises(ValueError):
             PauliString.from_support({-1: "X"})
 
+    @pytest.mark.parametrize("x, z, name", [
+        (-1, 0, "x_mask"), (0, -4, "z_mask"), (1.0, 0, "x_mask"),
+        (0, "1", "z_mask"), (np.float64(1.0), 0, "x_mask"),
+    ])
+    def test_negative_and_non_integer_masks_rejected(self, x, z, name):
+        # a negative mask would index the dense action from the end, and
+        # its label would not round-trip through JSON
+        with pytest.raises(ValueError, match=f"{name} must be a non-negative integer"):
+            PauliString(x, z)
+
+    def test_numpy_integer_masks_become_int(self):
+        s = PauliString(np.int64(1), np.uint8(2))
+        assert type(s.x_mask) is int and type(s.z_mask) is int
+        assert s == PauliString(1, 2) and hash(s) == hash(PauliString(1, 2))
+        assert str(s) == "X0 Z1"
+        assert PauliSum(2, {s: 1.0}).to_dense().shape == (4, 4)
+
     def test_weight_and_width(self):
         s = PauliString.from_label("X1 Z4")
         assert (s.x_mask | s.z_mask).bit_count() == 2

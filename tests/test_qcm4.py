@@ -39,6 +39,7 @@ from helpers import (
     conjugate_reference,
     estimate_reference,
     random_state,
+    replay_reference,
 )
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "src" / "gsee" / "fixtures"
@@ -124,11 +125,12 @@ class TestBuildMoments:
         with pytest.raises(ValueError, match="Hermitian"):
             build_moments(PauliSum(1, {X0: 1j}))
 
-    def test_term_cap(self):
+    def test_term_cap(self, monkeypatch):
         rng = np.random.default_rng(13)
         h = random_sum(rng, 4, 12)
+        monkeypatch.setattr(qcm4, "TERM_CAP", 20)
         with pytest.raises(ValueError, match="cap"):
-            build_moments(h, cap=20)
+            build_moments(h)
 
 
 class TestPauliFilter:
@@ -418,10 +420,78 @@ class TestEstimate:
 
 
 @pytest.fixture(scope="module")
-def fixture_8q_plan():
-    """The 76-circuit plan of H…H⁴ on the 8-qubit ``spin_polarized`` fixture."""
+def fixture_8q_moments():
+    """H…H⁴ on the 8-qubit ``spin_polarized`` fixture."""
     h = jordan_wigner(parse_fcidump((FIXTURES / "spin_polarized.fcidump").read_text()))
-    return plan(build_moments(h))
+    return build_moments(h)
+
+
+@pytest.fixture(scope="module")
+def fixture_8q_plan(fixture_8q_moments):
+    """The 76-circuit full-mode plan of the 8-qubit fixture's moments."""
+    return plan(fixture_8q_moments)
+
+
+def assert_plan_matches_replay(mp: MeasurementPlan) -> None:
+    """Each circuit's gates, Z masks and signs equal the replay's, by ``==``."""
+    for pc in mp.circuits:
+        strings = [t.string for t in pc.terms]
+        ops = qcm4._diagonalizing_ops(strings, mp.n_qubits)[0]
+        gates = [g for op in ops for g in qcm4._schema_gates(op)]
+        assert list(pc.clifford.gates) == gates
+        z_masks, signs = replay_reference(strings, ops, mp.n_qubits)
+        assert [t.z_mask for t in pc.terms] == z_masks
+        assert [t.sign for t in pc.terms] == signs
+
+
+@st.composite
+def sums_with_dependent_strings(draw):
+    """Unit-weight sums on 2-8 qubits, most strings from one commuting family.
+
+    The family is the products of Z0..Z(n-1) pushed through random h, s
+    and cz generators (:func:`conjugate_reference`), so any more than n
+    of its strings are dependent; a few random strings split it across
+    commuting sets.
+    """
+    n = draw(st.integers(2, 8))
+    qubit = st.integers(0, n - 1)
+    ops = draw(st.lists(st.one_of(
+        st.tuples(st.just("h"), qubit),
+        st.tuples(st.just("s"), qubit),
+        st.tuples(st.just("cz"), qubit, qubit).filter(lambda op: op[1] != op[2]),
+    ), max_size=30))
+    family = [conjugate_reference(0, 1 << q, ops)[:2] for q in range(n)]
+    strings = set()
+    picks = st.sets(st.integers(1, (1 << n) - 1), min_size=n + 1, max_size=24)
+    for pick in draw(picks):
+        x = z = 0
+        for q, (gx, gz) in enumerate(family):
+            if pick >> q & 1:
+                x, z = x ^ gx, z ^ gz
+        strings.add(PauliString(x, z))
+    mask = st.integers(0, (1 << n) - 1)
+    for x, z in draw(st.lists(st.tuples(mask, mask), max_size=6)):
+        strings.add(PauliString(x, z))
+    strings.discard(PauliString())
+    return PauliSum(n, {s: 1.0 for s in strings})
+
+
+class TestSingleTableauPass:
+    """``plan`` carries the members through the pass that chooses the gates;
+    its Z masks and signs equal a replay of the set after the fact."""
+
+    @pytest.mark.parametrize("mode", ["full", "qubitwise"])
+    def test_fixture_plan_equals_the_replay(self, fixture_8q_moments, mode):
+        mp = plan(fixture_8q_moments, mode)
+        # a commuting set of more than n strings has dependent members
+        assert max(len(pc.terms) for pc in mp.circuits) > mp.n_qubits
+        assert_plan_matches_replay(mp)
+
+    @settings(deadline=None, max_examples=60)
+    @given(h=sums_with_dependent_strings(), mode=st.sampled_from(["full", "qubitwise"]))
+    def test_random_sets_equal_the_replay(self, h, mode):
+        m = qcm4.MomentOperators((h, h, h, h), 0.0, (0.0, 0.0, 0.0, 0.0))
+        assert_plan_matches_replay(plan(m, mode))
 
 
 class TestArrayPathsAgainstLoops:

@@ -11,12 +11,14 @@ from helpers import (
     dense_sum,
     fixed_angles,
     gate_matrix,
+    gather_hadamard,
     random_state,
     random_sum,
     reference_simulate,
     shift_gradient,
 )
 from gsee.circuits import Circuit, Gate, hea_ansatz
+from gsee import simulator
 from gsee.pauli import PauliString, PauliSum
 from gsee.simulator import (
     CompiledCircuit,
@@ -192,6 +194,60 @@ class TestGateKernels:
         c, _ = hea_ansatz(2, 1)
         with pytest.raises(ValueError, match="unbound"):
             apply_circuit(StateVector.zero_state(2), c)
+
+
+def hadamard_circuit(n: int) -> Circuit:
+    """Hadamards first, last, back to back and between rotations, on every
+    qubit, with symbolic and fixed rotations around them."""
+    gates = [Gate("h", (q,)) for q in range(n)]
+    for q in range(n):
+        gates += [
+            Gate("rx", (q,), param=2 * q), Gate("h", (q,)), Gate("h", ((q + 1) % n,)),
+            Gate("rz", (q,), param=2 * q + 1), Gate("h", (n - 1 - q,)),
+        ]
+    if n > 1:
+        gates += [Gate("zzphase", (0, n - 1), angle=0.7), Gate("h", (0,))]
+    return Circuit(n, gates + [Gate("h", (q,)) for q in reversed(range(n))])
+
+
+class TestViewHadamard:
+    """The Hadamard mixes through a reshaped view, bit for bit as the
+    ``(lo, hi)`` index gathers of :func:`gather_hadamard`."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_qubit_equals_the_gather(self, n):
+        rng = np.random.default_rng(n)
+        for shape in ((3, 1 << n), (2, 3, 1 << n)):
+            amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            for q in range(n):
+                got, want = amps.copy(), amps.copy()
+                simulator._Kernel("h", qubit=q).hadamard(got)
+                gather_hadamard(want, q)
+                assert np.array_equal(got, want)
+
+    def test_non_contiguous_amplitudes_rejected(self):
+        wide = np.ones((3, 16), dtype=complex)
+        for amps in (wide[:, ::2], np.asfortranarray(wide)):
+            with pytest.raises(ValueError, match="C-contiguous"):
+                simulator._Kernel("h", qubit=1).hadamard(amps)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_sweeps_equal_the_gather(self, n, monkeypatch):
+        rng = np.random.default_rng(10 + n)
+        compiled = CompiledCircuit(hadamard_circuit(n))
+        params = rng.uniform(-np.pi, np.pi, (4, compiled.circuit.n_params))
+        psi = random_state(rng, n)
+        targets = np.array([random_state(rng, n) for _ in range(2)])
+
+        def sweeps():
+            return (compiled.simulate(psi, params),
+                    *overlap_gradient(compiled, targets, params))
+
+        got = sweeps()
+        monkeypatch.setattr(simulator._Kernel, "hadamard",
+                            lambda k, amps: gather_hadamard(amps, k.qubit))
+        for g, w in zip(got, sweeps(), strict=True):
+            assert np.array_equal(g, w)
 
 
 class TestSimulateBatch:
