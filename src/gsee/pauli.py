@@ -569,19 +569,20 @@ class PauliSum:
         """``Σₖ weights[k] · Π_f factors[rows[k, f]]`` in one array pass.
 
         ``rows`` holds K rows of indices into ``factors``, in product order.
-        Factors are padded with zero-weight identities to the longest one's
-        T terms; each row runs through its T^F chains, which combine per
-        string, in chain order, before the row is weighted.  Weighted rows
-        add into each string from zero, in row order, and the sum is purged
-        once, strings in first-appearance order.  For dyadic chain
-        coefficients, as of ladder operators, combining is exact and each
-        coefficient is that of a row-by-row ``@`` and the constructor.
+        Every row starts from the identity and is multiplied by its factors
+        one at a time, all rows at once: after each factor a row's term
+        pairs combine per string, in pair order, and the terms ``PauliSum``
+        purges are dropped, as a row-by-row ``@`` leaves them.  Weighted
+        rows then add into each string from zero, in row order, and the sum
+        is purged once, strings in first-appearance order.  Each coefficient
+        is that of a row-by-row ``@`` and the constructor, bit for bit.
 
         Raises:
             ValueError: a factor on another register width, or K · T^F
-                chains of ``64 · W + 96`` bytes (W mask words; the picked
-                terms, phases and sorts of the product included) exceed
-                physical memory.
+                chains (T terms in the longest factor) of ``64 · W + 96``
+                bytes (W mask words; the picked terms, phases and sorts of
+                the product included) exceed physical memory.  A row holds
+                at most T^F terms at any factor, so this bounds the peak.
         """
         if any(f.n_qubits != n_qubits for f in factors):
             raise ValueError(f"every factor must act on {n_qubits} qubits")
@@ -590,28 +591,35 @@ class PauliSum:
         n_chains = len(rows) * longest ** rows.shape[1]
         n_words = max(1, -(-n_qubits // 64))
         check_memory(n_chains * (64 * n_words + 96), f"{n_chains:,} product chains")
+        # factors padded to T terms; the padding pairs are dropped unread
         padded = [[*f._terms.items(), *[pad] * (longest - len(f))] for f in factors]
         table = [v.reshape((len(factors), longest) + v.shape[1:])
                  for v in _term_arrays(itertools.chain(*padded), n_qubits)]
-        # each row's chains, flat and row by row, from the identity
+        sizes = np.array([len(f) for f in factors], dtype=np.intp)
+        # each row's terms, flat and row by row, from the identity
         row = np.arange(len(rows))
-        chains = _term_arrays([(PauliString(), 1 + 0j)] * len(rows), n_qubits)
+        terms = _term_arrays([(PauliString(), 1 + 0j)] * len(rows), n_qubits)
         for picks in rows.T:
+            pick = picks[row]
             product = _multiply_terms(
-                [v[:, None] for v in chains], [v[picks[row]] for v in table]
+                [v[:, None] for v in terms], [v[pick] for v in table]
             )
-            chains = [v.reshape((-1,) + v.shape[2:]) for v in product]
-            row = row.repeat(longest)
-        x, z, re, im = chains
-        strings, string = np.unique(_string_keys(x, z, n_qubits), return_inverse=True)
-        # a row's chains combine per string before the row is weighted ...
-        first, re, im = _ordered_sums([(row * len(strings) + string, re, im)])
-        w = weights[row[first]]
-        # ... and the weighted rows add into each string in row order
-        last, re, im = _ordered_sums(
-            [(string[first], *_complex_product(w.real, w.imag, re, im))]
+            real = np.arange(longest) < sizes[pick][:, None]
+            x, z, re, im = (v[real] for v in product)
+            row = np.broadcast_to(row[:, None], real.shape)[real]
+            del product, terms  # the padded grid is not held through the sums
+            strings, string = np.unique(_string_keys(x, z, n_qubits), return_inverse=True)
+            first, re, im = _ordered_sums([(row * len(strings) + string, re, im)])
+            kept = np.hypot(re, im) > PURGE_TOL
+            first, row = first[kept], row[first[kept]]
+            terms = [x[first], z[first], re[kept], im[kept]]
+        x, z, re, im = terms
+        _, string = np.unique(_string_keys(x, z, n_qubits), return_inverse=True)
+        w = weights[row]
+        # the weighted rows add into each string in row order
+        first, re, im = _ordered_sums(
+            [(string, *_complex_product(w.real, w.imag, re, im))]
         )
-        first = first[last]
         return cls(n_qubits)._adopt(_purged_terms(x[first], z[first], re, im))
 
     def _adopt(self, terms: dict[PauliString, complex]) -> "PauliSum":
