@@ -20,7 +20,7 @@ print(f"H2/STO-3G at equilibrium: {integrals.norb} orbitals, "
       f"{integrals.nelec} electrons, core energy {integrals.core_energy:.6f} Ha")
 
 h = jordan_wigner(integrals)
-ground = float(np.linalg.eigvalsh(h.blocks()[1]).min())
+ground = min(float(np.linalg.eigvalsh(mats).min()) for _, mats in h.blocks())
 print(f"qubit Hamiltonian: {h.n_qubits} qubits, {len(h)} Pauli terms")
 print(f"dense ground energy: {ground:.10f} Ha")
 
@@ -31,7 +31,8 @@ report = taper_z2(h, 0b0011)
 reduced = report.reduced
 print(f"\nZ2 symmetries found: {[g.to_label() for g in report.generators]}")
 print(f"tapered operator: {reduced.n_qubits} qubit(s), {len(reduced)} terms")
-print(f"tapered ground energy: {np.linalg.eigvalsh(reduced.blocks()[1]).min():.10f} Ha")
+tapered_ground = min(float(np.linalg.eigvalsh(mats).min()) for _, mats in reduced.blocks())
+print(f"tapered ground energy: {tapered_ground:.10f} Ha")
 
 # States ride along.  The two-determinant CI state maps into the reduced
 # register and keeps its energy expectation up to rounding: tapering

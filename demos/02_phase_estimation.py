@@ -30,7 +30,7 @@ report = taper_z2(
 )
 h = report.reduced
 psi = taper_state(report, ci)
-exact_ground = float(np.linalg.eigvalsh(h.blocks()[1]).min())
+exact_ground = min(float(np.linalg.eigvalsh(mats).min()) for _, mats in h.blocks())
 print(f"tapered operator: {h.n_qubits} qubits, {len(h)} terms")
 
 # Rescaling puts the spectrum inside [-pi/4, pi/4] so a single fit

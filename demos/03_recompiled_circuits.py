@@ -23,10 +23,12 @@ FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "src" / "gsee" / "fixtu
 
 h = PauliSum.from_json((FIXTURES / "toy_3q.json").read_text())
 sh = scale(h)
-# the ground state: the lowest eigenvector among H~'s symmetry blocks
-block, col = np.unravel_index(np.argmin(sh.vals), sh.vals.shape)
+# the ground state: the lowest eigenvector among H~'s symmetry cells,
+# whose arrays come one per cell size
+size = min(range(len(sh.vals)), key=lambda k: sh.vals[k].min())
+cell, col = np.unravel_index(np.argmin(sh.vals[size]), sh.vals[size].shape)
 ground = np.zeros(1 << h.n_qubits, dtype=complex)
-ground[sh.rows[block]] = sh.vecs[block][:, col]
+ground[sh.rows[size][cell]] = sh.vecs[size][cell][:, col]
 psi = StateVector(3, ground)
 
 n_points = 9

@@ -23,7 +23,7 @@ FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "src" / "gsee" / "fixtu
 h = jordan_wigner(parse_fcidump((FIXTURES / "h2_eq.fcidump").read_text()))
 _, dets = determinants_from_json((FIXTURES / "h2_eq_ci.json").read_text())
 psi = ci_initial_state(dets, 0.0, h.n_qubits)
-exact_ground = float(np.linalg.eigvalsh(h.blocks()[1]).min())
+exact_ground = min(float(np.linalg.eigvalsh(mats).min()) for _, mats in h.blocks())
 
 # Powers of H as Pauli sums.  The term counts grow with the power until
 # the 4-qubit operator space saturates.

@@ -397,7 +397,7 @@ def _reference_mask(fi: FermionIntegrals) -> int:
 def _dense_ground(h: PauliSum) -> float | None:
     if h.n_qubits > _DENSE_REPORT_CAP:
         return None
-    return float(np.linalg.eigvalsh(h.blocks()[1]).min())
+    return min(float(np.linalg.eigvalsh(mats).min()) for _, mats in h.blocks())
 
 
 def _check(key: str, call: Callable, *args: Any) -> Any:

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
@@ -67,7 +68,11 @@ PURGE_TOL = 1e-14
 # Strings tested against every color per array step of the coloring in
 # :meth:`PauliSum.group_commuting`; at 5,459 terms 32 to 128 do about equally.
 _COLOR_BLOCK = 64
-_X_BITS = 0x5555_5555_5555_5555  # the x bits of a code (:func:`_greedy_colors`)
+_X_BITS = 0x5555_5555_5555_5555  # even bits: a code's x bits, an index's α qubits
+
+# Term signs that :func:`_x_sums` forms at once, per basis index; it
+# bounds their arrays by the index arrays of :meth:`PauliSum.blocks`
+_SIGNS_PER_INDEX = 8
 
 # Term pairs per row block of the array product in :meth:`PauliSum.__matmul__`;
 # it bounds that product's working memory to a few (block, W) arrays.
@@ -310,15 +315,29 @@ def _ordered_sums(
     return first[order], total[0, order], total[1, order]
 
 
+def _trusted_string(x_mask: int, z_mask: int) -> PauliString:
+    """A string from masks that are already non-negative ``int``s, unchecked.
+
+    The fields are set as the dataclass sets them; touching ``__dict__``
+    would give every string its own dict, 150 bytes more.
+    """
+    string = object.__new__(PauliString)
+    object.__setattr__(string, "x_mask", x_mask)
+    object.__setattr__(string, "z_mask", z_mask)
+    return string
+
+
 def _purged_terms(x, z, re, im) -> dict[PauliString, complex]:
     """Strings of words ``x``, ``z`` with coefficients ``re + i·im``, purged.
 
     Each coefficient is already the sum ``0j + c`` that ``PauliSum`` forms
-    (a sum from +0.0 never rounds to -0.0), so only the purge is left.
+    (a sum from +0.0 never rounds to -0.0), so only the purge is left.  The
+    masks come from ``uint64`` words as ``int``s, so the strings skip
+    :class:`PauliString`'s mask check.
     """
     terms = zip(_mask_ints(x), _mask_ints(z), re.tolist(), im.tolist())
     return {
-        PauliString(xm, zm): c
+        _trusted_string(xm, zm): c
         for xm, zm, r, i in terms
         if abs(c := complex(r, i)) > PURGE_TOL
     }
@@ -399,6 +418,95 @@ def _greedy_colors(codes: np.ndarray, k: int, full: bool) -> list[int]:
                     gained.setdefault(c, []).append(int(held[c, len(basis)]))
                     basis[u & -u] = u
     return colors
+
+
+def _x_groups(terms: Mapping[PauliString, complex], real: bool) -> tuple:
+    """The terms by x mask, ascending: ``(x masks, bounds, z masks, values)``.
+
+    Group k is the terms ``bounds[k]:bounds[k + 1]`` of the arrays, in
+    their order in ``terms``.  Row t of ``values`` holds ``c · (phase ·
+    ±1)``, the two entries of :meth:`PauliString.action` times the
+    coefficient, formed by the same float operations; only their real
+    parts when ``real``.
+    """
+    x, z = (np.fromiter((getattr(s, m) for s in terms), np.int64, len(terms))
+            for m in ("x_mask", "z_mask"))
+    phases = np.asarray(_PHASES)[np.bitwise_count(x & z) & 3, None]
+    coeffs = np.fromiter(terms.values(), complex, len(terms))[:, None]
+    values = coeffs * (phases * np.array([1.0, -1.0]))
+    order = np.argsort(x, kind="stable")
+    x, z, values = x[order], z[order], (values.real if real else values)[order]
+    bounds = np.flatnonzero(np.diff(x, prepend=-1, append=-1))
+    return x[bounds[:-1]].tolist(), bounds.tolist(), z, values
+
+
+def _x_sums(src: np.ndarray, z: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per index b, the sum over one x mask's terms of ``c · d[b]``.
+
+    ``src`` holds ``b ^ x``, whose Z parities pick each term's sign.  The
+    terms add in order, as :meth:`PauliSum.to_dense` adds them: the rows
+    reduce from the first, and adding +0.0 turns a -0.0 into the +0.0 of a
+    sum from +0.0.  At most :data:`_SIGNS_PER_INDEX` signs an index exist
+    at once.
+    """
+    out = np.empty(len(src), dtype=values.dtype)
+    step = max(1, _SIGNS_PER_INDEX * len(src) // len(z))
+    for lo in range(0, len(src), step):
+        odd = np.bitwise_count(src[lo : lo + step] & z[:, None])
+        odd &= 1
+        rows = np.where(odd, values[:, 1:], values[:, :1])
+        del odd
+        out[lo : lo + step] = np.add.reduce(rows, axis=0) + 0.0
+    return out
+
+
+def _fill_cells(
+    idx: np.ndarray,
+    label: np.ndarray,
+    pivots: dict[int, int],
+    groups: tuple,
+    bound: float,
+    dtype: type,
+) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    """:meth:`PauliSum.blocks`' cells of equal (coset, label), filled.
+
+    ``None`` when an entry between two labels exceeds ``bound``.
+    """
+    key = idx
+    for col, prow in pivots.items():
+        key = key ^ ((key >> col) & 1) * prow
+    key = key << 16 | label  # the coset, then the label
+    order = np.argsort(key, kind="stable")  # indices ascend within a cell
+    first = np.flatnonzero(np.diff(key[order], prepend=-1))
+    del key
+    size = np.diff(first, append=len(idx))
+    by_size = np.argsort(size, kind="stable")
+    sizes = size[by_size]  # cells by size, then (coset, label)
+    lead = np.cumsum(sizes) - sizes  # the first row of each cell
+    cell = np.repeat(np.arange(len(sizes)), sizes)  # of each row
+    rows = order[np.repeat(first[by_size] - lead, sizes) + idx]
+    del order, first, size, by_size
+    offset, start = np.empty_like(idx), np.empty_like(idx)
+    offset[rows] = idx - lead[cell]
+    # where the row of each index begins in flat
+    start[rows] = (np.cumsum(sizes**2) - sizes**2)[cell] + offset[rows] * sizes[cell]
+    del cell
+    flat = np.zeros(int(np.sum(sizes**2)), dtype=dtype)
+    xs, bounds, z, values = groups
+    for x, lo, hi in zip(xs, bounds, bounds[1:]):
+        src = idx ^ x
+        same = label == label[src]
+        total = _x_sums(src, z[lo:hi], values[lo:hi])
+        if np.any(np.abs(total[~same]) > bound):
+            return None
+        flat[start[same] + offset[src[same]]] = total[same]
+    out, taken, at = [], 0, 0  # cells and rows already in out
+    for last in np.flatnonzero(np.diff(sizes, append=0)).tolist():  # of each size
+        s, count = int(sizes[last]), last + 1 - taken
+        out.append((rows[at : at + count * s].reshape(-1, s),
+                    flat[: count * s * s].reshape(-1, s, s)))
+        flat, taken, at = flat[count * s * s :], last + 1, at + count * s
+    return out
 
 
 def _physical_memory() -> int | None:
@@ -648,47 +756,69 @@ class PauliSum:
             out[idx, src] += c * d
         return out
 
-    def blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """The symmetry blocks ``(rows, mats)``, built from the strings.
+    def blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The symmetry cells ``[(rows, mats), ...]``, one pair per cell size.
 
         A string maps ``|b>`` to a multiple of ``|b^x>``, so the cosets of
         the span of the terms' x masks (rank r, :func:`gf2_reduce`) are
-        closed under the sum.  Row k of ``rows`` holds one coset's 2^r
-        indices, ascending, the cosets ordered by their indices with the
-        pivot bits cleared, and ``mats[k][i, j] = <rows[k, i]|H|rows[k, j]>``,
-        real when no term has an odd number of Y factors (every string
-        matrix is then real, and so is a Hermitian sum).  Strings sharing
-        an x mask add from zero in term order, so each entry is the float
-        sum of :meth:`to_dense`.
+        closed under the sum.  Each index also carries the label (popcount
+        of its even bits, popcount of its odd bits): (Nα, Nβ) in the layout
+        of ``chem.jordan_wigner``, which a molecular sum conserves.  A cell
+        holds the indices of one coset and one label.
+
+        The pairs ascend in cell size.  Row k of a pair's ``rows`` holds one
+        cell's indices, ascending, the cells ordered by coset (its indices
+        with the pivot bits cleared), then label, and ``mats[k][i, j] =
+        <rows[k, i]|H|rows[k, j]>``, real when no term has an odd number of
+        Y factors (every string matrix is then real, and so is a Hermitian
+        sum).  Strings sharing an x mask add from zero in term order, so
+        each entry is the float sum of :meth:`to_dense`.
+
+        An entry between two labels is dropped when it is at most
+        eps · ‖H − h0‖₁ (eps of float64, h0 the identity coefficient); such
+        entries are the rounding residue of sums that cancel in exact
+        arithmetic.  A row of the dropped part holds at most one entry per
+        x mask, so no eigenvalue moves by more than their number times that
+        bound.  If any such entry is larger, every index takes one label:
+        the cells are the cosets, 2^r rows each, in coset order.
 
         Raises:
-            ValueError: non-Hermitian sum, or the blocks and the vectors an
-                ``eigh`` returns beside them (``2 · (8|16) · 2^n · 2^r``
-                bytes) and the 2^n-long index arrays (160 bytes an index)
-                exceed physical memory.
+            ValueError: non-Hermitian sum, or the cells and the vectors an
+                ``eigh`` returns beside them (``2 · (8|16)`` bytes an
+                entry), the 2^n-long index arrays (256 bytes an index) and
+                the sorted terms (256 bytes a term) exceed physical memory.
+                With labels the cells hold at most C(2e, e) · C(2o, o)
+                entries over e even and o odd qubits, and at most 2^n · 2^r;
+                with one label, 2^n · 2^r.  Each layout is checked before
+                it is built, the labelled one first.
         """
         if not self.is_hermitian():
             raise ValueError("symmetry blocks require a Hermitian sum")
         real = all(s.phase.imag == 0 for s in self._terms)
-        pivots, _ = gf2_reduce(s.x_mask for s in self._terms)
-        dim, block = 1 << self._n_qubits, 1 << len(pivots)
-        check_memory((2 * (8 if real else 16) * block + 160) * dim, "symmetry blocks")
-        rep = idx = np.arange(dim)
-        for col, prow in pivots.items():
-            rep = rep ^ ((rep >> col) & 1) * prow
-        order = np.argsort(rep, kind="stable")
-        pos = np.argsort(order)  # index b is cell pos[b] of the flat rows
-        mats = np.zeros((dim // block, block, block), dtype=float if real else complex)
-        # the sort is stable, so each x mask keeps its terms in order
-        by_x = sorted(self._terms.items(), key=lambda t: t[0].x_mask)
-        for x, terms in itertools.groupby(by_x, lambda t: t[0].x_mask):
-            total = np.zeros(dim, dtype=complex)
-            for s, c in terms:
-                total += c * s.action(dim)[1]
-            # row b, column b^x of b's block
-            cells = block * pos + pos[idx ^ x] % block
-            mats.reshape(-1)[cells] = total.real if real else total
-        return order.reshape(-1, block), mats
+        # repeated x masks are dependent rows: the pivots of the distinct ones
+        pivots, _ = gf2_reduce(dict.fromkeys(s.x_mask for s in self._terms))
+        n, dim = self._n_qubits, 1 << self._n_qubits
+        bound = np.finfo(float).eps * sum(
+            abs(c) for s, c in self._terms.items() if s.x_mask | s.z_mask
+        )
+        item, coset = (8 if real else 16), dim << len(pivots)
+        even, odd = (n + 1) // 2, n // 2
+        spin_pairs = min(math.comb(2 * even, even) * math.comb(2 * odd, odd), coset)
+        need = [2 * item * pairs + 256 * (dim + len(self._terms))
+                for pairs in (spin_pairs, coset)]
+        check_memory(need[0], "symmetry blocks")
+        groups = _x_groups(self._terms, real)
+        dtype, idx = (float if real else complex), np.arange(dim)
+        # (popcount of the even bits, popcount of the odd bits) as one integer
+        label = np.bitwise_count(idx & _X_BITS).astype(np.intp) << 8
+        label |= np.bitwise_count(idx >> 1 & _X_BITS)
+        cells = _fill_cells(idx, label, pivots, groups, bound, dtype)
+        if cells is None:  # the same cells with one label: the cosets
+            if need[1] > need[0]:
+                check_memory(need[1], "symmetry blocks")
+            label[:] = 0
+            cells = _fill_cells(idx, label, pivots, groups, bound, dtype)
+        return cells
 
     # ------------------------------------------------------------------
     # truncation and grouping

@@ -13,7 +13,7 @@ circuits, and maximizes the objective
 whose peak location theta* converts back to an energy through
 E* = h0 + h1 theta*.
 
-H~ is held once, as the eigenpairs of its symmetry blocks.
+H~ is held once, as the eigenpairs of its symmetry cells.
 """
 
 import math
@@ -63,56 +63,61 @@ class ScaledHamiltonian:
     Attributes:
         h0: spectral mean of H (its identity coefficient), in Hartree.
         h1: scale factor (4/pi) ||H - h0 I||, in Hartree.
-        vals, vecs, rows: H~ = (H - h0 I) / h1 itself: per symmetry block k
-            (:meth:`PauliSum.blocks`), its ascending eigenvalues ``vals[k]``
-            and eigenvector columns ``vecs[k]`` over basis indices ``rows[k]``.
+        vals, vecs, rows: H~ = (H - h0 I) / h1 itself, one array each per
+            cell size of :meth:`PauliSum.blocks`: per cell k of size g,
+            its ascending eigenvalues ``vals[g][k]`` and eigenvector
+            columns ``vecs[g][k]`` over basis indices ``rows[g][k]``.
     """
 
     h0: float
     h1: float
-    vals: np.ndarray = field(repr=False, compare=False)
-    vecs: np.ndarray = field(repr=False, compare=False)
-    rows: np.ndarray = field(repr=False, compare=False)
+    vals: tuple[np.ndarray, ...] = field(repr=False, compare=False)
+    vecs: tuple[np.ndarray, ...] = field(repr=False, compare=False)
+    rows: tuple[np.ndarray, ...] = field(repr=False, compare=False)
 
     def energy(self, theta: float) -> float:
         """Converts a fitted phase back to Hartree."""
         return self.h0 + self.h1 * theta
 
-    def _project(self, psi: StateVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(live, vecs, coords)``: psi's blocks, their complex vectors, V^H psi."""
-        if psi.amplitudes.size != self.rows.size:
+    def _project(self, psi: StateVector) -> list[tuple[np.ndarray, ...]]:
+        """Per cell size where psi has weight, ``(vals, vecs, rows, coords)``:
+        psi's cells' eigenvalues, complex vectors and indices, and V^H psi."""
+        if psi.amplitudes.size != sum(r.size for r in self.rows):
             raise ValueError("Hamiltonian and state widths differ")
-        amps = psi.amplitudes[self.rows]
-        live = np.flatnonzero(np.any(amps != 0, axis=1))
+        amps = [psi.amplitudes[r] for r in self.rows]
+        live = [np.flatnonzero(np.any(a != 0, axis=1)) for a in amps]
         # the gathered vectors, their complex copy, and 96 bytes an index
         # for the amplitudes and coordinates
-        n_vecs = live.size * self.rows.shape[1] ** 2
-        check_memory((self.vecs.itemsize + 16) * n_vecs + 96 * amps.size,
-                     "the state's block vectors")
-        vecs = self.vecs[live].astype(complex)
-        # V^H a computed as conj(V^T conj(a)): no conjugate copy of V
-        coords = (vecs.transpose(0, 2, 1) @ amps[live, :, None].conj()).conj()
-        return live, vecs, coords
+        n_vecs = sum(k.size * r.shape[1] ** 2 for k, r in zip(live, self.rows))
+        check_memory((self.vecs[0].itemsize + 16) * n_vecs + 96 * psi.amplitudes.size,
+                     "the state's cell vectors")
+        out = []
+        for a, k, vals, vecs, rows in zip(amps, live, self.vals, self.vecs, self.rows):
+            if k.size:
+                vecs = vecs[k].astype(complex)
+                # V^H a computed as conj(V^T conj(a)): no conjugate copy of V
+                coords = (vecs.transpose(0, 2, 1) @ a[k, :, None].conj()).conj()
+                out.append((vals[k], vecs, rows[k], coords))
+        return out
 
     def mean(self, psi: StateVector) -> float:
         """<psi|H~|psi> = sum |<v|psi>|^2 lambda over the eigenpairs (v, lambda)."""
-        live, _, coords = self._project(psi)
-        return float(np.sum(self.vals[live] * np.abs(coords[..., 0]) ** 2))
+        return float(sum(np.sum(vals * np.abs(coords[..., 0]) ** 2)
+                         for vals, _, _, coords in self._project(psi)))
 
     def evolve(self, psi: StateVector, tau: float, n_points: int) -> np.ndarray:
         """Rows exp(-i n tau H~)|psi> for n = 0 .. n_points - 1.
 
-        Only the blocks where psi has weight evolve; the rows are zero
+        Only the cells where psi has weight evolve; the rows are zero
         elsewhere.  Their vectors are cast to complex once, not at every
         point, and psi is projected once; each row is then one product
-        batched over those blocks, with n tau a Python float.
+        per cell size, batched over those cells, with n tau a Python float.
         """
-        live, vecs, coords = self._project(psi)
-        vals = self.vals[live, :, None]
         rows = np.zeros((n_points, psi.amplitudes.size), dtype=complex)
-        at = self.rows[live]
-        for n in range(n_points):
-            rows[n, at] = (vecs @ (np.exp(-1j * (n * tau) * vals) * coords))[..., 0]
+        for vals, vecs, at, coords in self._project(psi):
+            for n in range(n_points):
+                phases = np.exp(-1j * (n * tau) * vals[:, :, None])
+                rows[n, at] = (vecs @ (phases * coords))[..., 0]
         return rows
 
 
@@ -123,13 +128,16 @@ def scale(h: PauliSum) -> ScaledHamiltonian:
     h1 = (4/pi) max |eig(H - h0 I)|, so H~ = (H - h0 I)/h1 has its
     largest eigenvalue magnitude at exactly pi/4.
 
-    H - h0 I is diagonalized once here, by one batched ``eigh`` over its
-    symmetry blocks (:meth:`PauliSum.blocks`); no 2^n x 2^n matrix is
-    built.  H~ is held as the block rows and vectors and the eigenvalues
-    times 1/h1 alone, with no rescaled Pauli sum.
+    H - h0 I is diagonalized once here, by one batched ``eigh`` per cell
+    size of its symmetry cells (:meth:`PauliSum.blocks`): (Nα, Nβ)
+    sectors within each coset, with the entries between sectors dropped
+    when each is at most eps · ||H - h0 I||_1, and the Z2 cosets
+    themselves when one is larger.  No 2^n x 2^n matrix is built.  H~ is
+    held as the cell rows and vectors and the eigenvalues times 1/h1
+    alone, with no rescaled Pauli sum.
 
     Raises:
-        ValueError: H is not Hermitian, its blocks and their vectors
+        ValueError: H is not Hermitian, its cells and their vectors
             exceed physical memory (raised before any 2^n-long array), or
             it is proportional to the identity (h1 < 1e-12) and carries no
             phase to estimate.
@@ -138,13 +146,14 @@ def scale(h: PauliSum) -> ScaledHamiltonian:
         raise ValueError("Hamiltonian must be Hermitian")
     h0 = h.identity_coefficient.real
     # the shifted sum is freed before eigh allocates the vectors
-    rows, mats = (h - PauliSum(h.n_qubits, {PauliString(): h0})).blocks()
-    vals, vecs = np.linalg.eigh(mats)
-    h1 = 4.0 * float(np.max(np.abs(vals))) / math.pi
+    cells = (h - PauliSum(h.n_qubits, {PauliString(): h0})).blocks()
+    rows = tuple(r for r, _ in cells)
+    vals, vecs = zip(*(np.linalg.eigh(mats) for _, mats in cells))
+    h1 = 4.0 * max(float(np.max(np.abs(v))) for v in vals) / math.pi
     if h1 < 1e-12:
         raise ValueError("Hamiltonian is proportional to the identity")
     inv = 1.0 / h1
-    return ScaledHamiltonian(h0, h1, inv * vals, vecs, rows)
+    return ScaledHamiltonian(h0, h1, tuple(inv * v for v in vals), vecs, rows)
 
 
 # ----------------------------------------------------------------------

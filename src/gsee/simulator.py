@@ -371,7 +371,8 @@ def sample_z(
     so a given key always reproduces the same record: that of
     ``rng.choice(2^n, spc, p=probs)``, whose shot is the number of cdf
     entries at or below its uniform.  Index b's count is that of the
-    uniforms in ``[cdf[b-1], cdf[b])``, read off the sorted uniforms.
+    uniforms in ``[cdf[b-1], cdf[b])``, read off the sorted uniforms; the
+    cdf is taken over the indices of nonzero probability only.
 
     Raises:
         ValueError: ``spc < 1``, or probabilities that do not sum to a
@@ -386,14 +387,16 @@ def sample_z(
         raise ValueError(
             f"state probabilities sum to {total}, not a finite positive number"
         )
-    probs /= total
-    cdf = probs.cumsum()
+    # a zero probability adds nothing to the cdf and draws no shot, so the
+    # search runs over the support alone
+    support = np.flatnonzero(probs)
+    cdf = (probs[support] / total).cumsum()
     cdf /= cdf[-1]
     uniforms = rng.random(spc)
     uniforms.sort()
     counts = np.diff(np.searchsorted(uniforms, cdf), prepend=0)
-    outcomes = np.flatnonzero(counts)
-    return ShotRecord(state.n_qubits, spc, outcomes, counts[outcomes])
+    drawn = counts > 0
+    return ShotRecord(state.n_qubits, spc, support[drawn], counts[drawn])
 
 
 def estimate_pauli_z(record: ShotRecord, mask: int) -> float:

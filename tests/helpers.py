@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from gsee import qcm4
 from gsee.chem import FermionIntegrals
 from gsee.circuits import Circuit, Gate
-from gsee.pauli import PURGE_TOL, PauliString, PauliSum, z_signs
+from gsee.pauli import PURGE_TOL, PauliString, PauliSum, gf2_reduce, z_signs
 from gsee.simulator import ShotRecord, apply_circuit, derived_rng, simulate_batch
 
 I2 = np.eye(2, dtype=complex)
@@ -46,18 +46,56 @@ def dense_sum(a: PauliSum) -> np.ndarray:
 def eig(a: PauliSum) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian eigendecomposition ``(eigenvalues, vectors)`` of a sum.
 
-    One batched ``eigh`` over the symmetry blocks of
-    :meth:`PauliSum.blocks`, the vectors scattered into the ``complex128``
-    columns of a 2^n x 2^n unitary; the eigenvalues ascend (a stable sort).
+    One batched ``eigh`` per cell size of :meth:`PauliSum.blocks`, the
+    vectors scattered into the ``complex128`` columns of a 2^n x 2^n
+    unitary; the eigenvalues ascend (a stable sort).
     """
-    rows, mats = a.blocks()
-    vals, blocks = np.linalg.eigh(mats)
-    order = np.argsort(vals, axis=None, kind="stable")
-    vecs = np.zeros((rows.size, rows.size), dtype=np.complex128)
+    cells = a.blocks()
+    rows = np.concatenate([r.ravel() for r, _ in cells])
+    pairs = [np.linalg.eigh(m) for _, m in cells]
+    vals = np.concatenate([v.ravel() for v, _ in pairs])
+    order = np.argsort(vals, kind="stable")
     cols = np.empty_like(order)
     cols[order] = np.arange(rows.size)  # the inverse permutation
-    vecs[rows[:, :, None], cols.reshape(rows.shape)[:, None]] = blocks
-    return vals.ravel()[order], vecs
+    vecs = np.zeros((rows.size, rows.size), dtype=np.complex128)
+    at = 0
+    for (r, _), (_, blocks) in zip(cells, pairs):
+        col = cols[at : at + r.size].reshape(r.shape)
+        vecs[r[:, :, None], col[:, None]] = blocks
+        at += r.size
+    return vals[order], vecs
+
+
+def coset_blocks(a: PauliSum) -> tuple[np.ndarray, np.ndarray]:
+    """The Z2 coset blocks ``(rows, mats)``, one term's action at a time.
+
+    The oracle for :meth:`PauliSum.blocks` with one label: the cosets of
+    the x masks' span ordered by their indices with the pivot bits
+    cleared, each entry summed from zero in term order per x mask, as
+    :meth:`PauliSum.to_dense` sums it.
+    """
+    real = all(s.phase.imag == 0 for s, _ in a.items())
+    pivots, _ = gf2_reduce(s.x_mask for s, _ in a.items())
+    dim, block = 1 << a.n_qubits, 1 << len(pivots)
+    rep = idx = np.arange(dim)
+    for col, prow in pivots.items():
+        rep = rep ^ ((rep >> col) & 1) * prow
+    order = np.argsort(rep, kind="stable")
+    pos = np.argsort(order)
+    mats = np.zeros((dim // block, block, block), dtype=float if real else complex)
+    by_x = sorted(a.items(), key=lambda t: t[0].x_mask)
+    for x, terms in itertools.groupby(by_x, lambda t: t[0].x_mask):
+        total = np.zeros(dim, dtype=complex)
+        for s, c in terms:
+            total += c * s.action(dim)[1]
+        mats.reshape(-1)[block * pos + pos[idx ^ x] % block] = total.real if real else total
+    return order.reshape(-1, block), mats
+
+
+def spin_label(b: int) -> tuple[int, int]:
+    """(popcount of the even bits, popcount of the odd bits) of an index."""
+    bits = [(b >> q) & 1 for q in range(b.bit_length())]
+    return sum(bits[0::2]), sum(bits[1::2])
 
 
 def odd_y_count(x: int, z: int) -> bool:
@@ -400,6 +438,24 @@ def choice_sample_reference(state, spc: int, seed: int, stream=()) -> ShotRecord
     probs /= probs.sum()
     shots = rng.choice(len(probs), size=spc, p=probs).astype(np.int64)
     return ShotRecord(state.n_qubits, spc, *np.unique(shots, return_counts=True))
+
+
+def cdf_sample_reference(state, spc: int, seed: int, stream=()) -> ShotRecord:
+    """``spc`` shots counted against the cdf of every basis index.
+
+    The oracle for :func:`gsee.simulator.sample_z`'s search over the
+    state's support alone: the same stream, uniforms and normalization,
+    with the cdf and the counts taken over all 2^n indices.
+    """
+    rng = derived_rng(seed, *stream)
+    probs = np.abs(state.amplitudes) ** 2
+    probs /= probs.sum()
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    uniforms = np.sort(rng.random(spc))
+    counts = np.diff(np.searchsorted(uniforms, cdf), prepend=0)
+    outcomes = np.flatnonzero(counts)
+    return ShotRecord(state.n_qubits, spc, outcomes, counts[outcomes])
 
 
 def add_terms_reference(moments: np.ndarray, circuit, values: np.ndarray) -> None:

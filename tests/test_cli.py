@@ -881,8 +881,9 @@ class TestNoDenseMatrix:
         })
         assert main(["qcels", "--config", str(config), "--mode", "exact",
                      "--out", str(tmp_path / "run")]) == 0
-        # the four 64 x 64 symmetry blocks are the largest matrix
-        assert 4 * 64 * 64 in sizes
+        # the flat array of the 25 (N_alpha, N_beta) cells, C(8, 4)^2
+        # entries, is the largest matrix
+        assert 4900 in sizes
         assert max(sizes) < 4**8
 
 

@@ -6,6 +6,7 @@ least the measured peak; at most three times that peak keeps it from
 refusing work that fits.
 """
 
+import math
 import pathlib
 import tracemalloc
 
@@ -67,7 +68,17 @@ def molecular(norb: int) -> PauliSum:
 @pytest.mark.parametrize("x_on_0", [False, True])
 def test_blocks_at_12_qubits(monkeypatch, x_on_0):
     a = z_sum(12, x_on_0)
-    assert a.blocks()[0].shape[1] == 1 + x_on_0
+    (rows, _), = a.blocks()
+    assert rows.shape[1] == 1 + x_on_0
+    assert_covers(monkeypatch, a.blocks)
+
+
+@pytest.mark.parametrize("norb", [4, 5])
+def test_blocks_in_sector_cells(monkeypatch, norb):
+    # the (N_alpha, N_beta) cells of a molecular operator: C(2 norb, norb)^2
+    # entries, beside index arrays of 2^(2 norb)
+    a = molecular(norb)
+    assert sum(m.size for _, m in a.blocks()) == math.comb(2 * norb, norb) ** 2
     assert_covers(monkeypatch, a.blocks)
 
 

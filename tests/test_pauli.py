@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import pathlib
 from unittest import mock
 
 import numpy as np
@@ -9,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsee import pauli
-from gsee.chem import _gf2_nullspace
+from gsee.chem import _gf2_nullspace, jordan_wigner, parse_fcidump, taper_z2
 from gsee.pauli import PauliString, PauliSum, sum_multiply
 from gsee.qcels import scale
 from helpers import (
     blocked_eig_sums,
+    coset_blocks,
     dense_string,
     dense_sum,
     eig,
@@ -23,9 +25,13 @@ from helpers import (
     multiply,
     odd_y_count,
     purged_product,
+    random_integrals,
     random_string,
     random_sum,
+    spin_label,
 )
+
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "src" / "gsee" / "fixtures"
 
 # sigma_a . sigma_b = delta_ab I + i eps_abc sigma_c, frozen by hand
 SINGLE_QUBIT_PRODUCTS = {
@@ -692,33 +698,131 @@ class TestBlockedEig:
     @settings(deadline=None)
     @given(a=blocked_eig_sums())
     def test_blocks_are_the_dense_cosets(self, a):
-        # the blocks come from the strings, never from the dense matrix
+        # the cells come from the strings, never from the dense matrix
         with mock.patch.object(PauliSum, "to_dense", side_effect=AssertionError):
-            rows, mats = a.blocks()
+            cells = a.blocks()
         dense = a.to_dense()
-        if mats.dtype == np.float64:
+        if cells[0][1].dtype == np.float64:
             # the real path drops an imaginary part that is exactly zero
             assert not np.any(dense.imag)
             dense = dense.real
-        assert mats.dtype in (np.float64, np.complex128)
-        assert np.all(np.diff(rows, axis=1) > 0)
-        assert sorted(rows.tolist()) == sorted(coset_rows(a))
-        assert mats.shape == rows.shape + rows.shape[1:]
-        # each block is its coset's sub-matrix of to_dense, bit for bit
-        for r, block in zip(rows, mats):
-            assert block.tobytes() == dense[np.ix_(r, r)].tobytes()
+        assert {m.dtype for _, m in cells} <= {np.dtype(np.float64), np.dtype(np.complex128)}
+        assert len({m.dtype for _, m in cells}) == 1
+        sizes = [rows.shape[1] for rows, _ in cells]
+        assert sizes == sorted(set(sizes))
+        want, kept = expected_cells(a, dense)
+        got = [r for rows, _ in cells for r in rows.tolist()]
+        assert sorted(got) == sorted(want)
+        for rows, mats in cells:
+            assert np.all(np.diff(rows, axis=1) > 0)
+            assert mats.shape == rows.shape + rows.shape[1:]
+            # each cell is its indices' sub-matrix of to_dense, bit for bit
+            for r, block in zip(rows, mats):
+                assert block.tobytes() == dense[np.ix_(r, r)].tobytes()
         inside = np.zeros(dense.shape, dtype=bool)
-        for r in rows:
+        for r in got:
             inside[np.ix_(r, r)] = True
-        assert not np.any(dense[~inside])
+        # outside the cells only entries between labels, at most the bound
+        assert np.all(np.abs(dense[~inside]) <= kept)
 
     @settings(deadline=None)
     @given(a=blocked_eig_sums())
     def test_block_eigenvalues_are_the_dense_spectrum(self, a):
         want = np.linalg.eigvalsh(a.to_dense())
         radius = float(np.max(np.abs(want)))
-        got = np.sort(np.linalg.eigvalsh(a.blocks()[1]), axis=None)
+        got = np.sort(np.concatenate([np.linalg.eigvalsh(m).ravel() for _, m in a.blocks()]))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * radius)
+
+
+def drop_bound(a: PauliSum) -> float:
+    """eps · ||A - a0 I||_1, the largest entry between labels that blocks drop."""
+    return np.finfo(float).eps * sum(abs(c) for s, c in a.items() if s.x_mask | s.z_mask)
+
+
+def expected_cells(a: PauliSum, dense: np.ndarray) -> tuple[list[list[int]], float]:
+    """``(cells, largest entry left outside them)`` from the dense matrix.
+
+    The cosets of :func:`coset_rows`, split by :func:`spin_label` when no
+    entry between two labels exceeds :func:`drop_bound`; otherwise the
+    cosets themselves, with nothing outside them.
+    """
+    dim = 1 << a.n_qubits
+    labels = [spin_label(b) for b in range(dim)]
+    between = np.array([[labels[i] != labels[j] for j in range(dim)] for i in range(dim)])
+    cross = float(np.max(np.abs(dense[between]), initial=0.0))
+    if cross > drop_bound(a):
+        return coset_rows(a), 0.0
+    cells = {}
+    for rows in coset_rows(a):
+        for b in rows:
+            cells.setdefault((rows[0], labels[b]), []).append(b)
+    return list(cells.values()), drop_bound(a)
+
+
+def molecular_sum(norb: int, seed: int, scale_by: float = 1.0) -> PauliSum:
+    """Jordan-Wigner sum of random integrals on 2 norb qubits, times ``scale_by``."""
+    fi = random_integrals(np.random.default_rng(seed), norb, lambda r: r.normal())
+    return jordan_wigner(fi) * scale_by
+
+
+def assert_coset_bytes(a: PauliSum) -> None:
+    """blocks() is one pair, byte for byte the coset blocks of the oracle."""
+    (rows, mats), = a.blocks()
+    want_rows, want_mats = coset_blocks(a)
+    assert rows.tobytes() == want_rows.tobytes() and rows.shape == want_rows.shape
+    assert mats.dtype == want_mats.dtype and mats.shape == want_mats.shape
+    assert mats.tobytes() == want_mats.tobytes()
+
+
+class TestSpinCells:
+    @settings(deadline=None, max_examples=12)
+    @given(norb=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+    def test_molecular_cells_hold_the_dense_spectrum(self, norb, seed):
+        h = molecular_sum(norb, seed)
+        cells = h.blocks()
+        want = np.linalg.eigvalsh(dense_sum(h))
+        got = np.sort(np.concatenate([np.linalg.eigvalsh(m).ravel() for _, m in cells]))
+        radius = float(np.max(np.abs(want)))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * radius)
+        # one cell per (N_alpha, N_beta) sector: C(norb, a) C(norb, b) rows
+        sizes = sorted(math.comb(norb, i) * math.comb(norb, j)
+                       for i in range(norb + 1) for j in range(norb + 1))
+        assert sorted(rows.shape[1] for rows, _ in cells for _ in rows) == sizes
+        for rows, _ in cells:
+            for r in rows.tolist():
+                assert len({spin_label(b) for b in r}) == 1
+
+    def test_cross_sector_term_above_the_bound_takes_the_cosets(self):
+        # scaled up, the sum's bound clears the purge threshold; one X0
+        # flips N_alpha with an entry of 4 bounds, and then of 1/4 bound
+        h = molecular_sum(3, 7, scale_by=1e4)
+        for factor, cosets in ((4.0, True), (0.25, False)):
+            x0 = PauliSum(6, {PauliString(1, 0): factor * drop_bound(h)})
+            a = h + x0
+            assert len(a) == len(h) + 1
+            if cosets:
+                assert_coset_bytes(a)
+            else:
+                # the entry is dropped: the 16 sectors remain
+                assert sum(len(rows) for rows, _ in a.blocks()) == 16
+
+    def test_toy_and_tapered_operators_take_the_cosets(self):
+        toy = PauliSum.from_json((FIXTURES / "toy_3q.json").read_text())
+        fi = parse_fcidump((FIXTURES / "h2_eq.fcidump").read_text())
+        tapered = taper_z2(jordan_wigner(fi), 0b0011).reduced
+        for a in (toy, tapered):
+            assert_coset_bytes(a)
+
+    @settings(deadline=None)
+    @given(a=eig_sums())
+    def test_random_sums_take_the_cosets_unless_they_keep_the_labels(self, a):
+        dense = a.to_dense()
+        cells, kept = expected_cells(a, dense)
+        if kept == 0.0:
+            assert_coset_bytes(a)
+        else:
+            got = [r for rows, _ in a.blocks() for r in rows.tolist()]
+            assert sorted(got) == sorted(cells)
 
 
 class TestDenseMemoryCheck:
@@ -730,12 +834,15 @@ class TestDenseMemoryCheck:
         with pytest.raises(ValueError, match=r"1,792 bytes.*1,000 bytes"):
             a.to_dense()
 
-    @pytest.mark.parametrize("label, need", [("Z0 X1", 1536), ("Y0", 1792)])
+    @pytest.mark.parametrize("label, need", [("Z0 X1", 2560), ("Y0", 2816)])
     def test_eig_counts_copies_and_vectors(self, monkeypatch, label, need):
-        # 3 qubits: the 4 blocks of 2 x 2 take 128 bytes on the real path
+        # 3 qubits: the string moves electrons between sectors, so the cells
+        # are the 4 cosets of 2 x 2, which take 128 bytes on the real path
         # and 256 on the complex one, the eigenvectors an eigh returns
-        # beside them as many again, and the index arrays 160 bytes for each
-        # of the 8 indices; one byte short of both refuses
+        # beside them as many again, the index arrays 256 bytes for each of
+        # the 8 indices and the sorted terms 256 bytes for the one term; one
+        # byte short of both refuses, after the 12 entries at most of the
+        # sector cells passed their check
         memory = need - 1
         monkeypatch.setattr(pauli, "_physical_memory", lambda: memory)
         a = PauliSum(3, {PauliString.from_label(label): 1.0})
@@ -744,7 +851,8 @@ class TestDenseMemoryCheck:
         with pytest.raises(ValueError, match="physical memory"):
             scale(a)
         monkeypatch.setattr(pauli, "_physical_memory", lambda: memory + 1)
-        assert a.blocks()[1].nbytes == (need - 160 * 8) // 2
+        (_, mats), = a.blocks()
+        assert mats.nbytes == (need - 256 * (8 + 1)) // 2
 
     def test_unknown_memory_skips_the_check(self, monkeypatch):
         monkeypatch.setattr(pauli, "_physical_memory", lambda: None)

@@ -97,7 +97,8 @@ def scaled_case(h, one_block, seed):
     amps = random_state(rng, h.n_qubits)
     if one_block:
         inside = np.zeros(dim, dtype=bool)
-        inside[sh.rows[rng.integers(len(sh.rows))]] = True
+        rows = sh.rows[rng.integers(len(sh.rows))]
+        inside[rows[rng.integers(len(rows))]] = True
         amps = np.where(inside, amps, 0) / np.linalg.norm(amps[inside])
     return sh, StateVector(h.n_qubits, amps)
 
@@ -167,17 +168,19 @@ class TestScale:
             scaled_eigs = np.linalg.eigvalsh(scaled_dense(h, sh))
             assert np.max(np.abs(scaled_eigs)) <= math.pi / 4.0 + 1e-9
             # H~ is held as these eigenvalues
-            assert np.allclose(np.sort(sh.vals, axis=None), scaled_eigs, atol=1e-12)
+            vals = np.sort(np.concatenate([v.ravel() for v in sh.vals]))
+            assert np.allclose(vals, scaled_eigs, atol=1e-12)
             assert np.allclose(sh.h0 + sh.h1 * scaled_eigs, eigs, atol=1e-10)
 
     def test_wide_register_refused_before_allocating(self, monkeypatch):
         # memory alone bounds the register: 2^15 blocks of 1 x 1 with their
-        # vectors and index arrays take 5.8 MB, against a machine of 1 MB
+        # vectors and index arrays and the one term take 8.9 MB, against a
+        # machine of 1 MB
         monkeypatch.setattr(pauli, "_physical_memory", lambda: 10**6)
         h = PauliSum(15, {PauliString.from_label("Z0"): 2.0})
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=r"5,767,168 bytes.* 1,000,000 bytes"):
+            with pytest.raises(ValueError, match=r"8,913,152 bytes.* 1,000,000 bytes"):
                 scale(h)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -189,16 +192,18 @@ class TestScale:
         # no width cap: 4,096 blocks of 8 rows fit in a few MB
         h, small = z_padded_sum(np.random.default_rng(15), 15)
         sh = scale(h)
-        assert sh.rows.shape == (1 << 12, 8)
+        # the 3-qubit part moves electrons between sectors: the cosets
+        (rows,), (vals,) = sh.rows, sh.vals
+        assert rows.shape == (1 << 12, 8)
         # each block holds the 3-qubit part's spectrum, shifted by the Z
         # terms' constant on the block's bits 3-14
         qubits = np.arange(3, 15)
         z = np.array([h.coefficient(PauliString(0, 1 << q)).real for q in qubits])
-        signs = 1 - 2 * ((sh.rows[:, :1] >> qubits) & 1)
+        signs = 1 - 2 * ((rows[:, :1] >> qubits) & 1)
         want = np.linalg.eigvalsh(dense_sum(small)) + (z * signs).sum(1, keepdims=True)
         radius = np.max(np.abs(want))
         np.testing.assert_allclose(
-            sh.h0 + sh.h1 * sh.vals, want, rtol=0, atol=1e-12 * radius
+            sh.h0 + sh.h1 * vals, want, rtol=0, atol=1e-12 * radius
         )
 
     def test_keeps_the_shifted_decomposition_bit_for_bit(self):
@@ -206,15 +211,17 @@ class TestScale:
             3, {PauliString(): 0.4}
         )
         sh = scale(h)
-        rows, mats = (h - PauliSum(3, {PauliString(): sh.h0})).blocks()
-        vals, vecs = np.linalg.eigh(mats)
-        # one (vals, vecs) pair per symmetry block, never scattered into
+        cells = (h - PauliSum(3, {PauliString(): sh.h0})).blocks()
+        assert len(sh.rows) == len(sh.vals) == len(sh.vecs) == len(cells)
+        # one (vals, vecs) pair per symmetry cell, never scattered into
         # a 2^n x 2^n matrix
-        assert sh.rows.tobytes() == rows.tobytes()
-        assert sh.vals.shape == rows.shape
-        assert sh.vecs.shape == mats.shape
-        assert sh.vals.tobytes() == ((1.0 / sh.h1) * vals).tobytes()
-        assert sh.vecs.tobytes() == vecs.tobytes()
+        for (rows, mats), sh_rows, sh_vals, sh_vecs in zip(cells, sh.rows, sh.vals, sh.vecs):
+            vals, vecs = np.linalg.eigh(mats)
+            assert sh_rows.tobytes() == rows.tobytes()
+            assert sh_vals.shape == rows.shape
+            assert sh_vecs.shape == mats.shape
+            assert sh_vals.tobytes() == ((1.0 / sh.h1) * vals).tobytes()
+            assert sh_vecs.tobytes() == vecs.tobytes()
 
 
 class TestEvolve:
@@ -229,7 +236,7 @@ class TestEvolve:
             labels = self.EVEN_Y + [("Y0 Z2", 0.5)] * odd_y
             h = PauliSum(3, {PauliString.from_label(s): c for s, c in labels})
             sh = scale(h)
-            assert np.any(sh.vecs.imag) == odd_y
+            assert any(np.any(v.imag) for v in sh.vecs) == odd_y
             rows = sh.evolve(psi, tau, 5)
             assert rows.shape == (5, 8)
             assert np.max(np.abs(rows[0] - psi.amplitudes)) < 1e-14
@@ -281,7 +288,7 @@ class TestMean:
             labels = TestEvolve.EVEN_Y + [("Y0 Z2", 0.5)] * odd_y
             h = PauliSum(3, {PauliString.from_label(s): c for s, c in labels})
             sh = scale(h)
-            assert np.any(sh.vecs.imag) == odd_y
+            assert any(np.any(v.imag) for v in sh.vecs) == odd_y
             want = np.vdot(psi.amplitudes, scaled_dense(h, sh) @ psi.amplitudes)
             assert abs(sh.mean(psi) - want.real) <= 1e-12
 
@@ -875,9 +882,10 @@ class TestOneEigendecomposition:
             acquire(sh, psi, tau, 9, "shots", spc=100, seed=3),
         ):
             assert math.isfinite(fit(series, sh).energy)
-        # scale diagonalizes H - h0 I once; H~ keeps its block vectors and
-        # the rescaled eigenvalues, which every evolution reads.  The x
-        # masks span 6 of the 8 qubits, so that one eigh is batched over
-        # the 4 symmetry blocks of 64
+        # scale diagonalizes H - h0 I once; H~ keeps its cell vectors and
+        # the rescaled eigenvalues, which every evolution reads.  The 25
+        # (N_alpha, N_beta) sectors of 4 orbitals each lie in one of the 4
+        # cosets of 64, C(4, a) C(4, b) rows each, and one eigh is batched
+        # over the sectors of each size
         assert block_calls == [8]
-        assert calls == [(4, 64, 64)]
+        assert calls == [(4, 1, 1), (8, 4, 4), (4, 6, 6), (4, 16, 16), (4, 24, 24), (1, 36, 36)]

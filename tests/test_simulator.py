@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    cdf_sample_reference,
     choice_sample_reference,
     circuit_unitary,
     dense_sum,
@@ -448,6 +449,27 @@ class TestSampling:
         for a, b in ((got.outcomes, want.outcomes), (got.counts, want.counts)):
             assert a.dtype == b.dtype
             assert np.array_equal(a, b)
+
+    @settings(deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_support_search_matches_the_full_cdf(self, data):
+        # states with zero amplitudes anywhere, at either end or in runs
+        n = data.draw(st.integers(1, 11), label="n")
+        dim = 1 << n
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        live = data.draw(st.sampled_from(["one", "few", "half", "all"]))
+        size = {"one": 1, "few": min(dim, 5), "half": max(1, dim // 2), "all": dim}[live]
+        amps = np.zeros(dim, dtype=complex)
+        at = rng.choice(dim, size=size, replace=False)
+        amps[at] = rng.normal(size=size) + 1j * rng.normal(size=size)
+        psi = StateVector(n, amps / np.linalg.norm(amps))
+        spc = data.draw(st.integers(1, 5_000), label="spc")
+        seed, stream = data.draw(st.integers(0, 2**31)), data.draw(st.integers(0, 99))
+        got = sample_z(psi, spc, seed, (stream,))
+        want = cdf_sample_reference(psi, spc, seed, (stream,))
+        for a, b in ((got.outcomes, want.outcomes), (got.counts, want.counts)):
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
 
     def test_estimator_input_validation(self):
         rec = sample_z(StateVector.zero_state(2), 5, seed=1)

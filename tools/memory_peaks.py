@@ -113,11 +113,14 @@ def main() -> None:
     cases = [
         ("blocks", "12 qubits, 1-row blocks (norb-6 diagonal)", diagonal.blocks),
         ("blocks", "12 qubits, 2-row blocks (and one x mask)", one_x.blocks),
+        ("blocks", "10 qubits, 36 sector cells (qcels-shots-10q seed 0)", h10.blocks),
+        ("blocks", "12 qubits, 49 sector cells (norb 6)", h12.blocks),
         ("scale", "10 qubits, qcels-shots-10q seed 0", lambda: qcels.scale(h10)),
+        ("scale", "12 qubits, norb 6", lambda: qcels.scale(h12)),
         ("jordan_wigner", "norb 4", lambda: jordan_wigner(fi4)),
         ("jordan_wigner", "norb 6", lambda: jordan_wigner(fi6)),
         ("jordan_wigner", "norb 33 (W = 2), Coulomb only", lambda: jordan_wigner(fi33)),
-        ("_project", "10 qubits, 4 live blocks of 256", lambda: sh10._project(psi10)),
+        ("_project", "10 qubits, all 36 sector cells live", lambda: sh10._project(psi10)),
         ("_project", "12 qubits, 1-row blocks, all live", lambda: sh12._project(psi12)),
         ("to_dense", "10 qubits", h10.to_dense),
         ("group_commuting", "full, qcm4-shots-8q's 5,459 strings",
