@@ -430,6 +430,7 @@ def _bootstrap_bytes(resamples: int, outcomes: int, terms: int) -> int:
 def cmd_ingest(source: Path, out: Path, taper: bool) -> None:
     try:
         fi = parse_fcidump(_load_text(source))
+        mask = _reference_mask(fi)  # the header's electron counts must fit
         h = jordan_wigner(fi)  # its product chains must fit in memory
     except ValueError as exc:
         raise InputError(f"{source}: {exc}") from None
@@ -451,7 +452,6 @@ def cmd_ingest(source: Path, out: Path, taper: bool) -> None:
         "taper": None,
     }
     if taper:
-        mask = _reference_mask(fi)
         tapering = taper_z2(h, mask)
         reduced = tapering.reduced
         (out / "operator_tapered.json").write_text(reduced.to_json() + "\n")

@@ -8,11 +8,11 @@ reduce to bit arithmetic.
 
 A sum stays a dict of strings, but its bulk work runs on arrays of their
 masks: ``uint64[N, W]`` words with ``W = ceil(n/64)`` (:func:`_mask_arrays`).
-Products (:meth:`PauliSum.__matmul__` and the row products of
-:meth:`PauliSum.from_products`), the canonical order
-(:meth:`PauliSum.terms`) and the commuting sets
-(:meth:`PauliSum.group_commuting`, from a table over the active qubits'
-factors and no pair graph) reproduce their loop versions bit for bit.
+Products (``@`` and :meth:`PauliSum.from_products`, one blocked step
+:func:`_product_step`), the canonical order (:meth:`PauliSum.terms`) and
+the commuting sets (:meth:`PauliSum.group_commuting`, from a table over
+the active qubits' factors and no pair graph) reproduce their loop
+versions bit for bit.
 
 The qubit-to-amplitude convention used throughout the package is little
 endian: qubit ``q`` is bit ``q`` of the computational-basis index.  With
@@ -41,7 +41,6 @@ Example:
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -74,8 +73,8 @@ _X_BITS = 0x5555_5555_5555_5555  # even bits: a code's x bits, an index's α qub
 # bounds their arrays by the index arrays of :meth:`PauliSum.blocks`
 _SIGNS_PER_INDEX = 8
 
-# Term pairs per row block of the array product in :meth:`PauliSum.__matmul__`;
-# it bounds that product's working memory to a few (block, W) arrays.
+# Term pairs per block of :func:`_product_step`, behind both products; it
+# bounds a product's working memory to a few (block, W) arrays.
 _PRODUCT_BLOCK = 8192
 
 _PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
@@ -227,23 +226,9 @@ def _mask_ints(words: np.ndarray) -> list[int]:
     return masks
 
 
-def _term_arrays(
-    terms: Iterable[tuple[PauliString, complex]], n_qubits: int
-) -> list[np.ndarray]:
-    """Terms as the ``(x, z, re, im)`` arrays of :func:`_multiply_terms`."""
-    items = list(terms)
-    c = np.array([c for _, c in items], dtype=complex)
-    return [*_mask_arrays([s for s, _ in items], n_qubits), c.real, c.imag]
-
-
 def _popcount(words: np.ndarray) -> np.ndarray:
     """Set bits of ``(..., W)`` mask words, summed over the words."""
     return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
-
-
-def _complex_product(are, aim, bre, bim) -> tuple[np.ndarray, np.ndarray]:
-    """``a * b`` in the float operations of Python's complex product."""
-    return are * bre - aim * bim, are * bim + aim * bre
 
 
 def _multiply_terms(a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
@@ -258,35 +243,38 @@ def _multiply_terms(a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray
     x, z = xa ^ xb, za ^ zb
     g = _popcount(xa & za) + _popcount(xb & zb) + 2 * _popcount(za & xb)
     phase = np.asarray(_PHASES)[(g - _popcount(x & z)) & 3]
-    pre, pim = _complex_product(are, aim, bre, bim)
-    return [x, z, *_complex_product(pre, pim, phase.real, phase.imag)]
+    # ca * cb times the phase, by the float operations of Python's complex product
+    pre, pim = are * bre - aim * bim, are * bim + aim * bre
+    pr, pi = phase.real, phase.imag
+    return [x, z, pre * pr - pim * pi, pre * pi + pim * pr]
 
 
-def _string_keys(x: np.ndarray, z: np.ndarray, n_qubits: int) -> np.ndarray:
-    """One sortable key per string of ``(..., W)`` mask words.
+def _keys(row, x, z, n_qubits: int, top: int) -> np.ndarray:
+    """One sortable key per (row, string of ``(..., W)`` mask words ``x``, ``z``).
 
-    On at most 32 qubits it is the integer ``x << n | z``, which sorts and
-    searches about 3x faster than the ``np.void`` view of the words.
+    Rows run from 0 to ``top``.  While their bits and 2n fit in 64, the key
+    is the integer ``row << 2n | x << n | z``, which sorts and searches
+    about 3x faster than the ``np.void`` view of the words.
     """
-    if 2 * n_qubits <= 64:
-        return x[..., 0] << np.uint64(n_qubits) | z[..., 0]
-    void = np.dtype((np.void, 16 * x.shape[-1]))
-    return np.concatenate((x, z), axis=-1).view(void)[..., 0]
+    row = row.astype(np.uint64)
+    if 2 * n_qubits + top.bit_length() <= 64:
+        row <<= np.uint64(2 * n_qubits)
+        return row | x[..., 0] << np.uint64(n_qubits) | z[..., 0]
+    words = np.concatenate((row[..., None], x, z), axis=-1)
+    return words.view(np.dtype((np.void, 8 * words.shape[-1])))[..., 0]
 
 
 def _ordered_sums(
-    blocks: Sequence,
-    keys_of: Callable = lambda block: block[0],
-    terms_of: Callable = lambda block: block,
+    blocks: Sequence, keys_of: Callable, terms_of: Callable
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sums of values over equal keys, added as a dict loop adds them.
 
     ``keys_of(block)`` gives a block's keys and ``terms_of(block)`` its
-    ``(keys, re, im)``; by default a block is that triple.  Pass 1 builds
-    one sorted table of the distinct keys with the index of each one's
-    first element; pass 2 finds each element's slot by ``np.searchsorted``
-    and adds its value with ``np.add.at``, from zero in element order.
-    Returns ``(first, re, im)`` per key, in order of first appearance.
+    ``(keys, re, im)``.  Pass 1 builds one sorted table of the distinct keys
+    with the index of each one's first element; pass 2 finds each element's
+    slot by ``np.searchsorted`` and adds its value with ``np.add.at``, from
+    zero in element order.  Returns ``(first, re, im)`` per key, in order
+    of first appearance.
     """
     table, first, pending, offset = np.zeros(0), np.zeros(0, np.intp), [], 0
     for i, block in enumerate(blocks):
@@ -315,6 +303,63 @@ def _ordered_sums(
     return first[order], total[0, order], total[1, order]
 
 
+def _term_table(groups: Sequence[Mapping], n_qubits: int) -> tuple[list, np.ndarray]:
+    """Term groups as ``(x, z, re, im)`` arrays ``(G, T, ...)``, and their sizes.
+
+    Identities of coefficient 0 pad each group to T, the largest size.
+    """
+    sizes = np.array([len(g) for g in groups], dtype=np.intp)
+    longest, pad = int(sizes.max(initial=0)), (PauliString(), 0j)
+    items = [t for g in groups for t in [*g.items(), *[pad] * (longest - len(g))]]
+    c = np.array([c for _, c in items], dtype=complex)
+    arrays = (*_mask_arrays([s for s, _ in items], n_qubits), c.real, c.imag)
+    return [v.reshape((len(groups), longest) + v.shape[1:]) for v in arrays], sizes
+
+
+def _product_step(
+    terms: list, row: np.ndarray, pick: np.ndarray, factors: tuple, n_qubits: int
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each term times the factor it picks, combined per (row, string).
+
+    Term k of the ``(x, z, re, im)`` arrays ``terms`` lies in ``row[k]`` and
+    pairs with the T slots of factor ``pick[k]`` (:func:`_term_table`),
+    in blocks of whole terms, at most :data:`_PRODUCT_BLOCK` pairs unless
+    one term has more.  Products add per (row, string) in pair order
+    (:func:`_ordered_sums`).  A padding pair takes the row past the last,
+    so it enters no real key and its sum is dropped unread, as are the
+    sums ``PauliSum`` purges.  Returns the kept terms and their rows, in
+    order of first appearance.
+    """
+    table, sizes = factors
+    width = table[0].shape[1]
+    top = int(row.max(initial=-1)) + 1  # the padding pairs' row
+    step = max(1, _PRODUCT_BLOCK // max(1, width))
+
+    def block(start: int) -> tuple[slice, np.ndarray, np.ndarray]:
+        k = slice(start, start + step)
+        f = pick[k]
+        return k, f, np.where(np.arange(width) < sizes[f, None], row[k, None], top)
+
+    def keys_of(start: int) -> np.ndarray:
+        k, f, r = block(start)
+        x, z = (terms[i][k, None] ^ table[i][f] for i in (0, 1))
+        return _keys(r, x, z, n_qubits, top)
+
+    def terms_of(start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        k, f, r = block(start)
+        x, z, re, im = _multiply_terms(
+            [v[k, None] for v in terms], [v[f] for v in table]
+        )
+        return _keys(r, x, z, n_qubits, top), re, im
+
+    first, re, im = _ordered_sums(range(0, len(row), step), keys_of, terms_of)
+    k, t = np.divmod(first, width)
+    kept = (t < sizes[pick[k]]) & (np.hypot(re, im) > PURGE_TOL)
+    k, t = k[kept], t[kept]
+    x, z = (terms[i][k] ^ table[i][pick[k], t] for i in (0, 1))
+    return [x, z, re[kept], im[kept]], row[k]
+
+
 def _trusted_string(x_mask: int, z_mask: int) -> PauliString:
     """A string from masks that are already non-negative ``int``s, unchecked.
 
@@ -327,20 +372,16 @@ def _trusted_string(x_mask: int, z_mask: int) -> PauliString:
     return string
 
 
-def _purged_terms(x, z, re, im) -> dict[PauliString, complex]:
-    """Strings of words ``x``, ``z`` with coefficients ``re + i·im``, purged.
+def _string_terms(x, z, re, im) -> dict[PauliString, complex]:
+    """Strings of words ``x``, ``z`` with coefficients ``re + i·im``.
 
-    Each coefficient is already the sum ``0j + c`` that ``PauliSum`` forms
-    (a sum from +0.0 never rounds to -0.0), so only the purge is left.  The
-    masks come from ``uint64`` words as ``int``s, so the strings skip
-    :class:`PauliString`'s mask check.
+    Each coefficient is already the purged sum ``0j + c`` that ``PauliSum``
+    forms (a sum from +0.0 never rounds to -0.0).  The masks come from
+    ``uint64`` words as ``int``s, so the strings skip :class:`PauliString`'s
+    mask check.
     """
     terms = zip(_mask_ints(x), _mask_ints(z), re.tolist(), im.tolist())
-    return {
-        _trusted_string(xm, zm): c
-        for xm, zm, r, i in terms
-        if abs(c := complex(r, i)) > PURGE_TOL
-    }
+    return {_trusted_string(xm, zm): complex(r, i) for xm, zm, r, i in terms}
 
 
 def _bits(strings: list[PauliString], n_qubits: int) -> list[np.ndarray]:
@@ -587,9 +628,6 @@ class PauliSum:
         """The terms in the order they were formed, without :meth:`terms`' sort."""
         return self._terms.items()
 
-    def coefficient(self, string: PauliString) -> complex:
-        return self._terms.get(string, 0j)
-
     @property
     def identity_coefficient(self) -> complex:
         return self._terms.get(PauliString(), 0j)
@@ -638,33 +676,14 @@ class PauliSum:
     def __matmul__(self, other: "PauliSum") -> "PauliSum":
         """Operator product with like terms combined, bit for bit the pair loop's.
 
-        Blocks of :data:`_PRODUCT_BLOCK` term pairs (:func:`_multiply_terms`)
-        add their coefficients in pair order (:func:`_ordered_sums`), and the
-        strings come out in order of first appearance.
+        One :func:`_product_step` on one row, each term of ``self`` picking
+        ``other``: strings in order of first appearance.
         """
         self._require_same_width(other)
-        n = self._n_qubits
-        a, b = (_term_arrays(s._terms.items(), n) for s in (self, other))
-        n_b = max(1, len(other._terms))
-        rows = max(1, _PRODUCT_BLOCK // n_b)
-
-        def keys_of(start: int) -> np.ndarray:
-            block = slice(start, start + rows)
-            return _string_keys(a[0][block, None] ^ b[0], a[1][block, None] ^ b[1], n)
-
-        def terms_of(start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            block = slice(start, start + rows)
-            x, z, re, im = _multiply_terms([v[block, None] for v in a], b)
-            return _string_keys(x, z, n), re, im
-
-        first, re, im = _ordered_sums(
-            range(0, len(self._terms), rows), keys_of, terms_of
-        )
-        # each string is the product of its first pair
-        row, col = np.divmod(first, n_b)
-        return self._adopt(
-            _purged_terms(a[0][row] ^ b[0][col], a[1][row] ^ b[1][col], re, im)
-        )
+        n, zeros = self._n_qubits, np.zeros(len(self._terms), dtype=np.intp)
+        (a, _), b = (_term_table([s._terms], n) for s in (self, other))
+        (x, z, re, im), _ = _product_step([v[0] for v in a], zeros, zeros, b, n)
+        return self._adopt(_string_terms(x, z, re, im))
 
     @classmethod
     def from_products(
@@ -674,16 +693,15 @@ class PauliSum:
         rows: np.ndarray,
         weights: np.ndarray,
     ) -> "PauliSum":
-        """``Σₖ weights[k] · Π_f factors[rows[k, f]]`` in one array pass.
+        """``Σₖ weights[k] · Π_f factors[rows[k, f]]``, all rows at once.
 
         ``rows`` holds K rows of indices into ``factors``, in product order.
-        Every row starts from the identity and is multiplied by its factors
-        one at a time, all rows at once: after each factor a row's term
-        pairs combine per string, in pair order, and the terms ``PauliSum``
-        purges are dropped, as a row-by-row ``@`` leaves them.  Weighted
-        rows then add into each string from zero, in row order, and the sum
-        is purged once, strings in first-appearance order.  Each coefficient
-        is that of a row-by-row ``@`` and the constructor, bit for bit.
+        Each row starts from the identity, and one :func:`_product_step`
+        per column multiplies it by the factor it picks there, as a
+        row-by-row ``@`` does.  One more step adds the weighted rows into
+        each string from zero, in row order, and purges the sums, strings
+        in order of first appearance: bit for bit a row-by-row ``@`` and
+        the constructor.
 
         Raises:
             ValueError: a factor on another register width, or K · T^F
@@ -695,40 +713,21 @@ class PauliSum:
         if any(f.n_qubits != n_qubits for f in factors):
             raise ValueError(f"every factor must act on {n_qubits} qubits")
         rows, weights = np.asarray(rows, np.intp), np.asarray(weights, complex)
-        longest, pad = max([1, *map(len, factors)]), (PauliString(), 0j)
-        n_chains = len(rows) * longest ** rows.shape[1]
+        table = _term_table([f._terms for f in factors], n_qubits)
+        n_chains = len(rows) * table[0][0].shape[1] ** rows.shape[1]
         n_words = max(1, -(-n_qubits // 64))
         check_memory(n_chains * (64 * n_words + 96), f"{n_chains:,} product chains")
-        # factors padded to T terms; the padding pairs are dropped unread
-        padded = [[*f._terms.items(), *[pad] * (longest - len(f))] for f in factors]
-        table = [v.reshape((len(factors), longest) + v.shape[1:])
-                 for v in _term_arrays(itertools.chain(*padded), n_qubits)]
-        sizes = np.array([len(f) for f in factors], dtype=np.intp)
         # each row's terms, flat and row by row, from the identity
-        row = np.arange(len(rows))
-        terms = _term_arrays([(PauliString(), 1 + 0j)] * len(rows), n_qubits)
+        row, zero = np.arange(len(rows)), np.zeros((len(rows), 1, n_words), np.uint64)
+        terms = [zero[:, 0], zero[:, 0], np.ones(len(rows)), np.zeros(len(rows))]
         for picks in rows.T:
-            pick = picks[row]
-            product = _multiply_terms(
-                [v[:, None] for v in terms], [v[pick] for v in table]
-            )
-            real = np.arange(longest) < sizes[pick][:, None]
-            x, z, re, im = (v[real] for v in product)
-            row = np.broadcast_to(row[:, None], real.shape)[real]
-            del product, terms  # the padded grid is not held through the sums
-            strings, string = np.unique(_string_keys(x, z, n_qubits), return_inverse=True)
-            first, re, im = _ordered_sums([(row * len(strings) + string, re, im)])
-            kept = np.hypot(re, im) > PURGE_TOL
-            first, row = first[kept], row[first[kept]]
-            terms = [x[first], z[first], re[kept], im[kept]]
-        x, z, re, im = terms
-        _, string = np.unique(_string_keys(x, z, n_qubits), return_inverse=True)
-        w = weights[row]
-        # the weighted rows add into each string in row order
-        first, re, im = _ordered_sums(
-            [(string, *_complex_product(w.real, w.imag, re, im))]
+            terms, row = _product_step(terms, row, picks[row], table, n_qubits)
+        # all terms in one row, row k's times weight k: a 1-term factor per row
+        weighted = [zero, zero, weights.real[:, None], weights.imag[:, None]]
+        (x, z, re, im), _ = _product_step(
+            terms, 0 * row, row, (weighted, np.ones(len(rows), np.intp)), n_qubits
         )
-        return cls(n_qubits)._adopt(_purged_terms(x[first], z[first], re, im))
+        return cls(n_qubits)._adopt(_string_terms(x, z, re, im))
 
     def _adopt(self, terms: dict[PauliString, complex]) -> "PauliSum":
         """A sum on this register over ``terms``, already as ``__init__`` makes them."""

@@ -35,6 +35,11 @@ def dense_string(string: PauliString, n_qubits: int) -> np.ndarray:
     return out
 
 
+def coefficient(a: PauliSum, string: PauliString) -> complex:
+    """The coefficient of ``string`` in ``a``; ``0j`` when ``a`` lacks it."""
+    return a._terms.get(string, 0j)
+
+
 def dense_sum(a: PauliSum) -> np.ndarray:
     dim = 1 << a.n_qubits
     out = np.zeros((dim, dim), dtype=complex)

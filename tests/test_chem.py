@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    coefficient,
     dense_string,
     dense_sum,
     jordan_wigner_reference,
@@ -102,8 +103,8 @@ class TestJordanWigner:
         fi = parse_fcidump("&FCI NORB=2,NELEC=1,MS2=1\n&END\n1.0 2 1 0 0\n")
         h = jordan_wigner(fi)
         # alpha qubits are 0 and 2 with a Z string across qubit 1
-        assert h.coefficient(PauliString.from_label("X0 Z1 X2")) == pytest.approx(0.5)
-        assert h.coefficient(PauliString.from_label("Y0 Z1 Y2")) == pytest.approx(0.5)
+        assert coefficient(h, PauliString.from_label("X0 Z1 X2")) == pytest.approx(0.5)
+        assert coefficient(h, PauliString.from_label("Y0 Z1 Y2")) == pytest.approx(0.5)
 
     def test_real_hermitian_output(self):
         h = jordan_wigner(load_h2())
@@ -193,8 +194,8 @@ class TestJordanWignerOracle:
         h = jordan_wigner(fi)
         assert h.to_json() == jordan_wigner_reference(fi).to_json()
         # sum_p h_pp (I - Z_2p)/2 per spin, plus the core
-        assert h.coefficient(PauliString()) == 1.5 + 0.5 + 0.125
-        assert h.coefficient(PauliString.from_label("X0 Z1 Z2 Z3 X4")) == -0.125
+        assert coefficient(h, PauliString()) == 1.5 + 0.5 + 0.125
+        assert coefficient(h, PauliString.from_label("X0 Z1 Z2 Z3 X4")) == -0.125
 
 
 class TestFixQubits:

@@ -503,15 +503,24 @@ class TestIngest:
         assert code == 2
         assert "line 4" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("header", ["NELEC=0,MS2=-2", "NELEC=0,MS2=2",
-                                        "NELEC=4,MS2=-6", "NELEC=5,MS2=1"])
-    def test_impossible_spin_counts_exit_2(self, tmp_path, capsys, header):
-        # NELEC=0, MS2=-2 asks for -1 alpha and 1 beta electrons
+    @pytest.mark.parametrize("header, message, taper", [
+        pytest.param(header, message, taper, id=header if taper else f"{header}-plain")
+        for header, message in [
+            ("NELEC=0,MS2=-2", "do not fit"), ("NELEC=0,MS2=2", "do not fit"),
+            ("NELEC=4,MS2=-6", "do not fit"), ("NELEC=5,MS2=1", "do not fit"),
+            ("NELEC=5,MS2=0", "incompatible parity"),
+        ]
+        for taper in (True, False)
+    ])
+    def test_impossible_spin_counts_exit_2(self, tmp_path, capsys, header, message,
+                                           taper):
+        # NELEC=0, MS2=-2 asks for -1 alpha and 1 beta electrons; the header
+        # is checked on every ingest, tapered or not
         bad = tmp_path / "bad.fcidump"
         bad.write_text(f"&FCI NORB=2,{header},\n&END\n0.5 1 1 0 0\n")
-        code = main(["ingest", str(bad), "--out", str(tmp_path / "out"), "--taper"])
-        assert code == 2
-        assert "do not fit" in capsys.readouterr().err
+        args = ["ingest", str(bad), "--out", str(tmp_path / "out")]
+        assert main(args + ["--taper"] * taper) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestNonFiniteInputs:

@@ -15,6 +15,7 @@ from gsee.pauli import PauliString, PauliSum, sum_multiply
 from gsee.qcels import scale
 from helpers import (
     blocked_eig_sums,
+    coefficient,
     coset_blocks,
     dense_string,
     dense_sum,
@@ -203,7 +204,7 @@ class TestPauliSum:
         z = PauliString.from_label("Z0")
         a = PauliSum(1, [(z, 0.5), (z, 0.5), (PauliString.from_label("X0"), 1e-16)])
         assert len(a) == 1
-        assert a.coefficient(z) == 1.0
+        assert coefficient(a, z) == 1.0
 
     def test_self_product_identity(self):
         x = PauliSum(1, {PauliString.from_label("X0"): 1.0})
@@ -241,7 +242,7 @@ class TestPauliSum:
         lhs = (a + b) @ c
         rhs = (a @ c) + (b @ c)
         for s, coeff in lhs.terms():
-            assert abs(coeff - rhs.coefficient(s)) < 1e-12
+            assert abs(coeff - coefficient(rhs, s)) < 1e-12
 
     def test_width_mismatch_raises(self):
         a = PauliSum(2, {PauliString.from_label("X0"): 1.0})
@@ -446,8 +447,9 @@ class TestGrouping:
         assert 4 < len(grouped) < len(a)
 
 
-# widths of one, two and three mask words
-WORD_WIDTHS = [8, 64, 65, 130]
+# widths of one, two and three mask words; 31 and 32 put a product's
+# (row, string) keys on either side of the integer/void boundary
+WORD_WIDTHS = [8, 31, 32, 64, 65, 130]
 
 
 def sparse_strings(rng, n, count, max_weight=4):
@@ -515,7 +517,7 @@ class TestArrayKernels:
         assert loop_product(a, b)[PauliString(0, za.z_mask ^ zb.z_mask)] == 0
         product = PauliSum(130, a) @ PauliSum(130, b)
         assert product._terms == purged_product(a, b)
-        assert product.coefficient(PauliString(0, za.z_mask ^ zb.z_mask)) == 0
+        assert coefficient(product, PauliString(0, za.z_mask ^ zb.z_mask)) == 0
 
     def test_large_product_matches_dense(self):
         rng = np.random.default_rng(23)
@@ -599,17 +601,35 @@ def product_rows(draw, dyadic=True):
 
 
 class TestFromProducts:
+    # small blocks split each factor's product into many blocks and merges,
+    # with padding pairs in most of them
     @settings(deadline=None)
-    @given(case=product_rows())
-    def test_dyadic_rows_are_the_row_loop(self, case):
-        assert PauliSum.from_products(*case) == row_loop(*case)
+    @given(case=product_rows(), block=st.integers(1, 300))
+    def test_dyadic_rows_are_the_row_loop(self, case, block):
+        with mock.patch.object(pauli, "_PRODUCT_BLOCK", block):
+            got = PauliSum.from_products(*case)
+        assert got == row_loop(*case)
 
     @settings(deadline=None, max_examples=40)
-    @given(case=product_rows(dyadic=False))
-    def test_rows_match_the_row_loop(self, case):
-        got, want = PauliSum.from_products(*case), row_loop(*case)
+    @given(case=product_rows(dyadic=False), block=st.integers(1, 300))
+    def test_rows_match_the_row_loop(self, case, block):
+        with mock.patch.object(pauli, "_PRODUCT_BLOCK", block):
+            got = PauliSum.from_products(*case)
+        want = row_loop(*case)
         for s in set(got._terms) | set(want._terms):
-            assert abs(got.coefficient(s) - want.coefficient(s)) <= 1e-12
+            assert abs(coefficient(got, s) - coefficient(want, s)) <= 1e-12
+
+    def test_padding_pairs_enter_no_real_key(self):
+        # f holds X0 Z1 and two padding slots, so the row (g, f) meets the
+        # padding pair X0 · I before the real pair Z1 · X0 Z1 ∝ X0
+        g = PauliSum(2, {PauliString.from_label("X0"): 0.5,
+                         PauliString.from_label("Z1"): 0.25})
+        f = PauliSum(2, {PauliString.from_label("X0 Z1"): 1.0})
+        wide = PauliSum(2, {PauliString.from_label(t): 1.0 for t in ("X1", "Y1", "Z0")})
+        case = (2, [g, f, wide], np.array([[0, 1]]), np.ones(1))
+        got = PauliSum.from_products(*case)
+        assert got == row_loop(*case)
+        assert len(got) == 2
 
     def test_no_rows(self):
         ladder = PauliSum(4, {PauliString.from_label("X1 Z0"): 0.5})

@@ -14,6 +14,7 @@ from scipy.linalg import expm
 
 from helpers import (
     blocked_eig_sums,
+    coefficient,
     dense_sum,
     gate_matrix,
     phasor_objective,
@@ -198,7 +199,7 @@ class TestScale:
         # each block holds the 3-qubit part's spectrum, shifted by the Z
         # terms' constant on the block's bits 3-14
         qubits = np.arange(3, 15)
-        z = np.array([h.coefficient(PauliString(0, 1 << q)).real for q in qubits])
+        z = np.array([coefficient(h, PauliString(0, 1 << q)).real for q in qubits])
         signs = 1 - 2 * ((rows[:, :1] >> qubits) & 1)
         want = np.linalg.eigvalsh(dense_sum(small)) + (z * signs).sum(1, keepdims=True)
         radius = np.max(np.abs(want))

@@ -26,7 +26,6 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 SEARCHED = ("src", "demos", "tools")
 KNOWN = {
     "circuits.trotter_step": "ROADMAP item 18: a run reaches it, or it retires",
-    "pauli.PauliSum.coefficient": "tests read it",
     "pauli.PauliSum.one_norm": "tests read it, and ROADMAP item 20 may call it",
 }
 
