@@ -313,9 +313,12 @@ def _resolve_path(base: Path, raw: str) -> Path:
 def _load_operator(resolved: Mapping, base: Path) -> PauliSum:
     path = _resolve_path(base, resolved["operator"])
     try:
-        return PauliSum.from_json(_load_text(path))
+        h = PauliSum.from_json(_load_text(path))
     except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"bad operator file {path}: {exc}") from None
+    if not h.is_hermitian():
+        raise InputError(f"bad operator file {path}: Hamiltonian must be Hermitian")
+    return h
 
 
 def _load_state(resolved: Mapping, base: Path, n_qubits: int) -> StateVector:

@@ -919,6 +919,9 @@ class PauliSum:
     @classmethod
     def from_json(cls, text: str) -> "PauliSum":
         payload = json.loads(text)
+        for t in payload["terms"]:
+            if not isinstance(t["paulis"], str):
+                raise ValueError(f"Pauli label {t['paulis']!r} is not a string")
         terms = [
             (PauliString.from_label(t["paulis"]), complex(*t["coeff"]))
             for t in payload["terms"]

@@ -1,10 +1,10 @@
 """Fourth-order moment and cumulant energy estimation.
 
 The pipeline expands the Hamiltonian powers H^n for n = 1..4, filters
-strings whose ideal expectation vanishes in the input state, groups the
-survivors into fully commuting sets, diagonalizes each set with a
-Clifford circuit so one Z-basis acquisition serves every member, turns
-moments into cumulants
+strings whose ideal expectation vanishes in the input state when asked
+(the ``qcm4.filter`` option, off by default), groups the strings into
+fully commuting sets, diagonalizes each set with a Clifford circuit so
+one Z-basis acquisition serves every member, turns moments into cumulants
 
     c_n = <H^n> - sum_{p=0}^{n-2} binom(n-1, p) c_{p+1} <H^{n-p-1}>,
 
@@ -19,7 +19,6 @@ resampling of the per-circuit shot records supplies error bars.
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -38,7 +37,6 @@ __all__ = [
     "MomentEstimates",
     "MomentOperators",
     "PlanCircuit",
-    "PlanTerm",
     "bootstrap",
     "build_moments",
     "cumulants",
@@ -178,39 +176,23 @@ def pauli_filter(
 # ----------------------------------------------------------------------
 # measurement planning
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class PlanTerm:
-    """One measured string: its diagonalized form and its consumers.
-
-    The set's Clifford U maps the string P to U P U^dag = sign Z(mask);
-    ``uses`` lists (power n, coefficient of P in H^n) pairs.
-    """
-
-    string: PauliString
-    z_mask: int
-    sign: int
-    uses: tuple[tuple[int, float], ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlanCircuit:
-    clifford: Circuit
-    terms: tuple[PlanTerm, ...]
+    """One commuting set's circuit: its Clifford U maps ``terms[k]`` to
+    ``signs[k] · Z(z_masks[k])`` (``int64`` masks, ``±1.0`` signs), and
+    ``coeffs[k, n-1]`` is the real coefficient of ``terms[k]`` in H^n, 0
+    where H^n lacks the string."""
 
-    @cached_property
-    def by_power(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per power, its terms' ascending indices and their coefficients."""
-        uses: list[list[tuple[int, float]]] = [[], [], [], []]
-        for k, term in enumerate(self.terms):
-            for power, coeff in term.uses:
-                uses[power - 1].append((k, coeff))
-        return [(np.array([k for k, _ in u], dtype=np.intp),
-                 np.array([a for _, a in u], dtype=float)) for u in uses]
+    clifford: Circuit
+    terms: tuple[PauliString, ...]
+    z_masks: np.ndarray
+    signs: np.ndarray
+    coeffs: np.ndarray
 
 
 @dataclass(frozen=True)
 class MeasurementPlan:
-    """Commuting-set measurement circuits covering all four powers."""
+    """Circuits covering all four powers; ``constants[n-1]`` is H^n's identity coefficient."""
 
     n_qubits: int
     mode: str
@@ -275,8 +257,8 @@ def _schema_gates(op: tuple) -> list[Gate]:
 
 
 def _diagonalizing_ops(
-    strings: list[PauliString], n: int
-) -> tuple[list[tuple], list[int], int]:
+    strings: Sequence[PauliString], n: int
+) -> tuple[list[tuple], np.ndarray, np.ndarray]:
     """Clifford generators turning a commuting set into Z strings.
 
     A GF(2)-independent subset of the strings (:func:`gf2_reduce`) gives
@@ -286,9 +268,9 @@ def _diagonalizing_ops(
     couplings cancel on both rows at once), and finally the lone X hops
     onto Z (h).  Held by qubit (:func:`_conjugate`), rows in bits 0..r-1
     and string k in bit r+k, rows and strings are conjugated together as
-    each gate is chosen; only row bits choose gates.  Returns the gates,
-    each string's Z mask and the sign bits (bit k set where string k
-    picked up a -1); a string left with an X or Y raises ValueError.
+    each gate is chosen; only row bits choose gates.  Returns the gates
+    and each string's Z mask and sign, as ``int64`` and ``±1.0`` arrays;
+    a string left with an X or Y raises ValueError.
     """
     dependent = set(gf2_reduce(s.x_mask | (s.z_mask << n) for s in strings)[1])
     rows = [[s.x_mask, s.z_mask] for i, s in enumerate(strings) if i not in dependent]
@@ -342,7 +324,9 @@ def _diagonalizing_ops(
         bad = strings[min((c & -c).bit_length() for c in failed) - 1]
         raise ValueError(f"set member {bad.to_label()!r} failed to diagonalize;"
                          " grouping bug")
-    return ops, _transpose(z, r + len(strings))[r:], parity >> r
+    z_masks = np.array(_transpose(z, r + len(strings))[r:], dtype=np.int64)
+    return ops, z_masks, np.array([1.0 - 2.0 * (parity >> r + k & 1)
+                                   for k in range(len(strings))])
 
 
 def plan(m: MomentOperators, mode: str = "full") -> MeasurementPlan:
@@ -351,38 +335,37 @@ def plan(m: MomentOperators, mode: str = "full") -> MeasurementPlan:
     Identical strings appearing in several powers are deduplicated and
     measured once.  Identity coefficients become per-power constants.
     One tableau pass per set (:func:`_diagonalizing_ops`) chooses its
-    Clifford and turns every member into a Z mask with a sign.
+    Clifford and turns every member into a Z mask with a sign, which the
+    :class:`PlanCircuit` holds as arrays with the per-power coefficients.
 
     Raises:
         ValueError: a set member fails to conjugate to a Z string, which
             indicates an inconsistent grouping.
     """
     n = m.n_qubits
-    uses: dict[PauliString, list[tuple[int, float]]] = {}
+    index: dict[PauliString, int] = {}
+    table = np.zeros((sum(len(p) for p in m.powers), 4))
     constants = [0.0, 0.0, 0.0, 0.0]
     for idx, power in enumerate(m.powers):
         for string, coeff in power.items():
             if string.x_mask or string.z_mask:
-                uses.setdefault(string, []).append((idx + 1, coeff.real))
+                table[index.setdefault(string, len(index)), idx] = coeff.real
             else:
                 constants[idx] += coeff.real
-    distinct = PauliSum(n, {s: 1.0 for s in uses})
+    distinct = PauliSum(n, dict.fromkeys(index, 1.0))
 
     circuits = []
     schema: dict[tuple, list[Gate]] = {}  # the gates of each distinct op, built once
     for group in distinct.group_commuting(mode):
-        strings = [s for s, _ in group]
-        ops, z_masks, parity = _diagonalizing_ops(strings, n)
+        strings = tuple(s for s, _ in group)
+        ops, z_masks, signs = _diagonalizing_ops(strings, n)
         gates: list[Gate] = []
         for op in ops:
             if op not in schema:
                 schema[op] = _schema_gates(op)
             gates.extend(schema[op])
-        terms = tuple(
-            PlanTerm(s, zm, 1 - 2 * (parity >> k & 1), tuple(uses[s]))
-            for k, (s, zm) in enumerate(zip(strings, z_masks))
-        )
-        circuits.append(PlanCircuit(clifford=Circuit(n, gates), terms=terms))
+        coeffs = table[[index[s] for s in strings]]
+        circuits.append(PlanCircuit(Circuit(n, gates), strings, z_masks, signs, coeffs))
     return MeasurementPlan(
         n_qubits=n,
         mode=mode,
@@ -425,10 +408,8 @@ def _shot_allocation(
     n = measurement_plan.n_circuits
     if allocation == "uniform":
         return [spc] * n
-    weights = [
-        sum(abs(a) for t in c.terms for _, a in t.uses)
-        for c in measurement_plan.circuits
-    ]
+    # Python's sum, term-major with powers ascending, fixes the rounding
+    weights = [sum(np.abs(c.coeffs).ravel().tolist()) for c in measurement_plan.circuits]
     total = sum(weights)
     budget = spc * n
     if total == 0.0:
@@ -450,9 +431,7 @@ def _term_table(circuit: PlanCircuit, outcomes: np.ndarray) -> np.ndarray:
     Rows follow ``outcomes`` and columns the circuit's terms, so a count
     or probability vector over the outcomes maps to the term values.
     """
-    masks = np.array([t.z_mask for t in circuit.terms], dtype=np.int64)
-    signs = np.array([t.sign for t in circuit.terms], dtype=float)
-    return z_signs(outcomes[:, None], masks) * signs
+    return z_signs(outcomes[:, None], circuit.z_masks) * circuit.signs
 
 
 def _run_circuit(
@@ -480,17 +459,18 @@ def _add_terms(moments: np.ndarray, circuit: PlanCircuit, columns: np.ndarray) -
     """Adds term values, a contiguous ``(n_terms, batch)`` row per term, into
     ``(batch, 4)`` moments.
 
-    Per power, a buffer holds the moment above each used term's ``coeff *
-    value``, in term order; ``np.add.accumulate`` down it adds them one at
-    a time, so every float sum is a term loop's.
+    Per power, a buffer holds the moment above ``coeff * value`` of each
+    term with a nonzero coefficient, in term order; ``np.add.accumulate``
+    down it adds them one at a time, so every float sum is a term loop's.
     """
-    buffer = np.empty((1 + max(len(i) for i, _ in circuit.by_power), len(moments)))
-    for p, (index, coeffs) in enumerate(circuit.by_power):
+    buffer = np.empty((1 + len(circuit.terms), len(moments)))
+    for p in range(4):
+        index = np.flatnonzero(circuit.coeffs[:, p])
         rows = buffer[: len(index) + 1]
         rows[0] = moments[:, p]
         # mode "raise" would buffer the take; the indices are in range
         np.take(columns, index, axis=0, out=rows[1:], mode="clip")
-        rows[1:] *= coeffs[:, None]
+        rows[1:] *= circuit.coeffs[index, p, None]
         np.add.accumulate(rows, axis=0, out=rows)
         moments[:, p] = rows[-1]
 

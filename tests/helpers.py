@@ -465,10 +465,11 @@ def cdf_sample_reference(state, spc: int, seed: int, stream=()) -> ShotRecord:
 
 def add_terms_reference(moments: np.ndarray, circuit, values: np.ndarray) -> None:
     """Adds ``(batch, n_terms)`` term values into ``(batch, 4)`` moments, one
-    term and one use at a time: the oracle for ``qcm4._add_terms``."""
-    for term, column in zip(circuit.terms, values.T):
-        for power, coeff in term.uses:
-            moments[:, power - 1] += coeff * column
+    term at a time, zero coefficients included: the oracle for
+    ``qcm4._add_terms``, which skips them (x + ±0.0 is x for any x but -0.0,
+    and no moment is -0.0)."""
+    for row, column in zip(circuit.coeffs, values.T):
+        moments += column[:, None] * row
 
 
 def estimate_reference(measurement_plan, psi, spc: int | None = None, seed: int = 0):
@@ -483,8 +484,7 @@ def estimate_reference(measurement_plan, psi, spc: int | None = None, seed: int 
     basis = np.arange(1 << psi.n_qubits)
     for ci, circuit in enumerate(measurement_plan.circuits):
         rotated = apply_circuit(psi, circuit.clifford)
-        masks = np.array([t.z_mask for t in circuit.terms], dtype=np.int64)
-        signs = np.array([t.sign for t in circuit.terms], dtype=float)
+        masks, signs = circuit.z_masks, circuit.signs
         if spc is None:
             probs = np.abs(rotated.amplitudes) ** 2
             table = z_signs(basis[:, None], masks) * signs

@@ -306,12 +306,12 @@ def test_13_grouping_soundness_on_every_fixture(
             distinct.update(
                 s for s, _ in power.terms() if s.x_mask or s.z_mask
             )
-        covered = [t.string for c in measurement_plan.circuits for t in c.terms]
+        covered = [s for c in measurement_plan.circuits for s in c.terms]
         assert len(covered) == len(set(covered)) == len(distinct)
         n = h.n_qubits
         for circuit in measurement_plan.circuits:
             mats = [
-                PauliSum(n, {t.string: 1.0}).to_dense() for t in circuit.terms
+                PauliSum(n, {s: 1.0}).to_dense() for s in circuit.terms
             ]
             for a, b in itertools.combinations(mats, 2):
                 assert np.linalg.norm(a @ b - b @ a) < 1e-12

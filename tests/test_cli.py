@@ -564,6 +564,26 @@ class TestNonFiniteInputs:
         assert str(ci) in err and "non-finite" in err
 
 
+class TestOperatorFiles:
+    @pytest.mark.parametrize("command", ["qcels", "qcm4", "recompile"])
+    @pytest.mark.parametrize("term, message", [
+        ({"coeff": [0.3, 0.2], "paulis": "Z0"}, "Hamiltonian must be Hermitian"),
+        ({"coeff": [0.3, 0.0], "paulis": 5}, "Pauli label 5 is not a string"),
+    ], ids=["non_hermitian", "label_not_string"])
+    def test_invalid_operator_exits_2(self, tmp_path, capsys, command, term, message):
+        operator = tmp_path / "op.json"
+        operator.write_text(json.dumps({"n_qubits": 1, "terms": [term]}))
+        payload = {"algorithm": command, "operator": "op.json", "state": {"basis": 0}}
+        if command == "recompile":
+            payload["recompile"] = {"layers": 1, "max_iterations": 1, "restarts": 1}
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "run"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"bad operator file {operator}: {message}" in err
+        assert not (out / "results.json").exists()
+
+
 class TestQcelsRun:
     def test_exact_run_recovers_dense_ground(self, tmp_path):
         config = h2_config(tmp_path, "qcels")

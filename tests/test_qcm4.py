@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import coefficient, dense_string, dense_sum, random_sum
+from helpers import coefficient, dense_string, dense_sum, eig_sums, random_sum
 from gsee.chem import (
     ci_initial_state,
     determinants_from_json,
@@ -23,7 +23,6 @@ from gsee.simulator import StateVector, estimate_pauli_z, expectation
 from gsee.qcm4 import (
     MeasurementPlan,
     PlanCircuit,
-    PlanTerm,
     bootstrap,
     build_moments,
     cumulants,
@@ -172,10 +171,10 @@ class TestPlan:
         h = PauliSum(3, {Z0: 0.5, Z0Z1: -0.3, PauliString(0, 0b110): 0.2})
         mp = plan(build_moments(h))
         assert mp.n_circuits == 1
-        assert len(mp.circuits[0].clifford.gates) == 0
-        for term in mp.circuits[0].terms:
-            assert term.z_mask == term.string.z_mask
-            assert term.sign == 1
+        pc = mp.circuits[0]
+        assert len(pc.clifford.gates) == 0
+        assert pc.z_masks.tolist() == [s.z_mask for s in pc.terms]
+        assert pc.signs.tolist() == [1.0] * len(pc.terms)
 
     def test_xx_zz_yy_one_circuit(self):
         h = PauliSum(
@@ -188,10 +187,11 @@ class TestPlan:
         )
         mp = plan(build_moments(h))
         assert mp.n_circuits == 1
-        u = circuit_unitary(mp.circuits[0].clifford)
-        for term in mp.circuits[0].terms:
-            lhs = u @ dense_string(term.string, 2) @ u.conj().T
-            rhs = term.sign * dense_string(PauliString(0, term.z_mask), 2)
+        pc = mp.circuits[0]
+        u = circuit_unitary(pc.clifford)
+        for string, mask, sign in zip(pc.terms, pc.z_masks.tolist(), pc.signs):
+            lhs = u @ dense_string(string, 2) @ u.conj().T
+            rhs = sign * dense_string(PauliString(0, mask), 2)
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_random_sets_diagonalize_densely(self):
@@ -202,11 +202,9 @@ class TestPlan:
             mp = plan(build_moments(h))
             for pc in mp.circuits:
                 u = circuit_unitary(pc.clifford)
-                for term in pc.terms:
-                    lhs = u @ dense_string(term.string, n) @ u.conj().T
-                    rhs = term.sign * dense_string(
-                        PauliString(0, term.z_mask), n
-                    )
+                for string, mask, sign in zip(pc.terms, pc.z_masks.tolist(), pc.signs):
+                    lhs = u @ dense_string(string, n) @ u.conj().T
+                    rhs = sign * dense_string(PauliString(0, mask), n)
                     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     @pytest.mark.parametrize("n", [3, 64, 70, 130])
@@ -234,7 +232,7 @@ class TestPlan:
         rng = np.random.default_rng(32)
         m = build_moments(random_sum(rng, 3, 6))
         mp = plan(m)
-        seen = [t.string for pc in mp.circuits for t in pc.terms]
+        seen = [s for pc in mp.circuits for s in pc.terms]
         assert len(seen) == len(set(seen))
         expected = {
             s
@@ -249,7 +247,7 @@ class TestPlan:
         rng = np.random.default_rng(33)
         mp = plan(build_moments(random_sum(rng, 3, 7)))
         for pc in mp.circuits:
-            strings = [t.string for t in pc.terms]
+            strings = pc.terms
             for i, a in enumerate(strings):
                 for b in strings[i + 1:]:
                     assert a.commutes(b)
@@ -270,8 +268,10 @@ class TestPlan:
     def test_uses_carry_moment_coefficients(self):
         m = build_moments(PauliSum(1, {Z0: 0.5}))
         mp = plan(m)
-        (term,) = mp.circuits[0].terms
-        assert dict(term.uses) == {1: 0.5, 3: pytest.approx(0.125)}
+        (pc,) = mp.circuits
+        assert pc.terms == (Z0,)
+        # Z0 is absent from H^2 and H^4, which are multiples of the identity
+        assert pc.coeffs.tolist() == [[0.5, 0.0, pytest.approx(0.125), 0.0]]
 
 
 class TestEstimate:
@@ -351,10 +351,13 @@ class TestEstimate:
         )
         moments = list(mp.constants)
         for circuit, record in zip(mp.circuits, est.records):
-            for term in circuit.terms:
-                value = estimate_pauli_z(record, term.z_mask)
-                for power, coeff in term.uses:
-                    moments[power - 1] += coeff * term.sign * value
+            for mask, sign, coeffs in zip(
+                circuit.z_masks.tolist(), circuit.signs.tolist(), circuit.coeffs.tolist()
+            ):
+                value = estimate_pauli_z(record, mask)
+                for power, coeff in enumerate(coeffs):
+                    if coeff:
+                        moments[power] += coeff * sign * value
         assert est.moments == tuple(moments)
 
     def test_weighted_allocation_preserves_budget(self):
@@ -384,7 +387,8 @@ class TestEstimate:
     def test_weighted_allocation_gives_every_circuit_a_shot(self, weights, spc):
         # circuit k measures Z0 once with coefficient weights[k]
         circuits = tuple(
-            PlanCircuit(Circuit(1), (PlanTerm(Z0, 0b1, 1, ((1, w),)),))
+            PlanCircuit(Circuit(1), (Z0,), np.array([0b1]), np.array([1.0]),
+                        np.array([[w, 0.0, 0.0, 0.0]]))
             for w in weights
         )
         mp = MeasurementPlan(1, "full", circuits, (0.0, 0.0, 0.0, 0.0))
@@ -435,13 +439,12 @@ def fixture_8q_plan(fixture_8q_moments):
 def assert_plan_matches_replay(mp: MeasurementPlan) -> None:
     """Each circuit's gates, Z masks and signs equal the replay's, by ``==``."""
     for pc in mp.circuits:
-        strings = [t.string for t in pc.terms]
-        ops = qcm4._diagonalizing_ops(strings, mp.n_qubits)[0]
+        ops = qcm4._diagonalizing_ops(pc.terms, mp.n_qubits)[0]
         gates = [g for op in ops for g in qcm4._schema_gates(op)]
         assert list(pc.clifford.gates) == gates
-        z_masks, signs = replay_reference(strings, ops, mp.n_qubits)
-        assert [t.z_mask for t in pc.terms] == z_masks
-        assert [t.sign for t in pc.terms] == signs
+        z_masks, signs = replay_reference(pc.terms, ops, mp.n_qubits)
+        assert pc.z_masks.tolist() == z_masks
+        assert pc.signs.tolist() == signs
 
 
 @st.composite
@@ -494,6 +497,55 @@ class TestSingleTableauPass:
         assert_plan_matches_replay(plan(m, mode))
 
 
+def assert_arrays_match_moments(m: qcm4.MomentOperators, mp: MeasurementPlan) -> None:
+    """Each distinct non-identity string of H…H⁴ is measured in exactly one
+    circuit, its coefficient row holds its coefficient in each power (0
+    where the power lacks it), and the constants are the identity's."""
+    measured = [s for pc in mp.circuits for s in pc.terms]
+    distinct = {s for p in m.powers for s, _ in p.terms() if s != PauliString()}
+    assert len(measured) == len(set(measured))
+    assert set(measured) == distinct
+    for pc in mp.circuits:
+        assert pc.z_masks.dtype == np.int64 and pc.z_masks.shape == (len(pc.terms),)
+        assert pc.signs.dtype == np.float64 and set(pc.signs.tolist()) <= {-1.0, 1.0}
+        assert pc.coeffs.shape == (len(pc.terms), 4)
+        for row, string in zip(pc.coeffs.tolist(), pc.terms):
+            assert row == [coefficient(p, string).real for p in m.powers]
+    assert mp.constants == tuple(coefficient(p, PauliString()).real for p in m.powers)
+
+
+class TestPlanArrays:
+    """``plan``'s masks, signs and coefficient rows against the moment
+    operators they came from."""
+
+    @pytest.mark.parametrize("mode", ["full", "qubitwise"])
+    @pytest.mark.parametrize("filtered", [False, True])
+    def test_fixture_arrays_equal_the_moments(self, fixture_8q_moments, mode, filtered):
+        m = fixture_8q_moments
+        if filtered:
+            # three alpha determinants: the filter keeps the Z strings and
+            # the strings that hop between them
+            amps = np.zeros(256, dtype=complex)
+            amps[[0b00010101, 0b01000101, 0b01010001]] = [0.8, 0.5, -0.33]
+            psi = StateVector(8, amps / np.linalg.norm(amps))
+            m, report = pauli_filter(m, psi)
+            assert report.audited and any(s.x_mask for p in m.powers for s, _ in p.terms())
+        assert_arrays_match_moments(m, plan(m, mode))
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        h=eig_sums(),
+        mode=st.sampled_from(["full", "qubitwise"]),
+        basis=st.integers(0, 63) | st.none(),
+    )
+    def test_random_arrays_equal_the_moments(self, h, mode, basis):
+        m = build_moments(h)
+        if basis is not None:
+            psi = StateVector.basis_state(h.n_qubits, basis % (1 << h.n_qubits))
+            m, _ = pauli_filter(m, psi)
+        assert_arrays_match_moments(m, plan(m, mode))
+
+
 class TestArrayPathsAgainstLoops:
     """The array paths of ``estimate`` reproduce their loops bit for bit."""
 
@@ -511,7 +563,12 @@ class TestArrayPathsAgainstLoops:
         rng = np.random.default_rng(batch)
         got = rng.normal(size=(batch, 4))
         want = got.copy()
-        for circuit in fixture_8q_plan.circuits:
+        # Z0 enters H and H^3 only, Z1 H^3 only, and no string H^2 or H^4
+        partial = PlanCircuit(
+            Circuit(8), (Z0, Z1), np.array([0b01, 0b10]), np.array([1.0, -1.0]),
+            np.array([[0.5, 0.0, 0.125, 0.0], [0.0, 0.0, -2.0, 0.0]]),
+        )
+        for circuit in (*fixture_8q_plan.circuits, partial):
             values = rng.normal(size=(batch, len(circuit.terms)))
             qcm4._add_terms(got, circuit, np.ascontiguousarray(values.T))
             add_terms_reference(want, circuit, values)
