@@ -192,7 +192,8 @@ def jordan_wigner(fi: FermionIntegrals) -> PauliSum:
     if not h.is_hermitian(1e-10):
         raise AssertionError("mapped Hamiltonian lost Hermiticity")
     # imaginary dust from Y-pair products cancels exactly; drop the residue
-    return PauliSum(n, {s: c.real for s, c in h.terms()})
+    h = h.canonical()
+    return PauliSum.from_arrays(n, h.x, h.z, h.coeff.real)
 
 
 # ----------------------------------------------------------------------

@@ -1,36 +1,25 @@
 """Exact algebra over Pauli strings and weighted Pauli sums.
 
-Strings are held in a symplectic bitmask representation: a string is the
-pair of integers ``(x_mask, z_mask)`` where bit ``q`` of ``x_mask`` /
-``z_mask`` records an X / Z factor on qubit ``q``, and a Y factor sets
-both bits.  Products, commutation checks, and dense-matrix actions then
-reduce to bit arithmetic.
+A string is held in the symplectic representation (Aaronson & Gottesman,
+PRA 70, 052328, 2004): bit ``q`` of ``x_mask`` / ``z_mask`` records an X /
+Z factor on qubit ``q``, and a Y sets both.  A sum holds its terms as
+arrays, bit-packed as in Stim (Gidney, *Quantum* 5, 497, 2021): ``uint64``
+mask words ``(T, W)``, word ``w`` holding qubits ``64w .. 64w+63``, and
+``complex`` coefficients (T), in formation order.  Every kernel reads
+them: products (one blocked :func:`_product_step` behind ``@`` and
+:meth:`PauliSum.from_products`), like-term sums, the canonical order, the
+commuting sets, the symmetry blocks and the JSON format.  Strings are
+built only where a caller asks for them, and no kernel hashes one.
 
-A sum stays a dict of strings, but its bulk work runs on arrays of their
-masks: ``uint64[N, W]`` words with ``W = ceil(n/64)`` (:func:`_mask_arrays`).
-Products (``@`` and :meth:`PauliSum.from_products`, one blocked step
-:func:`_product_step`), the canonical order (:meth:`PauliSum.terms`) and
-the commuting sets (:meth:`PauliSum.group_commuting`, from a table over
-the active qubits' factors and no pair graph) reproduce their loop
-versions bit for bit.
-
-The qubit-to-amplitude convention used throughout the package is little
-endian: qubit ``q`` is bit ``q`` of the computational-basis index.  With
-``P = i^{|x&z|} X^x Z^z``, a string maps ``|b>`` to
-``i^{|x&z|} (-1)^{|z&b|} |b^x>`` (Aaronson & Gottesman, PRA 70, 052328,
-2004).  This module is the only place that action is computed:
-:meth:`PauliString.action` serves the simulator, the dense matrices and
-tapering, and :func:`z_signs` Z-basis estimation.  :func:`gf2_reduce`
-serves tapering, the dependent-string test of measurement planning and
-the symmetry blocks of :meth:`PauliSum.blocks`;
-``qcm4._diagonalizing_ops`` keeps its own column-by-column x-block
-reduction, because those pivots choose the Clifford gates it emits and
-the qcm4 shot records depend on them.
-
-No width cap: :meth:`PauliSum.to_dense`, :meth:`PauliSum.blocks`,
-:meth:`PauliSum.from_products` and :meth:`PauliSum.group_commuting` refuse
-only a peak estimate beyond physical memory (:func:`check_memory`), before
-their large arrays exist.
+Qubit ``q`` is bit ``q`` of a basis index, and with ``P = i^{|x&z|} X^x
+Z^z`` a string maps ``|b>`` to ``i^{|x&z|} (-1)^{|z&b|} |b^x>``.  Only
+:meth:`PauliString.action` (the simulator, dense matrices, tapering) and
+:func:`z_signs` (Z-basis estimation) compute that action.
+:func:`gf2_reduce` serves tapering, measurement planning and
+:meth:`PauliSum.blocks`; ``qcm4._diagonalizing_ops`` keeps its own
+x-block reduction, whose pivots choose the Clifford gates it emits.  The
+dense paths, products and grouping refuse only a peak estimate beyond
+physical memory (:func:`check_memory`), before their arrays exist.
 
 Example:
     >>> x = PauliSum(1, {PauliString.from_label("X0"): 1.0})
@@ -41,6 +30,7 @@ Example:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -98,6 +88,8 @@ class PauliString:
     z_mask: int = 0
 
     def __post_init__(self) -> None:
+        if type(self.x_mask) is type(self.z_mask) is int and min(self.x_mask, self.z_mask) >= 0:
+            return
         for name, mask in (("x_mask", self.x_mask), ("z_mask", self.z_mask)):
             if not isinstance(mask, (int, np.integer)) or mask < 0:
                 raise ValueError(f"{name} must be a non-negative integer, not {mask!r}")
@@ -106,10 +98,7 @@ class PauliString:
 
     @classmethod
     def from_support(cls, support: Mapping[int, str]) -> "PauliString":
-        """Builds a string from a ``{qubit: axis}`` mapping.
-
-        Args:
-            support: map from qubit index to one of ``"X"``, ``"Y"``, ``"Z"``.
+        """Builds a string from a ``{qubit: "X" | "Y" | "Z"}`` mapping.
 
         Raises:
             ValueError: on a negative qubit index or unknown axis letter.
@@ -179,14 +168,8 @@ class PauliString:
         return tuple((q, _AXIS_RANK[a]) for q, a in self.support.items())
 
     def commutes(self, other: "PauliString", mode: str = "full") -> bool:
-        """Commutation test under the chosen mode.
-
-        Args:
-            mode: ``"full"`` — true iff the number of qubits where both
-                strings act with different axes is even (operator-level
-                commutation); ``"qubitwise"`` — true iff the axes agree on
-                every shared qubit.
-        """
+        """``"full"``: the strings differ in axis on an even number of shared
+        qubits (operator commutation); ``"qubitwise"``: on none."""
         if mode == "full":
             sym = (self.x_mask & other.z_mask).bit_count() + (
                 self.z_mask & other.x_mask
@@ -202,24 +185,21 @@ class PauliString:
         return self.to_label() or "I"
 
 
-def _mask_arrays(
-    strings: list[PauliString], n_qubits: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """X and Z masks as ``uint64`` arrays of shape ``(len(strings), W)``.
+def _n_words(n_qubits: int) -> int:
+    """Mask words of a register: ``max(1, ceil(n/64))``."""
+    return max(1, -(-n_qubits // 64))
 
-    Word ``w`` holds qubits ``64w .. 64w+63``; ``W = max(1, ceil(n/64))``.
-    """
-    n_words = max(1, -(-n_qubits // 64))
-    word = (1 << 64) - 1
-    x, z = np.empty((2, len(strings), n_words), dtype=np.uint64)
-    for w in range(n_words):
-        x[:, w] = [(s.x_mask >> 64 * w) & word for s in strings]
-        z[:, w] = [(s.z_mask >> 64 * w) & word for s in strings]
-    return x, z
+
+def _words(masks: Sequence[int], n_qubits: int) -> np.ndarray:
+    """Integer masks as ``uint64`` words of shape ``(len(masks), W)``."""
+    out = np.empty((len(masks), _n_words(n_qubits)), dtype=np.uint64)
+    for w in range(out.shape[1]):
+        out[:, w] = [(m >> 64 * w) & 0xFFFF_FFFF_FFFF_FFFF for m in masks]
+    return out
 
 
 def _mask_ints(words: np.ndarray) -> list[int]:
-    """The integer masks of ``(N, W)`` words laid out as :func:`_mask_arrays`."""
+    """The integer masks of ``(N, W)`` words laid out as :func:`_words`."""
     masks = words[:, 0].tolist()
     for w in range(1, words.shape[1]):
         masks = [m | hi << (64 * w) for m, hi in zip(masks, words[:, w].tolist())]
@@ -232,12 +212,10 @@ def _popcount(words: np.ndarray) -> np.ndarray:
 
 
 def _multiply_terms(a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
-    """Products of terms held as ``(x, z, re, im)`` arrays, broadcast.
+    """Products of ``(x, z, re, im)`` terms, broadcast, ``re + i·im`` the coefficient.
 
-    ``x`` and ``z`` are ``(..., W)`` mask words and ``re + i·im`` the
-    coefficient.  Per qubit, with P(x, z) = i^{xz} X^x Z^z, P(a) P(b) =
-    i^{xa·za + xb·zb + 2·za·xb − xc·zc} P(c), and each product
-    ``ca * cb * phase`` is the pair loop's bit for bit.
+    Per qubit, with P(x, z) = i^{xz} X^x Z^z, P(a) P(b) = i^{xa·za + xb·zb +
+    2·za·xb − xc·zc} P(c), and ``ca * cb * phase`` is the pair loop's bit for bit.
     """
     (xa, za, are, aim), (xb, zb, bre, bim) = a, b
     x, z = xa ^ xb, za ^ zb
@@ -270,11 +248,10 @@ def _ordered_sums(
     """Sums of values over equal keys, added as a dict loop adds them.
 
     ``keys_of(block)`` gives a block's keys and ``terms_of(block)`` its
-    ``(keys, re, im)``.  Pass 1 builds one sorted table of the distinct keys
-    with the index of each one's first element; pass 2 finds each element's
-    slot by ``np.searchsorted`` and adds its value with ``np.add.at``, from
-    zero in element order.  Returns ``(first, re, im)`` per key, in order
-    of first appearance.
+    ``(keys, re, im)``.  Pass 1 builds a sorted table of the distinct keys
+    and each one's first element; pass 2 adds each value into its slot
+    (``np.searchsorted``, ``np.add.at``), from zero in element order.
+    Returns ``(first, re, im)`` per key, in order of first appearance.
     """
     table, first, pending, offset = np.zeros(0), np.zeros(0, np.intp), [], 0
     for i, block in enumerate(blocks):
@@ -303,17 +280,33 @@ def _ordered_sums(
     return first[order], total[0, order], total[1, order]
 
 
-def _term_table(groups: Sequence[Mapping], n_qubits: int) -> tuple[list, np.ndarray]:
-    """Term groups as ``(x, z, re, im)`` arrays ``(G, T, ...)``, and their sizes.
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """``re + i·im`` as a ``complex`` array, each part copied bit for bit."""
+    return np.stack((re, im), axis=-1).view(complex)[:, 0]
 
-    Identities of coefficient 0 pad each group to T, the largest size.
+
+def _combined(x, z, coeff: np.ndarray, n_qubits: int) -> tuple:
+    """``(x, z, coeff)`` with like strings added from zero in term order, at
+    their first place, as a dict of sums from ``0j`` adds them, and purged.
     """
-    sizes = np.array([len(g) for g in groups], dtype=np.intp)
-    longest, pad = int(sizes.max(initial=0)), (PauliString(), 0j)
-    items = [t for g in groups for t in [*g.items(), *[pad] * (longest - len(g))]]
-    c = np.array([c for _, c in items], dtype=complex)
-    arrays = (*_mask_arrays([s for s, _ in items], n_qubits), c.real, c.imag)
-    return [v.reshape((len(groups), longest) + v.shape[1:]) for v in arrays], sizes
+    keys = _keys(np.zeros(len(x), np.intp), x, z, n_qubits, 0)
+    first, re, im = _ordered_sums(
+        [keys], lambda k: k, lambda k: (k, coeff.real, coeff.imag)
+    )
+    kept = np.hypot(re, im) > PURGE_TOL  # np.hypot is Python's abs bit for bit
+    return x[first[kept]], z[first[kept]], _complex(re[kept], im[kept])
+
+
+def _term_table(sums: Sequence["PauliSum"], n_qubits: int) -> tuple[list, np.ndarray]:
+    """Sums as ``(x, z, re, im)`` arrays ``(G, T, ...)``, padded to the largest
+    size T by identities of coefficient 0, and their sizes."""
+    sizes = np.array([len(s) for s in sums], dtype=np.intp)
+    shape = (len(sums), int(sizes.max(initial=0)))
+    x, z = np.zeros((2, *shape, _n_words(n_qubits)), dtype=np.uint64)
+    c = np.zeros(shape, dtype=complex)
+    for g, s in enumerate(sums):
+        x[g, : len(s)], z[g, : len(s)], c[g, : len(s)] = s.x, s.z, s.coeff
+    return [x, z, c.real, c.imag], sizes
 
 
 def _product_step(
@@ -322,13 +315,11 @@ def _product_step(
     """Each term times the factor it picks, combined per (row, string).
 
     Term k of the ``(x, z, re, im)`` arrays ``terms`` lies in ``row[k]`` and
-    pairs with the T slots of factor ``pick[k]`` (:func:`_term_table`),
-    in blocks of whole terms, at most :data:`_PRODUCT_BLOCK` pairs unless
-    one term has more.  Products add per (row, string) in pair order
-    (:func:`_ordered_sums`).  A padding pair takes the row past the last,
-    so it enters no real key and its sum is dropped unread, as are the
-    sums ``PauliSum`` purges.  Returns the kept terms and their rows, in
-    order of first appearance.
+    pairs with the T slots of factor ``pick[k]`` (:func:`_term_table`), in
+    blocks of whole terms of at most :data:`_PRODUCT_BLOCK` pairs.  Products
+    add per (row, string) in pair order; a padding pair's row is past the
+    last, so its sum is dropped unread, as are purged sums.  Returns the
+    kept terms and their rows, in order of first appearance.
     """
     table, sizes = factors
     width = table[0].shape[1]
@@ -360,54 +351,63 @@ def _product_step(
     return [x, z, re[kept], im[kept]], row[k]
 
 
-def _trusted_string(x_mask: int, z_mask: int) -> PauliString:
-    """A string from masks that are already non-negative ``int``s, unchecked.
+def _bits(words: np.ndarray, n_qubits: int) -> np.ndarray:
+    """``(N, W)`` mask words as ``(N, n)`` 0/1 bits, qubit 0 first."""
+    return np.unpackbits(words.astype("<u8").view(np.uint8), axis=1,
+                         count=n_qubits, bitorder="little")
 
-    The fields are set as the dataclass sets them; touching ``__dict__``
-    would give every string its own dict, 150 bytes more.
+
+def _canonical_order(x: np.ndarray, z: np.ndarray, n_qubits: int) -> np.ndarray:
+    """Indices that sort strings of words ``x``, ``z`` by :meth:`PauliString.sort_key`.
+
+    Qubit ``q`` gets the digit 1, 2 or 3 for X, Y or Z, 4 for an identity
+    below the string's last factor and 0 past it; one ``np.lexsort`` over
+    the digits, qubit 0 first, then sorts a prefix first, as tuples sort.
     """
-    string = object.__new__(PauliString)
-    object.__setattr__(string, "x_mask", x_mask)
-    object.__setattr__(string, "z_mask", z_mask)
-    return string
-
-
-def _string_terms(x, z, re, im) -> dict[PauliString, complex]:
-    """Strings of words ``x``, ``z`` with coefficients ``re + i·im``.
-
-    Each coefficient is already the purged sum ``0j + c`` that ``PauliSum``
-    forms (a sum from +0.0 never rounds to -0.0).  The masks come from
-    ``uint64`` words as ``int``s, so the strings skip :class:`PauliString`'s
-    mask check.
-    """
-    terms = zip(_mask_ints(x), _mask_ints(z), re.tolist(), im.tolist())
-    return {_trusted_string(xm, zm): complex(r, i) for xm, zm, r, i in terms}
-
-
-def _bits(strings: list[PauliString], n_qubits: int) -> list[np.ndarray]:
-    """The strings' X and Z bits as ``(N, n)`` 0/1 arrays, qubit 0 first."""
-    return [
-        np.unpackbits(words.astype("<u8").view(np.uint8), axis=1,
-                      count=n_qubits, bitorder="little")
-        for words in _mask_arrays(strings, n_qubits)
-    ]
-
-
-def _canonical_order(strings: list[PauliString], n_qubits: int) -> np.ndarray:
-    """Indices that sort ``strings`` by :meth:`PauliString.sort_key`.
-
-    Qubit ``q`` of a string gets the digit 1, 2 or 3 for X, Y or Z, 4 for
-    an identity below the string's last factor and 0 past it.  One
-    ``np.lexsort`` over the digits, qubit 0 first, then compares strings
-    as ``sort_key`` compares its tuples: a prefix sorts first.
-    """
-    bx, bz = _bits(strings, n_qubits)
+    bx, bz = _bits(x, n_qubits), _bits(z, n_qubits)
     present = bx | bz
     before_last = np.cumsum(present[:, ::-1], axis=1)[:, ::-1] > 0
     digits = np.where(present, present + bz * (2 - bx), 4 * before_last)
     if not digits.shape[1]:
         return np.arange(len(digits))  # no qubits, so at most the identity
     return np.lexsort(digits.T[::-1])
+
+
+def _factors(labels: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(term, qubit, axis)`` of each factor of the labels, in label order.
+
+    All tokens are checked at once as :meth:`PauliString.from_label` checks
+    one (an ASCII axis letter and digits, no qubit twice in a label); on a
+    fault that parser, label by label, raises the first one's error.
+    ``axis`` holds ASCII codes; an index past 2^62 reads as 2^62.
+    """
+    # the tokens one space apart, and a "," token between two labels
+    text = " ".join(" , ".join(labels).split())
+    code = np.frombuffer(text.encode(), np.uint8)
+    start = np.flatnonzero(np.r_[True, code[:-1] == ord(" ")][: len(code)])
+    size = np.diff(start, append=len(code) + 1) - 1
+    comma = (size == 1) & (code[start] == ord(","))
+    digit = code - np.uint8(ord("0"))
+    digit[code == ord(" ")] = digit[start] = 0
+    term, start, size = np.cumsum(comma)[~comma], start[~comma], size[~comma]
+    axis = code[start] & 0xDF  # upper case
+    if not (text.isascii() and np.all(size >= 2) and np.all(digit <= 9)
+            and np.isin(axis, list(b"XYZ")).all()
+            and np.count_nonzero(comma) == max(len(labels) - 1, 0)):
+        for label in labels:
+            PauliString.from_label(label)
+        raise ValueError("Pauli labels must be ASCII")
+    qubit = np.zeros(len(start), np.int64)
+    for k in range(1, min(16, size.max(initial=0))):  # Horner, to 15 digits
+        more = size > k
+        qubit[more] = 10 * qubit[more] + digit[start[more] + k]
+    for i in np.flatnonzero(size > 16).tolist():
+        qubit[i] = min(int(text[start[i] + 1 : start[i] + size[i]]), 2**62)
+    # equal keys: a qubit twice in a label, or two indices past 2^32
+    key = np.sort(term << 32 | np.minimum(qubit, 2**32 - 1))
+    for t in np.unique(key[1:][key[1:] == key[:-1]] >> 32).tolist():
+        PauliString.from_label(labels[t])
+    return term, qubit, axis
 
 
 def _greedy_colors(codes: np.ndarray, k: int, full: bool) -> list[int]:
@@ -461,20 +461,17 @@ def _greedy_colors(codes: np.ndarray, k: int, full: bool) -> list[int]:
     return colors
 
 
-def _x_groups(terms: Mapping[PauliString, complex], real: bool) -> tuple:
-    """The terms by x mask, ascending: ``(x masks, bounds, z masks, values)``.
+def _x_groups(x: np.ndarray, z: np.ndarray, coeff: np.ndarray, real: bool) -> tuple:
+    """One-word terms by x mask, ascending: ``(x masks, bounds, z masks, values)``.
 
-    Group k is the terms ``bounds[k]:bounds[k + 1]`` of the arrays, in
-    their order in ``terms``.  Row t of ``values`` holds ``c · (phase ·
-    ±1)``, the two entries of :meth:`PauliString.action` times the
-    coefficient, formed by the same float operations; only their real
-    parts when ``real``.
+    Group k is the terms ``bounds[k]:bounds[k + 1]``, in term order.  Row t
+    of ``values`` holds ``c · (phase · ±1)``, :meth:`PauliString.action`'s
+    two entries times the coefficient by the same float operations; only
+    their real parts when ``real``.
     """
-    x, z = (np.fromiter((getattr(s, m) for s in terms), np.int64, len(terms))
-            for m in ("x_mask", "z_mask"))
+    x, z = x[:, 0].astype(np.int64), z[:, 0].astype(np.int64)
     phases = np.asarray(_PHASES)[np.bitwise_count(x & z) & 3, None]
-    coeffs = np.fromiter(terms.values(), complex, len(terms))[:, None]
-    values = coeffs * (phases * np.array([1.0, -1.0]))
+    values = coeff[:, None] * (phases * np.array([1.0, -1.0]))
     order = np.argsort(x, kind="stable")
     x, z, values = x[order], z[order], (values.real if real else values)[order]
     bounds = np.flatnonzero(np.diff(x, prepend=-1, append=-1))
@@ -484,11 +481,10 @@ def _x_groups(terms: Mapping[PauliString, complex], real: bool) -> tuple:
 def _x_sums(src: np.ndarray, z: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Per index b, the sum over one x mask's terms of ``c · d[b]``.
 
-    ``src`` holds ``b ^ x``, whose Z parities pick each term's sign.  The
-    terms add in order, as :meth:`PauliSum.to_dense` adds them: the rows
-    reduce from the first, and adding +0.0 turns a -0.0 into the +0.0 of a
-    sum from +0.0.  At most :data:`_SIGNS_PER_INDEX` signs an index exist
-    at once.
+    ``src`` holds ``b ^ x``, whose Z parities pick the signs.  The terms
+    add in order from the first, as :meth:`PauliSum.to_dense` adds them
+    (+0.0 turns a -0.0 into a sum from +0.0's), at most
+    :data:`_SIGNS_PER_INDEX` signs an index at once.
     """
     out = np.empty(len(src), dtype=values.dtype)
     step = max(1, _SIGNS_PER_INDEX * len(src) // len(z))
@@ -577,14 +573,14 @@ def check_memory(n_bytes: int, what: str) -> None:
 
 
 class PauliSum:
-    """A weighted sum of Pauli strings on a fixed register width.
+    """An immutable weighted sum of Pauli strings on a fixed register width.
 
-    Terms are kept combined and purged: after any arithmetic there is at
-    most one entry per string and no coefficient with magnitude at or
-    below :data:`PURGE_TOL`.  Instances are immutable.
+    Terms are kept combined and purged (one entry per string, none of
+    magnitude at or below :data:`PURGE_TOL`), in formation order, as the
+    read-only arrays :attr:`x`, :attr:`z` and :attr:`coeff`.
     """
 
-    __slots__ = ("_n_qubits", "_terms")
+    __slots__ = ("_n_qubits", "_x", "_z", "_coeff")
 
     def __init__(
         self,
@@ -594,62 +590,95 @@ class PauliSum:
     ) -> None:
         if n_qubits < 0:
             raise ValueError("register width must be non-negative")
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        combined: dict[PauliString, complex] = {}
-        for string, coeff in items:
-            if string.min_width > n_qubits:
-                raise ValueError(
-                    f"term {string.to_label()!r} exceeds register width {n_qubits}"
-                )
-            combined[string] = combined.get(string, 0j) + complex(coeff)
-        self._n_qubits = n_qubits
-        self._terms = {
-            s: c for s, c in combined.items() if abs(c) > PURGE_TOL
-        }
+        items = list(terms.items() if isinstance(terms, Mapping) else terms)
+        wide = [s for s, _ in items if s.min_width > n_qubits]
+        if wide:
+            raise ValueError(f"term {wide[0].to_label()!r} exceeds register width {n_qubits}")
+        x, z = (_words([getattr(s, m) for s, _ in items], n_qubits)
+                for m in ("x_mask", "z_mask"))
+        coeff = np.array([c for _, c in items], dtype=complex)
+        self._set(n_qubits, *_combined(x, z, coeff, n_qubits))
 
-    # ------------------------------------------------------------------
-    # basic accessors
-    # ------------------------------------------------------------------
+    def _set(self, n_qubits: int, x: np.ndarray, z: np.ndarray, coeff: np.ndarray) -> None:
+        for array in (x, z, coeff):
+            array.flags.writeable = False  # the sum is immutable, and so are they
+        self._n_qubits, self._x, self._z, self._coeff = n_qubits, x, z, coeff
+
+    @classmethod
+    def _of(cls, n_qubits: int, x: np.ndarray, z: np.ndarray, coeff: np.ndarray) -> "PauliSum":
+        """A sum over arrays that are already combined and purged."""
+        out = object.__new__(cls)
+        out._set(n_qubits, x, z, coeff)
+        return out
+
+    @classmethod
+    def from_arrays(
+        cls, n_qubits: int, x: np.ndarray, z: np.ndarray, coeff: np.ndarray
+    ) -> "PauliSum":
+        """``Σₜ coeff[t] · P(x[t], z[t])``, combined as the constructor combines;
+        the masks lie in the register, as words laid out as :attr:`x`."""
+        x, z = np.asarray(x, np.uint64), np.asarray(z, np.uint64)
+        return cls._of(n_qubits, *_combined(x, z, np.asarray(coeff, complex), n_qubits))
+
+    # --- basic accessors ---
     @property
     def n_qubits(self) -> int:
         return self._n_qubits
 
+    @property
+    def x(self) -> np.ndarray:
+        """X bits as ``uint64`` words ``(T, W)``, qubits 64w..64w+63 in word w."""
+        return self._x
+
+    @property
+    def z(self) -> np.ndarray:
+        """Z bits, laid out as :attr:`x`."""
+        return self._z
+
+    @property
+    def coeff(self) -> np.ndarray:
+        """``complex`` coefficients (T)."""
+        return self._coeff
+
+    def canonical(self) -> "PauliSum":
+        """The same sum, terms in :meth:`PauliString.sort_key` order (identity first)."""
+        order = _canonical_order(self._x, self._z, self._n_qubits)
+        return self._of(self._n_qubits, self._x[order], self._z[order], self._coeff[order])
+
     def terms(self) -> list[tuple[PauliString, complex]]:
-        """Terms in canonical order (identity first).
+        """``(string, coefficient)`` pairs in :meth:`canonical` order."""
+        return self.canonical().items()
 
-        The order is :meth:`PauliString.sort_key`'s, from one
-        ``np.lexsort`` over factor codes (see :func:`_canonical_order`).
-        """
-        items = list(self._terms.items())
-        order = _canonical_order([s for s, _ in items], self._n_qubits)
-        return [items[i] for i in order.tolist()]
-
-    def items(self) -> Iterable[tuple[PauliString, complex]]:
-        """The terms in the order they were formed, without :meth:`terms`' sort."""
-        return self._terms.items()
+    def items(self) -> list[tuple[PauliString, complex]]:
+        """``(string, coefficient)`` pairs in formation order."""
+        strings = map(PauliString, _mask_ints(self._x), _mask_ints(self._z))
+        return list(zip(strings, self._coeff.tolist()))
 
     @property
     def identity_coefficient(self) -> complex:
-        return self._terms.get(PauliString(), 0j)
+        identity = ~(self._x.any(axis=1) | self._z.any(axis=1))
+        return next(iter(self._coeff[identity].tolist()), 0j)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._coeff)
 
     def __eq__(self, other: object) -> bool:
+        """The same register and (string, coefficient) pairs, in any order."""
         if not isinstance(other, PauliSum):
             return NotImplemented
-        return self._n_qubits == other._n_qubits and self._terms == other._terms
+        if self._n_qubits != other._n_qubits or len(self) != len(other):
+            return False
+        a, b = self.canonical(), other.canonical()
+        return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("x", "z", "coeff"))
 
     def one_norm(self) -> float:
         """Coefficient 1-norm, an upper bound on the spectral norm."""
-        return float(sum(abs(c) for c in self._terms.values()))
+        return float(sum(np.hypot(self._coeff.real, self._coeff.imag).tolist()))
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return all(abs(c.imag) <= tol for c in self._terms.values())
+        return bool(np.all(np.abs(self._coeff.imag) <= tol))
 
-    # ------------------------------------------------------------------
-    # arithmetic
-    # ------------------------------------------------------------------
+    # --- arithmetic ---
     def _require_same_width(self, other: "PauliSum") -> None:
         if self._n_qubits != other._n_qubits:
             raise ValueError(
@@ -657,19 +686,20 @@ class PauliSum:
             )
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
+        """Like strings add in place, ``other``'s new strings after ``self``'s."""
         self._require_same_width(other)
-        merged = dict(self._terms)
-        for s, c in other._terms.items():
-            merged[s] = merged.get(s, 0j) + c
-        return PauliSum(self._n_qubits, merged)
+        x, z, coeff = (np.concatenate(pair) for pair in (
+            (self._x, other._x), (self._z, other._z), (self._coeff, other._coeff)))
+        return self._of(self._n_qubits, *_combined(x, z, coeff, self._n_qubits))
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":
         return self + (other * -1.0)
 
     def __mul__(self, scalar: complex) -> "PauliSum":
-        return PauliSum(
-            self._n_qubits, {s: c * scalar for s, c in self._terms.items()}
-        )
+        # each c * scalar by the float operations of Python's complex product
+        s, re, im = complex(scalar), self._coeff.real, self._coeff.imag
+        coeff = _complex(re * s.real - im * s.imag, re * s.imag + im * s.real)
+        return self._of(self._n_qubits, *_combined(self._x, self._z, coeff, self._n_qubits))
 
     __rmul__ = __mul__
 
@@ -680,10 +710,10 @@ class PauliSum:
         ``other``: strings in order of first appearance.
         """
         self._require_same_width(other)
-        n, zeros = self._n_qubits, np.zeros(len(self._terms), dtype=np.intp)
-        (a, _), b = (_term_table([s._terms], n) for s in (self, other))
-        (x, z, re, im), _ = _product_step([v[0] for v in a], zeros, zeros, b, n)
-        return self._adopt(_string_terms(x, z, re, im))
+        n, zeros = self._n_qubits, np.zeros(len(self), dtype=np.intp)
+        terms = [self._x, self._z, self._coeff.real, self._coeff.imag]
+        (x, z, re, im), _ = _product_step(terms, zeros, zeros, _term_table([other], n), n)
+        return self._of(n, x, z, _complex(re, im))
 
     @classmethod
     def from_products(
@@ -695,27 +725,23 @@ class PauliSum:
     ) -> "PauliSum":
         """``Σₖ weights[k] · Π_f factors[rows[k, f]]``, all rows at once.
 
-        ``rows`` holds K rows of indices into ``factors``, in product order.
-        Each row starts from the identity, and one :func:`_product_step`
-        per column multiplies it by the factor it picks there, as a
-        row-by-row ``@`` does.  One more step adds the weighted rows into
-        each string from zero, in row order, and purges the sums, strings
-        in order of first appearance: bit for bit a row-by-row ``@`` and
-        the constructor.
+        Each row starts from the identity, and one :func:`_product_step` per
+        column multiplies it by the factor it picks there; one more adds the
+        weighted rows into each string from zero, in row order, and purges:
+        bit for bit a row-by-row ``@`` and the constructor.
 
         Raises:
             ValueError: a factor on another register width, or K · T^F
-                chains (T terms in the longest factor) of ``64 · W + 96``
-                bytes (W mask words; the picked terms, phases and sorts of
-                the product included) exceed physical memory.  A row holds
-                at most T^F terms at any factor, so this bounds the peak.
+                chains (T terms in the longest factor, a row's most at any
+                factor) of ``64 · W + 96`` bytes (W mask words; the picked
+                terms, phases and sorts included) exceed physical memory.
         """
         if any(f.n_qubits != n_qubits for f in factors):
             raise ValueError(f"every factor must act on {n_qubits} qubits")
         rows, weights = np.asarray(rows, np.intp), np.asarray(weights, complex)
-        table = _term_table([f._terms for f in factors], n_qubits)
+        table = _term_table(factors, n_qubits)
         n_chains = len(rows) * table[0][0].shape[1] ** rows.shape[1]
-        n_words = max(1, -(-n_qubits // 64))
+        n_words = _n_words(n_qubits)
         check_memory(n_chains * (64 * n_words + 96), f"{n_chains:,} product chains")
         # each row's terms, flat and row by row, from the identity
         row, zero = np.arange(len(rows)), np.zeros((len(rows), 1, n_words), np.uint64)
@@ -727,86 +753,70 @@ class PauliSum:
         (x, z, re, im), _ = _product_step(
             terms, 0 * row, row, (weighted, np.ones(len(rows), np.intp)), n_qubits
         )
-        return cls(n_qubits)._adopt(_string_terms(x, z, re, im))
+        return cls._of(n_qubits, x, z, _complex(re, im))
 
-    def _adopt(self, terms: dict[PauliString, complex]) -> "PauliSum":
-        """A sum on this register over ``terms``, already as ``__init__`` makes them."""
-        out = object.__new__(PauliSum)
-        out._n_qubits, out._terms = self._n_qubits, terms
-        return out
-
-    # ------------------------------------------------------------------
-    # dense paths
-    # ------------------------------------------------------------------
+    # --- dense paths ---
     def to_dense(self) -> np.ndarray:
         """Dense matrix in the little-endian basis (qubit q = index bit q).
 
         Raises:
-            ValueError: the ``16 · 4^n``-byte matrix and 96 bytes an
-                amplitude, for a term's index, action and product arrays,
-                exceed physical memory.
+            ValueError: the ``16 · 4^n``-byte matrix and 96 bytes an amplitude
+                for a term's arrays exceed physical memory.
         """
         dim = 1 << self._n_qubits
         check_memory(16 * dim * dim + 96 * dim, "dense matrix")
         idx = np.arange(dim)
         out = np.zeros((dim, dim), dtype=complex)
-        for s, c in self._terms.items():
-            src, d = s.action(dim)
-            out[idx, src] += c * d
+        # one word a mask (check_memory refuses 64 qubits), a term at a time
+        for x, z, c in zip(self._x[:, 0], self._z[:, 0], self._coeff):
+            src, d = PauliString(int(x), int(z)).action(dim)
+            out[idx, src] += complex(c) * d
         return out
 
     def blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """The symmetry cells ``[(rows, mats), ...]``, one pair per cell size.
 
         A string maps ``|b>`` to a multiple of ``|b^x>``, so the cosets of
-        the span of the terms' x masks (rank r, :func:`gf2_reduce`) are
-        closed under the sum.  Each index also carries the label (popcount
-        of its even bits, popcount of its odd bits): (Nα, Nβ) in the layout
-        of ``chem.jordan_wigner``, which a molecular sum conserves.  A cell
-        holds the indices of one coset and one label.
+        the span of the x masks (rank r, :func:`gf2_reduce`) are closed
+        under the sum.  Each index also carries the label (popcount of its
+        even bits, of its odd bits): (Nα, Nβ) in ``chem.jordan_wigner``'s
+        layout, which a molecular sum conserves.  A cell holds one coset's
+        indices of one label.  The pairs ascend in cell size; row k of
+        ``rows`` holds a cell's indices, ascending, cells ordered by coset
+        (indices with the pivot bits cleared), then label, and ``mats[k][i,
+        j] = <rows[k, i]|H|rows[k, j]>``, real when no term has an odd
+        number of Y factors.  Each entry is :meth:`to_dense`'s float sum.
 
-        The pairs ascend in cell size.  Row k of a pair's ``rows`` holds one
-        cell's indices, ascending, the cells ordered by coset (its indices
-        with the pivot bits cleared), then label, and ``mats[k][i, j] =
-        <rows[k, i]|H|rows[k, j]>``, real when no term has an odd number of
-        Y factors (every string matrix is then real, and so is a Hermitian
-        sum).  Strings sharing an x mask add from zero in term order, so
-        each entry is the float sum of :meth:`to_dense`.
-
-        An entry between two labels is dropped when it is at most
-        eps · ‖H − h0‖₁ (eps of float64, h0 the identity coefficient); such
-        entries are the rounding residue of sums that cancel in exact
-        arithmetic.  A row of the dropped part holds at most one entry per
-        x mask, so no eigenvalue moves by more than their number times that
-        bound.  If any such entry is larger, every index takes one label:
-        the cells are the cosets, 2^r rows each, in coset order.
+        An entry between two labels is dropped when at most eps · ‖H − h0‖₁
+        (h0 the identity coefficient): the rounding residue of sums that
+        cancel exactly.  A row of the dropped part holds at most one entry
+        per x mask, which bounds any eigenvalue's move.  If such an entry
+        is larger, every index takes one label: the cells are the cosets.
 
         Raises:
-            ValueError: non-Hermitian sum, or the cells and the vectors an
-                ``eigh`` returns beside them (``2 · (8|16)`` bytes an
-                entry), the 2^n-long index arrays (256 bytes an index) and
-                the sorted terms (256 bytes a term) exceed physical memory.
-                With labels the cells hold at most C(2e, e) · C(2o, o)
-                entries over e even and o odd qubits, and at most 2^n · 2^r;
-                with one label, 2^n · 2^r.  Each layout is checked before
-                it is built, the labelled one first.
+            ValueError: non-Hermitian sum, or the cells and ``eigh``'s
+                vectors (``2 · (8|16)`` bytes an entry, at most C(2e, e) ·
+                C(2o, o) entries over e even and o odd qubits with labels,
+                2^n · 2^r without), 256 bytes an index and 256 a term exceed
+                physical memory; each layout is checked before it is built.
         """
         if not self.is_hermitian():
             raise ValueError("symmetry blocks require a Hermitian sum")
-        real = all(s.phase.imag == 0 for s in self._terms)
+        real = not np.any(_popcount(self._x & self._z) & 1)
         # repeated x masks are dependent rows: the pivots of the distinct ones
-        pivots, _ = gf2_reduce(dict.fromkeys(s.x_mask for s in self._terms))
+        pivots, _ = gf2_reduce(dict.fromkeys(_mask_ints(self._x)))
         n, dim = self._n_qubits, 1 << self._n_qubits
+        magnitudes = np.hypot(self._coeff.real, self._coeff.imag)
         bound = np.finfo(float).eps * sum(
-            abs(c) for s, c in self._terms.items() if s.x_mask | s.z_mask
+            magnitudes[(self._x | self._z).any(axis=1)].tolist()
         )
         item, coset = (8 if real else 16), dim << len(pivots)
         even, odd = (n + 1) // 2, n // 2
         spin_pairs = min(math.comb(2 * even, even) * math.comb(2 * odd, odd), coset)
-        need = [2 * item * pairs + 256 * (dim + len(self._terms))
+        need = [2 * item * pairs + 256 * (dim + len(self))
                 for pairs in (spin_pairs, coset)]
         check_memory(need[0], "symmetry blocks")
-        groups = _x_groups(self._terms, real)
+        groups = _x_groups(self._x, self._z, self._coeff, real)
         dtype, idx = (float if real else complex), np.arange(dim)
         # (popcount of the even bits, popcount of the odd bits) as one integer
         label = np.bitwise_count(idx & _X_BITS).astype(np.intp) << 8
@@ -819,15 +829,10 @@ class PauliSum:
             cells = _fill_cells(idx, label, pivots, groups, bound, dtype)
         return cells
 
-    # ------------------------------------------------------------------
-    # truncation and grouping
-    # ------------------------------------------------------------------
+    # --- truncation and grouping ---
     def truncate(self, threshold: float) -> tuple["PauliSum", float]:
-        """Drops terms with ``|coefficient| < threshold``.
-
-        Returns:
-            ``(truncated sum, dropped weight)`` where the dropped weight is
-            the 1-norm of the removed coefficients.
+        """``(the sum without terms of |coefficient| < threshold, their 1-norm)``,
+        the norm added in term order.
 
         Raises:
             ValueError: negative threshold.
@@ -836,47 +841,35 @@ class PauliSum:
             raise ValueError("threshold must be non-negative")
         if threshold == 0:
             return self, 0.0
-        kept: dict[PauliString, complex] = {}
-        dropped = 0.0
-        for s, c in self._terms.items():
-            if abs(c) < threshold:
-                dropped += abs(c)
-            else:
-                kept[s] = c
-        return self._adopt(kept), dropped
+        magnitudes = np.hypot(self._coeff.real, self._coeff.imag)
+        kept = ~(magnitudes < threshold)
+        dropped = float(np.cumsum(np.r_[0.0, magnitudes[~kept]])[-1])
+        return self._of(self._n_qubits, self._x[kept], self._z[kept], self._coeff[kept]), dropped
 
     def group_commuting(
         self, mode: str = "full"
     ) -> tuple[tuple[tuple[PauliString, complex], ...], ...]:
-        """Partition into commuting sets by greedy largest-first coloring.
+        """The commuting sets of a greedy largest-first coloring.
 
-        Vertices are the terms in canonical order; edges join pairs that do
-        not commute under ``mode``.  Vertices are colored in descending
-        degree (ties broken by canonical term order) with the smallest
-        color absent from their neighborhood (Verteletskyi, Yen & Izmaylov,
-        J. Chem. Phys. 152, 124114, 2020), by :func:`_greedy_colors`.
-
-        No pair is tested.  A 4^k table marks each string's digits x + 2z
-        on the k active qubits.  Its transform F, qubit by qubit with the
-        4 x 4 kernel of one-qubit commutation, ±1 (``full``, Aaronson &
-        Gottesman, PRA 70, 052328, 2004) or 1/0 (``qubitwise``), gives
-        each degree as (N − F)/2 or N − F at the string's digits.
-
-        Returns:
-            The sets, each a tuple of ``(PauliString, coeff)`` terms in
-            canonical order; every term lies in exactly one set.
+        Terms in canonical order are colored in descending degree of the
+        graph of pairs that do not commute under ``mode`` (ties by that
+        order) with the smallest color free among their neighbours
+        (Verteletskyi, Yen & Izmaylov, J. Chem. Phys. 152, 124114, 2020).
+        No pair is tested: a 4^k table marks each string's digits x + 2z on
+        the k active qubits, and its transform F with the one-qubit
+        commutation kernel, ±1 (``full``) or 1/0 (``qubitwise``), gives each
+        degree as (N − F)/2 or N − F.  Returns tuples of ``(PauliString,
+        coeff)`` terms, each in canonical order.
 
         Raises:
-            ValueError: unknown ``mode``, or the table and its transform
-                (``16 · 4^k`` bytes) and 512 bytes a term exceed physical
-                memory: sums on more than about 13 qubits, which no run
-                path reaches (``qcm4``'s moments stop near 10).
+            ValueError: unknown ``mode``, or the table (``16 · 4^k`` bytes)
+                and 512 bytes a term exceed physical memory.
         """
         if mode not in ("full", "qubitwise"):
             raise ValueError(f"unknown commutation mode {mode!r}")
-        term_list = self.terms()
-        n = len(term_list)
-        bx, bz = _bits([s for s, _ in term_list], self._n_qubits)
+        canonical = self.canonical()
+        n = len(canonical)
+        bx, bz = (_bits(w, self._n_qubits) for w in (canonical.x, canonical.z))
         active = np.flatnonzero((bx | bz).any(axis=0))
         k = len(active)
         check_memory(16 * 4**k + 512 * n, f"the commutation table of {k} qubits")
@@ -896,41 +889,48 @@ class PauliSum:
         order = np.lexsort((np.arange(n), -degree))
         color = np.empty(n, dtype=np.intp)
         color[order] = _greedy_colors(codes[order], k, mode == "full")
-        n_sets = int(color.max()) + 1 if n else 0
-        sets: list[list[tuple[PauliString, complex]]] = [[] for _ in range(n_sets)]
-        for term, c in zip(term_list, color.tolist()):
-            sets[c].append(term)
-        return tuple(tuple(s) for s in sets)
+        terms, order = canonical.items(), np.argsort(color, kind="stable")
+        sets = np.split(order, np.cumsum(np.bincount(color))[:-1]) if n else []
+        return tuple(tuple(terms[i] for i in s.tolist()) for s in sets)
 
-    # ------------------------------------------------------------------
-    # serialization
-    # ------------------------------------------------------------------
+    # --- serialization ---
     def to_json(self) -> str:
         """Serializes to the Pauli-sum JSON format (lossless round trip)."""
-        payload = {
-            "n_qubits": self._n_qubits,
-            "terms": [
-                {"coeff": [c.real, c.imag], "paulis": s.to_label()}
-                for s, c in self.terms()
-            ],
-        }
-        return json.dumps(payload, indent=1)
+        terms = [{"coeff": [c.real, c.imag], "paulis": s.to_label()} for s, c in self.terms()]
+        return json.dumps({"n_qubits": self._n_qubits, "terms": terms}, indent=1)
 
     @classmethod
     def from_json(cls, text: str) -> "PauliSum":
+        """Parses :meth:`to_json`'s format, like strings combined.
+
+        Raises:
+            ValueError: a malformed label, a non-finite coefficient, or a
+                width that is not a non-negative integer or that a term exceeds.
+        """
         payload = json.loads(text)
-        for t in payload["terms"]:
-            if not isinstance(t["paulis"], str):
-                raise ValueError(f"Pauli label {t['paulis']!r} is not a string")
-        terms = [
-            (PauliString.from_label(t["paulis"]), complex(*t["coeff"]))
-            for t in payload["terms"]
-        ]
-        if not all(np.isfinite(c) for _, c in terms):
+        labels = [t["paulis"] for t in payload["terms"]]
+        for label in labels:
+            if not isinstance(label, str):
+                raise ValueError(f"Pauli label {label!r} is not a string")
+        term, qubit, axis = _factors(labels)
+        coeff = np.array([complex(*t["coeff"]) for t in payload["terms"]], complex)
+        if not np.isfinite(coeff).all():
             raise ValueError("non-finite term coefficient")
-        if type(payload["n_qubits"]) is not int:
+        n = payload["n_qubits"]
+        if type(n) is not int:
             raise ValueError("n_qubits must be an integer")
-        return cls(payload["n_qubits"], terms)
+        if n < 0:
+            raise ValueError("register width must be non-negative")
+        if np.any(qubit >= n):
+            label = labels[term[np.argmax(qubit >= n)]]
+            label = PauliString.from_label(label).to_label()
+            raise ValueError(f"term {label!r} exceeds register width {n}")
+        word, bit = np.divmod(qubit, 64)
+        one = np.uint64(1) << bit.astype(np.uint64)
+        x, z = np.zeros((2, len(labels), _n_words(n)), dtype=np.uint64)
+        for masks, on in ((x, axis != ord("Z")), (z, axis != ord("X"))):
+            np.bitwise_or.at(masks, (term[on], word[on]), one[on])
+        return cls._of(n, *_combined(x, z, coeff, n))
 
     def __repr__(self) -> str:  # pragma: no cover - repr convenience
         inner = " + ".join(
@@ -974,10 +974,7 @@ def gf2_reduce(rows: Iterable[int]) -> tuple[dict[int, int], list[int]]:
     return pivots, dependent
 
 
-# ----------------------------------------------------------------------
-# the sum product as a function; qcm4's moments and chem's tapering call it
-# by this name, which the benchmark's tracer counts
-# ----------------------------------------------------------------------
 def sum_multiply(a: PauliSum, b: PauliSum) -> PauliSum:
-    """``a @ b``: the operator product with like terms combined."""
+    """``a @ b``, by the name qcm4's moments and chem's tapering call and the
+    benchmark's tracer counts."""
     return a @ b

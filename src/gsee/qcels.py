@@ -146,7 +146,7 @@ def scale(h: PauliSum) -> ScaledHamiltonian:
         raise ValueError("Hamiltonian must be Hermitian")
     h0 = h.identity_coefficient.real
     # the shifted sum is freed before eigh allocates the vectors
-    cells = (h - PauliSum(h.n_qubits, {PauliString(): h0})).blocks()
+    cells = (h - PauliSum(h.n_qubits, [(PauliString(), h0)])).blocks()
     rows = tuple(r for r, _ in cells)
     vals, vecs = zip(*(np.linalg.eigh(mats) for _, mats in cells))
     h1 = 4.0 * max(float(np.max(np.abs(v))) for v in vals) / math.pi

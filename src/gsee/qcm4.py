@@ -137,40 +137,29 @@ def pauli_filter(
     """
     if m.n_qubits != psi.n_qubits:
         raise ValueError("moment operators and state widths differ")
-    amps = psi.amplitudes
-    values: dict[PauliString, float] = {}
-    for power in m.powers:
-        for string, _ in power.terms():
-            if string != PauliString() and string not in values:
-                values[string] = np.vdot(amps, string.act(amps)).real
-    dropped = {s: v for s, v in values.items() if abs(v) <= FILTER_TOL}
-    filtered = []
-    survivors = []
-    for power in m.powers:
-        kept: dict[PauliString, complex] = {}
-        shift = 0.0
-        for string, coeff in power.terms():
-            if string in dropped:
-                shift += coeff.real * dropped[string]
-            else:
-                kept[string] = coeff
-        kept[PauliString()] = kept.get(PauliString(), 0j) + shift
-        filtered.append(PauliSum(m.n_qubits, kept))
-        survivors.append(
-            sum(1 for s in kept if s != PauliString())
-        )
-    report = FilterReport(
-        tol=FILTER_TOL,
-        evaluated=len(values),
-        survivors=tuple(survivors),
-        audited=tuple(
-            sorted(dropped.items(), key=lambda t: t[0].sort_key())
-        ),
-    )
-    return (
-        MomentOperators(tuple(filtered), m.threshold, m.dropped),
-        report,
-    )
+    powers = [p.canonical() for p in m.powers]
+    masks = np.concatenate([np.concatenate((p.x, p.z), axis=1) for p in powers])
+    unique, inverse = np.unique(masks, axis=0, return_inverse=True)
+    # an x and a z word each: a state vector holds fewer than 64 qubits
+    strings = list(map(PauliString, *unique.T.tolist()))
+    amps, measured = psi.amplitudes, unique.any(axis=1)  # all but the identity
+    values = np.array([np.vdot(amps, s.act(amps)).real for s in strings])
+    gone = (np.abs(values) <= FILTER_TOL) & measured
+    pad = np.zeros((1, masks.shape[1] // 2), np.uint64)
+    filtered, survivors = [], []
+    for power, own in zip(powers, np.split(inverse.ravel(), np.cumsum(m.term_counts)[:-1])):
+        drop = gone[own]
+        # the dropped terms' exact contribution, added in canonical order,
+        # then into the identity's coefficient (or as one, last)
+        shift = np.cumsum(np.r_[0.0, power.coeff.real[drop] * values[own[drop]]])[-1]
+        x, z = (np.vstack((w[~drop], pad)) for w in (power.x, power.z))
+        coeff = np.append(power.coeff[~drop], shift)
+        filtered.append(PauliSum.from_arrays(m.n_qubits, x, z, coeff))
+        survivors.append(int(np.count_nonzero(~drop & measured[own])))
+    dropped = [(s, v) for s, v, g in zip(strings, values, gone) if g]
+    audited = tuple(sorted(dropped, key=lambda t: t[0].sort_key()))
+    report = FilterReport(FILTER_TOL, int(np.count_nonzero(measured)), tuple(survivors), audited)
+    return MomentOperators(tuple(filtered), m.threshold, m.dropped), report
 
 
 # ----------------------------------------------------------------------
@@ -332,8 +321,9 @@ def _diagonalizing_ops(
 def plan(m: MomentOperators, mode: str = "full") -> MeasurementPlan:
     """Builds one measurement circuit per commuting set of strings.
 
-    Identical strings appearing in several powers are deduplicated and
-    measured once.  Identity coefficients become per-power constants.
+    Identical strings appearing in several powers are deduplicated, on
+    their mask arrays, and measured once.  Identity coefficients become
+    per-power constants.
     One tableau pass per set (:func:`_diagonalizing_ops`) chooses its
     Clifford and turns every member into a Z mask with a sign, which the
     :class:`PlanCircuit` holds as arrays with the per-power coefficients.
@@ -343,16 +333,17 @@ def plan(m: MomentOperators, mode: str = "full") -> MeasurementPlan:
             indicates an inconsistent grouping.
     """
     n = m.n_qubits
-    index: dict[PauliString, int] = {}
-    table = np.zeros((sum(len(p) for p in m.powers), 4))
-    constants = [0.0, 0.0, 0.0, 0.0]
-    for idx, power in enumerate(m.powers):
-        for string, coeff in power.items():
-            if string.x_mask or string.z_mask:
-                table[index.setdefault(string, len(index)), idx] = coeff.real
-            else:
-                constants[idx] += coeff.real
-    distinct = PauliSum(n, dict.fromkeys(index, 1.0))
+    masks = np.concatenate([np.concatenate((p.x, p.z), axis=1) for p in m.powers])
+    power = np.repeat(np.arange(4), m.term_counts)
+    coeff = np.concatenate([p.coeff for p in m.powers]).real
+    measured = masks.any(axis=1)  # all but the identities
+    unique, inverse = np.unique(masks[measured], axis=0, return_inverse=True)
+    table = np.zeros((len(unique), 4))
+    table[inverse.ravel(), power[measured]] = coeff[measured]
+    # each distinct string's coefficient is its table row plus one, so
+    # that the commuting sets name their rows
+    w, rows = masks.shape[1] // 2, np.arange(1.0, len(unique) + 1)
+    distinct = PauliSum.from_arrays(n, unique[:, :w], unique[:, w:], rows)
 
     circuits = []
     schema: dict[tuple, list[Gate]] = {}  # the gates of each distinct op, built once
@@ -364,14 +355,10 @@ def plan(m: MomentOperators, mode: str = "full") -> MeasurementPlan:
             if op not in schema:
                 schema[op] = _schema_gates(op)
             gates.extend(schema[op])
-        coeffs = table[[index[s] for s in strings]]
+        coeffs = table[[int(c.real) - 1 for _, c in group]]
         circuits.append(PlanCircuit(Circuit(n, gates), strings, z_masks, signs, coeffs))
-    return MeasurementPlan(
-        n_qubits=n,
-        mode=mode,
-        circuits=tuple(circuits),
-        constants=tuple(constants),
-    )
+    constants = tuple(p.identity_coefficient.real for p in m.powers)
+    return MeasurementPlan(n, mode, tuple(circuits), constants)
 
 
 # ----------------------------------------------------------------------

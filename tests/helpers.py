@@ -37,7 +37,13 @@ def dense_string(string: PauliString, n_qubits: int) -> np.ndarray:
 
 def coefficient(a: PauliSum, string: PauliString) -> complex:
     """The coefficient of ``string`` in ``a``; ``0j`` when ``a`` lacks it."""
-    return a._terms.get(string, 0j)
+    if string.min_width > a.n_qubits:
+        return 0j
+    words = [[(m >> 64 * w) & (2**64 - 1) for w in range(a.x.shape[1])]
+             for m in (string.x_mask, string.z_mask)]
+    hit = (a.x == np.array(words[0], np.uint64)).all(axis=1)
+    hit &= (a.z == np.array(words[1], np.uint64)).all(axis=1)
+    return next(iter(a.coeff[hit].tolist()), 0j)
 
 
 def dense_sum(a: PauliSum) -> np.ndarray:

@@ -564,24 +564,75 @@ class TestNonFiniteInputs:
         assert str(ci) in err and "non-finite" in err
 
 
+def assert_operator_exits_2(tmp_path, capsys, command, operator_json, message):
+    operator = tmp_path / "op.json"
+    operator.write_text(json.dumps(operator_json))
+    payload = {"algorithm": command, "operator": "op.json", "state": {"basis": 0}}
+    if command == "recompile":
+        payload["recompile"] = {"layers": 1, "max_iterations": 1, "restarts": 1}
+    config = write_config(tmp_path, payload)
+    out = tmp_path / "run"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"bad operator file {operator}: {message}" in err
+    assert not (out / "results.json").exists()
+
+
 class TestOperatorFiles:
     @pytest.mark.parametrize("command", ["qcels", "qcm4", "recompile"])
     @pytest.mark.parametrize("term, message", [
         ({"coeff": [0.3, 0.2], "paulis": "Z0"}, "Hamiltonian must be Hermitian"),
         ({"coeff": [0.3, 0.0], "paulis": 5}, "Pauli label 5 is not a string"),
-    ], ids=["non_hermitian", "label_not_string"])
+        ({"coeff": [0.3, 0.0], "paulis": "Q0"}, "malformed Pauli token 'Q0'"),
+        ({"coeff": [0.3, 0.0], "paulis": "X"}, "malformed Pauli token 'X'"),
+        ({"coeff": [0.3, 0.0], "paulis": "Z0 X0.5"}, "malformed Pauli token 'X0.5'"),
+        ({"coeff": [0.3, 0.0], "paulis": "X0 z0"}, "qubit 0 appears twice in 'X0 z0'"),
+        ({"coeff": [0.3, 0.0], "paulis": "X4 Z0"}, "term 'Z0 X4' exceeds register width 1"),
+        ({"coeff": [float("nan"), 0.0], "paulis": "Z0"}, "non-finite term coefficient"),
+        ({"coeff": [0.3, float("inf")], "paulis": "Z0"}, "non-finite term coefficient"),
+    ], ids=["non_hermitian", "label_not_string", "unknown_axis", "no_index",
+            "fractional_index", "repeated_qubit", "past_width", "nan", "infinite"])
     def test_invalid_operator_exits_2(self, tmp_path, capsys, command, term, message):
-        operator = tmp_path / "op.json"
-        operator.write_text(json.dumps({"n_qubits": 1, "terms": [term]}))
-        payload = {"algorithm": command, "operator": "op.json", "state": {"basis": 0}}
-        if command == "recompile":
-            payload["recompile"] = {"layers": 1, "max_iterations": 1, "restarts": 1}
-        config = write_config(tmp_path, payload)
+        assert_operator_exits_2(
+            tmp_path, capsys, command, {"n_qubits": 1, "terms": [term]}, message
+        )
+
+    @pytest.mark.parametrize("command", ["qcels", "qcm4", "recompile"])
+    @pytest.mark.parametrize("width, message", [
+        (1.0, "n_qubits must be an integer"),
+        ("1", "n_qubits must be an integer"),
+        (True, "n_qubits must be an integer"),
+        (-1, "register width must be non-negative"),
+    ], ids=["float", "string", "bool", "negative"])
+    def test_invalid_width_exits_2(self, tmp_path, capsys, command, width, message):
+        terms = [{"coeff": [0.3, 0.0], "paulis": "Z0"}]
+        assert_operator_exits_2(
+            tmp_path, capsys, command, {"n_qubits": width, "terms": terms}, message
+        )
+
+
+class TestNoStringHashing:
+    """The qcm4 and qcels run paths read the operator's arrays and hash no
+    ``PauliString``."""
+
+    @pytest.mark.parametrize("command, argv, extra", [
+        ("qcm4", [], {}),
+        ("qcm4", [], {"qcm4": {"filter": True, "grouping": "qubitwise"}}),
+        ("qcm4", ["--mode", "shots", "--spc", "100"], {"qcm4": {"filter": True}}),
+        ("qcels", ["--mode", "shots", "--spc", "100"], {}),
+    ], ids=["qcm4", "qcm4-filter-qubitwise", "qcm4-filter-shots", "qcels-shots"])
+    def test_runs_hash_no_string(self, tmp_path, monkeypatch, command, argv, extra):
+        config = h2_config(tmp_path, command, **extra)
+
+        def refuse(string):
+            raise AssertionError(f"hashed {string}")
+
+        monkeypatch.setattr(PauliString, "__hash__", refuse)
+        with pytest.raises(AssertionError, match="hashed"):
+            {PauliString(1, 0)}
         out = tmp_path / "run"
-        assert main([command, "--config", str(config), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert f"bad operator file {operator}: {message}" in err
-        assert not (out / "results.json").exists()
+        assert main([command, "--config", str(config), "--out", str(out), *argv]) == 0
+        assert (out / "results.json").exists()
 
 
 class TestQcelsRun:

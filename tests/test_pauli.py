@@ -503,7 +503,7 @@ class TestArrayKernels:
         n, a, b = case
         want = purged_product(a, b)
         with mock.patch.object(pauli, "_PRODUCT_BLOCK", block):
-            got = (PauliSum(n, a) @ PauliSum(n, b))._terms
+            got = dict((PauliSum(n, a) @ PauliSum(n, b)).items())
         assert list(got) == list(want)
         assert all(got[s] == c for s, c in want.items())
         assert PauliSum(n, got) == PauliSum(n, loop_product(a, b))
@@ -516,7 +516,7 @@ class TestArrayKernels:
             a.setdefault(s, 0.25)
         assert loop_product(a, b)[PauliString(0, za.z_mask ^ zb.z_mask)] == 0
         product = PauliSum(130, a) @ PauliSum(130, b)
-        assert product._terms == purged_product(a, b)
+        assert dict(product.items()) == purged_product(a, b)
         assert coefficient(product, PauliString(0, za.z_mask ^ zb.z_mask)) == 0
 
     def test_large_product_matches_dense(self):
@@ -537,7 +537,7 @@ class TestArrayKernels:
         rng = np.random.default_rng(seed)
         strings = sparse_strings(rng, n, size, 6)
         a = PauliSum(n, {s: 1.0 + k for k, s in enumerate(strings)})
-        items = list(a._terms.items())
+        items = a.items()
         assert a.terms() == sorted(items, key=lambda t: t[0].sort_key())
 
     def test_terms_sort_prefixes_and_word_edges(self):
@@ -546,7 +546,7 @@ class TestArrayKernels:
         strings = [PauliString.from_label(t) for t in labels]
         strings += sparse_strings(np.random.default_rng(7), 130, 400, 3)
         a = PauliSum(130, {s: 1.0 for s in reversed(strings)})
-        items = list(a._terms.items())
+        items = a.items()
         assert a.terms() == sorted(items, key=lambda t: t[0].sort_key())
 
     @pytest.mark.parametrize("n", [0, 3, 70])
@@ -563,13 +563,96 @@ class TestArrayKernels:
         assert PauliSum.from_json(identity.to_json()) == identity
 
 
+def dict_sum(terms) -> dict:
+    """The dict storage a sum once had: like strings added from ``0j`` in
+    term order, then the sums purged."""
+    out: dict = {}
+    for string, c in terms:
+        out[string] = out.get(string, 0j) + complex(c)
+    return {s: c for s, c in out.items() if abs(c) > pauli.PURGE_TOL}
+
+
+def bits_of(pairs) -> list:
+    """(string, the coefficient's parts as exact hex, signed zeros kept)."""
+    return [(s, c.real.hex(), c.imag.hex()) for s, c in pairs]
+
+
+@st.composite
+def repeated_terms(draw):
+    """Terms on up to 6 qubits from a pool of at most 5 strings: repeats,
+    exact cancellations and coefficients at ``PURGE_TOL``."""
+    n = draw(st.integers(0, 6))
+    mask = st.integers(0, 2**n - 1)
+    pool = draw(st.lists(st.builds(PauliString, mask, mask), min_size=1, max_size=5))
+    edge = st.sampled_from([pauli.PURGE_TOL, -pauli.PURGE_TOL, 1j * pauli.PURGE_TOL,
+                            1.5 * pauli.PURGE_TOL, 0.0, -0.0, 0.5, -0.25j])
+    coeff = edge | st.complex_numbers(max_magnitude=4.0, allow_nan=False,
+                                      allow_infinity=False, allow_subnormal=False)
+    terms = draw(st.lists(st.tuples(st.sampled_from(pool), coeff), max_size=14))
+    if terms and draw(st.booleans()):  # cancel some terms exactly
+        terms += [(s, -c) for s, c in draw(st.lists(st.sampled_from(terms), max_size=4))]
+    return n, terms
+
+
+class TestArrayStorage:
+    """The arrays keep the dict storage's strings, order and coefficient bits."""
+
+    @given(case=repeated_terms())
+    def test_constructor_is_the_dict(self, case):
+        n, terms = case
+        assert bits_of(PauliSum(n, terms).items()) == bits_of(dict_sum(terms).items())
+
+    @given(a=repeated_terms(), b=repeated_terms(), scalar=st.complex_numbers(
+        max_magnitude=3.0, allow_nan=False, allow_infinity=False))
+    def test_arithmetic_is_the_dict(self, a, b, scalar):
+        n = max(a[0], b[0])
+        x, y = dict_sum(a[1]), dict_sum(b[1])
+        sx, sy = PauliSum(n, a[1]), PauliSum(n, b[1])
+        merged = dict(x)
+        for string, c in y.items():
+            merged[string] = merged.get(string, 0j) + c
+        assert bits_of((sx + sy).items()) == bits_of(dict_sum(merged.items()).items())
+        merged = dict(x)
+        for string, c in dict_sum((s, c * -1.0) for s, c in y.items()).items():
+            merged[string] = merged.get(string, 0j) + c
+        assert bits_of((sx - sy).items()) == bits_of(dict_sum(merged.items()).items())
+        scaled = dict_sum((s, c * scalar) for s, c in x.items())
+        assert bits_of((sx * scalar).items()) == bits_of(scaled.items())
+        assert bits_of((scalar * sx).items()) == bits_of(scaled.items())
+
+    @given(case=repeated_terms(), threshold=st.sampled_from(
+        [0.0, pauli.PURGE_TOL, 2 * pauli.PURGE_TOL, 0.3, 1.0, 5.0]))
+    def test_truncate_is_the_dict(self, case, threshold):
+        n, terms = case
+        kept, dropped = PauliSum(n, terms).truncate(threshold)
+        want, weight = {}, 0.0
+        for string, c in dict_sum(terms).items():
+            if abs(c) < threshold:
+                weight += abs(c)
+            else:
+                want[string] = c
+        assert bits_of(kept.items()) == bits_of(want.items())
+        assert dropped.hex() == weight.hex()
+
+    @given(case=repeated_terms(), seed=st.integers(0, 2**32 - 1))
+    def test_equality_ignores_term_order(self, case, seed):
+        n, terms = case
+        a = PauliSum(n, terms)
+        items = list(a.items())
+        order = np.random.default_rng(seed).permutation(len(items))
+        assert PauliSum(n, [items[i] for i in order]) == a
+        if items:
+            assert PauliSum(n, [*items, (items[int(order[0])][0], 1.0)]) != a
+        assert PauliSum(n + 1, items) != a
+
+
 def row_loop(n, factors, rows, weights):
     """``Σₖ wₖ · Π factors`` one row at a time: ``@``'s oracle and the constructor."""
     pairs = []
     for row, w in zip(rows.tolist(), weights.tolist()):
         product = {PauliString(): 1 + 0j}
         for f in row:
-            product = purged_product(product, factors[f]._terms)
+            product = purged_product(product, dict(factors[f].items()))
         pairs.extend((s, w * c) for s, c in product.items())
     return PauliSum(n, pairs)
 
@@ -616,7 +699,7 @@ class TestFromProducts:
         with mock.patch.object(pauli, "_PRODUCT_BLOCK", block):
             got = PauliSum.from_products(*case)
         want = row_loop(*case)
-        for s in set(got._terms) | set(want._terms):
+        for s in set(dict(got.items())) | set(dict(want.items())):
             assert abs(coefficient(got, s) - coefficient(want, s)) <= 1e-12
 
     def test_padding_pairs_enter_no_real_key(self):
