@@ -397,10 +397,18 @@ def _reference_mask(fi: FermionIntegrals) -> int:
     return mask
 
 
-def _dense_ground(h: PauliSum) -> float | None:
+def _dense_ground(h: PauliSum, sector: tuple[int, int] | None = None) -> float | None:
+    """The lowest eigenvalue of ``h``, over the cells of its blocks whose
+    indices hold ``sector``'s (Nα, Nβ) when given; ``None`` past the cap."""
     if h.n_qubits > _DENSE_REPORT_CAP:
         return None
-    return min(float(np.linalg.eigvalsh(mats).min()) for _, mats in h.blocks())
+    alpha, lowest = sum(1 << q for q in range(0, h.n_qubits, 2)), []  # even qubits
+    for rows, mats in h.blocks():
+        if sector is not None:
+            held = np.bitwise_count(rows & alpha), np.bitwise_count(rows >> 1 & alpha)
+            mats = mats[((held[0] == sector[0]) & (held[1] == sector[1])).all(axis=1)]
+        lowest += [float(np.linalg.eigvalsh(mats).min())] if len(mats) else []
+    return min(lowest, default=None)
 
 
 def _check(key: str, call: Callable, *args: Any) -> Any:
@@ -451,7 +459,7 @@ def cmd_ingest(source: Path, out: Path, taper: bool) -> None:
         "core_energy": fi.core_energy,
         "qubits": h.n_qubits,
         "n_terms": len(h),
-        "ground_energy": _dense_ground(h),
+        "ground_energy": _dense_ground(h, ((fi.nelec + fi.ms2) // 2, (fi.nelec - fi.ms2) // 2)),
         "taper": None,
     }
     if taper:

@@ -54,6 +54,16 @@ def dense_sum(a: PauliSum) -> np.ndarray:
     return out
 
 
+def sector_ground(a: PauliSum, n_alpha: int, n_beta: int) -> float:
+    """Lowest eigenvalue of :func:`dense_sum` on the basis states with
+    ``n_alpha`` electrons on the even qubits and ``n_beta`` on the odd ones."""
+    index = np.arange(1 << a.n_qubits)
+    even = sum(1 << q for q in range(0, a.n_qubits, 2))
+    counts = np.bitwise_count(index & even), np.bitwise_count(index & (even << 1))
+    sector = index[(counts[0] == n_alpha) & (counts[1] == n_beta)]
+    return float(np.linalg.eigvalsh(dense_sum(a)[np.ix_(sector, sector)])[0])
+
+
 def eig(a: PauliSum) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian eigendecomposition ``(eigenvalues, vectors)`` of a sum.
 

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import eig, random_state, z_padded_sum
+from helpers import eig, random_state, sector_ground, z_padded_sum
 from gsee import cli, pauli
 from gsee.chem import jordan_wigner, parse_fcidump
 from gsee.cli import InputError, SCHEMA_VERSION, main, resolve_config
@@ -452,6 +452,18 @@ class TestIngest:
         assert report["qubits"] == 4
         assert report["taper"] is None
         assert report["ground_energy"] == pytest.approx(-1.137270, abs=1e-6)
+
+    def test_ground_energy_is_the_header_sector_s(self, tmp_path):
+        # NELEC 3, MS2 3: three alpha electrons and no beta one; the
+        # lowest energy over all electron counts lies in (2, 1)
+        out = tmp_path / "ingested"
+        fcidump = FIXTURES / "spin_polarized.fcidump"
+        assert main(["ingest", str(fcidump), "--out", str(out)]) == 0
+        report = json.loads((out / "ingest_report.json").read_text())
+        h = PauliSum.from_json((out / "operator.json").read_text())
+        assert (report["nelec"], report["ms2"]) == (3, 3)
+        assert abs(report["ground_energy"] - sector_ground(h, 3, 0)) <= 1e-10
+        assert sector_ground(h, 2, 1) < report["ground_energy"] - 0.1
 
     def test_taper_preserves_ground_energy(self, tmp_path, capsys):
         out = ingest_h2(tmp_path, taper=True)
