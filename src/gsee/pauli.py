@@ -405,7 +405,7 @@ def _factors(labels: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         qubit[i] = min(int(text[start[i] + 1 : start[i] + size[i]]), 2**62)
     # equal keys: a qubit twice in a label, or two indices past 2^32
     key = np.sort(term << 32 | np.minimum(qubit, 2**32 - 1))
-    for t in np.unique(key[1:][key[1:] == key[:-1]] >> 32).tolist():
+    for t in (key[1:][key[1:] == key[:-1]] >> 32).tolist():  # ascending
         PauliString.from_label(labels[t])
     return term, qubit, axis
 
