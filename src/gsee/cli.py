@@ -397,16 +397,16 @@ def _reference_mask(fi: FermionIntegrals) -> int:
     return mask
 
 
-def _dense_ground(h: PauliSum, sector: tuple[int, int] | None = None) -> float | None:
-    """The lowest eigenvalue of ``h``, over the cells of its blocks whose
-    indices hold ``sector``'s (Nα, Nβ) when given; ``None`` past the cap."""
+def _dense_ground(h: PauliSum, reference: int | None = None) -> float | None:
+    """The lowest eigenvalue of ``h`` over its blocks, or over the cells whose
+    indices hold as many α (even) and β (odd) electrons as ``reference``."""
     if h.n_qubits > _DENSE_REPORT_CAP:
         return None
     alpha, lowest = sum(1 << q for q in range(0, h.n_qubits, 2)), []  # even qubits
     for rows, mats in h.blocks():
-        if sector is not None:
-            held = np.bitwise_count(rows & alpha), np.bitwise_count(rows >> 1 & alpha)
-            mats = mats[((held[0] == sector[0]) & (held[1] == sector[1])).all(axis=1)]
+        for s in (alpha, alpha << 1) if reference is not None else ():  # α, then β
+            held = (np.bitwise_count(rows & s) == (reference & s).bit_count()).all(axis=1)
+            rows, mats = rows[held], mats[held]
         lowest += [float(np.linalg.eigvalsh(mats).min())] if len(mats) else []
     return min(lowest, default=None)
 
@@ -459,7 +459,7 @@ def cmd_ingest(source: Path, out: Path, taper: bool) -> None:
         "core_energy": fi.core_energy,
         "qubits": h.n_qubits,
         "n_terms": len(h),
-        "ground_energy": _dense_ground(h, ((fi.nelec + fi.ms2) // 2, (fi.nelec - fi.ms2) // 2)),
+        "ground_energy": _dense_ground(h, mask),
         "taper": None,
     }
     if taper:

@@ -88,7 +88,7 @@ class PauliString:
     z_mask: int = 0
 
     def __post_init__(self) -> None:
-        if type(self.x_mask) is type(self.z_mask) is int and min(self.x_mask, self.z_mask) >= 0:
+        if type(self.x_mask) is type(self.z_mask) is int and self.x_mask >= 0 <= self.z_mask:
             return
         for name, mask in (("x_mask", self.x_mask), ("z_mask", self.z_mask)):
             if not isinstance(mask, (int, np.integer)) or mask < 0:
@@ -605,7 +605,7 @@ class PauliSum:
         self._n_qubits, self._x, self._z, self._coeff = n_qubits, x, z, coeff
 
     @classmethod
-    def _of(cls, n_qubits: int, x: np.ndarray, z: np.ndarray, coeff: np.ndarray) -> "PauliSum":
+    def _of(cls, n_qubits: int, x, z, coeff: np.ndarray) -> "PauliSum":
         """A sum over arrays that are already combined and purged."""
         out = object.__new__(cls)
         out._set(n_qubits, x, z, coeff)
@@ -806,10 +806,8 @@ class PauliSum:
         # repeated x masks are dependent rows: the pivots of the distinct ones
         pivots, _ = gf2_reduce(dict.fromkeys(_mask_ints(self._x)))
         n, dim = self._n_qubits, 1 << self._n_qubits
-        magnitudes = np.hypot(self._coeff.real, self._coeff.imag)
-        bound = np.finfo(float).eps * sum(
-            magnitudes[(self._x | self._z).any(axis=1)].tolist()
-        )
+        c = self._coeff[(self._x | self._z).any(axis=1)]  # all but the identity's
+        bound = np.finfo(float).eps * sum(np.hypot(c.real, c.imag).tolist())
         item, coset = (8 if real else 16), dim << len(pivots)
         even, odd = (n + 1) // 2, n // 2
         spin_pairs = min(math.comb(2 * even, even) * math.comb(2 * odd, odd), coset)
@@ -844,7 +842,8 @@ class PauliSum:
         magnitudes = np.hypot(self._coeff.real, self._coeff.imag)
         kept = ~(magnitudes < threshold)
         dropped = float(np.cumsum(np.r_[0.0, magnitudes[~kept]])[-1])
-        return self._of(self._n_qubits, self._x[kept], self._z[kept], self._coeff[kept]), dropped
+        x, z, coeff = self._x[kept], self._z[kept], self._coeff[kept]
+        return self._of(self._n_qubits, x, z, coeff), dropped
 
     def group_commuting(
         self, mode: str = "full"

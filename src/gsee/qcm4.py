@@ -125,6 +125,11 @@ class FilterReport:
     audited: tuple[tuple[PauliString, float], ...]
 
 
+def _row_keys(masks: np.ndarray) -> np.ndarray:
+    """C-contiguous rows as byte-string keys, which sort faster than ``axis=0``."""
+    return masks.view(np.dtype((np.void, masks.itemsize * masks.shape[1])))[:, 0]
+
+
 def pauli_filter(
     m: MomentOperators, psi: StateVector
 ) -> tuple[MomentOperators, FilterReport]:
@@ -139,15 +144,15 @@ def pauli_filter(
         raise ValueError("moment operators and state widths differ")
     powers = [p.canonical() for p in m.powers]
     masks = np.concatenate([np.concatenate((p.x, p.z), axis=1) for p in powers])
-    unique, inverse = np.unique(masks, axis=0, return_inverse=True)
+    _, first, inverse = np.unique(_row_keys(masks), return_index=True, return_inverse=True)
     # an x and a z word each: a state vector holds fewer than 64 qubits
-    strings = list(map(PauliString, *unique.T.tolist()))
-    amps, measured = psi.amplitudes, unique.any(axis=1)  # all but the identity
+    strings = list(map(PauliString, *masks[first].T.tolist()))
+    amps, measured = psi.amplitudes, masks[first].any(axis=1)  # all but the identity
     values = np.array([np.vdot(amps, s.act(amps)).real for s in strings])
     gone = (np.abs(values) <= FILTER_TOL) & measured
     pad = np.zeros((1, masks.shape[1] // 2), np.uint64)
     filtered, survivors = [], []
-    for power, own in zip(powers, np.split(inverse.ravel(), np.cumsum(m.term_counts)[:-1])):
+    for power, own in zip(powers, np.split(inverse, np.cumsum(m.term_counts)[:-1])):
         drop = gone[own]
         # the dropped terms' exact contribution, added in canonical order,
         # then into the identity's coefficient (or as one, last)
@@ -158,7 +163,7 @@ def pauli_filter(
         survivors.append(int(np.count_nonzero(~drop & measured[own])))
     dropped = [(s, v) for s, v, g in zip(strings, values, gone) if g]
     audited = tuple(sorted(dropped, key=lambda t: t[0].sort_key()))
-    report = FilterReport(FILTER_TOL, int(np.count_nonzero(measured)), tuple(survivors), audited)
+    report = FilterReport(FILTER_TOL, int(measured.sum()), tuple(survivors), audited)
     return MomentOperators(tuple(filtered), m.threshold, m.dropped), report
 
 
@@ -321,12 +326,12 @@ def _diagonalizing_ops(
 def plan(m: MomentOperators, mode: str = "full") -> MeasurementPlan:
     """Builds one measurement circuit per commuting set of strings.
 
-    Identical strings appearing in several powers are deduplicated, on
-    their mask arrays, and measured once.  Identity coefficients become
-    per-power constants.
-    One tableau pass per set (:func:`_diagonalizing_ops`) chooses its
-    Clifford and turns every member into a Z mask with a sign, which the
-    :class:`PlanCircuit` holds as arrays with the per-power coefficients.
+    Identical strings appearing in several powers are deduplicated on
+    their mask arrays and measured once.  Identity coefficients become
+    per-power constants.  One tableau pass per set
+    (:func:`_diagonalizing_ops`) chooses its Clifford and turns every
+    member into a Z mask with a sign, which the :class:`PlanCircuit` holds
+    as arrays with the per-power coefficients.
 
     Raises:
         ValueError: a set member fails to conjugate to a Z string, which
@@ -337,13 +342,14 @@ def plan(m: MomentOperators, mode: str = "full") -> MeasurementPlan:
     power = np.repeat(np.arange(4), m.term_counts)
     coeff = np.concatenate([p.coeff for p in m.powers]).real
     measured = masks.any(axis=1)  # all but the identities
-    unique, inverse = np.unique(masks[measured], axis=0, return_inverse=True)
-    table = np.zeros((len(unique), 4))
-    table[inverse.ravel(), power[measured]] = coeff[measured]
+    masks, power, coeff = masks[measured], power[measured], coeff[measured]
+    _, first, inverse = np.unique(_row_keys(masks), return_index=True, return_inverse=True)
+    table = np.zeros((len(first), 4))
+    table[inverse, power] = coeff
     # each distinct string's coefficient is its table row plus one, so
     # that the commuting sets name their rows
-    w, rows = masks.shape[1] // 2, np.arange(1.0, len(unique) + 1)
-    distinct = PauliSum.from_arrays(n, unique[:, :w], unique[:, w:], rows)
+    w, rows = masks.shape[1] // 2, np.arange(1.0, len(first) + 1)
+    distinct = PauliSum.from_arrays(n, masks[first, :w], masks[first, w:], rows)
 
     circuits = []
     schema: dict[tuple, list[Gate]] = {}  # the gates of each distinct op, built once
