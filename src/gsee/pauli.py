@@ -888,8 +888,8 @@ class PauliSum:
         order = np.lexsort((np.arange(n), -degree))
         color = np.empty(n, dtype=np.intp)
         color[order] = _greedy_colors(codes[order], k, mode == "full")
-        terms, order = canonical.items(), np.argsort(color, kind="stable")
-        sets = np.split(order, np.cumsum(np.bincount(color))[:-1]) if n else []
+        terms, by_color = canonical.items(), np.argsort(color, kind="stable")
+        sets = np.split(by_color, np.cumsum(np.bincount(color))[:-1]) if n else []
         return tuple(tuple(terms[i] for i in s.tolist()) for s in sets)
 
     # --- serialization ---
@@ -921,8 +921,7 @@ class PauliSum:
         if n < 0:
             raise ValueError("register width must be non-negative")
         if np.any(qubit >= n):
-            label = labels[term[np.argmax(qubit >= n)]]
-            label = PauliString.from_label(label).to_label()
+            label = PauliString.from_label(labels[term[np.argmax(qubit >= n)]]).to_label()
             raise ValueError(f"term {label!r} exceeds register width {n}")
         word, bit = np.divmod(qubit, 64)
         one = np.uint64(1) << bit.astype(np.uint64)
