@@ -30,7 +30,6 @@ Example:
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
