@@ -1,25 +1,38 @@
 """Exact algebra over Pauli strings and weighted Pauli sums.
 
-A string is held in the symplectic representation (Aaronson & Gottesman,
-PRA 70, 052328, 2004): bit ``q`` of ``x_mask`` / ``z_mask`` records an X /
-Z factor on qubit ``q``, and a Y sets both.  A sum holds its terms as
-arrays, bit-packed as in Stim (Gidney, *Quantum* 5, 497, 2021): ``uint64``
-mask words ``(T, W)``, word ``w`` holding qubits ``64w .. 64w+63``, and
-``complex`` coefficients (T), in formation order.  Every kernel reads
-them: products (one blocked :func:`_product_step` behind ``@`` and
-:meth:`PauliSum.from_products`), like-term sums, the canonical order, the
-commuting sets, the symmetry blocks and the JSON format.  Strings are
-built only where a caller asks for them, and no kernel hashes one.
+Strings are held in a symplectic bitmask representation: a string is the
+pair of integers ``(x_mask, z_mask)`` where bit ``q`` of ``x_mask`` /
+``z_mask`` records an X / Z factor on qubit ``q``, and a Y factor sets
+both bits.  Products, commutation checks, and dense-matrix actions then
+reduce to bit arithmetic.
 
-Qubit ``q`` is bit ``q`` of a basis index, and with ``P = i^{|x&z|} X^x
-Z^z`` a string maps ``|b>`` to ``i^{|x&z|} (-1)^{|z&b|} |b^x>``.  Only
-:meth:`PauliString.action` (the simulator, dense matrices, tapering) and
-:func:`z_signs` (Z-basis estimation) compute that action.
-:func:`gf2_reduce` serves tapering, measurement planning and
-:meth:`PauliSum.blocks`; ``qcm4._diagonalizing_ops`` keeps its own
-x-block reduction, whose pivots choose the Clifford gates it emits.  The
-dense paths, products and grouping refuse only a peak estimate beyond
-physical memory (:func:`check_memory`), before their arrays exist.
+A sum holds its terms as arrays of their masks, bit-packed as in Stim
+(Gidney, *Quantum* 5, 497, 2021): ``uint64[T, W]`` words with ``W =
+ceil(n/64)``, and ``complex`` coefficients (T), in formation order.
+Products (``@`` and :meth:`PauliSum.from_products`, one blocked step
+:func:`_product_step`), the canonical order (:meth:`PauliSum.terms`) and
+the commuting sets (:meth:`PauliSum.group_commuting`, from a table over
+the active qubits' factors and no pair graph) read the arrays and
+reproduce their loop versions bit for bit; strings are built only where
+a caller asks for them.
+
+The qubit-to-amplitude convention used throughout the package is little
+endian: qubit ``q`` is bit ``q`` of the computational-basis index.  With
+``P = i^{|x&z|} X^x Z^z``, a string maps ``|b>`` to
+``i^{|x&z|} (-1)^{|z&b|} |b^x>`` (Aaronson & Gottesman, PRA 70, 052328,
+2004).  This module is the only place that action is computed:
+:meth:`PauliString.action` serves the simulator, the dense matrices and
+tapering, and :func:`z_signs` Z-basis estimation.  :func:`gf2_reduce`
+serves tapering, the dependent-string test of measurement planning and
+the symmetry blocks of :meth:`PauliSum.blocks`;
+``qcm4._diagonalizing_ops`` keeps its own column-by-column x-block
+reduction, because those pivots choose the Clifford gates it emits and
+the qcm4 shot records depend on them.
+
+No width cap: :meth:`PauliSum.to_dense`, :meth:`PauliSum.blocks`,
+:meth:`PauliSum.from_products` and :meth:`PauliSum.group_commuting` refuse
+only a peak estimate beyond physical memory (:func:`check_memory`), before
+their large arrays exist.
 
 Example:
     >>> x = PauliSum(1, {PauliString.from_label("X0"): 1.0})
@@ -30,6 +43,7 @@ Example:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -43,6 +57,7 @@ __all__ = [
     "PauliSum",
     "gf2_reduce",
     "sum_multiply",
+    "distinct_strings",
     "z_signs",
     "PURGE_TOL",
     "check_memory",
@@ -97,7 +112,10 @@ class PauliString:
 
     @classmethod
     def from_support(cls, support: Mapping[int, str]) -> "PauliString":
-        """Builds a string from a ``{qubit: "X" | "Y" | "Z"}`` mapping.
+        """Builds a string from a ``{qubit: axis}`` mapping.
+
+        Args:
+            support: map from qubit index to one of ``"X"``, ``"Y"``, ``"Z"``.
 
         Raises:
             ValueError: on a negative qubit index or unknown axis letter.
@@ -121,16 +139,8 @@ class PauliString:
         Raises:
             ValueError: on malformed tokens or a repeated qubit index.
         """
-        support: dict[int, str] = {}
-        for token in label.split():
-            axis, index = token[0].upper(), token[1:]
-            if axis not in _AXIS_RANK or not index.isdigit():
-                raise ValueError(f"malformed Pauli token {token!r}")
-            q = int(index)
-            if q in support:
-                raise ValueError(f"qubit {q} appears twice in {label!r}")
-            support[q] = axis
-        return cls.from_support(support)
+        _, qubit, axis = _factors([label])
+        return cls.from_support(dict(zip(qubit.tolist(), map(chr, axis.tolist()))))
 
     @property
     def support(self) -> dict[int, str]:
@@ -167,8 +177,14 @@ class PauliString:
         return tuple((q, _AXIS_RANK[a]) for q, a in self.support.items())
 
     def commutes(self, other: "PauliString", mode: str = "full") -> bool:
-        """``"full"``: the strings differ in axis on an even number of shared
-        qubits (operator commutation); ``"qubitwise"``: on none."""
+        """Commutation test under the chosen mode.
+
+        Args:
+            mode: ``"full"`` — true iff the number of qubits where both
+                strings act with different axes is even (operator-level
+                commutation); ``"qubitwise"`` — true iff the axes agree on
+                every shared qubit.
+        """
         if mode == "full":
             sym = (self.x_mask & other.z_mask).bit_count() + (
                 self.z_mask & other.x_mask
@@ -211,10 +227,12 @@ def _popcount(words: np.ndarray) -> np.ndarray:
 
 
 def _multiply_terms(a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
-    """Products of ``(x, z, re, im)`` terms, broadcast, ``re + i·im`` the coefficient.
+    """Products of terms held as ``(x, z, re, im)`` arrays, broadcast.
 
-    Per qubit, with P(x, z) = i^{xz} X^x Z^z, P(a) P(b) = i^{xa·za + xb·zb +
-    2·za·xb − xc·zc} P(c), and ``ca * cb * phase`` is the pair loop's bit for bit.
+    ``x`` and ``z`` are ``(..., W)`` mask words and ``re + i·im`` the
+    coefficient.  Per qubit, with P(x, z) = i^{xz} X^x Z^z, P(a) P(b) =
+    i^{xa·za + xb·zb + 2·za·xb − xc·zc} P(c), and each product
+    ``ca * cb * phase`` is the pair loop's bit for bit.
     """
     (xa, za, are, aim), (xb, zb, bre, bim) = a, b
     x, z = xa ^ xb, za ^ zb
@@ -247,10 +265,11 @@ def _ordered_sums(
     """Sums of values over equal keys, added as a dict loop adds them.
 
     ``keys_of(block)`` gives a block's keys and ``terms_of(block)`` its
-    ``(keys, re, im)``.  Pass 1 builds a sorted table of the distinct keys
-    and each one's first element; pass 2 adds each value into its slot
-    (``np.searchsorted``, ``np.add.at``), from zero in element order.
-    Returns ``(first, re, im)`` per key, in order of first appearance.
+    ``(keys, re, im)``.  Pass 1 builds one sorted table of the distinct keys
+    with the index of each one's first element; pass 2 finds each element's
+    slot by ``np.searchsorted`` and adds its value with ``np.add.at``, from
+    zero in element order.  Returns ``(first, re, im)`` per key, in order
+    of first appearance.
     """
     table, first, pending, offset = np.zeros(0), np.zeros(0, np.intp), [], 0
     for i, block in enumerate(blocks):
@@ -297,8 +316,10 @@ def _combined(x, z, coeff: np.ndarray, n_qubits: int) -> tuple:
 
 
 def _term_table(sums: Sequence["PauliSum"], n_qubits: int) -> tuple[list, np.ndarray]:
-    """Sums as ``(x, z, re, im)`` arrays ``(G, T, ...)``, padded to the largest
-    size T by identities of coefficient 0, and their sizes."""
+    """Term groups as ``(x, z, re, im)`` arrays ``(G, T, ...)``, and their sizes.
+
+    Identities of coefficient 0 pad each group to T, the largest size.
+    """
     sizes = np.array([len(s) for s in sums], dtype=np.intp)
     shape = (len(sums), int(sizes.max(initial=0)))
     x, z = np.zeros((2, *shape, _n_words(n_qubits)), dtype=np.uint64)
@@ -314,11 +335,13 @@ def _product_step(
     """Each term times the factor it picks, combined per (row, string).
 
     Term k of the ``(x, z, re, im)`` arrays ``terms`` lies in ``row[k]`` and
-    pairs with the T slots of factor ``pick[k]`` (:func:`_term_table`), in
-    blocks of whole terms of at most :data:`_PRODUCT_BLOCK` pairs.  Products
-    add per (row, string) in pair order; a padding pair's row is past the
-    last, so its sum is dropped unread, as are purged sums.  Returns the
-    kept terms and their rows, in order of first appearance.
+    pairs with the T slots of factor ``pick[k]`` (:func:`_term_table`),
+    in blocks of whole terms, at most :data:`_PRODUCT_BLOCK` pairs unless
+    one term has more.  Products add per (row, string) in pair order
+    (:func:`_ordered_sums`).  A padding pair takes the row past the last,
+    so it enters no real key and its sum is dropped unread, as are the
+    sums ``PauliSum`` purges.  Returns the kept terms and their rows, in
+    order of first appearance.
     """
     table, sizes = factors
     width = table[0].shape[1]
@@ -359,9 +382,10 @@ def _bits(words: np.ndarray, n_qubits: int) -> np.ndarray:
 def _canonical_order(x: np.ndarray, z: np.ndarray, n_qubits: int) -> np.ndarray:
     """Indices that sort strings of words ``x``, ``z`` by :meth:`PauliString.sort_key`.
 
-    Qubit ``q`` gets the digit 1, 2 or 3 for X, Y or Z, 4 for an identity
-    below the string's last factor and 0 past it; one ``np.lexsort`` over
-    the digits, qubit 0 first, then sorts a prefix first, as tuples sort.
+    Qubit ``q`` of a string gets the digit 1, 2 or 3 for X, Y or Z, 4 for
+    an identity below the string's last factor and 0 past it.  One
+    ``np.lexsort`` over the digits, qubit 0 first, then compares strings
+    as ``sort_key`` compares its tuples: a prefix sorts first.
     """
     bx, bz = _bits(x, n_qubits), _bits(z, n_qubits)
     present = bx | bz
@@ -372,40 +396,51 @@ def _canonical_order(x: np.ndarray, z: np.ndarray, n_qubits: int) -> np.ndarray:
     return np.lexsort(digits.T[::-1])
 
 
-def _factors(labels: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(term, qubit, axis)`` of each factor of the labels, in label order.
+def _factors(labels: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(label, qubit, axis)`` of every factor of the labels, in label order.
 
-    All tokens are checked at once as :meth:`PauliString.from_label` checks
-    one (an ASCII axis letter and digits, no qubit twice in a label); on a
-    fault that parser, label by label, raises the first one's error.
-    ``axis`` holds ASCII codes; an index past 2^62 reads as 2^62.
+    The one parser of the label grammar: whitespace-separated tokens, each
+    an ASCII axis letter X, Y or Z in either case followed by the ASCII
+    digits of a qubit index below 2^32, no qubit twice in a label.
+    ``axis`` holds the upper-case letters' codes.
+
+    Raises:
+        ValueError: on a malformed token or a repeated qubit index, naming
+            the first one.
     """
-    # the tokens one space apart, and a "," token between two labels
-    text = " ".join(" , ".join(labels).split())
-    code = np.frombuffer(text.encode(), np.uint8)
-    start = np.flatnonzero(np.r_[True, code[:-1] == ord(" ")][: len(code)])
+    tokens = list(map(str.split, labels))
+    counts = np.fromiter(map(len, tokens), np.intp, len(labels))
+    # the tokens one space apart; a non-ASCII character becomes one "?",
+    # which no token may hold
+    text = " ".join(itertools.chain.from_iterable(tokens))
+    code = np.frombuffer(text.encode("ascii", "replace"), np.uint8)
+    start = np.r_[0, np.flatnonzero(code == ord(" ")) + 1][: counts.sum()]
     size = np.diff(start, append=len(code) + 1) - 1
-    comma = (size == 1) & (code[start] == ord(","))
-    digit = code - np.uint8(ord("0"))
-    digit[code == ord(" ")] = digit[start] = 0
-    term, start, size = np.cumsum(comma)[~comma], start[~comma], size[~comma]
     axis = code[start] & 0xDF  # upper case
-    if not (text.isascii() and np.all(size >= 2) and np.all(digit <= 9)
-            and np.isin(axis, list(b"XYZ")).all()
-            and np.count_nonzero(comma) == max(len(labels) - 1, 0)):
-        for label in labels:
-            PauliString.from_label(label)
-        raise ValueError("Pauli labels must be ASCII")
+    bad = (size < 2) | (axis - np.uint8(ord("X")) > 2)
+    digit = code - np.uint8(ord("0"))
+    digit[start] = 0
+    # a token holding a character past its letter that is no digit
+    odd = np.flatnonzero((digit > 9) & (code != ord(" ")))
+    bad[np.searchsorted(start, odd, "right") - 1] = True
     qubit = np.zeros(len(start), np.int64)
     for k in range(1, min(16, size.max(initial=0))):  # Horner, to 15 digits
         more = size > k
         qubit[more] = 10 * qubit[more] + digit[start[more] + k]
-    for i in np.flatnonzero(size > 16).tolist():
-        qubit[i] = min(int(text[start[i] + 1 : start[i] + size[i]]), 2**62)
-    # equal keys: a qubit twice in a label, or two indices past 2^32
-    key = np.sort(term << 32 | np.minimum(qubit, 2**32 - 1))
-    for t in (key[1:][key[1:] == key[:-1]] >> 32).tolist():  # ascending
-        PauliString.from_label(labels[t])
+    for i in np.flatnonzero((size > 16) & ~bad).tolist():
+        qubit[i] = min(int(text[start[i] + 1 : start[i] + size[i]]), 2**32)
+    bad |= qubit >= 2**32
+    term = np.repeat(np.arange(len(labels)), counts)
+    # a malformed token's key is its own, so that only parsed qubits repeat
+    key = np.where(bad, -1 - np.arange(len(bad)), term << 32 | qubit)
+    order = np.argsort(key, kind="stable")  # a repeated qubit's tokens keep their order
+    again = order[1:][key[order][1:] == key[order][:-1]].min(initial=len(bad))
+    # the first fault in token order, as a token-by-token parse meets it
+    if bad.any() and np.argmax(bad) < again:
+        i = np.argmax(bad)
+        raise ValueError(f"malformed Pauli token {text[start[i] : start[i] + size[i]]!r}")
+    if again < len(bad):
+        raise ValueError(f"qubit {qubit[again]} appears twice in {labels[term[again]]!r}")
     return term, qubit, axis
 
 
@@ -461,12 +496,13 @@ def _greedy_colors(codes: np.ndarray, k: int, full: bool) -> list[int]:
 
 
 def _x_groups(x: np.ndarray, z: np.ndarray, coeff: np.ndarray, real: bool) -> tuple:
-    """One-word terms by x mask, ascending: ``(x masks, bounds, z masks, values)``.
+    """The terms by x mask, ascending: ``(x masks, bounds, z masks, values)``.
 
-    Group k is the terms ``bounds[k]:bounds[k + 1]``, in term order.  Row t
-    of ``values`` holds ``c · (phase · ±1)``, :meth:`PauliString.action`'s
-    two entries times the coefficient by the same float operations; only
-    their real parts when ``real``.
+    Group k is the terms ``bounds[k]:bounds[k + 1]`` of the arrays, in
+    their order in ``x``.  Row t of ``values`` holds ``c · (phase ·
+    ±1)``, the two entries of :meth:`PauliString.action` times the
+    coefficient, formed by the same float operations; only their real
+    parts when ``real``.
     """
     x, z = x[:, 0].astype(np.int64), z[:, 0].astype(np.int64)
     phases = np.asarray(_PHASES)[np.bitwise_count(x & z) & 3, None]
@@ -480,10 +516,11 @@ def _x_groups(x: np.ndarray, z: np.ndarray, coeff: np.ndarray, real: bool) -> tu
 def _x_sums(src: np.ndarray, z: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Per index b, the sum over one x mask's terms of ``c · d[b]``.
 
-    ``src`` holds ``b ^ x``, whose Z parities pick the signs.  The terms
-    add in order from the first, as :meth:`PauliSum.to_dense` adds them
-    (+0.0 turns a -0.0 into a sum from +0.0's), at most
-    :data:`_SIGNS_PER_INDEX` signs an index at once.
+    ``src`` holds ``b ^ x``, whose Z parities pick each term's sign.  The
+    terms add in order, as :meth:`PauliSum.to_dense` adds them: the rows
+    reduce from the first, and adding +0.0 turns a -0.0 into the +0.0 of a
+    sum from +0.0.  At most :data:`_SIGNS_PER_INDEX` signs an index exist
+    at once.
     """
     out = np.empty(len(src), dtype=values.dtype)
     step = max(1, _SIGNS_PER_INDEX * len(src) // len(z))
@@ -572,11 +609,13 @@ def check_memory(n_bytes: int, what: str) -> None:
 
 
 class PauliSum:
-    """An immutable weighted sum of Pauli strings on a fixed register width.
+    """A weighted sum of Pauli strings on a fixed register width.
 
-    Terms are kept combined and purged (one entry per string, none of
-    magnitude at or below :data:`PURGE_TOL`), in formation order, as the
-    read-only arrays :attr:`x`, :attr:`z` and :attr:`coeff`.
+    Terms are kept combined and purged: after any arithmetic there is at
+    most one entry per string and no coefficient with magnitude at or
+    below :data:`PURGE_TOL`.  Instances are immutable.  The terms are the
+    read-only arrays :attr:`x`, :attr:`z` and :attr:`coeff`, in the order
+    they were formed.
     """
 
     __slots__ = ("_n_qubits", "_x", "_z", "_coeff")
@@ -614,10 +653,28 @@ class PauliSum:
     def from_arrays(
         cls, n_qubits: int, x: np.ndarray, z: np.ndarray, coeff: np.ndarray
     ) -> "PauliSum":
-        """``Σₜ coeff[t] · P(x[t], z[t])``, combined as the constructor combines;
-        the masks lie in the register, as words laid out as :attr:`x`."""
+        """``Σₜ coeff[t] · P(x[t], z[t])``, combined as the constructor combines.
+
+        Args:
+            x, z: mask words laid out as :attr:`x`, one row per coefficient.
+
+        Raises:
+            ValueError: negative width, masks of another shape, or a term
+                that exceeds the register.
+        """
+        if n_qubits < 0:
+            raise ValueError("register width must be non-negative")
+        coeff = np.asarray(coeff, complex)
         x, z = np.asarray(x, np.uint64), np.asarray(z, np.uint64)
-        return cls._of(n_qubits, *_combined(x, z, np.asarray(coeff, complex), n_qubits))
+        shape = (len(coeff), _n_words(n_qubits))
+        if x.shape != shape or z.shape != shape:
+            raise ValueError(f"mask words must have shape {shape}, not {x.shape} and {z.shape}")
+        spare = 64 * shape[1] - n_qubits  # bits of the last word past the register
+        wide = np.flatnonzero((x | z)[:, -1] >> np.uint64(64 - spare)) if spare else []
+        if len(wide):
+            label = PauliString(*(_mask_ints(m[wide[:1]])[0] for m in (x, z))).to_label()
+            raise ValueError(f"term {label!r} exceeds register width {n_qubits}")
+        return cls._of(n_qubits, *_combined(x, z, coeff, n_qubits))
 
     # --- basic accessors ---
     @property
@@ -645,11 +702,15 @@ class PauliSum:
         return self._of(self._n_qubits, self._x[order], self._z[order], self._coeff[order])
 
     def terms(self) -> list[tuple[PauliString, complex]]:
-        """``(string, coefficient)`` pairs in :meth:`canonical` order."""
+        """Terms in canonical order (identity first).
+
+        The order is :meth:`PauliString.sort_key`'s, from one
+        ``np.lexsort`` over factor codes (see :func:`_canonical_order`).
+        """
         return self.canonical().items()
 
     def items(self) -> list[tuple[PauliString, complex]]:
-        """``(string, coefficient)`` pairs in formation order."""
+        """The terms in the order they were formed, without :meth:`terms`' sort."""
         strings = map(PauliString, _mask_ints(self._x), _mask_ints(self._z))
         return list(zip(strings, self._coeff.tolist()))
 
@@ -724,16 +785,20 @@ class PauliSum:
     ) -> "PauliSum":
         """``Σₖ weights[k] · Π_f factors[rows[k, f]]``, all rows at once.
 
-        Each row starts from the identity, and one :func:`_product_step` per
-        column multiplies it by the factor it picks there; one more adds the
-        weighted rows into each string from zero, in row order, and purges:
-        bit for bit a row-by-row ``@`` and the constructor.
+        ``rows`` holds K rows of indices into ``factors``, in product order.
+        Each row starts from the identity, and one :func:`_product_step`
+        per column multiplies it by the factor it picks there, as a
+        row-by-row ``@`` does.  One more step adds the weighted rows into
+        each string from zero, in row order, and purges the sums, strings
+        in order of first appearance: bit for bit a row-by-row ``@`` and
+        the constructor.
 
         Raises:
             ValueError: a factor on another register width, or K · T^F
-                chains (T terms in the longest factor, a row's most at any
-                factor) of ``64 · W + 96`` bytes (W mask words; the picked
-                terms, phases and sorts included) exceed physical memory.
+                chains (T terms in the longest factor) of ``64 · W + 96``
+                bytes (W mask words; the picked terms, phases and sorts of
+                the product included) exceed physical memory.  A row holds
+                at most T^F terms at any factor, so this bounds the peak.
         """
         if any(f.n_qubits != n_qubits for f in factors):
             raise ValueError(f"every factor must act on {n_qubits} qubits")
@@ -759,8 +824,9 @@ class PauliSum:
         """Dense matrix in the little-endian basis (qubit q = index bit q).
 
         Raises:
-            ValueError: the ``16 · 4^n``-byte matrix and 96 bytes an amplitude
-                for a term's arrays exceed physical memory.
+            ValueError: the ``16 · 4^n``-byte matrix and 96 bytes an
+                amplitude, for a term's index, action and product arrays,
+                exceed physical memory.
         """
         dim = 1 << self._n_qubits
         check_memory(16 * dim * dim + 96 * dim, "dense matrix")
@@ -776,28 +842,37 @@ class PauliSum:
         """The symmetry cells ``[(rows, mats), ...]``, one pair per cell size.
 
         A string maps ``|b>`` to a multiple of ``|b^x>``, so the cosets of
-        the span of the x masks (rank r, :func:`gf2_reduce`) are closed
-        under the sum.  Each index also carries the label (popcount of its
-        even bits, of its odd bits): (Nα, Nβ) in ``chem.jordan_wigner``'s
-        layout, which a molecular sum conserves.  A cell holds one coset's
-        indices of one label.  The pairs ascend in cell size; row k of
-        ``rows`` holds a cell's indices, ascending, cells ordered by coset
-        (indices with the pivot bits cleared), then label, and ``mats[k][i,
-        j] = <rows[k, i]|H|rows[k, j]>``, real when no term has an odd
-        number of Y factors.  Each entry is :meth:`to_dense`'s float sum.
+        the span of the terms' x masks (rank r, :func:`gf2_reduce`) are
+        closed under the sum.  Each index also carries the label (popcount
+        of its even bits, popcount of its odd bits): (Nα, Nβ) in the layout
+        of ``chem.jordan_wigner``, which a molecular sum conserves.  A cell
+        holds the indices of one coset and one label.
 
-        An entry between two labels is dropped when at most eps · ‖H − h0‖₁
-        (h0 the identity coefficient): the rounding residue of sums that
-        cancel exactly.  A row of the dropped part holds at most one entry
-        per x mask, which bounds any eigenvalue's move.  If such an entry
-        is larger, every index takes one label: the cells are the cosets.
+        The pairs ascend in cell size.  Row k of a pair's ``rows`` holds one
+        cell's indices, ascending, the cells ordered by coset (its indices
+        with the pivot bits cleared), then label, and ``mats[k][i, j] =
+        <rows[k, i]|H|rows[k, j]>``, real when no term has an odd number of
+        Y factors (every string matrix is then real, and so is a Hermitian
+        sum).  Strings sharing an x mask add from zero in term order, so
+        each entry is the float sum of :meth:`to_dense`.
+
+        An entry between two labels is dropped when it is at most
+        eps · ‖H − h0‖₁ (eps of float64, h0 the identity coefficient); such
+        entries are the rounding residue of sums that cancel in exact
+        arithmetic.  A row of the dropped part holds at most one entry per
+        x mask, so no eigenvalue moves by more than their number times that
+        bound.  If any such entry is larger, every index takes one label:
+        the cells are the cosets, 2^r rows each, in coset order.
 
         Raises:
-            ValueError: non-Hermitian sum, or the cells and ``eigh``'s
-                vectors (``2 · (8|16)`` bytes an entry, at most C(2e, e) ·
-                C(2o, o) entries over e even and o odd qubits with labels,
-                2^n · 2^r without), 256 bytes an index and 256 a term exceed
-                physical memory; each layout is checked before it is built.
+            ValueError: non-Hermitian sum, or the cells and the vectors an
+                ``eigh`` returns beside them (``2 · (8|16)`` bytes an
+                entry), the 2^n-long index arrays (256 bytes an index) and
+                the sorted terms (256 bytes a term) exceed physical memory.
+                With labels the cells hold at most C(2e, e) · C(2o, o)
+                entries over e even and o odd qubits, and at most 2^n · 2^r;
+                with one label, 2^n · 2^r.  Each layout is checked before
+                it is built, the labelled one first.
         """
         if not self.is_hermitian():
             raise ValueError("symmetry blocks require a Hermitian sum")
@@ -828,8 +903,11 @@ class PauliSum:
 
     # --- truncation and grouping ---
     def truncate(self, threshold: float) -> tuple["PauliSum", float]:
-        """``(the sum without terms of |coefficient| < threshold, their 1-norm)``,
-        the norm added in term order.
+        """Drops terms with ``|coefficient| < threshold``.
+
+        Returns:
+            ``(truncated sum, dropped weight)`` where the dropped weight is
+            the 1-norm of the removed coefficients.
 
         Raises:
             ValueError: negative threshold.
@@ -847,21 +925,29 @@ class PauliSum:
     def group_commuting(
         self, mode: str = "full"
     ) -> tuple[tuple[tuple[PauliString, complex], ...], ...]:
-        """The commuting sets of a greedy largest-first coloring.
+        """Partition into commuting sets by greedy largest-first coloring.
 
-        Terms in canonical order are colored in descending degree of the
-        graph of pairs that do not commute under ``mode`` (ties by that
-        order) with the smallest color free among their neighbours
-        (Verteletskyi, Yen & Izmaylov, J. Chem. Phys. 152, 124114, 2020).
-        No pair is tested: a 4^k table marks each string's digits x + 2z on
-        the k active qubits, and its transform F with the one-qubit
-        commutation kernel, ±1 (``full``) or 1/0 (``qubitwise``), gives each
-        degree as (N − F)/2 or N − F.  Returns tuples of ``(PauliString,
-        coeff)`` terms, each in canonical order.
+        Vertices are the terms in canonical order; edges join pairs that do
+        not commute under ``mode``.  Vertices are colored in descending
+        degree (ties broken by canonical term order) with the smallest
+        color absent from their neighborhood (Verteletskyi, Yen & Izmaylov,
+        J. Chem. Phys. 152, 124114, 2020), by :func:`_greedy_colors`.
+
+        No pair is tested.  A 4^k table marks each string's digits x + 2z
+        on the k active qubits.  Its transform F, qubit by qubit with the
+        4 x 4 kernel of one-qubit commutation, ±1 (``full``, Aaronson &
+        Gottesman, PRA 70, 052328, 2004) or 1/0 (``qubitwise``), gives
+        each degree as (N − F)/2 or N − F at the string's digits.
+
+        Returns:
+            The sets, each a tuple of ``(PauliString, coeff)`` terms in
+            canonical order; every term lies in exactly one set.
 
         Raises:
-            ValueError: unknown ``mode``, or the table (``16 · 4^k`` bytes)
-                and 512 bytes a term exceed physical memory.
+            ValueError: unknown ``mode``, or the table and its transform
+                (``16 · 4^k`` bytes) and 512 bytes a term exceed physical
+                memory: sums on more than about 13 qubits, which no run
+                path reaches (``qcm4``'s moments stop near 10).
         """
         if mode not in ("full", "qubitwise"):
             raise ValueError(f"unknown commutation mode {mode!r}")
@@ -972,6 +1058,25 @@ def gf2_reduce(rows: Iterable[int]) -> tuple[dict[int, int], list[int]]:
 
 
 def sum_multiply(a: PauliSum, b: PauliSum) -> PauliSum:
-    """``a @ b``, by the name qcm4's moments and chem's tapering call and the
-    benchmark's tracer counts."""
+    """``a @ b``: the operator product with like terms combined."""
     return a @ b
+
+
+def distinct_strings(sums: Sequence[PauliSum]) -> tuple[PauliSum, np.ndarray]:
+    """The strings of ``sums``, each once, and where each term's string lies.
+
+    Returns ``(distinct, index)``: ``distinct`` holds every string of the
+    sums once, with coefficient 1, in order of first appearance; term k of
+    the sums, taken in order, has the string ``index[k]`` of ``distinct``.
+    """
+    n = sums[0].n_qubits
+    if any(s.n_qubits != n for s in sums):
+        raise ValueError(f"every sum must act on {n} qubits")
+    x, z = (np.concatenate([getattr(s, m) for s in sums]) for m in ("x", "z"))
+    keys = _keys(np.zeros(len(x), np.intp), x, z, n, 0)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # by first appearance
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    ones = np.ones(len(first), complex)
+    return PauliSum._of(n, x[first[order]], z[first[order]], ones), rank[inverse]

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .circuits import Circuit, Gate
-from .pauli import PauliString, PauliSum, gf2_reduce, sum_multiply, z_signs
+from .pauli import PauliString, PauliSum, distinct_strings, gf2_reduce, sum_multiply, z_signs
 from .simulator import ShotRecord, StateVector, apply_circuit, derived_rng, sample_z
 
 __all__ = [
@@ -125,11 +125,6 @@ class FilterReport:
     audited: tuple[tuple[PauliString, float], ...]
 
 
-def _row_keys(masks: np.ndarray) -> np.ndarray:
-    """C-contiguous rows as byte-string keys, which sort faster than ``axis=0``."""
-    return masks.view(np.dtype((np.void, masks.itemsize * masks.shape[1])))[:, 0]
-
-
 def pauli_filter(
     m: MomentOperators, psi: StateVector
 ) -> tuple[MomentOperators, FilterReport]:
@@ -143,23 +138,20 @@ def pauli_filter(
     if m.n_qubits != psi.n_qubits:
         raise ValueError("moment operators and state widths differ")
     powers = [p.canonical() for p in m.powers]
-    masks = np.concatenate([np.concatenate((p.x, p.z), axis=1) for p in powers])
-    _, first, inverse = np.unique(_row_keys(masks), return_index=True, return_inverse=True)
-    # an x and a z word each: a state vector holds fewer than 64 qubits
-    strings = list(map(PauliString, *masks[first].T.tolist()))
-    amps, measured = psi.amplitudes, masks[first].any(axis=1)  # all but the identity
+    distinct, index = distinct_strings(powers)
+    strings = [s for s, _ in distinct.items()]
+    measured = np.array([s.x_mask | s.z_mask != 0 for s in strings], bool)  # all but I
+    amps = psi.amplitudes
     values = np.array([np.vdot(amps, s.act(amps)).real for s in strings])
     gone = (np.abs(values) <= FILTER_TOL) & measured
-    pad = np.zeros((1, masks.shape[1] // 2), np.uint64)
     filtered, survivors = [], []
-    for power, own in zip(powers, np.split(inverse, np.cumsum(m.term_counts)[:-1])):
+    for power, own in zip(powers, np.split(index, np.cumsum(m.term_counts)[:-1])):
         drop = gone[own]
         # the dropped terms' exact contribution, added in canonical order,
         # then into the identity's coefficient (or as one, last)
         shift = np.cumsum(np.r_[0.0, power.coeff.real[drop] * values[own[drop]]])[-1]
-        x, z = (np.vstack((w[~drop], pad)) for w in (power.x, power.z))
-        coeff = np.append(power.coeff[~drop], shift)
-        filtered.append(PauliSum.from_arrays(m.n_qubits, x, z, coeff))
+        kept = PauliSum.from_arrays(m.n_qubits, power.x[~drop], power.z[~drop], power.coeff[~drop])
+        filtered.append(kept + PauliSum(m.n_qubits, [(PauliString(), shift)]))
         survivors.append(int(np.count_nonzero(~drop & measured[own])))
     dropped = [(s, v) for s, v, g in zip(strings, values, gone) if g]
     audited = tuple(sorted(dropped, key=lambda t: t[0].sort_key()))
@@ -326,34 +318,29 @@ def _diagonalizing_ops(
 def plan(m: MomentOperators, mode: str = "full") -> MeasurementPlan:
     """Builds one measurement circuit per commuting set of strings.
 
-    Identical strings appearing in several powers are deduplicated on
-    their mask arrays and measured once.  Identity coefficients become
-    per-power constants.  One tableau pass per set
-    (:func:`_diagonalizing_ops`) chooses its Clifford and turns every
-    member into a Z mask with a sign, which the :class:`PlanCircuit` holds
-    as arrays with the per-power coefficients.
+    Identical strings appearing in several powers are deduplicated and
+    measured once.  Identity coefficients become per-power constants.
+    One tableau pass per set (:func:`_diagonalizing_ops`) chooses its
+    Clifford and turns every member into a Z mask with a sign, which the
+    :class:`PlanCircuit` holds as arrays with the per-power coefficients.
 
     Raises:
         ValueError: a set member fails to conjugate to a Z string, which
             indicates an inconsistent grouping.
     """
     n = m.n_qubits
-    masks = np.concatenate([np.concatenate((p.x, p.z), axis=1) for p in m.powers])
-    power = np.repeat(np.arange(4), m.term_counts)
-    coeff = np.concatenate([p.coeff for p in m.powers]).real
-    measured = masks.any(axis=1)  # all but the identities
-    masks, power, coeff = masks[measured], power[measured], coeff[measured]
-    _, first, inverse = np.unique(_row_keys(masks), return_index=True, return_inverse=True)
-    table = np.zeros((len(first), 4))
-    table[inverse, power] = coeff
-    # each distinct string's coefficient is its table row plus one, so
+    distinct, index = distinct_strings(m.powers)
+    table = np.zeros((len(distinct), 4))  # row r: string r's coefficient in each power
+    table[index, np.repeat(np.arange(4), m.term_counts)] = np.concatenate(
+        [p.coeff for p in m.powers]).real
+    rows = np.flatnonzero(distinct.x.any(axis=1) | distinct.z.any(axis=1))  # all but I
+    # each string to measure has its table row plus one as coefficient, so
     # that the commuting sets name their rows
-    w, rows = masks.shape[1] // 2, np.arange(1.0, len(first) + 1)
-    distinct = PauliSum.from_arrays(n, masks[first, :w], masks[first, w:], rows)
+    measured = PauliSum.from_arrays(n, distinct.x[rows], distinct.z[rows], rows + 1.0)
 
     circuits = []
     schema: dict[tuple, list[Gate]] = {}  # the gates of each distinct op, built once
-    for group in distinct.group_commuting(mode):
+    for group in measured.group_commuting(mode):
         strings = tuple(s for s, _ in group)
         ops, z_masks, signs = _diagonalizing_ops(strings, n)
         gates: list[Gate] = []

@@ -599,11 +599,14 @@ class TestOperatorFiles:
         ({"coeff": [0.3, 0.0], "paulis": "X"}, "malformed Pauli token 'X'"),
         ({"coeff": [0.3, 0.0], "paulis": "Z0 X0.5"}, "malformed Pauli token 'X0.5'"),
         ({"coeff": [0.3, 0.0], "paulis": "X0 z0"}, "qubit 0 appears twice in 'X0 z0'"),
+        ({"coeff": [0.3, 0.0], "paulis": "X123456789012345678901234"},
+         "malformed Pauli token 'X123456789012345678901234'"),
         ({"coeff": [0.3, 0.0], "paulis": "X4 Z0"}, "term 'Z0 X4' exceeds register width 1"),
         ({"coeff": [float("nan"), 0.0], "paulis": "Z0"}, "non-finite term coefficient"),
         ({"coeff": [0.3, float("inf")], "paulis": "Z0"}, "non-finite term coefficient"),
     ], ids=["non_hermitian", "label_not_string", "unknown_axis", "no_index",
-            "fractional_index", "repeated_qubit", "past_width", "nan", "infinite"])
+            "fractional_index", "repeated_qubit", "huge_index", "past_width", "nan",
+            "infinite"])
     def test_invalid_operator_exits_2(self, tmp_path, capsys, command, term, message):
         assert_operator_exits_2(
             tmp_path, capsys, command, {"n_qubits": 1, "terms": [term]}, message

@@ -645,6 +645,45 @@ class TestArrayStorage:
             assert PauliSum(n, [*items, (items[int(order[0])][0], 1.0)]) != a
         assert PauliSum(n + 1, items) != a
 
+    @given(case=repeated_terms())
+    def test_from_arrays_is_the_constructor(self, case):
+        n, terms = case
+        a = PauliSum(n, terms)
+        b = PauliSum.from_arrays(n, a.x, a.z, a.coeff)
+        assert bits_of(b.items()) == bits_of(a.items())
+        doubled = PauliSum.from_arrays(n, np.r_[a.x, a.x], np.r_[a.z, a.z], np.r_[a.coeff, a.coeff])
+        assert bits_of(doubled.items()) == bits_of((a + a).items())
+
+    @pytest.mark.parametrize("n, x, z, coeff, message", [
+        (3, [[8]], [[0]], [1.0], "term 'X3' exceeds register width 3"),
+        (0, [[0]], [[1]], [1.0], "term 'Z0' exceeds register width 0"),
+        (65, [[0, 2]], [[0, 0]], [1.0], "term 'X65' exceeds register width 65"),
+        (64, [[1]], [[0], [0]], [1.0], "mask words must have shape"),
+        (64, [[1, 0]], [[0, 0]], [1.0], "mask words must have shape"),
+        (3, [[1]], [[0]], [1.0, 2.0], "mask words must have shape"),
+        (-1, [[0]], [[0]], [1.0], "register width must be non-negative"),
+    ], ids=["past_width", "no_qubits", "second_word", "z_rows", "extra_word",
+            "coeff_rows", "negative"])
+    def test_from_arrays_refuses_what_the_constructor_refuses(self, n, x, z, coeff, message):
+        with pytest.raises(ValueError, match=message):
+            PauliSum.from_arrays(n, x, z, coeff)
+
+    def test_from_arrays_keeps_the_last_qubit_of_a_full_word(self):
+        x = np.array([[2**63]], np.uint64)
+        assert PauliSum.from_arrays(64, x, 0 * x, [2.0]).terms() == [
+            (PauliString.from_label("X63"), 2 + 0j)]
+
+    @pytest.mark.parametrize("n", [3, 64, 70])
+    def test_distinct_strings_in_order_of_first_appearance(self, n):
+        rng = np.random.default_rng(n)
+        sums = [random_sum(rng, n, k) for k in (6, 9, 4)]
+        distinct, index = pauli.distinct_strings(sums)
+        terms = [s for a in sums for s, _ in a.items()]
+        assert [s for s, _ in distinct.items()] == list(dict.fromkeys(terms))
+        assert set(distinct.coeff.tolist()) == {1 + 0j}
+        strings = [s for s, _ in distinct.items()]
+        assert [strings[i] for i in index.tolist()] == terms
+
 
 def row_loop(n, factors, rows, weights):
     """``Σₖ wₖ · Π factors`` one row at a time: ``@``'s oracle and the constructor."""
@@ -1058,6 +1097,46 @@ class TestSerialization:
         assert payload["terms"][0]["paulis"] == ""
         assert payload["terms"][0]["coeff"] == [0.25, -0.5]
         assert PauliSum.from_json(a.to_json()) == a
+
+    @pytest.mark.parametrize("label", [
+        "", "X0", "x0 y1 z2", "Z12  X3", " X0\tY1\n", "X0\u00a0Y1", "X007 Y1",
+        "X" + "0" * 20 + "5", "Y70 Z64 X63", "X4294967296", "X123456789012345678901234",
+        "X\u0663", "X\u00b2", "\u00dc0", "Q1", "X", "X0.5", "X-1", "X+1", "X0 , Y1", ",",
+        "X0 Y0", "X3 Y5 Z5 X3", "X0 X0 Q1", "Q1 X0 X0", "X0 Q0 X0", "X1 Z1 Y1",
+    ])
+    def test_from_json_parses_labels_as_from_label_does(self, label):
+        """One parser serves both: each label gives the same string or the same error."""
+        try:
+            string = PauliString.from_label(label)
+        except ValueError as error:
+            payload = {"n_qubits": 100, "terms": [
+                {"coeff": [1.0, 0.0], "paulis": "Z0"}, {"coeff": [1.0, 0.0], "paulis": label}]}
+            with pytest.raises(ValueError) as caught:
+                PauliSum.from_json(json.dumps(payload))
+            assert str(caught.value) == str(error)
+        else:
+            payload = {"n_qubits": string.min_width, "terms": [
+                {"coeff": [0.5, 0.0], "paulis": label}]}
+            assert PauliSum.from_json(json.dumps(payload)).items() == [(string, 0.5 + 0j)]
+
+    @pytest.mark.parametrize("label, message", [
+        ("X3 Y5 Z5 X3", "qubit 5 appears twice in 'X3 Y5 Z5 X3'"),
+        ("X0 X0 Q1", "qubit 0 appears twice in 'X0 X0 Q1'"),
+        ("Q1 X0 X0", "malformed Pauli token 'Q1'"),
+        ("X0 , Y1", "malformed Pauli token ','"),
+        ("X\u0663", "malformed Pauli token 'X\u0663'"),
+        ("X4294967296", "malformed Pauli token 'X4294967296'"),
+    ])
+    def test_label_errors_name_the_first_fault(self, label, message):
+        with pytest.raises(ValueError) as caught:
+            PauliString.from_label(label)
+        assert str(caught.value) == message
+
+    def test_from_json_names_the_first_faulty_label(self):
+        labels = ["Z0", "X1 X1", "Q2", "Y0 Y0"]
+        payload = {"n_qubits": 3, "terms": [{"coeff": [1.0, 0.0], "paulis": t} for t in labels]}
+        with pytest.raises(ValueError, match="qubit 1 appears twice in 'X1 X1'"):
+            PauliSum.from_json(json.dumps(payload))
 
     @pytest.mark.parametrize("width", [4.5, 4.0, "4", True, None])
     def test_n_qubits_must_be_a_json_integer(self, width):
