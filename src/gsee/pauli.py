@@ -676,7 +676,9 @@ class PauliSum:
             raise ValueError(f"term {label!r} exceeds register width {n_qubits}")
         return cls._of(n_qubits, *_combined(x, z, coeff, n_qubits))
 
-    # --- basic accessors ---
+    # ------------------------------------------------------------------
+    # basic accessors
+    # ------------------------------------------------------------------
     @property
     def n_qubits(self) -> int:
         return self._n_qubits
@@ -738,7 +740,9 @@ class PauliSum:
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         return bool(np.all(np.abs(self._coeff.imag) <= tol))
 
-    # --- arithmetic ---
+    # ------------------------------------------------------------------
+    # arithmetic
+    # ------------------------------------------------------------------
     def _require_same_width(self, other: "PauliSum") -> None:
         if self._n_qubits != other._n_qubits:
             raise ValueError(
@@ -819,7 +823,9 @@ class PauliSum:
         )
         return cls._of(n_qubits, x, z, _complex(re, im))
 
-    # --- dense paths ---
+    # ------------------------------------------------------------------
+    # dense paths
+    # ------------------------------------------------------------------
     def to_dense(self) -> np.ndarray:
         """Dense matrix in the little-endian basis (qubit q = index bit q).
 
@@ -901,7 +907,9 @@ class PauliSum:
             cells = _fill_cells(idx, label, pivots, groups, bound, dtype)
         return cells
 
-    # --- truncation and grouping ---
+    # ------------------------------------------------------------------
+    # truncation and grouping
+    # ------------------------------------------------------------------
     def truncate(self, threshold: float) -> tuple["PauliSum", float]:
         """Drops terms with ``|coefficient| < threshold``.
 
@@ -977,11 +985,19 @@ class PauliSum:
         sets = np.split(by_color, np.cumsum(np.bincount(color))[:-1]) if n else []
         return tuple(tuple(terms[i] for i in s.tolist()) for s in sets)
 
-    # --- serialization ---
+    # ------------------------------------------------------------------
+    # serialization
+    # ------------------------------------------------------------------
     def to_json(self) -> str:
         """Serializes to the Pauli-sum JSON format (lossless round trip)."""
-        terms = [{"coeff": [c.real, c.imag], "paulis": s.to_label()} for s, c in self.terms()]
-        return json.dumps({"n_qubits": self._n_qubits, "terms": terms}, indent=1)
+        payload = {
+            "n_qubits": self._n_qubits,
+            "terms": [
+                {"coeff": [c.real, c.imag], "paulis": s.to_label()}
+                for s, c in self.terms()
+            ],
+        }
+        return json.dumps(payload, indent=1)
 
     @classmethod
     def from_json(cls, text: str) -> "PauliSum":
@@ -1057,6 +1073,10 @@ def gf2_reduce(rows: Iterable[int]) -> tuple[dict[int, int], list[int]]:
     return pivots, dependent
 
 
+# ----------------------------------------------------------------------
+# the sum product as a function; qcm4's moments and chem's tapering call it
+# by this name, which the benchmark's tracer counts
+# ----------------------------------------------------------------------
 def sum_multiply(a: PauliSum, b: PauliSum) -> PauliSum:
     """``a @ b``: the operator product with like terms combined."""
     return a @ b
