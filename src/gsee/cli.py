@@ -5,7 +5,8 @@ Subcommands:
     qcels      overlap-series phase estimation run
     qcm4       moment/cumulant energy run
     recompile  variational compilation of the Hadamard-test target series
-    report     summary table over finished run artifacts
+    report     summary table over run artifacts, or (--objective) each
+               qcels run's objective.csv rebuilt from its overlap.csv
 
 A run resolves its settings into one plain dict: the config file first,
 command-line overrides on top, then defaults.  The resolved dict is
@@ -41,11 +42,13 @@ from .chem import (
 from .circuits import hea_ansatz, two_qubit_depth
 from .pauli import MemoryRefusal, PauliSum, check_memory
 from .qcels import (
+    OverlapSeries,
     ScaledHamiltonian,
     acquire,
     choose_grid,
     fit,
     hadamard_test_states,
+    objective_curve,
     scale,
 )
 from .qcm4 import (
@@ -483,13 +486,6 @@ def cmd_ingest(source: Path, out: Path, taper: bool) -> None:
     _write_json(out / "ingest_report.json", report)
 
 
-def _objective_csv(grid, curve) -> str:
-    lines = ["theta,objective"]
-    for theta, value in zip(grid, curve):
-        lines.append(f"{float(theta)!r},{float(value)!r}")
-    return "\n".join(lines) + "\n"
-
-
 def _compile_hadamard_series(
     sh: ScaledHamiltonian, psi: StateVector, tau: float, n_points: int, settings: Mapping,
     seed: int, out: Path,
@@ -538,7 +534,6 @@ def cmd_qcels(resolved: Mapping, base: Path, out: Path) -> None:
     )
     (out / "overlap.csv").write_text(series.to_csv())
     result = fit(series, sh)
-    (out / "objective.csv").write_text(_objective_csv(result.grid, result.curve))
 
     results = {
         "energy": result.energy,
@@ -733,6 +728,20 @@ def cmd_report(run_dirs: Sequence[Path], out: Path | None) -> None:
         (out / "report.csv").write_text(buffer.getvalue())
 
 
+def cmd_objective(run_dirs: Sequence[Path]) -> None:
+    """Writes each run's fit objective on its grid, from its overlap.csv."""
+    for run_dir in run_dirs:
+        path = run_dir / "overlap.csv"
+        try:
+            series = OverlapSeries.from_csv(_load_text(path))
+        except ValueError as exc:
+            raise InputError(f"{path}: {exc}") from None
+        lines = ["theta,objective"]
+        for theta, value in zip(*objective_curve(series)):
+            lines.append(f"{float(theta)!r},{float(value)!r}")
+        (run_dir / "objective.csv").write_text("\n".join(lines) + "\n")
+
+
 # ----------------------------------------------------------------------
 # entry point
 # ----------------------------------------------------------------------
@@ -767,7 +776,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser("report", help="summarize run artifacts")
     report.add_argument("runs", nargs="*", type=Path)
-    report.add_argument("--out", type=Path, default=None)
+    target = report.add_mutually_exclusive_group()
+    target.add_argument("--out", type=Path, default=None)
+    target.add_argument("--objective", action="store_true",
+                        help="write each run's objective.csv from its overlap.csv")
     return parser
 
 
@@ -777,6 +789,9 @@ _RUN_COMMANDS = {"qcels": cmd_qcels, "qcm4": cmd_qcm4, "recompile": cmd_recompil
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "ingest":
         cmd_ingest(args.fcidump, args.out, args.taper)
+        return 0
+    if args.command == "report" and args.objective:
+        cmd_objective(args.runs)
         return 0
     if args.command == "report":
         cmd_report(args.runs, args.out)

@@ -17,6 +17,7 @@ H~ is held once, as the eigenpairs of its symmetry cells.
 """
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,7 @@ __all__ = [
     "choose_grid",
     "fit",
     "hadamard_test_states",
+    "objective_curve",
     "scale",
     "std_error",
 ]
@@ -51,6 +53,8 @@ __all__ = [
 ALIAS_SAFE_TAU = 3.9
 GRID_POINTS = 20001
 _MODES = ("exact", "shots", "recompiled")
+_CSV_HEADER = re.compile(r"# tau=(\S+) spc=(none|[0-9]+) mode=(\S+)")
+_CSV_COLUMNS = "n,t,re,im,stderr_re,stderr_im"
 
 
 # ----------------------------------------------------------------------
@@ -212,7 +216,7 @@ class OverlapSeries:
         spc = "none" if self.spc is None else str(self.spc)
         lines = [
             f"# tau={self.tau!r} spc={spc} mode={self.mode}",
-            "n,t,re,im,stderr_re,stderr_im",
+            _CSV_COLUMNS,
         ]
         for n, z in enumerate(self.values):
             fields = (
@@ -221,6 +225,31 @@ class OverlapSeries:
             )
             lines.append(f"{n}," + ",".join(repr(float(x)) for x in fields))
         return "\n".join(lines) + "\n"
+
+    @classmethod
+    def from_csv(cls, text: str) -> "OverlapSeries":
+        """The series whose :meth:`to_csv` is ``text``, bit for bit.
+
+        Raises ValueError on a malformed header or row, a tau that is not
+        finite and positive, an unknown mode or a non-finite field.
+        """
+        lines = text.splitlines()
+        header = _CSV_HEADER.fullmatch(lines[0]) if lines else None
+        if header is None or lines[1:2] != [_CSV_COLUMNS]:
+            raise ValueError("header must be '# tau=T spc=S mode=M' and the column line")
+        tau = float(header[1])
+        if not (math.isfinite(tau) and tau > 0.0):
+            raise ValueError(f"tau must be finite and positive, got {header[1]}")
+        rows = [line.split(",") for line in lines[2:]]
+        if any(len(row) != 6 for row in rows):
+            raise ValueError("every row needs 6 fields")
+        cells = np.array([[float(x) for x in row] for row in rows]).reshape(-1, 6)
+        if not np.isfinite(cells).all():
+            raise ValueError("every field must be a finite number")
+        spc = None if header[2] == "none" else int(header[2])
+        # re and im side by side are the complex values' own bytes
+        values = cells[:, 2:4].copy().view(complex)[:, 0]
+        return cls(tau, values, cells[:, 4], cells[:, 5], spc, header[3])
 
 
 def std_error(value: float, spc: int) -> float:
@@ -346,13 +375,11 @@ def acquire(
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class QcelsResult:
-    """Fitted phase, its energy, and the objective curve on the grid."""
+    """Fitted phase, its energy, and the objective at the phase."""
 
     theta: float
     energy: float
     peak: float
-    grid: np.ndarray
-    curve: np.ndarray
 
 
 def _objective(series: OverlapSeries, thetas: np.ndarray) -> np.ndarray:
@@ -364,11 +391,17 @@ def _objective(series: OverlapSeries, thetas: np.ndarray) -> np.ndarray:
     return np.abs(p) ** 2
 
 
+def objective_curve(series: OverlapSeries) -> tuple[np.ndarray, np.ndarray]:
+    """The fit grid, :data:`GRID_POINTS` points over [-pi/4, pi/4], and f on it."""
+    grid = np.linspace(-math.pi / 4.0, math.pi / 4.0, GRID_POINTS)
+    return grid, _objective(series, grid)
+
+
 def fit(series: OverlapSeries, sh: ScaledHamiltonian) -> QcelsResult:
     """Maximizes the phase objective and converts the peak to energy.
 
-    The curve is f on a uniform grid of :data:`GRID_POINTS` points over
-    [-pi/4, pi/4], evaluated by Horner's rule.  Newton's method on f',
+    The curve is f on :func:`objective_curve`'s grid, evaluated by
+    Horner's rule.  Newton's method on f',
     with analytic derivatives, polishes the best grid point; its iterates
     are clipped to that point's cell (the interval between its grid
     neighbours, inside the window) and it stops where f is not concave,
@@ -381,8 +414,7 @@ def fit(series: OverlapSeries, sh: ScaledHamiltonian) -> QcelsResult:
     if len(series.values) < 2:
         raise ValueError("need at least two samples to fit")
     lo, hi = -math.pi / 4.0, math.pi / 4.0
-    grid = np.linspace(lo, hi, GRID_POINTS)
-    curve = _objective(series, grid)
+    grid, curve = objective_curve(series)
     best = int(np.argmax(curve))
     spacing = grid[1] - grid[0]
     cell_lo, cell_hi = max(lo, grid[best] - spacing), min(hi, grid[best] + spacing)
@@ -416,6 +448,4 @@ def fit(series: OverlapSeries, sh: ScaledHamiltonian) -> QcelsResult:
         theta=theta,
         energy=sh.energy(theta),
         peak=float(_objective(series, np.array([theta]))[0]),
-        grid=grid,
-        curve=curve,
     )

@@ -663,7 +663,9 @@ class TestQcelsRun:
         assert results["mode"] == "exact"
         assert results["spc"] is None
         assert (out / "overlap.csv").exists()
-        assert (out / "objective.csv").exists()
+        assert not (out / "objective.csv").exists()
+        assert main(["report", "--objective", str(out)]) == 0
+        assert (out / "objective.csv").read_text().startswith("theta,objective\n")
 
     def test_exact_run_on_fifteen_qubits(self, tmp_path):
         # memory, not register width, bounds the dense path
@@ -1068,6 +1070,53 @@ class TestQcelsRecompiledRun:
         assert results["mean_fidelity"] is not None
         assert results["two_qubit_depth"] > 0
         assert (out / "series_compilation.json").exists()
+
+
+_OVERLAP_ROW = "0,0.0,1.0,0.0,0.0,0.0"
+
+
+class TestReportObjective:
+    @pytest.mark.parametrize("header, row, message", [
+        pytest.param("# spc=none mode=exact", _OVERLAP_ROW, "header", id="no-tau"),
+        pytest.param("# tau=inf spc=none mode=exact", _OVERLAP_ROW, "tau", id="inf-tau"),
+        pytest.param("# tau=nan spc=none mode=exact", _OVERLAP_ROW, "tau", id="nan-tau"),
+        pytest.param("# tau=0.0 spc=none mode=exact", _OVERLAP_ROW, "tau", id="zero-tau"),
+        pytest.param("# tau=-0.5 spc=none mode=exact", _OVERLAP_ROW, "tau",
+                     id="negative-tau"),
+        pytest.param("# tau=0.5 spc=none mode=guess", _OVERLAP_ROW, "mode",
+                     id="unknown-mode"),
+        pytest.param("# tau=0.5 spc=none mode=exact", "0,0.0,1.0,0.0,0.0", "6 fields",
+                     id="short-row"),
+        pytest.param("# tau=0.5 spc=none mode=exact", "0,0.0,one,0.0,0.0,0.0", "float",
+                     id="non-numeric"),
+        pytest.param("# tau=0.5 spc=none mode=exact", "0,0.0,nan,0.0,0.0,0.0", "finite",
+                     id="nan-field"),
+    ])
+    def test_bad_overlap_exits_2_naming_the_file(self, tmp_path, capsys, header, row,
+                                                 message):
+        run = tmp_path / "run"
+        run.mkdir()
+        path = run / "overlap.csv"
+        path.write_text(f"{header}\nn,t,re,im,stderr_re,stderr_im\n{row}\n")
+        assert main(["report", "--objective", str(run)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and message in err
+        assert not (run / "objective.csv").exists()
+
+    def test_run_without_overlap_exits_2_naming_the_file(self, tmp_path, capsys):
+        config = h2_config(tmp_path, "qcm4")
+        run = tmp_path / "qcm4"
+        assert main(["qcm4", "--config", str(config), "--out", str(run)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--objective", str(run)]) == 2
+        assert str(run / "overlap.csv") in capsys.readouterr().err
+        assert not (run / "objective.csv").exists()
+
+    def test_objective_takes_no_out(self, tmp_path):
+        # the curves go into the run directories, so --out would be ignored
+        with pytest.raises(SystemExit) as exit_info:
+            main(["report", "--objective", "--out", str(tmp_path / "rep"), str(tmp_path)])
+        assert exit_info.value.code == 2
 
 
 class TestReport:

@@ -5,12 +5,12 @@ integers, strings and booleans exactly, floats to 1e-12 relative.  CSV,
 markdown and comment lines are split into fields on ``,``, ``|``, ``=``
 and whitespace and compared field by field under the same rule.  BLAS and
 LAPACK round differently across CPUs, so exact bytes are a same-machine
-check between two checkouts (``tools/regen_golden.py --full --out DIR``
+check between two checkouts (``tools/regen_golden.py --out DIR``
 at each, then ``diff -r``), not this test's.
 
-Each ``objective.csv`` holds one row per fit grid point; its golden copy
-keeps the header and every ``OBJECTIVE_STRIDE``-th row, and the test
-checks the full row count.
+qcels runs do not write ``objective.csv``; ``gsee report --objective``
+rebuilds it from ``overlap.csv``, and one test checks that file on every
+fresh qcels run against a phasor-matrix oracle.
 
 Regenerate the set with ``python tools/regen_golden.py``.
 """
@@ -27,15 +27,16 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from helpers import phasor_objective
 from gsee.cli import main
+from gsee.qcels import OverlapSeries
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "src" / "gsee" / "fixtures"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
-OBJECTIVE_ROWS = 20_001
-OBJECTIVE_STRIDE = 1000
 REL_TOL = 1e-12
 
 # tiny compile block: one layer, a few dozen Adam steps, one restart
@@ -119,20 +120,12 @@ def produce(work: pathlib.Path) -> pathlib.Path:
     return work
 
 
-def artifacts(work: pathlib.Path, stride: int = OBJECTIVE_STRIDE) -> dict[str, str]:
-    """Text of every file under the run directories, keyed ``run/file``.
-
-    ``objective.csv`` keeps its header and every ``stride``-th row.
-    """
-    out = {}
-    for run in RUN_DIRS:
-        for path in sorted((work / run).iterdir()):
-            text = path.read_text()
-            if path.name == "objective.csv":
-                lines = text.splitlines(keepends=True)
-                text = "".join([lines[0], *lines[1::stride]])
-            out[f"{run}/{path.name}"] = text
-    return out
+def artifacts(work: pathlib.Path) -> dict[str, str]:
+    """Text of every file under the run directories, keyed ``run/file``."""
+    return {
+        f"{run}/{path.name}": path.read_text()
+        for run in RUN_DIRS for path in sorted((work / run).iterdir())
+    }
 
 
 def golden_names() -> list[str]:
@@ -210,9 +203,15 @@ def test_artifact_matches_golden(fresh, name):
 @pytest.mark.parametrize("run", [r for r, c in RUNS.items() if c["algorithm"] == "qcels"])
 def test_objective_curve_covers_the_grid(fresh, run):
     work, _ = fresh
+    _gsee("report", "--objective", str(work / run))
     lines = (work / run / "objective.csv").read_text().splitlines()
     assert lines[0] == "theta,objective"
-    assert len(lines) - 1 == OBJECTIVE_ROWS
+    rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    assert rows.shape == (20_001, 2)
+    assert np.array_equal(rows[:, 0], np.linspace(-math.pi / 4.0, math.pi / 4.0, 20_001))
+    series = OverlapSeries.from_csv((work / run / "overlap.csv").read_text())
+    want = phasor_objective(series.values, series.tau, rows[:, 0])
+    assert np.max(np.abs(rows[:, 1] - want)) <= 1e-13 * np.max(rows[:, 1])
 
 
 def test_drift_table_counts_moved_fields(tmp_path):

@@ -33,6 +33,7 @@ from gsee.qcels import (
     choose_grid,
     fit,
     hadamard_test_states,
+    objective_curve,
     scale,
     std_error,
 )
@@ -705,7 +706,8 @@ class TestFit:
         )
         a = fit(series, sh)
         b = fit(rotated, sh)
-        assert np.allclose(a.curve, b.curve, rtol=1e-10, atol=1e-8)
+        assert np.allclose(objective_curve(series)[1], objective_curve(rotated)[1],
+                           rtol=1e-10, atol=1e-8)
         # the phase factor rounds every sample differently, which moves
         # the polished peak by rounding alone
         assert abs(a.theta - b.theta) < 1e-8
@@ -716,7 +718,7 @@ class TestFit:
         psi = StateVector(2, (vecs[:, 0] + vecs[:, 3]) / math.sqrt(2.0))
         series = acquire(sh, psi, 1.0, 33, "shots", spc=300, seed=4)
         res = fit(series, sh)
-        assert res.peak >= np.max(res.curve) - 1e-9
+        assert res.peak >= np.max(objective_curve(series)[1]) - 1e-9
         assert -math.pi / 4.0 <= res.theta <= math.pi / 4.0
 
     @settings(deadline=None, max_examples=200)
@@ -765,9 +767,9 @@ class TestFit:
         rng = np.random.default_rng(n_points)
         values = rng.normal(size=n_points) + 1j * rng.normal(size=n_points)
         tau = rng.uniform(0.1, ALIAS_SAFE_TAU)
-        res = fit(exact_series(values, tau), unit_z())
-        want = phasor_objective(values, tau, res.grid)
-        assert np.max(np.abs(res.curve - want)) <= 1e-13 * np.max(res.curve)
+        grid, curve = objective_curve(exact_series(values, tau))
+        want = phasor_objective(values, tau, grid)
+        assert np.max(np.abs(curve - want)) <= 1e-13 * np.max(curve)
 
     def test_validation(self):
         sh = scale(PauliSum(1, {PauliString.from_label("Z0"): 1.0}))
@@ -818,6 +820,20 @@ class TestReconstructionIdentity:
         assert all(medians[i] > medians[i + 1] for i in range(3))
 
 
+# finite floats with -0.0, the smallest subnormal and the 1-ulp
+# neighbours of ordinary values
+_ULP_NEIGHBOURS = st.builds(
+    lambda x, up: float(np.nextafter(x, math.inf if up else -math.inf)),
+    st.floats(0.01, 100.0), st.booleans(),
+)
+_EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308]),
+    _ULP_NEIGHBOURS,
+    _ULP_NEIGHBOURS.map(lambda x: -x),
+)
+
+
 class TestSerialization:
     def test_series_csv_round_trip(self):
         h, vals, vecs = two_qubit_fixture()
@@ -843,6 +859,28 @@ class TestSerialization:
         assert lines[0] == "# tau=0.4 spc=none mode=exact"
         rows = np.array([[float(x) for x in row.split(",")] for row in lines[2:]])
         assert np.array_equal(rows[:, 2] + 1j * rows[:, 3], series.values)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        tau=st.one_of(st.floats(5e-324, 1e6), _ULP_NEIGHBOURS),
+        parts=st.lists(_EDGE_FLOATS, min_size=4, max_size=4 * 40).map(
+            lambda xs: np.array(xs[: len(xs) // 4 * 4]).reshape(4, -1)
+        ),
+        spc=st.none() | st.integers(1, 10**12),
+        mode=st.sampled_from(["exact", "shots", "recompiled"]),
+    )
+    def test_from_csv_inverts_to_csv_bit_for_bit(self, tau, parts, spc, mode):
+        # each part is set on its own: adding 1j * im would turn -0.0 to 0.0
+        values = np.empty(parts.shape[1], dtype=complex)
+        values.real, values.imag = parts[0], parts[1]
+        series = OverlapSeries(tau, values, parts[2], parts[3], spc, mode)
+        back = OverlapSeries.from_csv(series.to_csv())
+        assert type(back.tau) is float and back.tau == series.tau
+        for name in ("values", "stderr_re", "stderr_im"):
+            got, want = getattr(back, name), getattr(series, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert type(back.spc) is type(spc) and back.spc == spc
+        assert back.mode == mode
 
     def test_series_mode_validated(self):
         with pytest.raises(ValueError, match="mode"):

@@ -2,9 +2,8 @@
 
 Usage: python3 tools/golden_drift.py BASE HEAD
 
-BASE and HEAD are directories written by ``tools/regen_golden.py --out``
-(with or without ``--full``), for example at a parent commit and at its
-change.  Every file is split into fields as tests/test_golden.py splits
+BASE and HEAD are directories written by ``tools/regen_golden.py --out``,
+for example at a parent commit and at its change.  Every file is split into fields as tests/test_golden.py splits
 it.  For each file whose bytes differ, one row gives the number of float
 fields that changed, their largest relative move |head - base| /
 max(|head|, |base|) (the measure the golden test bounds by 1e-12), and

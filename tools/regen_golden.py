@@ -5,11 +5,13 @@ recompile and report on the H2 fixture, and qcm4 exact with full and
 qubitwise grouping on the 8-qubit spin_polarized model) in a temporary
 directory and copies every artifact into tests/golden/.
 
-Usage: python3 tools/regen_golden.py [--out DIR] [--full]
+Usage: python3 tools/regen_golden.py [--out DIR]
 
---out writes the set to DIR instead; --full keeps every row of each
-objective.csv.  Running both at two checkouts on one machine and
-comparing the outputs with ``diff -r`` checks the artifacts byte for byte.
+--out writes the set to DIR instead.  Running it at two checkouts on one
+machine and comparing the outputs with ``diff -r`` checks the artifacts
+byte for byte.  qcels runs write no ``objective.csv``; to compare that
+curve too, run ``gsee report --objective`` on the qcels run directories of
+each set first.
 """
 
 import argparse
@@ -27,12 +29,9 @@ import test_golden  # noqa: E402
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=pathlib.Path, default=test_golden.GOLDEN)
-    parser.add_argument("--full", action="store_true",
-                        help="keep every objective.csv row")
     args = parser.parse_args()
-    stride = 1 if args.full else test_golden.OBJECTIVE_STRIDE
     with tempfile.TemporaryDirectory() as tmp:
-        files = test_golden.artifacts(test_golden.produce(pathlib.Path(tmp)), stride)
+        files = test_golden.artifacts(test_golden.produce(pathlib.Path(tmp)))
     # clear only the run directories this list owns
     for run in test_golden.RUN_DIRS:
         shutil.rmtree(args.out / run, ignore_errors=True)
