@@ -435,10 +435,10 @@ def _shot_bytes(shots: int, n_qubits: int) -> int:
 
 def _bootstrap_bytes(resamples: int, outcomes: int, terms: int) -> int:
     """Peak bytes of :func:`bootstrap` on circuits of at most these sizes."""
-    # a resample: one circuit's draws and their float copy, then its values
-    # and their transpose, then the transpose and qcm4._add_terms' buffer;
-    # moments
-    return 8 * resamples * (2 * outcomes + 2 * terms + 8) + 32 * outcomes * terms
+    # a resample: the moments, one circuit's draws, their float copy and
+    # their moment increments; before the draws, the circuit's table of
+    # term signs per outcome, which its outcome weights reduce
+    return 8 * resamples * (2 * outcomes + 8) + 24 * outcomes * terms
 
 
 def cmd_ingest(source: Path, out: Path, taper: bool) -> None:
@@ -557,7 +557,7 @@ def cmd_qcm4(resolved: Mapping, base: Path, out: Path) -> None:
     h = _load_operator(resolved, base)
     psi = _load_state(resolved, base, h.n_qubits)
     settings = resolved["qcm4"]
-    m = build_moments(h, threshold=settings["threshold"])
+    m = _check("operator", build_moments, h, settings["threshold"])
     filter_report = None
     if settings["filter"]:
         m, filter_report = pauli_filter(m, psi)

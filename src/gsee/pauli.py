@@ -14,7 +14,12 @@ Products (``@`` and :meth:`PauliSum.from_products`, one blocked step
 the commuting sets (:meth:`PauliSum.group_commuting`, from a table over
 the active qubits' factors and no pair graph) read the arrays and
 reproduce their loop versions bit for bit; strings are built only where
-a caller asks for them.
+a caller asks for them.  Like strings add in one ordered sum with two
+slot maps (:func:`_ordered_sums`): a sorted table of the distinct keys,
+or, for ``@`` alone, a table indexed by the symplectic key ``x << n | z``
+(Dehaene & De Moor, PRA 68, 042318, 2003).  ``@`` takes it when its
+24 · 4ⁿ bytes fit a 32 MiB budget (widths up to 10) and the product has
+at least 4ⁿ / 32 term pairs, where it is no slower than the sort.
 
 The qubit-to-amplitude convention used throughout the package is little
 endian: qubit ``q`` is bit ``q`` of the computational-basis index.  With
@@ -30,9 +35,9 @@ reduction, because those pivots choose the Clifford gates it emits and
 the qcm4 shot records depend on them.
 
 No width cap: :meth:`PauliSum.to_dense`, :meth:`PauliSum.blocks`,
-:meth:`PauliSum.from_products` and :meth:`PauliSum.group_commuting` refuse
-only a peak estimate beyond physical memory (:func:`check_memory`), before
-their large arrays exist.
+``@``, :meth:`PauliSum.from_products` and :meth:`PauliSum.group_commuting`
+refuse only a peak estimate beyond physical memory (:func:`check_memory`),
+before their large arrays exist.
 
 Example:
     >>> x = PauliSum(1, {PauliString.from_label("X0"): 1.0})
@@ -80,6 +85,13 @@ _SIGNS_PER_INDEX = 8
 # Term pairs per block of :func:`_product_step`, behind both products; it
 # bounds a product's working memory to a few (block, W) arrays.
 _PRODUCT_BLOCK = 8192
+
+# The table budget of ``@``'s dense slot map (:func:`_ordered_sums`), and
+# the share of 4ⁿ its pairs must reach: on random sums at widths 8 and 10
+# the two maps break even between 4ⁿ/64 and 4ⁿ/32 pairs.
+_DENSE_BYTES = 32 << 20
+_DENSE_SHARE = 32
+_NO_ELEMENT = np.iinfo(np.intp).max  # the first element of an unused slot
 
 _PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 _AXIS_FROM_BITS = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
@@ -260,40 +272,58 @@ def _keys(row, x, z, n_qubits: int, top: int) -> np.ndarray:
 
 
 def _ordered_sums(
-    blocks: Sequence, keys_of: Callable, terms_of: Callable
+    blocks: Sequence, keys_of: Callable, terms_of: Callable, slots: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sums of values over equal keys, added as a dict loop adds them.
 
     ``keys_of(block)`` gives a block's keys and ``terms_of(block)`` its
-    ``(keys, re, im)``.  Pass 1 builds one sorted table of the distinct keys
-    with the index of each one's first element; pass 2 finds each element's
-    slot by ``np.searchsorted`` and adds its value with ``np.add.at``, from
-    zero in element order.  Returns ``(first, re, im)`` per key, in order
-    of first appearance.
+    ``(keys, re, im)``.  Each element finds its key's slot in one of two
+    slot maps and ``np.add.at`` adds its value there, from zero in element
+    order.  Returns ``(first, re, im)`` per key, in order of first
+    appearance, the same from either map.
+
+    - The sorted map (``slots`` 0): pass 1 builds one sorted table of the
+      distinct keys with the index of each one's first element, and pass 2
+      finds each element's slot by ``np.searchsorted``.
+    - The dense map (every key below ``slots``): each key is its own slot
+      of a table of ``slots`` sums, and ``np.minimum.at`` records each
+      key's first element in the same single pass.  Only ``PauliSum.@``
+      takes it, when the 24 · 4ⁿ-byte table fits :data:`_DENSE_BYTES`
+      (32 MiB, widths up to 10) and the product has at least
+      4ⁿ / :data:`_DENSE_SHARE` (4ⁿ / 32) pairs.
     """
-    table, first, pending, offset = np.zeros(0), np.zeros(0, np.intp), [], 0
-    for i, block in enumerate(blocks):
-        keys = keys_of(block)
-        if i == 0:
-            table = keys.ravel()[:0]  # of the keys' dtype
-        unique, index = np.unique(keys, return_index=True)
-        pending.append((unique, index + offset))
-        offset += keys.size
-        # pending tables wait until they hold as many keys as the merged
-        # table, so each merge at least doubles what it has seen
-        if sum(len(k) for k, _ in pending) >= len(table) or i == len(blocks) - 1:
-            # earlier elements come first, so each key keeps its first one
-            table, pick = np.unique(
-                np.concatenate([table, *(k for k, _ in pending)]), return_index=True
-            )
-            first = np.concatenate([first, *(f for _, f in pending)])[pick]
-            pending = []
-    total = np.zeros((2, len(table)))
+    if slots:
+        first = np.full(slots, _NO_ELEMENT)
+    else:
+        table, first, pending, offset = np.zeros(0), np.zeros(0, np.intp), [], 0
+        for i, block in enumerate(blocks):
+            keys = keys_of(block)
+            if i == 0:
+                table = keys.ravel()[:0]  # of the keys' dtype
+            unique, index = np.unique(keys, return_index=True)
+            pending.append((unique, index + offset))
+            offset += keys.size
+            # pending tables wait until they hold as many keys as the merged
+            # table, so each merge at least doubles what it has seen
+            if sum(len(k) for k, _ in pending) >= len(table) or i == len(blocks) - 1:
+                # earlier elements come first, so each key keeps its first one
+                table, pick = np.unique(
+                    np.concatenate([table, *(k for k, _ in pending)]), return_index=True
+                )
+                first = np.concatenate([first, *(f for _, f in pending)])[pick]
+                pending = []
+    total, offset = np.zeros((2, len(first))), 0
     for block in blocks:
-        keys, re, im = terms_of(block)
-        slot = np.searchsorted(table, keys)
+        keys, re, im = (a.ravel() for a in terms_of(block))  # ufunc.at is fast on 1-d
+        if slots:
+            np.minimum.at(first, keys, np.arange(offset, offset + keys.size))
+            offset += keys.size
+        slot = keys if slots else np.searchsorted(table, keys)
         np.add.at(total[0], slot, re)
         np.add.at(total[1], slot, im)
+    if slots:
+        used = np.flatnonzero(first != _NO_ELEMENT)
+        first, total = first[used], total[:, used]
     order = np.argsort(first)
     return first[order], total[0, order], total[1, order]
 
@@ -330,7 +360,8 @@ def _term_table(sums: Sequence["PauliSum"], n_qubits: int) -> tuple[list, np.nda
 
 
 def _product_step(
-    terms: list, row: np.ndarray, pick: np.ndarray, factors: tuple, n_qubits: int
+    terms: list, row: np.ndarray, pick: np.ndarray, factors: tuple, n_qubits: int,
+    slots: int = 0,
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Each term times the factor it picks, combined per (row, string).
 
@@ -338,10 +369,10 @@ def _product_step(
     pairs with the T slots of factor ``pick[k]`` (:func:`_term_table`),
     in blocks of whole terms, at most :data:`_PRODUCT_BLOCK` pairs unless
     one term has more.  Products add per (row, string) in pair order
-    (:func:`_ordered_sums`).  A padding pair takes the row past the last,
-    so it enters no real key and its sum is dropped unread, as are the
-    sums ``PauliSum`` purges.  Returns the kept terms and their rows, in
-    order of first appearance.
+    (:func:`_ordered_sums`, in its dense map with ``slots``).  A padding
+    pair takes the row past the last, so it enters no real key and its sum
+    is dropped unread, as are the sums ``PauliSum`` purges.  Returns the
+    kept terms and their rows, in order of first appearance.
     """
     table, sizes = factors
     width = table[0].shape[1]
@@ -365,7 +396,7 @@ def _product_step(
         )
         return _keys(r, x, z, n_qubits, top), re, im
 
-    first, re, im = _ordered_sums(range(0, len(row), step), keys_of, terms_of)
+    first, re, im = _ordered_sums(range(0, len(row), step), keys_of, terms_of, slots)
     k, t = np.divmod(first, width)
     kept = (t < sizes[pick[k]]) & (np.hypot(re, im) > PURGE_TOL)
     k, t = k[kept], t[kept]
@@ -771,12 +802,29 @@ class PauliSum:
         """Operator product with like terms combined, bit for bit the pair loop's.
 
         One :func:`_product_step` on one row, each term of ``self`` picking
-        ``other``: strings in order of first appearance.
+        ``other``: strings in order of first appearance.  Large products
+        take the dense slot map of :func:`_ordered_sums`.
+
+        Raises:
+            ValueError: the widths differ, or the peak estimate exceeds
+                physical memory: a block of pairs at ``64 · W + 128`` bytes
+                each (W mask words), the dense table, and ``96 · W + 64``
+                bytes a string for at most min(pairs, 4ⁿ) strings.
         """
         self._require_same_width(other)
-        n, zeros = self._n_qubits, np.zeros(len(self), dtype=np.intp)
+        n, pairs, strings = self._n_qubits, len(self) * len(other), 4**self._n_qubits
+        dense = 24 * strings <= _DENSE_BYTES and _DENSE_SHARE * pairs >= strings
+        slots = strings if dense else 0
+        block, words = min(pairs, max(_PRODUCT_BLOCK, len(other))), _n_words(n)
+        check_memory(
+            (64 * words + 128) * block + 24 * slots + (96 * words + 64) * min(pairs, strings),
+            f"the product of {len(self):,} by {len(other):,} terms",
+        )
+        zeros = np.zeros(len(self), dtype=np.intp)
         terms = [self._x, self._z, self._coeff.real, self._coeff.imag]
-        (x, z, re, im), _ = _product_step(terms, zeros, zeros, _term_table([other], n), n)
+        (x, z, re, im), _ = _product_step(
+            terms, zeros, zeros, _term_table([other], n), n, slots
+        )
         return self._of(n, x, z, _complex(re, im))
 
     @classmethod

@@ -435,24 +435,21 @@ def _run_circuit(
     return record, record.counts @ _term_table(circuit, record.outcomes) / spc
 
 
-def _add_terms(moments: np.ndarray, circuit: PlanCircuit, columns: np.ndarray) -> None:
-    """Adds term values, a contiguous ``(n_terms, batch)`` row per term, into
-    ``(batch, 4)`` moments.
+def _add_terms(moments: np.ndarray, circuit: PlanCircuit, values: np.ndarray) -> None:
+    """Adds term values into the four moments.
 
     Per power, a buffer holds the moment above ``coeff * value`` of each
     term with a nonzero coefficient, in term order; ``np.add.accumulate``
     down it adds them one at a time, so every float sum is a term loop's.
     """
-    buffer = np.empty((1 + len(circuit.terms), len(moments)))
+    buffer = np.empty(1 + len(circuit.terms))
     for p in range(4):
         index = np.flatnonzero(circuit.coeffs[:, p])
         rows = buffer[: len(index) + 1]
-        rows[0] = moments[:, p]
-        # mode "raise" would buffer the take; the indices are in range
-        np.take(columns, index, axis=0, out=rows[1:], mode="clip")
-        rows[1:] *= circuit.coeffs[index, p, None]
-        np.add.accumulate(rows, axis=0, out=rows)
-        moments[:, p] = rows[-1]
+        rows[0] = moments[p]
+        np.multiply(values[index], circuit.coeffs[index, p], out=rows[1:])
+        np.add.accumulate(rows, out=rows)
+        moments[p] = rows[-1]
 
 
 def estimate(
@@ -483,15 +480,15 @@ def estimate(
     else:
         shots = [None] * measurement_plan.n_circuits
     basis = np.arange(1 << psi.n_qubits)
-    moments = np.array([measurement_plan.constants])
+    moments = np.array(measurement_plan.constants)
     records = []
     gates: dict = {}  # the circuits' shared gate arrays (CompiledCircuit)
     for ci, circuit in enumerate(measurement_plan.circuits):
         record, values = _run_circuit(circuit, psi, shots[ci], seed, ci, basis, gates)
         records.append(record)
-        _add_terms(moments, circuit, values[:, None])
+        _add_terms(moments, circuit, values)
     return MomentEstimates(
-        moments=tuple(moments[0].tolist()),
+        moments=tuple(moments.tolist()),
         plan=measurement_plan,
         records=tuple(records) if mode == "shots" else None,
         spc=spc if mode == "shots" else None,
@@ -572,9 +569,11 @@ def bootstrap(
 
     Each circuit's shot histogram is resampled with replacement (one
     multinomial draw of ``spc`` shots over its observed outcomes per
-    resample, stream (seed, circuit)), the moments are reassembled as in
-    :func:`estimate`, and the energy formula is re-evaluated per
-    resample.
+    resample, stream (seed, circuit)), and the energy formula is
+    re-evaluated per resample.  A resample's moments add, per circuit, its
+    drawn counts times each outcome's weight in the four moments (its term
+    values times their coefficients, over ``spc``): the moments of
+    :func:`estimate` up to rounding, which adds term by term.
 
     Raises:
         ValueError: exact-mode estimates carry no shot records.
@@ -586,16 +585,12 @@ def bootstrap(
         raise ValueError("need at least two resamples")
     moments = np.tile(np.asarray(est.plan.constants), (resamples, 1))
     for ci, (circuit, record) in enumerate(zip(est.plan.circuits, est.records)):
+        # each outcome's shot adds this to the four moments
+        weights = _term_table(circuit, record.outcomes) @ circuit.coeffs / record.spc
         draws = derived_rng(seed, ci).multinomial(
             record.spc, record.counts / record.spc, size=resamples
         )
-        # each array goes once the next exists: draws, values, their transpose
-        values = draws @ _term_table(circuit, record.outcomes)
-        del draws
-        columns = np.ascontiguousarray(values.T)
-        del values
-        columns /= record.spc
-        _add_terms(moments, circuit, columns)
+        moments += draws @ weights
     energies = np.array([energy(cumulants(row)) for row in moments])
     # variance of shifted data; exact zero when every resample agrees
     return BootstrapResult(

@@ -513,6 +513,23 @@ def estimate_reference(measurement_plan, psi, spc: int | None = None, seed: int 
     return tuple(moments[0].tolist())
 
 
+def bootstrap_moments_reference(est, resamples: int, seed: int) -> np.ndarray:
+    """The ``(resamples, 4)`` moments of ``qcm4.bootstrap``, term by term.
+
+    Each circuit's counts are drawn as ``qcm4.bootstrap`` draws them, on
+    stream (seed, circuit), and :func:`add_terms_reference` adds the term
+    values of every resample.
+    """
+    moments = np.tile(np.asarray(est.plan.constants), (resamples, 1))
+    for ci, (circuit, record) in enumerate(zip(est.plan.circuits, est.records)):
+        draws = derived_rng(seed, ci).multinomial(
+            record.spc, record.counts / record.spc, size=resamples
+        )
+        table = z_signs(record.outcomes[:, None], circuit.z_masks) * circuit.signs
+        add_terms_reference(moments, circuit, draws @ table / record.spc)
+    return moments
+
+
 def multiply(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
     """Operator product ``a · b`` of two strings as ``(phase, string)``.
 

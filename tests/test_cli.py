@@ -889,6 +889,22 @@ class TestMemoryChecks:
         assert f"operator: {what}" in err and "bytes of physical memory" in err
         assert not (out / "results.json").exists()
 
+    def test_unaffordable_moments_exit_2(self, tmp_path, capsys, monkeypatch):
+        config = h2_config(tmp_path, "qcm4")
+
+        def no_plan(*args):
+            raise AssertionError("the moments' check must come first")
+
+        # H2's first product, H·H, is checked before anything it needs exists
+        monkeypatch.setattr(pauli, "_physical_memory", lambda: 10_000)
+        monkeypatch.setattr(cli, "plan", no_plan)
+        out = tmp_path / "run"
+        assert main(["qcm4", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "operator: the product of 15 by 15 terms" in err
+        assert "bytes of physical memory" in err
+        assert not (out / "results.json").exists()
+
     def test_unaffordable_ingest_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(pauli, "_physical_memory", lambda: 10_000)
         out = tmp_path / "ingested"

@@ -142,11 +142,35 @@ def test_group_commuting(monkeypatch, mode, case):
     assert_covers(monkeypatch, lambda: a.group_commuting(mode))
 
 
-@pytest.mark.parametrize("resamples", [100, 1000])
-def test_bootstrap(resamples):
-    h = jordan_wigner(parse_fcidump((FIXTURES / "h2_eq.fcidump").read_text()))
+@pytest.mark.parametrize("case", ["dense map", "sorted map"])
+def test_product(monkeypatch, case):
+    # the 24 · 4^8-byte table beside a block of pairs, for H^2·H on the
+    # 8-qubit fixture; past the table's budget at 12 qubits, the sorted
+    # table of strings that seldom repeat
+    if case == "dense map":
+        h = jordan_wigner(parse_fcidump((FIXTURES / "spin_polarized.fcidump").read_text()))
+        a, b = h @ h, h
+    else:
+        rng = np.random.default_rng(0)
+        a, b = random_sum(rng, 12, 300), random_sum(rng, 12, 300)
+    assert_covers(monkeypatch, lambda: a @ b)
+
+
+# the 4-qubit fixture on a state with weight everywhere, and the 8-qubit one
+# on three determinants, whose circuits have far more terms than outcomes
+@pytest.mark.parametrize(
+    "fixture, resamples", [("h2_eq", 100), ("h2_eq", 1000), ("spin_polarized", 500)],
+    ids=["100", "1000", "8-qubit"],
+)
+def test_bootstrap(fixture, resamples):
+    h = jordan_wigner(parse_fcidump((FIXTURES / f"{fixture}.fcidump").read_text()))
     mp = plan(build_moments(h))
-    psi = StateVector(4, random_state(np.random.default_rng(0), 4))
+    if fixture == "h2_eq":
+        psi = StateVector(4, random_state(np.random.default_rng(0), 4))
+    else:
+        amplitudes = np.zeros(256, complex)
+        amplitudes[[0b01010100, 0b00010101, 0b01000101]] = 0.8, 0.48, 0.36
+        psi = StateVector(8, amplitudes)
     est = estimate(mp, psi, spc=10_000, seed=1, mode="shots")
     outcomes = max(len(r.outcomes) for r in est.records)
     terms = max(len(c.terms) for c in mp.circuits)

@@ -495,7 +495,51 @@ def product_factors(draw):
     return n, a, b
 
 
+@st.composite
+def slot_map_factors(draw):
+    """``(n, a, b)``: term dicts on 1-8 qubits from a pool small enough to
+    collide, with parts of ±0.0 and, in some draws, cross terms that
+    cancel exactly (as in :func:`product_factors`)."""
+    n = draw(st.integers(1, 8))
+    mask = st.integers(0, 2**n - 1)
+    pool = draw(st.lists(st.builds(PauliString, mask, mask), min_size=1, max_size=12))
+    part = st.sampled_from([0.0, -0.0, 0.5, -0.25]) | st.floats(
+        -4.0, 4.0, allow_nan=False, allow_subnormal=False)
+    coeff = st.builds(complex, part, part)
+    terms = st.dictionaries(st.sampled_from(pool), coeff, max_size=12)
+    a, b = draw(terms), draw(terms)
+    if draw(st.booleans()):
+        za, zb = PauliString(0, draw(mask)), PauliString(0, draw(mask))
+        alpha, beta = draw(coeff), draw(coeff)
+        a.update({za: alpha, zb: beta})
+        b.update({za: alpha, zb: -beta})
+    return n, a, b
+
+
 class TestArrayKernels:
+    @settings(deadline=None)
+    @given(case=slot_map_factors())
+    def test_slot_maps_agree_bit_for_bit(self, case):
+        # the sorted map on every product, then the dense map on every
+        # product with a pair
+        n, a, b = case
+        sa, sb = PauliSum(n, a), PauliSum(n, b)
+        taken, real = [], pauli._ordered_sums
+
+        def spy(blocks, keys_of, terms_of, slots=0):
+            taken.append(slots)
+            return real(blocks, keys_of, terms_of, slots)
+
+        with mock.patch.object(pauli, "_ordered_sums", spy):
+            with mock.patch.object(pauli, "_DENSE_BYTES", 0):
+                by_sort = (sa @ sb).items()
+            with mock.patch.object(pauli, "_DENSE_SHARE", 4**8):
+                dense = (sa @ sb).items()
+        assert taken == [0, 4**n if len(sa) * len(sb) else 0]
+        assert bits_of(dense) == bits_of(by_sort)
+        want = purged_product(dict(sa.items()), dict(sb.items()))
+        assert bits_of(dense) == bits_of(want.items())
+
     @settings(deadline=None)
     @given(case=product_factors(), block=st.integers(1, 300))
     def test_array_product_is_the_pair_loop(self, case, block):

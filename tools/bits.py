@@ -8,7 +8,9 @@ float and complex arrays (zlib-compressed) so that ``--compare`` can say
 how far they moved.
 
 The corpus: ``@`` and ``from_products`` on 40 random sums each at widths
-5, 31, 32, 64 and 70; ``jordan_wigner`` at norb 4-7 and on a norb-33 (66-qubit)
+5, 31, 32, 64 and 70; ``@`` as H·H and H²·H on the seed-0
+``qcels-shots-10q`` operator, products that take the dense slot map at
+width 10; ``jordan_wigner`` at norb 4-7 and on a norb-33 (66-qubit)
 operator; ``build_moments`` on the four fixtures, as strings and
 coefficients in formation order; on the ``qcm4-shots-8q`` inputs of seeds
 0-2, in full and qubitwise grouping with the filter off and on, ``plan``'s
@@ -94,6 +96,11 @@ def text_array(text: str) -> np.ndarray:
 # ----------------------------------------------------------------------
 def run_product(gsee, inp):
     return sum_arrays(as_sum(gsee, inp["a"]) @ as_sum(gsee, inp["b"]))
+
+
+def run_power_product(gsee, inp):
+    h = operator(gsee, inp)
+    return sum_arrays((h @ h if inp["power"] == 2 else h) @ h)
 
 
 def run_from_products(gsee, inp):
@@ -207,6 +214,9 @@ def corpus() -> list[tuple[str, dict, object]]:
                   {"norb": 33, "one": one, "two": two, "core": np.array([0.5])},
                   run_jordan_wigner))
     ops = operators()
+    for power in (1, 2):
+        cases.append((f"product.qcels-shots-10q.seed0.h{power}h",
+                      {**ops["qcels-shots-10q.seed0"], "power": power}, run_power_product))
     for name in ("h2_eq", "h2_stretched", "spin_polarized", "toy_3q"):
         cases.append((f"build_moments.{name}", ops[name], run_build_moments))
     for seed in range(3):

@@ -74,7 +74,8 @@ def hea(n_qubits: int) -> StateVector:
 
 
 def qcm4_case():
-    """The seed-0 qcm4-shots-8q moments, their distinct strings and shot estimate."""
+    """The seed-0 qcm4-shots-8q operator, the distinct strings of its moments
+    and their shot estimate."""
     text = (ROOT / "src" / "gsee" / "fixtures" / "spin_polarized.fcidump").read_text()
     h = PauliSum.from_json(jordan_wigner(parse_fcidump(text)).to_json())
     dets = list(zip(workloads.QCM4_MASKS, workloads.three_det_coefficients(0)))
@@ -86,7 +87,7 @@ def qcm4_case():
     est = estimate(plan(m), psi, spc=10_000, seed=0, mode="shots")
     outcomes = max(len(r.outcomes) for r in est.records)
     terms = max(len(c.terms) for c in est.plan.circuits)
-    return strings, est, cli._bootstrap_bytes(500, outcomes, terms)
+    return h, strings, est, cli._bootstrap_bytes(500, outcomes, terms)
 
 
 def bootstrap_peak(est, checked: int) -> tuple[int, int]:
@@ -108,7 +109,8 @@ def main() -> None:
     sh10, sh12 = qcels.scale(h10), qcels.scale(diagonal)
     psi10, psi12 = hea(10), hea(12)
     fi4, fi6, fi33 = integrals(4), integrals(6), integrals(33, coulomb_only=True)
-    strings, est, bootstrap_bytes = qcm4_case()
+    h8, strings, est, bootstrap_bytes = qcm4_case()
+    h8_squared = h8 @ h8
     sparse10 = PauliSum(10, list(h10.terms())[:100])
     cases = [
         ("blocks", "12 qubits, 1-row blocks (norb-6 diagonal)", diagonal.blocks),
@@ -123,6 +125,10 @@ def main() -> None:
         ("_project", "10 qubits, all 36 sector cells live", lambda: sh10._project(psi10)),
         ("_project", "12 qubits, 1-row blocks, all live", lambda: sh12._project(psi12)),
         ("to_dense", "10 qubits", h10.to_dense),
+        ("@", "H²·H, qcm4-shots-8q's operator (8 qubits, dense map)",
+         lambda: h8_squared @ h8),
+        ("@", "H·H, qcels-shots-10q seed 0 (10 qubits, dense map)", lambda: h10 @ h10),
+        ("@", "H·H, norb 6 (12 qubits, sorted map)", lambda: h12 @ h12),
         ("group_commuting", "full, qcm4-shots-8q's 5,459 strings",
          lambda: strings.group_commuting("full")),
         ("group_commuting", "qubitwise, qcm4-shots-8q's 5,459 strings",

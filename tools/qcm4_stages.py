@@ -7,6 +7,8 @@ three-determinant state.  Each repeat runs ``build_moments``, ``plan``,
 ``estimate`` and ``bootstrap`` as ``gsee qcm4 --mode shots --spc 10000``
 runs them (full grouping, uniform shots, 500 resamples, seed 0), and a
 Markdown table gives each stage's median and quartiles of wall time.
+One ``build_moments`` on the seed-0 ``qcels-shots-10q`` operator (10
+qubits, through the same JSON round trip) follows, timed once.
 
 Usage: OPENBLAS_NUM_THREADS=1 python3 tools/qcm4_stages.py [--repeats N]
 """
@@ -62,6 +64,15 @@ def main() -> None:
     for name, values in times.items():
         q1, q2, q3 = np.percentile(values, [25, 50, 75])
         print(f"| `{name}` | {1e3 * q2:.1f} | {1e3 * q1:.1f}–{1e3 * q3:.1f} |")
+    norb = workloads.QCELS_NORB
+    one, two, core = workloads.random_integrals(norb, SEED)
+    text = workloads.fcidump_text(one, two, core, norb - 1, 0)
+    h10 = PauliSum.from_json(jordan_wigner(parse_fcidump(text)).to_json())
+    start = time.perf_counter()
+    m = build_moments(h10)
+    seconds = time.perf_counter() - start
+    print(f"\n`build_moments` on the seed-{SEED} qcels-shots-10q operator "
+          f"({h10.n_qubits} qubits, {m.term_counts} terms): {seconds:.2f} s")
 
 
 if __name__ == "__main__":
