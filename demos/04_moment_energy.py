@@ -13,10 +13,7 @@ import numpy as np
 
 from gsee.chem import ci_initial_state, determinants_from_json
 from gsee.chem import jordan_wigner, parse_fcidump
-from gsee.qcm4 import (
-    build_moments, cumulants, energy, estimate, moment_report, pauli_filter,
-    plan,
-)
+from gsee.qcm4 import build_moments, cumulants, energy, estimate, pauli_filter, plan
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "src" / "gsee" / "fixtures"
 

@@ -2,9 +2,10 @@
 
 Drives the ``gsee`` command line in-process: FCIDUMP ingestion, an
 exact-mode and a shot-mode moment run from one config file, and the
-summary report over both artifacts.  Every run directory holds the
-resolved config, results.json, and CSV data, and identical configs
-reproduce identical bytes.
+summary report over both artifacts.  results.json is the one record of
+a run: the resolved config next to the results, here with the filter
+block of qcm4.filter.  A shot run adds its data, bootstrap.csv, and
+identical configs reproduce identical bytes.
 """
 
 import json
@@ -43,7 +44,8 @@ main(["report", str(workdir / "run_exact"), str(workdir / "run_shots"),
       "--out", str(workdir / "report")])
 
 results = json.loads((workdir / "run_shots" / "results.json").read_text())
-bs = results["results"]["bootstrap"]
-print(f"\nshot-mode bootstrap: mean {bs['mean']:.8f} Ha, "
+bs, kept = results["results"]["bootstrap"], results["results"]["filter"]
+print(f"\nfilter: {kept['evaluated']} strings evaluated, {kept['dropped']} dropped")
+print(f"shot-mode bootstrap: mean {bs['mean']:.8f} Ha, "
       f"std {bs['std'] * 1e3:.3f} mHa over {bs['resamples']} resamples")
 print(f"artifacts kept under {workdir}")

@@ -9,9 +9,12 @@ Subcommands:
                qcels run's objective.csv rebuilt from its overlap.csv
 
 A run resolves its settings into one plain dict: the config file first,
-command-line overrides on top, then defaults.  The resolved dict is
-embedded in results.json and all JSON is written with sorted keys, so
-identical resolved configurations reproduce results.json byte for byte.
+command-line overrides on top, then defaults.  results.json is the one
+record of a run: the resolved dict and the results, under schema_version
+2.  Next to it a run writes only its data: overlap.csv (qcels),
+series_compilation.json (recompiled qcels, recompile) and bootstrap.csv
+(qcm4 shots).  All JSON is written with sorted keys, so identical resolved
+configurations reproduce results.json byte for byte.
 
 Exit codes: 0 success, 1 runtime or numerical failure, 2 unreadable or
 invalid input.
@@ -57,7 +60,6 @@ from .qcm4 import (
     cumulants,
     energy,
     estimate,
-    moment_report,
     pauli_filter,
     plan,
 )
@@ -66,7 +68,7 @@ from .simulator import StateVector
 
 __all__ = ["InputError", "SCHEMA_VERSION", "main", "resolve_config"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # ingest reports carry a dense ground energy up to this width; a fixed
 # width, not a memory rule, so that ingest_report.json is the same on every
@@ -245,7 +247,7 @@ def resolve_config(
     """Loads a run config and applies command-line overrides and defaults.
 
     The returned dict is the complete, validated description of the run;
-    it is embedded verbatim in every artifact the run writes.
+    it is embedded verbatim in the run's results.json.
 
     Raises:
         InputError: unreadable file, unknown or ill-typed keys, an
@@ -369,7 +371,6 @@ def _write_json(path: Path, payload: Any) -> None:
 
 def _write_results(out: Path, resolved: Mapping, results: Mapping) -> None:
     _assert_finite(results)
-    _write_json(out / "config.json", resolved)
     _write_json(
         out / "results.json",
         {
@@ -585,9 +586,6 @@ def cmd_qcm4(resolved: Mapping, base: Path, out: Path) -> None:
         (out / "bootstrap.csv").write_text(bs.to_csv())
     cums = cumulants(est)
     e_qcm4 = energy(cums)
-    (out / "moment_report.json").write_text(
-        moment_report(m, measurement_plan, filter_report) + "\n"
-    )
 
     results = {
         "energy": e_qcm4,
@@ -609,6 +607,12 @@ def cmd_qcm4(resolved: Mapping, base: Path, out: Path) -> None:
             "resamples": bs.resamples,
             "seed": bs.seed,
         },
+        "filter": None if filter_report is None else {
+            "tol": filter_report.tol,
+            "evaluated": filter_report.evaluated,
+            "survivors": list(filter_report.survivors),
+            "dropped": len(filter_report.audited),
+        },
     }
     _write_results(out, resolved, results)
     print(f"E_QCM4 = {e_qcm4:.10f} Ha")
@@ -624,12 +628,6 @@ def cmd_recompile(resolved: Mapping, base: Path, out: Path) -> None:
     compilation, depth = _compile_hadamard_series(
         sh, psi, tau, settings["n_points"], settings, resolved["seed"], out
     )
-    lines = ["step,fidelity,objective,iterations"]
-    for step, entry in enumerate(compilation.results):
-        lines.append(
-            f"{step},{entry.fidelity!r},{entry.objective!r},{entry.iterations}"
-        )
-    (out / "fidelity.csv").write_text("\n".join(lines) + "\n")
 
     results = {
         "qubits": h.n_qubits,
@@ -664,8 +662,9 @@ def _report_rows(run_dirs: Sequence[Path]) -> list[dict]:
         if not isinstance(payload, Mapping):
             raise InputError(f"{path}: not a results object")
         version = payload.get("schema_version")
-        # True == 1 and 1.0 == 1, so the type is checked as well
-        if type(version) is not int or version != SCHEMA_VERSION:
+        # version 2 only added fields that the report does not read; True
+        # == 1 and 1.0 == 1, so the type is checked as well
+        if type(version) is not int or version not in (1, SCHEMA_VERSION):
             raise InputError(f"{path}: unsupported schema version {version!r}")
         results = payload.get("results", {})
         config = payload.get("config", {})

@@ -16,7 +16,6 @@ falling back to c1 on eigenstate-like data where c2 vanishes.  Bootstrap
 resampling of the per-circuit shot records supplies error bars.
 """
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -42,7 +41,6 @@ __all__ = [
     "cumulants",
     "energy",
     "estimate",
-    "moment_report",
     "pauli_filter",
     "plan",
 ]
@@ -61,12 +59,10 @@ class MomentOperators:
 
     Attributes:
         powers: the four Pauli sums, index n-1 holding H^n.
-        threshold: coefficient magnitude below which terms were cut.
-        dropped: per-power coefficient weight removed by the cut.
+        dropped: per-power coefficient weight removed by the threshold cut.
     """
 
     powers: tuple[PauliSum, PauliSum, PauliSum, PauliSum]
-    threshold: float
     dropped: tuple[float, float, float, float]
 
     @property
@@ -101,7 +97,6 @@ def build_moments(h: PauliSum, threshold: float = 0.0) -> MomentOperators:
     cut = [p.truncate(threshold) for p in full]
     return MomentOperators(
         powers=tuple(p for p, _ in cut),
-        threshold=threshold,
         dropped=tuple(w for _, w in cut),
     )
 
@@ -156,7 +151,7 @@ def pauli_filter(
     dropped = [(s, v) for s, v, g in zip(strings, values, gone) if g]
     audited = tuple(sorted(dropped, key=lambda t: t[0].sort_key()))
     report = FilterReport(FILTER_TOL, int(measured.sum()), tuple(survivors), audited)
-    return MomentOperators(tuple(filtered), m.threshold, m.dropped), report
+    return MomentOperators(tuple(filtered), m.dropped), report
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +176,6 @@ class MeasurementPlan:
     """Circuits covering all four powers; ``constants[n-1]`` is H^n's identity coefficient."""
 
     n_qubits: int
-    mode: str
     circuits: tuple[PlanCircuit, ...]
     constants: tuple[float, float, float, float]
 
@@ -351,7 +345,7 @@ def plan(m: MomentOperators, mode: str = "full") -> MeasurementPlan:
         coeffs = table[[int(c.real) - 1 for _, c in group]]
         circuits.append(PlanCircuit(Circuit(n, gates), strings, z_masks, signs, coeffs))
     constants = tuple(p.identity_coefficient.real for p in m.powers)
-    return MeasurementPlan(n, mode, tuple(circuits), constants)
+    return MeasurementPlan(n, tuple(circuits), constants)
 
 
 # ----------------------------------------------------------------------
@@ -599,29 +593,3 @@ def bootstrap(
         energies=energies,
         seed=seed,
     )
-
-
-# ----------------------------------------------------------------------
-# reporting
-# ----------------------------------------------------------------------
-def moment_report(
-    m: MomentOperators,
-    measurement_plan: MeasurementPlan,
-    filter_report: FilterReport | None = None,
-) -> str:
-    """JSON summary: term counts, circuit count, cut and filter sizes."""
-    payload = {
-        "term_counts": list(m.term_counts),
-        "threshold": m.threshold,
-        "dropped_weights": list(m.dropped),
-        "n_circuits": measurement_plan.n_circuits,
-        "grouping_mode": measurement_plan.mode,
-    }
-    if filter_report is not None:
-        payload["filter"] = {
-            "tol": filter_report.tol,
-            "evaluated": filter_report.evaluated,
-            "survivors": list(filter_report.survivors),
-            "dropped": len(filter_report.audited),
-        }
-    return json.dumps(payload, indent=1)

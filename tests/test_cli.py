@@ -14,7 +14,7 @@ from gsee import cli, pauli
 from gsee.chem import jordan_wigner, parse_fcidump
 from gsee.cli import InputError, SCHEMA_VERSION, main, resolve_config
 from gsee.pauli import PauliString, PauliSum
-from gsee.qcm4 import bootstrap, build_moments, estimate, plan
+from gsee.qcm4 import bootstrap, build_moments, estimate, pauli_filter, plan
 from gsee.recompile import CompileConfig
 from gsee.simulator import StateVector, sample_z
 
@@ -711,7 +711,6 @@ class TestQcelsRun:
         assert embedded["spc"] == 250
         assert embedded["seed"] == 9
         assert embedded["mode"] == "shots"
-        assert json.loads((out / "config.json").read_text()) == embedded
 
     def test_identity_operator_exits_1(self, tmp_path, capsys):
         operator = tmp_path / "identity.json"
@@ -751,14 +750,30 @@ class TestQcm4Run:
         assert rows[0] == "resample,energy"
         assert len(rows) == 51
 
-    def test_moment_report_written(self, tmp_path):
-        config = h2_config(tmp_path, "qcm4", qcm4={"filter": True})
-        out = tmp_path / "run"
-        assert main(["qcm4", "--config", str(config), "--out", str(out)]) == 0
-        report = json.loads((out / "moment_report.json").read_text())
-        assert report["term_counts"] == [15, 24, 24, 24]
-        assert report["n_circuits"] == run_results(out)["results"]["n_circuits"]
-        assert "filter" in report
+    def test_filter_block_is_the_runs_filter_report(self, tmp_path, monkeypatch):
+        reports = []
+
+        def recording(m, psi):
+            filtered, report = pauli_filter(m, psi)
+            reports.append(report)
+            return filtered, report
+
+        monkeypatch.setattr(cli, "pauli_filter", recording)
+        # the HF determinant, on which many strings vanish and are dropped
+        unfiltered = h2_config(tmp_path, "qcm4", state={"basis": 3})
+        off, on = tmp_path / "off", tmp_path / "on"
+        assert main(["qcm4", "--config", str(unfiltered), "--out", str(off)]) == 0
+        filtered = h2_config(tmp_path, "qcm4", state={"basis": 3}, qcm4={"filter": True})
+        assert main(["qcm4", "--config", str(filtered), "--out", str(on)]) == 0
+        assert run_results(off)["results"]["filter"] is None
+        (report,) = reports
+        assert report.audited
+        assert run_results(on)["results"]["filter"] == {
+            "tol": report.tol,
+            "evaluated": report.evaluated,
+            "survivors": list(report.survivors),
+            "dropped": len(report.audited),
+        }
 
     def test_weighted_single_shot_run_gives_every_circuit_a_shot(self, tmp_path):
         # with one shot per circuit on average, the floors of the many light
@@ -1021,9 +1036,6 @@ class TestRecompileRun:
             (tmp_path / "r1" / "series_compilation.json").read_text()
         )
         assert len(compilation["results"]) == 3
-        rows = (tmp_path / "r1" / "fidelity.csv").read_text().splitlines()
-        assert rows[0] == "step,fidelity,objective,iterations"
-        assert len(rows) == 4
 
 
 class TestCompileSettings:
@@ -1188,13 +1200,35 @@ class TestReport:
     def test_schema_mismatch_exits_2(self, tmp_path, capsys):
         rogue = tmp_path / "rogue"
         rogue.mkdir()
-        # true and 1.0 compare equal to 1 but are not the integer version
-        for version in (99, True, 1.0):
+        # true, 1.0 and 2.0 compare equal to 1 and 2 but are not integer
+        # versions; 0 and 3 bracket the versions 1 and 2 that it reads
+        for version in (99, True, 1.0, 0, 3, 2.0):
             (rogue / "results.json").write_text(
                 json.dumps({"schema_version": version, "results": {}})
             )
             assert main(["report", str(rogue)]) == 2
             assert "unsupported schema version" in capsys.readouterr().err
+
+    def test_schema_1_and_2_runs_share_one_table(self, tmp_path, capsys):
+        exact_dir, shots_dir = self.run_pair(tmp_path)
+        # the shot run as version 1 wrote it: no filter block
+        old = tmp_path / "old"
+        old.mkdir()
+        payload = run_results(shots_dir)
+        assert payload["schema_version"] == 2
+        payload["schema_version"] = 1
+        del payload["results"]["filter"]
+        (old / "results.json").write_text(json.dumps(payload))
+        capsys.readouterr()
+        out = tmp_path / "rep"
+        assert main(["report", str(exact_dir), str(shots_dir), str(old),
+                     "--out", str(out)]) == 0
+        rows = (out / "report.csv").read_text().splitlines()
+        header = rows[0].split(",")
+        new, older = (dict(zip(header, row.split(","))) for row in rows[2:])
+        assert (new.pop("run"), older.pop("run")) == ("shots", "old")
+        assert older == new
+        assert new["delta_vs_exact"] != ""
 
     def test_non_object_section_exits_2(self, tmp_path, capsys):
         rogue = tmp_path / "rogue"

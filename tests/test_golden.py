@@ -12,6 +12,13 @@ qcels runs do not write ``objective.csv``; ``gsee report --objective``
 rebuilds it from ``overlap.csv``, and one test checks that file on every
 fresh qcels run against a phasor-matrix oracle.
 
+The ``*_hf_*`` runs start from the Hartree-Fock determinant, which is not
+an eigenstate, and pin today's values, known to be off: qcm4 exact gives
+-1.116664077726225 Ha where the standard fourth-order formula gives
+-1.137269837289031 (ROADMAP item 1), and the qcels shot fit ends on the
+window edge theta = -pi/4 (item 3).  A fix to either shows as a move of
+these files in the golden diff.
+
 Regenerate the set with ``python tools/regen_golden.py``.
 """
 
@@ -56,7 +63,7 @@ SPIN_POLARIZED_STATE = {
 
 def _config(algorithm: str, **settings) -> dict:
     # paths are relative to the config file, so no run location leaks
-    # into the config.json and results.json the run writes
+    # into the results.json the run writes
     return {
         "algorithm": algorithm,
         "operator": "ingest/operator.json",
@@ -65,6 +72,9 @@ def _config(algorithm: str, **settings) -> dict:
         **settings,
     }
 
+
+# the Hartree-Fock determinant 0b0011 of the ingested H2 operator
+HF = {"basis": 3}
 
 # run directory -> config; every run reads the ingested H2 operator
 RUNS = {
@@ -91,8 +101,16 @@ RUNS = {
         state={"determinants": "spin_polarized_ci.json"},
         qcm4={"grouping": "qubitwise"},
     ),
+    "qcm4_hf_exact": _config("qcm4", state=HF),
+    "qcm4_hf_shots": _config(
+        "qcm4", state=HF, mode="shots", spc=500, qcm4={"resamples": 50}
+    ),
+    "qcels_hf_shots": _config("qcels", state=HF, mode="shots", spc=200),
 }
 RUN_DIRS = ("ingest", "ingest_8q", *RUNS, "report")
+# the report's reference is the one exact run per (algorithm, operator),
+# so it leaves out the runs on HF, whose qcm4_hf_exact would be a second
+REPORTED = tuple(name for name, config in RUNS.items() if config["state"] != HF)
 
 
 def _gsee(*argv: str) -> None:
@@ -103,7 +121,7 @@ def _gsee(*argv: str) -> None:
 
 
 def produce(work: pathlib.Path) -> pathlib.Path:
-    """Runs both ingests, every RUNS entry and report inside ``work``."""
+    """Runs both ingests, every RUNS entry and the REPORTED report in ``work``."""
     for name in ("h2_eq.fcidump", "h2_eq_ci.json", "spin_polarized.fcidump"):
         shutil.copy(FIXTURES / name, work / name)
     (work / "spin_polarized_ci.json").write_text(json.dumps(SPIN_POLARIZED_STATE))
@@ -115,7 +133,7 @@ def produce(work: pathlib.Path) -> pathlib.Path:
         path = work / f"{name}.json"
         path.write_text(json.dumps(config, indent=1) + "\n")
         _gsee(config["algorithm"], "--config", str(path), "--out", str(work / name))
-    _gsee("report", *(str(work / name) for name in RUNS), "--out",
+    _gsee("report", *(str(work / name) for name in REPORTED), "--out",
           str(work / "report"))
     return work
 

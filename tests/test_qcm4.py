@@ -1,6 +1,5 @@
 """Moment, cumulant, and bootstrap tests against dense and hand oracles."""
 
-import json
 import math
 import pathlib
 
@@ -28,7 +27,6 @@ from gsee.qcm4 import (
     cumulants,
     energy,
     estimate,
-    moment_report,
     pauli_filter,
     plan,
 )
@@ -116,7 +114,6 @@ class TestBuildMoments:
         # the X0 Z1 cross term at 2e-4 exists only if H^2 is formed
         # before truncation; its weight lands in the dropped record
         assert m.dropped[1] == pytest.approx(2e-4, rel=1e-9)
-        assert m.threshold == 1e-3
         full = build_moments(h)
         assert full.dropped == (0.0, 0.0, 0.0, 0.0)
         assert full.term_counts[1] > m.term_counts[1]
@@ -392,7 +389,7 @@ class TestEstimate:
                         np.array([[w, 0.0, 0.0, 0.0]]))
             for w in weights
         )
-        mp = MeasurementPlan(1, "full", circuits, (0.0, 0.0, 0.0, 0.0))
+        mp = MeasurementPlan(1, circuits, (0.0, 0.0, 0.0, 0.0))
         est = estimate(mp, StateVector.basis_state(1, 0), spc=spc, seed=0,
                        mode="shots", allocation="weighted")
         counts = [r.spc for r in est.records]
@@ -494,7 +491,7 @@ class TestSingleTableauPass:
     @settings(deadline=None, max_examples=60)
     @given(h=sums_with_dependent_strings(), mode=st.sampled_from(["full", "qubitwise"]))
     def test_random_sets_equal_the_replay(self, h, mode):
-        m = qcm4.MomentOperators((h, h, h, h), 0.0, (0.0, 0.0, 0.0, 0.0))
+        m = qcm4.MomentOperators((h, h, h, h), (0.0, 0.0, 0.0, 0.0))
         assert_plan_matches_replay(plan(m, mode))
 
 
@@ -773,21 +770,3 @@ class TestResultAndReport:
         est = estimate(plan(build_moments(h)), StateVector(2, vecs[:, 0]))
         cums = cumulants(est)
         assert energy(cums) == cums[0]
-
-    def test_moment_report_contents(self):
-        h, psi = h2_problem()
-        m = build_moments(h, threshold=1e-3)
-        fm, rep = pauli_filter(m, psi)
-        mp = plan(fm)
-        payload = json.loads(moment_report(m, mp, rep))
-        assert payload["term_counts"] == list(m.term_counts)
-        assert payload["n_circuits"] == mp.n_circuits
-        assert payload["threshold"] == 1e-3
-        assert payload["filter"]["survivors"] == list(rep.survivors)
-
-    def test_moment_report_without_filter(self):
-        h, psi = h2_problem()
-        m = build_moments(h)
-        payload = json.loads(moment_report(m, plan(m)))
-        assert "filter" not in payload
-        assert payload["dropped_weights"] == [0.0, 0.0, 0.0, 0.0]

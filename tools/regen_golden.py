@@ -1,9 +1,10 @@
 """Rewrites the golden artifact set that tests/test_golden.py checks.
 
 Runs the golden run list of tests/test_golden.py (ingest, qcels, qcm4,
-recompile and report on the H2 fixture, and qcm4 exact with full and
-qubitwise grouping on the 8-qubit spin_polarized model) in a temporary
-directory and copies every artifact into tests/golden/.
+recompile and report on the H2 fixture with its CI state, qcm4 and qcels
+on its Hartree-Fock determinant, and qcm4 exact with full and qubitwise
+grouping on the 8-qubit spin_polarized model) in a temporary directory
+and copies every artifact into tests/golden/.
 
 Usage: python3 tools/regen_golden.py [--out DIR]
 
