@@ -60,6 +60,7 @@ from .qcm4 import (
     cumulants,
     energy,
     estimate,
+    moment_report,
     pauli_filter,
     plan,
 )
@@ -594,25 +595,17 @@ def cmd_qcm4(resolved: Mapping, base: Path, out: Path) -> None:
         "qubits": h.n_qubits,
         "mode": resolved["mode"],
         "spc": resolved["spc"],
-        "n_circuits": measurement_plan.n_circuits,
         "two_qubit_depth": max(
             (two_qubit_depth(c.clifford) for c in measurement_plan.circuits),
             default=0,
         ),
-        "term_counts": list(m.term_counts),
-        "dropped_weights": list(m.dropped),
         "bootstrap": None if bs is None else {
             "mean": bs.mean,
             "std": bs.std,
             "resamples": bs.resamples,
             "seed": bs.seed,
         },
-        "filter": None if filter_report is None else {
-            "tol": filter_report.tol,
-            "evaluated": filter_report.evaluated,
-            "survivors": list(filter_report.survivors),
-            "dropped": len(filter_report.audited),
-        },
+        **moment_report(m, measurement_plan, filter_report),
     }
     _write_results(out, resolved, results)
     print(f"E_QCM4 = {e_qcm4:.10f} Ha")

@@ -41,6 +41,7 @@ __all__ = [
     "cumulants",
     "energy",
     "estimate",
+    "moment_report",
     "pauli_filter",
     "plan",
 ]
@@ -593,3 +594,23 @@ def bootstrap(
         energies=energies,
         seed=seed,
     )
+
+
+def moment_report(
+    m: MomentOperators,
+    measurement_plan: MeasurementPlan,
+    filter_report: FilterReport | None = None,
+) -> dict:
+    """The run record's summary of the moments: term counts, cut weights,
+    circuit count and, when the filter ran, its sizes (else None)."""
+    return {
+        "term_counts": list(m.term_counts),
+        "dropped_weights": list(m.dropped),
+        "n_circuits": measurement_plan.n_circuits,
+        "filter": None if filter_report is None else {
+            "tol": filter_report.tol,
+            "evaluated": filter_report.evaluated,
+            "survivors": list(filter_report.survivors),
+            "dropped": len(filter_report.audited),
+        },
+    }

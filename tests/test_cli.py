@@ -750,6 +750,16 @@ class TestQcm4Run:
         assert rows[0] == "resample,energy"
         assert len(rows) == 51
 
+    def test_moment_report_written(self, tmp_path):
+        config = h2_config(tmp_path, "qcm4", qcm4={"filter": True})
+        out = tmp_path / "run"
+        assert main(["qcm4", "--config", str(config), "--out", str(out)]) == 0
+        results = run_results(out)["results"]
+        assert results["term_counts"] == [15, 24, 24, 24]
+        assert results["n_circuits"] >= 1
+        assert results["filter"] is not None
+        assert not (out / "moment_report.json").exists()
+
     def test_filter_block_is_the_runs_filter_report(self, tmp_path, monkeypatch):
         reports = []
 

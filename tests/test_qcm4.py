@@ -27,6 +27,7 @@ from gsee.qcm4 import (
     cumulants,
     energy,
     estimate,
+    moment_report,
     pauli_filter,
     plan,
 )
@@ -770,3 +771,22 @@ class TestResultAndReport:
         est = estimate(plan(build_moments(h)), StateVector(2, vecs[:, 0]))
         cums = cumulants(est)
         assert energy(cums) == cums[0]
+
+    def test_moment_report_contents(self):
+        h, psi = h2_problem()
+        m = build_moments(h, threshold=1e-3)
+        fm, rep = pauli_filter(m, psi)
+        mp = plan(fm)
+        payload = moment_report(m, mp, rep)
+        assert payload["term_counts"] == list(m.term_counts)
+        assert payload["n_circuits"] == mp.n_circuits
+        assert payload["dropped_weights"] == list(m.dropped)
+        assert payload["filter"]["survivors"] == list(rep.survivors)
+        assert payload["filter"]["dropped"] == len(rep.audited)
+
+    def test_moment_report_without_filter(self):
+        h, psi = h2_problem()
+        m = build_moments(h)
+        payload = moment_report(m, plan(m))
+        assert payload["filter"] is None
+        assert payload["dropped_weights"] == [0.0, 0.0, 0.0, 0.0]
