@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .pauli import PauliString, PauliSum, gf2_reduce, sum_multiply
+from .pauli import PauliString, PauliSum, gf2_reduce, z_signs
 from .simulator import StateVector
 
 __all__ = [
@@ -254,8 +254,10 @@ def taper_z2(
     a subset (e.g. just the per-spin particle parities) may be supplied
     instead to control how many qubits are removed.  Sector signs come
     from the reference determinant; each generator is conjugated to an X
-    on its pivot qubit by the Clifford (g + X_pivot)/sqrt(2), after which
-    the pivot is projected out.
+    on its pivot qubit by the Clifford U = (g + X_pivot)/sqrt(2), after
+    which the pivot is projected out.  U H U is formed as the product
+    (g + X_pivot) H (g + X_pivot) of unit coefficients, halved once, so no
+    rounded sqrt(1/2) enters the tapered coefficients.
 
     Raises:
         ValueError: the reference is not an eigenvector of some generator
@@ -306,14 +308,8 @@ def taper_z2(
         sign = -1 if (ref_mask & mask).bit_count() & 1 else 1
         signs.append(sign)
         fixes[pivot] = ("X", sign)
-        clifford = PauliSum(
-            n,
-            {
-                PauliString(0, mask): np.sqrt(0.5),
-                PauliString(1 << pivot, 0): np.sqrt(0.5),
-            },
-        )
-        reduced_h = sum_multiply(sum_multiply(clifford, reduced_h), clifford)
+        clifford = PauliSum(n, [(PauliString(0, mask), 1.0), (PauliString(1 << pivot, 0), 1.0)])
+        reduced_h = (clifford @ reduced_h @ clifford) * 0.5
     reduced_h = fix_qubits(reduced_h, fixes)
     kept = [q for q in range(n) if q not in fixes]
     return TaperingReport(
@@ -329,37 +325,29 @@ def taper_z2(
 def taper_state(report: TaperingReport, state: StateVector) -> StateVector:
     """Carries a full-register state into the tapered register.
 
-    Applies the same per-generator Cliffords, then factors out the pivot
-    qubits, which the rotation leaves in known X eigenstates for any
-    state inside the selected sector.
+    The report's Cliffords, then each pivot projected onto its sector's X
+    eigenstate, in closed form: one gather.  A kept index has one completion
+    in the sector, the pivot bits that give each generator its sector sign,
+    and its amplitude there takes the sector sign once per pivot set to 0.
+    Out-of-sector weight shows up as lost norm.
 
     Raises:
         ValueError: the state has weight outside the sector.
     """
     if state.n_qubits != report.n_qubits:
         raise ValueError("state width does not match the tapering report")
-    amps = state.amplitudes.copy()
-    for g, pivot in zip(report.generators, report.pivots):
-        amps = np.sqrt(0.5) * (g.act(amps) + PauliString(1 << pivot, 0).act(amps))
     kept = sorted(report.qubit_map, key=report.qubit_map.get)
     if not kept:
         raise ValueError("no qubits remain after tapering")
     idx = np.arange(1 << len(kept))
-    base = np.zeros_like(idx)
-    for j, q in enumerate(kept):
-        base |= ((idx >> j) & 1) << q
-    # project each pivot onto (|0> + sign|1>)/sqrt(2); out-of-sector weight
-    # is orthogonal to that combination and shows up as lost norm
-    out = np.zeros(len(idx), dtype=complex)
-    k = len(report.pivots)
-    for t in range(1 << k):
-        offset, sgn = 0, 1.0
-        for i, p in enumerate(report.pivots):
-            if (t >> i) & 1:
-                offset |= 1 << p
-                sgn *= report.sector_signs[i]
-        out += sgn * amps[base | offset]
-    out /= 2 ** (k / 2.0)
+    full = sum(((idx >> j) & 1) << q for j, q in enumerate(kept))  # disjoint bits
+    sign = np.ones(len(idx))
+    # a pivot lies in its own generator only, so its bit alone gives g the sign s
+    for g, pivot, s in zip(report.generators, report.pivots, report.sector_signs):
+        bit = z_signs(full, g.z_mask) != s
+        full |= bit.astype(full.dtype) << pivot
+        sign[~bit] *= s
+    out = sign * state.amplitudes[full]
     norm = float(np.linalg.norm(out))
     if abs(norm - 1.0) > 1e-6:
         raise ValueError(

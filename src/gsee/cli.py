@@ -13,8 +13,9 @@ command-line overrides on top, then defaults.  results.json is the one
 record of a run: the resolved dict and the results, under schema_version
 2.  Next to it a run writes only its data: overlap.csv (qcels),
 series_compilation.json (recompiled qcels, recompile) and bootstrap.csv
-(qcm4 shots).  All JSON is written with sorted keys, so identical resolved
-configurations reproduce results.json byte for byte.
+(qcm4 shots).  results.json and ingest_report.json are written with sorted
+keys, so identical resolved configurations reproduce them byte for byte;
+series_compilation.json keeps its field order.
 
 Exit codes: 0 success, 1 runtime or numerical failure, 2 unreadable or
 invalid input.
@@ -673,15 +674,16 @@ def _report_rows(run_dirs: Sequence[Path]) -> list[dict]:
             "mode": results.get("mode"),
             "spc": results.get("spc"),
             "energy": results.get("energy"),
+            "state": json.dumps(config.get("state"), sort_keys=True),
         })
-    # reference energy per (algorithm, operator): the unique exact-mode run
+    # reference energy per (algorithm, operator, state): the unique exact-mode run
     groups: dict[tuple, list[float]] = {}
     for row in rows:
         if row["mode"] == "exact" and isinstance(row["energy"], (int, float)):
-            key = (row["algorithm"], row["operator"])
+            key = (row["algorithm"], row["operator"], row["state"])
             groups.setdefault(key, []).append(row["energy"])
     for row in rows:
-        reference = groups.get((row["algorithm"], row["operator"]), [])
+        reference = groups.get((row["algorithm"], row["operator"], row["state"]), [])
         if len(reference) == 1 and isinstance(row["energy"], (int, float)):
             row["delta_vs_exact"] = row["energy"] - reference[0]
         else:

@@ -3,8 +3,9 @@
 The pipeline expands the Hamiltonian powers H^n for n = 1..4, filters
 strings whose ideal expectation vanishes in the input state when asked
 (the ``qcm4.filter`` option, off by default), groups the strings into
-fully commuting sets, diagonalizes each set with a Clifford circuit so
-one Z-basis acquisition serves every member, turns moments into cumulants
+fully or qubitwise commuting sets, diagonalizes each set with a Clifford
+circuit (a qubitwise set's is one rotation per qubit) so one Z-basis
+acquisition serves every member, turns moments into cumulants
 
     c_n = <H^n> - sum_{p=0}^{n-2} binom(n-1, p) c_{p+1} <H^{n-p-1}>,
 
@@ -238,23 +239,31 @@ def _schema_gates(op: tuple) -> list[Gate]:
 
 
 def _diagonalizing_ops(
-    strings: Sequence[PauliString], n: int
+    strings: Sequence[PauliString], n: int, mode: str = "full"
 ) -> tuple[list[tuple], np.ndarray, np.ndarray]:
     """Clifford generators turning a commuting set into Z strings.
 
-    A GF(2)-independent subset of the strings (:func:`gf2_reduce`) gives
-    the rows.  Gaussian elimination of their x-block selects pivot
-    qubits, then each pivot row's x support is cleared (cz through a
-    Hadamard pair), its own phase bit (s), its z couplings (cz, pairwise
-    couplings cancel on both rows at once), and finally the lone X hops
-    onto Z (h).  Held by qubit (:func:`_conjugate`), rows in bits 0..r-1
-    and string k in bit r+k, rows and strings are conjugated together as
-    each gate is chosen; only row bits choose gates.  Returns the gates
+    The set's generators give the rows: a GF(2)-independent subset of the
+    strings (:func:`gf2_reduce`) in ``"full"`` mode, in ``"qubitwise"`` mode
+    each qubit's one-qubit factor (the OR of the members' bits there).
+    Gaussian elimination of their x-block selects pivot qubits, then each
+    pivot row's x support is cleared (cz through a Hadamard pair), its own
+    phase bit (s), its z couplings (cz, pairwise couplings cancel on both
+    rows at once), and finally the lone X hops onto Z (h): a one-qubit row
+    takes h, or s then h.  Held by qubit (:func:`_conjugate`), rows in bits
+    0..r-1 and string k in bit r+k, rows and strings are conjugated together
+    as each gate is chosen; only row bits choose gates.  Returns the gates
     and each string's Z mask and sign, as ``int64`` and ``±1.0`` arrays;
     a string left with an X or Y raises ValueError.
     """
-    dependent = set(gf2_reduce(s.x_mask | (s.z_mask << n) for s in strings)[1])
-    rows = [[s.x_mask, s.z_mask] for i, s in enumerate(strings) if i not in dependent]
+    if mode == "qubitwise":
+        x_or = z_or = 0
+        for s in strings:
+            x_or, z_or = x_or | s.x_mask, z_or | s.z_mask
+        rows = [[x_or & 1 << q, z_or & 1 << q] for q in range(n) if (x_or | z_or) >> q & 1]
+    else:
+        dependent = set(gf2_reduce(s.x_mask | (s.z_mask << n) for s in strings)[1])
+        rows = [[s.x_mask, s.z_mask] for i, s in enumerate(strings) if i not in dependent]
     # reduced row echelon over the x-block; row ops only redefine the
     # generating set, no gates involved
     pivots: list[int] = []
@@ -315,9 +324,10 @@ def plan(m: MomentOperators, mode: str = "full") -> MeasurementPlan:
 
     Identical strings appearing in several powers are deduplicated and
     measured once.  Identity coefficients become per-power constants.
-    One tableau pass per set (:func:`_diagonalizing_ops`) chooses its
-    Clifford and turns every member into a Z mask with a sign, which the
-    :class:`PlanCircuit` holds as arrays with the per-power coefficients.
+    One tableau pass per set (:func:`_diagonalizing_ops`), on generators
+    that the grouping ``mode`` picks, chooses its Clifford (for a qubitwise
+    set only ``h``, or ``s`` then ``h``, per qubit) and turns every member
+    into a Z mask and sign, held as arrays with the per-power coefficients.
 
     Raises:
         ValueError: a set member fails to conjugate to a Z string, which
@@ -337,7 +347,7 @@ def plan(m: MomentOperators, mode: str = "full") -> MeasurementPlan:
     schema: dict[tuple, list[Gate]] = {}  # the gates of each distinct op, built once
     for group in measured.group_commuting(mode):
         strings = tuple(s for s, _ in group)
-        ops, z_masks, signs = _diagonalizing_ops(strings, n)
+        ops, z_masks, signs = _diagonalizing_ops(strings, n, mode)
         gates: list[Gate] = []
         for op in ops:
             if op not in schema:

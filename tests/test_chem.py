@@ -270,6 +270,16 @@ class TestTaperZ2:
         got = report.reduced.identity_coefficient.real
         assert got == pytest.approx(-0.7 - 0.4 - 0.25, abs=1e-12)
 
+    @pytest.mark.parametrize("reference", [0b00, 0b01, 0b11])
+    def test_tapered_constant_is_the_reference_energy_exactly(self, reference):
+        # no rounded sqrt(1/2) enters: the constant is <ref|H|ref> summed
+        # in canonical term order, to the last bit
+        h = self.all_z_example()
+        want = 0.0
+        for string, coeff in h.terms():
+            want += coeff.real * (-1.0 if (reference & string.z_mask).bit_count() & 1 else 1.0)
+        assert taper_z2(h, reference).reduced.identity_coefficient.real == want
+
     def test_h2_default_kernel_has_three_generators(self):
         h = jordan_wigner(load_h2())
         report = taper_z2(h, 0b0011)
@@ -354,6 +364,35 @@ class TestTaperState:
         reduced_psi = taper_state(report, StateVector(4, amps))
         energy = expectation(reduced_psi, report.reduced).real
         assert energy == pytest.approx(w[0], abs=1e-10)
+
+    @pytest.mark.parametrize("stem, reference, labels", [
+        ("h2_eq", 0b0011, None),
+        ("h2_eq", 0b0011, ("Z0 Z2", "Z1 Z3")),
+        ("h2_stretched", 0b0011, None),
+        ("spin_polarized", 0b00010101, None),
+    ])
+    def test_matches_dense_cliffords_and_projection(self, stem, reference, labels):
+        h = jordan_wigner(load_h2(stem))
+        gens = None if labels is None else [PauliString.from_label(g) for g in labels]
+        report = taper_z2(h, reference, generators=gens)
+        n, dim = h.n_qubits, 1 << h.n_qubits
+        rng = np.random.default_rng(11)
+        amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        for g, s in zip(report.generators, report.sector_signs):
+            amps = (amps + s * dense_string(g, n) @ amps) / 2.0  # into the sector
+        amps /= np.linalg.norm(amps)
+        want = amps
+        for g, pivot in zip(report.generators, report.pivots):
+            u = dense_string(g, n) + dense_string(PauliString(1 << pivot, 0), n)
+            want = u @ want / np.sqrt(2.0)
+        # each pivot onto (|0> + s|1>)/sqrt(2); axis n-1-q of the tensor is qubit q
+        want = want.reshape((2,) * n)
+        for pivot, s in sorted(zip(report.pivots, report.sector_signs), reverse=True):
+            want = np.tensordot(want, np.array([1.0, s]) / np.sqrt(2.0), ([n - 1 - pivot], [0]))
+            n -= 1
+        got = taper_state(report, StateVector(h.n_qubits, amps))
+        assert got.n_qubits == report.reduced.n_qubits
+        assert np.allclose(got.amplitudes, want.ravel(), rtol=0.0, atol=1e-12)
 
     def test_out_of_sector_state_rejected(self):
         h = jordan_wigner(load_h2())

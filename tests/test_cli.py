@@ -1194,6 +1194,29 @@ class TestReport:
         assert shots_row["spc"] == "100"
         assert exact_row["spc"] == ""
 
+    def test_reference_is_the_exact_run_on_the_same_state(self, tmp_path, capsys):
+        hf, other = {"basis": 0b0011}, {"basis": 0b0101}
+        runs = {"ci_exact": ({}, []), "hf_exact": ({"state": hf}, []),
+                "hf_shots": ({"state": hf}, ["--mode", "shots", "--spc", "100"]),
+                "other_shots": ({"state": other}, ["--mode", "shots", "--spc", "100"])}
+        for name, (extra, flags) in runs.items():
+            config = h2_config(tmp_path, "qcm4", **extra)
+            assert main(["qcm4", "--config", str(config), "--out",
+                         str(tmp_path / name), *flags]) == 0
+        capsys.readouterr()
+        out = tmp_path / "rep"
+        assert main(["report", *(str(tmp_path / name) for name in runs),
+                     "--out", str(out)]) == 0
+        rows = (out / "report.csv").read_text().splitlines()
+        header = rows[0].split(",")
+        delta = {row["run"]: row["delta_vs_exact"]
+                 for row in (dict(zip(header, line.split(","))) for line in rows[1:])}
+        energy = {name: run_results(tmp_path / name)["results"]["energy"] for name in runs}
+        assert energy["ci_exact"] != energy["hf_exact"]
+        assert float(delta["ci_exact"]) == float(delta["hf_exact"]) == 0.0
+        assert float(delta["hf_shots"]) == energy["hf_shots"] - energy["hf_exact"]
+        assert delta["other_shots"] == ""
+
     def test_regeneration_is_deterministic(self, tmp_path, capsys):
         exact_dir, shots_dir = self.run_pair(tmp_path)
         capsys.readouterr()

@@ -108,9 +108,6 @@ RUNS = {
     "qcels_hf_shots": _config("qcels", state=HF, mode="shots", spc=200),
 }
 RUN_DIRS = ("ingest", "ingest_8q", *RUNS, "report")
-# the report's reference is the one exact run per (algorithm, operator),
-# so it leaves out the runs on HF, whose qcm4_hf_exact would be a second
-REPORTED = tuple(name for name, config in RUNS.items() if config["state"] != HF)
 
 
 def _gsee(*argv: str) -> None:
@@ -121,7 +118,7 @@ def _gsee(*argv: str) -> None:
 
 
 def produce(work: pathlib.Path) -> pathlib.Path:
-    """Runs both ingests, every RUNS entry and the REPORTED report in ``work``."""
+    """Runs both ingests, every RUNS entry and their report in ``work``."""
     for name in ("h2_eq.fcidump", "h2_eq_ci.json", "spin_polarized.fcidump"):
         shutil.copy(FIXTURES / name, work / name)
     (work / "spin_polarized_ci.json").write_text(json.dumps(SPIN_POLARIZED_STATE))
@@ -133,7 +130,7 @@ def produce(work: pathlib.Path) -> pathlib.Path:
         path = work / f"{name}.json"
         path.write_text(json.dumps(config, indent=1) + "\n")
         _gsee(config["algorithm"], "--config", str(path), "--out", str(work / name))
-    _gsee("report", *(str(work / name) for name in REPORTED), "--out",
+    _gsee("report", *(str(work / name) for name in RUNS), "--out",
           str(work / "report"))
     return work
 

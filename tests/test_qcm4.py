@@ -15,7 +15,7 @@ from gsee.chem import (
     jordan_wigner,
     parse_fcidump,
 )
-from gsee.circuits import Circuit
+from gsee.circuits import Circuit, two_qubit_depth
 from gsee import qcm4
 from gsee.pauli import PauliString, PauliSum
 from gsee.simulator import StateVector, estimate_pauli_z, expectation
@@ -435,12 +435,16 @@ def fixture_8q_plan(fixture_8q_moments):
     return plan(fixture_8q_moments)
 
 
-def assert_plan_matches_replay(mp: MeasurementPlan) -> None:
-    """Each circuit's gates, Z masks and signs equal the replay's, by ``==``."""
+def assert_plan_matches_replay(mp: MeasurementPlan, mode: str) -> None:
+    """Each circuit's gates, Z masks and signs equal the replay's, by ``==``;
+    a qubitwise set's circuit holds one-qubit gates only."""
     for pc in mp.circuits:
-        ops = qcm4._diagonalizing_ops(pc.terms, mp.n_qubits)[0]
+        ops = qcm4._diagonalizing_ops(pc.terms, mp.n_qubits, mode)[0]
         gates = [g for op in ops for g in qcm4._schema_gates(op)]
         assert list(pc.clifford.gates) == gates
+        if mode == "qubitwise":
+            assert all(len(g.qubits) == 1 for g in gates)
+            assert two_qubit_depth(pc.clifford) == 0
         z_masks, signs = replay_reference(pc.terms, ops, mp.n_qubits)
         assert pc.z_masks.tolist() == z_masks
         assert pc.signs.tolist() == signs
@@ -487,13 +491,25 @@ class TestSingleTableauPass:
         mp = plan(fixture_8q_moments, mode)
         # a commuting set of more than n strings has dependent members
         assert max(len(pc.terms) for pc in mp.circuits) > mp.n_qubits
-        assert_plan_matches_replay(mp)
+        assert_plan_matches_replay(mp, mode)
+
+    @pytest.mark.parametrize("mode", ["full", "qubitwise"])
+    def test_fixture_moments_equal_the_dense_moments(self, fixture_8q_moments, mode):
+        amps = np.zeros(256, dtype=complex)
+        amps[[0b00010101, 0b01000101]] = [0.9, -0.4]
+        psi = StateVector(8, amps / np.linalg.norm(amps))
+        dense, acc, want = dense_sum(fixture_8q_moments.powers[0]), psi.amplitudes, []
+        for _ in range(4):
+            acc = dense @ acc
+            want.append(np.vdot(psi.amplitudes, acc).real)
+        got = estimate(plan(fixture_8q_moments, mode), psi).moments
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     @settings(deadline=None, max_examples=60)
     @given(h=sums_with_dependent_strings(), mode=st.sampled_from(["full", "qubitwise"]))
     def test_random_sets_equal_the_replay(self, h, mode):
         m = qcm4.MomentOperators((h, h, h, h), (0.0, 0.0, 0.0, 0.0))
-        assert_plan_matches_replay(plan(m, mode))
+        assert_plan_matches_replay(plan(m, mode), mode)
 
 
 def assert_arrays_match_moments(m: qcm4.MomentOperators, mp: MeasurementPlan) -> None:

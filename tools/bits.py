@@ -16,8 +16,11 @@ coefficients in formation order; on the ``qcm4-shots-8q`` inputs of seeds
 0-2, in full and qubitwise grouping with the filter off and on, ``plan``'s
 gates, terms, ``z_masks``, signs, coefficients and constants with exact
 and ``spc=1000`` shot moments; ``blocks()`` cells and spectra on the
-fixtures and the ``qcels-shots-10q`` inputs of seeds 0-2; and
-``from_json(to_json())`` of those operators.
+fixtures and the ``qcels-shots-10q`` inputs of seeds 0-2;
+``from_json(to_json())`` of those operators; and ``taper_z2``'s reduced
+operator with ``taper_state`` of one seeded in-sector state on the three
+molecular fixtures at their Hartree-Fock determinants, and on ``h2_eq``
+with the two per-spin parities as generators.
 
 Usage:
     python3 tools/bits.py --write FILE [--src DIR]
@@ -156,6 +159,20 @@ def run_plan(gsee, inp):
     }
 
 
+def run_taper(gsee, inp):
+    h = operator(gsee, inp)
+    gens = inp["generators"] and [gsee.pauli.PauliString.from_label(g) for g in inp["generators"]]
+    report = gsee.chem.taper_z2(h, inp["reference"], gens)
+    # one seeded state, its weight outside the reference's sector zeroed
+    index = np.arange(1 << h.n_qubits)
+    amps = [1.0, 1j] @ np.random.default_rng(0).normal(size=(2, len(index)))
+    for g, sign in zip(report.generators, report.sector_signs):
+        amps[(np.bitwise_count(index & g.z_mask) & 1) != (sign < 0)] = 0.0
+    state = gsee.simulator.StateVector(h.n_qubits, amps / np.linalg.norm(amps))
+    return {**sum_arrays(report.reduced, "reduced."),
+            "state": gsee.chem.taper_state(report, state).amplitudes}
+
+
 def run_blocks(gsee, inp):
     out = {}
     for k, (rows, mats) in enumerate(operator(gsee, inp).blocks()):
@@ -229,6 +246,15 @@ def corpus() -> list[tuple[str, dict, object]]:
                      "mode": mode, "filter": filtered},
                     run_plan,
                 ))
+    # each fixture at its Hartree-Fock determinant, h2_eq also with the
+    # per-spin parities alone
+    for name, reference, generators in (
+        ("h2_eq", 0b0011, None), ("h2_eq", 0b0011, ("Z0 Z2", "Z1 Z3")),
+        ("h2_stretched", 0b0011, None), ("spin_polarized", 0b00010101, None),
+    ):
+        cases.append((f"taper.{name}" + (".spin_parities" if generators else ""),
+                      {**ops[name], "reference": reference, "generators": generators},
+                      run_taper))
     for name, op in ops.items():
         cases.append((f"blocks.{name}", op, run_blocks))
         cases.append((f"json.{name}", op, run_json))
@@ -300,6 +326,7 @@ def load_gsee(src: pathlib.Path):
     import gsee.chem
     import gsee.pauli
     import gsee.qcm4
+    import gsee.simulator
 
     return gsee
 
