@@ -159,6 +159,7 @@ def _value(
     kind: type,
     minimum: float | None = None,
     choices: Sequence[str] | None = None,
+    maximum: int | None = None,
 ) -> Any:
     """Checks one config value against its schema entry and returns it."""
     accepted = (int, float) if kind is float else kind
@@ -177,6 +178,8 @@ def _value(
         raise InputError(f"{where} must be greater than {minimum}")
     if minimum is not None and value < minimum:
         raise InputError(f"{where} must be at least {minimum}")
+    if maximum is not None and value > maximum:
+        raise InputError(f"{where} must be at most {maximum:,}")
     if choices is not None and value not in choices:
         raise InputError(f"{where} must be one of {', '.join(choices)}")
     return value
@@ -225,6 +228,7 @@ def _override(
     kind: type,
     minimum: float | None = None,
     choices: Sequence[str] | None = None,
+    maximum: int | None = None,
 ) -> Any:
     """A top-level setting: the file value, then the flag over it.
 
@@ -233,10 +237,10 @@ def _override(
     """
     value = raw.get(key, default)
     if value is not None or default is not None:
-        value = _value(value, key, kind, minimum, choices)
+        value = _value(value, key, kind, minimum, choices, maximum)
     if flag is None:
         return value
-    return _value(flag, key, kind, minimum, choices)
+    return _value(flag, key, kind, minimum, choices, maximum)
 
 
 def resolve_config(
@@ -286,7 +290,8 @@ def resolve_config(
         chosen_mode = _override(
             raw, "mode", mode, "exact", str, choices=_MODE_CHOICES[command]
         )
-        chosen_spc = _override(raw, "spc", spc, None, int, minimum=1)
+        # shot counts are drawn as int64
+        chosen_spc = _override(raw, "spc", spc, None, int, minimum=1, maximum=2**63 - 1)
         if chosen_mode == "shots" and chosen_spc is None:
             raise InputError("shots mode needs spc")
         if chosen_mode == "exact" and chosen_spc is not None:
@@ -513,9 +518,6 @@ def cmd_qcels(resolved: Mapping, base: Path, out: Path) -> None:
     psi = _load_state(resolved, base, h.n_qubits)
     settings = resolved["qcels"]
     _check_series(h.n_qubits, settings["n_points"], "qcels")
-    if resolved["spc"] is not None:
-        spc = resolved["spc"]
-        _check("spc", check_memory, _shot_bytes(spc, h.n_qubits + 1), f"{spc:,} shots")
     sh = _check("operator", scale, h)
     tau = choose_grid(sh, psi, settings["n_points"])
 

@@ -22,16 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import Circuit, Gate, hea_ansatz
+from .circuits import hea_ansatz
 from .pauli import PauliString, PauliSum, check_memory
 from .recompile import SeriesCompilation
-from .simulator import (
-    CompiledCircuit,
-    StateVector,
-    estimate_pauli_z,
-    sample_z,
-    simulate_batch,
-)
+from .simulator import CompiledCircuit, StateVector, derived_rng
 
 __all__ = [
     "ALIAS_SAFE_TAU",
@@ -275,31 +269,23 @@ def hadamard_test_states(
     return states
 
 
-# Each ancilla observable with the rotation that carries it to Z_0 for
-# sampling: H for X, and rx(pi/2) for Y, since Rx(pi/2)^dag Z Rx(pi/2) = Y.
-_ANCILLA_READOUT = (
-    (PauliString(x_mask=1), Gate("h", (0,))),
-    (PauliString(1, 1), Gate("rx", (0,), angle=math.pi / 2)),
-)
+# the ancilla observables X_0 and Y_0, whose means are Re and Im Z_n
+_ANCILLA = (PauliString(x_mask=1), PauliString(1, 1))
 
 
-def _read_ancilla(states: np.ndarray, spc: int | None, seed: int) -> list[np.ndarray]:
-    """<X_0> and <Y_0> of every row of a ``(n_points, 2^n)`` state array.
+def _read_ancilla(values: np.ndarray, spc: int, seed: int) -> list[np.ndarray]:
+    """Shot means of <X_0> and <Y_0> whose exact means are Re and Im ``values``.
 
-    Exact when ``spc`` is None.  Otherwise one rotation per part acts on
-    the whole batch, and row n is sampled with ``spc`` shots on stream
-    (seed, n, part), part 0 for X and 1 for Y.
+    A Hadamard-test shot reads one ancilla bit, so the number k of -1
+    outcomes among ``spc`` shots of a part with mean v is
+    Binomial(spc, (1 - v)/2).  Part p (0 for X, 1 for Y) draws every
+    point's k at once on stream (seed, p), point n the n-th draw; its
+    mean is the shot mean (spc - 2k)/spc.
     """
-    n_qubits = states.shape[1].bit_length() - 1
     parts = []
-    for part, (string, gate) in enumerate(_ANCILLA_READOUT):
-        if spc is None:
-            parts.append(np.array([np.vdot(a, string.act(a)).real for a in states]))
-            continue
-        rotated = simulate_batch(Circuit(n_qubits, [gate]), states)
-        records = (sample_z(state, spc, seed, (n, part))
-                   for n, state in enumerate(StateVector.rows(rotated)))
-        parts.append(np.array([estimate_pauli_z(r, 1) for r in records]))
+    for part, exact in enumerate((values.real, values.imag)):
+        ones = derived_rng(seed, part).binomial(spc, np.clip((1.0 - exact) / 2.0, 0.0, 1.0))
+        parts.append((spc - 2 * ones) / spc)
     return parts
 
 
@@ -317,13 +303,15 @@ def acquire(
 
     Modes:
         exact: direct inner products with the exactly evolved state.
-        shots: the Hadamard-test states of every point, evolved exactly,
-            have their ancilla sampled with ``spc`` shots per part
-            (real, imaginary) on streams (seed, n, part).
+        shots: the exact overlaps, read out as ``spc`` Hadamard-test
+            shots per part (real, imaginary): one binomial count of -1
+            ancilla outcomes per point and part, drawn on stream
+            (seed, part) (:func:`_read_ancilla`).
         recompiled: one batch of the fitted ansatz of ``compilation``
             (one parameter vector per time point, in order) prepares the
-            states; the ancilla is read exactly when ``spc`` is None and
-            sampled as in shots mode otherwise.
+            Hadamard-test states, whose exact <X_0> and <Y_0> are the
+            overlaps when ``spc`` is None and are read out as in shots
+            mode otherwise.
 
     Raises:
         ValueError: bad mode, missing/mismatched compilation data in
@@ -338,15 +326,7 @@ def acquire(
     if spc is not None and spc < 1:
         raise ValueError("spc must be at least 1 when sampling")
 
-    if mode == "exact":
-        values = np.array([np.vdot(psi.amplitudes, row)
-                           for row in sh.evolve(psi, tau, n_points)])
-        zeros = np.zeros(n_points)
-        return OverlapSeries(tau, values, zeros, zeros.copy(), None, mode)
-
-    if mode == "shots":
-        states = hadamard_test_states(sh, psi, tau, n_points)
-    else:
+    if mode == "recompiled":
         if compilation is None:
             raise ValueError("recompiled mode needs a SeriesCompilation")
         if len(compilation.results) != n_points:
@@ -364,9 +344,17 @@ def acquire(
             StateVector.zero_state(ansatz.n_qubits).amplitudes,
             np.array([r.parameters for r in compilation.results], dtype=float),
         )
-    re, im = _read_ancilla(states, spc, seed)
+        re, im = ([np.vdot(a, string.act(a)).real for a in states] for string in _ANCILLA)
+        values = np.array([complex(r, i) for r, i in zip(re, im)])
+    else:
+        values = np.array([np.vdot(psi.amplitudes, row)
+                           for row in sh.evolve(psi, tau, n_points)])
+    if mode == "exact" or spc is None:
+        zeros = np.zeros(n_points)
+        return OverlapSeries(tau, values, zeros, zeros.copy(), None, mode)
+    re, im = _read_ancilla(values, spc, seed)
     values = np.array([complex(r, i) for r, i in zip(re, im)])
-    errors = [[std_error(v, spc) if spc else 0.0 for v in part] for part in (re, im)]
+    errors = [[std_error(v, spc) for v in part] for part in (re, im)]
     return OverlapSeries(tau, values, *map(np.array, errors), spc, mode)
 
 

@@ -8,8 +8,8 @@ states at once, so parameter sweeps cost one vectorized pass and
 one forward and one backward sweep.  Randomness
 always flows through :func:`derived_rng`, a counter-based Philox
 generator keyed by (seed, stream); repeated runs with the same key
-reproduce shot records bit for bit.  Pauli-string actions and Z-parity
-signs come from :mod:`gsee.pauli`.
+reproduce shot records bit for bit.  Pauli-string actions come from
+:mod:`gsee.pauli`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit
-from .pauli import PauliSum, z_signs
+from .pauli import PauliSum
 
 __all__ = [
     "AMPLITUDE_CAP",
@@ -33,7 +33,6 @@ __all__ = [
     "overlap_gradient",
     "expectation",
     "sample_z",
-    "estimate_pauli_z",
 ]
 
 AMPLITUDE_CAP = 20
@@ -397,12 +396,3 @@ def sample_z(
     counts = np.diff(np.searchsorted(uniforms, cdf), prepend=0)
     drawn = counts > 0
     return ShotRecord(state.n_qubits, spc, support[drawn], counts[drawn])
-
-
-def estimate_pauli_z(record: ShotRecord, mask: int) -> float:
-    """Sample mean of the Z string on the qubits of ``mask`` over a record."""
-    mask = int(mask)
-    if mask >> record.n_qubits:
-        raise ValueError("mask outside the recorded register")
-    # the weighted sign sum is an exact integer: the per-shot mean, bit for bit
-    return float(record.counts @ z_signs(record.outcomes, mask) / record.spc)

@@ -447,6 +447,15 @@ def greedy_coloring_reference(a: PauliSum, mode: str) -> tuple:
     return tuple(tuple(s) for s in sets)
 
 
+def shot_mean_z(record: ShotRecord, mask: int) -> float:
+    """Sample mean of the Z string on the qubits of ``mask`` over a record.
+
+    The weighted sign sum is an exact integer, so this is the per-shot
+    mean bit for bit.
+    """
+    return record.counts @ z_signs(record.outcomes, mask) / record.spc
+
+
 def choice_sample_reference(state, spc: int, seed: int, stream=()) -> ShotRecord:
     """``spc`` shots by ``Generator.choice``, one index per shot, then counted.
 

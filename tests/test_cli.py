@@ -219,6 +219,7 @@ class TestResolveConfig:
             ({"seed": "abc", "mode": "bogus"}, "seed must be an integer"),
             ({"mode": "bogus"}, "mode must be one of exact, shots"),
             ({"spc": -3}, "spc must be at least 1"),
+            ({"spc": 2**63}, "spc must be at most 9,223,372,036,854,775,807"),
         )):
             config = h2_config(tmp_path / str(case), "qcm4", **extra)
             code = main(["qcm4", "--config", str(config), "--out",
@@ -940,7 +941,10 @@ class TestMemoryChecks:
         assert not out.exists()
 
     @pytest.mark.parametrize("command, settings, message", [
-        ("qcels", {"spc": 10**9}, "spc: 1,000,000,000 shots would take"),
+        # weighted allocation may give one of H2's 2 circuits every shot;
+        # the same spc under uniform allocation fits
+        ("qcm4", {"spc": 2 * 10**7, "qcm4": {"allocation": "weighted"}},
+         "spc: 40,000,000 shots of a circuit"),
         ("qcm4", {"spc": 10**9}, "spc: 1,000,000,000 shots of a circuit"),
         ("qcm4", {"spc": 100, "qcm4": {"resamples": 10**7}},
          "qcm4.resamples: 10,000,000 resamples would take"),
@@ -962,6 +966,17 @@ class TestMemoryChecks:
         err = capsys.readouterr().err
         assert message in err and "more than the 1,000,000,000 bytes" in err
         assert not (out / "results.json").exists()
+
+    def test_qcels_shots_hold_no_per_shot_array(self, tmp_path, monkeypatch):
+        # each time point and part draws one binomial count, so 10^9 shots
+        # cost no more memory than 10 on a machine with 1 GB
+        config = h2_config(tmp_path, "qcels", mode="shots", spc=10**9)
+        monkeypatch.setattr(pauli, "_physical_memory", lambda: 10**9)
+        out = tmp_path / "run"
+        assert main(["qcels", "--config", str(config), "--out", str(out)]) == 0
+        results = run_results(out)["results"]
+        assert results["spc"] == 10**9
+        assert results["energy"] == pytest.approx(-1.137270, abs=1e-4)
 
     @pytest.mark.parametrize("n_qubits, spc", [(4, 100_000), (14, 20_000)])
     def test_shot_estimate_covers_the_draw(self, n_qubits, spc):

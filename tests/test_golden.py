@@ -15,8 +15,9 @@ fresh qcels run against a phasor-matrix oracle.
 The ``*_hf_*`` runs start from the Hartree-Fock determinant, which is not
 an eigenstate, and pin today's values, known to be off: qcm4 exact gives
 -1.116664077726225 Ha where the standard fourth-order formula gives
--1.137269837289031 (ROADMAP item 1), and the qcels shot fit ends on the
-window edge theta = -pi/4 (item 3).  A fix to either shows as a move of
+-1.137269837289031 (ROADMAP item 1).  The qcels shot fit on the CI
+state, ``qcels_shots``, ends on the window edge theta = -pi/4 with a
+``delta_vs_exact`` of 0.0 (item 3).  A fix to either shows as a move of
 these files in the golden diff.
 
 Regenerate the set with ``python tools/regen_golden.py``.

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.stats import chi2_contingency
 
 from helpers import (
     blocked_eig_sums,
@@ -40,7 +41,6 @@ from gsee.qcels import (
 from gsee.recompile import CompileConfig, compile_series
 from gsee.simulator import (
     StateVector,
-    estimate_pauli_z,
     expectation,
     sample_z,
     simulate_batch,
@@ -114,23 +114,20 @@ def hand_sampled_series(states, spc, seed):
     """Each point's ancilla read one part at a time, with dense rotations.
 
     Part 0 rotates X_0 and part 1 rotates Y_0 onto Z_0 (H and rx(pi/2));
-    point n, part p is sampled on stream (seed, n, p).
+    the -1 count of point n, part p is the n-th binomial draw with
+    P(ancilla = 1) of the rotated state, on stream (seed, p).
     """
     width = len(states[0]).bit_length() - 1
     rotations = [
         gate_matrix(Gate("h", (0,)), width),
         gate_matrix(Gate("rx", (0,), angle=math.pi / 2), width),
     ]
-    values = []
-    for n, amps in enumerate(states):
-        re, im = (
-            estimate_pauli_z(
-                sample_z(StateVector(width, u @ amps), spc, seed, (n, part)), 1
-            )
-            for part, u in enumerate(rotations)
-        )
-        values.append(complex(re, im))
-    return np.array(values)
+    parts = []
+    for part, u in enumerate(rotations):
+        p_one = [min(1.0, np.sum(np.abs((u @ amps)[1::2]) ** 2)) for amps in states]
+        ones = simulator.derived_rng(seed, part).binomial(spc, p_one)
+        parts.append((spc - 2 * ones) / spc)
+    return np.array([complex(re, im) for re, im in zip(*parts)])
 
 
 def assert_matches_hand_readout(series, states, spc, seed):
@@ -452,7 +449,7 @@ class TestAcquireShots:
         a = acquire(sh, psi, 0.7, 12, "shots", spc=200, seed=5)
         b = acquire(sh, psi, 0.7, 12, "shots", spc=200, seed=5)
         assert np.array_equal(a.values, b.values)
-        # each time point draws from its own derived stream
+        # each part draws the points in order on its own derived stream
         longer = acquire(sh, psi, 0.7, 20, "shots", spc=200, seed=5)
         assert np.array_equal(longer.values[:12], a.values)
         other = acquire(sh, psi, 0.7, 12, "shots", spc=200, seed=6)
@@ -466,6 +463,30 @@ class TestAcquireShots:
         series = acquire(sh, psi, tau, n_points, "shots", spc=spc, seed=seed)
         states = hadamard_test_states(sh, psi, tau, n_points)
         assert_matches_hand_readout(series, states, spc, seed)
+
+    @pytest.mark.parametrize("part", [0, 1])
+    def test_counts_follow_the_per_shot_law(self, part):
+        # one point's -1 counts at spc 20 over 2,000 seeds: acquire's
+        # binomial draws against per-shot sample_z draws of the rotated
+        # Hadamard-test state, pooled where a column holds under 10 counts
+        h, vals, vecs = two_qubit_fixture()
+        sh = scale(h)
+        psi = StateVector(2, (vecs[:, 0] + vecs[:, 1]) / math.sqrt(2.0))
+        tau, n_points, spc, seeds = 0.7, 3, 20, range(2000)
+        gate = [Gate("h", (0,)), Gate("rx", (0,), angle=math.pi / 2)][part]
+        state = hadamard_test_states(sh, psi, tau, n_points)[-1]
+        rotated = StateVector(3, gate_matrix(gate, 3) @ state)
+        drawn = []
+        for seed in seeds:
+            z = acquire(sh, psi, tau, n_points, "shots", spc=spc, seed=seed).values[-1]
+            drawn.append(round(spc * (1.0 - [z.real, z.imag][part]) / 2.0))
+        shots = [int(r.counts[r.outcomes & 1 == 1].sum())
+                 for r in (sample_z(rotated, spc, seed) for seed in seeds)]
+        table = np.array([np.bincount(k, minlength=spc + 1) for k in (drawn, shots)])
+        wide = table.sum(axis=0) >= 10
+        table = np.column_stack([table[:, wide], table[:, ~wide].sum(axis=1)])
+        assert wide.sum() >= 5
+        assert chi2_contingency(table[:, table.sum(axis=0) > 0])[1] > 1e-3
 
     def test_statistical_consistency(self):
         h, vals, vecs = two_qubit_fixture()

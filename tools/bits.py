@@ -20,7 +20,10 @@ fixtures and the ``qcels-shots-10q`` inputs of seeds 0-2;
 ``from_json(to_json())`` of those operators; and ``taper_z2``'s reduced
 operator with ``taper_state`` of one seeded in-sector state on the three
 molecular fixtures at their Hartree-Fock determinants, and on ``h2_eq``
-with the two per-spin parities as generators.
+with the two per-spin parities as generators; and ``acquire``'s overlap
+series on ``h2_eq`` with its CI state in exact, ``spc=200`` shots and
+``spc=200`` recompiled mode, and on the seed-0 ``qcels-shots-10q`` input
+with the benchmark's ``spc=10000`` shots.
 
 Usage:
     python3 tools/bits.py --write FILE [--src DIR]
@@ -186,6 +189,29 @@ def run_json(gsee, inp):
     return {"text": text_array(text), **sum_arrays(gsee.pauli.PauliSum.from_json(text))}
 
 
+def run_overlap_series(gsee, inp):
+    """``acquire``'s series on the state of ``inp["dets"]`` at ``choose_grid``'s
+    tau; recompiled mode first fits a one-layer ansatz to every point's
+    Hadamard-test state, 40 Adam steps and one restart."""
+    qcels, simulator = gsee.qcels, gsee.simulator
+    h = operator(gsee, inp)
+    _, parsed = gsee.chem.determinants_from_json(inp["dets"])
+    psi = gsee.chem.ci_initial_state(parsed, 0.0, h.n_qubits)
+    sh = qcels.scale(h)
+    n_points = inp["n_points"]
+    tau = qcels.choose_grid(sh, psi, n_points)
+    compilation = None
+    if inp["mode"] == "recompiled":
+        targets = simulator.StateVector.rows(qcels.hadamard_test_states(sh, psi, tau, n_points))
+        ansatz, _ = gsee.circuits.hea_ansatz(h.n_qubits + 1, 1)
+        config = gsee.recompile.CompileConfig(max_iterations=40, restarts=1, seed=inp["seed"])
+        compilation = gsee.recompile.compile_series(targets, ansatz, config, layers=1)
+    series = qcels.acquire(sh, psi, tau, n_points, inp["mode"], inp["spc"], inp["seed"],
+                           compilation)
+    return {"tau": np.array([series.tau]), "values": series.values,
+            "stderr_re": series.stderr_re, "stderr_im": series.stderr_im}
+
+
 def operators() -> dict:
     """The fixtures and the ``qcels-shots-10q`` inputs, as operator inputs."""
     import workloads
@@ -255,6 +281,21 @@ def corpus() -> list[tuple[str, dict, object]]:
         cases.append((f"taper.{name}" + (".spin_parities" if generators else ""),
                       {**ops[name], "reference": reference, "generators": generators},
                       run_taper))
+    # H2 with its CI state as in the golden qcels runs, and the seed-0
+    # qcels-shots-10q run with its top-4 determinants
+    h2 = {**ops["h2_eq"], "dets": (FIXTURES / "h2_eq_ci.json").read_text(), "seed": 7}
+    for mode, n_points, spc in (("exact", 33, None), ("shots", 33, 200), ("recompiled", 5, 200)):
+        cases.append((f"overlap_series.h2_eq.{mode}",
+                      {**h2, "mode": mode, "n_points": n_points, "spc": spc},
+                      run_overlap_series))
+    norb = workloads.QCELS_NORB
+    one, two, core = workloads.random_integrals(norb, 0)
+    dets = workloads.top_determinants(workloads.fock_hamiltonian(one, two, core),
+                                      norb, norb - 1, 0, workloads.QCELS_TOP_K)
+    cases.append(("overlap_series.qcels-shots-10q.seed0.shots",
+                  {**ops["qcels-shots-10q.seed0"], "dets": workloads.ci_json(norb, dets),
+                   "mode": "shots", "n_points": 33, "spc": 10_000, "seed": 0},
+                  run_overlap_series))
     for name, op in ops.items():
         cases.append((f"blocks.{name}", op, run_blocks))
         cases.append((f"json.{name}", op, run_json))
@@ -324,8 +365,11 @@ def compare(base: dict, head: dict) -> list[str]:
 def load_gsee(src: pathlib.Path):
     sys.path[:0] = [str(src), str(ROOT / "bench")]
     import gsee.chem
+    import gsee.circuits
     import gsee.pauli
+    import gsee.qcels
     import gsee.qcm4
+    import gsee.recompile
     import gsee.simulator
 
     return gsee
