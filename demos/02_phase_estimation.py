@@ -34,13 +34,14 @@ exact_ground = min(float(np.linalg.eigvalsh(mats).min()) for _, mats in h.blocks
 print(f"tapered operator: {h.n_qubits} qubits, {len(h)} terms")
 
 # Rescaling puts the spectrum inside [-pi/4, pi/4] so a single fit
-# window covers it without aliasing; the grid spans two apparent periods
-# of the dominant phase.
-sh = scale(h)
-tau = choose_grid(sh, psi, n_points=33)
+# window covers it without aliasing, and projects psi onto the eigenvectors
+# of its symmetry cells once; the grid spans two apparent periods of the
+# dominant phase.
+sh = scale(h, psi)
+tau = choose_grid(sh, n_points=33)
 print(f"h0 = {sh.h0:.6f} Ha, h1 = {sh.h1:.6f} Ha, tau = {tau:.4f}")
 
-series = acquire(sh, psi, tau, n_points=33, mode="exact")
+series = acquire(sh, tau, n_points=33, mode="exact")
 result = fit(series, sh)
 print(f"\nexact overlaps:  E* = {result.energy:.10f} Ha "
       f"(error {abs(result.energy - exact_ground):.2e} Ha)")
@@ -50,7 +51,7 @@ print(f"\nexact overlaps:  E* = {result.energy:.10f} Ha "
 for spc in (100, 500):
     errors = []
     for seed in range(20):
-        sampled = acquire(sh, psi, tau, 33, mode="shots", spc=spc, seed=seed)
+        sampled = acquire(sh, tau, 33, mode="shots", spc=spc, seed=seed)
         errors.append(abs(fit(sampled, sh).energy - result.energy))
     print(f"{spc:4d} shots/point: median error over 20 seeds = "
           f"{float(np.median(errors)) * 1e3:.3f} mHa")

@@ -22,23 +22,24 @@ from gsee.simulator import StateVector
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "src" / "gsee" / "fixtures"
 
 h = PauliSum.from_json((FIXTURES / "toy_3q.json").read_text())
-sh = scale(h)
-# the ground state: the lowest eigenvector among H~'s symmetry cells,
-# whose arrays come one per cell size
-size = min(range(len(sh.vals)), key=lambda k: sh.vals[k].min())
-cell, col = np.unravel_index(np.argmin(sh.vals[size]), sh.vals[size].shape)
+# the ground state: the lowest eigenvector among H's symmetry cells, which
+# come one array per cell size
+vals, vecs, rows = min(((*np.linalg.eigh(mats), rows) for rows, mats in h.blocks()),
+                       key=lambda cells: cells[0].min())
+cell, col = np.unravel_index(np.argmin(vals), vals.shape)
 ground = np.zeros(1 << h.n_qubits, dtype=complex)
-ground[sh.rows[size][cell]] = sh.vecs[size][cell][:, col]
+ground[rows[cell]] = vecs[cell][:, col]
 psi = StateVector(3, ground)
+sh = scale(h, psi)
 
 n_points = 9
-tau = choose_grid(sh, psi, n_points)
-reference = fit(acquire(sh, psi, tau, n_points, "exact"), sh).energy
+tau = choose_grid(sh, n_points)
+reference = fit(acquire(sh, tau, n_points, "exact"), sh).energy
 print(f"exact-mode fit on {n_points} points: E* = {reference:.10f} Ha")
 
 # One target per time point: ancilla plus the 3-qubit system, all built
-# from one projection of psi onto the eigenvectors of H~.
-targets = StateVector.rows(hadamard_test_states(sh, psi, tau, n_points))
+# from the one projection of psi onto the eigenvectors of H~ that scale made.
+targets = hadamard_test_states(sh, tau, n_points)
 ansatz, _ = hea_ansatz(psi.n_qubits + 1, layers=4)
 print(f"ansatz: {ansatz.n_params} parameters, "
       f"two-qubit depth {two_qubit_depth(ansatz)}")
@@ -54,7 +55,8 @@ print(f"compiled {n_points} targets in {elapsed:.1f} s; "
       f"fidelity mean {compilation.mean_fidelity:.6f}, "
       f"min {compilation.min_fidelity:.6f}")
 
-series = acquire(sh, psi, tau, n_points, "recompiled", compilation=compilation)
+# the compiler's own simulation of each fitted circuit gives the overlaps
+series = acquire(sh, tau, n_points, "recompiled", compilation=compilation)
 recompiled = fit(series, sh).energy
 print(f"recompiled-mode fit: E* = {recompiled:.10f} Ha "
       f"(shift {abs(recompiled - reference) * 1e3:.4f} mHa)")

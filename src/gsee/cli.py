@@ -430,9 +430,10 @@ def _check(key: str, call: Callable, *args: Any) -> Any:
         raise InputError(f"{key}: {exc}") from None
 
 
-def _check_series(n_qubits: int, n_points: int, section: str) -> None:
-    """Exit 2 before n_points rows of 2^(n+1) amplitudes exceed memory."""
-    _check(f"{section}.n_points", check_memory, 16 * n_points << (n_qubits + 1),
+def _check_series(width: int, n_points: int, section: str) -> None:
+    """Exit 2 before n_points rows of 2^width amplitudes exceed memory: the
+    evolved states (width n), or the Hadamard-test states (n + 1) to compile."""
+    _check(f"{section}.n_points", check_memory, 16 * n_points << width,
            f"{n_points:,} time points")
 
 
@@ -495,16 +496,15 @@ def cmd_ingest(source: Path, out: Path, taper: bool) -> None:
 
 
 def _compile_hadamard_series(
-    sh: ScaledHamiltonian, psi: StateVector, tau: float, n_points: int, settings: Mapping,
-    seed: int, out: Path,
+    sh: ScaledHamiltonian, tau: float, n_points: int, settings: Mapping, seed: int, out: Path,
 ) -> tuple[SeriesCompilation, int]:
     """Compiles the Hadamard-test state of every time point n tau.
 
     Writes series_compilation.json and returns the compilation with the
     ansatz's two-qubit depth.
     """
-    targets = StateVector.rows(hadamard_test_states(sh, psi, tau, n_points))
-    ansatz, _ = hea_ansatz(psi.n_qubits + 1, settings["layers"])
+    targets = hadamard_test_states(sh, tau, n_points)
+    ansatz, _ = hea_ansatz(sh.psi.n_qubits + 1, settings["layers"])
     config = CompileConfig(
         seed=seed, **{key: settings[key] for key in _COMPILE if key != "layers"}
     )
@@ -517,20 +517,20 @@ def cmd_qcels(resolved: Mapping, base: Path, out: Path) -> None:
     h = _load_operator(resolved, base)
     psi = _load_state(resolved, base, h.n_qubits)
     settings = resolved["qcels"]
-    _check_series(h.n_qubits, settings["n_points"], "qcels")
-    sh = _check("operator", scale, h)
-    tau = choose_grid(sh, psi, settings["n_points"])
+    recompiled = resolved["mode"] == "recompiled"
+    _check_series(h.n_qubits + recompiled, settings["n_points"], "qcels")
+    sh = _check("operator", scale, h, psi)
+    tau = choose_grid(sh, settings["n_points"])
 
     compilation = None
     depth = None
-    if resolved["mode"] == "recompiled":
+    if recompiled:
         compilation, depth = _compile_hadamard_series(
-            sh, psi, tau, settings["n_points"], settings["compile"],
-            resolved["seed"], out,
+            sh, tau, settings["n_points"], settings["compile"], resolved["seed"], out,
         )
 
     series = acquire(
-        sh, psi, tau,
+        sh, tau,
         n_points=settings["n_points"],
         mode=resolved["mode"],
         spc=resolved["spc"],
@@ -618,11 +618,11 @@ def cmd_recompile(resolved: Mapping, base: Path, out: Path) -> None:
     h = _load_operator(resolved, base)
     psi = _load_state(resolved, base, h.n_qubits)
     settings = resolved["recompile"]
-    _check_series(h.n_qubits, settings["n_points"], "recompile")
-    sh = _check("operator", scale, h)
-    tau = choose_grid(sh, psi, settings["n_points"])
+    _check_series(h.n_qubits + 1, settings["n_points"], "recompile")
+    sh = _check("operator", scale, h, psi)
+    tau = choose_grid(sh, settings["n_points"])
     compilation, depth = _compile_hadamard_series(
-        sh, psi, tau, settings["n_points"], settings, resolved["seed"], out
+        sh, tau, settings["n_points"], settings, resolved["seed"], out
     )
 
     results = {

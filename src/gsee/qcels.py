@@ -13,7 +13,9 @@ circuits, and maximizes the objective
 whose peak location theta* converts back to an energy through
 E* = h0 + h1 theta*.
 
-H~ is held once, as the eigenpairs of its symmetry cells.
+``scale(h, psi)`` is the one place where psi meets H~: it holds H~ as
+the eigenpairs of the symmetry cells where psi has weight, with psi's
+coordinates in them, and every later step reads those.
 """
 
 import math
@@ -22,10 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import hea_ansatz
 from .pauli import PauliString, PauliSum, check_memory
 from .recompile import SeriesCompilation
-from .simulator import CompiledCircuit, StateVector, derived_rng
+from .simulator import StateVector, derived_rng
 
 __all__ = [
     "ALIAS_SAFE_TAU",
@@ -56,110 +57,114 @@ _CSV_COLUMNS = "n,t,re,im,stderr_re,stderr_im"
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ScaledHamiltonian:
-    """H = h0 I + h1 H~ with the spectrum of H~ inside [-pi/4, pi/4].
+    """H = h0 I + h1 H~ with the spectrum of H~ inside [-pi/4, pi/4], and the
+    state psi whose overlap series it gives.
 
     Attributes:
         h0: spectral mean of H (its identity coefficient), in Hartree.
         h1: scale factor (4/pi) ||H - h0 I||, in Hartree.
-        vals, vecs, rows: H~ = (H - h0 I) / h1 itself, one array each per
-            cell size of :meth:`PauliSum.blocks`: per cell k of size g,
-            its ascending eigenvalues ``vals[g][k]`` and eigenvector
-            columns ``vecs[g][k]`` over basis indices ``rows[g][k]``.
+        psi: the state the series starts from.
+        vals, vecs, rows, coords: H~ on the cells where psi has weight, one
+            array each per cell size of :meth:`PauliSum.blocks` that holds
+            such a cell: per held cell k of size g, its ascending
+            eigenvalues ``vals[j][k]``, complex eigenvector columns
+            ``vecs[j][k]`` over basis indices ``rows[j][k]``, and psi's
+            coordinates V^H psi in them, ``coords[j][k]`` of shape (g, 1).
     """
 
     h0: float
     h1: float
+    psi: StateVector = field(repr=False, compare=False)
     vals: tuple[np.ndarray, ...] = field(repr=False, compare=False)
     vecs: tuple[np.ndarray, ...] = field(repr=False, compare=False)
     rows: tuple[np.ndarray, ...] = field(repr=False, compare=False)
+    coords: tuple[np.ndarray, ...] = field(repr=False, compare=False)
 
     def energy(self, theta: float) -> float:
         """Converts a fitted phase back to Hartree."""
         return self.h0 + self.h1 * theta
 
-    def _project(self, psi: StateVector) -> list[tuple[np.ndarray, ...]]:
-        """Per cell size where psi has weight, ``(vals, vecs, rows, coords)``:
-        psi's cells' eigenvalues, complex vectors and indices, and V^H psi."""
-        if psi.amplitudes.size != sum(r.size for r in self.rows):
-            raise ValueError("Hamiltonian and state widths differ")
-        amps = [psi.amplitudes[r] for r in self.rows]
-        live = [np.flatnonzero(np.any(a != 0, axis=1)) for a in amps]
-        # the gathered vectors, their complex copy, and 96 bytes an index
-        # for the amplitudes and coordinates
-        n_vecs = sum(k.size * r.shape[1] ** 2 for k, r in zip(live, self.rows))
-        check_memory((self.vecs[0].itemsize + 16) * n_vecs + 96 * psi.amplitudes.size,
-                     "the state's cell vectors")
-        out = []
-        for a, k, vals, vecs, rows in zip(amps, live, self.vals, self.vecs, self.rows):
-            if k.size:
-                vecs = vecs[k].astype(complex)
-                # V^H a computed as conj(V^T conj(a)): no conjugate copy of V
-                coords = (vecs.transpose(0, 2, 1) @ a[k, :, None].conj()).conj()
-                out.append((vals[k], vecs, rows[k], coords))
-        return out
-
-    def mean(self, psi: StateVector) -> float:
+    def mean(self) -> float:
         """<psi|H~|psi> = sum |<v|psi>|^2 lambda over the eigenpairs (v, lambda)."""
         return float(sum(np.sum(vals * np.abs(coords[..., 0]) ** 2)
-                         for vals, _, _, coords in self._project(psi)))
+                         for vals, coords in zip(self.vals, self.coords)))
 
-    def evolve(self, psi: StateVector, tau: float, n_points: int) -> np.ndarray:
+    def evolve(self, tau: float, n_points: int) -> np.ndarray:
         """Rows exp(-i n tau H~)|psi> for n = 0 .. n_points - 1.
 
         Only the cells where psi has weight evolve; the rows are zero
-        elsewhere.  Their vectors are cast to complex once, not at every
-        point, and psi is projected once; each row is then one product
-        per cell size, batched over those cells, with n tau a Python float.
+        elsewhere.  Each row is one product per cell size, batched over
+        those cells, with n tau a Python float.
         """
-        rows = np.zeros((n_points, psi.amplitudes.size), dtype=complex)
-        for vals, vecs, at, coords in self._project(psi):
+        rows = np.zeros((n_points, self.psi.amplitudes.size), dtype=complex)
+        for vals, vecs, at, coords in zip(self.vals, self.vecs, self.rows, self.coords):
             for n in range(n_points):
                 phases = np.exp(-1j * (n * tau) * vals[:, :, None])
                 rows[n, at] = (vecs @ (phases * coords))[..., 0]
         return rows
 
 
-def scale(h: PauliSum) -> ScaledHamiltonian:
-    """Shifts and rescales a Hamiltonian for phase estimation.
+def scale(h: PauliSum, psi: StateVector) -> ScaledHamiltonian:
+    """Shifts and rescales a Hamiltonian for phase estimation from ``psi``.
 
     h0 is the identity coefficient (equal to Tr H / 2^n) and
     h1 = (4/pi) max |eig(H - h0 I)|, so H~ = (H - h0 I)/h1 has its
     largest eigenvalue magnitude at exactly pi/4.
 
-    H - h0 I is diagonalized once here, by one batched ``eigh`` per cell
-    size of its symmetry cells (:meth:`PauliSum.blocks`): (Nα, Nβ)
-    sectors within each coset, with the entries between sectors dropped
-    when each is at most eps · ||H - h0 I||_1, and the Z2 cosets
-    themselves when one is larger.  No 2^n x 2^n matrix is built.  H~ is
-    held as the cell rows and vectors and the eigenvalues times 1/h1
-    alone, with no rescaled Pauli sum.
+    H - h0 I is split once into its symmetry cells (:meth:`PauliSum.blocks`),
+    with no 2^n x 2^n matrix and no rescaled Pauli sum.  The cells where
+    psi has weight get one batched ``eigh`` per cell size, and psi is
+    projected onto their vectors once; the others give only their
+    eigenvalues, for h1, by ``eigvalsh`` on runs of consecutive cells
+    (views, not copies).
 
     Raises:
-        ValueError: H is not Hermitian, its cells and their vectors
-            exceed physical memory (raised before any 2^n-long array), or
-            it is proportional to the identity (h1 < 1e-12) and carries no
-            phase to estimate.
+        ValueError: H is not Hermitian, H and psi differ in width, the
+            cells or psi's cell vectors exceed physical memory (raised
+            before they are allocated), or H is proportional to the
+            identity (h1 < 1e-12) and carries no phase to estimate.
     """
     if not h.is_hermitian():
         raise ValueError("Hamiltonian must be Hermitian")
+    if psi.n_qubits != h.n_qubits:
+        raise ValueError("Hamiltonian and state widths differ")
     h0 = h.identity_coefficient.real
     # the shifted sum is freed before eigh allocates the vectors
     cells = (h - PauliSum(h.n_qubits, [(PauliString(), h0)])).blocks()
-    rows = tuple(r for r, _ in cells)
-    vals, vecs = zip(*(np.linalg.eigh(mats) for _, mats in cells))
-    h1 = 4.0 * max(float(np.max(np.abs(v))) for v in vals) / math.pi
+    amps = [psi.amplitudes[r] for r, _ in cells]
+    live = [np.flatnonzero(np.any(a != 0, axis=1)) for a in amps]
+    # psi's gathered cells, their vectors' complex copy, and 96 bytes an
+    # index for the amplitudes and coordinates
+    n_vecs = sum(k.size * m.shape[1] ** 2 for k, (_, m) in zip(live, cells))
+    check_memory((cells[0][1].itemsize + 16) * n_vecs + 96 * psi.amplitudes.size,
+                 "the state's cell vectors")
+    radius, held = 0.0, []
+    for (rows, mats), a, k in zip(cells, amps, live):
+        # the cells without psi, a run of consecutive ones at a time: views
+        for lo, hi in zip([-1, *k], [*k, len(mats)]):
+            if hi > lo + 1:
+                spectra = np.linalg.eigvalsh(mats[lo + 1:hi])
+                radius = max(radius, float(np.max(np.abs(spectra))))
+        if k.size:
+            # a size whose every cell is live needs no gathered copy
+            vals, vecs = np.linalg.eigh(mats if k.size == len(mats) else mats[k])
+            radius = max(radius, float(np.max(np.abs(vals))))
+            vecs = vecs.astype(complex)
+            # V^H a computed as conj(V^T conj(a)): no conjugate copy of V
+            coords = (vecs.transpose(0, 2, 1) @ a[k, :, None].conj()).conj()
+            held.append((vals, vecs, rows[k], coords))
+    h1 = 4.0 * radius / math.pi
     if h1 < 1e-12:
         raise ValueError("Hamiltonian is proportional to the identity")
     inv = 1.0 / h1
-    return ScaledHamiltonian(h0, h1, tuple(inv * v for v in vals), vecs, rows)
+    vals, vecs, rows, coords = zip(*held)
+    return ScaledHamiltonian(h0, h1, psi, tuple(inv * v for v in vals), vecs, rows, coords)
 
 
 # ----------------------------------------------------------------------
 # time grid
 # ----------------------------------------------------------------------
-def choose_grid(
-    sh: ScaledHamiltonian, psi: StateVector, n_points: int = 33
-) -> float:
+def choose_grid(sh: ScaledHamiltonian, n_points: int = 33) -> float:
     """Chooses the time step so the series spans two apparent periods.
 
     The dominant phase is estimated as theta^ = <psi|H~|psi>, read from
@@ -172,7 +177,7 @@ def choose_grid(
     """
     if n_points < 2:
         raise ValueError("need at least two time points")
-    theta_hat = sh.mean(psi)
+    theta_hat = sh.mean()
     if abs(theta_hat) < 0.01:
         total = 2.0 * (2.0 * math.pi / (math.pi / 4.0))
     else:
@@ -255,17 +260,15 @@ def std_error(value: float, spc: int) -> float:
     return math.sqrt(max(0.0, 1.0 - value * value) / spc)
 
 
-def hadamard_test_states(
-    sh: ScaledHamiltonian, psi: StateVector, tau: float, n_points: int
-) -> np.ndarray:
+def hadamard_test_states(sh: ScaledHamiltonian, tau: float, n_points: int) -> np.ndarray:
     """Rows (|0>|psi> + |1> exp(-i n tau H~)|psi>)/sqrt(2), ancilla on qubit 0.
 
     Measuring X (Y) on the ancilla of row n gives the real (imaginary)
     part of the overlap Z_n.  Rows are twice as long as psi's amplitudes.
     """
-    states = np.empty((n_points, 2 << psi.n_qubits), dtype=complex)
-    states[:, 0::2] = psi.amplitudes / math.sqrt(2.0)
-    states[:, 1::2] = sh.evolve(psi, tau, n_points) / math.sqrt(2.0)
+    states = np.empty((n_points, 2 << sh.psi.n_qubits), dtype=complex)
+    states[:, 0::2] = sh.psi.amplitudes / math.sqrt(2.0)
+    states[:, 1::2] = sh.evolve(tau, n_points) / math.sqrt(2.0)
     return states
 
 
@@ -291,7 +294,6 @@ def _read_ancilla(values: np.ndarray, spc: int, seed: int) -> list[np.ndarray]:
 
 def acquire(
     sh: ScaledHamiltonian,
-    psi: StateVector,
     tau: float,
     n_points: int = 33,
     mode: str = "exact",
@@ -307,9 +309,10 @@ def acquire(
             shots per part (real, imaginary): one binomial count of -1
             ancilla outcomes per point and part, drawn on stream
             (seed, part) (:func:`_read_ancilla`).
-        recompiled: one batch of the fitted ansatz of ``compilation``
-            (one parameter vector per time point, in order) prepares the
-            Hadamard-test states, whose exact <X_0> and <Y_0> are the
+        recompiled: the states the fitted ansatz of ``compilation``
+            prepares (one per time point, in order, as the compiler
+            simulated them to score their fidelity) stand for the
+            Hadamard-test states; their exact <X_0> and <Y_0> are the
             overlaps when ``spc`` is None and are read out as in shots
             mode otherwise.
 
@@ -334,21 +337,14 @@ def acquire(
                 f"compilation covers {len(compilation.results)} time points,"
                 f" need {n_points}"
             )
-        if compilation.n_qubits != psi.n_qubits + 1:
+        if compilation.n_qubits != sh.psi.n_qubits + 1:
             raise ValueError("compilation register does not match system+ancilla")
-        if compilation.layers is None:
-            raise ValueError("compilation lacks the ansatz layer count")
-        ansatz, _ = hea_ansatz(compilation.n_qubits, compilation.layers)
-        # one compiled ansatz prepares every point's state in one batch
-        states = CompiledCircuit(ansatz).simulate(
-            StateVector.zero_state(ansatz.n_qubits).amplitudes,
-            np.array([r.parameters for r in compilation.results], dtype=float),
-        )
-        re, im = ([np.vdot(a, string.act(a)).real for a in states] for string in _ANCILLA)
+        re, im = ([np.vdot(a, string.act(a)).real for a in compilation.states]
+                  for string in _ANCILLA)
         values = np.array([complex(r, i) for r, i in zip(re, im)])
     else:
-        values = np.array([np.vdot(psi.amplitudes, row)
-                           for row in sh.evolve(psi, tau, n_points)])
+        values = np.array([np.vdot(sh.psi.amplitudes, row)
+                           for row in sh.evolve(tau, n_points)])
     if mode == "exact" or spc is None:
         zeros = np.zeros(n_points)
         return OverlapSeries(tau, values, zeros, zeros.copy(), None, mode)

@@ -16,12 +16,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 
 from .circuits import Circuit
-from .simulator import CompiledCircuit, StateVector, derived_rng
+from .simulator import CompiledCircuit, derived_rng
 from .simulator import group_overlaps, overlap_gradient
 
 __all__ = [
@@ -74,11 +73,13 @@ class CompilationResult:
 
 @dataclass(frozen=True)
 class SeriesCompilation:
-    """Per-target compilations over one shared ansatz."""
+    """Per-target compilations over one shared ansatz; ``states`` row t is the
+    state it prepares at result t's parameters, and is not serialized."""
 
     n_qubits: int
     layers: int | None
     results: tuple[CompilationResult, ...]
+    states: np.ndarray = field(repr=False, compare=False)
     mean_fidelity: float = field(init=False)
     min_fidelity: float = field(init=False)
     max_fidelity: float = field(init=False)
@@ -114,12 +115,11 @@ class SeriesCompilation:
 
 
 def _compile(
-    compiled: CompiledCircuit, targets: Sequence[StateVector], config: CompileConfig
-) -> list[CompilationResult]:
-    """One Adam run over every target; row t * restarts + r is restart r of t."""
+    compiled: CompiledCircuit, amps: np.ndarray, config: CompileConfig
+) -> tuple[list[CompilationResult], np.ndarray]:
+    """One Adam run over every target row of ``amps``, and the states of the
+    winners; row t * restarts + r is restart r of t."""
     ansatz = compiled.circuit
-    if any(target.n_qubits != ansatz.n_qubits for target in targets):
-        raise ValueError("ansatz and target widths differ")
     if ansatz.n_params == 0:
         raise ValueError("ansatz has no parameters to optimize")
     n_params = ansatz.n_params
@@ -130,7 +130,6 @@ def _compile(
         if init.shape != (n_params,):
             raise ValueError(f"expected {n_params} initial parameters")
         start[0] = init
-    amps = np.array([target.amplitudes for target in targets])
     zero = np.eye(1, amps.shape[1], dtype=complex)
     best_obj = np.full((len(amps), config.restarts), np.inf)
     best_thetas = np.tile(start, (len(amps), 1, 1))
@@ -186,16 +185,17 @@ def _compile(
             seed=config.seed, restart=int(winners[t]),
         )
         for t, overlap in enumerate(overlaps)
-    ]
+    ], states
 
 
 def compile_series(
-    targets: Sequence[StateVector],
+    targets: np.ndarray,
     ansatz: Circuit,
     config: CompileConfig = CompileConfig(),
     layers: int | None = None,
 ) -> SeriesCompilation:
-    """Minimizes the distance objective of every target over one shared ansatz.
+    """Minimizes the distance objective of every target row of ``targets``
+    (T, 2^m) over one shared m-qubit ansatz.
 
     A target's restarts advance together in a batched Adam run (cosine-
     decayed learning rate) on kernels compiled once per call; each
@@ -214,19 +214,29 @@ def compile_series(
     so targets run one at a time.
 
     Raises:
-        ValueError: no targets, or an objective became non-finite
+        ValueError: no targets, targets whose width is not the ansatz's or
+            whose norm is not 1, or an objective became non-finite
             (diverged run).
     """
-    if not targets:
+    if not len(targets):
         raise ValueError("no targets to compile")
+    targets = np.asarray(targets, dtype=complex)
+    if targets.ndim != 2 or targets.shape[1] != 1 << ansatz.n_qubits:
+        raise ValueError("ansatz and target widths differ")
+    norms = np.linalg.norm(targets, axis=1)
+    if not np.all(np.abs(norms - 1.0) <= 1e-8):  # NaN fails too
+        raise ValueError("every target state needs norm 1")
     compiled = CompiledCircuit(ansatz)
     rows = config.restarts << ansatz.n_qubits
     per_group = 1 if config.warm_start else max(1, _GROUP_AMPLITUDES // rows)
     results: list[CompilationResult] = []
+    states = []
     step_config = config
     for first in range(0, len(targets), per_group):
-        results += _compile(compiled, targets[first:first + per_group], step_config)
+        group, prepared = _compile(compiled, targets[first:first + per_group], step_config)
+        results += group
+        states.append(prepared)
         if config.warm_start:
             init = tuple(results[-1].parameters)
             step_config = replace(config, initial_parameters=init)
-    return SeriesCompilation(ansatz.n_qubits, layers, tuple(results))
+    return SeriesCompilation(ansatz.n_qubits, layers, tuple(results), np.concatenate(states))

@@ -76,16 +76,6 @@ class StateVector:
             raise ValueError(f"register width must be in 1..{AMPLITUDE_CAP}")
 
     @classmethod
-    def rows(cls, amplitudes: np.ndarray) -> list["StateVector"]:
-        """One state per row of a ``(k, 2^n)`` amplitude array."""
-        n_qubits = amplitudes.shape[1].bit_length() - 1
-        return [cls(n_qubits, a) for a in amplitudes]
-
-    @classmethod
-    def zero_state(cls, n_qubits: int) -> "StateVector":
-        return cls.basis_state(n_qubits, 0)
-
-    @classmethod
     def basis_state(cls, n_qubits: int, index: int) -> "StateVector":
         cls.check_width(n_qubits)
         if not 0 <= index < (1 << n_qubits):

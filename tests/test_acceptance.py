@@ -102,9 +102,9 @@ def dense_fourth_order_energy(h, psi):
 
 
 def phase_estimate(h, psi, mode="exact", spc=None, seed=0, compilation=None):
-    sh = scale(h)
-    tau = choose_grid(sh, psi, 33)
-    series = acquire(sh, psi, tau, 33, mode, spc, seed, compilation)
+    sh = scale(h, psi)
+    tau = choose_grid(sh, 33)
+    series = acquire(sh, tau, 33, mode, spc, seed, compilation)
     return fit(series, sh).energy
 
 
@@ -124,11 +124,11 @@ def test_02_sampling_error_formula_and_empirical_match(h2_tapered):
     assert std_error(0.0, 100) == pytest.approx(0.100, abs=1e-12)
     assert std_error(0.0, 500) == pytest.approx(0.0447, abs=5e-4)
     h, psi = h2_tapered
-    sh = scale(h)
-    tau = choose_grid(sh, psi, 33)
-    true_re = acquire(sh, psi, tau, 3, "exact").values[2].real
+    sh = scale(h, psi)
+    tau = choose_grid(sh, 33)
+    true_re = acquire(sh, tau, 3, "exact").values[2].real
     draws = [
-        acquire(sh, psi, tau, 3, "shots", 100, seed).values[2].real
+        acquire(sh, tau, 3, "shots", 100, seed).values[2].real
         for seed in range(200)
     ]
     predicted = std_error(true_re, 100)
@@ -140,14 +140,14 @@ def test_03_exact_mode_phase_estimation_recovery(h2_tapered):
     h, psi = h2_tapered
     vals, vecs = eig(h)
     assert abs(np.vdot(vecs[:, 0], psi.amplitudes)) ** 2 >= 0.96
-    assert abs(phase_estimate(h, psi) - vals[0]) <= 1e-6 * max(1.0, scale(h).h1)
+    assert abs(phase_estimate(h, psi) - vals[0]) <= 1e-6 * max(1.0, scale(h, psi).h1)
     rng = np.random.default_rng(20260815)
     for _ in range(10):
         h = random_sum(rng, 3, 8, hermitian=True)
         vals, vecs = eig(h)
         ground = StateVector(3, vecs[:, 0])
         err = abs(phase_estimate(h, ground) - vals[0])
-        assert err <= 1e-6 * max(1.0, scale(h).h1)
+        assert err <= 1e-6 * max(1.0, scale(h, ground).h1)
 
 
 def test_04_shot_mode_accuracy_improves_with_budget(h2_tapered):
@@ -169,10 +169,10 @@ def test_05_recompiled_pipeline_fidelity_and_energy(toy):
     """33 six-layer compilations reach mean fidelity >= 0.999 and shift
     the fitted energy by <= 1 mHa."""
     h, psi, _ = toy
-    sh = scale(h)
-    tau = choose_grid(sh, psi, 33)
+    sh = scale(h, psi)
+    tau = choose_grid(sh, 33)
     reference = phase_estimate(h, psi)
-    targets = StateVector.rows(hadamard_test_states(sh, psi, tau, 33))
+    targets = hadamard_test_states(sh, tau, 33)
     ansatz, _ = hea_ansatz(psi.n_qubits + 1, 6)
     compilation = compile_series(
         targets, ansatz,

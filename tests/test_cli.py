@@ -878,11 +878,12 @@ class TestMemoryChecks:
         self, tmp_path, capsys, monkeypatch, command
     ):
         settings = {"n_points": 4096}
+        extra = {"mode": "recompiled"} if command == "qcels" else {}
         if command == "recompile":
             settings.update(layers=1, max_iterations=1, restarts=1)
-        config = h2_config(tmp_path, command, **{command: settings})
+        config = h2_config(tmp_path, command, **{command: settings}, **extra)
 
-        def no_scale(h):
+        def no_scale(*args):
             raise AssertionError("the n_points check must come first")
 
         # 4,096 Hadamard-test rows of 2^5 amplitudes take 2,097,152 bytes
@@ -894,6 +895,25 @@ class TestMemoryChecks:
         assert f"{command}.n_points: 4,096 time points" in err
         assert "2,097,152 bytes, more than the 2,097,151 bytes" in err
         assert not (out / "results.json").exists()
+
+    @pytest.mark.parametrize("memory, code", [(2**20 - 1, 2), (2**21 - 1, 0)])
+    def test_exact_qcels_charges_rows_of_2_to_the_n(
+        self, tmp_path, capsys, monkeypatch, memory, code
+    ):
+        # exact mode evolves psi alone: 4,096 rows of 2^4 amplitudes take
+        # 1,048,576 bytes, half of what the Hadamard-test rows would, so it
+        # fits where recompiled mode is refused
+        config = h2_config(tmp_path, "qcels", qcels={"n_points": 4096})
+        monkeypatch.setattr(pauli, "_physical_memory", lambda: memory)
+        out = tmp_path / "run"
+        assert main(["qcels", "--config", str(config), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert "qcels.n_points: 4,096 time points" in err
+            assert "1,048,576 bytes, more than the 1,048,575 bytes" in err
+            assert not (out / "results.json").exists()
+        else:
+            assert run_results(out)["results"]["n_points"] == 4096
 
     @pytest.mark.parametrize("command", ["qcels", "recompile", "qcm4"])
     def test_unaffordable_operator_exits_2(

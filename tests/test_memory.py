@@ -24,8 +24,8 @@ from gsee.simulator import StateVector
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "src" / "gsee" / "fixtures"
 
 
-def checked_peak(monkeypatch, call) -> tuple[int, int]:
-    """``(bytes checked, tracemalloc peak)`` of ``call()``, with one check."""
+def checked_peak(monkeypatch, call) -> tuple[list[int], int]:
+    """``(bytes of each check, tracemalloc peak)`` of ``call()``."""
     checked = []
     real = pauli.check_memory
 
@@ -41,12 +41,12 @@ def checked_peak(monkeypatch, call) -> tuple[int, int]:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(checked) == 1
-    return checked[0], peak
+    return checked, peak
 
 
 def assert_covers(monkeypatch, call) -> None:
-    estimate, peak = checked_peak(monkeypatch, call)
+    """``call`` makes one check, and it holds the peak between 1x and 3x."""
+    (estimate,), peak = checked_peak(monkeypatch, call)
     assert peak <= estimate <= 3 * peak, (estimate, peak)
 
 
@@ -85,8 +85,12 @@ def test_blocks_in_sector_cells(monkeypatch, norb):
 def test_scale_on_a_10_qubit_molecular_operator(monkeypatch):
     h = molecular(5)
     assert h.n_qubits == 10
-    # the check counts the eigenvectors beside the blocks
-    assert_covers(monkeypatch, lambda: scale(h))
+    psi = StateVector(10, random_state(np.random.default_rng(1), 10))
+    # psi has weight in every cell: the blocks' check counts the cells and
+    # their eigenvectors, and psi's check the gathered cells and the
+    # vectors' complex copy; together they hold the whole call's peak
+    (cells, vectors), peak = checked_peak(monkeypatch, lambda: scale(h, psi))
+    assert peak <= cells + vectors <= 3 * peak, (cells, vectors, peak)
 
 
 @pytest.mark.parametrize("norb", [4, 6])
@@ -109,13 +113,15 @@ def test_jordan_wigner_on_two_mask_words(monkeypatch):
 
 @pytest.mark.parametrize("case", ["molecular", "1-row"])
 def test_projection_onto_the_blocks(monkeypatch, case):
-    # every block live: the gathered vectors dominate on the molecular
-    # operator's 4 blocks of 256, the 2^n-long amplitudes on 1-row blocks
+    # scale past the blocks, every block live: the gathered cells and
+    # vectors dominate on the molecular operator's 4 blocks of 256, the
+    # 2^n-long amplitudes on 1-row blocks
     h = molecular(5) if case == "molecular" else z_sum(12, False)
-    sh = scale(h)
     n = h.n_qubits
     psi = StateVector(n, random_state(np.random.default_rng(1), n))
-    assert_covers(monkeypatch, lambda: sh._project(psi))
+    cells = (h - PauliSum(n, {PauliString(): h.identity_coefficient.real})).blocks()
+    monkeypatch.setattr(PauliSum, "blocks", lambda self: cells)
+    assert_covers(monkeypatch, lambda: scale(h, psi))
 
 
 def test_to_dense_at_10_qubits(monkeypatch):

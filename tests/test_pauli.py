@@ -13,6 +13,7 @@ from gsee import pauli
 from gsee.chem import _gf2_nullspace, jordan_wigner, parse_fcidump, taper_z2
 from gsee.pauli import PauliString, PauliSum, sum_multiply
 from gsee.qcels import scale
+from gsee.simulator import StateVector
 from helpers import (
     blocked_eig_sums,
     coefficient,
@@ -1035,7 +1036,7 @@ class TestDenseMemoryCheck:
         with pytest.raises(ValueError, match=rf" {need:,} bytes.* {memory:,} bytes"):
             a.blocks()
         with pytest.raises(ValueError, match="physical memory"):
-            scale(a)
+            scale(a, StateVector.basis_state(3, 0))
         monkeypatch.setattr(pauli, "_physical_memory", lambda: memory + 1)
         (_, mats), = a.blocks()
         assert mats.nbytes == (need - 256 * (8 + 1)) // 2
@@ -1043,12 +1044,12 @@ class TestDenseMemoryCheck:
     def test_unknown_memory_skips_the_check(self, monkeypatch):
         monkeypatch.setattr(pauli, "_physical_memory", lambda: None)
         a = PauliSum(2, {PauliString.from_label("Z0 Z1"): 1.0})
-        assert scale(a).h1 == pytest.approx(4.0 / math.pi)
+        assert scale(a, StateVector.basis_state(2, 0)).h1 == pytest.approx(4.0 / math.pi)
 
 
 def spectral_norm(a: PauliSum) -> float:
     """max |eig(A - a0 I)| as :func:`gsee.qcels.scale` computes it."""
-    return scale(a).h1 * math.pi / 4.0
+    return scale(a, StateVector.basis_state(a.n_qubits, 0)).h1 * math.pi / 4.0
 
 
 class TestSpectralNorm:

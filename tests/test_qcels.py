@@ -87,27 +87,28 @@ def scaled_dense(h, sh):
 
 
 def scaled_case(h, one_block, seed):
-    """``scale(h)`` and a random state inside one random block or over all.
+    """``scale(h, psi)`` for a random psi inside one random block or over all.
 
     A sum proportional to the identity is rejected (hypothesis ``assume``).
     """
     dim = 1 << h.n_qubits
     shifted = dense_sum(h) - h.identity_coefficient.real * np.eye(dim)
     assume(np.max(np.abs(np.linalg.eigvalsh(shifted))) > 1e-9)
-    sh = scale(h)
+    cells = [rows for rows, _ in h.blocks()]
     rng = np.random.default_rng(seed)
     amps = random_state(rng, h.n_qubits)
     if one_block:
         inside = np.zeros(dim, dtype=bool)
-        rows = sh.rows[rng.integers(len(sh.rows))]
+        rows = cells[rng.integers(len(cells))]
         inside[rows[rng.integers(len(rows))]] = True
         amps = np.where(inside, amps, 0) / np.linalg.norm(amps[inside])
-    return sh, StateVector(h.n_qubits, amps)
+    psi = StateVector(h.n_qubits, amps)
+    return scale(h, psi), psi
 
 
 def unit_z():
     """A scaled Hamiltonian for fits, which read it only for the energy."""
-    return scale(PauliSum(1, {PauliString.from_label("Z0"): 1.0}))
+    return scale(PauliSum(1, {PauliString.from_label("Z0"): 1.0}), StateVector.basis_state(1, 0))
 
 
 def hand_sampled_series(states, spc, seed):
@@ -140,7 +141,7 @@ def assert_matches_hand_readout(series, states, spc, seed):
 class TestScale:
     def test_single_z(self):
         h = PauliSum(1, {PauliString.from_label("Z0"): 1.0})
-        sh = scale(h)
+        sh = scale(h, StateVector.basis_state(1, 0))
         assert sh.h0 == 0.0
         assert sh.h1 == pytest.approx(4.0 / math.pi, abs=1e-15)
         eigs = np.linalg.eigvalsh(scaled_dense(h, sh))
@@ -148,17 +149,24 @@ class TestScale:
 
     def test_identity_multiple_rejected(self):
         with pytest.raises(ValueError, match="identity"):
-            scale(PauliSum(2, {PauliString(): 3.0}))
+            scale(PauliSum(2, {PauliString(): 3.0}), StateVector.basis_state(2, 0))
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            scale(PauliSum(1, {PauliString.from_label("Z0"): 1j}))
+            scale(PauliSum(1, {PauliString.from_label("Z0"): 1j}), StateVector.basis_state(1, 0))
+
+    def test_width_mismatch_rejected(self):
+        h = PauliSum(1, {PauliString.from_label("Z0"): 1.0})
+        with pytest.raises(ValueError, match="widths differ"):
+            scale(h, StateVector.basis_state(2, 0))
 
     def test_random_sums_reconstruct_spectrum(self):
         rng = np.random.default_rng(8)
+        # weight in every cell: sh holds the whole spectrum
+        psi = StateVector(3, random_state(np.random.default_rng(0), 3))
         for _ in range(5):
             h = random_sum(rng, 3, 6)
-            sh = scale(h)
+            sh = scale(h, psi)
             dense = dense_sum(h)
             assert sh.h0 == pytest.approx(
                 np.trace(dense).real / 8.0, abs=1e-12
@@ -177,10 +185,11 @@ class TestScale:
         # machine of 1 MB
         monkeypatch.setattr(pauli, "_physical_memory", lambda: 10**6)
         h = PauliSum(15, {PauliString.from_label("Z0"): 2.0})
+        psi = StateVector.basis_state(15, 0)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=r"8,913,152 bytes.* 1,000,000 bytes"):
-                scale(h)
+                scale(h, psi)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -190,7 +199,8 @@ class TestScale:
     def test_fifteen_qubits_scale_block_by_block(self):
         # no width cap: 4,096 blocks of 8 rows fit in a few MB
         h, small = z_padded_sum(np.random.default_rng(15), 15)
-        sh = scale(h)
+        # weight in every block: sh holds the whole spectrum
+        sh = scale(h, StateVector(15, random_state(np.random.default_rng(0), 15)))
         # the 3-qubit part moves electrons between sectors: the cosets
         (rows,), (vals,) = sh.rows, sh.vals
         assert rows.shape == (1 << 12, 8)
@@ -209,7 +219,8 @@ class TestScale:
         h = random_sum(np.random.default_rng(12), 3, 6) + PauliSum(
             3, {PauliString(): 0.4}
         )
-        sh = scale(h)
+        # weight in every cell: sh holds every cell's eigenpairs
+        sh = scale(h, StateVector(3, random_state(np.random.default_rng(0), 3)))
         cells = (h - PauliSum(3, {PauliString(): sh.h0})).blocks()
         assert len(sh.rows) == len(sh.vals) == len(sh.vecs) == len(cells)
         # one (vals, vecs) pair per symmetry cell, never scattered into
@@ -220,7 +231,23 @@ class TestScale:
             assert sh_vals.shape == rows.shape
             assert sh_vecs.shape == mats.shape
             assert sh_vals.tobytes() == ((1.0 / sh.h1) * vals).tobytes()
-            assert sh_vecs.tobytes() == vecs.tobytes()
+            assert sh_vecs.tobytes() == vecs.astype(complex).tobytes()
+
+    def test_holds_only_the_cells_where_psi_has_weight(self):
+        # each cell of the 8-qubit fixture in turn holds psi: sh keeps that
+        # cell alone, with the eigenpairs of the whole stack's eigh
+        h = jordan_wigner(parse_fcidump((FIXTURES / "spin_polarized.fcidump").read_text()))
+        cells = (h - PauliSum(8, {PauliString(): h.identity_coefficient.real})).blocks()
+        for rows, mats in cells:
+            vals, vecs = np.linalg.eigh(mats)
+            for k in (0, len(rows) - 1):
+                amps = np.zeros(256, dtype=complex)
+                amps[rows[k]] = 1.0
+                sh = scale(h, StateVector(8, amps / np.linalg.norm(amps)))
+                (held,), (sh_vals,), (sh_vecs,) = sh.rows, sh.vals, sh.vecs
+                assert held.tobytes() == rows[k:k + 1].tobytes()
+                assert sh_vals.tobytes() == ((1.0 / sh.h1) * vals[k:k + 1]).tobytes()
+                assert sh_vecs.tobytes() == vecs[k:k + 1].astype(complex).tobytes()
 
 
 class TestEvolve:
@@ -234,9 +261,9 @@ class TestEvolve:
         for odd_y, tau in itertools.product((False, True), (0.37, -0.61)):
             labels = self.EVEN_Y + [("Y0 Z2", 0.5)] * odd_y
             h = PauliSum(3, {PauliString.from_label(s): c for s, c in labels})
-            sh = scale(h)
+            sh = scale(h, psi)
             assert any(np.any(v.imag) for v in sh.vecs) == odd_y
-            rows = sh.evolve(psi, tau, 5)
+            rows = sh.evolve(tau, 5)
             assert rows.shape == (5, 8)
             assert np.max(np.abs(rows[0] - psi.amplitudes)) < 1e-14
             dense = scaled_dense(h, sh)
@@ -250,25 +277,21 @@ class TestEvolve:
     def test_rows_match_expm_in_one_block_or_all(self, h, one_block, seed, tau):
         sh, psi = scaled_case(h, one_block, seed)
         dense = scaled_dense(h, sh)
-        for n, row in enumerate(sh.evolve(psi, tau, 4)):
+        for n, row in enumerate(sh.evolve(tau, 4)):
             want = expm(-1j * (n * tau) * dense) @ psi.amplitudes
             assert np.max(np.abs(row - want)) <= 1e-12
 
     def test_composition(self):
         rng = np.random.default_rng(37)
-        sh = scale(random_sum(rng, 2, 4))
+        h = random_sum(rng, 2, 4)
         psi = StateVector(2, random_state(rng, 2))
-        halfway = StateVector(2, sh.evolve(psi, 0.3, 2)[1])
-        one = sh.evolve(halfway, 0.5, 2)[1]
-        two = sh.evolve(psi, 0.8, 2)[1]
+        sh = scale(h, psi)
+        halfway = StateVector(2, sh.evolve(0.3, 2)[1])
+        one = scale(h, halfway).evolve(0.5, 2)[1]
+        two = sh.evolve(0.8, 2)[1]
         assert np.linalg.norm(one - two) < 1e-12
         # row n of step tau is row 1 of step n tau
-        assert np.linalg.norm(sh.evolve(psi, 0.4, 3)[2] - two) < 1e-12
-
-    def test_width_mismatch_rejected(self):
-        sh = scale(PauliSum(1, {PauliString.from_label("Z0"): 1.0}))
-        with pytest.raises(ValueError, match="widths differ"):
-            sh.evolve(StateVector.zero_state(2), 0.5, 3)
+        assert np.linalg.norm(sh.evolve(0.4, 3)[2] - two) < 1e-12
 
 
 class TestMean:
@@ -279,59 +302,55 @@ class TestMean:
         sh, psi = scaled_case(h, one_block, seed)
         amps = psi.amplitudes
         want = np.vdot(amps, scaled_dense(h, sh) @ amps).real
-        assert abs(sh.mean(psi) - want) <= 1e-12
+        assert abs(sh.mean() - want) <= 1e-12
 
     def test_real_and_odd_y_paths(self):
         psi = StateVector(3, random_state(np.random.default_rng(41), 3))
         for odd_y in (False, True):
             labels = TestEvolve.EVEN_Y + [("Y0 Z2", 0.5)] * odd_y
             h = PauliSum(3, {PauliString.from_label(s): c for s, c in labels})
-            sh = scale(h)
+            sh = scale(h, psi)
             assert any(np.any(v.imag) for v in sh.vecs) == odd_y
             want = np.vdot(psi.amplitudes, scaled_dense(h, sh) @ psi.amplitudes)
-            assert abs(sh.mean(psi) - want.real) <= 1e-12
-
-    def test_width_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="widths differ"):
-            unit_z().mean(StateVector.zero_state(2))
+            assert abs(sh.mean() - want.real) <= 1e-12
 
 
 class TestChooseGrid:
     def test_boundary_eigenstate(self):
-        sh = scale(PauliSum(1, {PauliString.from_label("Z0"): 1.0}))
-        tau = choose_grid(sh, StateVector.zero_state(1), 33)
+        sh = scale(PauliSum(1, {PauliString.from_label("Z0"): 1.0}), StateVector.basis_state(1, 0))
+        tau = choose_grid(sh, 33)
         assert tau == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_mean_falls_back(self):
-        sh = scale(PauliSum(1, {PauliString.from_label("Z0"): 1.0}))
         plus = StateVector(1, np.array([1.0, 1.0]) / math.sqrt(2.0))
-        assert choose_grid(sh, plus, 33) == pytest.approx(0.5, abs=1e-12)
+        sh = scale(PauliSum(1, {PauliString.from_label("Z0"): 1.0}), plus)
+        assert choose_grid(sh, 33) == pytest.approx(0.5, abs=1e-12)
 
     def test_small_phase_is_alias_capped(self):
         h = PauliSum(1, {PauliString.from_label("Z0"): 1.0})
-        sh = scale(h)
         # <Z> = 0.02 * 4/pi puts theta^ at 0.02, above the fallback cut
         mean_z = 0.02 * 4.0 / math.pi
         a = math.sqrt((1.0 + mean_z) / 2.0)
         psi = StateVector(1, np.array([a, math.sqrt(1.0 - a * a)]))
+        sh = scale(h, psi)
         theta_hat = np.vdot(psi.amplitudes, scaled_dense(h, sh) @ psi.amplitudes).real
         assert 0.01 < abs(theta_hat) < 0.1
-        assert choose_grid(sh, psi, 33) == ALIAS_SAFE_TAU
+        assert choose_grid(sh, 33) == ALIAS_SAFE_TAU
 
     def test_eigenstate_series_changes_sign(self):
         h, vals, vecs = two_qubit_fixture()
-        sh = scale(h)
         psi = StateVector(2, vecs[:, 1])
-        tau = choose_grid(sh, psi, 33)
-        series = acquire(sh, psi, tau, 33, "exact")
+        sh = scale(h, psi)
+        tau = choose_grid(sh, 33)
+        series = acquire(sh, tau, 33, "exact")
         signs = np.sign(series.values.real)
         changes = np.sum(signs[1:] * signs[:-1] < 0)
         assert changes >= 2
 
     def test_needs_two_points(self):
-        sh = scale(PauliSum(1, {PauliString.from_label("Z0"): 1.0}))
+        sh = unit_z()
         with pytest.raises(ValueError, match="two time points"):
-            choose_grid(sh, StateVector.zero_state(1), 1)
+            choose_grid(sh, 1)
 
     def test_reads_no_pauli_term_after_the_blocks(self, monkeypatch):
         fi = parse_fcidump((FIXTURES / "spin_polarized.fcidump").read_text())
@@ -367,11 +386,11 @@ class TestChooseGrid:
                 monkeypatch.setattr(
                     module, "expectation", spy("expectation", simulator.expectation)
                 )
-        sh = scale(h)
-        tau = choose_grid(sh, psi, 33)
+        sh = scale(h, psi)
+        tau = choose_grid(sh, 33)
         assert reads == []
         want = np.vdot(amps, scaled_dense(h, sh) @ amps).real
-        assert abs(sh.mean(psi) - want) <= 1e-12
+        assert abs(sh.mean() - want) <= 1e-12
         assert 0.0 < tau <= ALIAS_SAFE_TAU
         # the spies do see a term-by-term read
         simulator.expectation(psi, h)
@@ -386,6 +405,10 @@ class TestStdError:
 
     def test_empirical_match(self):
         # mean of spc Rademacher-like +/-1 draws from a known <Z>
+        vals, vecs = np.linalg.eigh(
+            0.7 * np.array([[1, 0], [0, -1]]) + 0.4 * np.array([[0, 1], [1, 0]])
+        )
+        psi = StateVector(1, vecs[:, 0].astype(complex))
         sh = scale(
             PauliSum(
                 1,
@@ -393,18 +416,15 @@ class TestStdError:
                     PauliString.from_label("Z0"): 0.7,
                     PauliString.from_label("X0"): 0.4,
                 },
-            )
+            ),
+            psi,
         )
-        vals, vecs = np.linalg.eigh(
-            0.7 * np.array([[1, 0], [0, -1]]) + 0.4 * np.array([[0, 1], [1, 0]])
-        )
-        psi = StateVector(1, vecs[:, 0].astype(complex))
         spc = 400
         means = []
         for seed in range(200):
-            s = acquire(sh, psi, 0.5, 2, "shots", spc=spc, seed=seed)
+            s = acquire(sh, 0.5, 2, "shots", spc=spc, seed=seed)
             means.append(s.values[1].real)
-        true_re = acquire(sh, psi, 0.5, 2, "exact").values[1].real
+        true_re = acquire(sh, 0.5, 2, "exact").values[1].real
         predicted = std_error(true_re, spc)
         assert np.std(means) == pytest.approx(predicted, rel=0.2)
 
@@ -412,56 +432,56 @@ class TestStdError:
 class TestAcquireExact:
     def test_z0_is_one(self):
         h, vals, vecs = two_qubit_fixture()
-        sh = scale(h)
         psi = StateVector(2, vecs[:, 0])
-        series = acquire(sh, psi, 0.5, 9, "exact")
+        sh = scale(h, psi)
+        series = acquire(sh, 0.5, 9, "exact")
         assert series.values[0] == pytest.approx(1.0 + 0.0j, abs=1e-12)
         assert np.all(series.stderr_re == 0.0)
         assert series.spc is None
 
     def test_eigenstate_is_pure_phase(self):
         h, vals, vecs = two_qubit_fixture()
-        sh = scale(h)
         for idx in range(4):
-            theta0 = (vals[idx] - sh.h0) / sh.h1
             psi = StateVector(2, vecs[:, idx])
-            series = acquire(sh, psi, 0.8, 17, "exact")
+            sh = scale(h, psi)
+            theta0 = (vals[idx] - sh.h0) / sh.h1
+            series = acquire(sh, 0.8, 17, "exact")
             expected = eigenstate_series(theta0, 0.8, 17)
             assert np.max(np.abs(series.values - expected)) < 1e-12
 
     def test_mode_validation(self):
         h, vals, vecs = two_qubit_fixture()
-        sh = scale(h)
         psi = StateVector(2, vecs[:, 0])
+        sh = scale(h, psi)
         with pytest.raises(ValueError, match="mode"):
-            acquire(sh, psi, 0.5, 9, "dense")
+            acquire(sh, 0.5, 9, "dense")
         with pytest.raises(ValueError, match="spc"):
-            acquire(sh, psi, 0.5, 9, "shots")
+            acquire(sh, 0.5, 9, "shots")
         with pytest.raises(ValueError, match="two time points"):
-            acquire(sh, psi, 0.5, 1, "exact")
+            acquire(sh, 0.5, 1, "exact")
 
 
 class TestAcquireShots:
     def test_deterministic_and_order_independent(self):
         h, vals, vecs = two_qubit_fixture()
-        sh = scale(h)
         psi = StateVector(2, vecs[:, 1])
-        a = acquire(sh, psi, 0.7, 12, "shots", spc=200, seed=5)
-        b = acquire(sh, psi, 0.7, 12, "shots", spc=200, seed=5)
+        sh = scale(h, psi)
+        a = acquire(sh, 0.7, 12, "shots", spc=200, seed=5)
+        b = acquire(sh, 0.7, 12, "shots", spc=200, seed=5)
         assert np.array_equal(a.values, b.values)
         # each part draws the points in order on its own derived stream
-        longer = acquire(sh, psi, 0.7, 20, "shots", spc=200, seed=5)
+        longer = acquire(sh, 0.7, 20, "shots", spc=200, seed=5)
         assert np.array_equal(longer.values[:12], a.values)
-        other = acquire(sh, psi, 0.7, 12, "shots", spc=200, seed=6)
+        other = acquire(sh, 0.7, 12, "shots", spc=200, seed=6)
         assert not np.array_equal(other.values, a.values)
 
     def test_streams_follow_the_hand_readout(self):
         h, vals, vecs = two_qubit_fixture()
-        sh = scale(h)
         psi = StateVector(2, (vecs[:, 0] + vecs[:, 1]) / math.sqrt(2.0))
+        sh = scale(h, psi)
         tau, n_points, spc, seed = 0.7, 6, 300, 4
-        series = acquire(sh, psi, tau, n_points, "shots", spc=spc, seed=seed)
-        states = hadamard_test_states(sh, psi, tau, n_points)
+        series = acquire(sh, tau, n_points, "shots", spc=spc, seed=seed)
+        states = hadamard_test_states(sh, tau, n_points)
         assert_matches_hand_readout(series, states, spc, seed)
 
     @pytest.mark.parametrize("part", [0, 1])
@@ -470,15 +490,15 @@ class TestAcquireShots:
         # binomial draws against per-shot sample_z draws of the rotated
         # Hadamard-test state, pooled where a column holds under 10 counts
         h, vals, vecs = two_qubit_fixture()
-        sh = scale(h)
         psi = StateVector(2, (vecs[:, 0] + vecs[:, 1]) / math.sqrt(2.0))
+        sh = scale(h, psi)
         tau, n_points, spc, seeds = 0.7, 3, 20, range(2000)
         gate = [Gate("h", (0,)), Gate("rx", (0,), angle=math.pi / 2)][part]
-        state = hadamard_test_states(sh, psi, tau, n_points)[-1]
+        state = hadamard_test_states(sh, tau, n_points)[-1]
         rotated = StateVector(3, gate_matrix(gate, 3) @ state)
         drawn = []
         for seed in seeds:
-            z = acquire(sh, psi, tau, n_points, "shots", spc=spc, seed=seed).values[-1]
+            z = acquire(sh, tau, n_points, "shots", spc=spc, seed=seed).values[-1]
             drawn.append(round(spc * (1.0 - [z.real, z.imag][part]) / 2.0))
         shots = [int(r.counts[r.outcomes & 1 == 1].sum())
                  for r in (sample_z(rotated, spc, seed) for seed in seeds)]
@@ -490,11 +510,11 @@ class TestAcquireShots:
 
     def test_statistical_consistency(self):
         h, vals, vecs = two_qubit_fixture()
-        sh = scale(h)
         psi = StateVector(2, vecs[:, 1])
-        tau = choose_grid(sh, psi, 33)
-        exact = acquire(sh, psi, tau, 33, "exact")
-        shots = acquire(sh, psi, tau, 33, "shots", spc=10_000, seed=3)
+        sh = scale(h, psi)
+        tau = choose_grid(sh, 33)
+        exact = acquire(sh, tau, 33, "exact")
+        shots = acquire(sh, tau, 33, "shots", spc=10_000, seed=3)
         floor = 1.0 / math.sqrt(10_000)
         ok = 0
         for n in range(33):
@@ -509,18 +529,18 @@ class TestAcquireShots:
 
     def test_reported_errors_follow_formula(self):
         h, vals, vecs = two_qubit_fixture()
-        sh = scale(h)
         psi = StateVector(2, vecs[:, 1])
-        series = acquire(sh, psi, 0.9, 8, "shots", spc=250, seed=1)
+        sh = scale(h, psi)
+        series = acquire(sh, 0.9, 8, "shots", spc=250, seed=1)
         for n in range(8):
             assert series.stderr_re[n] == std_error(series.values[n].real, 250)
             assert series.stderr_im[n] == std_error(series.values[n].imag, 250)
 
     def test_magnitude_within_error_budget(self):
         h, vals, vecs = two_qubit_fixture()
-        sh = scale(h)
         psi = StateVector(2, vecs[:, 1])
-        series = acquire(sh, psi, 1.1, 33, "shots", spc=100, seed=9)
+        sh = scale(h, psi)
+        series = acquire(sh, 1.1, 33, "shots", spc=100, seed=9)
         bound = 1.0 + 3.0 * np.hypot(series.stderr_re, series.stderr_im)
         assert np.all(np.abs(series.values) <= bound)
 
@@ -528,10 +548,10 @@ class TestAcquireShots:
 class TestHadamardTestState:
     def test_branches_hold_identity_and_evolution(self):
         h, vals, vecs = two_qubit_fixture()
-        sh = scale(h)
         psi = StateVector(2, vecs[:, 1])
+        sh = scale(h, psi)
         tau = 0.83
-        states = hadamard_test_states(sh, psi, tau, 3)
+        states = hadamard_test_states(sh, tau, 3)
         assert states.shape == (3, 8)
         idx = np.arange(4) << 1
         svals, svecs = np.linalg.eigh(scaled_dense(h, sh))
@@ -544,11 +564,11 @@ class TestHadamardTestState:
 
     def test_ancilla_expectations_give_overlap(self):
         h, vals, vecs = two_qubit_fixture()
-        sh = scale(h)
         psi = StateVector(2, (vecs[:, 0] + 2 * vecs[:, 2]) / math.sqrt(5.0))
+        sh = scale(h, psi)
         t = 1.7
-        state = StateVector(3, hadamard_test_states(sh, psi, t, 2)[1])
-        series = acquire(sh, psi, t, 2, "exact")
+        state = StateVector(3, hadamard_test_states(sh, t, 2)[1])
+        series = acquire(sh, t, 2, "exact")
         x0 = PauliSum(3, {PauliString(x_mask=1): 1.0})
         y0 = PauliSum(3, {PauliString(1, 1): 1.0})
         assert expectation(state, x0).real == pytest.approx(
@@ -568,11 +588,10 @@ class TestAcquireRecompiled:
                 PauliString.from_label("X0"): 0.4,
             },
         )
-        sh = scale(h)
         vals, vecs = np.linalg.eigh(dense_sum(h))
-        psi = StateVector(1, vecs[:, 0])
+        sh = scale(h, StateVector(1, vecs[:, 0]))
         tau, n_points = 0.8, 5
-        targets = StateVector.rows(hadamard_test_states(sh, psi, tau, n_points))
+        targets = hadamard_test_states(sh, tau, n_points)
         ansatz, _ = hea_ansatz(2, layers)
         compilation = compile_series(
             targets,
@@ -581,14 +600,13 @@ class TestAcquireRecompiled:
                           tolerance=1e-12),
             layers=layers,
         )
-        return sh, psi, tau, n_points, compilation
+        return sh, tau, n_points, compilation
 
     def test_exact_expectations_track_series(self):
-        sh, psi, tau, n_points, compilation = self.setup_series(2)
+        sh, tau, n_points, compilation = self.setup_series(2)
         assert compilation.mean_fidelity > 0.9999
-        exact = acquire(sh, psi, tau, n_points, "exact")
-        rec = acquire(
-            sh, psi, tau, n_points, "recompiled", compilation=compilation
+        exact = acquire(sh, tau, n_points, "exact")
+        rec = acquire(sh, tau, n_points, "recompiled", compilation=compilation
         )
         slack = 4.0 * math.sqrt(1.0 - compilation.min_fidelity) + 1e-8
         assert np.max(np.abs(rec.values - exact.values)) < slack
@@ -596,11 +614,8 @@ class TestAcquireRecompiled:
         assert np.all(rec.stderr_re == 0.0)
 
     def test_sampled_recompiled_measurements(self):
-        sh, psi, tau, n_points, compilation = self.setup_series(2)
-        rec = acquire(
-            sh,
-            psi,
-            tau,
+        sh, tau, n_points, compilation = self.setup_series(2)
+        rec = acquire(sh, tau,
             n_points,
             "recompiled",
             spc=400,
@@ -609,16 +624,16 @@ class TestAcquireRecompiled:
         )
         assert rec.spc == 400
         assert np.any(rec.stderr_re > 0.0)
-        exact = acquire(sh, psi, tau, n_points, "exact")
+        exact = acquire(sh, tau, n_points, "exact")
         assert np.max(np.abs(rec.values - exact.values)) < 0.3
 
     def test_streams_follow_the_hand_readout(self):
-        sh, psi, tau, n_points, compilation = self.setup_series(1, 40)
+        sh, tau, n_points, compilation = self.setup_series(1, 40)
         spc, seed = 300, 7
-        series = acquire(sh, psi, tau, n_points, "recompiled", spc=spc, seed=seed,
+        series = acquire(sh, tau, n_points, "recompiled", spc=spc, seed=seed,
                          compilation=compilation)
         ansatz, _ = hea_ansatz(compilation.n_qubits, compilation.layers)
-        zero = StateVector.zero_state(ansatz.n_qubits).amplitudes
+        zero = StateVector.basis_state(ansatz.n_qubits, 0).amplitudes
         states = [
             simulate_batch(ansatz, zero, r.parameters[None])[0]
             for r in compilation.results
@@ -626,26 +641,25 @@ class TestAcquireRecompiled:
         assert_matches_hand_readout(series, states, spc, seed)
 
     def test_validation(self):
-        sh, psi, tau, n_points, compilation = self.setup_series(1, 40)
+        sh, tau, n_points, compilation = self.setup_series(1, 40)
         with pytest.raises(ValueError, match="SeriesCompilation"):
-            acquire(sh, psi, tau, n_points, "recompiled")
+            acquire(sh, tau, n_points, "recompiled")
         with pytest.raises(ValueError, match="time points"):
-            acquire(
-                sh, psi, tau, n_points + 1, "recompiled",
+            acquire(sh, tau, n_points + 1, "recompiled",
                 compilation=compilation,
             )
-        wide = StateVector.zero_state(2)
+        wide = scale(two_qubit_fixture()[0], StateVector.basis_state(2, 0))
         with pytest.raises(ValueError, match="register"):
-            acquire(sh, wide, tau, n_points, "recompiled",
+            acquire(wide, tau, n_points, "recompiled",
                     compilation=compilation)
 
     def test_deviation_shrinks_with_fidelity(self):
         h, vals, vecs = two_qubit_fixture()
-        sh = scale(h)
         psi = StateVector(2, vecs[:, 0])
+        sh = scale(h, psi)
         tau, n_points = 0.7, 9
-        targets = StateVector.rows(hadamard_test_states(sh, psi, tau, n_points))
-        e_exact = fit(acquire(sh, psi, tau, n_points, "exact"), sh).energy
+        targets = hadamard_test_states(sh, tau, n_points)
+        e_exact = fit(acquire(sh, tau, n_points, "exact"), sh).energy
         fids, devs = [], []
         for layers in (2, 4, 6):
             ansatz, _ = hea_ansatz(3, layers)
@@ -655,8 +669,7 @@ class TestAcquireRecompiled:
                 CompileConfig(seed=11, max_iterations=260, tolerance=1e-12),
                 layers=layers,
             )
-            rec = acquire(
-                sh, psi, tau, n_points, "recompiled", compilation=compilation
+            rec = acquire(sh, tau, n_points, "recompiled", compilation=compilation
             )
             fids.append(compilation.mean_fidelity)
             devs.append(abs(fit(rec, sh).energy - e_exact))
@@ -669,7 +682,7 @@ class TestAcquireRecompiled:
 class TestFit:
     def test_eigenstate_peak(self):
         h, vals, vecs = two_qubit_fixture()
-        sh = scale(h)
+        sh = scale(h, StateVector(2, vecs[:, 1]))
         theta0 = (vals[1] - sh.h0) / sh.h1
         series = OverlapSeries(
             tau=1.3,
@@ -688,7 +701,7 @@ class TestFit:
         dominant, minor, tau, n = 0.25, -0.6, 3.0, 33
         values = 0.96 * eigenstate_series(dominant, tau, n)
         values += 0.04 * eigenstate_series(minor, tau, n)
-        sh = scale(PauliSum(1, {PauliString.from_label("Z0"): 1.0}))
+        sh = unit_z()
         series = OverlapSeries(
             tau=tau,
             values=values,
@@ -705,18 +718,18 @@ class TestFit:
         assert abs(res.theta - dominant) < 1e-4
 
     def test_boundary_fixture_energy_is_exact(self):
-        sh = scale(PauliSum(1, {PauliString.from_label("Z0"): 1.0}))
-        psi = StateVector.zero_state(1)
-        tau = choose_grid(sh, psi, 33)
-        res = fit(acquire(sh, psi, tau, 33, "exact"), sh)
+        psi = StateVector.basis_state(1, 0)
+        sh = scale(PauliSum(1, {PauliString.from_label("Z0"): 1.0}), psi)
+        tau = choose_grid(sh, 33)
+        res = fit(acquire(sh, tau, 33, "exact"), sh)
         assert res.theta == math.pi / 4.0
         assert res.energy == 1.0
 
     def test_global_phase_invariance(self):
         h, vals, vecs = two_qubit_fixture()
-        sh = scale(h)
         psi = StateVector(2, vecs[:, 1])
-        series = acquire(sh, psi, 0.9, 21, "exact")
+        sh = scale(h, psi)
+        series = acquire(sh, 0.9, 21, "exact")
         rotated = OverlapSeries(
             tau=series.tau,
             values=series.values * np.exp(0.37j),
@@ -735,9 +748,9 @@ class TestFit:
 
     def test_peak_dominates_grid(self):
         h, vals, vecs = two_qubit_fixture()
-        sh = scale(h)
         psi = StateVector(2, (vecs[:, 0] + vecs[:, 3]) / math.sqrt(2.0))
-        series = acquire(sh, psi, 1.0, 33, "shots", spc=300, seed=4)
+        sh = scale(h, psi)
+        series = acquire(sh, 1.0, 33, "shots", spc=300, seed=4)
         res = fit(series, sh)
         assert res.peak >= np.max(objective_curve(series)[1]) - 1e-9
         assert -math.pi / 4.0 <= res.theta <= math.pi / 4.0
@@ -793,7 +806,7 @@ class TestFit:
         assert np.max(np.abs(curve - want)) <= 1e-13 * np.max(curve)
 
     def test_validation(self):
-        sh = scale(PauliSum(1, {PauliString.from_label("Z0"): 1.0}))
+        sh = unit_z()
         short = OverlapSeries(
             tau=0.5,
             values=np.array([1.0 + 0.0j]),
@@ -811,26 +824,26 @@ class TestReconstructionIdentity:
         rng = np.random.default_rng(17)
         for _ in range(3):
             h = random_sum(rng, 2, 5)
-            sh = scale(h)
             vals, vecs = np.linalg.eigh(dense_sum(h))
             for idx in range(4):
                 psi = StateVector(2, vecs[:, idx])
-                tau = choose_grid(sh, psi, 33)
-                res = fit(acquire(sh, psi, tau, 33, "exact"), sh)
+                sh = scale(h, psi)
+                tau = choose_grid(sh, 33)
+                res = fit(acquire(sh, tau, 33, "exact"), sh)
                 assert abs(res.energy - vals[idx]) < 1e-7 * max(1.0, sh.h1)
 
     def test_shot_mode_converges_with_budget(self):
         h, vals, vecs = two_qubit_fixture()
-        sh = scale(h)
         psi = StateVector(2, vecs[:, 1])
-        tau = choose_grid(sh, psi, 33)
-        e_exact = fit(acquire(sh, psi, tau, 33, "exact"), sh).energy
+        sh = scale(h, psi)
+        tau = choose_grid(sh, 33)
+        e_exact = fit(acquire(sh, tau, 33, "exact"), sh).energy
         medians = []
         for spc in (100, 1000, 10_000, 100_000):
             errs = [
                 abs(
                     fit(
-                        acquire(sh, psi, tau, 33, "shots", spc=spc, seed=seed),
+                        acquire(sh, tau, 33, "shots", spc=spc, seed=seed),
                         sh,
                     ).energy
                     - e_exact
@@ -858,9 +871,9 @@ _EDGE_FLOATS = st.one_of(
 class TestSerialization:
     def test_series_csv_round_trip(self):
         h, vals, vecs = two_qubit_fixture()
-        sh = scale(h)
         psi = StateVector(2, vecs[:, 1])
-        series = acquire(sh, psi, 0.7, 6, "shots", spc=150, seed=8)
+        sh = scale(h, psi)
+        series = acquire(sh, 0.7, 6, "shots", spc=150, seed=8)
         lines = series.to_csv().splitlines()
         assert lines[0] == f"# tau={series.tau!r} spc=150 mode=shots"
         assert lines[1] == "n,t,re,im,stderr_re,stderr_im"
@@ -873,9 +886,9 @@ class TestSerialization:
 
     def test_exact_series_round_trips_none_spc(self):
         h, vals, vecs = two_qubit_fixture()
-        sh = scale(h)
         psi = StateVector(2, vecs[:, 0])
-        series = acquire(sh, psi, 0.4, 4, "exact")
+        sh = scale(h, psi)
+        series = acquire(sh, 0.4, 4, "exact")
         lines = series.to_csv().splitlines()
         assert lines[0] == "# tau=0.4 spc=none mode=exact"
         rows = np.array([[float(x) for x in row.split(",")] for row in lines[2:]])
@@ -923,29 +936,41 @@ class TestOneEigendecomposition:
         amps[[0b01010100, 0b00010101, 0b01000101]] = [0.8, 0.48, 0.36]
         psi = StateVector(h.n_qubits, amps)
         calls, block_calls = [], []
-        eigh, blocks = np.linalg.eigh, PauliSum.blocks
+        blocks = PauliSum.blocks
 
-        def counting_eigh(a, *args, **kwargs):
-            calls.append(a.shape)
-            return eigh(a, *args, **kwargs)
+        def counting(name):
+            solver = getattr(np.linalg, name)
+
+            def counted(a, *args, **kwargs):
+                calls.append((name, a.shape))
+                return solver(a, *args, **kwargs)
+            return counted
 
         def counting_blocks(self):
             block_calls.append(self.n_qubits)
             return blocks(self)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counting(name))
         monkeypatch.setattr(PauliSum, "blocks", counting_blocks)
-        sh = scale(h)
-        tau = choose_grid(sh, psi, 9)
+        sh = scale(h, psi)
+        tau = choose_grid(sh, 9)
         for series in (
-            acquire(sh, psi, tau, 9, "exact"),
-            acquire(sh, psi, tau, 9, "shots", spc=100, seed=3),
+            acquire(sh, tau, 9, "exact"),
+            acquire(sh, tau, 9, "shots", spc=100, seed=3),
         ):
             assert math.isfinite(fit(series, sh).energy)
-        # scale diagonalizes H - h0 I once; H~ keeps its cell vectors and
-        # the rescaled eigenvalues, which every evolution reads.  The 25
-        # (N_alpha, N_beta) sectors of 4 orbitals each lie in one of the 4
-        # cosets of 64, C(4, a) C(4, b) rows each, and one eigh is batched
-        # over the sectors of each size
+        # scale diagonalizes H - h0 I once; H~ keeps the vectors of psi's
+        # cells and the rescaled eigenvalues, which every evolution reads.
+        # The 25 (N_alpha, N_beta) sectors of 4 orbitals each lie in one of
+        # the 4 cosets of 64, C(4, a) C(4, b) rows each.  psi's three
+        # determinants share one (3, 0) cell of 4 rows, the only one whose
+        # vectors are computed; the other cells of each size give their
+        # eigenvalues alone, batched over runs of consecutive cells
         assert block_calls == [8]
-        assert calls == [(4, 1, 1), (8, 4, 4), (4, 6, 6), (4, 16, 16), (4, 24, 24), (1, 36, 36)]
+        assert calls == [
+            ("eigvalsh", (4, 1, 1)), ("eigvalsh", (2, 4, 4)), ("eigvalsh", (5, 4, 4)),
+            ("eigh", (1, 4, 4)), ("eigvalsh", (4, 6, 6)), ("eigvalsh", (4, 16, 16)),
+            ("eigvalsh", (4, 24, 24)), ("eigvalsh", (1, 36, 36)),
+        ]
+        assert [r.shape for r in sh.rows] == [(1, 4)]

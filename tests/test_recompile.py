@@ -32,7 +32,12 @@ def zero_amps(n):
 
 def compile_one(target, ansatz, config=CompileConfig()):
     """One target's compilation: a series of that target alone."""
-    return compile_series([target], ansatz, config).results[0]
+    return compile_series(target.amplitudes[None], ansatz, config).results[0]
+
+
+def rows(targets):
+    """The (T, 2^n) target array of a list of states."""
+    return np.array([t.amplitudes for t in targets])
 
 
 def objective(ansatz, target, thetas):
@@ -133,7 +138,7 @@ class TestCompileState:
         bad = tuple([np.nan] * spec.n_params)
         with pytest.raises(ValueError, match="non-finite"):
             compile_one(
-                StateVector.zero_state(2),
+                StateVector.basis_state(2, 0),
                 ansatz,
                 CompileConfig(seed=0, initial_parameters=bad),
             )
@@ -141,10 +146,12 @@ class TestCompileState:
     def test_input_validation(self):
         ansatz, spec = hea_ansatz(2, 1)
         with pytest.raises(ValueError, match="widths"):
-            compile_one(StateVector.zero_state(3), ansatz, CompileConfig())
+            compile_one(StateVector.basis_state(3, 0), ansatz, CompileConfig())
+        with pytest.raises(ValueError, match="norm 1"):
+            compile_series(np.ones((1, 4)), ansatz, CompileConfig())
         with pytest.raises(ValueError, match="initial parameters"):
             compile_one(
-                StateVector.zero_state(2),
+                StateVector.basis_state(2, 0),
                 ansatz,
                 CompileConfig(initial_parameters=(0.0,)),
             )
@@ -245,7 +252,7 @@ class TestCompileSeries:
     @pytest.mark.parametrize("case", SERIES)
     def test_batch_equals_one_compile_state_per_target(self, case):
         targets, ansatz, config = reachable_series(*SERIES[case])
-        series = compile_series(targets, ansatz, config)
+        series = compile_series(rows(targets), ansatz, config)
         alone = [compile_one(t, ansatz, config) for t in targets]
         iterations = [r.iterations for r in series.results]
         assert len(set(iterations)) >= 3
@@ -256,22 +263,33 @@ class TestCompileSeries:
             assert (got.objective, got.fidelity, got.iterations, got.restart) == (
                 want.objective, want.fidelity, want.iterations, want.restart
             )
-        looped = SeriesCompilation(ansatz.n_qubits, None, tuple(alone))
+        looped = SeriesCompilation(ansatz.n_qubits, None, tuple(alone), series.states)
         assert series.to_json() == looped.to_json()
 
     def test_group_budget_is_invisible(self, monkeypatch):
         targets, ansatz, config = reachable_series(*SERIES["loose"])
-        whole = compile_series(targets, ansatz, config).to_json()
+        whole = compile_series(rows(targets), ansatz, config).to_json()
         # a budget of one amplitude leaves one target per batch
         monkeypatch.setattr(recompile, "_GROUP_AMPLITUDES", 1)
-        assert compile_series(targets, ansatz, config).to_json() == whole
+        assert compile_series(rows(targets), ansatz, config).to_json() == whole
+
+    def test_states_are_the_winners_prepared_states(self, monkeypatch):
+        targets, ansatz, config = reachable_series(*SERIES["loose"])
+        series = compile_series(rows(targets), ansatz, config)
+        zero = zero_amps(ansatz.n_qubits)
+        want = [simulate_batch(ansatz, zero, r.parameters[None])[0] for r in series.results]
+        assert series.states.tobytes() == np.array(want).tobytes()
+        # one target per batch prepares the same rows
+        monkeypatch.setattr(recompile, "_GROUP_AMPLITUDES", 1)
+        alone = compile_series(rows(targets), ansatz, config).states
+        assert alone.tobytes() == series.states.tobytes()
 
     def test_identical_targets_give_identical_results(self):
         rng = np.random.default_rng(51)
         ansatz, _ = hea_ansatz(2, 1)
         target = StateVector(2, random_state(rng, 2))
         series = compile_series(
-            [target] * 5,
+            rows([target] * 5),
             ansatz,
             CompileConfig(seed=4, max_iterations=40),
         )
@@ -286,7 +304,7 @@ class TestCompileSeries:
         ansatz, _ = hea_ansatz(2, 1)
         targets = [StateVector(2, random_state(rng, 2)) for _ in range(4)]
         series = compile_series(
-            targets, ansatz, CompileConfig(seed=1, max_iterations=30)
+            rows(targets), ansatz, CompileConfig(seed=1, max_iterations=30)
         )
         fids = [r.fidelity for r in series.results]
         assert series.mean_fidelity == pytest.approx(np.mean(fids), abs=1e-12)
@@ -297,7 +315,7 @@ class TestCompileSeries:
         ansatz, _ = hea_ansatz(2, 2)
         target = StateVector(2, random_state(rng, 2))
         series = compile_series(
-            [target, target],
+            rows([target, target]),
             ansatz,
             CompileConfig(seed=3, max_iterations=120, warm_start=True,
                           tolerance=1e-10),
@@ -310,7 +328,7 @@ class TestCompileSeries:
         ansatz, _ = hea_ansatz(2, 1)
         targets = [StateVector(2, random_state(rng, 2)) for _ in range(2)]
         series = compile_series(
-            targets, ansatz, CompileConfig(seed=9, max_iterations=20), layers=1
+            rows(targets), ansatz, CompileConfig(seed=9, max_iterations=20), layers=1
         )
         payload = json.loads(series.to_json())
         assert payload["n_qubits"] == series.n_qubits

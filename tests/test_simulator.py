@@ -122,14 +122,6 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector.basis_state(2, 4)
 
-    def test_rows_wraps_each_row(self):
-        amps = np.array([[0.6, 0.0, 0.0, 0.8j], [0.0, 1.0, 0.0, 0.0]])
-        states = StateVector.rows(amps)
-        assert [s.n_qubits for s in states] == [2, 2]
-        assert all(np.array_equal(s.amplitudes, a) for s, a in zip(states, amps))
-        with pytest.raises(ValueError, match="norm"):
-            StateVector.rows(np.ones((1, 4)))
-
 
 class TestGateKernels:
     def test_every_kind_matches_dense_oracle(self):
@@ -143,7 +135,7 @@ class TestGateKernels:
             assert np.linalg.norm(got - want) < 1e-12
 
     def test_identity_string_is_global_phase(self):
-        psi = StateVector.zero_state(2)
+        psi = StateVector.basis_state(2, 0)
         g = Gate("pauliexp", (), angle=0.8, pauli=PauliString.from_label(""))
         out = apply_circuit(psi, Circuit(2, [g]))
         assert abs(out.amplitudes[0] - np.exp(-0.4j)) < 1e-12
@@ -194,7 +186,7 @@ class TestGateKernels:
     def test_unbound_circuit_rejected_by_apply(self):
         c, _ = hea_ansatz(2, 1)
         with pytest.raises(ValueError, match="unbound"):
-            apply_circuit(StateVector.zero_state(2), c)
+            apply_circuit(StateVector.basis_state(2, 0), c)
 
 
 def hadamard_circuit(n: int) -> Circuit:
@@ -355,7 +347,7 @@ class TestExpectation:
     def test_width_mismatch_rejected(self):
         h = PauliSum(2, {PauliString.from_label("Z0"): 1.0})
         with pytest.raises(ValueError, match="widths"):
-            expectation(StateVector.zero_state(3), h)
+            expectation(StateVector.basis_state(3, 0), h)
 
 
 class TestSampling:
@@ -403,7 +395,7 @@ class TestSampling:
             assert abs(shot_mean_z(rec, mask)) < 5 * sigma
 
     def test_argument_validation(self):
-        psi = StateVector.zero_state(1)
+        psi = StateVector.basis_state(1, 0)
         with pytest.raises(ValueError, match="spc"):
             sample_z(psi, 0, seed=1)
 

@@ -23,7 +23,8 @@ molecular fixtures at their Hartree-Fock determinants, and on ``h2_eq``
 with the two per-spin parities as generators; and ``acquire``'s overlap
 series on ``h2_eq`` with its CI state in exact, ``spc=200`` shots and
 ``spc=200`` recompiled mode, and on the seed-0 ``qcels-shots-10q`` input
-with the benchmark's ``spc=10000`` shots.
+with the benchmark's ``spc=10000`` shots; and ``compile_series`` on the
+seed-0 ``recompile-5q`` input, its results and prepared states.
 
 Usage:
     python3 tools/bits.py --write FILE [--src DIR]
@@ -189,27 +190,46 @@ def run_json(gsee, inp):
     return {"text": text_array(text), **sum_arrays(gsee.pauli.PauliSum.from_json(text))}
 
 
-def run_overlap_series(gsee, inp):
-    """``acquire``'s series on the state of ``inp["dets"]`` at ``choose_grid``'s
-    tau; recompiled mode first fits a one-layer ansatz to every point's
-    Hadamard-test state, 40 Adam steps and one restart."""
-    qcels, simulator = gsee.qcels, gsee.simulator
+def hadamard_series(gsee, inp, layers, max_iterations, restarts):
+    """``scale`` from the state of ``inp["dets"]``, ``choose_grid``'s tau, and
+    ``compile_series`` of every point's Hadamard-test state (or None when
+    ``layers`` is None)."""
+    qcels, recompile = gsee.qcels, gsee.recompile
     h = operator(gsee, inp)
     _, parsed = gsee.chem.determinants_from_json(inp["dets"])
-    psi = gsee.chem.ci_initial_state(parsed, 0.0, h.n_qubits)
-    sh = qcels.scale(h)
-    n_points = inp["n_points"]
-    tau = qcels.choose_grid(sh, psi, n_points)
-    compilation = None
-    if inp["mode"] == "recompiled":
-        targets = simulator.StateVector.rows(qcels.hadamard_test_states(sh, psi, tau, n_points))
-        ansatz, _ = gsee.circuits.hea_ansatz(h.n_qubits + 1, 1)
-        config = gsee.recompile.CompileConfig(max_iterations=40, restarts=1, seed=inp["seed"])
-        compilation = gsee.recompile.compile_series(targets, ansatz, config, layers=1)
-    series = qcels.acquire(sh, psi, tau, n_points, inp["mode"], inp["spc"], inp["seed"],
-                           compilation)
+    sh = qcels.scale(h, gsee.chem.ci_initial_state(parsed, 0.0, h.n_qubits))
+    tau = qcels.choose_grid(sh, inp["n_points"])
+    if layers is None:
+        return sh, tau, None
+    targets = qcels.hadamard_test_states(sh, tau, inp["n_points"])
+    ansatz, _ = gsee.circuits.hea_ansatz(h.n_qubits + 1, layers)
+    config = recompile.CompileConfig(max_iterations=max_iterations, restarts=restarts,
+                                     seed=inp["seed"])
+    return sh, tau, recompile.compile_series(targets, ansatz, config, layers=layers)
+
+
+def run_overlap_series(gsee, inp):
+    """``acquire``'s series; recompiled mode first fits a one-layer ansatz to
+    every point's Hadamard-test state, 40 Adam steps and one restart."""
+    layers = 1 if inp["mode"] == "recompiled" else None
+    sh, tau, compilation = hadamard_series(gsee, inp, layers, 40, 1)
+    series = gsee.qcels.acquire(sh, tau, inp["n_points"], inp["mode"], inp["spc"],
+                                inp["seed"], compilation)
     return {"tau": np.array([series.tau]), "values": series.values,
             "stderr_re": series.stderr_re, "stderr_im": series.stderr_im}
+
+
+def run_compile_series(gsee, inp):
+    """Each result of ``compile_series`` on the Hadamard-test states, and the
+    states its ansatz prepares."""
+    _, _, c = hadamard_series(gsee, inp, inp["layers"], inp["max_iterations"],
+                              inp["restarts"])
+    return {"parameters": np.array([r.parameters for r in c.results]),
+            "objective": np.array([r.objective for r in c.results]),
+            "fidelity": np.array([r.fidelity for r in c.results]),
+            "iterations": np.array([r.iterations for r in c.results]),
+            "restart": np.array([r.restart for r in c.results]),
+            "states": c.states}
 
 
 def operators() -> dict:
@@ -296,6 +316,12 @@ def corpus() -> list[tuple[str, dict, object]]:
                   {**ops["qcels-shots-10q.seed0"], "dets": workloads.ci_json(norb, dets),
                    "mode": "shots", "n_points": 33, "spc": 10_000, "seed": 0},
                   run_overlap_series))
+    # the seed-0 recompile-5q run: H2 with its CI state, 6 layers, 3
+    # restarts, 4 points and 50 Adam steps
+    cases.append(("compile_series.recompile-5q.seed0",
+                  {**h2, "seed": 0, "n_points": 4, "layers": 6, "restarts": 3,
+                   "max_iterations": 50},
+                  run_compile_series))
     for name, op in ops.items():
         cases.append((f"blocks.{name}", op, run_blocks))
         cases.append((f"json.{name}", op, run_json))

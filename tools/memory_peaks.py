@@ -3,8 +3,9 @@
 Runs the cases of ``tests/test_memory.py`` on inputs built from
 ``bench/workloads.py``, which it only reads, and prints a Markdown table:
 per call and size, the bytes the call passed to ``pauli.check_memory``
-(for ``bootstrap``, the bytes ``gsee qcm4`` checks before it), its
-tracemalloc peak and their ratio.  A ratio below 1 is a check that
+(the largest check of each thing it checks, summed over those things; for
+``bootstrap``, the bytes ``gsee qcm4`` checks before it), its tracemalloc
+peak and their ratio.  A ratio below 1 is a check that
 undercounts: a machine with memory between the two passes the check and
 can still run out.
 
@@ -35,12 +36,13 @@ from gsee.simulator import StateVector  # noqa: E402
 
 
 def checked_peak(call) -> tuple[int, int]:
-    """``(largest bytes checked, tracemalloc peak)`` of ``call()``."""
-    checked = []
+    """``(bytes checked, tracemalloc peak)`` of ``call()``: per thing checked
+    its largest check, summed."""
+    checked = {}
     real = pauli.check_memory
 
     def spy(n_bytes, what):
-        checked.append(n_bytes)
+        checked[what] = max(n_bytes, checked.get(what, 0))
         real(n_bytes, what)
 
     pauli.check_memory = qcels.check_memory = spy
@@ -51,7 +53,7 @@ def checked_peak(call) -> tuple[int, int]:
     finally:
         tracemalloc.stop()
         pauli.check_memory = qcels.check_memory = real
-    return max(checked), peak
+    return sum(checked.values()), peak
 
 
 def integrals(norb: int, coulomb_only: bool = False) -> FermionIntegrals:
@@ -106,8 +108,14 @@ def main() -> None:
     diagonal = PauliSum(12, {s: c for s, c in h12.terms() if s.x_mask == 0})
     one_x = PauliSum(12, {s: c for s, c in h12.terms() if s.x_mask in (0, x)})
     h10 = jordan_wigner(integrals(5))
-    sh10, sh12 = qcels.scale(h10), qcels.scale(diagonal)
     psi10, psi12 = hea(10), hea(12)
+    # the seed-0 qcels-shots-10q state: its top-4 determinants, in one cell
+    one, two, core = workloads.random_integrals(5, 0)
+    dets = workloads.top_determinants(workloads.fock_hamiltonian(one, two, core),
+                                      5, 4, 0, workloads.QCELS_TOP_K)
+    _, parsed = determinants_from_json(workloads.ci_json(5, dets))
+    ci10 = ci_initial_state(parsed, 0.0, 10)
+    ci12 = StateVector.basis_state(12, 0b010101010101)
     fi4, fi6, fi33 = integrals(4), integrals(6), integrals(33, coulomb_only=True)
     h8, strings, est, bootstrap_bytes = qcm4_case()
     h8_squared = h8 @ h8
@@ -117,13 +125,16 @@ def main() -> None:
         ("blocks", "12 qubits, 2-row blocks (and one x mask)", one_x.blocks),
         ("blocks", "10 qubits, 36 sector cells (qcels-shots-10q seed 0)", h10.blocks),
         ("blocks", "12 qubits, 49 sector cells (norb 6)", h12.blocks),
-        ("scale", "10 qubits, qcels-shots-10q seed 0", lambda: qcels.scale(h10)),
-        ("scale", "12 qubits, norb 6", lambda: qcels.scale(h12)),
+        ("scale", "10 qubits, qcels-shots-10q seed 0, its state in one cell",
+         lambda: qcels.scale(h10, ci10)),
+        ("scale", "10 qubits, qcels-shots-10q seed 0, weight in all 36 cells",
+         lambda: qcels.scale(h10, psi10)),
+        ("scale", "12 qubits, norb 6, one determinant", lambda: qcels.scale(h12, ci12)),
+        ("scale", "12 qubits, norb 6, weight in all 49 cells",
+         lambda: qcels.scale(h12, psi12)),
         ("jordan_wigner", "norb 4", lambda: jordan_wigner(fi4)),
         ("jordan_wigner", "norb 6", lambda: jordan_wigner(fi6)),
         ("jordan_wigner", "norb 33 (W = 2), Coulomb only", lambda: jordan_wigner(fi33)),
-        ("_project", "10 qubits, all 36 sector cells live", lambda: sh10._project(psi10)),
-        ("_project", "12 qubits, 1-row blocks, all live", lambda: sh12._project(psi12)),
         ("to_dense", "10 qubits", h10.to_dense),
         ("@", "H²·H, qcm4-shots-8q's operator (8 qubits, dense map)",
          lambda: h8_squared @ h8),
