@@ -293,6 +293,14 @@ class TestEvolve:
         # row n of step tau is row 1 of step n tau
         assert np.linalg.norm(sh.evolve(0.4, 3)[2] - two) < 1e-12
 
+    def test_width_mismatch_rejected(self):
+        # evolve reads the state scale took: a state of another width is
+        # refused there, and the rows evolve returns have the state's width
+        h = PauliSum(1, {PauliString.from_label("Z0"): 1.0})
+        with pytest.raises(ValueError, match="widths differ"):
+            scale(h, StateVector.basis_state(2, 0))
+        assert scale(h, StateVector.basis_state(1, 0)).evolve(0.5, 3).shape == (3, 2)
+
 
 class TestMean:
     @settings(deadline=None, max_examples=80)
@@ -313,6 +321,14 @@ class TestMean:
             assert any(np.any(v.imag) for v in sh.vecs) == odd_y
             want = np.vdot(psi.amplitudes, scaled_dense(h, sh) @ psi.amplitudes)
             assert abs(sh.mean() - want.real) <= 1e-12
+
+    def test_width_mismatch_rejected(self):
+        # mean reads the state scale took: a state of another width is
+        # refused there, and the mean is that of the state scale was given
+        h = PauliSum(1, {PauliString.from_label("Z0"): 1.0})
+        with pytest.raises(ValueError, match="widths differ"):
+            scale(h, StateVector.basis_state(2, 0))
+        assert unit_z().mean() == pytest.approx(math.pi / 4.0, abs=1e-15)
 
 
 class TestChooseGrid:
