@@ -47,7 +47,7 @@ print(f"ansatz: {ansatz.n_params} parameters, "
 start = time.perf_counter()
 compilation = compile_series(
     targets, ansatz,
-    CompileConfig(max_iterations=250, restarts=2, seed=0, warm_start=True),
+    CompileConfig(max_iterations=400, restarts=6, seed=0),
     layers=4,
 )
 elapsed = time.perf_counter() - start

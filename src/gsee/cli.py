@@ -65,7 +65,7 @@ from .qcm4 import (
     pauli_filter,
     plan,
 )
-from .recompile import CompileConfig, SeriesCompilation, compile_series
+from .recompile import CompileConfig, SeriesCompilation, batch_bytes, compile_series
 from .simulator import StateVector
 
 __all__ = ["InputError", "SCHEMA_VERSION", "main", "resolve_config"]
@@ -99,7 +99,6 @@ _COMPILE = {
     "learning_rate": (float, 0.05, _Above(0.0), None),
     "restarts": (int, 3, 1, None),
     "tolerance": (float, 1e-12, 0.0, None),
-    "warm_start": (bool, False, None, None),
 }
 _SERIES = {"n_points": (int, 33, 2, None)}
 _SCHEMA = {
@@ -497,14 +496,22 @@ def cmd_ingest(source: Path, out: Path, taper: bool) -> None:
 
 def _compile_hadamard_series(
     sh: ScaledHamiltonian, tau: float, n_points: int, settings: Mapping, seed: int, out: Path,
+    section: str,
 ) -> tuple[SeriesCompilation, int]:
     """Compiles the Hadamard-test state of every time point n tau.
 
-    Writes series_compilation.json and returns the compilation with the
-    ansatz's two-qubit depth.
+    Exits 2 naming ``<section>.restarts`` before the optimizer's batch would
+    exceed memory.  Writes series_compilation.json and returns the
+    compilation with the ansatz's two-qubit depth.
     """
+    width, layers, restarts = sh.psi.n_qubits + 1, settings["layers"], settings["restarts"]
+    # hea_ansatz's parameter count: three rotations a qubit per block, and
+    # one entangler per system qubit per layer
+    n_params = 3 * width * (layers + 1) + layers * (width - 1)
+    _check(f"{section}.restarts", check_memory, batch_bytes(n_points, width, n_params, restarts),
+           f"{restarts:,} restarts of {n_params:,} parameters")
     targets = hadamard_test_states(sh, tau, n_points)
-    ansatz, _ = hea_ansatz(sh.psi.n_qubits + 1, settings["layers"])
+    ansatz, _ = hea_ansatz(width, layers)
     config = CompileConfig(
         seed=seed, **{key: settings[key] for key in _COMPILE if key != "layers"}
     )
@@ -527,6 +534,7 @@ def cmd_qcels(resolved: Mapping, base: Path, out: Path) -> None:
     if recompiled:
         compilation, depth = _compile_hadamard_series(
             sh, tau, settings["n_points"], settings["compile"], resolved["seed"], out,
+            "qcels.compile",
         )
 
     series = acquire(
@@ -622,7 +630,7 @@ def cmd_recompile(resolved: Mapping, base: Path, out: Path) -> None:
     sh = _check("operator", scale, h, psi)
     tau = choose_grid(sh, settings["n_points"])
     compilation, depth = _compile_hadamard_series(
-        sh, tau, settings["n_points"], settings, resolved["seed"], out
+        sh, tau, settings["n_points"], settings, resolved["seed"], out, "recompile"
     )
 
     results = {

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "CompileConfig",
     "CompilationResult",
     "SeriesCompilation",
+    "batch_bytes",
     "compile_series",
 ]
 
@@ -49,8 +50,6 @@ class CompileConfig:
     restarts: int = 3
     seed: int = 0
     tolerance: float = 1e-12
-    warm_start: bool = False
-    initial_parameters: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1 or self.restarts < 1:
@@ -114,24 +113,34 @@ class SeriesCompilation:
         )
 
 
+def _group_size(restarts: int, n_qubits: int) -> int:
+    """Targets per batch: as many as keep its amplitudes within the budget."""
+    return max(1, _GROUP_AMPLITUDES // (restarts << n_qubits))
+
+
+def batch_bytes(n_targets: int, n_qubits: int, n_params: int, restarts: int) -> int:
+    """Peak bytes of :func:`compile_series` on inputs of these sizes.
+
+    An adjoint sweep of the largest batch keeps about nine (rows, 2^n)
+    complex arrays live, and the Adam state with the sweep's trig and
+    gradient tables takes about 144 bytes a row and parameter.  The gate
+    kernels (64 bytes a qubit and amplitude), the prepared states with
+    their concatenation and 64 KiB of Python objects come on top.
+    """
+    rows = restarts * min(n_targets, _group_size(restarts, n_qubits))
+    dim = 1 << n_qubits
+    return 144 * rows * (dim + n_params) + 32 * (2 * n_qubits + n_targets) * dim + (1 << 16)
+
+
 def _compile(
-    compiled: CompiledCircuit, amps: np.ndarray, config: CompileConfig
+    compiled: CompiledCircuit, amps: np.ndarray, config: CompileConfig, start: np.ndarray
 ) -> tuple[list[CompilationResult], np.ndarray]:
-    """One Adam run over every target row of ``amps``, and the states of the
-    winners; row t * restarts + r is restart r of t."""
-    ansatz = compiled.circuit
-    if ansatz.n_params == 0:
-        raise ValueError("ansatz has no parameters to optimize")
-    n_params = ansatz.n_params
-    rng = derived_rng(config.seed)
-    start = rng.uniform(-math.pi, math.pi, size=(config.restarts, n_params))
-    if config.initial_parameters is not None:
-        init = np.asarray(config.initial_parameters, dtype=float)
-        if init.shape != (n_params,):
-            raise ValueError(f"expected {n_params} initial parameters")
-        start[0] = init
+    """One Adam run over every target row of ``amps`` from the (restarts,
+    n_params) ``start``, and the states of the winners; row t * restarts + r
+    is restart r of t."""
+    restarts, n_params = start.shape
     zero = np.eye(1, amps.shape[1], dtype=complex)
-    best_obj = np.full((len(amps), config.restarts), np.inf)
+    best_obj = np.full((len(amps), restarts), np.inf)
     best_thetas = np.tile(start, (len(amps), 1, 1))
     iterations = np.full(len(amps), config.max_iterations)
 
@@ -205,13 +214,11 @@ def compile_series(
     winner is simulated once more so that the reported fidelity is
     |<target|U(parameters)|0>|^2 for exactly the returned parameters.
 
-    Every target draws its restarts from the same seeded stream, so
+    Every target starts its restarts from the same seeded draw, so
     identical targets produce identical results.  Consecutive targets run
     as one batch, as many as keep its amplitudes within
     :data:`_GROUP_AMPLITUDES`; every step is per row, so the results are bit
-    for bit those of one call per target.  With ``warm_start`` (off by
-    default) the previous target's solution seeds one restart of the next,
-    so targets run one at a time.
+    for bit those of one call per target.
 
     Raises:
         ValueError: no targets, targets whose width is not the ansatz's or
@@ -226,17 +233,17 @@ def compile_series(
     norms = np.linalg.norm(targets, axis=1)
     if not np.all(np.abs(norms - 1.0) <= 1e-8):  # NaN fails too
         raise ValueError("every target state needs norm 1")
+    if ansatz.n_params == 0:
+        raise ValueError("ansatz has no parameters to optimize")
     compiled = CompiledCircuit(ansatz)
-    rows = config.restarts << ansatz.n_qubits
-    per_group = 1 if config.warm_start else max(1, _GROUP_AMPLITUDES // rows)
+    start = derived_rng(config.seed).uniform(
+        -math.pi, math.pi, size=(config.restarts, ansatz.n_params)
+    )
+    per_group = _group_size(config.restarts, ansatz.n_qubits)
     results: list[CompilationResult] = []
     states = []
-    step_config = config
     for first in range(0, len(targets), per_group):
-        group, prepared = _compile(compiled, targets[first:first + per_group], step_config)
+        group, prepared = _compile(compiled, targets[first:first + per_group], config, start)
         results += group
         states.append(prepared)
-        if config.warm_start:
-            init = tuple(results[-1].parameters)
-            step_config = replace(config, initial_parameters=init)
     return SeriesCompilation(ansatz.n_qubits, layers, tuple(results), np.concatenate(states))

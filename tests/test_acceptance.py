@@ -176,7 +176,7 @@ def test_05_recompiled_pipeline_fidelity_and_energy(toy):
     ansatz, _ = hea_ansatz(psi.n_qubits + 1, 6)
     compilation = compile_series(
         targets, ansatz,
-        CompileConfig(max_iterations=300, restarts=2, seed=0, warm_start=True),
+        CompileConfig(max_iterations=300, restarts=4, seed=0),
         layers=6,
     )
     assert compilation.mean_fidelity >= 0.999

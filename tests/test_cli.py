@@ -15,7 +15,8 @@ from gsee.chem import jordan_wigner, parse_fcidump
 from gsee.cli import InputError, SCHEMA_VERSION, main, resolve_config
 from gsee.pauli import PauliString, PauliSum
 from gsee.qcm4 import bootstrap, build_moments, estimate, pauli_filter, plan
-from gsee.recompile import CompileConfig
+from gsee.circuits import hea_ansatz
+from gsee.recompile import CompileConfig, batch_bytes
 from gsee.simulator import StateVector, sample_z
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "src" / "gsee" / "fixtures"
@@ -127,6 +128,21 @@ class TestResolveConfig:
                      "--out", str(tmp_path / "run")])
         assert code == 2
         assert f"unknown {command} key(s): fallback_norm" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command, section", [
+        ("recompile", "recompile"), ("qcels", "qcels.compile"),
+    ])
+    def test_retired_warm_start_key_exits_2(self, tmp_path, capsys, command, section):
+        if command == "recompile":
+            extra = {"recompile": {"warm_start": True}}
+        else:
+            extra = {"mode": "recompiled", "qcels": {"compile": {"warm_start": True}}}
+        config = h2_config(tmp_path, command, **extra)
+        code = main([command, "--config", str(config),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert f"unknown {section} key(s): warm_start" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_algorithm_mismatch_rejected(self, tmp_path):
@@ -258,7 +274,6 @@ _COMPILE_KEYS = {
     "learning_rate": ("number", 0.05, None, None),
     "restarts": ("int", 3, 1, None),
     "tolerance": ("number", 1e-12, 0.0, None),
-    "warm_start": ("bool", False, None, None),
 }
 _SERIES_KEYS = {"n_points": ("int", 33, 2, None)}
 # Expected run-config schema, written out independently of cli.py:
@@ -960,6 +975,44 @@ class TestMemoryChecks:
         assert "bytes of physical memory" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, section", [
+        ("recompile", "recompile"), ("qcels", "qcels.compile"),
+    ])
+    def test_unaffordable_compile_batch_exits_2(
+        self, tmp_path, capsys, monkeypatch, command, section
+    ):
+        if command == "recompile":
+            extra = {"recompile": {"restarts": 10**15, "n_points": 2}}
+        else:
+            extra = {"mode": "recompiled",
+                     "qcels": {"n_points": 2, "compile": {"restarts": 10**15}}}
+        config = h2_config(tmp_path, command, **extra)
+
+        def no_compile(*args, **kwargs):
+            raise AssertionError("the batch check must come first")
+
+        monkeypatch.setattr(pauli, "_physical_memory", lambda: 10**9)
+        monkeypatch.setattr(cli, "hea_ansatz", no_compile)
+        monkeypatch.setattr(cli, "compile_series", no_compile)
+        out = tmp_path / "run"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        # H2 with its ancilla: a 5-qubit ansatz of 6 layers, 129 parameters
+        assert f"{section}.restarts: 1,000,000,000,000,000 restarts of 129 parameters" in err
+        assert "more than the 1,000,000,000 bytes" in err
+        assert not (out / "results.json").exists()
+
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_compile_batch_charges_the_built_ansatz(self, tmp_path, monkeypatch, layers):
+        settings = {"layers": layers, "restarts": 2, "n_points": 3, "max_iterations": 1}
+        config = h2_config(tmp_path, "recompile", recompile=settings)
+        charged = []
+        monkeypatch.setattr(cli, "check_memory", lambda n_bytes, what: charged.append(n_bytes))
+        assert main(["recompile", "--config", str(config),
+                     "--out", str(tmp_path / "run")]) == 0
+        ansatz, _ = hea_ansatz(5, layers)
+        assert batch_bytes(3, 5, ansatz.n_params, 2) in charged
+
     @pytest.mark.parametrize("command, settings, message", [
         # weighted allocation may give one of H2's 2 circuits every shot;
         # the same spc under uniform allocation fits
@@ -1086,7 +1139,7 @@ class TestRecompileRun:
 class TestCompileSettings:
     SETTINGS = {
         "layers": 2, "max_iterations": 7, "learning_rate": 0.2, "restarts": 2,
-        "tolerance": 1e-9, "warm_start": True,
+        "tolerance": 1e-9,
     }
 
     @pytest.mark.parametrize("command", ["recompile", "qcels"])

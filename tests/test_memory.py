@@ -16,9 +16,11 @@ import pytest
 from helpers import random_integrals, random_state, random_sum
 from gsee import cli, pauli, qcels
 from gsee.chem import FermionIntegrals, jordan_wigner, parse_fcidump
+from gsee.circuits import hea_ansatz
 from gsee.pauli import PauliString, PauliSum
 from gsee.qcels import scale
 from gsee.qcm4 import bootstrap, build_moments, estimate, plan
+from gsee.recompile import CompileConfig, batch_bytes, compile_series
 from gsee.simulator import StateVector
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "src" / "gsee" / "fixtures"
@@ -187,4 +189,24 @@ def test_bootstrap(fixture, resamples):
     finally:
         tracemalloc.stop()
     estimate_bytes = cli._bootstrap_bytes(resamples, outcomes, terms)
+    assert peak <= estimate_bytes <= 3 * peak, (estimate_bytes, peak)
+
+
+# the recompile-5q batch (4 points of 3 restarts of 129 parameters, where
+# the parameter tables dominate), and 3 points on 11 qubits in batches of
+# 2 restarts of 76 parameters, where the amplitudes do
+@pytest.mark.parametrize("n_qubits, layers, restarts, n_points",
+                         [(5, 6, 3, 4), (11, 1, 2, 3)], ids=["5-qubit", "11-qubit"])
+def test_compile_series(n_qubits, layers, restarts, n_points):
+    ansatz, _ = hea_ansatz(n_qubits, layers)
+    targets = np.array([random_state(np.random.default_rng(k), n_qubits)
+                        for k in range(n_points)])
+    config = CompileConfig(max_iterations=3, restarts=restarts)
+    tracemalloc.start()
+    try:
+        compile_series(targets, ansatz, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    estimate_bytes = batch_bytes(n_points, n_qubits, ansatz.n_params, restarts)
     assert peak <= estimate_bytes <= 3 * peak, (estimate_bytes, peak)

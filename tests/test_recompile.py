@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_state, shift_gradient
 from gsee import recompile
@@ -40,6 +42,25 @@ def rows(targets):
     return np.array([t.amplitudes for t in targets])
 
 
+def seeded_starts(config, n_params, first=None):
+    """compile_series' seeded (restarts, n_params) starts, with row 0
+    replaced by ``first`` when it is given."""
+    start = derived_rng(config.seed).uniform(
+        -math.pi, math.pi, size=(config.restarts, n_params)
+    )
+    if first is not None:
+        start[0] = first
+    return start
+
+
+def compile_from(target, ansatz, config, start):
+    """One target's compilation from the chosen starts."""
+    results, _ = recompile._compile(
+        CompiledCircuit(ansatz), target.amplitudes[None], config, start
+    )
+    return results[0]
+
+
 def objective(ansatz, target, thetas):
     states = simulate_batch(ansatz, zero_amps(ansatz.n_qubits), thetas)
     return 2.0 - 2.0 * (states @ target.amplitudes.conj()).real
@@ -70,10 +91,12 @@ class TestCompileState:
         ansatz, spec = hea_ansatz(3, 2)
         star = rng.uniform(-np.pi, np.pi, spec.n_params)
         target_amps = simulate_batch(ansatz, zero_amps(3), star[None])[0]
-        res = compile_one(
+        config = CompileConfig(seed=0)
+        res = compile_from(
             StateVector(3, target_amps),
             ansatz,
-            CompileConfig(seed=0, initial_parameters=tuple(star)),
+            config,
+            seeded_starts(config, spec.n_params, star),
         )
         assert res.objective < 1e-12
         assert res.fidelity > 1 - 1e-10
@@ -93,13 +116,10 @@ class TestCompileState:
         rng = np.random.default_rng(31)
         ansatz, spec = hea_ansatz(2, 1)
         target = StateVector(2, random_state(rng, 2))
-        init = tuple(rng.uniform(-np.pi, np.pi, spec.n_params))
-        initial_obj = objective(ansatz, target, np.asarray(init)[None])[0]
-        res = compile_one(
-            target,
-            ansatz,
-            CompileConfig(seed=2, restarts=1, max_iterations=5,
-                          initial_parameters=init),
+        init = rng.uniform(-np.pi, np.pi, (1, spec.n_params))
+        initial_obj = objective(ansatz, target, init)[0]
+        res = compile_from(
+            target, ansatz, CompileConfig(seed=2, restarts=1, max_iterations=5), init
         )
         assert res.objective <= initial_obj + 1e-12
 
@@ -135,26 +155,17 @@ class TestCompileState:
 
     def test_diverged_objective_raises(self):
         ansatz, spec = hea_ansatz(2, 1)
-        bad = tuple([np.nan] * spec.n_params)
+        config = CompileConfig(seed=0)
+        bad = seeded_starts(config, spec.n_params, np.nan)
         with pytest.raises(ValueError, match="non-finite"):
-            compile_one(
-                StateVector.basis_state(2, 0),
-                ansatz,
-                CompileConfig(seed=0, initial_parameters=bad),
-            )
+            compile_from(StateVector.basis_state(2, 0), ansatz, config, bad)
 
     def test_input_validation(self):
-        ansatz, spec = hea_ansatz(2, 1)
+        ansatz, _ = hea_ansatz(2, 1)
         with pytest.raises(ValueError, match="widths"):
             compile_one(StateVector.basis_state(3, 0), ansatz, CompileConfig())
         with pytest.raises(ValueError, match="norm 1"):
             compile_series(np.ones((1, 4)), ansatz, CompileConfig())
-        with pytest.raises(ValueError, match="initial parameters"):
-            compile_one(
-                StateVector.basis_state(2, 0),
-                ansatz,
-                CompileConfig(initial_parameters=(0.0,)),
-            )
         with pytest.raises(ValueError, match="iteration"):
             CompileConfig(max_iterations=0)
 
@@ -169,8 +180,9 @@ class TestCompileState:
             CompileConfig(tolerance=tolerance)
 
 
-def one_target_reference(target, ansatz, config):
-    """compile_series' documented Adam loop for one target, written out.
+def one_target_reference(target, ansatz, config, start):
+    """compile_series' documented Adam loop for one target from the
+    (restarts, n_params) ``start``, written out.
 
     Each iteration scores its restarts by a forward sweep and one
     (restarts, 2^n) @ (2^n,) product, and takes their gradient from
@@ -179,15 +191,12 @@ def one_target_reference(target, ansatz, config):
     compiled = CompiledCircuit(ansatz)
     amps = target.amplitudes
     zero = zero_amps(ansatz.n_qubits)
-    rng = derived_rng(config.seed)
-    thetas = rng.uniform(-math.pi, math.pi, size=(config.restarts, ansatz.n_params))
-    if config.initial_parameters is not None:
-        thetas[0] = config.initial_parameters
+    thetas = start.copy()
 
     def score(thetas):
         return 2.0 - 2.0 * (compiled.simulate(zero, thetas) @ amps.conj()).real
 
-    best_obj = np.full(config.restarts, np.inf)
+    best_obj = np.full(len(start), np.inf)
     best = thetas.copy()
     m = np.zeros_like(thetas)
     v = np.zeros_like(thetas)
@@ -257,7 +266,8 @@ class TestCompileSeries:
         iterations = [r.iterations for r in series.results]
         assert len(set(iterations)) >= 3
         assert (config.max_iterations in iterations) == (case == "loose")
-        reference = [one_target_reference(t, ansatz, config) for t in targets]
+        start = seeded_starts(config, ansatz.n_params)
+        reference = [one_target_reference(t, ansatz, config, start) for t in targets]
         for got, want in zip(series.results, reference, strict=True):
             assert np.array_equal(got.parameters, want.parameters)
             assert (got.objective, got.fidelity, got.iterations, got.restart) == (
@@ -310,18 +320,27 @@ class TestCompileSeries:
         assert series.mean_fidelity == pytest.approx(np.mean(fids), abs=1e-12)
         assert series.min_fidelity <= series.mean_fidelity <= series.max_fidelity
 
-    def test_warm_start_seeds_next_step(self):
-        rng = np.random.default_rng(61)
-        ansatz, _ = hea_ansatz(2, 2)
-        target = StateVector(2, random_state(rng, 2))
-        series = compile_series(
-            rows([target, target]),
-            ansatz,
-            CompileConfig(seed=3, max_iterations=120, warm_start=True,
-                          tolerance=1e-10),
-        )
-        # step 2 starts at step 1's solution, so it can only match or improve
-        assert series.results[1].objective <= series.results[0].objective + 1e-12
+    @settings(max_examples=25, deadline=None)
+    @given(
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        n_targets=st.integers(2, 5),
+        max_iterations=st.integers(1, 30),
+    )
+    def test_target_order_is_invisible(self, data, seed, n_targets, max_iterations):
+        rng = np.random.default_rng(seed)
+        ansatz, _ = hea_ansatz(2, 1)
+        targets = np.array([random_state(rng, 2) for _ in range(n_targets)])
+        order = data.draw(st.permutations(range(n_targets)))
+        config = CompileConfig(seed=seed % 7, max_iterations=max_iterations)
+        series = compile_series(targets, ansatz, config)
+        permuted = compile_series(targets[order], ansatz, config)
+        assert permuted.states.tobytes() == series.states[order].tobytes()
+        for got, want in zip(permuted.results, [series.results[t] for t in order]):
+            assert got.parameters.tobytes() == want.parameters.tobytes()
+            assert (got.objective, got.fidelity, got.iterations, got.restart) == (
+                want.objective, want.fidelity, want.iterations, want.restart
+            )
 
     def test_json_round_trip(self):
         rng = np.random.default_rng(67)

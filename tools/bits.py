@@ -15,16 +15,19 @@ operator; ``build_moments`` on the four fixtures, as strings and
 coefficients in formation order; on the ``qcm4-shots-8q`` inputs of seeds
 0-2, in full and qubitwise grouping with the filter off and on, ``plan``'s
 gates, terms, ``z_masks``, signs, coefficients and constants with exact
-and ``spc=1000`` shot moments; ``blocks()`` cells and spectra on the
-fixtures and the ``qcels-shots-10q`` inputs of seeds 0-2;
+and ``spc=1000`` shot moments; on the same inputs, the benchmark's
+``spc=10000`` shot moments under uniform and weighted allocation with
+their 50-resample ``bootstrap`` energies, or the message of a bootstrap
+that raises; ``blocks()`` cells and spectra on the fixtures and the
+``qcels-shots-10q`` inputs of seeds 0-2;
 ``from_json(to_json())`` of those operators; and ``taper_z2``'s reduced
 operator with ``taper_state`` of one seeded in-sector state on the three
 molecular fixtures at their Hartree-Fock determinants, and on ``h2_eq``
 with the two per-spin parities as generators; and ``acquire``'s overlap
 series on ``h2_eq`` with its CI state in exact, ``spc=200`` shots and
-``spc=200`` recompiled mode, and on the seed-0 ``qcels-shots-10q`` input
-with the benchmark's ``spc=10000`` shots; and ``compile_series`` on the
-seed-0 ``recompile-5q`` input, its results and prepared states.
+``spc=200`` recompiled mode, and on the ``qcels-shots-10q`` inputs of
+seeds 0-9 with the benchmark's ``spc=10000`` shots; and ``compile_series``
+on the seed-0 ``recompile-5q`` input, its results and prepared states.
 
 Usage:
     python3 tools/bits.py --write FILE [--src DIR]
@@ -163,6 +166,22 @@ def run_plan(gsee, inp):
     }
 
 
+def run_bootstrap(gsee, inp):
+    """Shot moments under one allocation, and their bootstrap energies."""
+    qcm4 = gsee.qcm4
+    h = operator(gsee, inp)
+    _, parsed = gsee.chem.determinants_from_json(inp["dets"])
+    psi = gsee.chem.ci_initial_state(parsed, 0.0, h.n_qubits)
+    est = qcm4.estimate(qcm4.plan(qcm4.build_moments(h)), psi, spc=10_000, seed=0,
+                        mode="shots", allocation=inp["allocation"])
+    out = {"moments": np.array(est.moments)}
+    try:
+        out["energies"] = qcm4.bootstrap(est, 50, 0).energies
+    except ValueError as exc:
+        out["raised"] = text_array(str(exc))
+    return out
+
+
 def run_taper(gsee, inp):
     h = operator(gsee, inp)
     gens = inp["generators"] and [gsee.pauli.PauliString.from_label(g) for g in inp["generators"]]
@@ -292,6 +311,11 @@ def corpus() -> list[tuple[str, dict, object]]:
                      "mode": mode, "filter": filtered},
                     run_plan,
                 ))
+        for allocation in ("uniform", "weighted"):
+            cases.append((f"bootstrap.qcm4-shots-8q.seed{seed}.{allocation}",
+                          {**ops["spin_polarized"], "dets": workloads.ci_json(4, dets),
+                           "allocation": allocation},
+                          run_bootstrap))
     # each fixture at its Hartree-Fock determinant, h2_eq also with the
     # per-spin parities alone
     for name, reference, generators in (
@@ -309,13 +333,15 @@ def corpus() -> list[tuple[str, dict, object]]:
                       {**h2, "mode": mode, "n_points": n_points, "spc": spc},
                       run_overlap_series))
     norb = workloads.QCELS_NORB
-    one, two, core = workloads.random_integrals(norb, 0)
-    dets = workloads.top_determinants(workloads.fock_hamiltonian(one, two, core),
-                                      norb, norb - 1, 0, workloads.QCELS_TOP_K)
-    cases.append(("overlap_series.qcels-shots-10q.seed0.shots",
-                  {**ops["qcels-shots-10q.seed0"], "dets": workloads.ci_json(norb, dets),
-                   "mode": "shots", "n_points": 33, "spc": 10_000, "seed": 0},
-                  run_overlap_series))
+    for seed in range(10):
+        one, two, core = workloads.random_integrals(norb, seed)
+        dets = workloads.top_determinants(workloads.fock_hamiltonian(one, two, core),
+                                          norb, norb - 1, 0, workloads.QCELS_TOP_K)
+        cases.append((f"overlap_series.qcels-shots-10q.seed{seed}.shots",
+                      {"fcidump": workloads.fcidump_text(one, two, core, norb - 1, 0),
+                       "dets": workloads.ci_json(norb, dets),
+                       "mode": "shots", "n_points": 33, "spc": 10_000, "seed": 0},
+                      run_overlap_series))
     # the seed-0 recompile-5q run: H2 with its CI state, 6 layers, 3
     # restarts, 4 points and 50 Adam steps
     cases.append(("compile_series.recompile-5q.seed0",

@@ -4,7 +4,8 @@ Runs the cases of ``tests/test_memory.py`` on inputs built from
 ``bench/workloads.py``, which it only reads, and prints a Markdown table:
 per call and size, the bytes the call passed to ``pauli.check_memory``
 (the largest check of each thing it checks, summed over those things; for
-``bootstrap``, the bytes ``gsee qcm4`` checks before it), its tracemalloc
+``bootstrap`` and ``compile_series``, the bytes ``gsee`` checks before
+them), its tracemalloc
 peak and their ratio.  A ratio below 1 is a check that
 undercounts: a machine with memory between the two passes the check and
 can still run out.
@@ -30,8 +31,10 @@ from gsee.chem import (  # noqa: E402
     jordan_wigner,
     parse_fcidump,
 )
+from gsee.circuits import hea_ansatz  # noqa: E402
 from gsee.pauli import PauliSum  # noqa: E402
 from gsee.qcm4 import bootstrap, build_moments, estimate, plan  # noqa: E402
+from gsee.recompile import CompileConfig, batch_bytes, compile_series  # noqa: E402
 from gsee.simulator import StateVector  # noqa: E402
 
 
@@ -102,6 +105,23 @@ def bootstrap_peak(est, checked: int) -> tuple[int, int]:
         tracemalloc.stop()
 
 
+def compile_peak(h: PauliSum, psi: StateVector, n_points: int, restarts: int,
+                 max_iterations: int) -> tuple[int, int]:
+    """``(checked, tracemalloc peak)`` of compiling the Hadamard-test states
+    of ``h`` and ``psi`` on a 6-layer ansatz."""
+    sh = qcels.scale(h, psi)
+    targets = qcels.hadamard_test_states(sh, qcels.choose_grid(sh, n_points), n_points)
+    ansatz, _ = hea_ansatz(h.n_qubits + 1, 6)
+    config = CompileConfig(max_iterations=max_iterations, restarts=restarts)
+    tracemalloc.start()
+    try:
+        compile_series(targets, ansatz, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return batch_bytes(n_points, ansatz.n_qubits, ansatz.n_params, restarts), peak
+
+
 def main() -> None:
     h12 = jordan_wigner(integrals(6))
     x = next(s.x_mask for s, _ in h12.terms() if s.x_mask)
@@ -118,6 +138,11 @@ def main() -> None:
     ci12 = StateVector.basis_state(12, 0b010101010101)
     fi4, fi6, fi33 = integrals(4), integrals(6), integrals(33, coulomb_only=True)
     h8, strings, est, bootstrap_bytes = qcm4_case()
+    h2 = jordan_wigner(parse_fcidump(
+        (ROOT / "src" / "gsee" / "fixtures" / "h2_eq.fcidump").read_text()))
+    _, parsed = determinants_from_json(
+        (ROOT / "src" / "gsee" / "fixtures" / "h2_eq_ci.json").read_text())
+    ci2 = ci_initial_state(parsed, 0.0, 4)
     h8_squared = h8 @ h8
     sparse10 = PauliSum(10, list(h10.terms())[:100])
     cases = [
@@ -148,12 +173,17 @@ def main() -> None:
          lambda: sparse10.group_commuting("full")),
         ("bootstrap", "qcm4-shots-8q seed 0, 500 resamples",
          lambda: bootstrap_peak(est, bootstrap_bytes)),
+        ("compile_series", "recompile-5q (5 qubits, 4 points, 3 restarts of 129 parameters)",
+         lambda: compile_peak(h2, ci2, 4, 3, 50)),
+        ("compile_series", "qcels-shots-10q seed 0 recompiled (11 qubits, 33 points, "
+         "3 restarts of 291 parameters, 2 iterations)", lambda: compile_peak(h10, ci10, 33, 3, 2)),
     ]
     print("### Memory checks against their peaks")
     print("| call | case | check_memory bytes | tracemalloc peak | ratio |")
     print("|---|---|---:|---:|---:|")
     for call, case, run in cases:
-        estimate, peak = run() if call == "bootstrap" else checked_peak(run)
+        checked = call in ("bootstrap", "compile_series")
+        estimate, peak = run() if checked else checked_peak(run)
         print(f"| `{call}` | {case} | {estimate:,} | {peak:,} | {estimate / peak:.2f} |")
 
 
